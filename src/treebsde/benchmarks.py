@@ -13,7 +13,6 @@ reproduces the analytic value with no example-specific shortcut.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -23,10 +22,10 @@ from treebsde.lattice import ScenarioTree, TreeRandomVariable
 from treebsde.bsde import (
     BSDEProblem,
     ControlPolicy,
+    EnumerationCapError,
+    PolicySpace,
     solve_bsde,
     static_value,
-    _materialize,
-    _slots,
 )
 
 
@@ -91,39 +90,24 @@ def forward_states(tree: ScenarioTree, sde: ForwardSDE, control,
     return out
 
 
-def _subtree_slots(tree: ScenarioTree, level: int, node: int, k: int):
-    span = lambda j: 2 ** (tree.d * (j - level))
-    return [(j, idx) for j in range(level, k)
-            for idx in range(node * span(j), (node + 1) * span(j))]
-
-
 def subtree_argmax(problem: BSDEProblem, tree: ScenarioTree, level: int,
                    node: int, objective, cap: int = 10 ** 6):
     """Exact max of objective(Y_level[node]) over the node's subtree policies.
 
     objective maps the (d',) value at the node to a float. Returns
-    (best value, best assignment, slots). Deterministic-control problems use
-    level slots; path mode uses per-node subtree slots.
+    (best value, best assignment).
     """
-    U = problem.control_values
-    if problem.deterministic_controls:
-        slots = _slots(tree, level, tree.n, True)
-    else:
-        if tree.mode != "path":
-            raise ValueError("per-node argmax needs path mode or "
-                             "deterministic controls")
-        slots = _subtree_slots(tree, level, node, tree.n)
-    total = len(U) ** len(slots)
-    if total > cap:
-        raise BenchmarkError(f"{total} subtree policies exceed cap {cap}")
+    try:
+        policies = PolicySpace(problem, tree, level, node=node).policies(cap)
+    except EnumerationCapError as exc:
+        raise BenchmarkError(f"subtree argmax: {exc}") from None
     best, best_assign = -np.inf, None
-    for assignment in itertools.product(range(len(U)), repeat=len(slots)):
-        pol = _materialize(tree, tree.n, slots, assignment, U)
+    for assignment, pol in policies:
         sol = solve_bsde(problem, tree, pol)
         val = float(objective(sol.Y[level][node]))
         if val > best:
             best, best_assign = val, assignment
-    return best, best_assign, slots
+    return best, best_assign
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +345,16 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     c = a["c"]
     n = tree.n
     times = tree.grid.times()
+    minus_one = ControlPolicy.constant(tree, bench.problem.control_values[0])
     found = []
     min_margin = np.inf
     all_flip = True
     for k in range(1, n):
         mask = a["witness_set"](times[k], tree.values[k][:, 0])
         for i in np.nonzero(mask)[0]:
-            best, assign, slots = subtree_argmax(
+            best, assign = subtree_argmax(
                 bench.problem, tree, k, int(i),
                 lambda y: -abs(c + y[0]), cap=cap)
-            minus_one = _materialize(tree, n, slots,
-                                     (0,) * len(slots),
-                                     bench.problem.control_values)
             ref = solve_bsde(bench.problem, tree, minus_one)
             ref_val = -abs(c + float(ref.Y[k][i, 0]))
             U = bench.problem.control_values
@@ -405,7 +387,7 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
         for i in range(tree.node_count(k)):
             b = float(tree.values[k][i, 0])
             c_eff = float(a["c_process"](times[k], b)) if restored else c
-            best, assign, _ = subtree_argmax(
+            best, assign = subtree_argmax(
                 bench.problem, tree, k, i,
                 lambda y: -abs(c_eff + y[0]), cap=cap)
             checked += 1
@@ -673,11 +655,10 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     if not 0.0 < t < T - 1.0:
         raise BenchmarkError("pick a level with 0 < t < T - 1")
     sv = static_value(bench.problem, tree, cap=cap)
-    restrict = ControlPolicy(sv.policy.levels)
-    sol0 = solve_bsde(bench.problem, tree, restrict)
+    sol0 = solve_bsde(bench.problem, tree, sv.policy)
     ref = float(sol0.Y[level][0, 0])  # deterministic: all nodes equal
-    best, assign, _ = subtree_argmax(bench.problem, tree, level, 0,
-                                     lambda y: y[0], cap=cap)
+    best, assign = subtree_argmax(bench.problem, tree, level, 0,
+                                  lambda y: y[0], cap=cap)
     margin = best - ref
     # the re-optimized sequence must switch on inside (1, 1+t)
     times = tree.grid.times()[:n]

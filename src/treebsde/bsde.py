@@ -5,8 +5,22 @@ Explicit backward scheme on the +/-sqrt(dt) tree:
     Z_j = E_j[Y_{j+1} dB^T] / dt
     Y_j = E_j[Y_{j+1}] + f(t_j, node, E_j[Y_{j+1}], Z_j, u_j) * dt
 
-The static problem sup_u phi(Y^u_0) is solved by policy enumeration (lexicographic
-tie-break) with an optional coordinate-ascent fallback above the cap.
+The static problem sup_u phi(Y^u_0) is solved by policy enumeration with an
+optional coordinate-ascent fallback above the cap.
+
+Policy enumeration contract. Every loop over tree policies in the package runs
+through PolicySpace, which fixes:
+
+  * slots: one decision slot per (level, node) on [start_level, terminal_level),
+    level-major then node-ascending; one slot per level under
+    deterministic_controls;
+  * subtrees: given a node, only that path-mode node's descendants are slots, and
+    every other slot (including all levels before start_level) is pinned to U[0];
+  * order: assignments (one index into control_values per slot) run
+    lexicographically, so a max over them that keeps strict improvements only
+    returns the first (smallest) assignment on exact ties;
+  * cap: more than cap assignments raises EnumerationCapError before any solve;
+  * cost: callers run one solve_bsde per enumerated policy.
 
 For d'=1 the scheme is monotone (hence order-preserving in the terminal data) when
 1 - L*dt - L*sqrt(dt) >= 0; the sqrt(dt) term enters through the z-slot. This is
@@ -73,14 +87,6 @@ class ControlPolicy:
         k = tree.n if last_level is None else last_level
         return ControlPolicy(tuple(
             np.full(tree.node_count(j), float(value)) for j in range(k)
-        ))
-
-    @staticmethod
-    def from_level_values(tree: ScenarioTree, values, last_level: int | None = None) -> "ControlPolicy":
-        """Deterministic (time-indexed) policy: values[j] broadcast over level j."""
-        k = tree.n if last_level is None else last_level
-        return ControlPolicy(tuple(
-            np.full(tree.node_count(j), float(values[j])) for j in range(k)
         ))
 
 
@@ -191,21 +197,52 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
 # policy enumeration
 
 
-def _slots(tree: ScenarioTree, j0: int, j1: int, deterministic: bool):
-    """Decision slots for levels j0..j1-1, level-major then node-ascending."""
-    if deterministic:
-        return [(j, None) for j in range(j0, j1)]
-    return [(j, i) for j in range(j0, j1) for i in range(tree.node_count(j))]
+class PolicySpace:
+    """The policy enumerator (contract in the module docstring).
 
+    Policies act on levels 0..terminal_level-1; slots cover [start_level,
+    terminal_level), restricted to the descendants of (start_level, node) when a
+    node is given and controls are adapted.
+    """
 
-def _materialize(tree: ScenarioTree, j1: int, slots, assignment, U) -> ControlPolicy:
-    levels = [np.full(tree.node_count(j), float(U[0])) for j in range(j1)]
-    for (j, i), a in zip(slots, assignment):
-        if i is None:
-            levels[j][:] = U[a]
+    def __init__(self, problem: BSDEProblem, tree: ScenarioTree, start_level: int = 0,
+                 terminal_level: int | None = None, node: int | None = None):
+        k = tree.n if terminal_level is None else terminal_level
+        self.tree = tree
+        self.control_values = problem.control_values
+        self.terminal_level = k
+        if problem.deterministic_controls:
+            self.slots = tuple((j, None) for j in range(start_level, k))
+        elif node is None:
+            self.slots = tuple((j, i) for j in range(start_level, k)
+                               for i in range(tree.node_count(j)))
         else:
-            levels[j][i] = U[a]
-    return ControlPolicy(tuple(levels))
+            self.slots = tuple((j, i) for j in range(start_level, k)
+                               for i in tree.descendants(start_level, node, j))
+        self.size = len(self.control_values) ** len(self.slots)
+
+    def check_cap(self, cap: int) -> None:
+        if self.size > cap:
+            raise EnumerationCapError(f"{self.size} policies exceed cap {cap}")
+
+    def policy(self, assignment) -> ControlPolicy:
+        """Materialize one assignment; non-slot entries hold U[0]."""
+        U = self.control_values
+        levels = [np.full(self.tree.node_count(j), float(U[0]))
+                  for j in range(self.terminal_level)]
+        for (j, i), a in zip(self.slots, assignment):
+            if i is None:
+                levels[j][:] = U[a]
+            else:
+                levels[j][i] = U[a]
+        return ControlPolicy(tuple(levels))
+
+    def policies(self, cap: int):
+        """Lazy (assignment, policy) pairs in lexicographic order, cap-checked first."""
+        self.check_cap(cap)
+        choices = range(len(self.control_values))
+        return ((a, self.policy(a))
+                for a in itertools.product(choices, repeat=len(self.slots)))
 
 
 @dataclass(frozen=True)
@@ -225,53 +262,55 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     """Per-node max at start_level of objective(Y_{start_level}) over segment policies.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
-    assignments, enumerated count, heuristic flag). Policies on [start_level, k)
-    are enumerated lexicographically; ties keep the first (smallest) assignment.
+    assignments, enumerated count, heuristic flag).
     """
     k = tree.n if terminal_level is None else terminal_level
-    U = problem.control_values
-    slots = _slots(tree, start_level, k, problem.deterministic_controls)
-    total = len(U) ** len(slots) if slots else 1
+    space = PolicySpace(problem, tree, start_level, k)
     m0 = tree.node_count(start_level)
 
-    def evaluate(assignment):
-        pol = _materialize(tree, k, slots, assignment, U)
+    def evaluate(pol):
         sol = solve_bsde(problem, tree, pol, terminal_level=k, terminal_rv=terminal_rv)
         return np.asarray(objective(sol.Y[start_level]), dtype=float)
 
-    if total <= cap:
-        best = np.full(m0, -np.inf)
-        best_assign = [None] * m0
-        for assignment in itertools.product(range(len(U)), repeat=len(slots)):
-            vals = evaluate(assignment)
-            improved = vals > best
-            if improved.any():
-                for i in np.nonzero(improved)[0]:
-                    best_assign[i] = assignment
-                best = np.where(improved, vals, best)
-        return best, best_assign, total, False
-    if fallback != "coordinate-ascent":
-        raise EnumerationCapError(
-            f"{total} policies exceed cap {cap}; pass fallback='coordinate-ascent'"
-        )
-    if m0 != 1:
-        raise EnumerationCapError(
-            "coordinate-ascent fallback optimizes a single start node; "
-            f"level {start_level} has {m0} nodes"
-        )
-    assignment = [0] * len(slots)
-    best = evaluate(tuple(assignment))[0]
+    try:
+        policies = space.policies(cap)
+    except EnumerationCapError as exc:
+        if fallback != "coordinate-ascent":
+            raise EnumerationCapError(
+                f"{exc}; pass fallback='coordinate-ascent'") from None
+        if m0 != 1:
+            raise EnumerationCapError(
+                "coordinate-ascent fallback optimizes a single start node; "
+                f"level {start_level} has {m0} nodes"
+            ) from None
+        return _coordinate_ascent(space, evaluate)
+    best = np.full(m0, -np.inf)
+    best_assign = [None] * m0
+    for assignment, pol in policies:
+        vals = evaluate(pol)
+        improved = vals > best
+        if improved.any():
+            for i in np.nonzero(improved)[0]:
+                best_assign[i] = assignment
+            best = np.where(improved, vals, best)
+    return best, best_assign, space.size, False
+
+
+def _coordinate_ascent(space: PolicySpace, evaluate):
+    """Single-slot improvements from the all-U[0] assignment until none improves."""
+    assignment = [0] * len(space.slots)
+    best = evaluate(space.policy(assignment))[0]
     evals = 1
     improved = True
     while improved:
         improved = False
-        for s in range(len(slots)):
+        for s in range(len(space.slots)):
             cur = assignment[s]
-            for a in range(len(U)):
+            for a in range(len(space.control_values)):
                 if a == cur:
                     continue
                 assignment[s] = a
-                v = evaluate(tuple(assignment))[0]
+                v = evaluate(space.policy(assignment))[0]
                 evals += 1
                 if v > best:
                     best = v
@@ -283,19 +322,16 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
 
 def static_value(problem: BSDEProblem, tree: ScenarioTree, cap: int = 10 ** 6,
                  fallback: str | None = None) -> StaticValue:
-    """V_0 = max over policies of phi(Y^u_0), with the lexicographic tie-break."""
-    k = tree.n
-    U = problem.control_values
-    slots = _slots(tree, 0, k, problem.deterministic_controls)
+    """V_0 = max over policies of phi(Y^u_0)."""
 
     def objective(y0):
         return np.asarray(problem.phi(y0), dtype=float).reshape(-1)
 
     vals, assigns, count, heuristic = maximize_over_policies(
         problem, tree, objective, cap=cap, fallback=fallback)
-    assignment = assigns[0]
-    pol = _materialize(tree, k, slots, assignment, U)
-    return StaticValue(value=float(vals[0]), policy=pol, assignment=tuple(assignment),
+    assignment = tuple(assigns[0])
+    pol = PolicySpace(problem, tree).policy(assignment)
+    return StaticValue(value=float(vals[0]), policy=pol, assignment=assignment,
                        enumerated=count, heuristic=heuristic)
 
 
@@ -308,17 +344,10 @@ class ReachableSet:
 def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int,
                   cap: int = 10 ** 6) -> ReachableSet:
     """Attainable {Y^u_level(node)} over policies on [level, n], deduplicated at 1e-10."""
-    n = tree.n
-    U = problem.control_values
     m = tree.node_count(level)
     if problem.deterministic_controls:
-        slots = _slots(tree, level, n, True)
-        total = len(U) ** len(slots)
-        if total > cap:
-            raise EnumerationCapError(f"{total} control sequences exceed cap {cap}")
         buckets = [[] for _ in range(m)]
-        for assignment in itertools.product(range(len(U)), repeat=len(slots)):
-            pol = _materialize(tree, n, slots, assignment, U)
+        for _, pol in PolicySpace(problem, tree, level).policies(cap):
             sol = solve_bsde(problem, tree, pol)
             for i in range(m):
                 buckets[i].append(sol.Y[level][i])
@@ -329,28 +358,13 @@ def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int,
             "adapted reachable sets need path mode (per-node subtrees); "
             "use deterministic_controls or a path tree"
         )
-    # per-node subtree enumeration; off-subtree slots pinned to U[0]
     points = []
     for i in range(m):
-        sub = [(j, idx) for j in range(level, n)
-               for idx in _subtree_indices(tree, level, i, j)]
-        total = len(U) ** len(sub)
-        if total > cap:
-            raise EnumerationCapError(
-                f"node {i}: {total} subtree policies exceed cap {cap}")
-        vals = []
-        for assignment in itertools.product(range(len(U)), repeat=len(sub)):
-            pol = _materialize(tree, n, sub, assignment, U)
-            sol = solve_bsde(problem, tree, pol)
-            vals.append(sol.Y[level][i])
+        space = PolicySpace(problem, tree, level, node=i)
+        vals = [solve_bsde(problem, tree, pol).Y[level][i]
+                for _, pol in space.policies(cap)]
         points.append(_dedup(np.array(vals)))
     return ReachableSet(level=level, points=tuple(points))
-
-
-def _subtree_indices(tree: ScenarioTree, level: int, node: int, j: int):
-    """Indices at level j >= level descending from (level, node) in path mode."""
-    span = 2 ** (tree.d * (j - level))
-    return range(node * span, (node + 1) * span)
 
 
 def _dedup(arr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -449,16 +463,13 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, structure: str = "sc
     bar = solve_bsde(env, tree)
     # --- brute-force V_t per node and compare with phi(Ybar_t)
     residuals = []
-    for t in range(tree.n + 1):
-        if t == tree.n:
-            v = np.asarray(problem.phi(bar.Y[t])).reshape(-1)
-            residuals.append(0.0 if v.size else 0.0)
-            continue
+    for t in range(tree.n):
         vals, _, _, _ = maximize_over_policies(
             problem, tree, lambda y: np.asarray(problem.phi(y)).reshape(-1),
             start_level=t, cap=cap)
         residuals.append(float(np.max(np.abs(
             vals - np.asarray(problem.phi(bar.Y[t])).reshape(-1)))))
+    residuals.append(0.0)  # V_n = phi(Ybar_n): both sides are the terminal data
     max_res = max(residuals)
     return bar, EnvelopeReport(max_residual=max_res, per_level=tuple(residuals),
                                consistent=max_res <= tol, structure=structure)

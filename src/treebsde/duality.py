@@ -350,12 +350,11 @@ def _as_z_matrices(z_values, dpr: int, d: int):
     return mats
 
 
-def _invert_backward_step(problem: BSDEProblem, tree: ScenarioTree, j: int,
+def _invert_backward_step(problem: BSDEProblem, tree: ScenarioTree, j: int, t: float,
                           node: int, x: np.ndarray, z: np.ndarray, u: float,
                           mode: str) -> np.ndarray:
     """P with P + f(t_j, node, P, z, u) dt = x (inverse) or explicit Euler P."""
     dt = tree.dt
-    t = tree.grid.times()[j]
     ctx = NodeContext(level=j, b=tree.values[j][node:node + 1], tree=tree)
     uarr = np.full(1, u)
     if mode == "euler":
@@ -369,6 +368,42 @@ def _invert_backward_step(problem: BSDEProblem, tree: ScenarioTree, j: int,
             return nxt
         p = nxt
     return p
+
+
+def _steerings(tree: ScenarioTree, level: int, node: int, stop: int, zmats, U,
+               cap: int):
+    """Lazy (assignment, {(j, i): (z, u)}) over the subtree of (level, node) on
+    [level, stop): slots level-major then node-ascending, each slot taking one of
+    the (z, u) pairs, z-major; assignments in lexicographic order, cap-checked first.
+    """
+    slots = [(j, i) for j in range(level, stop)
+             for i in tree.descendants(level, node, j)]
+    pairs = list(itertools.product(zmats, U))
+    total = len(pairs) ** len(slots)
+    if total > cap:
+        raise EnumerationCapError(f"{total} steering assignments exceed cap {cap}")
+    return ((a, dict(zip(slots, (pairs[p] for p in a))))
+            for a in itertools.product(range(len(pairs)), repeat=len(slots)))
+
+
+def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: int,
+           node: int, y: np.ndarray, stop: int, zu, step_mode: str) -> dict:
+    """Forward X from X_level(node) = y to level stop under zu[(j, i)] = (z, u).
+
+    Returns {node index at stop: X}, in ascending node order.
+    """
+    nc = 2 ** tree.d
+    xs = {node: y}
+    for j in range(level, stop):
+        nxt = {}
+        for i_abs, xval in xs.items():
+            z, u = zu[(j, i_abs)]
+            p = _invert_backward_step(problem, tree, j, times[j], i_abs, xval, z, u,
+                                      step_mode)
+            for c in range(nc):
+                nxt[i_abs * nc + c] = p + z @ tree.increments[c]
+        xs = nxt
+    return xs
 
 
 def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
@@ -386,47 +421,29 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
     n, d, dpr = tree.n, tree.d, problem.value_dim
     zmats = _as_z_matrices(z_values, dpr, d)
-    U = problem.control_values
     y = np.asarray(y, dtype=float).reshape(dpr)
-    span_nodes = [list(range(node * 2 ** (d * (j - level)),
-                             (node + 1) * 2 ** (d * (j - level))))
-                  for j in range(level, n + 1)]
-    slots = [(j, i) for j in range(level, n) for i in span_nodes[j - level]]
-    pairs = list(itertools.product(range(len(zmats)), range(len(U))))
-    total = len(pairs) ** len(slots)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} steering assignments exceed cap {cap}")
-    leaf_ctx = NodeContext(level=n, b=tree.values[n][span_nodes[-1]], tree=tree)
+    steerings = _steerings(tree, level, node, n, zmats, problem.control_values, cap)
+    leaf_nodes = tree.descendants(level, node, n)
+    leaf_ctx = NodeContext(level=n, b=tree.values[n][leaf_nodes], tree=tree)
     xi = np.asarray(problem.terminal(leaf_ctx), dtype=float).reshape(-1, dpr)
-    inc = tree.increments
+    times = tree.grid.times()
 
-    def run_forward(zu_of):
-        """zu_of(j, node_abs) -> (z matrix, u); returns E|X_T - xi|^2."""
-        xs = {node: y}
-        for j in range(level, n):
-            nxt = {}
-            for i_abs, xval in xs.items():
-                z, u = zu_of(j, i_abs)
-                p = _invert_backward_step(problem, tree, j, i_abs, xval, z, u, step_mode)
-                for c in range(2 ** d):
-                    nxt[i_abs * 2 ** d + c] = p + z @ inc[c]
-            xs = nxt
-        leaves = np.stack([xs[i] for i in span_nodes[-1]])
+    def cost(zu):
+        xs = _steer(problem, tree, times, level, node, y, n, zu, step_mode)
+        leaves = np.stack([xs[i] for i in leaf_nodes])
         return float(np.mean(np.sum((leaves - xi) ** 2, axis=1)))
 
     best = np.inf
     best_tag = None
-    for assignment in itertools.product(range(len(pairs)), repeat=len(slots)):
-        lookup = {slot: pairs[a] for slot, a in zip(slots, assignment)}
-        val = run_forward(lambda j, i: (zmats[lookup[(j, i)][0]], U[lookup[(j, i)][1]]))
+    for assignment, zu in steerings:
+        val = cost(zu)
         if val < best:
             best = val
             best_tag = assignment
     for idx, (z_levels, u_levels) in enumerate(extra_candidates):
-        val = run_forward(lambda j, i: (
-            np.asarray(z_levels[j][i], dtype=float).reshape(dpr, d),
-            float(u_levels[j][i])))
+        val = cost({(j, i): (np.asarray(z_levels[j][i], dtype=float).reshape(dpr, d),
+                             float(u_levels[j][i]))
+                    for j in range(level, n) for i in tree.descendants(level, node, j)})
         if val < best:
             best = val
             best_tag = ("extra", idx)
@@ -523,30 +540,14 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values,
                                  cap=cap, step_mode=step_mode)
     zmats = _as_z_matrices(z_values, dpr, d)
-    U = problem.control_values
-    pairs = list(itertools.product(range(len(zmats)), range(len(U))))
+    times = tree.grid.times()
 
     def steer_min(node: int, y: np.ndarray) -> float:
         """min over segment assignments of max successor W-tilde at k2."""
-        seg_nodes = [(j, i) for j in range(k1, k2)
-                     for i in range(node * 2 ** (d * (j - k1)),
-                                    (node + 1) * 2 ** (d * (j - k1)))]
-        total = len(pairs) ** len(seg_nodes)
-        if total > cap:
-            raise EnumerationCapError(f"{total} segment assignments exceed cap {cap}")
+        y = np.asarray(y, dtype=float).reshape(dpr)
         best = np.inf
-        for assignment in itertools.product(range(len(pairs)), repeat=len(seg_nodes)):
-            lookup = {slot: pairs[a] for slot, a in zip(seg_nodes, assignment)}
-            xs = {node: np.asarray(y, dtype=float).reshape(dpr)}
-            for j in range(k1, k2):
-                nxt = {}
-                for i_abs, xval in xs.items():
-                    zi, ui = lookup[(j, i_abs)]
-                    p = _invert_backward_step(problem, tree, j, i_abs, xval,
-                                              zmats[zi], U[ui], step_mode)
-                    for c in range(2 ** d):
-                        nxt[i_abs * 2 ** d + c] = p + zmats[zi] @ tree.increments[c]
-                xs = nxt
+        for _, zu in _steerings(tree, k1, node, k2, zmats, problem.control_values, cap):
+            xs = _steer(problem, tree, times, k1, node, y, k2, zu, step_mode)
             worst = 0.0
             for i_abs, xval in xs.items():
                 w, _ = dual_value_direct(problem, tree, k2, i_abs, xval,

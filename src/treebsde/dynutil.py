@@ -32,9 +32,9 @@ import numpy as np
 from treebsde.lattice import ScenarioTree, TimeGrid, TreeRandomVariable
 from treebsde.bsde import (
     BSDEProblem,
-    ControlPolicy,
     EnumerationCapError,
     NodeContext,
+    PolicySpace,
     ProblemValidationError,
     StructureError,
     maximize_over_policies,
@@ -728,11 +728,8 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     if pairs is None:
         pairs = make_comparison_pairs(lin, problem, tree, seed=seed)
     n, dt = tree.n, tree.dt
-    U = problem.control_values
-    slots = [(j, i) for j in range(n) for i in range(tree.node_count(j))]
-    total = len(U) ** len(slots)
-    if total > cap:
-        raise EnumerationCapError(f"{total} policies exceed cap {cap}")
+    space = PolicySpace(problem, tree)
+    space.check_cap(cap)
     times = tree.grid.times()
     inc = tree.increments
     pairs_checked = 0
@@ -767,11 +764,7 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
         if np.any(phi_T > phi_Tt + 1e-12):
             continue
         pairs_checked += 1
-        for assignment in itertools.product(range(len(U)), repeat=len(slots)):
-            levels = [np.empty(tree.node_count(j)) for j in range(n)]
-            for (j, i), a in zip(slots, assignment):
-                levels[j][i] = U[a]
-            pol = ControlPolicy(tuple(levels))
+        for assignment, pol in space.policies(cap):
             sol_a = solve_bsde(problem, tree, pol,
                                terminal_rv=TreeRandomVariable(n, eta),
                                terminal_level=n)
@@ -787,7 +780,7 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
                 for node in bad:
                     violations.append((p_idx, assignment, j, int(node), float(diff[node])))
     return LinearComparisonReport(
-        pairs_checked=pairs_checked, policies_per_pair=total,
+        pairs_checked=pairs_checked, policies_per_pair=space.size,
         violations=tuple(violations),
         worst_slack=worst if pairs_checked else 0.0,
         recursion_residual=rec_res, min_monotone=lin.min_monotone, tol=tol)

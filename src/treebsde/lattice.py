@@ -8,8 +8,10 @@ can be tested to machine precision.
 Node indexing is level-major. In path mode, the node index at level k encodes the
 sign sequence lexicographically (earliest step most significant, coordinate 0 most
 significant within a step, "-" before "+"), so the children of node j are
-j*2^d + c for c in 0..2^d-1. In recombining mode, nodes are up-count tuples
-(u_0,...,u_{d-1}) flattened in C order, and the coordinate value is (2u - k)*sqrt(dt).
+j*2^d + c for c in 0..2^d-1 and the descendants of a node at any later level form
+one contiguous index range (ScenarioTree.descendants). In recombining mode, nodes
+are up-count tuples (u_0,...,u_{d-1}) flattened in C order, and the coordinate
+value is (2u - k)*sqrt(dt).
 
 Time integrals use the left-endpoint Riemann sum h_{t_k}*dt throughout the package.
 """
@@ -87,6 +89,14 @@ class ScenarioTree:
             m = self.node_count(level)
             return arr.reshape((m, 2 ** self.d) + arr.shape[1:])
         return arr[self.child_index[level]]
+
+    def descendants(self, level: int, node: int, j: int) -> range:
+        """Indices at level j >= level of the path-mode descendants of (level, node)."""
+        if self.mode != "path":
+            raise ModeError("recombining nodes have shared descendants; "
+                            "subtree indexing needs path mode")
+        span = 2 ** (self.d * (j - level))
+        return range(node * span, (node + 1) * span)
 
 
 def build_tree(grid: TimeGrid, d: int, mode: str = "path", cap: int = PATH_CAP) -> ScenarioTree:

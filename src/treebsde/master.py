@@ -24,7 +24,6 @@ level t. This module provides:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,8 @@ from treebsde.lattice import ScenarioTree, TreeRandomVariable
 from treebsde.bsde import (
     BSDEProblem,
     NodeContext,
+    PolicySpace,
     StructureError,
-    _materialize,
-    _slots,
     maximize_over_policies,
     solve_bsde,
 )
@@ -96,20 +94,15 @@ def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int
     """
     if not 0 <= t1 <= t2 <= tree.n:
         raise ValueError(f"need 0 <= t1 <= t2 <= n, got {t1}, {t2}")
+    segment = PolicySpace(problem, tree, t1, t2).policies(cap)
     fv = ForwardValue(problem, tree, cap=cap, fallback=fallback)
     direct, h1 = fv.value_with_info(t2, eta)
     eta_arr = np.asarray(eta, dtype=float).reshape(
         tree.node_count(t2), problem.value_dim)
     rv = TreeRandomVariable(level=t2, values=eta_arr)
-    U = problem.control_values
-    slots = _slots(tree, t1, t2, problem.deterministic_controls)
-    total = len(U) ** len(slots)
-    if total > cap:
-        raise ValueError(f"{total} segment policies exceed cap {cap}")
     best = -np.inf
     heuristic = h1
-    for assignment in itertools.product(range(len(U)), repeat=len(slots)):
-        pol = _materialize(tree, t2, slots, assignment, U)
+    for _, pol in segment:
         sol = solve_bsde(problem, tree, pol, terminal_level=t2, terminal_rv=rv)
         val, h2 = fv.value_with_info(t1, sol.Y[t1])
         heuristic = heuristic or h2

@@ -8,6 +8,7 @@ from treebsde.bsde import (
     StructureError, envelope_bsde, monotone_step_bound, reachable_set,
     solve_bsde, static_value, maximize_over_policies,
 )
+from treebsde.benchmarks import subtree_argmax
 
 
 def zero_f(t, ctx, y, z, u):
@@ -179,6 +180,17 @@ def test_static_value_tie_break_lexicographic():
     res = static_value(prob, tree)
     # u=-1 and u=+1 tie at value 1; smallest index wins
     assert res.assignment == (0,)
+    # the same first-assignment rule for per-node maxima below the root ...
+    tree2 = build_tree(TimeGrid(1.0, 2), 1, "path")
+    vals, assigns, count, _ = maximize_over_policies(
+        prob, tree2, lambda y: y[:, 0], start_level=1)
+    assert count == 9
+    np.testing.assert_array_equal(vals, [0.5, 0.5])
+    assert assigns == [(0, 0), (0, 0)]
+    # ... and for a single node's subtree, whose only slot is the node itself
+    best, assign = subtree_argmax(prob, tree2, 1, 1, lambda y: y[0])
+    assert best == 0.5
+    assert assign == (0,)
 
 
 def test_static_value_control_free():

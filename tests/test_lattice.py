@@ -137,6 +137,23 @@ def test_path_functional_mode_error():
     assert abs(v - 0.0) < 1e-14
 
 
+def test_descendants_contiguous_path_indices():
+    t1 = build_tree(TimeGrid(1.0, 3), 1, "path")
+    assert list(t1.descendants(1, 1, 1)) == [1]
+    assert list(t1.descendants(1, 1, 2)) == [2, 3]
+    assert list(t1.descendants(1, 0, 3)) == [0, 1, 2, 3]
+    assert list(t1.descendants(0, 0, 2)) == [0, 1, 2, 3]
+    t2 = build_tree(TimeGrid(1.0, 2), 2, "path")
+    assert list(t2.descendants(0, 0, 1)) == [0, 1, 2, 3]
+    assert list(t2.descendants(1, 2, 2)) == [8, 9, 10, 11]
+    assert list(t2.descendants(1, 3, 2)) == [12, 13, 14, 15]
+    # every descendant's path passes through the ancestor
+    for i in t2.descendants(1, 2, 2):
+        np.testing.assert_array_equal(node_path(t2, 2, i)[1], node_path(t2, 1, 2)[1])
+    with pytest.raises(ModeError):
+        build_tree(TimeGrid(1.0, 3), 1, "recombining").descendants(1, 0, 2)
+
+
 def test_node_path_matches_values():
     tree = build_tree(TimeGrid(1.0, 4), 2, "path")
     for node in (0, 7, 100, 255):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
-from treebsde.bsde import BSDEProblem, NodeContext, StructureError, maximize_over_policies
+from treebsde.bsde import (
+    BSDEProblem, EnumerationCapError, NodeContext, StructureError, maximize_over_policies,
+)
 from treebsde.master import (
     CylinderFunctional,
     ForwardValue,
@@ -106,6 +108,17 @@ def test_forward_dpp_degenerate_endpoints():
     assert check_forward_dpp(p, tree, 0, 2, eta).residual <= 1e-12
     with pytest.raises(ValueError):
         check_forward_dpp(p, tree, 2, 1, eta)
+
+
+def test_forward_dpp_segment_over_cap_raises_enumeration_cap_error():
+    tree = build_tree(TimeGrid(1.0, 3), d=1, mode="path")
+    p = drift_problem()
+    ctx = NodeContext(level=3, b=tree.values[3], tree=tree)
+    eta = np.asarray(p.terminal(ctx), dtype=float)
+    # the fallback covers only the direct side; the 2^6 segment policies
+    # on [1, 3) have none
+    with pytest.raises(EnumerationCapError, match="64 policies exceed cap 10"):
+        check_forward_dpp(p, tree, 1, 3, eta, cap=10, fallback="coordinate-ascent")
 
 
 def test_lipschitz_ratio_within_bound():
