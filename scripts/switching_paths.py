@@ -1,7 +1,8 @@
 """Simulate the regime-switching weight construction and export sample paths.
 
-Builds the two-component linear utility on a Euler ensemble, prints switch
-statistics, and writes one CSV per sampled path (t, ratio, regime, weights).
+Streams the two-component linear utility's Euler ensemble, prints switch
+statistics from its switch events, and writes one CSV per sampled path
+(t, ratio, regime, weights), replayed from the same seeded stream.
 
 Usage: python scripts/switching_paths.py [--paths N] [--steps N] [--seed S] [--out DIR]
 """
@@ -14,7 +15,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from treebsde.lattice import TimeGrid  # noqa: E402
-from treebsde.dynutil import LinearUtilityCoeffs, build_linear_utility  # noqa: E402
+from treebsde.dynutil import LinearUtilityCoeffs, replay_paths, switch_events  # noqa: E402
 
 
 def run(argv=None):
@@ -31,22 +32,20 @@ def run(argv=None):
     beta = np.zeros((2, 2))
     beta[1, 0] = 0.6
     coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
-    lin = build_linear_utility(coeffs, grid=TimeGrid(4.0, args.steps),
-                               n_paths=args.paths, seed=args.seed)
+    grid = TimeGrid(4.0, args.steps)
+    events = switch_events(coeffs, grid, args.paths, seed=args.seed)
 
-    counts = np.zeros(args.paths, dtype=int)
-    for j in range(1, args.steps + 1):
-        counts += lin.switch_flags[j]
-    print(f"paths={args.paths} steps={args.steps} overshoot={lin.overshoot:.3e}")
+    counts = events.counts
+    print(f"paths={args.paths} steps={args.steps} overshoot={events.overshoot:.3e}")
     for k in range(int(counts.max()) + 1):
         frac = float(np.mean(counts >= k))
         print(f"  P(at least {k} switches) = {frac:.4f}")
 
     os.makedirs(args.out, exist_ok=True)
     # export the most active paths
-    order = np.argsort(-counts)
-    for i in order[: args.export]:
-        path = lin.path(int(i))
+    chosen = np.argsort(-counts)[: args.export]
+    paths = replay_paths(coeffs, grid, args.paths, chosen, seed=args.seed)
+    for i, path in zip(chosen, paths):
         dest = os.path.join(args.out, f"path_{int(i)}.csv")
         path.to_csv(dest)
         print(f"wrote {dest} ({len(path.switch_times)} switches)")

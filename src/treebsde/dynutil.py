@@ -15,10 +15,15 @@ module provides:
     quadratic-volatility SDE, restarted by inversion each time |ratio| hits 2
     (regime switching). On a tree the children weights are constructed so the
     contracted scalar recursion holds exactly; on an Euler ensemble the
-    truncated SDE is simulated with Rademacher increments.
+    truncated SDE is simulated with Rademacher increments and every level is
+    stored, (steps + 1) x paths per field.
+  * switch_events / replay_paths: the same seeded Euler ensemble streamed level
+    by level with O(paths) state, keeping only the sparse switch events, or
+    only a few chosen paths;
   * verify_tau_bound: Monte Carlo check of the switching-time tail bound
     P(tau_n < T) <= (2n)^m / 2^n with m*delta < T <= (m+1)*delta, delta = 1/(2C),
-    C fitted from a pilot simulation of the one-regime truncated SDE;
+    C fitted from a pilot simulation of the one-regime truncated SDE; it reads
+    the switch events only, so it runs in O(paths) memory;
   * check_linear_comparison: order preservation of the contracted scalar
     process for the declared linear generator, plus the exact-recursion residual.
 """
@@ -281,7 +286,7 @@ def riccati_polynomials(alpha, beta, parity: int):
 
 def _poly_eval(coeff, x):
     """Evaluate stacked polynomial coefficients (highest power first) at x."""
-    out = np.zeros_like(np.broadcast_arrays(coeff[0], x)[1], dtype=float)
+    out = np.zeros(np.broadcast_shapes(np.shape(coeff[0]), np.shape(x)))
     for ck in coeff:
         out = out * x + ck
     return out
@@ -309,6 +314,26 @@ class SwitchingPath:
                     f"{self.A1[k]:.11e},{self.A2[k]:.11e},{int(self.is_switch[k])}\n")
 
 
+def _weights(parity, anchor, ahat, swapped: bool):
+    """(A1, A2) in the original component labels from the construction frame."""
+    act = anchor * ahat
+    w1 = np.where(parity == 1, act, anchor)
+    w2 = np.where(parity == 1, anchor, act)
+    return (w2, w1) if swapped else (w1, w2)
+
+
+def _switching_path(times, ahat, parity, anchor, is_switch, swapped: bool) -> SwitchingPath:
+    """Assemble one path from its per-level columns (level 0 never switches)."""
+    a1, a2 = _weights(parity, anchor, ahat, swapped)
+    sw = is_switch[1:]
+    # the new anchor is old_anchor * crossing ratio
+    ratio = anchor[1:][sw] / anchor[:-1][sw]
+    return SwitchingPath(times=times.copy(), ahat=ahat, parity=parity, A1=a1, A2=a2,
+                         is_switch=is_switch,
+                         switch_times=tuple(float(t) for t in times[is_switch]),
+                         overshoot=float(np.max(np.abs(ratio) - 2.0, initial=0.0)))
+
+
 @dataclass(frozen=True)
 class LinearUtility:
     """Constructed linear weights on a tree or path ensemble, plus the utility."""
@@ -323,7 +348,7 @@ class LinearUtility:
     anchor: tuple
     switch_flags: tuple
     lam: tuple           # tree mode: level -> (m,) contraction factor 1 + alpha_hat*dt
-    mu: tuple            # tree mode: level -> (m,) beta_hat*dt
+    mu: tuple            # tree mode: level -> (m,) beta_hat*dt; both () for an ensemble
     min_monotone: float  # min over nodes of min(lam +- mu/sqrt(dt)); >= 0 <=> order-preserving
     overshoot: float
     swapped: bool
@@ -337,21 +362,13 @@ class LinearUtility:
             idx = [i] * (n + 1)
         else:
             idx = [i >> (n - j) for j in range(n + 1)]
-        ahat = np.array([self.ahat[j][idx[j]] for j in range(n + 1)])
-        par = np.array([self.parity[j][idx[j]] for j in range(n + 1)])
-        a1 = np.array([self.A1[j][idx[j]] for j in range(n + 1)])
-        a2 = np.array([self.A2[j][idx[j]] for j in range(n + 1)])
-        sw = np.array([bool(self.switch_flags[j][idx[j]]) for j in range(n + 1)])
-        stimes = tuple(float(self.times[j]) for j in range(n + 1) if sw[j])
-        over = 0.0
-        for j in range(1, n + 1):
-            if sw[j]:
-                # the new anchor is old_anchor * crossing ratio
-                ratio = self.anchor[j][idx[j]] / self.anchor[j - 1][idx[j - 1]]
-                over = max(over, abs(ratio) - 2.0)
-        return SwitchingPath(times=self.times.copy(), ahat=ahat, parity=par,
-                             A1=a1, A2=a2, is_switch=sw, switch_times=stimes,
-                             overshoot=over)
+
+        def column(levels):
+            return np.array([levels[j][idx[j]] for j in range(n + 1)])
+
+        return _switching_path(self.times, column(self.ahat), column(self.parity),
+                               column(self.anchor), column(self.switch_flags),
+                               self.swapped)
 
 
 def _max_step_estimate(coeffs: LinearUtilityCoeffs, T: float, dt: float) -> float:
@@ -394,6 +411,149 @@ def _normalize(coeffs: LinearUtilityCoeffs):
     return alpha_p, beta_p, c_p, coeffs.a2, coeffs.a1, True
 
 
+def _checked_normalize(coeffs: LinearUtilityCoeffs, T: float, dt: float,
+                       overshoot_limit: float):
+    """Probe the declared bound, enforce the one-step overshoot limit, normalize."""
+    _probe_bounds(coeffs, T)
+    step_bound = _max_step_estimate(coeffs, T, dt)
+    if step_bound > overshoot_limit:
+        raise StepSizeError(
+            f"one-step ratio change bound {step_bound:.3g} exceeds the overshoot "
+            f"limit {overshoot_limit}; decrease dt")
+    return _normalize(coeffs)
+
+
+def _frame(a, first, r, s):
+    """Entry (r, s) of each node's (2, 2) or (m, 2, 2) coefficients in its regime
+    frame: a[r, s] where first (parity 1), both indices swapped elsewhere."""
+    return np.where(first, a[..., r, s], a[..., 1 - r, 1 - s])
+
+
+def _contraction(al, be, first, ah, dt):
+    """(lam, mu) of the contracted scalar recursion at the current level."""
+    lam = 1.0 + (_frame(al, first, 0, 1) * ah + _frame(al, first, 1, 1)) * dt
+    mu = (_frame(be, first, 0, 1) * ah + _frame(be, first, 1, 1)) * dt
+    return lam, mu
+
+
+def _monotone(lam, mu, sdt) -> float:
+    return min(float(np.min(lam + mu / sdt)), float(np.min(lam - mu / sdt)))
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Ensemble state at one grid level; overshoot and monotone belong to the step
+    into it (0 and inf at level 0)."""
+
+    parity: np.ndarray
+    anchor: np.ndarray
+    ahat: np.ndarray
+    switched: np.ndarray
+    overshoot: float
+    monotone: float
+
+
+def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
+                  n_paths: int, seed: int):
+    """Yield the Euler ensemble of the truncated ratio SDE level by level.
+
+    Only the current level is held (parity, anchor, ratio and the Brownian path,
+    one (n_paths,) array each). Every step draws rng.integers(0, 2, n_paths)
+    once from one Philox stream, so any consumer replays the same paths.
+    alpha and beta are read once per step as returned, (2, 2) or (m, 2, 2).
+    """
+    sdt = np.sqrt(dt)
+    rng = np.random.default_rng(np.random.Philox(seed))
+    p = np.ones(n_paths, dtype=np.int64)
+    an = np.full(n_paths, a2)
+    ah = np.full(n_paths, a1 / a2)
+    b_path = np.zeros(n_paths)
+    yield _Level(p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, np.inf)
+    for j in range(len(times) - 1):
+        al = np.asarray(alpha(times[j], b_path), dtype=float)
+        be = np.asarray(beta(times[j], b_path), dtype=float)
+        first = p == 1
+        monotone = _monotone(*_contraction(al, be, first, ah, dt), sdt)
+        clamped = np.clip(ah, -2.0, 2.0)
+        d1, s1 = riccati_polynomials(al, be, 1)
+        d2, s2 = riccati_polynomials(al, be, 2)
+        drift = np.where(first, _poly_eval(d1, clamped), _poly_eval(d2, clamped))
+        vol = np.where(first, _poly_eval(s1, clamped), _poly_eval(s2, clamped))
+        db = (2.0 * rng.integers(0, 2, size=n_paths) - 1.0) * sdt
+        ah_next = ah + drift * dt + vol * db
+        b_path = b_path + db
+        sw = np.abs(ah_next) >= 2.0
+        overshoot = float(np.max(np.where(sw, np.abs(ah_next) - 2.0, 0.0), initial=0.0))
+        p = np.where(sw, 3 - p, p)
+        an = np.where(sw, an * ah_next, an)
+        safe = np.where(sw, ah_next, 1.0)  # |ah_next| >= 2 wherever sw
+        ah = np.where(sw, 1.0 / safe, ah_next)
+        yield _Level(p, an, ah, sw, overshoot, monotone)
+
+
+def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
+              overshoot_limit: float):
+    """(times, swapped, level generator) of the checked Euler ensemble."""
+    alpha, beta, _, a1, a2, swapped = _checked_normalize(coeffs, grid.T, grid.dt,
+                                                         overshoot_limit)
+    times = grid.times()
+    return times, swapped, _euler_levels(alpha, beta, a1, a2, times, grid.dt,
+                                         n_paths, seed)
+
+
+def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
+    """Exact per-node construction: children weights obey the matched division
+    formula. Returns the per-level lists and (lam, mu, min_monotone, overshoot)."""
+    dt, sdt = tree.dt, np.sqrt(tree.dt)
+    m0 = tree.node_count(0)
+    parity = [np.ones(m0, dtype=np.int64)]
+    anchor = [np.full(m0, a2)]
+    ahat = [np.full(m0, a1 / a2)]
+    flags = [np.zeros(m0, dtype=bool)]
+    lam_levels, mu_levels = [], []
+    min_mono = np.inf
+    overshoot = 0.0
+    for j in range(tree.n):
+        p, an, ah = parity[j], anchor[j], ahat[j]
+        b_here = tree.values[j][:, 0]
+        al = np.asarray(alpha(times[j], b_here), dtype=float)
+        be = np.asarray(beta(times[j], b_here), dtype=float)
+        first = p == 1
+        lam, mu = _contraction(al, be, first, ah, dt)
+        lam_levels.append(lam)
+        mu_levels.append(mu)
+        min_mono = min(min_mono, _monotone(lam, mu, sdt))
+        active = an * ah
+        drift_num = (_frame(al, first, 0, 0) * active + _frame(al, first, 1, 0) * an) * dt
+        vol_num = (_frame(be, first, 0, 0) * active + _frame(be, first, 1, 0) * an) * sdt
+        size = tree.node_count(j + 1)
+        new_p = np.empty(size, dtype=np.int64)
+        new_an = np.empty(size)
+        new_ah = np.empty(size)
+        new_fl = np.zeros(size, dtype=bool)
+        rows = np.arange(len(p))
+        for sgn, child in ((1.0, 1), (-1.0, 0)):
+            den = lam + sgn * mu / sdt
+            if np.any(np.abs(den) < 0.05):
+                raise StepSizeError(
+                    "contraction factor nearly singular; decrease dt")
+            act_child = (active + drift_num + sgn * vol_num) / den
+            ah_child = act_child / an
+            sw = np.abs(ah_child) >= 2.0
+            overshoot = max(overshoot, float(np.max(
+                np.where(sw, np.abs(ah_child) - 2.0, 0.0), initial=0.0)))
+            idx = rows * 2 + child
+            new_p[idx] = np.where(sw, 3 - p, p)
+            new_an[idx] = np.where(sw, an * ah_child, an)
+            new_ah[idx] = np.where(sw, 1.0 / ah_child, ah_child)
+            new_fl[idx] = sw
+        parity.append(new_p)
+        anchor.append(new_an)
+        ahat.append(new_ah)
+        flags.append(new_fl)
+    return parity, anchor, ahat, flags, lam_levels, mu_levels, min_mono, overshoot
+
+
 def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None = None,
                          *, grid: TimeGrid | None = None, n_paths: int | None = None,
                          seed: int = 0, overshoot_limit: float = 0.1) -> LinearUtility:
@@ -403,119 +563,40 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     (grid, n_paths, seed) for the Euler ensemble with Rademacher increments.
     The regime ratio is restarted by inversion whenever |ratio| >= 2; an a
     priori one-step bound must stay below overshoot_limit.
+
+    The ensemble is stored densely, (steps + 1) x n_paths per field; consumers
+    that need only the switches use switch_events or replay_paths instead.
     """
     if tree is not None:
         if tree.d != 1:
             raise ValueError("linear utility construction implemented for scalar noise")
         if tree.mode != "path":
             raise ValueError("tree construction needs path mode")
-        times, dt, n = tree.grid.times(), tree.dt, tree.n
-        T = tree.grid.T
-        counts = [tree.node_count(j) for j in range(n + 1)]
-        node_b = [tree.values[j][:, 0] for j in range(n + 1)]
+        times = tree.grid.times()
+        alpha, beta, _, a1, a2, swapped = _checked_normalize(
+            coeffs, tree.grid.T, tree.dt, overshoot_limit)
+        parity, anchor, ahat, flags, lam, mu, min_mono, overshoot = _tree_levels(
+            alpha, beta, a1, a2, tree, times)
+        count = tree.node_count(0)
     else:
         if grid is None or n_paths is None:
             raise ValueError("pass a tree, or grid= and n_paths=")
-        times, dt, n, T = grid.times(), grid.dt, grid.n, grid.T
-        counts = [n_paths] * (n + 1)
-    _probe_bounds(coeffs, T)
-    step_bound = _max_step_estimate(coeffs, T, dt)
-    if step_bound > overshoot_limit:
-        raise StepSizeError(
-            f"one-step ratio change bound {step_bound:.3g} exceeds the overshoot "
-            f"limit {overshoot_limit}; decrease dt")
-    alpha, beta, c_fn, a1, a2, swapped = _normalize(coeffs)
-    sdt = np.sqrt(dt)
+        times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
+        parity, anchor, ahat, flags = [], [], [], []
+        lam = mu = ()
+        min_mono, overshoot = np.inf, 0.0
+        for lv in levels:
+            parity.append(lv.parity)
+            anchor.append(lv.anchor)
+            ahat.append(lv.ahat)
+            flags.append(lv.switched)
+            min_mono = min(min_mono, lv.monotone)
+            overshoot = max(overshoot, lv.overshoot)
+        count = n_paths
 
-    parity = [np.ones(counts[0], dtype=np.int64)]
-    anchor = [np.full(counts[0], a2)]
-    ahat = [np.full(counts[0], a1 / a2)]
-    flags = [np.zeros(counts[0], dtype=bool)]
-    lam_levels, mu_levels = [], []
-    min_mono = np.inf
-    overshoot = 0.0
-
-    if tree is None:
-        rng = np.random.default_rng(np.random.Philox(seed))
-        b_path = np.zeros(n_paths)
-
-    for j in range(n):
-        p, an, ah = parity[j], anchor[j], ahat[j]
-        m = counts[j]
-        b_here = node_b[j] if tree is not None else b_path
-        al = _coeff_at(alpha, times[j], b_here, m)
-        be = _coeff_at(beta, times[j], b_here, m)
-        ii = np.where(p == 1, 0, 1)
-        jj = 1 - ii
-        rows = np.arange(m)
-        a_hat_c = al[rows, ii, jj] * ah + al[rows, jj, jj]
-        b_hat_c = be[rows, ii, jj] * ah + be[rows, jj, jj]
-        lam = 1.0 + a_hat_c * dt
-        mu = b_hat_c * dt
-        lam_levels.append(lam)
-        mu_levels.append(mu)
-        min_mono = min(min_mono, float(np.min(lam + mu / sdt)),
-                       float(np.min(lam - mu / sdt)))
-        active = an * ah
-        drift_num = (al[rows, ii, ii] * active + al[rows, jj, ii] * an) * dt
-        vol_num = (be[rows, ii, ii] * active + be[rows, jj, ii] * an) * sdt
-
-        if tree is not None:
-            # exact children: active weight obeys the matched division formula
-            new_p = np.empty(counts[j + 1], dtype=np.int64)
-            new_an = np.empty(counts[j + 1])
-            new_ah = np.empty(counts[j + 1])
-            new_fl = np.zeros(counts[j + 1], dtype=bool)
-            for sgn, child in ((1.0, 1), (-1.0, 0)):
-                den = lam + sgn * mu / sdt
-                if np.any(np.abs(den) < 0.05):
-                    raise StepSizeError(
-                        "contraction factor nearly singular; decrease dt")
-                act_child = (active + drift_num + sgn * vol_num) / den
-                ah_child = act_child / an
-                sw = np.abs(ah_child) >= 2.0
-                overshoot = max(overshoot, float(np.max(
-                    np.where(sw, np.abs(ah_child) - 2.0, 0.0), initial=0.0)))
-                idx = rows * 2 + child
-                new_p[idx] = np.where(sw, 3 - p, p)
-                new_an[idx] = np.where(sw, an * ah_child, an)
-                new_ah[idx] = np.where(sw, 1.0 / ah_child, ah_child)
-                new_fl[idx] = sw
-            parity.append(new_p)
-            anchor.append(new_an)
-            ahat.append(new_ah)
-            flags.append(new_fl)
-        else:
-            # Euler step of the truncated ratio SDE
-            clamped = np.clip(ah, -2.0, 2.0)
-            d1, s1 = riccati_polynomials(al, be, 1)
-            d2, s2 = riccati_polynomials(al, be, 2)
-            drift = np.where(p == 1, _poly_eval(d1, clamped), _poly_eval(d2, clamped))
-            vol = np.where(p == 1, _poly_eval(s1, clamped), _poly_eval(s2, clamped))
-            db = (2.0 * rng.integers(0, 2, size=m) - 1.0) * sdt
-            ah_next = ah + drift * dt + vol * db
-            b_path = b_path + db
-            sw = np.abs(ah_next) >= 2.0
-            overshoot = max(overshoot, float(np.max(
-                np.where(sw, np.abs(ah_next) - 2.0, 0.0), initial=0.0)))
-            parity.append(np.where(sw, 3 - p, p))
-            anchor.append(np.where(sw, an * ah_next, an))
-            safe = np.where(sw, ah_next, 1.0)  # |ah_next| >= 2 wherever sw
-            ahat.append(np.where(sw, 1.0 / safe, ah_next))
-            flags.append(sw)
-
-    A1p, A2p = [], []
-    for j in range(n + 1):
-        act = anchor[j] * ahat[j]
-        A1p.append(np.where(parity[j] == 1, act, anchor[j]))
-        A2p.append(np.where(parity[j] == 1, anchor[j], act))
-    if swapped:
-        A1o, A2o = A2p, A1p
-    else:
-        A1o, A2o = A1p, A2p
-    A1o = tuple(np.asarray(a) for a in A1o)
-    A2o = tuple(np.asarray(a) for a in A2o)
-
+    weights = [_weights(p, an, ah, swapped) for p, an, ah in zip(parity, anchor, ahat)]
+    A1o = tuple(w[0] for w in weights)
+    A2o = tuple(w[1] for w in weights)
     orig_a1, orig_a2 = coeffs.a1, coeffs.a2
 
     def phi(y):
@@ -533,12 +614,65 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
         times=times, A1=A1o, A2=A2o, ahat=tuple(ahat), parity=tuple(parity),
         anchor=tuple(anchor), switch_flags=tuple(flags),
-        lam=tuple(lam_levels), mu=tuple(mu_levels),
+        lam=tuple(lam), mu=tuple(mu),
         min_monotone=float(min_mono) if np.isfinite(min_mono) else 1.0,
         overshoot=overshoot, swapped=swapped,
         utility=DynamicUtility(evaluate=evaluate, phi=phi, value_dim=2),
-        n_paths=counts[0] if tree is None else tree.node_count(0),
+        n_paths=count,
     )
+
+
+@dataclass(frozen=True)
+class SwitchEvents:
+    """The switches of an Euler ensemble, one entry per (level, path) event.
+
+    Events are ordered by level, then path, as np.nonzero of the stacked dense
+    switch flags orders them; rank[e] is the number of earlier switches of
+    path[e], counts[i] the number of switches of path i.
+    """
+
+    level: np.ndarray
+    path: np.ndarray
+    rank: np.ndarray
+    counts: np.ndarray
+    overshoot: float
+
+
+def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
+                  seed: int = 0, overshoot_limit: float = 0.1) -> SwitchEvents:
+    """The switch events of build_linear_utility(grid=grid, n_paths=n_paths,
+    seed=seed), in O(n_paths + switches) memory."""
+    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
+    counts = np.zeros(n_paths, dtype=np.int64)
+    lv_parts, path_parts, rank_parts = [], [], []
+    overshoot = 0.0
+    for j, lv in enumerate(levels):
+        overshoot = max(overshoot, lv.overshoot)
+        idx = np.flatnonzero(lv.switched)
+        if idx.size:
+            lv_parts.append(np.full(idx.size, j))
+            path_parts.append(idx)
+            rank_parts.append(counts[idx])
+            counts[idx] += 1
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+    return SwitchEvents(level=cat(lv_parts), path=cat(path_parts),
+                        rank=cat(rank_parts), counts=counts, overshoot=overshoot)
+
+
+def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, paths,
+                 seed: int = 0, overshoot_limit: float = 0.1) -> tuple:
+    """Paths `paths` of the seeded ensemble, equal to build_linear_utility(grid=grid,
+    n_paths=n_paths, seed=seed).path(i) for each i, without storing the others."""
+    sel = np.asarray(paths, dtype=np.int64)
+    times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
+    cols = [(lv.ahat[sel], lv.parity[sel], lv.anchor[sel], lv.switched[sel])
+            for lv in levels]
+    ahat, parity, anchor, flags = (np.stack(c, axis=1) for c in zip(*cols))
+    return tuple(_switching_path(times, ahat[k], parity[k], anchor[k], flags[k], swapped)
+                 for k in range(len(sel)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +722,7 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
     switch before T, the next switch within delta has frequency <= 1/2 + 3 SE.
     """
     grid = TimeGrid(T=T, n=steps)
+    times = grid.times()
     if delta is None:
         alpha, beta, _, a1, a2, _ = _normalize(coeffs)
         rng = np.random.default_rng(np.random.Philox(seed + 10 ** 6))
@@ -596,14 +731,14 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
         dt, sdt = grid.dt, np.sqrt(grid.dt)
         C_hat = 0.0
         for k in range(steps):
-            al = _coeff_at(alpha, grid.times()[k], np.zeros(1), 1)[0]
-            be = _coeff_at(beta, grid.times()[k], np.zeros(1), 1)[0]
+            al = _coeff_at(alpha, times[k], np.zeros(1), 1)[0]
+            be = _coeff_at(beta, times[k], np.zeros(1), 1)[0]
             d1, s1 = riccati_polynomials(al, be, 1)
             clamped = np.clip(ah, -2.0, 2.0)
             db = (2.0 * rng.integers(0, 2, size=pilot_paths) - 1.0) * sdt
             ah = ah + _poly_eval(d1, clamped) * dt + _poly_eval(s1, clamped) * db
             sup_sq = np.maximum(sup_sq, (ah - a1 / a2) ** 2)
-            C_hat = max(C_hat, float(sup_sq.mean()) / grid.times()[k + 1])
+            C_hat = max(C_hat, float(sup_sq.mean()) / times[k + 1])
         C = safety * C_hat
         delta = np.inf if C == 0 else 1.0 / (2.0 * C)
     else:
@@ -611,22 +746,21 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
 
     m = 0 if delta >= T else int(np.ceil(T / delta)) - 1
 
-    lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed,
-                               overshoot_limit=overshoot_limit)
-    flag_mat = np.stack(lin.switch_flags[1:])            # (steps, n_paths)
-    switch_level = [np.nonzero(flag_mat[:, i])[0] + 1 for i in range(n_paths)]
-    times = grid.times()
+    ev = switch_events(coeffs, grid, n_paths, seed=seed,
+                       overshoot_limit=overshoot_limit)
     eps_t = 1e-12
 
-    def tau(i, k):
-        """Time of the k-th switch of path i (np.inf if fewer than k switches)."""
-        lv = switch_level[i]
-        return times[lv[k - 1]] if len(lv) >= k else np.inf
+    def tau(k):
+        """Time of each path's k-th switch (np.inf where it has fewer than k)."""
+        out = np.full(n_paths, np.inf)
+        kth = ev.rank == k - 1
+        out[ev.path[kth]] = times[ev.level[kth]]
+        return out
 
     rows = []
     failures = []
     for nn in switch_indices:
-        hits = np.array([tau(i, nn) < T - eps_t for i in range(n_paths)])
+        hits = tau(nn) < T - eps_t
         freq = float(hits.mean())
         se = float(np.sqrt(freq * (1 - freq) / n_paths))
         bound = min(1.0, (2 * nn) ** m / 2 ** nn)
@@ -638,24 +772,25 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
             failures.append(("tail", nn, seed))
 
     one_step = []
-    max_k = max((len(lv) for lv in switch_level), default=0)
-    for k in range(0, max_k + 1):
-        base = [i for i in range(n_paths) if tau(i, k) < T - eps_t] if k else list(range(n_paths))
-        if len(base) < 20:
+    start, nxt = np.zeros(n_paths), tau(1)
+    for k in range(0, int(ev.counts.max(initial=0)) + 1):
+        if k:
+            start, nxt = nxt, tau(k + 1)
+        base = start < T - eps_t if k else np.ones(n_paths, dtype=bool)
+        count = int(base.sum())
+        if count < 20:
             continue
-        start = np.array([tau(i, k) if k else 0.0 for i in base])
-        nxt = np.array([tau(i, k + 1) for i in base])
-        ev = nxt < np.minimum(T - eps_t, start + delta)
-        freq = float(ev.mean())
-        se = float(np.sqrt(freq * (1 - freq) / len(base))) or float(np.sqrt(0.25 / len(base)))
+        hit = nxt[base] < np.minimum(T - eps_t, start[base] + delta)
+        freq = float(hit.mean())
+        se = float(np.sqrt(freq * (1 - freq) / count)) or float(np.sqrt(0.25 / count))
         passed = freq <= 0.5 + 3 * se
-        one_step.append(OneStepRow(after_switch=k, conditioning_count=len(base),
+        one_step.append(OneStepRow(after_switch=k, conditioning_count=count,
                                    frequency=freq, std_error=se, passed=passed))
         if not passed:
             failures.append(("one-step", k, seed))
     return TauBoundReport(C_hat=float(C_hat), delta=float(delta), m=m,
                           rows=tuple(rows), one_step=tuple(one_step),
-                          failures=tuple(failures), overshoot=lin.overshoot,
+                          failures=tuple(failures), overshoot=ev.overshoot,
                           seed=seed)
 
 

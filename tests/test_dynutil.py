@@ -1,6 +1,7 @@
 """Tests for dynamic utilities: deterministic construction, comparison checks,
 maximizer selection, and the linear switching-weight construction."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from treebsde.dynutil import (
     DegenerateUtilityError,
     EmptySelectionError,
     LinearUtilityCoeffs,
+    OneStepRow,
     StepSizeError,
+    TauBoundRow,
     build_linear_utility,
     check_comparison,
     check_linear_comparison,
     deterministic_phi,
     make_comparison_pairs,
+    replay_paths,
     riccati_polynomials,
     select_maximizer,
     static_utility,
+    switch_events,
     verify_tau_bound,
 )
 
@@ -331,3 +336,84 @@ def test_tau_bound_with_switches():
     assert all(r.passed for r in report.rows)
     assert all(r.passed for r in report.one_step)
     assert report.failures == ()
+
+
+def _switching_coeffs():
+    alpha = np.array([[0.0, 0.0], [0.25, 0.0]])
+    beta = np.array([[0.0, 0.0], [0.6, 0.0]])
+    return LinearUtilityCoeffs.from_constants(alpha, beta, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_switch_events_and_tau_rows_match_dense_ensemble(seed):
+    coeffs = _switching_coeffs()
+    T, n_paths, indices = 4.0, 300, tuple(range(1, 7))
+    grid = TimeGrid(T=T, n=4096)
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed)
+    flag_mat = np.stack(lin.switch_flags[1:])
+    steps, paths = np.nonzero(flag_mat)
+    assert len(paths) > 0
+
+    events = switch_events(coeffs, grid, n_paths, seed=seed)
+    assert np.array_equal(events.level, steps + 1)
+    assert np.array_equal(events.path, paths)
+    assert events.overshoot == lin.overshoot
+    assert np.array_equal(events.counts, flag_mat.sum(axis=0))
+    for e in range(len(paths)):
+        assert events.rank[e] == flag_mat[:steps[e], paths[e]].sum()
+
+    for i, path in zip((3, 0), replay_paths(coeffs, grid, n_paths, [3, 0], seed=seed)):
+        dense = lin.path(i)
+        for field in ("times", "ahat", "parity", "A1", "A2", "is_switch"):
+            assert np.array_equal(getattr(path, field), getattr(dense, field)), field
+        assert path.switch_times == dense.switch_times
+        assert path.overshoot == dense.overshoot
+
+    # per-path switch levels and tau(i, k), written out path by path
+    rep = verify_tau_bound(coeffs, T=T, switch_indices=indices, steps=grid.n,
+                           n_paths=n_paths, seed=seed, pilot_paths=200)
+    switch_level = [np.nonzero(flag_mat[:, i])[0] + 1 for i in range(n_paths)]
+    times = grid.times()
+    eps_t = 1e-12
+
+    def tau(i, k):
+        lv = switch_level[i]
+        return times[lv[k - 1]] if len(lv) >= k else np.inf
+
+    rows = []
+    for nn in indices:
+        hits = np.array([tau(i, nn) < T - eps_t for i in range(n_paths)])
+        freq = float(hits.mean())
+        se = float(np.sqrt(freq * (1 - freq) / n_paths))
+        bound = min(1.0, (2 * nn) ** rep.m / 2 ** nn)
+        rows.append(TauBoundRow(nn, freq, se, bound, bound >= 1.0,
+                                bound >= 1.0 or freq + 3 * se <= bound))
+    assert rep.rows == tuple(rows)
+
+    one_step = []
+    for k in range(max(len(lv) for lv in switch_level) + 1):
+        base = ([i for i in range(n_paths) if tau(i, k) < T - eps_t] if k
+                else list(range(n_paths)))
+        if len(base) < 20:
+            continue
+        start = np.array([tau(i, k) if k else 0.0 for i in base])
+        nxt = np.array([tau(i, k + 1) for i in base])
+        freq = float((nxt < np.minimum(T - eps_t, start + rep.delta)).mean())
+        se = (float(np.sqrt(freq * (1 - freq) / len(base)))
+              or float(np.sqrt(0.25 / len(base))))
+        one_step.append(OneStepRow(k, len(base), freq, se, freq <= 0.5 + 3 * se))
+    assert len(one_step) >= 2
+    assert rep.one_step == tuple(one_step)
+    assert rep.overshoot == lin.overshoot
+
+
+def test_verify_tau_bound_peak_memory_stays_small():
+    # the dense (steps + 1) x paths ensemble would take ~470 MB here
+    tracemalloc.start()
+    try:
+        verify_tau_bound(_switching_coeffs(), T=4.0, switch_indices=(1, 2, 3),
+                         steps=4096, n_paths=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

@@ -1,0 +1,42 @@
+"""Smoke tests for the standalone scripts under scripts/."""
+import importlib.util
+import os
+
+import numpy as np
+
+from treebsde.dynutil import LinearUtilityCoeffs, build_linear_utility
+from treebsde.lattice import TimeGrid
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_switching_paths_exports_the_dense_path(tmp_path, capsys):
+    # 4096 steps is the coarsest power of two whose one-step ratio bound on
+    # [0, 4] stays under the default overshoot limit
+    paths, steps = 50, 4096
+    out = tmp_path / "switching"
+    script = _load("switching_paths")
+    assert script.run(["--paths", str(paths), "--steps", str(steps),
+                       "--export", "1", "--out", str(out)]) == 0
+    assert "P(at least 1 switches)" in capsys.readouterr().out
+    (written,) = os.listdir(out)
+    i = int(written[len("path_"):-len(".csv")])
+    lines = (out / written).read_bytes().splitlines()
+    assert len(lines) == 1 + steps + 1  # header + one row per level
+
+    alpha = np.array([[0.0, 0.0], [0.25, 0.0]])
+    beta = np.array([[0.0, 0.0], [0.6, 0.0]])
+    coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
+    lin = build_linear_utility(coeffs, grid=TimeGrid(4.0, steps), n_paths=paths, seed=0)
+    expected = tmp_path / "dense.csv"
+    lin.path(i).to_csv(str(expected))
+    assert (out / written).read_bytes() == expected.read_bytes()
+    counts = np.stack(lin.switch_flags).sum(axis=0)
+    assert counts[i] == counts.max()
