@@ -286,7 +286,7 @@ def riccati_polynomials(alpha, beta, parity: int):
 
 def _poly_eval(coeff, x):
     """Evaluate stacked polynomial coefficients (highest power first) at x."""
-    out = np.zeros(np.broadcast_shapes(np.shape(coeff[0]), np.shape(x)))
+    out = np.zeros_like(np.broadcast_arrays(coeff[0], x)[1], dtype=float)
     for ck in coeff:
         out = out * x + ck
     return out
@@ -442,15 +442,16 @@ def _monotone(lam, mu, sdt) -> float:
 
 @dataclass(frozen=True)
 class _Level:
-    """Ensemble state at one grid level; overshoot and monotone belong to the step
-    into it (0 and inf at level 0)."""
+    """Ensemble state at one grid level. overshoot belongs to the step into it (0
+    at level 0); step is what that step read, (alpha, beta, parity == 1, ratio),
+    for consumers that evaluate _contraction on it (None at level 0)."""
 
     parity: np.ndarray
     anchor: np.ndarray
     ahat: np.ndarray
     switched: np.ndarray
     overshoot: float
-    monotone: float
+    step: tuple | None
 
 
 def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
@@ -468,12 +469,12 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     an = np.full(n_paths, a2)
     ah = np.full(n_paths, a1 / a2)
     b_path = np.zeros(n_paths)
-    yield _Level(p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, np.inf)
+    yield _Level(p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, None)
     for j in range(len(times) - 1):
         al = np.asarray(alpha(times[j], b_path), dtype=float)
         be = np.asarray(beta(times[j], b_path), dtype=float)
         first = p == 1
-        monotone = _monotone(*_contraction(al, be, first, ah, dt), sdt)
+        step = (al, be, first, ah)
         clamped = np.clip(ah, -2.0, 2.0)
         d1, s1 = riccati_polynomials(al, be, 1)
         d2, s2 = riccati_polynomials(al, be, 2)
@@ -488,7 +489,7 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
         an = np.where(sw, an * ah_next, an)
         safe = np.where(sw, ah_next, 1.0)  # |ah_next| >= 2 wherever sw
         ah = np.where(sw, 1.0 / safe, ah_next)
-        yield _Level(p, an, ah, sw, overshoot, monotone)
+        yield _Level(p, an, ah, sw, overshoot, step)
 
 
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
@@ -585,12 +586,14 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         parity, anchor, ahat, flags = [], [], [], []
         lam = mu = ()
         min_mono, overshoot = np.inf, 0.0
+        sdt = np.sqrt(grid.dt)
         for lv in levels:
             parity.append(lv.parity)
             anchor.append(lv.anchor)
             ahat.append(lv.ahat)
             flags.append(lv.switched)
-            min_mono = min(min_mono, lv.monotone)
+            if lv.step is not None:
+                min_mono = min(min_mono, _monotone(*_contraction(*lv.step, grid.dt), sdt))
             overshoot = max(overshoot, lv.overshoot)
         count = n_paths
 
@@ -663,11 +666,11 @@ def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
 
 
 def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, paths,
-                 seed: int = 0, overshoot_limit: float = 0.1) -> tuple:
+                 seed: int = 0) -> tuple:
     """Paths `paths` of the seeded ensemble, equal to build_linear_utility(grid=grid,
     n_paths=n_paths, seed=seed).path(i) for each i, without storing the others."""
     sel = np.asarray(paths, dtype=np.int64)
-    times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
+    times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, 0.1)
     cols = [(lv.ahat[sel], lv.parity[sel], lv.anchor[sel], lv.switched[sel])
             for lv in levels]
     ahat, parity, anchor, flags = (np.stack(c, axis=1) for c in zip(*cols))
