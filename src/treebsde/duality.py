@@ -17,10 +17,33 @@ W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates; the forward step defaults to the exact inverse
 of the backward Euler map, so steering with a BSDE solution's own (Z,u)
 reproduces X = Y identically.
+
+Steering contract. Every steering walk in the module (dual_value_direct,
+conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixes:
+
+  * slots: one per path-mode descendant of the start node on [level, stop),
+    level-major then node-ascending;
+  * order: each slot takes one (z, u) pair, pairs z-major over z-grid x
+    control_values; assignments run lexicographically, then extra_candidates;
+  * tie-break: a min keeps strict improvements only, so the first assignment
+    wins exact ties, a NaN cost never wins, and a start whose every cost is inf
+    or NaN keeps tag None;
+  * cap: more than cap assignments raise EnumerationCapError before any
+    problem.f call;
+  * step: explicit Euler x - f dt, or (inverse) the fixed point P + f(P) dt = x
+    in at most 60 iterations, each row stopping at its own max|step| < 1e-15;
+    child c then adds z @ increment[c];
+  * batches: dual_value_direct takes node (S,) and y (S, d') and returns values
+    (S,) and S tags. The kernel steps arrays of shape (starts, assignments,
+    subtree nodes, d') one level at a time with one problem.f call per level
+    (per fixed-point iteration), ctx.b gathered by absolute node index, so f
+    and terminal must act row by row;
+  * chunks: starts run in chunks of at most _CHUNK_FLOATS steered floats
+    (starts x assignments x subtree nodes at the stop level x d'); a single
+    start larger than that runs alone.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +359,9 @@ def dual_static_value(nodal: NodalSet, phi, reachable_points: np.ndarray | None 
 # ---------------------------------------------------------------------------
 # exact tree-conditional dual value W-tilde
 
+# Steered floats (starts x assignments x subtree nodes x d') per chunk of starts.
+_CHUNK_FLOATS = 1 << 20
+
 
 def _as_z_matrices(z_values, dpr: int, d: int):
     mats = []
@@ -350,64 +376,96 @@ def _as_z_matrices(z_values, dpr: int, d: int):
     return mats
 
 
-def _invert_backward_step(problem: BSDEProblem, tree: ScenarioTree, j: int, t: float,
-                          node: int, x: np.ndarray, z: np.ndarray, u: float,
-                          mode: str) -> np.ndarray:
-    """P with P + f(t_j, node, P, z, u) dt = x (inverse) or explicit Euler P."""
-    dt = tree.dt
-    ctx = NodeContext(level=j, b=tree.values[j][node:node + 1], tree=tree)
-    uarr = np.full(1, u)
-    if mode == "euler":
-        fv = np.asarray(problem.f(t, ctx, x[None, :], z[None], uarr))[0]
-        return x - fv * dt
-    p = x.copy()
-    for _ in range(60):
-        fv = np.asarray(problem.f(t, ctx, p[None, :], z[None], uarr))[0]
-        nxt = x - fv * dt
-        if np.max(np.abs(nxt - p)) < 1e-15:
-            return nxt
-        p = nxt
-    return p
+def _chunks(count: int, floats_per_start: int):
+    """Slices of the start axis, each holding at most _CHUNK_FLOATS steered floats."""
+    step = max(1, _CHUNK_FLOATS // max(1, floats_per_start))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
-def _steerings(tree: ScenarioTree, level: int, node: int, stop: int, zmats, U,
-               cap: int):
-    """Lazy (assignment, {(j, i): (z, u)}) over the subtree of (level, node) on
-    [level, stop): slots level-major then node-ascending, each slot taking one of
-    the (z, u) pairs, z-major; assignments in lexicographic order, cap-checked first.
+def _steering_table(tree: ScenarioTree, level: int, stop: int, zmats, U, cap: int):
+    """Every grid assignment of (z, u) pairs to the subtree slots on [level, stop).
+
+    Returns (table, levels): table (A, slots) holds one pair index per slot, one
+    row per assignment in lexicographic order; levels holds, per level on
+    [level, stop), the (z, u) arrays of shape (1, A, w, d', d) and (1, A, w).
     """
-    slots = [(j, i) for j in range(level, stop)
-             for i in tree.descendants(level, node, j)]
-    pairs = list(itertools.product(zmats, U))
-    total = len(pairs) ** len(slots)
+    nc = 2 ** tree.d
+    widths = [nc ** (j - level) for j in range(level, stop)]
+    slots = sum(widths)
+    total = (len(zmats) * len(U)) ** slots
     if total > cap:
         raise EnumerationCapError(f"{total} steering assignments exceed cap {cap}")
-    return ((a, dict(zip(slots, (pairs[p] for p in a))))
-            for a in itertools.product(range(len(pairs)), repeat=len(slots)))
+    table = np.indices((len(zmats) * len(U),) * slots).reshape(slots, total).T
+    zs = np.stack(zmats)[table // len(U)]
+    us = np.asarray(U, dtype=float)[table % len(U)]
+    levels, off = [], 0
+    for w in widths:
+        levels.append((zs[None, :, off:off + w], us[None, :, off:off + w]))
+        off += w
+    return table, levels
+
+
+def _extra_steering(tree: ScenarioTree, level: int, nodes: np.ndarray,
+                    extra_candidates, dpr: int):
+    """Per-level (z, u) arrays, shape (s, E, w, d', d) and (s, E, w), that the E
+    full-tree node-indexed (z_levels, u_levels) candidates take below each start."""
+    nc = 2 ** tree.d
+    levels = []
+    for j in range(level, tree.n):
+        w = nc ** (j - level)
+        idx = nodes[:, None] * w + np.arange(w)
+        levels.append((
+            np.stack([np.asarray(zl[j], dtype=float).reshape(-1, dpr, tree.d)[idx]
+                      for zl, _ in extra_candidates], axis=1),
+            np.stack([np.asarray(ul[j], dtype=float)[idx]
+                      for _, ul in extra_candidates], axis=1)))
+    return levels
 
 
 def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: int,
-           node: int, y: np.ndarray, stop: int, zu, step_mode: str) -> dict:
-    """Forward X from X_level(node) = y to level stop under zu[(j, i)] = (z, u).
+           nodes: np.ndarray, ys: np.ndarray, count: int, levels, step_mode: str):
+    """Forward X from X_level(nodes[s]) = ys[s] under each of count steerings.
 
-    Returns {node index at stop: X}, in ascending node order.
+    levels holds per level the (z, u) arrays of shape (1 or s, count, w, d', d)
+    and (1 or s, count, w) over the w subtree nodes of each start. Returns X at
+    level + len(levels), shape (s, count, w, d'), nodes ascending.
     """
-    nc = 2 ** tree.d
-    xs = {node: y}
-    for j in range(level, stop):
-        nxt = {}
-        for i_abs, xval in xs.items():
-            z, u = zu[(j, i_abs)]
-            p = _invert_backward_step(problem, tree, j, times[j], i_abs, xval, z, u,
-                                      step_mode)
-            for c in range(nc):
-                nxt[i_abs * nc + c] = p + z @ tree.increments[c]
-        xs = nxt
-    return xs
+    dt, dpr, nc = tree.dt, problem.value_dim, 2 ** tree.d
+    s = len(nodes)
+    X = np.broadcast_to(ys[:, None, None, :], (s, count, 1, dpr))
+    for k, (z, u) in enumerate(levels):
+        j, w = level + k, X.shape[2]
+        shape = (s, count, w)
+        rows = s * count * w
+        zr = np.broadcast_to(z, shape + z.shape[3:]).reshape(rows, dpr, tree.d)
+        ur = np.broadcast_to(u, shape).reshape(rows)
+        idx = np.broadcast_to((nodes[:, None] * w + np.arange(w))[:, None, :], shape)
+        b = tree.values[j][idx.reshape(rows)]
+        x = X.reshape(rows, dpr)
+        if step_mode == "euler":
+            ctx = NodeContext(level=j, b=b, tree=tree)
+            p = x - np.asarray(problem.f(times[j], ctx, x, zr, ur)) * dt
+        else:
+            # P + f(t_j, P, z, u) dt = x by fixed point; each row stops at its own
+            # convergence, so it follows the same sequence as a one-row solve
+            p = x.copy()
+            live = np.arange(rows)
+            for _ in range(60):
+                ctx = NodeContext(level=j, b=b[live], tree=tree)
+                fv = np.asarray(problem.f(times[j], ctx, p[live], zr[live], ur[live]))
+                nxt = x[live] - fv * dt
+                done = np.max(np.abs(nxt - p[live]), axis=-1) < 1e-15
+                p[live] = nxt
+                live = live[~done]
+                if not live.size:
+                    break
+        dz = np.stack([z @ inc for inc in tree.increments], axis=-2)
+        X = (p.reshape(shape + (1, dpr)) + dz).reshape(s, count, w * nc, dpr)
+    return X
 
 
 def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                      node: int, y, z_values, cap: int = 10 ** 6,
+                      node, y, z_values, cap: int = 10 ** 6,
                       step_mode: str = "inverse", extra_candidates=()):
     """min over enumerated (z,u) node-assignments of E_node |X_T - xi|^2, X_level = y.
 
@@ -415,39 +473,45 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
     step with step_mode='euler') and diffuses with the chosen z. extra_candidates
     are (z_levels, u_levels) pairs of full-tree node-indexed arrays, evaluated in
     addition to the grid assignments (used to inject a BSDE solution's own
-    steering). Returns (value, best-assignment-or-tag).
+    steering). With an int node, returns (value, best-assignment-or-tag); with
+    node an int array (S,) and y of shape (S, d'), returns (values (S,), tags).
     """
     if tree.mode != "path":
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
     n, d, dpr = tree.n, tree.d, problem.value_dim
-    zmats = _as_z_matrices(z_values, dpr, d)
-    y = np.asarray(y, dtype=float).reshape(dpr)
-    steerings = _steerings(tree, level, node, n, zmats, problem.control_values, cap)
-    leaf_nodes = tree.descendants(level, node, n)
-    leaf_ctx = NodeContext(level=n, b=tree.values[n][leaf_nodes], tree=tree)
-    xi = np.asarray(problem.terminal(leaf_ctx), dtype=float).reshape(-1, dpr)
+    table, grid = _steering_table(tree, level, n, _as_z_matrices(z_values, dpr, d),
+                                  problem.control_values, cap)
+    nodes = np.asarray(node, dtype=np.intp).reshape(-1)
+    ys = np.asarray(y, dtype=float).reshape(len(nodes), dpr)
+    extras = list(extra_candidates)
+    count = len(table) + len(extras)
+    width = (2 ** d) ** (n - level)
     times = tree.grid.times()
-
-    def cost(zu):
-        xs = _steer(problem, tree, times, level, node, y, n, zu, step_mode)
-        leaves = np.stack([xs[i] for i in leaf_nodes])
-        return float(np.mean(np.sum((leaves - xi) ** 2, axis=1)))
-
-    best = np.inf
-    best_tag = None
-    for assignment, zu in steerings:
-        val = cost(zu)
-        if val < best:
-            best = val
-            best_tag = assignment
-    for idx, (z_levels, u_levels) in enumerate(extra_candidates):
-        val = cost({(j, i): (np.asarray(z_levels[j][i], dtype=float).reshape(dpr, d),
-                             float(u_levels[j][i]))
-                    for j in range(level, n) for i in tree.descendants(level, node, j)})
-        if val < best:
-            best = val
-            best_tag = ("extra", idx)
-    return best, best_tag
+    values = np.empty(len(nodes))
+    tags = []
+    for sl in _chunks(len(nodes), count * width * dpr):
+        leaves = (nodes[sl, None] * width + np.arange(width)).reshape(-1)
+        ctx = NodeContext(level=n, b=tree.values[n][leaves], tree=tree)
+        xi = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, 1, width, dpr)
+        X = _steer(problem, tree, times, level, nodes[sl], ys[sl], len(table), grid,
+                   step_mode)
+        if extras:
+            X = np.concatenate([X, _steer(
+                problem, tree, times, level, nodes[sl], ys[sl], len(extras),
+                _extra_steering(tree, level, nodes[sl], extras, dpr), step_mode)],
+                axis=1)
+        cost = np.mean(np.sum((X - xi) ** 2, axis=-1), axis=-1)
+        # first index of the smallest cost; NaN never wins, all-inf keeps no tag
+        cost[np.isnan(cost)] = np.inf
+        best = np.argmin(cost, axis=1)
+        values[sl] = cost[np.arange(len(best)), best]
+        tags.extend(None if not v < np.inf
+                    else tuple(table[a].tolist()) if a < len(table)
+                    else ("extra", int(a) - len(table))
+                    for a, v in zip(best, values[sl]))
+    if np.ndim(node) == 0:
+        return float(values[0]), tags[0]
+    return values, tags
 
 
 @dataclass(frozen=True)
@@ -470,11 +534,11 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
     if y_points.ndim == 1:
         y_points = y_points[:, None]
     m = tree.node_count(level)
-    vals = np.empty((m, len(y_points)))
-    for i in range(m):
-        for p, y in enumerate(y_points):
-            vals[i, p], _ = dual_value_direct(
-                problem, tree, level, i, y, z_values, cap=cap, step_mode=step_mode)
+    vals, _ = dual_value_direct(problem, tree, level,
+                                np.repeat(np.arange(m), len(y_points)),
+                                np.tile(y_points, (m, 1)), z_values, cap=cap,
+                                step_mode=step_mode)
+    vals = vals.reshape(m, len(y_points))
     if cell is None:
         diffs = np.diff(np.sort(np.unique(y_points[:, 0])))
         c = float(diffs.min()) if len(diffs) else 1.0
@@ -539,39 +603,33 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
         y_points = y_points[:, None]
     wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values,
                                  cap=cap, step_mode=step_mode)
-    zmats = _as_z_matrices(z_values, dpr, d)
+    table, segment = _steering_table(tree, k1, k2, _as_z_matrices(z_values, dpr, d),
+                                     problem.control_values, cap)
+    m, npts = wt1.values.shape
+    nodes = np.repeat(np.arange(m), npts)
+    ys = np.tile(y_points, (m, 1)).reshape(len(nodes), dpr)
+    width = (2 ** d) ** (k2 - k1)
     times = tree.grid.times()
+    # steer_min: min over segment assignments of the max successor W-tilde at k2
+    steer_min = np.empty(len(nodes))
+    for sl in _chunks(len(nodes), len(table) * width * dpr):
+        xs = _steer(problem, tree, times, k1, nodes[sl], ys[sl], len(table), segment,
+                    step_mode)
+        succ = np.broadcast_to((nodes[sl, None] * width + np.arange(width))[:, None],
+                               xs.shape[:3])
+        w2, _ = dual_value_direct(problem, tree, k2, succ.reshape(-1),
+                                  xs.reshape(-1, dpr), z_values, cap=cap,
+                                  step_mode=step_mode)
+        worst = np.fmax.reduce(w2.reshape(xs.shape[:3]), axis=2, initial=0.0)
+        steer_min[sl] = np.fmin.reduce(worst, axis=1, initial=np.inf)
 
-    def steer_min(node: int, y: np.ndarray) -> float:
-        """min over segment assignments of max successor W-tilde at k2."""
-        y = np.asarray(y, dtype=float).reshape(dpr)
-        best = np.inf
-        for _, zu in _steerings(tree, k1, node, k2, zmats, problem.control_values, cap):
-            xs = _steer(problem, tree, times, k1, node, y, k2, zu, step_mode)
-            worst = 0.0
-            for i_abs, xval in xs.items():
-                w, _ = dual_value_direct(problem, tree, k2, i_abs, xval,
-                                         z_values, cap=cap, step_mode=step_mode)
-                worst = max(worst, w)
-                if worst >= best:
-                    break
-            best = min(best, worst)
-        return best
-
-    rho_into = 0.0
-    rho_back = 0.0
-    nodal_count = 0
-    steer_count = 0
-    for node in range(tree.node_count(k1)):
-        for p, y in enumerate(y_points):
-            sm = steer_min(node, y)
-            w1 = wt1.values[node, p]
-            if w1 <= eps:
-                nodal_count += 1
-                rho_into = max(rho_into, sm)
-            if sm <= eps:
-                steer_count += 1
-                rho_back = max(rho_back, w1)
+    w1 = wt1.values.reshape(-1)
+    nodal = w1 <= eps
+    steerable = steer_min <= eps
+    rho_into = np.fmax.reduce(steer_min[nodal], initial=0.0)
+    rho_back = np.fmax.reduce(w1[steerable], initial=0.0)
+    nodal_count = int(np.count_nonzero(nodal))
+    steer_count = int(np.count_nonzero(steerable))
     return GeometricDppReport(
         level_from=k1, level_to=k2, eps=float(eps), rho_into=float(rho_into),
         rho_back=float(rho_back), nodal_count=nodal_count,

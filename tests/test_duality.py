@@ -1,9 +1,15 @@
 """Tests for the dual HJB solver, nodal sets, and exact tree dual values."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treebsde import duality
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import BSDEProblem, ControlPolicy, solve_bsde
+from treebsde.bsde import (BSDEProblem, ControlPolicy, EnumerationCapError,
+                           NodeContext, solve_bsde)
 from treebsde.duality import (
     ConfigError,
     DeterministicDualSpec,
@@ -268,3 +274,253 @@ def test_csv_exports(tmp_path):
     nlines = nodal_path.read_text().splitlines()
     assert nlines[0] == "t,x,y"
     assert len(nlines) == 1 + len(nodal.points)
+
+
+# ---------------------------------------------------------------------------
+# batched steering kernel against the one-node-at-a-time walk it replaced
+
+
+def _zmats(z_values, dpr, d):
+    return [np.full((dpr, d), float(z)) if np.ndim(z) == 0
+            else np.asarray(z, dtype=float).reshape(dpr, d) for z in z_values]
+
+
+def _ref_step(problem, tree, j, node, x, z, u, mode):
+    """One node's forward step: explicit Euler, or invert the backward Euler map."""
+    t = tree.grid.times()[j]
+    ctx = NodeContext(level=j, b=tree.values[j][node:node + 1], tree=tree)
+    uarr = np.full(1, u)
+
+    def f(p):
+        return np.asarray(problem.f(t, ctx, p[None, :], z[None], uarr))[0]
+
+    if mode == "euler":
+        return x - f(x) * tree.dt
+    p = x.copy()
+    for _ in range(60):
+        nxt = x - f(p) * tree.dt
+        if np.max(np.abs(nxt - p)) < 1e-15:
+            return nxt
+        p = nxt
+    return p
+
+
+def _ref_steer(problem, tree, level, node, y, stop, zu, mode):
+    """{node at stop: X} from X_level(node) = y under zu[(j, i)] = (z, u)."""
+    nc = 2 ** tree.d
+    xs = {node: y}
+    for j in range(level, stop):
+        nxt = {}
+        for i, x in xs.items():
+            z, u = zu[(j, i)]
+            p = _ref_step(problem, tree, j, i, x, z, u, mode)
+            for c in range(nc):
+                nxt[i * nc + c] = p + z @ tree.increments[c]
+        xs = nxt
+    return xs
+
+
+def _ref_steerings(tree, level, node, stop, zmats, U):
+    slots = [(j, i) for j in range(level, stop)
+             for i in tree.descendants(level, node, j)]
+    pairs = list(itertools.product(zmats, U))
+    for a in itertools.product(range(len(pairs)), repeat=len(slots)):
+        yield a, dict(zip(slots, (pairs[p] for p in a)))
+
+
+def _ref_dual_value(problem, tree, level, node, y, z_values, mode, extras=()):
+    n, dpr = tree.n, problem.value_dim
+    y = np.asarray(y, dtype=float).reshape(dpr)
+    leaves = tree.descendants(level, node, n)
+    ctx = NodeContext(level=n, b=tree.values[n][leaves], tree=tree)
+    xi = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, dpr)
+
+    def cost(zu):
+        xs = _ref_steer(problem, tree, level, node, y, n, zu, mode)
+        return float(np.mean(np.sum((np.stack([xs[i] for i in leaves]) - xi) ** 2,
+                                    axis=1)))
+
+    best, tag = np.inf, None
+    for a, zu in _ref_steerings(tree, level, node, n, _zmats(z_values, dpr, tree.d),
+                                problem.control_values):
+        val = cost(zu)
+        if val < best:
+            best, tag = val, a
+    for k, (zl, ul) in enumerate(extras):
+        val = cost({(j, i): (np.asarray(zl[j][i], dtype=float).reshape(dpr, tree.d),
+                             float(ul[j][i]))
+                    for j in range(level, n) for i in tree.descendants(level, node, j)})
+        if val < best:
+            best, tag = val, ("extra", k)
+    return best, tag
+
+
+def _ref_geometric(problem, tree, k1, k2, eps, pts, z_values, mode):
+    zmats = _zmats(z_values, problem.value_dim, tree.d)
+    rho_into = rho_back = 0.0
+    nodal = steerable = 0
+    for node in range(tree.node_count(k1)):
+        for y in pts:
+            best = np.inf
+            for _, zu in _ref_steerings(tree, k1, node, k2, zmats,
+                                        problem.control_values):
+                xs = _ref_steer(problem, tree, k1, node, y, k2, zu, mode)
+                worst = 0.0
+                for i, x in xs.items():
+                    w, _ = _ref_dual_value(problem, tree, k2, i, x, z_values, mode)
+                    worst = max(worst, w)
+                    if worst >= best:
+                        break
+                best = min(best, worst)
+            w1, _ = _ref_dual_value(problem, tree, k1, node, y, z_values, mode)
+            if w1 <= eps:
+                nodal += 1
+                rho_into = max(rho_into, best)
+            if best <= eps:
+                steerable += 1
+                rho_back = max(rho_back, w1)
+    return rho_into, rho_back, nodal, steerable
+
+
+def _row_problem(dpr, a, c, k):
+    """A generator and terminal that act row by row, nonlinear in y."""
+    def f(t, ctx, y, z, u):
+        return (a * y + 0.3 * np.sin(y[:, ::-1]) + c * z.sum(axis=2)
+                + k * u[:, None] + 0.2 * t * ctx.b[:, :1])
+
+    return BSDEProblem(
+        value_dim=dpr, f=f,
+        terminal=lambda ctx: (np.tanh(ctx.b.sum(axis=1, keepdims=True))
+                              * np.arange(1.0, dpr + 1.0)),
+        phi=lambda y: y[:, 0], control_values=(0.0,), lipschitz_L=1.0)
+
+
+_GRID = (0.0, 0.5, -0.75)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_dual_value_matches_per_start_reference(data):
+    d = data.draw(st.sampled_from((1, 2)), label="d")
+    dpr = data.draw(st.sampled_from((1, 2)), label="dpr")
+    depth = data.draw(st.integers(0, 4 if d == 1 else 2), label="depth")
+    n = max(1, depth + data.draw(st.integers(0, 1), label="offset"))
+    level = n - depth
+    tree = build_tree(TimeGrid(T=0.5, n=n), d=d)
+    problem = _row_problem(dpr, *data.draw(st.tuples(
+        st.sampled_from((0.0, 0.5)), st.sampled_from((0.0, 0.4)),
+        st.sampled_from((0.0, 0.4))), label="a, c, k"))
+    slots = sum((2 ** d) ** k for k in range(depth))
+    npairs = 1 if 2 ** slots > 64 else 2 if 4 ** slots > 64 else 4
+    nz = data.draw(st.integers(1, min(2, npairs)), label="nz")
+    nu = data.draw(st.integers(1, npairs // nz), label="nu")
+    problem.control_values = tuple(data.draw(
+        st.lists(st.sampled_from((0.0, 1.0, -0.5)), min_size=nu, max_size=nu)))
+    entry = st.sampled_from(_GRID)
+    z_values = tuple(data.draw(st.one_of(
+        entry, st.lists(entry, min_size=dpr * d, max_size=dpr * d).map(
+            lambda v: np.reshape(v, (dpr, d))))) for _ in range(nz))
+    mode = data.draw(st.sampled_from(("euler", "inverse")), label="mode")
+    starts = data.draw(st.integers(1, 5), label="starts")
+    nodes = np.array(data.draw(st.lists(
+        st.integers(0, tree.node_count(level) - 1), min_size=starts,
+        max_size=starts)))
+    ys = np.array(data.draw(st.lists(
+        st.one_of(entry, st.floats(-1.5, 1.5)), min_size=starts * dpr,
+        max_size=starts * dpr))).reshape(starts, dpr)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
+    extras = [(tuple(rng.choice(_GRID, size=(tree.node_count(j), dpr, d))
+                     for j in range(n)),
+               tuple(rng.choice(problem.control_values, size=tree.node_count(j))
+                     for j in range(n)))
+              for _ in range(data.draw(st.integers(0, 2), label="extras"))]
+    per_chunk = data.draw(st.sampled_from((None, 1, 2, 3)), label="starts per chunk")
+
+    count = (nz * nu) ** slots + len(extras)
+    with pytest.MonkeyPatch.context() as mp:
+        if per_chunk is not None:
+            mp.setattr(duality, "_CHUNK_FLOATS",
+                       per_chunk * count * 2 ** (d * depth) * dpr)
+        values, tags = dual_value_direct(problem, tree, level, nodes, ys, z_values,
+                                         step_mode=mode, extra_candidates=extras)
+    ref = [_ref_dual_value(problem, tree, level, int(i), y, z_values, mode, extras)
+           for i, y in zip(nodes, ys)]
+    assert [float(v).hex() for v in values] == [v.hex() for v, _ in ref]
+    assert tags == [tag for _, tag in ref]
+    one = dual_value_direct(problem, tree, level, int(nodes[0]), ys[0], z_values,
+                            step_mode=mode, extra_candidates=extras)
+    assert type(one[0]) is float and one[0].hex() == ref[0][0].hex()
+    assert one[1] == ref[0][1]
+
+
+def test_exact_ties_keep_the_first_assignment_and_grid_before_extras():
+    tree = build_tree(TimeGrid(T=0.5, n=2), d=1)
+    problem = _row_problem(1, 0.5, 0.0, 0.0)   # f ignores z and u
+    problem.control_values = (0.0, 1.0)
+    # one z value twice: all 4^3 assignments and the extra candidate tie exactly
+    z_values = (0.7, 0.7)
+    half = tuple(np.full((tree.node_count(j), 1, 1), 0.7) for j in range(2))
+    extra = [(half, tuple(np.zeros(tree.node_count(j)) for j in range(2)))]
+    values, tags = dual_value_direct(problem, tree, 0, np.array([0, 0]),
+                                     np.array([[0.1], [-0.3]]), z_values,
+                                     extra_candidates=extra)
+    assert tags == [(0, 0, 0), (0, 0, 0)]
+    for value, y in zip(values, (0.1, -0.3)):
+        assert value == _ref_dual_value(problem, tree, 0, 0, [y], z_values,
+                                        "inverse", extra)[0]
+        assert value == _ref_dual_value(problem, tree, 0, 0, [y], (), "inverse",
+                                        extra)[0]
+
+
+def test_nan_costs_never_win_and_all_inf_rows_keep_no_tag():
+    tree = build_tree(TimeGrid(T=0.5, n=1), d=1)
+    problem = BSDEProblem(
+        value_dim=1,
+        f=lambda t, ctx, y, z, u: np.where(u[:, None] > 0, np.nan, 0.0) + 0.0 * y,
+        terminal=lambda ctx: ctx.b[:, :1].copy(),
+        phi=lambda y: y[:, 0], control_values=(1.0, 0.0), lipschitz_L=0.0)
+    val, tag = dual_value_direct(problem, tree, 0, 0, [0.2], (0.0,), step_mode="euler")
+    assert tag == (1,)
+    assert val == _ref_dual_value(problem, tree, 0, 0, [0.2], (0.0,), "euler")[0]
+    problem.control_values = (1.0,)
+    values, tags = dual_value_direct(problem, tree, 0, np.array([0]), np.array([[0.2]]),
+                                     (0.0,), step_mode="euler")
+    assert values.tolist() == [np.inf] and tags == [None]
+
+
+def test_steering_cap_raises_before_any_generator_call():
+    calls = []
+
+    def f(t, ctx, y, z, u):
+        calls.append(len(y))
+        return np.zeros_like(y)
+
+    tree = build_tree(TimeGrid(T=0.5, n=3), d=1)
+    problem = BSDEProblem(value_dim=1, f=f, terminal=lambda ctx: ctx.b[:, :1].copy(),
+                          phi=lambda y: y[:, 0], control_values=(0.0, 1.0),
+                          lipschitz_L=0.0)
+    # 7 slots with 4 (z, u) pairs each: 4^7 = 16384 assignments
+    with pytest.raises(EnumerationCapError,
+                       match="16384 steering assignments exceed cap 1000"):
+        dual_value_direct(problem, tree, 0, np.arange(1), np.zeros((1, 1)), (0.0, 1.0),
+                          cap=1000)
+    with pytest.raises(EnumerationCapError):
+        check_geometric_dpp(problem, tree, 0, 1, 0.1, [0.0], (0.0, 1.0), cap=1000)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["euler", "inverse"])
+def test_geometric_dpp_matches_per_start_reference(mode, monkeypatch):
+    tree = build_tree(TimeGrid(T=0.75, n=3), d=1)
+    problem = _row_problem(1, 0.5, 0.4, 0.4)
+    problem.control_values = (0.0, 1.0)
+    pts = np.linspace(-1.0, 1.0, 5)
+    # two starts per chunk at k1 (4 segment assignments x 2 successors)
+    monkeypatch.setattr(duality, "_CHUNK_FLOATS", 2 * 4 * 2)
+    rep = check_geometric_dpp(problem, tree, 1, 2, 0.4, pts, (0.0, 0.6),
+                              step_mode=mode)
+    rho_into, rho_back, nodal, steerable = _ref_geometric(
+        problem, tree, 1, 2, 0.4, pts[:, None], (0.0, 0.6), mode)
+    assert (rep.rho_into.hex(), rep.rho_back.hex()) == (rho_into.hex(), rho_back.hex())
+    assert (rep.nodal_count, rep.steerable_count) == (nodal, steerable)
+    assert nodal > 0 and steerable > 0
