@@ -2,7 +2,8 @@
 
 Streams the two-component linear utility's Euler ensemble, prints switch
 statistics from its switch events, and writes one CSV per sampled path
-(t, ratio, regime, weights), replayed from the same seeded stream.
+(t, ratio, regime, weights), replayed from the same seeded stream. A step count too coarse for the
+overshoot limit exits 2 with a one-line message.
 
 Usage: python scripts/switching_paths.py [--paths N] [--steps N] [--seed S] [--out DIR]
 """
@@ -15,7 +16,12 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from treebsde.lattice import TimeGrid  # noqa: E402
-from treebsde.dynutil import LinearUtilityCoeffs, replay_paths, switch_events  # noqa: E402
+from treebsde.dynutil import (  # noqa: E402
+    LinearUtilityCoeffs,
+    StepSizeError,
+    replay_paths,
+    switch_events,
+)
 
 
 def run(argv=None):
@@ -33,7 +39,12 @@ def run(argv=None):
     beta[1, 0] = 0.6
     coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
     grid = TimeGrid(4.0, args.steps)
-    events = switch_events(coeffs, grid, args.paths, seed=args.seed)
+    try:
+        events = switch_events(coeffs, grid, args.paths, seed=args.seed)
+    except StepSizeError as exc:
+        print(f"switching_paths: --steps {args.steps} is too coarse on [0, 4]: {exc}",
+              file=sys.stderr)
+        return 2
 
     counts = events.counts
     print(f"paths={args.paths} steps={args.steps} overshoot={events.overshoot:.3e}")

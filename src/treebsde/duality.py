@@ -592,8 +592,9 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     For y in the eps-nodal set at k1: the best steering keeps all k2-successors'
     W-tilde below rho_into. Conversely every probe y steerable so that all
     successors' W-tilde <= eps has W-tilde(k1, y) <= rho_back. Both slacks are
-    reported; the inclusions hold when the slacks are finite (empirically they
-    shrink under refinement).
+    reported; the inclusions hold when both slacks are finite and both the nodal
+    and the steerable set are nonempty (empirically the slacks shrink under
+    refinement).
     """
     if not 0 <= k1 < k2 <= tree.n:
         raise ValueError(f"need 0 <= k1 < k2 <= n, got {k1}, {k2}")
@@ -634,7 +635,8 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
         level_from=k1, level_to=k2, eps=float(eps), rho_into=float(rho_into),
         rho_back=float(rho_back), nodal_count=nodal_count,
         steerable_count=steer_count,
-        inclusions_hold=np.isfinite(rho_into) and np.isfinite(rho_back),
+        inclusions_hold=bool(np.isfinite(rho_into) and np.isfinite(rho_back)
+                             and nodal_count > 0 and steer_count > 0),
     )
 
 

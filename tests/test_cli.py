@@ -182,3 +182,12 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "illposed-demo" in proc.stdout
+
+
+def test_validate_rejects_illposed_demo_above_ten_steps():
+    with pytest.raises(ConfigValidationError,
+                       match="field 'n': illposed-demo runs on at most 10 tree steps"):
+        validate_config({"experiment": "illposed-demo", "seed": 0, "n": 11})
+    assert validate_config({"experiment": "illposed-demo", "seed": 0, "n": 10}).n == 10
+    # the limit belongs to illposed-demo alone
+    assert validate_config({"experiment": "master-residual", "seed": 0, "n": 11}).n == 11

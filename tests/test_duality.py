@@ -524,3 +524,12 @@ def test_geometric_dpp_matches_per_start_reference(mode, monkeypatch):
     assert (rep.rho_into.hex(), rep.rho_back.hex()) == (rho_into.hex(), rho_back.hex())
     assert (rep.nodal_count, rep.steerable_count) == (nodal, steerable)
     assert nodal > 0 and steerable > 0
+
+
+def test_geometric_dpp_fails_when_no_probe_is_in_a_nodal_set():
+    tree, problem = control_free_b_terminal(n=2, T=0.5)
+    report = check_geometric_dpp(problem, tree, 0, 1, eps=0.1,
+                                 y_points=np.array([5.0, 6.0]), z_values=(0.0, 1.0))
+    assert report.nodal_count == 0 and report.steerable_count == 0
+    assert np.isfinite(report.rho_into) and np.isfinite(report.rho_back)
+    assert not report.inclusions_hold

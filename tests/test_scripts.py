@@ -1,6 +1,8 @@
 """Smoke tests for the standalone scripts under scripts/."""
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -40,3 +42,16 @@ def test_switching_paths_exports_the_dense_path(tmp_path, capsys):
     assert (out / written).read_bytes() == expected.read_bytes()
     counts = np.stack(lin.switch_flags).sum(axis=0)
     assert counts[i] == counts.max()
+
+
+def test_switching_paths_rejects_a_coarse_grid_in_one_line(tmp_path):
+    # 256 steps on [0, 4] give a one-step ratio bound of 0.361 > 0.1
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "switching_paths.py"), "--paths", "50",
+         "--steps", "256", "--out", str(tmp_path / "switching")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert "--steps 256" in line and "overshoot limit 0.1" in line
+    assert not (tmp_path / "switching").exists()
