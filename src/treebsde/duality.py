@@ -360,7 +360,9 @@ def dual_static_value(nodal: NodalSet, phi, reachable_points: np.ndarray | None 
 # exact tree-conditional dual value W-tilde
 
 # Steered floats (starts x assignments x subtree nodes x d') per chunk of starts.
-_CHUNK_FLOATS = 1 << 20
+# At 64 KB per array the kernel's temporaries stay near 1 MB; larger chunks
+# raise peak memory more than they save time.
+_CHUNK_FLOATS = 1 << 13
 
 
 def _as_z_matrices(z_values, dpr: int, d: int):
@@ -505,10 +507,11 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
         cost[np.isnan(cost)] = np.inf
         best = np.argmin(cost, axis=1)
         values[sl] = cost[np.arange(len(best)), best]
-        tags.extend(None if not v < np.inf
-                    else tuple(table[a].tolist()) if a < len(table)
-                    else ("extra", int(a) - len(table))
-                    for a, v in zip(best, values[sl]))
+        winners, which = np.unique(np.where(values[sl] < np.inf, best, -1),
+                                   return_inverse=True)
+        named = [None if a < 0 else tuple(table[a].tolist()) if a < len(table)
+                 else ("extra", int(a) - len(table)) for a in winners]
+        tags.extend(named[i] for i in which.tolist())
     if np.ndim(node) == 0:
         return float(values[0]), tags[0]
     return values, tags
