@@ -2,8 +2,8 @@
 
 Streams the two-component linear utility's Euler ensemble, prints switch
 statistics from its switch events, and writes one CSV per sampled path
-(t, ratio, regime, weights), replayed from the same seeded stream. A step count too coarse for the
-overshoot limit exits 2 with a one-line message.
+(t, ratio, regime, weights), replayed from the same seeded stream. A step
+count too coarse for the overshoot limit exits 2 with a one-line message.
 
 Usage: python scripts/switching_paths.py [--paths N] [--steps N] [--seed S] [--out DIR]
 """
