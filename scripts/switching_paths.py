@@ -16,12 +16,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from treebsde.lattice import TimeGrid  # noqa: E402
-from treebsde.dynutil import (  # noqa: E402
-    LinearUtilityCoeffs,
-    StepSizeError,
-    replay_paths,
-    switch_events,
-)
+from treebsde.dynutil import StepSizeError, replay_paths, switch_events  # noqa: E402
+from treebsde.problems import switch_coeffs  # noqa: E402
 
 
 def run(argv=None):
@@ -33,11 +29,7 @@ def run(argv=None):
     ap.add_argument("--out", default="runs/switching")
     args = ap.parse_args(argv)
 
-    alpha = np.zeros((2, 2))
-    alpha[1, 0] = 0.25
-    beta = np.zeros((2, 2))
-    beta[1, 0] = 0.6
-    coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
+    coeffs = switch_coeffs()
     grid = TimeGrid(4.0, args.steps)
     try:
         events = switch_events(coeffs, grid, args.paths, seed=args.seed)

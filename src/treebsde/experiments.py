@@ -17,11 +17,9 @@ from dataclasses import dataclass, asdict, fields as dc_fields
 import numpy as np
 
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import BSDEProblem, NodeContext, static_value
+from treebsde.bsde import NodeContext, static_value
 from treebsde.duality import (
-    DeterministicDualSpec,
     HJBConfig,
-    MarkovianDualSpec,
     check_geometric_dpp,
     dual_static_value,
     export_dual_grid_csv,
@@ -30,13 +28,11 @@ from treebsde.duality import (
     solve_dual_hjb,
 )
 from treebsde.dynutil import (
-    LinearUtilityCoeffs,
     build_linear_utility,
     check_linear_comparison,
     verify_tau_bound,
 )
 from treebsde.master import (
-    CylinderFunctional,
     check_forward_dpp,
     check_lipschitz,
     default_illposed_generators,
@@ -56,6 +52,7 @@ from treebsde.benchmarks import (
     pa_restoration_check,
     pa_value,
 )
+from treebsde import problems
 
 
 class ConfigValidationError(ValueError):
@@ -364,15 +361,10 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
 def _run_duality(cfg: ExperimentConfig, out_dir: str):
     checks, files = [], []
     if (cfg.benchmark or "markovian") == "deterministic":
-        bench = get_benchmark("deterministic", T=cfg.T)
-        spec = DeterministicDualSpec(
-            f=lambda t, y, u: np.stack(
-                [u - y[..., 1], u + 0.0 * y[..., 0]], axis=-1),
-            target=(0.0, 0.0),
-            control_values=bench.problem.control_values,
-            f_bound=(3.0, 1.0))
+        get_benchmark("deterministic", T=cfg.T)  # the 0.5 target needs T > 1
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
-        dual = solve_dual_hjb(spec, TimeGrid(cfg.T, cfg.n), config)
+        dual = solve_dual_hjb(problems.transport_dual_spec(),
+                              TimeGrid(cfg.T, cfg.n), config)
         eps = cfg.eps or dual.default_eps()
         nodal = extract_nodal_set(dual, 0, eps=eps)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
@@ -385,13 +377,11 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         extras = {"flavor": "deterministic-transport", "eps": float(eps),
                   "value": float(dsv.value)}
     else:
-        spec = MarkovianDualSpec(f=lambda t, x, y, z, u: 0.0 * y,
-                                 g=lambda x: x, control_values=(0.0,),
-                                 f_bound=0.0)
         config = HJBConfig(x_bounds=(-2.0, 2.0), dx=cfg.dx,
                            y_bounds=(-2.0, 2.0), dy=cfg.dy,
                            z_values=(-1.0, 0.0, 1.0))
-        dual = solve_dual_hjb(spec, TimeGrid(cfg.T, cfg.n), config)
+        dual = solve_dual_hjb(problems.quadratic_dual_spec(),
+                              TimeGrid(cfg.T, cfg.n), config)
         xs, ys = dual.axes
         mx, my = dual.trusted_interior()
         ref = (ys[None, :] - xs[:, None]) ** 2
@@ -411,42 +401,11 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
     return checks, extras, files
 
 
-def _dpp_problems(cfg: ExperimentConfig):
-    # steering z off the perfect tracking value so the quantization defect
-    # scales with dt and the slack shrinks as the tree refines
-    p1 = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: np.zeros_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,),
-        lipschitz_L=1.0)
-    z1 = (0.0, 0.8)
-
-    def f2(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u - y[:, 1]
-        out[:, 1] = u
-        return out
-
-    p2 = BSDEProblem(
-        value_dim=2, f=f2,
-        terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0),
-        lipschitz_L=1.0, deterministic_controls=True)
-    z2 = (np.zeros((2, 1)),)
-    pts1 = np.linspace(-1.5, 1.5, 16)[:, None]
-    g = np.linspace(-0.25, 1.25, 7)
-    pts2 = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    return (("terminal-tracking", p1, z1, pts1), ("steering", p2, z2, pts2))
-
-
 def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
     ns = tuple(cfg.refinements) or (4, 8)
     eps = cfg.eps or 0.35
     checks, rows = [], []
-    for name, problem, z_values, pts in _dpp_problems(cfg):
+    for name, problem, z_values, pts in problems.geometric_dpp_cases():
         rhos = []
         for n in ns:
             tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="path")
@@ -467,44 +426,8 @@ def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
     return checks, {"refinements": list(ns), "eps": float(eps)}, ["slack.csv"]
 
 
-_LIN_ALPHA = ((0.2, -0.1), (0.3, 0.1))
-_LIN_BETA = ((0.1, 0.2), (-0.2, 0.15))
-
-
-def _linear_setup():
-    al = np.array(_LIN_ALPHA)
-    be = np.array(_LIN_BETA)
-    coeffs = LinearUtilityCoeffs(
-        alpha=lambda t, b: al, beta=lambda t, b: be,
-        c=lambda t, b, u: np.stack([0.1 * np.asarray(u),
-                                    -0.05 * np.asarray(u)], axis=-1),
-        a1=1.0, a2=2.0, bound=0.3)
-
-    def f(t, ctx, y, z, u):
-        out = y @ al.T + z[:, :, 0] @ be.T
-        out[:, 0] += 0.1 * u
-        out[:, 1] += -0.05 * u
-        return out
-
-    problem = BSDEProblem(
-        value_dim=2, f=f,
-        terminal=lambda ctx: np.stack([ctx.b[:, 0], 0.5 * ctx.b[:, 0]], axis=1),
-        phi=lambda y: y[:, 0] + 2.0 * y[:, 1],
-        control_values=(0.0, 1.0),
-        lipschitz_L=1.0)
-    return coeffs, problem
-
-
-def _switch_coeffs():
-    alpha = np.zeros((2, 2))
-    alpha[1, 0] = 0.25
-    beta = np.zeros((2, 2))
-    beta[1, 0] = 0.6
-    return LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
-
-
 def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
-    coeffs, problem = _linear_setup()
+    coeffs, problem = problems.linear_setup()
     n = min(cfg.n, 4)
     tree = build_tree(TimeGrid(min(cfg.T, 0.5), n if n <= 2 else 2), d=1,
                       mode="path")
@@ -524,7 +447,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
 
     steps = cfg.steps or 4096
     grid = TimeGrid(4.0, steps)
-    ens = build_linear_utility(_switch_coeffs(), grid=grid,
+    ens = build_linear_utility(problems.switch_coeffs(), grid=grid,
                                n_paths=min(cfg.mc_paths, 2000), seed=rng_seed)
     sw_steps = [j for j in range(1, steps + 1) if ens.switch_flags[j].any()]
     sdt = np.sqrt(grid.dt)
@@ -558,7 +481,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
 
 def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):
     steps = cfg.steps or 4096
-    rep = verify_tau_bound(_switch_coeffs(), T=4.0,
+    rep = verify_tau_bound(problems.switch_coeffs(), T=4.0,
                            switch_indices=tuple(range(1, 7)), steps=steps,
                            n_paths=cfg.mc_paths, seed=cfg.seed)
     checks = [_check(f"tau-{row.switch_index}-bound", row.passed,
@@ -582,37 +505,13 @@ def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):
 
 def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
     cases = []
-    p_scalar = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: u[:, None] * np.ones_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0), lipschitz_L=1.0, phi_lipschitz=1.0)
-
-    def f_pair(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u + 0.25 * y[:, 1]
-        out[:, 1] = 0.5 * z[:, 0, 0] - u
-        return out
-
-    p_coupled = BSDEProblem(
-        value_dim=2, f=f_pair,
-        terminal=lambda ctx: np.stack([ctx.b[:, 0], ctx.b[:, 0] ** 2], axis=1),
-        phi=lambda y: y[:, 0] - 0.5 * y[:, 1],
-        control_values=(-1.0, 0.0, 1.0), lipschitz_L=1.0, phi_lipschitz=1.5)
-    p_det = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: u[:, None] * np.ones_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 0.5, 1.0), lipschitz_L=1.0,
-        deterministic_controls=True, phi_lipschitz=1.0)
+    p_scalar = problems.scalar_drift_problem()
     grid3 = TimeGrid(cfg.T, 3)
     cases.append(("scalar-drift", p_scalar,
                   build_tree(grid3, d=1, mode="path"), 1, 3))
-    cases.append(("coupled-two-dim", p_coupled,
+    cases.append(("coupled-two-dim", problems.coupled_two_dim_problem(),
                   build_tree(TimeGrid(cfg.T, 2), d=1, mode="path"), 1, 2))
-    cases.append(("deterministic-controls", p_det,
+    cases.append(("deterministic-controls", problems.level_controls_problem(),
                   build_tree(TimeGrid(cfg.T, 6), d=1, mode="recombining"), 3, 6))
     checks, rows = [], []
     for name, prob, tree, t1, t2 in cases:
@@ -637,27 +536,13 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
     return checks, {"lipschitz_ratio": lrep.max_ratio}, ["residuals.csv"]
 
 
-def _exp_cylinder():
-    return CylinderFunctional(
-        value=lambda t, path: np.exp(path[:, -1, 0]),
-        d_t=lambda t, path: np.zeros(path.shape[0]),
-        d_b=lambda t, path: np.exp(path[:, -1, :]),
-        d_bb=lambda t, path: np.exp(path[:, -1, 0]).reshape(-1, 1, 1, 1),
-        name="exp_b")
-
-
 def _run_master_residual(cfg: ExperimentConfig, out_dir: str):
-    problem = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: np.zeros_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,), lipschitz_L=1.0)
+    problem = problems.control_free_problem()
     ns = tuple(cfg.refinements) or (4, 8, 16)
     rows, res = [], []
     for n in ns:
         tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="recombining")
-        rep = master_residual(problem, tree, _exp_cylinder(), level=n // 2)
+        rep = master_residual(problem, tree, problems.exp_cylinder(), level=n // 2)
         res.append(abs(rep.residual))
         rows.append((n, tree.dt, rep.residual, rep.left_time_term,
                      rep.drift_term, rep.sup_term))

@@ -26,16 +26,13 @@ from treebsde.bsde import (
     static_value,
 )
 from treebsde.duality import (
-    DeterministicDualSpec,
     HJBConfig,
-    MarkovianDualSpec,
     check_geometric_dpp,
     dual_static_value,
     extract_nodal_set,
     solve_dual_hjb,
 )
 from treebsde.dynutil import (
-    LinearUtilityCoeffs,
     build_linear_utility,
     check_comparison,
     check_linear_comparison,
@@ -44,7 +41,6 @@ from treebsde.dynutil import (
     verify_tau_bound,
 )
 from treebsde.master import (
-    CylinderFunctional,
     check_forward_dpp,
     check_lipschitz,
     illposed_demo,
@@ -59,21 +55,12 @@ from treebsde.benchmarks import (
     pa_restoration_check,
 )
 from treebsde.experiments import run_experiment, validate_config
+from treebsde import problems
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"acceptance check {num} failed: {detail}"
-
-
-def _transport_spec() -> DeterministicDualSpec:
-    """Steering system y1' = u - y2, y2' = u driven to the origin."""
-    return DeterministicDualSpec(
-        f=lambda t, y, u: np.stack([u - y[..., 1], u + 0.0 * y[..., 0]],
-                                   axis=-1),
-        target=(0.0, 0.0),
-        control_values=(0.0, 1.0),
-        f_bound=(3.0, 1.0))
 
 
 def _hausdorff(first: np.ndarray, second: np.ndarray) -> float:
@@ -109,7 +96,8 @@ def test_acceptance_01_root_value_primal_and_dual():
     # calibrated dual meshes: (mesh width, nodal tolerance as a mesh fraction)
     for n, dy, efac, tol in ((64, 0.04, 0.15, 5e-2), (256, 0.008, 0.12, 1e-2)):
         t0 = time.monotonic()
-        dual = solve_dual_hjb(_transport_spec(), TimeGrid(2.0, n),
+        dual = solve_dual_hjb(problems.transport_dual_spec(),
+                              TimeGrid(2.0, n),
                               HJBConfig(y_bounds=(-2.0, 2.0), dy=dy))
         nodal = extract_nodal_set(dual, 0, eps=efac * dy)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
@@ -189,12 +177,11 @@ def test_acceptance_03_restoration_vs_stale_control_groups():
 
 def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
     # control-free quadratic case: W(0, x, y) = (y - x)^2, nodal set {y = x}
-    spec = MarkovianDualSpec(f=lambda t, x, y, z, u: 0.0 * y, g=lambda x: x,
-                             control_values=(0.0,), f_bound=0.0)
     config = HJBConfig(x_bounds=(-2.0, 2.0), dx=0.05,
                        y_bounds=(-2.0, 2.0), dy=0.05,
                        z_values=(-1.0, 0.0, 1.0))
-    dual = solve_dual_hjb(spec, TimeGrid(1.0, 8), config)
+    dual = solve_dual_hjb(problems.quadratic_dual_spec(), TimeGrid(1.0, 8),
+                          config)
     xs, ys = dual.axes
     mx, my = dual.trusted_interior()
     closed = (ys[None, :] - xs[:, None]) ** 2
@@ -212,7 +199,8 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
     ok_h = True
     for n, dy, efac, k in ((8, 0.1, 0.3, 6), (16, 0.05, 0.2, 14)):
         tree = build_tree(TimeGrid(2.0, n), d=1, mode="recombining")
-        dual_det = solve_dual_hjb(_transport_spec(), TimeGrid(2.0, n),
+        dual_det = solve_dual_hjb(problems.transport_dual_spec(),
+                                  TimeGrid(2.0, n),
                                   HJBConfig(y_bounds=(-2.0, 3.0), dy=dy))
         nodal = extract_nodal_set(dual_det, k, eps=efac * dy)
         rpts = np.asarray(reachable_set(det.problem, tree, k).points[0])
@@ -233,42 +221,11 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
 # 5. geometric dynamic programming: epsilon-inclusions with shrinking slack
 
 
-def _geometric_problem_set():
-    p1 = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: np.zeros_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,),
-        lipschitz_L=1.0)
-    # z held off the perfect tracking value so the quantization defect
-    # scales with dt and the slack shrinks under refinement
-    z1 = (0.0, 0.8)
-    pts1 = np.linspace(-1.5, 1.5, 16)[:, None]
-
-    def f2(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u - y[:, 1]
-        out[:, 1] = u
-        return out
-
-    p2 = BSDEProblem(
-        value_dim=2, f=f2,
-        terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0),
-        lipschitz_L=1.0, deterministic_controls=True)
-    z2 = (np.zeros((2, 1)),)
-    g = np.linspace(-0.25, 1.25, 7)
-    pts2 = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    return (("terminal-tracking", p1, z1, pts1), ("steering", p2, z2, pts2))
-
-
 def test_acceptance_05_geometric_dpp_slack_shrinks():
     eps = 0.35
     parts = []
     ok = True
-    for name, problem, z_values, pts in _geometric_problem_set():
+    for name, problem, z_values, pts in problems.geometric_dpp_cases():
         rhos = []
         for n in (4, 8):
             tree = build_tree(TimeGrid(1.0, n), d=1, mode="path")
@@ -287,37 +244,13 @@ def test_acceptance_05_geometric_dpp_slack_shrinks():
 
 
 def test_acceptance_06_forward_dpp_enumeration_and_lipschitz():
-    p_scalar = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: u[:, None] * np.ones_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0), lipschitz_L=1.0, phi_lipschitz=1.0)
-
-    def f_pair(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u + 0.25 * y[:, 1]
-        out[:, 1] = 0.5 * z[:, 0, 0] - u
-        return out
-
-    p_coupled = BSDEProblem(
-        value_dim=2, f=f_pair,
-        terminal=lambda ctx: np.stack([ctx.b[:, 0], ctx.b[:, 0] ** 2], axis=1),
-        phi=lambda y: y[:, 0] - 0.5 * y[:, 1],
-        control_values=(-1.0, 0.0, 1.0), lipschitz_L=1.0, phi_lipschitz=1.5)
-    p_det = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: u[:, None] * np.ones_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 0.5, 1.0), lipschitz_L=1.0,
-        deterministic_controls=True, phi_lipschitz=1.0)
+    p_scalar = problems.scalar_drift_problem()
     cases = (
         ("scalar-drift", p_scalar,
          build_tree(TimeGrid(1.0, 3), d=1, mode="path"), 1, 3),
-        ("coupled-two-dim", p_coupled,
+        ("coupled-two-dim", problems.coupled_two_dim_problem(),
          build_tree(TimeGrid(1.0, 2), d=1, mode="path"), 1, 2),
-        ("level-controls", p_det,
+        ("level-controls", problems.level_controls_problem(),
          build_tree(TimeGrid(1.0, 6), d=1, mode="recombining"), 3, 6),
     )
     ok = True
@@ -348,18 +281,8 @@ def test_acceptance_06_forward_dpp_enumeration_and_lipschitz():
 
 
 def test_acceptance_07_master_residual_halving_and_illposedness():
-    problem = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: np.zeros_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,), lipschitz_L=1.0)
-    cyl = CylinderFunctional(
-        value=lambda t, path: np.exp(path[:, -1, 0]),
-        d_t=lambda t, path: np.zeros(path.shape[0]),
-        d_b=lambda t, path: np.exp(path[:, -1, :]),
-        d_bb=lambda t, path: np.exp(path[:, -1, 0]).reshape(-1, 1, 1, 1),
-        name="exp_b")
+    problem = problems.control_free_problem()
+    cyl = problems.exp_cylinder()
     residuals = []
     for n in (4, 8, 16):
         tree = build_tree(TimeGrid(1.0, n), d=1, mode="recombining")
@@ -385,11 +308,7 @@ def test_acceptance_07_master_residual_halving_and_illposedness():
 
 @pytest.mark.filterwarnings("ignore:dt")
 def test_acceptance_08_switching_ensemble_and_comparison():
-    alpha = np.zeros((2, 2))
-    alpha[1, 0] = 0.25
-    beta = np.zeros((2, 2))
-    beta[1, 0] = 0.6
-    coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
+    coeffs = problems.switch_coeffs()
     grid = TimeGrid(4.0, 4096)
     ens = build_linear_utility(coeffs, grid=grid, n_paths=10 ** 4, seed=0)
 
@@ -425,26 +344,7 @@ def test_acceptance_08_switching_ensemble_and_comparison():
               and trep.overshoot <= 0.1)
 
     # (d) order preservation under every enumerated policy on a small tree
-    al = np.array([[0.2, -0.1], [0.3, 0.1]])
-    be = np.array([[0.1, 0.2], [-0.2, 0.15]])
-    lin_coeffs = LinearUtilityCoeffs(
-        alpha=lambda t, b: al, beta=lambda t, b: be,
-        c=lambda t, b, u: np.stack([0.1 * np.asarray(u),
-                                    -0.05 * np.asarray(u)], axis=-1),
-        a1=1.0, a2=2.0, bound=0.3)
-
-    def f(t, ctx, y, z, u):
-        out = y @ al.T + z[:, :, 0] @ be.T
-        out[:, 0] += 0.1 * u
-        out[:, 1] += -0.05 * u
-        return out
-
-    problem = BSDEProblem(
-        value_dim=2, f=f,
-        terminal=lambda ctx: np.stack([ctx.b[:, 0], 0.5 * ctx.b[:, 0]],
-                                      axis=1),
-        phi=lambda y: y[:, 0] + 2.0 * y[:, 1],
-        control_values=(0.0, 1.0), lipschitz_L=1.0)
+    lin_coeffs, problem = problems.linear_setup()
     tree = build_tree(TimeGrid(0.5, 3), d=1, mode="path")
     lin = build_linear_utility(lin_coeffs, tree, overshoot_limit=1.0)
     pairs = make_comparison_pairs(lin, problem, tree, count=50, seed=11)

@@ -28,6 +28,7 @@ from treebsde.dynutil import (
     switch_events,
     verify_tau_bound,
 )
+from treebsde.problems import switch_coeffs
 
 
 def steering_problem():
@@ -338,15 +339,9 @@ def test_tau_bound_with_switches():
     assert report.failures == ()
 
 
-def _switching_coeffs():
-    alpha = np.array([[0.0, 0.0], [0.25, 0.0]])
-    beta = np.array([[0.0, 0.0], [0.6, 0.0]])
-    return LinearUtilityCoeffs.from_constants(alpha, beta, 0.0, 1.0)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_switch_events_and_tau_rows_match_dense_ensemble(seed):
-    coeffs = _switching_coeffs()
+    coeffs = switch_coeffs()
     T, n_paths, indices = 4.0, 300, tuple(range(1, 7))
     grid = TimeGrid(T=T, n=4096)
     lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed)
@@ -411,7 +406,7 @@ def test_verify_tau_bound_peak_memory_stays_small():
     # the dense (steps + 1) x paths ensemble would take ~470 MB here
     tracemalloc.start()
     try:
-        verify_tau_bound(_switching_coeffs(), T=4.0, switch_indices=(1, 2, 3),
+        verify_tau_bound(switch_coeffs(), T=4.0, switch_indices=(1, 2, 3),
                          steps=4096, n_paths=2000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:

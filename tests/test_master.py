@@ -21,6 +21,7 @@ from treebsde.master import (
     node_histories,
     path_derivative_probe,
 )
+from treebsde.problems import coupled_two_dim_problem, exp_cylinder
 
 
 def drift_problem(control_values=(0.0, 1.0), deterministic=False):
@@ -34,23 +35,6 @@ def drift_problem(control_values=(0.0, 1.0), deterministic=False):
         lipschitz_L=1.0,
         deterministic_controls=deterministic,
         phi_lipschitz=1.0,
-    )
-
-
-def coupled_problem():
-    """Two components coupled through y and z, three controls."""
-    def f(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u + 0.25 * y[:, 1]
-        out[:, 1] = 0.5 * z[:, 0, 0] - u
-        return out
-
-    return BSDEProblem(
-        value_dim=2, f=f,
-        terminal=lambda ctx: np.stack([ctx.b[:, 0], ctx.b[:, 0] ** 2], axis=1),
-        phi=lambda y: y[:, 0] - 0.5 * y[:, 1],
-        control_values=(-1.0, 0.0, 1.0),
-        lipschitz_L=1.0, phi_lipschitz=1.5,
     )
 
 
@@ -83,7 +67,7 @@ def test_forward_dpp_exact_scalar():
 
 def test_forward_dpp_exact_two_dim_three_controls():
     tree = build_tree(TimeGrid(0.8, 2), d=1, mode="path")
-    p = coupled_problem()
+    p = coupled_two_dim_problem()
     ctx = NodeContext(level=2, b=tree.values[2], tree=tree)
     eta = np.asarray(p.terminal(ctx), dtype=float)
     rep = check_forward_dpp(p, tree, 1, 2, eta)
@@ -260,16 +244,6 @@ def test_eta_derivative_quadratic_phi_closed_form():
     D = eta_derivative(fv, 1, eta, probe_h=1e-4)
     mean = float(np.sum(tree.probs[1][:, None] * eta))
     np.testing.assert_allclose(D, 2.0 * mean * np.ones_like(D), atol=1e-10)
-
-
-def exp_cylinder():
-    return CylinderFunctional(
-        value=lambda t, path: np.exp(path[:, -1, 0]),
-        d_t=lambda t, path: np.zeros(path.shape[0]),
-        d_b=lambda t, path: np.exp(path[:, -1, :]),
-        d_bb=lambda t, path: np.exp(path[:, -1, 0]).reshape(-1, 1, 1, 1),
-        name="exp_b",
-    )
 
 
 def test_master_residual_drift_only_linear_case():

@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 
-from treebsde.dynutil import LinearUtilityCoeffs, build_linear_utility
+from treebsde.dynutil import build_linear_utility
 from treebsde.lattice import TimeGrid
+from treebsde.problems import switch_coeffs
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
@@ -33,10 +34,8 @@ def test_switching_paths_exports_the_dense_path(tmp_path, capsys):
     lines = (out / written).read_bytes().splitlines()
     assert len(lines) == 1 + steps + 1  # header + one row per level
 
-    alpha = np.array([[0.0, 0.0], [0.25, 0.0]])
-    beta = np.array([[0.0, 0.0], [0.6, 0.0]])
-    coeffs = LinearUtilityCoeffs.from_constants(alpha, beta, a1=0.0, a2=1.0)
-    lin = build_linear_utility(coeffs, grid=TimeGrid(4.0, steps), n_paths=paths, seed=0)
+    lin = build_linear_utility(switch_coeffs(), grid=TimeGrid(4.0, steps), n_paths=paths,
+                               seed=0)
     expected = tmp_path / "dense.csv"
     lin.path(i).to_csv(str(expected))
     assert (out / written).read_bytes() == expected.read_bytes()
