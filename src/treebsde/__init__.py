@@ -7,6 +7,7 @@ Modules:
   dynutil     dynamic utilities, comparison checks, the linear switching construction
   master      forward value, path-derivative probes, master-equation residuals
   benchmarks  four closed-form benchmark problems with analytic references
+  problems    the problem catalogue shared by experiments, acceptance tests and scripts
   experiments / cli   reproducible experiment runners and the command line
 """
 

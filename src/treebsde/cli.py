@@ -16,6 +16,13 @@ from treebsde.experiments import (
 )
 
 
+def _show(v) -> str:
+    """A check's value or bound for the terminal, numbers to 6 significant digits."""
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_show, v)) + "]"
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
+
+
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -29,9 +36,12 @@ def _cmd_run(args) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     for check in result.report["checks"]:
-        tag = "PASS" if check["passed"] else "FAIL"
-        extra = " [flagged]" if check.get("flagged") else ""
-        print(f"{tag} {check['name']}{extra}")
+        words = ["PASS" if check["passed"] else "FAIL", check["name"]]
+        words += [f"{key}={_show(check[key])}" for key in ("value", "bound")
+                  if key in check]
+        if check.get("flagged"):
+            words.append("[flagged]")
+        print(" ".join(words))
     print(f"report: {result.out_dir}/report.json")
     return 0 if result.passed else 1
 

@@ -80,8 +80,6 @@ class ExperimentConfig:
     tol: float = 1e-10      # comparison / identity tolerance
     value_tol: float = 0.05  # closed-form reproduction tolerance
     level: int = 0
-    t1: int = 0
-    t2: int = 0
     refinements: tuple = ()
     pairs: int = 100
     dx: float = 0.05
@@ -95,11 +93,12 @@ class ExperimentConfig:
 
 _REQUIRED = ("experiment", "seed")
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
+_LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear stores every ensemble level
 _TYPES = {
     "experiment": str, "seed": int, "output_dir": str, "benchmark": str,
     "T": float, "n": int, "mode": str, "d": int, "cap": int, "mc_paths": int,
     "steps": int, "eps": float, "tol": float, "value_tol": float, "level": int,
-    "t1": int, "t2": int, "refinements": "int-list", "pairs": int,
+    "refinements": "int-list", "pairs": int,
     "dx": float, "dy": float, "x0": float, "c": "float-or-null",
     "gamma_a": float, "gamma_p": float, "r": float,
 }
@@ -165,6 +164,14 @@ def validate_config(data: dict) -> ExperimentConfig:
     if clean.get("experiment") == "illposed-demo" and clean.get("n", 1) > _ILLPOSED_MAX_N:
         msgs.append(f"field 'n': illposed-demo runs on at most {_ILLPOSED_MAX_N} "
                     f"tree steps, got {clean['n']}")
+    if clean.get("experiment") == "dynamic-utility-linear":
+        given = "mc_paths" in data
+        paths = clean.get("mc_paths") if given else ExperimentConfig.mc_paths
+        if paths is not None and paths > _LINEAR_MAX_PATHS:
+            got = f"got {paths}" if given else f"the default {paths} exceeds it"
+            msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
+                        f"Euler ensemble ((steps + 1) x paths per field) and runs "
+                        f"at most {_LINEAR_MAX_PATHS} paths, {got}")
     if "mode" in clean and clean["mode"] not in ("path", "recombining"):
         msgs.append("field 'mode': must be 'path' or 'recombining'")
     if msgs:
@@ -448,7 +455,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     steps = cfg.steps or 4096
     grid = TimeGrid(4.0, steps)
     ens = build_linear_utility(problems.switch_coeffs(), grid=grid,
-                               n_paths=min(cfg.mc_paths, 2000), seed=rng_seed)
+                               n_paths=cfg.mc_paths, seed=rng_seed)
     sw_steps = [j for j in range(1, steps + 1) if ens.switch_flags[j].any()]
     sdt = np.sqrt(grid.dt)
     # one Euler increment of either weight: entries bounded by coeffs.bound,
@@ -504,15 +511,15 @@ def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
-    cases = []
     p_scalar = problems.scalar_drift_problem()
-    grid3 = TimeGrid(cfg.T, 3)
-    cases.append(("scalar-drift", p_scalar,
-                  build_tree(grid3, d=1, mode="path"), 1, 3))
-    cases.append(("coupled-two-dim", problems.coupled_two_dim_problem(),
-                  build_tree(TimeGrid(cfg.T, 2), d=1, mode="path"), 1, 2))
-    cases.append(("deterministic-controls", problems.level_controls_problem(),
-                  build_tree(TimeGrid(cfg.T, 6), d=1, mode="recombining"), 3, 6))
+    cases = (
+        ("scalar-drift", p_scalar,
+         build_tree(TimeGrid(cfg.T, 3), d=1, mode="path"), 1, 3),
+        ("coupled-two-dim", problems.coupled_two_dim_problem(),
+         build_tree(TimeGrid(cfg.T, 2), d=1, mode="path"), 1, 2),
+        ("deterministic-controls", problems.level_controls_problem(),
+         build_tree(TimeGrid(cfg.T, 6), d=1, mode="recombining"), 3, 6),
+    )
     checks, rows = [], []
     for name, prob, tree, t1, t2 in cases:
         ctx = NodeContext(level=t2, b=tree.values[t2], tree=tree)

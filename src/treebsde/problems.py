@@ -1,28 +1,10 @@
 """Problem catalogue shared by the experiments, the acceptance suite and the scripts.
 
-The experiment runners, ``tests/test_acceptance.py`` and
-``scripts/switching_paths.py`` build their problems here, so the CLI runs
-exactly the problems the acceptance suite verifies:
-
-  geometric_dpp_cases       terminal tracking and steering, with z values and probe points
-  scalar_drift_problem      forward DPP: f = u, U = {0, 1}
-  coupled_two_dim_problem   forward DPP: two components coupled through y and z
-  level_controls_problem    forward DPP: f = u with one control per level
-  control_free_problem      master residual: f = 0, phi = y
-  exp_cylinder              master residual: eta(t, path) = exp(B_t)
-  linear_setup              linear dynamic utility and its matching BSDE problem
-  switch_coeffs             regime-switching coefficients of the weight ensemble
-  transport_dual_spec       deterministic steering dual, driven to the origin
-  quadratic_dual_spec       control-free Markovian dual, W(0, x, y) = (y - x)^2
-
-Every constructor takes no arguments and returns fresh objects on each call.
-The module holds no instances: a ``BSDEProblem`` records that its Lipschitz
-probe has run, so a shared instance would let a later caller skip the probe,
-and arrays handed out by one call must not alias the next call's. Trees,
-levels, seeds and case lists stay with each caller.
+They all build their problems here, so the CLI runs exactly the problems the
+acceptance suite verifies. Every constructor takes no arguments and returns
+fresh objects: no caller sees another's arrays or Lipschitz-probe flag.
+Trees, levels and seeds stay with the caller.
 """
-from __future__ import annotations
-
 import numpy as np
 
 from treebsde.bsde import BSDEProblem
@@ -33,15 +15,9 @@ from treebsde.master import CylinderFunctional
 
 def geometric_dpp_cases():
     """(name, problem, z values, probe points) for each geometric-DPP problem."""
+    p1 = control_free_problem()
     # steering z off the perfect tracking value so the quantization defect
     # scales with dt and the slack shrinks as the tree refines
-    p1 = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: np.zeros_like(y),
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,),
-        lipschitz_L=1.0)
     z1 = (0.0, 0.8)
 
     def f2(t, ctx, y, z, u):

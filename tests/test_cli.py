@@ -191,3 +191,34 @@ def test_validate_rejects_illposed_demo_above_ten_steps():
     assert validate_config({"experiment": "illposed-demo", "seed": 0, "n": 10}).n == 10
     # the limit belongs to illposed-demo alone
     assert validate_config({"experiment": "master-residual", "seed": 0, "n": 11}).n == 11
+
+
+def test_validate_rejects_the_dead_t1_and_t2_fields():
+    for key in ("t1", "t2"):
+        with pytest.raises(ConfigValidationError, match=f"field '{key}': unknown"):
+            validate_config({"experiment": "forward-dpp", "seed": 0, key: 1})
+
+
+def test_validate_limits_dynamic_utility_linear_paths():
+    doc = {"experiment": "dynamic-utility-linear", "seed": 0}
+    assert validate_config({**doc, "mc_paths": 2000}).mc_paths == 2000
+    with pytest.raises(ConfigValidationError, match=r"^field 'mc_paths': .*dense Euler "
+                       r"ensemble.* at most 2000 paths, got 2001$"):
+        validate_config({**doc, "mc_paths": 2001})
+    with pytest.raises(ConfigValidationError,
+                       match="at most 2000 paths, the default 10000 exceeds it$"):
+        validate_config(doc)
+    # the limit belongs to dynamic-utility-linear alone
+    assert validate_config({"experiment": "tau-bound", "seed": 0}).mc_paths == 10000
+
+
+def test_run_prints_each_value_and_only_the_bounds_a_check_has(tmp_path, capsys):
+    assert main(["run", write_config(tmp_path, illposed_doc(tmp_path))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["PASS gap-equals-horizon value=1 bound=1e-12",
+                         "PASS shared-derivative-sup-identical value=[0, 0]",
+                         "PASS witness value=1"]
+    doc = {"experiment": "master-residual", "seed": 0, "output_dir": str(tmp_path)}
+    assert main(["run", write_config(tmp_path, doc, "master.json")]) == 0
+    assert re.search(r"^PASS halving-ratio-4-to-8 value=1\.\d+ bound=\[1\.5, 3\]$",
+                     capsys.readouterr().out, re.MULTILINE)

@@ -3,76 +3,50 @@ import numpy as np
 import pytest
 
 from treebsde import problems
-from treebsde.bsde import BSDEProblem, ControlPolicy, solve_bsde
+from treebsde.bsde import BSDEProblem, probe_lipschitz
+from treebsde.dynutil import LinearUtilityCoeffs
 from treebsde.lattice import TimeGrid, build_tree
 
 CONSTRUCTORS = (
-    problems.geometric_dpp_cases,
-    problems.scalar_drift_problem,
-    problems.coupled_two_dim_problem,
-    problems.level_controls_problem,
-    problems.control_free_problem,
-    problems.exp_cylinder,
-    problems.linear_setup,
-    problems.switch_coeffs,
-    problems.transport_dual_spec,
-    problems.quadratic_dual_spec,
+    problems.geometric_dpp_cases, problems.scalar_drift_problem,
+    problems.coupled_two_dim_problem, problems.level_controls_problem,
+    problems.control_free_problem, problems.exp_cylinder, problems.linear_setup,
+    problems.switch_coeffs, problems.transport_dual_spec, problems.quadratic_dual_spec,
 )
 
 
 def _objects(built):
-    """Every catalogue object in a constructor's return value, in order."""
+    """Every object and array in a constructor's return value, in order."""
     if isinstance(built, tuple):
         return [obj for item in built for obj in _objects(item)]
-    if isinstance(built, (str, float)):
-        return []
-    return [built]
+    return [] if isinstance(built, (str, float)) else [built]
+
+
+def _arrays(objects):
+    """The returned arrays plus the coefficient arrays a linear utility hands out."""
+    b = np.zeros(1)
+    return ([obj for obj in objects if isinstance(obj, np.ndarray)]
+            + [fn(0.0, b) for obj in objects if isinstance(obj, LinearUtilityCoeffs)
+               for fn in (obj.alpha, obj.beta)])
 
 
 @pytest.mark.parametrize("make", CONSTRUCTORS, ids=lambda f: f.__name__)
 def test_each_call_returns_fresh_objects(make):
-    first, second = _objects(make()), _objects(make())
+    tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
+    first = _objects(make())
+    expected = [a.copy() for a in _arrays(first)]
+    for obj in first:
+        if isinstance(obj, BSDEProblem):
+            probe_lipschitz(obj, tree)
+            assert obj._lip_checked
+    for a in _arrays(first):
+        a += 1.0
+    second = _objects(make())
     assert first and len(first) == len(second)
     for a, b in zip(first, second):
         assert a is not b
-        if isinstance(a, BSDEProblem):
-            assert not a._lip_checked and not b._lip_checked
-
-
-def test_a_probed_problem_leaves_the_next_call_unprobed():
-    tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
-    used = problems.scalar_drift_problem()
-    solve_bsde(used, tree, ControlPolicy.constant(tree, 1.0))
-    assert used._lip_checked
-    assert not problems.scalar_drift_problem()._lip_checked
-
-
-def test_mutating_returned_arrays_leaves_the_next_call_unchanged():
-    b = np.zeros(1)
-    for _, _, z_values, pts in problems.geometric_dpp_cases():
-        for z in z_values:
-            if isinstance(z, np.ndarray):
-                z += 1.0
-        pts += 1.0
-    (_, _, z1, pts1), (_, _, z2, pts2) = problems.geometric_dpp_cases()
-    assert z1 == (0.0, 0.8)
-    np.testing.assert_array_equal(z2[0], np.zeros((2, 1)))
-    np.testing.assert_array_equal(pts1, np.linspace(-1.5, 1.5, 16)[:, None])
-    assert pts2.min() == -0.25 and pts2.max() == 1.25
-
-    lin, _ = problems.linear_setup()
-    lin.alpha(0.0, b)[:] = 9.0
-    lin.beta(0.0, b)[:] = 9.0
-    lin, problem = problems.linear_setup()
-    np.testing.assert_array_equal(lin.alpha(0.0, b), [[0.2, -0.1], [0.3, 0.1]])
-    np.testing.assert_array_equal(lin.beta(0.0, b), [[0.1, 0.2], [-0.2, 0.15]])
-    y = np.array([[1.0, 0.0]])
-    z = np.zeros((1, 2, 1))
-    np.testing.assert_array_equal(problem.f(0.0, None, y, z, np.zeros(1)), [[0.2, 0.3]])
-
-    sw = problems.switch_coeffs()
-    sw.alpha(0.0, b)[:] = 9.0
-    sw.beta(0.0, b)[:] = 9.0
-    sw = problems.switch_coeffs()
-    np.testing.assert_array_equal(sw.alpha(0.0, b), [[0.0, 0.0], [0.25, 0.0]])
-    np.testing.assert_array_equal(sw.beta(0.0, b), [[0.0, 0.0], [0.6, 0.0]])
+        assert not getattr(b, "_lip_checked", False)
+    fresh = _arrays(second)
+    assert len(fresh) == len(expected)
+    for a, e in zip(fresh, expected):
+        np.testing.assert_array_equal(a, e)
