@@ -29,7 +29,7 @@ def run(argv=None):
 
     bench = get_benchmark("deterministic", T=2.0)
     tree = build_tree(TimeGrid(2.0, 64), d=1, mode="recombining")
-    sv = static_value(bench.problem, tree, fallback="coordinate-ascent")
+    sv = static_value(bench.problem, tree)
     rows.append(("deterministic (T=2, n=64)", bench.optimal_value, sv.value,
                  f"scheme optimum {deterministic_discrete_optimum(2.0, 64):.6f}"))
 

@@ -5,8 +5,8 @@ Explicit backward scheme on the +/-sqrt(dt) tree:
     Z_j = E_j[Y_{j+1} dB^T] / dt
     Y_j = E_j[Y_{j+1}] + f(t_j, node, E_j[Y_{j+1}], Z_j, u_j) * dt
 
-The static problem sup_u phi(Y^u_0) is solved by policy enumeration with an
-optional coordinate-ascent fallback above the cap.
+The static problem sup_u phi(Y^u_0) is solved exactly: by policy enumeration,
+or by the deterministic frontier kernel where Y is the same on every node.
 
 Policy enumeration contract. Every loop over tree policies in the package runs
 through PolicySpace, which fixes:
@@ -21,6 +21,21 @@ through PolicySpace, which fixes:
     returns the first (smallest) assignment on exact ties;
   * cap: more than cap assignments raises EnumerationCapError before any solve;
   * cost: callers run one solve_bsde per enumerated policy.
+
+Deterministic frontier contract. static_value and dynutil.deterministic_phi
+use the kernel _frontier when the problem sets deterministic_controls, its
+terminal data is the same on every node and _probe_deterministic finds f
+independent of z and of the node. Y is then node-constant, so the kernel moves
+the attainable Y values back one level at a time, one vectorised f call per
+level and control (Z = 0, steps y + f*dt: on a d = 1 tree solve_bsde's own
+floating-point operations), and drops exact duplicates. Probes that bump one
+coordinate at a time pick the first sign vector s in product((1, -1)) order
+along which phi and every step map are nondecreasing; points that another
+point matches or beats along s in every coordinate are pruned (no s: dedup
+only). Slots 0, 1, ... then take the first control whose best completion over
+the stored level sets still reaches the value exactly, so ties keep the
+lexicographically first assignment, as under enumeration. A level with more
+than cap points raises EnumerationCapError; enumerated counts evaluated points.
 
 For d'=1 the scheme is monotone (hence order-preserving in the terminal data) when
 1 - L*dt - L*sqrt(dt) >= 0; the sqrt(dt) term enters through the z-slot. This is
@@ -258,36 +273,20 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            objective, start_level: int = 0,
                            terminal_level: int | None = None,
                            terminal_rv: TreeRandomVariable | None = None,
-                           cap: int = 10 ** 6, fallback: str | None = None):
+                           cap: int = 10 ** 6):
     """Per-node max at start_level of objective(Y_{start_level}) over segment policies.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
-    assignments, enumerated count, heuristic flag).
+    assignments, enumerated count, False: no maximum is heuristic).
     """
     k = tree.n if terminal_level is None else terminal_level
     space = PolicySpace(problem, tree, start_level, k)
     m0 = tree.node_count(start_level)
-
-    def evaluate(pol):
-        sol = solve_bsde(problem, tree, pol, terminal_level=k, terminal_rv=terminal_rv)
-        return np.asarray(objective(sol.Y[start_level]), dtype=float)
-
-    try:
-        policies = space.policies(cap)
-    except EnumerationCapError as exc:
-        if fallback != "coordinate-ascent":
-            raise EnumerationCapError(
-                f"{exc}; pass fallback='coordinate-ascent'") from None
-        if m0 != 1:
-            raise EnumerationCapError(
-                "coordinate-ascent fallback optimizes a single start node; "
-                f"level {start_level} has {m0} nodes"
-            ) from None
-        return _coordinate_ascent(space, evaluate)
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
-    for assignment, pol in policies:
-        vals = evaluate(pol)
+    for assignment, pol in space.policies(cap):
+        sol = solve_bsde(problem, tree, pol, terminal_level=k, terminal_rv=terminal_rv)
+        vals = np.asarray(objective(sol.Y[start_level]), dtype=float)
         improved = vals > best
         if improved.any():
             for i in np.nonzero(improved)[0]:
@@ -296,43 +295,98 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     return best, best_assign, space.size, False
 
 
-def _coordinate_ascent(space: PolicySpace, evaluate):
-    """Single-slot improvements from the all-U[0] assignment until none improves."""
-    assignment = [0] * len(space.slots)
-    best = evaluate(space.policy(assignment))[0]
-    evals = 1
-    improved = True
-    while improved:
-        improved = False
-        for s in range(len(space.slots)):
-            cur = assignment[s]
-            for a in range(len(space.control_values)):
-                if a == cur:
-                    continue
-                assignment[s] = a
-                v = evaluate(space.policy(assignment))[0]
-                evals += 1
-                if v > best:
-                    best = v
-                    cur = a
-                    improved = True
-            assignment[s] = cur
-    return np.array([best]), [tuple(assignment)], evals, True
-
-
-def static_value(problem: BSDEProblem, tree: ScenarioTree, cap: int = 10 ** 6,
-                 fallback: str | None = None) -> StaticValue:
-    """V_0 = max over policies of phi(Y^u_0)."""
-
-    def objective(y0):
-        return np.asarray(problem.phi(y0), dtype=float).reshape(-1)
-
-    vals, assigns, count, heuristic = maximize_over_policies(
-        problem, tree, objective, cap=cap, fallback=fallback)
-    assignment = tuple(assigns[0])
+def static_value(problem: BSDEProblem, tree: ScenarioTree,
+                 cap: int = 10 ** 6) -> StaticValue:
+    """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route."""
+    ctx = NodeContext(level=tree.n, b=tree.values[tree.n], tree=tree)
+    eta = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, problem.value_dim)
+    if (problem.deterministic_controls and np.all(eta == eta[0])
+            and _probe_deterministic(problem, tree.d)):
+        if not problem._lip_checked:
+            probe_lipschitz(problem, tree)
+        value, assignment, count = _frontier(
+            problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d, cap)
+    else:
+        vals, assigns, count, _ = maximize_over_policies(
+            problem, tree, lambda y0: np.asarray(problem.phi(y0), dtype=float).reshape(-1),
+            cap=cap)
+        value, assignment = float(vals[0]), tuple(assigns[0])
     pol = PolicySpace(problem, tree).policy(assignment)
-    return StaticValue(value=float(vals[0]), policy=pol, assignment=assignment,
-                       enumerated=count, heuristic=heuristic)
+    return StaticValue(value=value, policy=pol, assignment=assignment,
+                       enumerated=count, heuristic=False)
+
+
+# ---------------------------------------------------------------------------
+# deterministic frontier
+
+
+def _probe_deterministic(problem: BSDEProblem, d: int = 1, seed: int = 0) -> bool:
+    """Whether 8 random probes find f independent of z and of the node."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    dpr, u = problem.value_dim, np.full(1, problem.control_values[0])
+    for _ in range(8):
+        y, z = rng.normal(size=(1, dpr)), rng.normal(size=(1, dpr, d))
+        ctx0 = NodeContext(level=0, b=np.zeros((1, d)))
+        ctxb = NodeContext(level=0, b=rng.normal(size=(1, d)))
+        f0 = np.asarray(problem.f(0.3, ctx0, y, np.zeros_like(z), u))
+        fz = np.asarray(problem.f(0.3, ctx0, y, z, u))
+        fb = np.asarray(problem.f(0.3, ctxb, y, np.zeros_like(z), u))
+        if np.max(np.abs(fz - f0)) > 1e-12 or np.max(np.abs(fb - f0)) > 1e-12:
+            return False
+    return True
+
+
+def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
+    """(max phi(Y_0), first maximizing assignment, points evaluated) over one control
+    per level on [0, k), k = len(times), from Y_k = y; see the module docstring."""
+    U, dpr = problem.control_values, problem.value_dim
+
+    def step(j, pts, u):
+        m = len(pts)
+        fv = problem.f(times[j], NodeContext(level=j, b=np.zeros((m, d))), pts,
+                       np.zeros((m, dpr, d)), np.full(m, float(u)))
+        return pts + np.asarray(fv, dtype=float) * dt
+
+    def phi(pts):
+        return np.asarray(problem.phi(pts), dtype=float).reshape(-1)
+
+    sign = _cone(step, phi, len(times), U, dpr)
+    levels = [None] * len(times) + [np.asarray(y, dtype=float).reshape(1, dpr)]
+    for j in range(len(times) - 1, -1, -1):
+        cand = np.concatenate([step(j, levels[j + 1], u) for u in U])
+        pts = cand[np.sort(np.unique(cand, axis=0, return_index=True)[1])]
+        if sign is not None:  # keep the points no other point matches or beats along sign
+            q, block = pts * sign, max(1, 2 ** 20 // pts.size)
+            pts = pts[np.concatenate([np.all(q >= q[a:a + block, None], axis=2).sum(axis=1) == 1
+                                      for a in range(0, len(q), block)])]
+        if len(pts) > cap:
+            raise EnumerationCapError(
+                f"{len(pts)} attainable points at level {j} exceed cap {cap}")
+        levels[j] = pts
+    value = float(np.max(phi(levels[0])))
+    assignment = []
+    for j in range(len(times)):
+        cur = np.concatenate([step(j, levels[j + 1], u) for u in U])
+        for i in range(j - 1, -1, -1):
+            cur = step(i, cur, U[assignment[i]])
+        best = phi(cur).reshape(len(U), -1).max(axis=1)
+        assignment.append(int(np.flatnonzero(best == value)[0]))
+    return value, tuple(assignment), len(U) * sum(len(pts) for pts in levels[1:])
+
+
+def _cone(step, phi, k: int, U, dpr: int):
+    """First s in product((1, -1)) such that bumping one y_i at a time by s_i*h
+    (h > 0) never lowers phi and moves each level's step map along s, or None."""
+    rng, samples = np.random.default_rng(np.random.Philox(0)), 16
+    base = np.repeat(rng.normal(size=(samples, dpr)), dpr, axis=0)
+    h = np.abs(rng.normal(size=(samples * dpr, 1)))
+    for s in itertools.product((1.0, -1.0), repeat=dpr):
+        bumped = base + h * np.tile(np.diag(s), (samples, 1))
+        if np.all(phi(bumped) >= phi(base) - 1e-12) and all(
+                np.all((step(j, bumped, u) - step(j, base, u)) * s >= -1e-12)
+                for j in range(k) for u in U):
+            return np.array(s)
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ vector, reducing the two-dimensional control problem to a scalar one. This
 module provides:
 
   * deterministic_phi: the utility built from a deterministic generator by
-    enumerating deterministic controls on [0, t] (Z = 0 branch);
+    maximizing over deterministic controls on [0, t] (Z = 0 branch);
   * check_comparison: a node-wise order-preservation diagnostic between two
     terminal variables under max-over-policies evaluation;
   * select_maximizer: the lexicographically largest candidate among the
@@ -29,7 +29,6 @@ module provides:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,12 @@ import numpy as np
 from treebsde.lattice import ScenarioTree, TimeGrid, TreeRandomVariable
 from treebsde.bsde import (
     BSDEProblem,
-    EnumerationCapError,
     NodeContext,
     PolicySpace,
     ProblemValidationError,
     StructureError,
+    _frontier,
+    _probe_deterministic,
     maximize_over_policies,
     solve_bsde,
 )
@@ -85,51 +85,17 @@ def static_utility(phi, value_dim: int) -> DynamicUtility:
 # deterministic construction
 
 
-def _probe_deterministic(problem: BSDEProblem, seed: int = 0) -> None:
-    rng = np.random.default_rng(np.random.Philox(seed))
-    dpr = problem.value_dim
-    for _ in range(8):
-        y = rng.normal(size=(1, dpr))
-        z = rng.normal(size=(1, dpr, 1))
-        u = np.full(1, problem.control_values[0])
-        ctx0 = NodeContext(level=0, b=np.zeros((1, 1)))
-        ctxb = NodeContext(level=0, b=rng.normal(size=(1, 1)))
-        f0 = np.asarray(problem.f(0.3, ctx0, y, np.zeros_like(z), u))
-        fz = np.asarray(problem.f(0.3, ctx0, y, z, u))
-        fb = np.asarray(problem.f(0.3, ctxb, y, np.zeros_like(z), u))
-        if np.max(np.abs(fz - f0)) > 1e-12 or np.max(np.abs(fb - f0)) > 1e-12:
-            raise ProblemValidationError(
-                "deterministic utility needs a generator independent of z and the node")
-
-
 def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y,
                       cap: int = 10 ** 6):
     """Phi(level, y) = max over deterministic control sequences on [0, level) of
     phi(Y_0), where Y runs backward from Y_level = y with Z = 0.
 
-    Returns (value, best control sequence)."""
-    _probe_deterministic(problem)
-    dpr = problem.value_dim
-    U = problem.control_values
-    total = len(U) ** level
-    if total > cap:
-        raise EnumerationCapError(f"{total} control sequences exceed cap {cap}")
-    y = np.asarray(y, dtype=float).reshape(1, dpr)
-    times = grid.times()
-    ctx = NodeContext(level=0, b=np.zeros((1, 1)))
-    z0 = np.zeros((1, dpr, 1))
-    best = -np.inf
-    best_seq = None
-    for seq in itertools.product(range(len(U)), repeat=level):
-        cur = y
-        for j in range(level - 1, -1, -1):
-            u = np.full(1, U[seq[j]])
-            cur = cur + np.asarray(problem.f(times[j], ctx, cur, z0, u)) * grid.dt
-        val = float(np.asarray(problem.phi(cur)).reshape(()))
-        if val > best:
-            best = val
-            best_seq = seq
-    return best, best_seq
+    Returns (value, lexicographically first best control sequence)."""
+    if not _probe_deterministic(problem):
+        raise ProblemValidationError(
+            "deterministic utility needs a generator independent of z and the node")
+    value, seq, _ = _frontier(problem, y, grid.times()[:level], grid.dt, 1, cap)
+    return value, seq
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from treebsde.benchmarks import (
     deterministic_discrete_optimum,
     deterministic_witness_check,
     get_benchmark,
-    mv_grid,
     mv_restoration_check,
     mv_tree_value,
     forward_states,
@@ -266,15 +265,14 @@ def _tree(cfg: ExperimentConfig, n=None, mode=None):
 def _run_static_value(cfg: ExperimentConfig, out_dir: str):
     bench = _make_bench(cfg, "deterministic")
     tree = _tree(cfg)
-    sv = static_value(bench.problem, tree, cap=cfg.cap, fallback="coordinate-ascent")
+    sv = static_value(bench.problem, tree, cap=cfg.cap)
     checks = []
     if bench.optimal_value is not None:
         tol = cfg.eps or 0.05
         checks.append(_check("value-within-tolerance",
                              abs(sv.value - bench.optimal_value) <= tol,
                              value=sv.value, bound=tol,
-                             target=bench.optimal_value,
-                             flagged=sv.heuristic))
+                             target=bench.optimal_value))
     write_csv(os.path.join(out_dir, "value.csv"),
               ("n", "dt", "value", "enumerated", "heuristic"),
               [(tree.n, tree.dt, sv.value, sv.enumerated, sv.heuristic)])
@@ -287,12 +285,10 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
     rows = []
     if bench.identifier == "deterministic":
         tree = _tree(cfg, mode="recombining")
-        sv = static_value(bench.problem, tree, cap=cfg.cap,
-                          fallback="coordinate-ascent")
+        sv = static_value(bench.problem, tree, cap=cfg.cap)
         tol = cfg.eps or 0.05
         checks.append(_check("analytic-value", abs(sv.value - 0.5) <= tol,
-                             value=sv.value, bound=tol, target=0.5,
-                             flagged=sv.heuristic))
+                             value=sv.value, bound=tol, target=0.5))
         disc = deterministic_discrete_optimum(cfg.T, cfg.n)
         checks.append(_check("scheme-optimum-identity",
                              abs(sv.value - disc) <= 1e-12,
@@ -526,8 +522,7 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
         eta = np.asarray(prob.terminal(ctx), dtype=float)
         rep = check_forward_dpp(prob, tree, t1, t2, eta, cap=cfg.cap)
         checks.append(_check(f"{name}-residual", rep.residual <= 1e-12,
-                             value=rep.residual, bound=1e-12,
-                             flagged=rep.heuristic))
+                             value=rep.residual, bound=1e-12))
         rows.append((name, tree.n, t1, t2, rep.residual))
     tree = build_tree(TimeGrid(cfg.T, 2), d=1, mode="path")
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
@@ -588,8 +583,8 @@ def _run_illposed_demo(cfg: ExperimentConfig, out_dir: str):
 EXPERIMENTS = {
     "static-value": (
         _run_static_value,
-        "Root value of a benchmark by policy enumeration on a scenario tree "
-        "(coordinate-ascent fallback past the cap)."),
+        "Exact root value of a benchmark on a scenario tree, by policy "
+        "enumeration or the deterministic attainable-point frontier."),
     "duality": (
         _run_duality,
         "Finite-difference dual PDE solve, nodal-set extraction, and the "

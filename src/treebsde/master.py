@@ -50,27 +50,21 @@ class ForwardValue:
     problem: BSDEProblem
     tree: ScenarioTree
     cap: int = 10 ** 6
-    fallback: str | None = None
 
     def value(self, level: int, eta) -> float:
-        val, heuristic = self.value_with_info(level, eta)
-        return val
-
-    def value_with_info(self, level: int, eta):
         eta = np.asarray(eta, dtype=float).reshape(
             self.tree.node_count(level), self.problem.value_dim)
         rv = TreeRandomVariable(level=level, values=eta)
-        vals, _, _, heuristic = maximize_over_policies(
+        vals, _, _, _ = maximize_over_policies(
             self.problem, self.tree,
             lambda y: np.asarray(self.problem.phi(y), dtype=float).reshape(-1),
-            start_level=0, terminal_level=level, terminal_rv=rv,
-            cap=self.cap, fallback=self.fallback)
-        return float(vals[0]), heuristic
+            start_level=0, terminal_level=level, terminal_rv=rv, cap=self.cap)
+        return float(vals[0])
 
 
 def forward_value(problem: BSDEProblem, tree: ScenarioTree, level: int, eta,
-                  cap: int = 10 ** 6, fallback: str | None = None) -> float:
-    return ForwardValue(problem, tree, cap=cap, fallback=fallback).value(level, eta)
+                  cap: int = 10 ** 6) -> float:
+    return ForwardValue(problem, tree, cap=cap).value(level, eta)
 
 
 @dataclass(frozen=True)
@@ -80,36 +74,26 @@ class ForwardDppReport:
     psi_direct: float
     psi_nested: float
     residual: float
-    heuristic: bool
 
 
 def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int,
-                      eta, cap: int = 10 ** 6,
-                      fallback: str | None = None) -> ForwardDppReport:
-    """Residual of the forward concatenation identity between levels t1 < t2.
-
-    Zero to rounding under full enumeration; with a heuristic fallback the
-    nested side is a restricted max, so the report carries the flag and the
-    residual is one-sided (nested <= direct).
-    """
+                      eta, cap: int = 10 ** 6) -> ForwardDppReport:
+    """Residual of the forward concatenation identity between levels t1 < t2,
+    zero to rounding under full enumeration."""
     if not 0 <= t1 <= t2 <= tree.n:
         raise ValueError(f"need 0 <= t1 <= t2 <= n, got {t1}, {t2}")
     segment = PolicySpace(problem, tree, t1, t2).policies(cap)
-    fv = ForwardValue(problem, tree, cap=cap, fallback=fallback)
-    direct, h1 = fv.value_with_info(t2, eta)
+    fv = ForwardValue(problem, tree, cap=cap)
+    direct = fv.value(t2, eta)
     eta_arr = np.asarray(eta, dtype=float).reshape(
         tree.node_count(t2), problem.value_dim)
     rv = TreeRandomVariable(level=t2, values=eta_arr)
     best = -np.inf
-    heuristic = h1
     for _, pol in segment:
         sol = solve_bsde(problem, tree, pol, terminal_level=t2, terminal_rv=rv)
-        val, h2 = fv.value_with_info(t1, sol.Y[t1])
-        heuristic = heuristic or h2
-        best = max(best, val)
+        best = max(best, fv.value(t1, sol.Y[t1]))
     return ForwardDppReport(level_from=t1, level_to=t2, psi_direct=direct,
-                            psi_nested=best, residual=abs(direct - best),
-                            heuristic=heuristic)
+                            psi_nested=best, residual=abs(direct - best))
 
 
 @dataclass(frozen=True)
@@ -297,7 +281,7 @@ def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
 
 def master_residual(problem: BSDEProblem, tree: ScenarioTree,
                     cyl: CylinderFunctional, level: int, probe_h: float = 1e-4,
-                    cap: int = 10 ** 6, fallback: str | None = None,
+                    cap: int = 10 ** 6,
                     probe_cylinder: bool = True) -> MasterResidual:
     """Stationarity defect of the forward value along the cylinder at a level.
 
@@ -314,7 +298,7 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
                               levels=range(min(level, tree.n)))
     dt = tree.dt
     t_now = tree.grid.times()[level]
-    fv = ForwardValue(problem, tree, cap=cap, fallback=fallback)
+    fv = ForwardValue(problem, tree, cap=cap)
 
     hist_now = node_histories(tree, level)
     eta_now, _, db, dbb = _cyl_shapes(cyl, t_now, hist_now, problem.value_dim)

@@ -8,7 +8,9 @@ from treebsde.bsde import (
     StructureError, envelope_bsde, monotone_step_bound, reachable_set,
     solve_bsde, static_value, maximize_over_policies,
 )
-from treebsde.benchmarks import subtree_argmax
+from treebsde.benchmarks import (
+    deterministic_discrete_optimum, deterministic_example, subtree_argmax,
+)
 
 
 def zero_f(t, ctx, y, z, u):
@@ -216,7 +218,7 @@ def test_static_value_sup_dominates_members():
         assert res.value >= prob.phi(y0)[0] - 1e-14
 
 
-def test_enumeration_cap_and_fallback():
+def test_enumeration_cap():
     tree = build_tree(TimeGrid(1.0, 4), 1, "path")
 
     def f(t, ctx, y, z, u):
@@ -225,9 +227,61 @@ def test_enumeration_cap_and_fallback():
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0))
     with pytest.raises(EnumerationCapError, match="cap"):
         static_value(prob, tree, cap=10)
-    res = static_value(prob, tree, cap=10, fallback="coordinate-ascent")
-    assert res.heuristic
-    assert res.value == pytest.approx(1.0)  # separable objective: ascent is exact
+
+
+def brute_force(prob, tree):
+    vals, assigns, _, _ = maximize_over_policies(prob, tree, lambda y: prob.phi(y))
+    return vals[0], assigns[0]
+
+
+@pytest.mark.parametrize("mode", ["recombining", "path"])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_frontier_matches_enumeration_on_the_deterministic_benchmark(n, mode):
+    bench = deterministic_example(2.0)
+    tree = build_tree(TimeGrid(2.0, n), 1, mode)
+    res = static_value(bench.problem, tree)
+    value, assignment = brute_force(bench.problem, tree)
+    assert res.value == value  # bit for bit
+    assert res.assignment == assignment
+
+
+def test_frontier_ties_keep_the_first_assignment():
+    # phi = y1 = T for every control sequence; (0, 0, 0) reaches the smallest
+    # y2, so a pruning that kept each point's own assignment would return a
+    # dominating later sequence
+    def f(t, ctx, y, z, u):
+        return np.stack([np.ones_like(u), -u], axis=1)
+
+    prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 2)), U=(1.0, -1.0),
+                        L=1.0, dpr=2, deterministic_controls=True)
+    tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
+    res = static_value(prob, tree)
+    assert res.assignment == (0, 0, 0)
+    assert (res.value, res.assignment) == brute_force(prob, tree)
+
+
+def test_frontier_prunes_along_the_probed_cone():
+    # bumping y1 and y2 together passes the (+, +) probe at dt = 1/128 and
+    # would give 0.0078125; one coordinate at a time selects (+, -)
+    bench = deterministic_example(2.0)
+    res = static_value(bench.problem, build_tree(TimeGrid(2.0, 256), 1, "recombining"))
+    assert res.value == 0.50390625 == deterministic_discrete_optimum(2.0, 256)
+
+
+def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap():
+    # phi peaks at y = 0.3, so no sign vector passes the probes and every
+    # distinct point is kept
+    def f(t, ctx, y, z, u):
+        return ((1.0 + t) * u)[:, None]
+
+    prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)),
+                        phi=lambda y: -(y[:, 0] - 0.3) ** 2, U=(0.0, 1.0),
+                        deterministic_controls=True)
+    tree = build_tree(TimeGrid(1.0, 10), 1, "recombining")
+    with pytest.raises(EnumerationCapError, match="attainable points at level .* exceed cap 100"):
+        static_value(prob, tree, cap=100)
+    res = static_value(prob, tree)
+    assert (res.value, res.assignment) == brute_force(prob, tree)
 
 
 def test_deterministic_controls_match_adapted_for_deterministic_problem():

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -178,8 +179,12 @@ def test_runtime_error_exits_two(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # pytest's pythonpath setting reaches this process only, not a subprocess
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "treebsde", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "illposed-demo" in proc.stdout
 

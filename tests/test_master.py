@@ -3,7 +3,7 @@ stationarity residual, and the two-generator gap demonstration."""
 import numpy as np
 import pytest
 
-from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
+from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import (
     BSDEProblem, EnumerationCapError, NodeContext, StructureError, maximize_over_policies,
 )
@@ -61,7 +61,6 @@ def test_forward_dpp_exact_scalar():
     ctx = NodeContext(level=3, b=tree.values[3], tree=tree)
     eta = np.asarray(p.terminal(ctx), dtype=float)
     rep = check_forward_dpp(p, tree, 1, 3, eta)
-    assert not rep.heuristic
     assert rep.residual <= 1e-12
 
 
@@ -99,10 +98,9 @@ def test_forward_dpp_segment_over_cap_raises_enumeration_cap_error():
     p = drift_problem()
     ctx = NodeContext(level=3, b=tree.values[3], tree=tree)
     eta = np.asarray(p.terminal(ctx), dtype=float)
-    # the fallback covers only the direct side; the 2^6 segment policies
-    # on [1, 3) have none
+    # the 2^6 segment policies on [1, 3) are refused before the direct side
     with pytest.raises(EnumerationCapError, match="64 policies exceed cap 10"):
-        check_forward_dpp(p, tree, 1, 3, eta, cap=10, fallback="coordinate-ascent")
+        check_forward_dpp(p, tree, 1, 3, eta, cap=10)
 
 
 def test_lipschitz_ratio_within_bound():
