@@ -24,18 +24,17 @@ through PolicySpace, which fixes:
 
 Deterministic frontier contract. static_value and dynutil.deterministic_phi
 use the kernel _frontier when the problem sets deterministic_controls, its
-terminal data is the same on every node and _probe_deterministic finds f
-independent of z and of the node. Y is then node-constant, so the kernel moves
-the attainable Y values back one level at a time, one vectorised f call per
-level and control (Z = 0, steps y + f*dt: on a d = 1 tree solve_bsde's own
-floating-point operations), and drops exact duplicates. Probes that bump one
-coordinate at a time pick the first sign vector s in product((1, -1)) order
-along which phi and every step map are nondecreasing; points that another
-point matches or beats along s in every coordinate are pruned (no s: dedup
-only). Slots 0, 1, ... then take the first control whose best completion over
-the stored level sets still reaches the value exactly, so ties keep the
-lexicographically first assignment, as under enumeration. A level with more
-than cap points raises EnumerationCapError; enumerated counts evaluated points.
+terminal data is node-constant and _probe_deterministic (every control, 8
+levels) finds f independent of z and of the node. The kernel moves the
+attainable Y values back one level at a time (Z = 0, one f call per level and
+control, steps y + f*dt as in solve_bsde) and drops exact duplicates: exact
+while the |U|^k policies fit under cap. Above cap it prunes points dominated
+along the first s in product((1, -1)) order that each level's own points
+respect under one-coordinate bumps by s_i times their spread (step maps move
+along s, phi does not fall; a failing s restarts the sweep, none passing means
+dedup only). Slots 0, 1, ... take the first control whose best completion over
+the stored level sets reaches the value, so ties keep the lexicographically
+first assignment. More than cap points at a level raise EnumerationCapError.
 
 For d'=1 the scheme is monotone (hence order-preserving in the terminal data) when
 1 - L*dt - L*sqrt(dt) >= 0; the sqrt(dt) term enters through the z-slot. This is
@@ -301,7 +300,7 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree,
     ctx = NodeContext(level=tree.n, b=tree.values[tree.n], tree=tree)
     eta = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, problem.value_dim)
     if (problem.deterministic_controls and np.all(eta == eta[0])
-            and _probe_deterministic(problem, tree.d)):
+            and _probe_deterministic(problem, tree.grid.times()[:tree.n], tree.d)):
         if not problem._lip_checked:
             probe_lipschitz(problem, tree)
         value, assignment, count = _frontier(
@@ -320,17 +319,18 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree,
 # deterministic frontier
 
 
-def _probe_deterministic(problem: BSDEProblem, d: int = 1, seed: int = 0) -> bool:
-    """Whether 8 random probes find f independent of z and of the node."""
+def _probe_deterministic(problem: BSDEProblem, times, d: int = 1, seed: int = 0) -> bool:
+    """Whether f, probed with every control at 8 levels of times, ignores z and the node."""
     rng = np.random.default_rng(np.random.Philox(seed))
-    dpr, u = problem.value_dim, np.full(1, problem.control_values[0])
-    for _ in range(8):
-        y, z = rng.normal(size=(1, dpr)), rng.normal(size=(1, dpr, d))
-        ctx0 = NodeContext(level=0, b=np.zeros((1, d)))
-        ctxb = NodeContext(level=0, b=rng.normal(size=(1, d)))
-        f0 = np.asarray(problem.f(0.3, ctx0, y, np.zeros_like(z), u))
-        fz = np.asarray(problem.f(0.3, ctx0, y, z, u))
-        fb = np.asarray(problem.f(0.3, ctxb, y, np.zeros_like(z), u))
+    u = np.asarray(problem.control_values, dtype=float)
+    m, dpr = len(u), problem.value_dim
+    for j in np.linspace(0, len(times) - 1, 8).astype(int):
+        y, z = rng.normal(size=(m, dpr)), rng.normal(size=(m, dpr, d))
+        ctx0 = NodeContext(level=j, b=np.zeros((m, d)))
+        ctxb = NodeContext(level=j, b=rng.normal(size=(m, d)))
+        f0 = np.asarray(problem.f(times[j], ctx0, y, np.zeros_like(z), u))
+        fz = np.asarray(problem.f(times[j], ctx0, y, z, u))
+        fb = np.asarray(problem.f(times[j], ctxb, y, np.zeros_like(z), u))
         if np.max(np.abs(fz - f0)) > 1e-12 or np.max(np.abs(fb - f0)) > 1e-12:
             return False
     return True
@@ -339,7 +339,7 @@ def _probe_deterministic(problem: BSDEProblem, d: int = 1, seed: int = 0) -> boo
 def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
     """(max phi(Y_0), first maximizing assignment, points evaluated) over one control
     per level on [0, k), k = len(times), from Y_k = y; see the module docstring."""
-    U, dpr = problem.control_values, problem.value_dim
+    U, dpr, k = problem.control_values, problem.value_dim, len(times)
 
     def step(j, pts, u):
         m = len(pts)
@@ -350,43 +350,42 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
     def phi(pts):
         return np.asarray(problem.phi(pts), dtype=float).reshape(-1)
 
-    sign = _cone(step, phi, len(times), U, dpr)
-    levels = [None] * len(times) + [np.asarray(y, dtype=float).reshape(1, dpr)]
-    for j in range(len(times) - 1, -1, -1):
-        cand = np.concatenate([step(j, levels[j + 1], u) for u in U])
-        pts = cand[np.sort(np.unique(cand, axis=0, return_index=True)[1])]
-        if sign is not None:  # keep the points no other point matches or beats along sign
-            q, block = pts * sign, max(1, 2 ** 20 // pts.size)
-            pts = pts[np.concatenate([np.all(q >= q[a:a + block, None], axis=2).sum(axis=1) == 1
-                                      for a in range(0, len(q), block)])]
-        if len(pts) > cap:
-            raise EnumerationCapError(
-                f"{len(pts)} attainable points at level {j} exceed cap {cap}")
-        levels[j] = pts
+    def respects(j, pts, s):  # the cone probe of the module docstring
+        base = np.tile(pts, (dpr, 1))
+        bumped = base + np.repeat(np.diag(np.ptp(pts, axis=0) * s), len(pts), axis=0)
+        if j == 0:
+            return bool(np.all(phi(bumped) >= phi(base) - 1e-12))
+        return all(np.all((step(j - 1, bumped, u) - step(j - 1, base, u)) * s >= -1e-12)
+                   for u in U)
+
+    # prune only above the enumeration cap, along the first sign that passes
+    signs = list(itertools.product((1.0, -1.0), repeat=dpr)) if len(U) ** k > cap else []
+    for s in [np.array(s) for s in signs] + [None]:
+        levels = [None] * k + [np.asarray(y, dtype=float).reshape(1, dpr)]
+        for j in range(k - 1, -1, -1):
+            cand = np.concatenate([step(j, levels[j + 1], u) for u in U])
+            pts = cand[np.sort(np.unique(cand, axis=0, return_index=True)[1])]
+            if s is not None:  # keep the points no other point matches or beats along s
+                if not respects(j, pts, s):
+                    break
+                q, block = pts * s, max(1, 2 ** 20 // pts.size)
+                pts = pts[np.concatenate([np.all(q >= q[a:a + block, None], axis=2).sum(axis=1) == 1
+                                          for a in range(0, len(q), block)])]
+            if len(pts) > cap:
+                raise EnumerationCapError(
+                    f"{len(pts)} attainable points at level {j} exceed cap {cap}")
+            levels[j] = pts
+        else:  # no probe failed
+            break
     value = float(np.max(phi(levels[0])))
     assignment = []
-    for j in range(len(times)):
+    for j in range(k):
         cur = np.concatenate([step(j, levels[j + 1], u) for u in U])
         for i in range(j - 1, -1, -1):
             cur = step(i, cur, U[assignment[i]])
         best = phi(cur).reshape(len(U), -1).max(axis=1)
         assignment.append(int(np.flatnonzero(best == value)[0]))
     return value, tuple(assignment), len(U) * sum(len(pts) for pts in levels[1:])
-
-
-def _cone(step, phi, k: int, U, dpr: int):
-    """First s in product((1, -1)) such that bumping one y_i at a time by s_i*h
-    (h > 0) never lowers phi and moves each level's step map along s, or None."""
-    rng, samples = np.random.default_rng(np.random.Philox(0)), 16
-    base = np.repeat(rng.normal(size=(samples, dpr)), dpr, axis=0)
-    h = np.abs(rng.normal(size=(samples * dpr, 1)))
-    for s in itertools.product((1.0, -1.0), repeat=dpr):
-        bumped = base + h * np.tile(np.diag(s), (samples, 1))
-        if np.all(phi(bumped) >= phi(base) - 1e-12) and all(
-                np.all((step(j, bumped, u) - step(j, base, u)) * s >= -1e-12)
-                for j in range(k) for u in U):
-            return np.array(s)
-    return None
 
 
 @dataclass(frozen=True)
@@ -463,8 +462,10 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, structure: str = "sc
     """
     rng = np.random.default_rng(np.random.Philox(probe_seed))
     dpr, d = problem.value_dim, tree.d
-    ctx = NodeContext(level=0, b=tree.values[0], tree=tree)
+    lvl = 0
+    ctx = NodeContext(level=lvl, b=tree.values[lvl], tree=tree)
     m = ctx.b.shape[0]
+    t = 0.0
     # --- monotonicity probes
     for _ in range(0 if skip_probes else 16):
         y = rng.normal(size=(m, dpr))

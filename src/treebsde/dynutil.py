@@ -91,11 +91,10 @@ def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y,
     phi(Y_0), where Y runs backward from Y_level = y with Z = 0.
 
     Returns (value, lexicographically first best control sequence)."""
-    if not _probe_deterministic(problem):
+    if not _probe_deterministic(problem, grid.times()[:grid.n]):
         raise ProblemValidationError(
             "deterministic utility needs a generator independent of z and the node")
-    value, seq, _ = _frontier(problem, y, grid.times()[:level], grid.dt, 1, cap)
-    return value, seq
+    return _frontier(problem, y, grid.times()[:level], grid.dt, 1, cap)[:2]
 
 
 # ---------------------------------------------------------------------------

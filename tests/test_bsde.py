@@ -234,18 +234,20 @@ def brute_force(prob, tree):
     return vals[0], assigns[0]
 
 
+@pytest.mark.parametrize("cap", [10 ** 6, 50])  # 50 < 2^n: prune along the cone
 @pytest.mark.parametrize("mode", ["recombining", "path"])
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
-def test_frontier_matches_enumeration_on_the_deterministic_benchmark(n, mode):
+def test_frontier_matches_enumeration_on_the_deterministic_benchmark(n, mode, cap):
     bench = deterministic_example(2.0)
     tree = build_tree(TimeGrid(2.0, n), 1, mode)
-    res = static_value(bench.problem, tree)
+    res = static_value(bench.problem, tree, cap=cap)
     value, assignment = brute_force(bench.problem, tree)
     assert res.value == value  # bit for bit
     assert res.assignment == assignment
 
 
-def test_frontier_ties_keep_the_first_assignment():
+@pytest.mark.parametrize("cap", [10 ** 6, 4])
+def test_frontier_ties_keep_the_first_assignment(cap):
     # phi = y1 = T for every control sequence; (0, 0, 0) reaches the smallest
     # y2, so a pruning that kept each point's own assignment would return a
     # dominating later sequence
@@ -255,7 +257,7 @@ def test_frontier_ties_keep_the_first_assignment():
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 2)), U=(1.0, -1.0),
                         L=1.0, dpr=2, deterministic_controls=True)
     tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
-    res = static_value(prob, tree)
+    res = static_value(prob, tree, cap=cap)
     assert res.assignment == (0, 0, 0)
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
@@ -268,9 +270,38 @@ def test_frontier_prunes_along_the_probed_cone():
     assert res.value == 0.50390625 == deterministic_discrete_optimum(2.0, 256)
 
 
+@pytest.mark.parametrize("cap", [10 ** 6, 100])
+def test_frontier_probes_the_cone_at_the_attainable_points(cap):
+    # phi = -(y - 5)^2 rises near the origin but peaks inside the attainable
+    # range [0, 10]: a cone probed near 0 would keep only the largest point
+    # per level and return phi(10) = -25
+    prob = make_problem(lambda t, ctx, y, z, u: 10.0 * u[:, None] * np.ones_like(y),
+                        lambda ctx: np.zeros((ctx.b.shape[0], 1)),
+                        phi=lambda y: -(y[:, 0] - 5.0) ** 2, U=(0.0, 1.0),
+                        deterministic_controls=True)
+    tree = build_tree(TimeGrid(1.0, 10), 1, "recombining")
+    res = static_value(prob, tree, cap=cap)
+    assert res.value == 0.0
+    assert (res.value, res.assignment) == brute_force(prob, tree)
+
+
+def test_frontier_skips_a_node_dependence_under_a_later_control():
+    # f vanishes on every node under U[0] = 0 but not under u = 1: the kernel,
+    # which evaluates f at b = 0, must not be used
+    def f(t, ctx, y, z, u):
+        return u[:, None] * ctx.b[:, :1] ** 2
+
+    prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0),
+                        deterministic_controls=True)
+    tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
+    res = static_value(prob, tree)
+    assert res.value > 0.0
+    assert (res.value, res.assignment) == brute_force(prob, tree)
+
+
 def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap():
-    # phi peaks at y = 0.3, so no sign vector passes the probes and every
-    # distinct point is kept
+    # phi peaks at y = 0.3, inside the attainable range, so no sign vector
+    # passes the probes and every distinct point is kept
     def f(t, ctx, y, z, u):
         return ((1.0 + t) * u)[:, None]
 
