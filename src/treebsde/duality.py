@@ -44,6 +44,7 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,15 +115,24 @@ class DeterministicDualSpec:
 @dataclass(frozen=True)
 class DualGrid:
     kind: str          # "markovian" | "deterministic"
-    times: np.ndarray  # tree-level times, increasing
+    times: np.ndarray  # every tree-level time, increasing
     axes: tuple        # markovian: (xs, ys); deterministic: (y1s, y2s)
-    W: np.ndarray      # (len(times), len(axes[0]), len(axes[1]))
+    levels: tuple      # ascending tree levels held in W, always ending at n
+    W: np.ndarray      # (len(levels), len(axes[0]), len(axes[1])); W[i] is levels[i]
     config: HJBConfig
     substeps: int
 
+    def at(self, level: int) -> np.ndarray:
+        """The W slice of tree level `level`; ValueError unless that level is held."""
+        try:
+            return self.W[self.levels.index(level)]
+        except ValueError:
+            raise ValueError(f"W at level {level} was not kept; "
+                             f"held levels {self.levels}") from None
+
     def default_eps(self) -> float:
         """10x the terminal-slice interpolation error estimate (max 2nd diff / 8)."""
-        terminal = self.W[-1]
+        terminal = self.at(len(self.times) - 1)
         est = 0.0
         for axis in (0, 1):
             d2 = np.abs(np.diff(terminal, n=2, axis=axis))
@@ -161,26 +171,43 @@ def _one_sided_second(W, h, axis):
 def _upwind_pair(W, h, axis):
     """(backward, forward) one-sided first differences along axis."""
     W = np.moveaxis(W, axis, 0)
+    d = (W[1:] - W[:-1]) / h
     fwd = np.empty_like(W)
     bwd = np.empty_like(W)
-    fwd[:-1] = (W[1:] - W[:-1]) / h
-    fwd[-1] = fwd[-2]
-    bwd[1:] = (W[1:] - W[:-1]) / h
-    bwd[0] = bwd[1]
+    fwd[:-1] = d
+    fwd[-1] = d[-1]
+    bwd[1:] = d
+    bwd[0] = d[0]
     return np.moveaxis(bwd, 0, axis), np.moveaxis(fwd, 0, axis)
 
 
-def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
+def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig,
+                   levels=None) -> DualGrid:
     """Backward explicit finite-difference solve of the dual HJB on [0, T].
 
-    Stores one slice per tree level; internal substeps satisfy the CFL bound
-    (config.substeps validated against it, error names the max stable dt).
+    The sweep rolls one W buffer from T down to 0 and copies out the slices
+    of the tree levels in `levels` (None: every level) plus the terminal
+    level n, which default_eps reads; levels outside [0, n] raise ConfigError.
+    Internal substeps satisfy the CFL bound (config.substeps validated against
+    it, error names the max stable dt).
     """
+    held = _held_levels(grid, levels)
     if isinstance(spec, MarkovianDualSpec):
-        return _solve_markovian(spec, grid, config)
+        return _solve_markovian(spec, grid, config, held)
     if isinstance(spec, DeterministicDualSpec):
-        return _solve_deterministic(spec, grid, config)
+        return _solve_deterministic(spec, grid, config, held)
     raise TypeError(f"unsupported dual spec {type(spec)!r}")
+
+
+def _held_levels(grid: TimeGrid, levels) -> tuple:
+    """Ascending tree levels a solve keeps: the requested ones plus n."""
+    if levels is None:
+        return tuple(range(grid.n + 1))
+    held = {operator.index(lv) for lv in levels}
+    bad = sorted(lv for lv in held if not 0 <= lv <= grid.n)
+    if bad:
+        raise ConfigError(f"levels {bad} outside the tree levels [0, {grid.n}]")
+    return tuple(sorted(held | {grid.n}))
 
 
 def _cfl_substeps(config: HJBConfig, grid: TimeGrid, rate: float) -> int:
@@ -198,7 +225,8 @@ def _cfl_substeps(config: HJBConfig, grid: TimeGrid, rate: float) -> int:
     return max(1, int(np.ceil(grid.dt / dt_max)))
 
 
-def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
+def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
+                     held: tuple) -> DualGrid:
     xs = _axis(config.x_bounds, config.dx)
     ys = _axis(config.y_bounds, config.dy)
     if len(xs) < 4 or len(ys) < 4:
@@ -223,7 +251,8 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig)
     dts = grid.dt / sub
 
     times = grid.times()
-    out = np.empty((grid.n + 1, len(xs), len(ys)))
+    slot = {lv: i for i, lv in enumerate(held)}
+    out = np.empty((len(held), len(xs), len(ys)))
     out[-1] = W
     t = grid.T
     for level in range(grid.n - 1, -1, -1):
@@ -237,19 +266,20 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig)
             for z in config.z_values:
                 zpart = 0.5 * z * z * Dyy + z * Dxy
                 for u in spec.control_values:
-                    fv = np.asarray(spec.f(t, X, Y, z, u)) * np.ones_like(W)
+                    fv = np.asarray(spec.f(t, X, Y, z, u))
                     adv = -fv * np.where(fv > 0, bwd, fwd)
                     cand = zpart + adv
                     best = cand if best is None else np.minimum(best, cand)
             W = np.maximum(W + dts * (0.5 * Dxx + best), 0.0)
             t -= dts
-        out[level] = W
-    return DualGrid(kind="markovian", times=times, axes=(xs, ys), W=out,
-                    config=config, substeps=sub)
+        if level in slot:
+            out[slot[level]] = W
+    return DualGrid(kind="markovian", times=times, axes=(xs, ys), levels=held,
+                    W=out, config=config, substeps=sub)
 
 
 def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
-                         config: HJBConfig) -> DualGrid:
+                         config: HJBConfig, held: tuple) -> DualGrid:
     y1 = _axis(config.y_bounds, config.dy)
     y2 = _axis(config.y_bounds, config.dy)
     dy = config.dy
@@ -270,7 +300,8 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     dts = grid.dt / sub
 
     times = grid.times()
-    out = np.empty((grid.n + 1, len(y1), len(y2)))
+    slot = {lv: i for i, lv in enumerate(held)}
+    out = np.empty((len(held), len(y1), len(y2)))
     out[-1] = W
     t = grid.T
     for level in range(grid.n - 1, -1, -1):
@@ -285,9 +316,10 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
                 best = adv if best is None else np.minimum(best, adv)
             W = np.maximum(W + dts * best, 0.0)
             t -= dts
-        out[level] = W
-    return DualGrid(kind="deterministic", times=times, axes=(y1, y2), W=out,
-                    config=config, substeps=sub)
+        if level in slot:
+            out[slot[level]] = W
+    return DualGrid(kind="deterministic", times=times, axes=(y1, y2),
+                    levels=held, W=out, config=config, substeps=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +344,12 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
     if dual.kind == "markovian":
         if x_index is None:
             raise ValueError("markovian nodal sets need an x_index")
-        row = dual.W[level, x_index, :]
+        row = dual.at(level)[x_index, :]
         ys = dual.axes[1]
         pts = ys[row <= eps][:, None]
         cell = (dual.config.dy,)
     else:
-        mask = dual.W[level] <= eps
+        mask = dual.at(level) <= eps
         ii, jj = np.nonzero(mask)
         pts = np.stack([dual.axes[0][ii], dual.axes[1][jj]], axis=-1)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -652,15 +684,17 @@ def _fmt(v: float) -> str:
 
 
 def export_dual_grid_csv(dual: DualGrid, path: str, levels=None) -> None:
+    """One (t, axis 0, axis 1, W) row per grid point of each level in `levels`
+    (None: every held level); a level the solve did not keep raises first."""
     names = ("t", "x", "y", "W") if dual.kind == "markovian" else ("t", "y1", "y2", "W")
-    levels = range(len(dual.times)) if levels is None else levels
+    levels = dual.levels if levels is None else levels
+    slices = [(dual.times[lv], dual.at(lv)) for lv in levels]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        for lv in levels:
-            t = dual.times[lv]
+        for t, W in slices:
             for i, a in enumerate(dual.axes[0]):
                 for j, b in enumerate(dual.axes[1]):
-                    fh.write(",".join(map(_fmt, (t, a, b, dual.W[lv, i, j]))) + "\n")
+                    fh.write(",".join(map(_fmt, (t, a, b, W[i, j]))) + "\n")
 
 
 def export_nodal_set_csv(nodal: NodalSet, times: np.ndarray, path: str,

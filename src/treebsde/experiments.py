@@ -367,7 +367,7 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         get_benchmark("deterministic", T=cfg.T)  # the 0.5 target needs T > 1
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
-                              TimeGrid(cfg.T, cfg.n), config)
+                              TimeGrid(cfg.T, cfg.n), config, levels=(0,))
         eps = cfg.eps or dual.default_eps()
         nodal = extract_nodal_set(dual, 0, eps=eps)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
@@ -384,11 +384,11 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
                            y_bounds=(-2.0, 2.0), dy=cfg.dy,
                            z_values=(-1.0, 0.0, 1.0))
         dual = solve_dual_hjb(problems.quadratic_dual_spec(),
-                              TimeGrid(cfg.T, cfg.n), config)
+                              TimeGrid(cfg.T, cfg.n), config, levels=(0,))
         xs, ys = dual.axes
         mx, my = dual.trusted_interior()
         ref = (ys[None, :] - xs[:, None]) ** 2
-        err = float(np.abs(dual.W[0] - ref)[np.ix_(mx, my)].max())
+        err = float(np.abs(dual.at(0) - ref)[np.ix_(mx, my)].max())
         checks.append(_check("closed-form-error", err <= 0.05, value=err,
                              bound=0.05))
         ix = int(np.argmin(np.abs(xs)))

@@ -98,7 +98,8 @@ def test_acceptance_01_root_value_primal_and_dual():
         t0 = time.monotonic()
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(2.0, n),
-                              HJBConfig(y_bounds=(-2.0, 2.0), dy=dy))
+                              HJBConfig(y_bounds=(-2.0, 2.0), dy=dy),
+                              levels=(0,))
         nodal = extract_nodal_set(dual, 0, eps=efac * dy)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
         elapsed = time.monotonic() - t0

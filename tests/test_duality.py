@@ -1,5 +1,6 @@
 """Tests for the dual HJB solver, nodal sets, and exact tree dual values."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from treebsde.duality import (
     extract_nodal_set,
     solve_dual_hjb,
 )
+from treebsde.problems import transport_dual_spec
 
 
 def quad_spec():
@@ -170,6 +172,117 @@ def test_transport_steering_band_sanity():
     assert not nodal.empty
     v_hat = float(nodal.points[:, 0].max())
     assert 0.4 <= v_hat <= 0.6
+
+
+# ---------------------------------------------------------------------------
+# slice storage: a solve keeps only the requested tree levels plus n
+
+
+def advected_spec():
+    return MarkovianDualSpec(f=lambda t, x, y, z, u: u + 0.3 * y - 0.2 * x * z,
+                             g=lambda x: np.sin(x), control_values=(-1.0, 1.0))
+
+
+SLICE_CASES = {
+    "markovian": (advected_spec, TimeGrid(T=0.5, n=4), quad_config()),
+    "deterministic": (transport_dual_spec, TimeGrid(T=2.0, n=8),
+                      HJBConfig(y_bounds=(-2.0, 2.0), dy=0.1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_kept_slices_equal_full_storage(kind):
+    make_spec, grid, config = SLICE_CASES[kind]
+    full = solve_dual_hjb(make_spec(), grid, config)
+    assert full.levels == tuple(range(grid.n + 1))
+    kept = solve_dual_hjb(make_spec(), grid, config, levels=(2, 0, 2))
+    assert kept.kind == kind
+    assert kept.levels == (0, 2, grid.n)
+    assert kept.W.shape == (3,) + full.W.shape[1:]
+    np.testing.assert_array_equal(kept.times, full.times)
+    for level in kept.levels:
+        assert np.array_equal(kept.at(level), full.W[level])
+    assert kept.default_eps() == full.default_eps()
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_unkept_level_raises_naming_the_held_levels(kind, tmp_path):
+    make_spec, grid, config = SLICE_CASES[kind]
+    dual = solve_dual_hjb(make_spec(), grid, config, levels=(0,))
+    assert dual.levels == (0, grid.n)
+    with pytest.raises(ValueError, match=rf"level 1 .*held levels \(0, {grid.n}\)"):
+        dual.at(1)
+    with pytest.raises(ValueError, match="held levels"):
+        extract_nodal_set(dual, 1, x_index=0, eps=0.1)
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="held levels"):
+        export_dual_grid_csv(dual, str(path), levels=(0, 1))
+    assert not path.exists()
+    export_dual_grid_csv(dual, str(path))
+    npts = len(dual.axes[0]) * len(dual.axes[1])
+    assert len(path.read_text().splitlines()) == 1 + 2 * npts
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_levels_outside_the_tree_are_rejected(kind):
+    make_spec, _, config = SLICE_CASES[kind]
+    grid = TimeGrid(T=0.5, n=8)
+    for levels, bad in (((-1, 0), r"\[-1\]"), ((0, 9, 12), r"\[9, 12\]")):
+        with pytest.raises(ConfigError, match=bad + r" outside the tree levels \[0, 8\]"):
+            solve_dual_hjb(make_spec(), grid, config, levels=levels)
+    with pytest.raises(TypeError):
+        solve_dual_hjb(make_spec(), grid, config, levels=(0.5,))
+
+
+def test_transport_solve_peak_memory_stays_small():
+    # all 257 levels of the 201 x 201 grid would take ~83 MB here
+    tracemalloc.start()
+    try:
+        solve_dual_hjb(transport_dual_spec(), TimeGrid(2.0, 256),
+                       HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02), levels=(0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def _transport_exact_w0(y, T):
+    """W(0, y) = dist^2(p, K) for the relaxed-control transport dual, p = (y1 + T y2, y2),
+    K = {0 <= b <= T, b + b^2/2 <= a <= (1+T) b - b^2/2}; the distance to the
+    boundary of the convex set K is taken over 2 x 20001 sampled boundary points."""
+    b = np.linspace(0.0, T, 20001)
+    edge = np.concatenate([np.stack([b + b * b / 2, b], axis=-1),
+                           np.stack([(1 + T) * b - b * b / 2, b], axis=-1)])
+    p = np.stack([y[:, 0] + T * y[:, 1], y[:, 1]], axis=-1)
+    a, pb = p[:, 0], p[:, 1]
+    inside = ((pb >= 0) & (pb <= T) & (a >= pb + pb * pb / 2)
+              & (a <= (1 + T) * pb - pb * pb / 2))
+    d2 = np.array([np.min(np.sum((edge - q) ** 2, axis=1)) for q in p])
+    return np.where(inside, 0.0, d2)
+
+
+def test_transport_w0_matches_the_closed_form_where_characteristics_stay_inside():
+    T, (lo, hi) = 2.0, (-2.0, 2.0)
+    errors = []
+    for n, dy in ((32, 0.05), (128, 0.02)):
+        dual = solve_dual_hjb(transport_dual_spec(), TimeGrid(T, n),
+                              HJBConfig(y_bounds=(lo, hi), dy=dy), levels=(0,))
+        Y1, Y2 = np.meshgrid(*dual.axes, indexing="ij")
+        # Characteristics y' = (y2 - u, -u) with u(t) in [0, 1]: y2(t) spans
+        # [y2 - t, y2] and y1(t) spans [y1 + y2 t - t - t^2/2, y1 + y2 t]; the
+        # bounds are linear or concave in t, so checking t = 0 and t = T
+        # suffices. The tolerance keeps grid points on the box edge up to
+        # rounding.
+        tol = 1e-9
+        trusted = ((Y1 >= lo - tol) & (Y2 <= hi + tol) & (Y2 - T >= lo - tol)
+                   & (Y1 + T * Y2 <= hi + tol)
+                   & (Y1 + T * Y2 - T - T * T / 2 >= lo - tol))
+        y = np.stack([Y1[trusted], Y2[trusted]], axis=-1)
+        assert len(y) > 10
+        err = float(np.max(np.abs(dual.at(0)[trusted] - _transport_exact_w0(y, T))))
+        assert err <= 2 * dy
+        errors.append(err)
+    assert errors[1] < errors[0]
 
 
 def control_free_b_terminal(n, T, d=1):
