@@ -49,7 +49,11 @@ def _cmd_run(args) -> int:
 def _cmd_list(_args) -> int:
     width = max(len(name) for name in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        print(f"{name:<{width}}  {EXPERIMENTS[name][1]}")
+        print(f"{name:<{width}}  {EXPERIMENTS[name].description}")
+        fields = EXPERIMENTS[name].fields
+        for bench, names in fields.items():
+            where = f"benchmark '{bench}'" if len(fields) > 1 else "fields"
+            print(f"{'':<{width}}    {where}: {', '.join(names)}")
     return 0
 
 

@@ -77,7 +77,6 @@ class HJBConfig:
     z_values: tuple = (0.0,)
     substeps: int | None = None
     eps: float | None = None
-    boundary: str = "one-sided"
 
     def __post_init__(self):
         if self.dx <= 0 or self.dy <= 0:

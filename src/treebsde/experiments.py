@@ -1,7 +1,8 @@
 """Experiment registry and runner.
 
-Flat, typed JSON configs drive nine registered experiments. Every run writes a
-deterministic artifact directory named experiment-seed-confighash (no
+Flat, typed JSON configs drive nine registered experiments; each accepts only
+the config fields its runner reads, as declared in EXPERIMENTS. Every run
+writes a deterministic artifact directory named experiment-seed-confighash (no
 timestamps anywhere), containing report.json (UTF-8, sorted keys) plus CSV
 files (12 significant digits, comma-delimited, LF). Identical configs rerun
 byte-identically; randomness comes only from the counter-based Philox
@@ -13,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, asdict, fields as dc_fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,7 +76,7 @@ class ExperimentConfig:
     d: int = 1
     cap: int = 10 ** 6
     mc_paths: int = 10000
-    steps: int = 0          # 0 = use n (Euler ensembles)
+    steps: int = 4096       # Euler steps on [0, 4] (regime-switching ensembles)
     eps: float = 0.0        # 0 = module default (nodal / inclusion tolerance)
     tol: float = 1e-10      # comparison / identity tolerance
     value_tol: float = 0.05  # closed-form reproduction tolerance
@@ -91,8 +93,10 @@ class ExperimentConfig:
 
 
 _REQUIRED = ("experiment", "seed")
+_ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
 _LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear stores every ensemble level
+_WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
 _TYPES = {
     "experiment": str, "seed": int, "output_dir": str, "benchmark": str,
     "T": float, "n": int, "mode": str, "d": int, "cap": int, "mc_paths": int,
@@ -103,8 +107,19 @@ _TYPES = {
 }
 
 
+def accepted_fields(experiment: str, benchmark: str = ""):
+    """The config fields an experiment's runner reads, besides experiment, seed
+    and output_dir, as a sorted tuple; None when it has no branch for benchmark."""
+    fields = EXPERIMENTS[experiment].fields
+    return fields.get(benchmark if len(fields) > 1 else "")
+
+
 def validate_config(data: dict) -> ExperimentConfig:
-    """Typed validation with one diagnostic per offending field."""
+    """Typed validation with one diagnostic per offending field.
+
+    Each experiment accepts only the fields its runner reads (see
+    accepted_fields); any other field is rejected, never silently ignored.
+    """
     msgs = []
     if not isinstance(data, dict):
         raise ConfigValidationError(["config document must be a JSON object"])
@@ -114,9 +129,23 @@ def validate_config(data: dict) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in data:
             msgs.append(f"field '{key}': required")
+    exp, bench = data.get("experiment"), data.get("benchmark", "")
+    accepted = None
+    if isinstance(exp, str) and exp in EXPERIMENTS:
+        bench = bench if isinstance(bench, str) else ""
+        accepted = accepted_fields(exp, bench)
+        branches = EXPERIMENTS[exp].fields
+        where = f"{exp} with benchmark '{bench}'" if len(branches) > 1 else exp
+        if accepted is None:
+            msgs.append(f"field 'benchmark': {exp} has no branch '{bench}' "
+                        f"(valid: {', '.join(map(repr, sorted(branches)))})")
     clean = {}
     for key, raw in data.items():
         if key not in known:
+            continue
+        if accepted is not None and key not in accepted and key not in _ALWAYS:
+            msgs.append(f"field '{key}': {where} does not read it "
+                        f"(accepted: {', '.join(accepted)})")
             continue
         want = _TYPES[key]
         if want is int:
@@ -156,6 +185,7 @@ def validate_config(data: dict) -> ExperimentConfig:
                             ("d", lambda v: v >= 1, "must be >= 1"),
                             ("cap", lambda v: v >= 1, "must be >= 1"),
                             ("mc_paths", lambda v: v >= 1, "must be >= 1"),
+                            ("steps", lambda v: v >= 1, "must be >= 1"),
                             ("T", lambda v: v > 0, "must be > 0"),
                             ("pairs", lambda v: v >= 1, "must be >= 1")):
         if key in clean and not cond(clean[key]):
@@ -171,6 +201,10 @@ def validate_config(data: dict) -> ExperimentConfig:
             msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
                         f"Euler ensemble ((steps + 1) x paths per field) and runs "
                         f"at most {_LINEAR_MAX_PATHS} paths, {got}")
+    if (clean.get("experiment") == "master-residual" and clean.get("refinements")
+            and "n" in clean):
+        msgs.append("field 'n': master-residual reads n only for its default "
+                    "ladder (n/2, n, 2n), and refinements is set")
     if "mode" in clean and clean["mode"] not in ("path", "recombining"):
         msgs.append("field 'mode': must be 'path' or 'recombining'")
     if msgs:
@@ -189,9 +223,16 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(data)
 
 
+def _config_document(cfg: ExperimentConfig) -> dict:
+    """The fields cfg's experiment accepts, defaults filled in, as JSON values."""
+    keep = _ALWAYS + accepted_fields(cfg.experiment, cfg.benchmark)
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in asdict(cfg).items() if k in keep}
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    doc = {k: (list(v) if isinstance(v, tuple) else v)
-           for k, v in asdict(cfg).items() if k != "output_dir"}
+    doc = _config_document(cfg)
+    del doc["output_dir"]
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:8]
 
@@ -293,13 +334,12 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check("scheme-optimum-identity",
                              abs(sv.value - disc) <= 1e-12,
                              value=sv.value, bound=1e-12, target=disc))
-        n_w = min(cfg.n, 12)
-        tree_w = _tree(cfg, n=n_w, mode="recombining")
-        lvl = max(1, round(0.5 * n_w / cfg.T))
+        tree_w = _tree(cfg, n=_WITNESS_N, mode="recombining")
+        lvl = max(1, round(0.5 * _WITNESS_N / cfg.T))
         wit = deterministic_witness_check(bench, tree_w, lvl)
         checks.append(_check("witness-strict-margin",
                              wit.all_flip and wit.min_margin > 0,
-                             value=wit.min_margin))
+                             value=wit.min_margin, n=_WITNESS_N))
         rows.append(("value", sv.value, 0.5))
         rows.append(("witness_margin", wit.min_margin, 0.0))
     elif bench.identifier == "one_dim":
@@ -363,7 +403,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
 
 def _run_duality(cfg: ExperimentConfig, out_dir: str):
     checks, files = [], []
-    if (cfg.benchmark or "markovian") == "deterministic":
+    if cfg.benchmark == "deterministic":
         get_benchmark("deterministic", T=cfg.T)  # the 0.5 target needs T > 1
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
@@ -431,9 +471,7 @@ def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
 
 def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     coeffs, problem = problems.linear_setup()
-    n = min(cfg.n, 4)
-    tree = build_tree(TimeGrid(min(cfg.T, 0.5), n if n <= 2 else 2), d=1,
-                      mode="path")
+    tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
     rng_seed = cfg.seed
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
     rep = check_linear_comparison(lin, problem, tree, cap=cfg.cap,
@@ -448,11 +486,10 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
                value=rep.min_monotone),
     ]
 
-    steps = cfg.steps or 4096
-    grid = TimeGrid(4.0, steps)
+    grid = TimeGrid(4.0, cfg.steps)
     ens = build_linear_utility(problems.switch_coeffs(), grid=grid,
                                n_paths=cfg.mc_paths, seed=rng_seed)
-    sw_steps = [j for j in range(1, steps + 1) if ens.switch_flags[j].any()]
+    sw_steps = [j for j in range(1, cfg.steps + 1) if ens.switch_flags[j].any()]
     sdt = np.sqrt(grid.dt)
     # one Euler increment of either weight: entries bounded by coeffs.bound,
     # the frozen ratio stays below 2 + overshoot, so |dA| <= K (|A1| + |A2|)
@@ -483,9 +520,8 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):
-    steps = cfg.steps or 4096
     rep = verify_tau_bound(problems.switch_coeffs(), T=4.0,
-                           switch_indices=tuple(range(1, 7)), steps=steps,
+                           switch_indices=tuple(range(1, 7)), steps=cfg.steps,
                            n_paths=cfg.mc_paths, seed=cfg.seed)
     checks = [_check(f"tau-{row.switch_index}-bound", row.passed,
                      value=row.frequency, bound=row.bound,
@@ -540,7 +576,7 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
 
 def _run_master_residual(cfg: ExperimentConfig, out_dir: str):
     problem = problems.control_free_problem()
-    ns = tuple(cfg.refinements) or (4, 8, 16)
+    ns = tuple(cfg.refinements) or (cfg.n // 2, cfg.n, 2 * cfg.n)
     rows, res = [], []
     for n in ns:
         tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="recombining")
@@ -580,43 +616,72 @@ def _run_illposed_demo(cfg: ExperimentConfig, out_dir: str):
     return checks, {"psi_1": rep.psi_1, "psi_2": rep.psi_2}, ["gap.csv"]
 
 
+class Experiment(NamedTuple):
+    runner: Callable
+    description: str
+    # benchmark value -> the config fields the runner reads besides experiment,
+    # seed and output_dir; a single '' key where the runner never reads benchmark
+    fields: dict
+
+
+def _fields(common: str, branches: dict | None = None) -> dict:
+    """Sorted field names per benchmark: common plus each branch's own."""
+    return {bench: tuple(sorted(f"{common} {more}".split()))
+            for bench, more in (branches or {"": ""}).items()}
+
+
 EXPERIMENTS = {
-    "static-value": (
+    "static-value": Experiment(
         _run_static_value,
         "Exact root value of a benchmark on a scenario tree, by policy "
-        "enumeration or the deterministic attainable-point frontier."),
-    "duality": (
+        "enumeration or the deterministic attainable-point frontier.",
+        _fields("benchmark T n d mode cap", {
+            "": "eps", "deterministic": "eps", "one_dim": "c eps",
+            "mean_variance": "c x0 eps",
+            "principal_agent": "gamma_a gamma_p r"})),
+    "duality": Experiment(
         _run_duality,
         "Finite-difference dual PDE solve, nodal-set extraction, and the "
-        "closed-form value bridge."),
-    "geometric-dpp": (
+        "closed-form value bridge.",
+        _fields("benchmark T n dy", {"": "dx", "deterministic": "eps value_tol"})),
+    "geometric-dpp": Experiment(
         _run_geometric_dpp,
         "Set-inclusion dynamic programming on tree dual values: epsilon-"
-        "membership slack under grid refinement."),
-    "dynamic-utility-linear": (
+        "membership slack under grid refinement.",
+        _fields("T cap eps refinements")),
+    "dynamic-utility-linear": Experiment(
         _run_dynamic_utility_linear,
         "Linear dynamic-utility construction with regime switching: exact "
-        "recursion, comparison check, switch band and continuity."),
-    "tau-bound": (
+        "recursion, comparison check, switch band and continuity.",
+        _fields("cap tol mc_paths steps")),
+    "tau-bound": Experiment(
         _run_tau_bound,
         "Monte Carlo switch-time frequencies against the combinatorial "
-        "(2n)^m/2^n bound with the fitted step-budget delta."),
-    "forward-dpp": (
+        "(2n)^m/2^n bound with the fitted step-budget delta.",
+        _fields("mc_paths steps")),
+    "forward-dpp": Experiment(
         _run_forward_dpp,
         "Concatenation identity of the forward value under full enumeration, "
-        "plus the Lipschitz transport bound on seeded pairs."),
-    "master-residual": (
+        "plus the Lipschitz transport bound on seeded pairs.",
+        _fields("T cap pairs")),
+    "master-residual": Experiment(
         _run_master_residual,
         "Stationarity defect of the forward value along a smooth cylinder, "
-        "halving with dt on the control-free linear case."),
-    "illposed-demo": (
+        "halving with dt on the control-free linear case.",
+        _fields("T n refinements")),
+    "illposed-demo": Experiment(
         _run_illposed_demo,
         "Two generators agreeing at z = 0: identical sup-terms under a shared "
-        "derivative input, forward values a horizon apart."),
-    "benchmark-verify": (
+        "derivative input, forward values a horizon apart.",
+        _fields("T n")),
+    "benchmark-verify": Experiment(
         _run_benchmark_verify,
         "Closed-form benchmark reproduction through the generic machinery: "
-        "values, witnesses, restoration and control groups."),
+        "values, witnesses, restoration and control groups.",
+        _fields("benchmark T n d", {
+            "": "cap eps", "deterministic": "cap eps", "one_dim": "c cap",
+            "mean_variance": "c x0 eps",
+            "principal_agent": "gamma_a gamma_p r level"})),
 }
 
 
@@ -628,17 +693,15 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    runner, description = EXPERIMENTS[cfg.experiment]
+    runner, description, _ = EXPERIMENTS[cfg.experiment]
     out_dir = run_directory(cfg)
     os.makedirs(out_dir, exist_ok=True)
     checks, extras, files = runner(cfg, out_dir)
     passed = all(c["passed"] for c in checks)
-    cfg_doc = {k: (list(v) if isinstance(v, tuple) else v)
-               for k, v in asdict(cfg).items()}
     report = {
         "experiment": cfg.experiment,
         "description": description,
-        "config": cfg_doc,
+        "config": _config_document(cfg),
         "config_hash": config_hash(cfg),
         "checks": checks,
         "details": extras,

@@ -1,3 +1,5 @@
+import glob
+import hashlib
 import json
 import os
 import re
@@ -10,10 +12,16 @@ from treebsde.cli import main
 from treebsde.experiments import (
     EXPERIMENTS,
     ConfigValidationError,
+    accepted_fields,
     config_hash,
+    load_config,
     run_directory,
+    run_experiment,
     validate_config,
 )
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "scripts", "configs")
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -227,3 +235,136 @@ def test_run_prints_each_value_and_only_the_bounds_a_check_has(tmp_path, capsys)
     assert main(["run", write_config(tmp_path, doc, "master.json")]) == 0
     assert re.search(r"^PASS halving-ratio-4-to-8 value=1\.\d+ bound=\[1\.5, 3\]$",
                      capsys.readouterr().out, re.MULTILINE)
+
+
+# ---------------------------------------------------------------------------
+# per-experiment field sets
+
+# one small config per (experiment, benchmark) branch of the field table
+TINY_BRANCHES = {
+    ("static-value", ""): {"T": 2.0, "n": 4},
+    ("static-value", "deterministic"): {"T": 2.0, "n": 4, "mode": "recombining"},
+    ("static-value", "one_dim"): {"T": 2.4, "n": 2},
+    ("static-value", "mean_variance"): {"n": 2},
+    ("static-value", "principal_agent"): {"n": 2},
+    ("benchmark-verify", ""): {"T": 2.0, "n": 4},
+    ("benchmark-verify", "deterministic"): {"T": 2.0, "n": 4},
+    ("benchmark-verify", "one_dim"): {"T": 2.4, "n": 2},
+    ("benchmark-verify", "mean_variance"): {"n": 6},
+    ("benchmark-verify", "principal_agent"): {"n": 4},
+    ("duality", ""): {"n": 2, "dx": 0.25, "dy": 0.25},
+    ("duality", "deterministic"): {"T": 2.0, "n": 4, "dy": 0.1, "value_tol": 0.5},
+    ("geometric-dpp", ""): {"refinements": [2, 3]},
+    ("dynamic-utility-linear", ""): {"mc_paths": 20},
+    ("tau-bound", ""): {"mc_paths": 20},
+    ("forward-dpp", ""): {"pairs": 2},
+    ("master-residual", ""): {"n": 4},
+    ("illposed-demo", ""): {"n": 2},
+}
+
+
+class _Recorder:
+    """Hands out a config's fields and remembers which ones were read."""
+
+    def __init__(self, cfg):
+        self._cfg, self.read = cfg, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+def _branches():
+    for name, exp in sorted(EXPERIMENTS.items()):
+        for bench in sorted(exp.fields):
+            yield name, bench
+
+
+@pytest.mark.parametrize("experiment,bench", list(_branches()))
+def test_each_branch_declares_exactly_the_fields_its_runner_reads(
+        experiment, bench, tmp_path):
+    doc = {"experiment": experiment, "seed": 0, "output_dir": str(tmp_path),
+           **TINY_BRANCHES[experiment, bench]}
+    if bench:
+        doc["benchmark"] = bench
+    rec = _Recorder(validate_config(doc))
+    EXPERIMENTS[experiment].runner(rec, str(tmp_path))
+    assert rec.read - {"seed"} == set(accepted_fields(experiment, bench))
+
+
+def test_every_shipped_config_validates():
+    paths = sorted(glob.glob(os.path.join(CONFIGS, "*.json")))
+    assert len(paths) == 14
+    for path in paths:
+        load_config(path)
+
+
+def test_validate_rejects_fields_the_experiment_does_not_read():
+    with pytest.raises(ConfigValidationError, match=r"^field 'T': tau-bound does not "
+                       r"read it \(accepted: mc_paths, steps\)$"):
+        validate_config({"experiment": "tau-bound", "seed": 0, "T": 2.0})
+    with pytest.raises(ConfigValidationError, match=r"^field 'eps': benchmark-verify "
+                       r"with benchmark 'one_dim' does not read it \(accepted: T, "
+                       r"benchmark, c, cap, d, n\)$"):
+        validate_config({"experiment": "benchmark-verify", "seed": 0,
+                         "benchmark": "one_dim", "eps": 0.1})
+    for key, value in (("eps", 0.01), ("mode", "path")):
+        with pytest.raises(ConfigValidationError,
+                           match=f"^field '{key}': duality with benchmark '' does not"):
+            validate_config({"experiment": "duality", "seed": 0, key: value})
+    for key in ("n", "T"):
+        with pytest.raises(ConfigValidationError,
+                           match=f"^field '{key}': dynamic-utility-linear does not"):
+            validate_config({"experiment": "dynamic-utility-linear", "seed": 0,
+                             "mc_paths": 100, key: 1})
+
+
+def test_validate_accepts_only_the_two_duality_flavours():
+    for bench in ("", "deterministic"):
+        doc = {"experiment": "duality", "seed": 0, "benchmark": bench}
+        assert validate_config(doc).benchmark == bench
+    with pytest.raises(ConfigValidationError, match=r"^field 'benchmark': duality has "
+                       r"no branch 'one_dim' \(valid: '', 'deterministic'\)$"):
+        validate_config({"experiment": "duality", "seed": 0, "benchmark": "one_dim"})
+    with pytest.raises(ConfigValidationError, match="static-value has no branch 'nope'"):
+        validate_config({"experiment": "static-value", "seed": 0, "benchmark": "nope"})
+
+
+def test_validate_steps_defaults_to_4096_and_must_be_positive():
+    assert validate_config({"experiment": "tau-bound", "seed": 0}).steps == 4096
+    with pytest.raises(ConfigValidationError, match="^field 'steps': must be >= 1$"):
+        validate_config({"experiment": "tau-bound", "seed": 0, "steps": 0})
+
+
+def test_master_residual_reads_n_only_for_its_default_ladder():
+    doc = {"experiment": "master-residual", "seed": 0}
+    assert validate_config({**doc, "refinements": [4, 8]}).refinements == (4, 8)
+    with pytest.raises(ConfigValidationError, match="^field 'n': master-residual "
+                       "reads n only for its default ladder"):
+        validate_config({**doc, "n": 8, "refinements": [4, 8]})
+
+
+def test_report_config_and_hash_cover_only_the_accepted_fields(tmp_path):
+    cfg = validate_config(illposed_doc(tmp_path))
+    report = run_experiment(cfg).report
+    assert report["config"] == {"experiment": "illposed-demo", "seed": 7, "T": 1.0,
+                                "n": 4, "output_dir": str(tmp_path / "runs")}
+    blob = json.dumps({"T": 1.0, "experiment": "illposed-demo", "n": 4, "seed": 7},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert report["config_hash"] == hashlib.sha256(blob).hexdigest()[:8]
+
+
+def test_witness_margin_records_its_tree_size(tmp_path):
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 0,
+                           "benchmark": "deterministic", "T": 2.0, "n": 4,
+                           "output_dir": str(tmp_path)})
+    check = {c["name"]: c for c in run_experiment(cfg).report["checks"]}[
+        "witness-strict-margin"]
+    assert check["n"] == 12 and check["value"] > 0
+
+
+def test_list_prints_each_experiments_accepted_fields(capsys):
+    assert main(["list"]) == 0
+    out = capsys.readouterr().out
+    assert "fields: mc_paths, steps" in out
+    assert "benchmark 'deterministic': T, benchmark, dy, eps, n, value_tol" in out
