@@ -201,10 +201,9 @@ def validate_config(data: dict) -> ExperimentConfig:
             msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
                         f"Euler ensemble ((steps + 1) x paths per field) and runs "
                         f"at most {_LINEAR_MAX_PATHS} paths, {got}")
-    if (clean.get("experiment") == "master-residual" and clean.get("refinements")
-            and "n" in clean):
-        msgs.append("field 'n': master-residual reads n only for its default "
-                    "ladder (n/2, n, 2n), and refinements is set")
+    if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
+        msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "
+                    f"its left time-difference, got {clean['n']}")
     if "mode" in clean and clean["mode"] not in ("path", "recombining"):
         msgs.append("field 'mode': must be 'path' or 'recombining'")
     if msgs:
@@ -576,11 +575,16 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
 
 def _run_master_residual(cfg: ExperimentConfig, out_dir: str):
     problem = problems.control_free_problem()
-    ns = tuple(cfg.refinements) or (cfg.n // 2, cfg.n, 2 * cfg.n)
+    # dt halves twice around n; once, from n, when n is odd or below 4 (a tree
+    # needs 2 steps for the left time-difference). Every tree measures the
+    # residual at one time, level ns[0] // 2 of the coarsest tree.
+    ns = (cfg.n // 2, cfg.n, 2 * cfg.n) if cfg.n % 2 == 0 and cfg.n >= 4 else (
+        cfg.n, 2 * cfg.n)
     rows, res = [], []
     for n in ns:
         tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="recombining")
-        rep = master_residual(problem, tree, problems.exp_cylinder(), level=n // 2)
+        rep = master_residual(problem, tree, problems.exp_cylinder(),
+                              level=ns[0] // 2 * (n // ns[0]))
         res.append(abs(rep.residual))
         rows.append((n, tree.dt, rep.residual, rep.left_time_term,
                      rep.drift_term, rep.sup_term))
@@ -668,7 +672,7 @@ EXPERIMENTS = {
         _run_master_residual,
         "Stationarity defect of the forward value along a smooth cylinder, "
         "halving with dt on the control-free linear case.",
-        _fields("T n refinements")),
+        _fields("T n")),
     "illposed-demo": Experiment(
         _run_illposed_demo,
         "Two generators agreeing at z = 0: identical sup-terms under a shared "

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from treebsde import problems
 from treebsde.cli import main
 from treebsde.experiments import (
     EXPERIMENTS,
@@ -19,6 +20,8 @@ from treebsde.experiments import (
     run_experiment,
     validate_config,
 )
+from treebsde.lattice import TimeGrid, build_tree
+from treebsde.master import master_residual
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                        "scripts", "configs")
@@ -336,12 +339,40 @@ def test_validate_steps_defaults_to_4096_and_must_be_positive():
         validate_config({"experiment": "tau-bound", "seed": 0, "steps": 0})
 
 
-def test_master_residual_reads_n_only_for_its_default_ladder():
-    doc = {"experiment": "master-residual", "seed": 0}
-    assert validate_config({**doc, "refinements": [4, 8]}).refinements == (4, 8)
-    with pytest.raises(ConfigValidationError, match="^field 'n': master-residual "
-                       "reads n only for its default ladder"):
-        validate_config({**doc, "n": 8, "refinements": [4, 8]})
+def test_master_residual_halves_dt_around_n(tmp_path):
+    def ladder(n):
+        cfg = validate_config({"experiment": "master-residual", "seed": 0, "n": n,
+                               "output_dir": str(tmp_path)})
+        res = run_experiment(cfg)
+        assert res.passed
+        return [c["name"] for c in res.report["checks"]], res.report["details"]
+
+    assert ladder(8)[0] == ["halving-ratio-4-to-8", "halving-ratio-8-to-16"]
+    names, details = ladder(3)
+    assert names == ["halving-ratio-3-to-6"]  # no 1.5-step tree
+    # both trees measure at t = 1/3: level 1 of 3 steps, level 2 of 6
+    tree = build_tree(TimeGrid(1.0, 6), d=1, mode="recombining")
+    rep = master_residual(problems.control_free_problem(), tree,
+                          problems.exp_cylinder(), level=2)
+    assert details["residuals"][1] == abs(rep.residual)
+    assert ladder(2)[0] == ["halving-ratio-2-to-4"]  # a 1-step tree has no level 1
+    with pytest.raises(ConfigValidationError, match=r"^field 'n': master-residual "
+                       r"needs at least 2 tree steps .*, got 1$"):
+        validate_config({"experiment": "master-residual", "seed": 0, "n": 1})
+    with pytest.raises(ConfigValidationError,
+                       match="^field 'refinements': master-residual does not read it"):
+        validate_config({"experiment": "master-residual", "seed": 0,
+                         "refinements": [4, 8, 16]})
+
+
+def test_validate_checks_mode_and_refinements_where_they_are_read():
+    with pytest.raises(ConfigValidationError,
+                       match="^field 'mode': must be 'path' or 'recombining'$"):
+        validate_config({"experiment": "static-value", "seed": 0, "mode": "diag"})
+    with pytest.raises(ConfigValidationError,
+                       match="^field 'refinements': expected a list of integers$"):
+        validate_config({"experiment": "geometric-dpp", "seed": 0,
+                         "refinements": [4, "x"]})
 
 
 def test_report_config_and_hash_cover_only_the_accepted_fields(tmp_path):
