@@ -12,6 +12,17 @@ Two dual problem shapes are supported:
 Explicit schemes: central second differences (second-order one-sided at edges),
 four-point mixed stencil via gradient composition, first-order upwinding for the
 advection, CFL-limited substeps, W clipped below at zero after each substep.
+Unless the spec declares f_bound, the CFL rate takes sup|f| over the grid at
+every tree-level time, with a safety factor.
+
+Row blocks. Each substep splits the grid's first axis into row blocks of at
+most _BLOCK_FLOATS grid floats, each read with a one-row halo, and runs them on
+a pool of one thread per core this process may use (inline for one block or
+one core). Each block writes only its own rows of a second W buffer, so W is
+identical, bit for bit, for any block or worker count. f is called on one
+block's rows at a time, possibly from several worker threads at once, and g and
+the CFL estimate of sup|f| see the whole grid; so f and g must act point by
+point, and f must be thread-safe.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates; the forward step defaults to the exact inverse
@@ -45,6 +56,7 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,17 +179,106 @@ def _one_sided_second(W, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _upwind_pair(W, h, axis):
-    """(backward, forward) one-sided first differences along axis."""
-    W = np.moveaxis(W, axis, 0)
-    d = (W[1:] - W[:-1]) / h
-    fwd = np.empty_like(W)
-    bwd = np.empty_like(W)
-    fwd[:-1] = d
-    fwd[-1] = d[-1]
-    bwd[1:] = d
-    bwd[0] = d[0]
-    return np.moveaxis(bwd, 0, axis), np.moveaxis(fwd, 0, axis)
+# Grid floats per row block of an explicit HJB substep; a grid of at most this
+# many floats runs as one block, inline. The 501 x 501 transport grid runs as 4
+# blocks. On a 2-core host 4 blocks on 2 threads solved it fastest: blocks of
+# 2^13 floats lost more to handing the interpreter lock between threads than
+# they gained, and 2 blocks made f's freed temporaries page-fault on every
+# substep (1.8M minor faults against 9k).
+_BLOCK_FLOATS = 1 << 16
+
+
+def _padded_diff(W, r0: int, r1: int, h: float, out) -> None:
+    """Edge-padded first differences along axis 0 for the rows [r0, r1) of W.
+
+    out[j] gets (W[k] - W[k-1]) / h with k = r0 + j clipped to [1, len(W) - 1],
+    so out[:-1] is the backward and out[1:] the forward difference of each row;
+    rows r0 - 1 and r1 of W are the halo.
+    """
+    k0, k1 = max(r0, 1), min(r1, len(W) - 1)
+    d = out[k0 - r0:k1 - r0 + 1]
+    np.subtract(W[k0:k1 + 1], W[k0 - 1:k1], out=d)
+    np.divide(d, h, out=d)
+    if r0 == 0:
+        out[0] = out[1]
+    if r1 == len(W):
+        out[-1] = out[-2]
+
+
+def _upwind(f, bwd, fwd, up, out):
+    """np.where(f > 0, bwd, fwd) written into out, with up as the mask buffer."""
+    np.greater(f, 0, out=up)
+    np.copyto(out, fwd)
+    np.copyto(out, bwd, where=up)
+    return out
+
+
+def _check_axes(axes, need: int, stencil: str) -> int:
+    """ConfigError unless every axis has `need` points; returns the least block
+    height, need - 1 rows, which a one-row halo tops up to the stencil."""
+    lengths = tuple(len(ax) for ax in axes)
+    if min(lengths) < need:
+        raise ConfigError(f"need at least {need} grid points per axis for {stencil}; "
+                          f"axis lengths {lengths}")
+    return need - 1
+
+
+def _row_blocks(rows: int, cols: int, min_rows: int) -> list:
+    """(start, stop) ranges of near-equal height that split the first grid axis;
+    each holds at most _BLOCK_FLOATS grid floats, unless min_rows needs more."""
+    height = max(min_rows, _BLOCK_FLOATS // cols)
+    count = min(-(-rows // height), rows // min_rows)
+    cuts = [rows * i // count for i in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _worker_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep(grid: TimeGrid, held: tuple, W, sub: int, min_rows: int,
+           make_block) -> np.ndarray:
+    """Roll W from level n back to 0 in `sub` substeps per level; returns the
+    slices of the levels in `held` (W is the terminal one).
+
+    make_block(r0, r1) returns a step (W, nxt, t) that writes rows [r0, r1) of
+    nxt from W. The steps of one substep run on a thread pool, or inline on one
+    core or for one block, and the two buffers swap once all are done.
+    """
+    steps = [make_block(r0, r1) for r0, r1 in _row_blocks(*W.shape, min_rows)]
+    slot = {lv: i for i, lv in enumerate(held)}
+    out = np.empty((len(held),) + W.shape)
+    out[-1] = W
+    nxt = np.empty_like(W)
+    dts = grid.dt / sub
+    workers = min(_worker_count(), len(steps))
+    pool = None
+    if workers > 1:
+        # imported here: the import takes ~7 ms, which every process that
+        # imports treebsde would pay
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(workers)
+    try:
+        t = grid.T
+        for level in range(grid.n - 1, -1, -1):
+            for _ in range(sub):
+                if pool is None:
+                    for step in steps:
+                        step(W, nxt, t)
+                else:
+                    for _ in pool.map(lambda step: step(W, nxt, t), steps):
+                        pass
+                W, nxt = nxt, W
+                t -= dts
+            if level in slot:
+                out[slot[level]] = W
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return out
 
 
 def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig,
@@ -228,51 +329,57 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
                      held: tuple) -> DualGrid:
     xs = _axis(config.x_bounds, config.dx)
     ys = _axis(config.y_bounds, config.dy)
-    if len(xs) < 4 or len(ys) < 4:
-        raise ConfigError("need at least 4 grid points per axis for edge stencils")
+    min_rows = _check_axes((xs, ys), 4, "edge stencils")
     dx, dy = config.dx, config.dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     gx = np.asarray(spec.g(X))
     W = (Y - gx) ** 2
     zmax = max(abs(z) for z in config.z_values)
-    # estimate sup|f| on the grid unless declared
+    times = grid.times()
+    # estimate sup|f| over the grid and every tree-level time unless declared
     if spec.f_bound is not None:
         fmax = spec.f_bound
     else:
         fmax = 0.0
-        for u in spec.control_values:
-            for z in config.z_values:
-                fmax = max(fmax, float(np.abs(
-                    np.asarray(spec.f(grid.T, X, Y, z, u))).max()))
+        for t in times:
+            for u in spec.control_values:
+                for z in config.z_values:
+                    fmax = max(fmax, float(np.abs(
+                        np.asarray(spec.f(t, X, Y, z, u))).max()))
         fmax *= 1.5
     rate = 1.0 / dx ** 2 + zmax ** 2 / dy ** 2 + zmax / (dx * dy) + fmax / dy
     sub = _cfl_substeps(config, grid, rate)
     dts = grid.dt / sub
 
-    times = grid.times()
-    slot = {lv: i for i, lv in enumerate(held)}
-    out = np.empty((len(held), len(xs), len(ys)))
-    out[-1] = W
-    t = grid.T
-    for level in range(grid.n - 1, -1, -1):
-        for _ in range(sub):
-            Dxx = _one_sided_second(W, dx, 0)
-            Dyy = _one_sided_second(W, dy, 1)
-            Dxy = np.gradient(np.gradient(W, dy, axis=1, edge_order=2),
-                              dx, axis=0, edge_order=2)
-            bwd, fwd = _upwind_pair(W, dy, 1)
+    def make_block(r0, r1):
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, len(xs))
+        own = slice(r0 - lo, r1 - lo)
+        Xb, Yb = X[r0:r1], Y[r0:r1]
+        d = np.empty((r1 - r0, len(ys) + 1))
+        bwd, fwd = d[:, :-1], d[:, 1:]
+
+        def step(W, nxt, t):
+            # the x stencils run on the halo slab, whose edge rows are either
+            # the grid's own edges or halo rows that are dropped
+            slab = W[lo:hi]
+            Wb = W[r0:r1]
+            Dxx = _one_sided_second(slab, dx, 0)[own]
+            Dyy = _one_sided_second(Wb, dy, 1)
+            Dxy = np.gradient(np.gradient(slab, dy, axis=1, edge_order=2),
+                              dx, axis=0, edge_order=2)[own]
+            _padded_diff(Wb.T, 0, len(ys), dy, d.T)
             best = None
             for z in config.z_values:
                 zpart = 0.5 * z * z * Dyy + z * Dxy
                 for u in spec.control_values:
-                    fv = np.asarray(spec.f(t, X, Y, z, u))
+                    fv = np.asarray(spec.f(t, Xb, Yb, z, u))
                     adv = -fv * np.where(fv > 0, bwd, fwd)
                     cand = zpart + adv
                     best = cand if best is None else np.minimum(best, cand)
-            W = np.maximum(W + dts * (0.5 * Dxx + best), 0.0)
-            t -= dts
-        if level in slot:
-            out[slot[level]] = W
+            np.maximum(Wb + dts * (0.5 * Dxx + best), 0.0, out=nxt[r0:r1])
+        return step
+
+    out = _sweep(grid, held, W, sub, min_rows, make_block)
     return DualGrid(kind="markovian", times=times, axes=(xs, ys), levels=held,
                     W=out, config=config, substeps=sub)
 
@@ -281,42 +388,55 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
                          config: HJBConfig, held: tuple) -> DualGrid:
     y1 = _axis(config.y_bounds, config.dy)
     y2 = _axis(config.y_bounds, config.dy)
+    min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
     pts = np.stack([Y1, Y2], axis=-1)
     t1, t2 = spec.target
     W = (Y1 - t1) ** 2 + (Y2 - t2) ** 2
+    times = grid.times()
     if spec.f_bound is not None:
         fmax = np.broadcast_to(np.asarray(spec.f_bound, dtype=float), (2,))
     else:
         fmax = np.zeros(2)
-        for u in spec.control_values:
-            fv = np.asarray(spec.f(grid.T, pts, u))
-            fmax = np.maximum(fmax, np.abs(fv).reshape(-1, 2).max(axis=0))
+        for t in times:
+            for u in spec.control_values:
+                fv = np.asarray(spec.f(t, pts, u))
+                fmax = np.maximum(fmax, np.abs(fv).reshape(-1, 2).max(axis=0))
         fmax = fmax * 1.2
     rate = fmax[0] / dy + fmax[1] / dy
     sub = _cfl_substeps(config, grid, rate)
     dts = grid.dt / sub
 
-    times = grid.times()
-    slot = {lv: i for i, lv in enumerate(held)}
-    out = np.empty((len(held), len(y1), len(y2)))
-    out[-1] = W
-    t = grid.T
-    for level in range(grid.n - 1, -1, -1):
-        for _ in range(sub):
-            b1, f1d = _upwind_pair(W, dy, 0)
-            b2, f2d = _upwind_pair(W, dy, 1)
-            best = None
-            for u in spec.control_values:
-                fv = np.asarray(spec.f(t, pts, u))
-                adv = (-fv[..., 0] * np.where(fv[..., 0] > 0, b1, f1d)
-                       - fv[..., 1] * np.where(fv[..., 1] > 0, b2, f2d))
-                best = adv if best is None else np.minimum(best, adv)
-            W = np.maximum(W + dts * best, 0.0)
-            t -= dts
-        if level in slot:
-            out[slot[level]] = W
+    def make_block(r0, r1):
+        rows, cols = r1 - r0, len(y2)
+        P = pts[r0:r1]
+        d0, d1 = np.empty((rows + 1, cols)), np.empty((rows, cols + 1))
+        b0, f0d, b1, f1d = d0[:-1], d0[1:], d1[:, :-1], d1[:, 1:]
+        sel, adv, best = (np.empty((rows, cols)) for _ in range(3))
+        up = np.empty((rows, cols), dtype=bool)
+
+        def step(W, nxt, t):
+            # the float sequence of W = max(W + dts * min_u
+            # [(-f0) * sel0 - f1 * sel1], 0), one buffer per intermediate
+            _padded_diff(W, r0, r1, dy, d0)
+            _padded_diff(W[r0:r1].T, 0, cols, dy, d1.T)
+            for k, u in enumerate(spec.control_values):
+                fv = np.asarray(spec.f(t, P, u))
+                np.negative(fv[..., 0], out=adv)
+                np.multiply(adv, _upwind(fv[..., 0], b0, f0d, up, sel), out=adv)
+                np.multiply(fv[..., 1], _upwind(fv[..., 1], b1, f1d, up, sel), out=sel)
+                if k == 0:
+                    np.subtract(adv, sel, out=best)
+                else:
+                    np.subtract(adv, sel, out=adv)
+                    np.minimum(best, adv, out=best)
+            np.multiply(best, dts, out=best)
+            np.add(W[r0:r1], best, out=best)
+            np.maximum(best, 0.0, out=nxt[r0:r1])
+        return step
+
+    out = _sweep(grid, held, W, sub, min_rows, make_block)
     return DualGrid(kind="deterministic", times=times, axes=(y1, y2),
                     levels=held, W=out, config=config, substeps=sub)
 

@@ -1,5 +1,7 @@
 """Tests for the dual HJB solver, nodal sets, and exact tree dual values."""
+import dataclasses
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -283,6 +285,123 @@ def test_transport_w0_matches_the_closed_form_where_characteristics_stay_inside(
         assert err <= 2 * dy
         errors.append(err)
     assert errors[1] < errors[0]
+
+
+# ---------------------------------------------------------------------------
+# row blocks: any block or worker count gives the one-block solve, bit for bit
+
+
+BLOCK_CASES = {
+    # 23 x 21 points; the declared f_bound keeps the CFL estimate from calling f
+    # on the whole grid, so every recorded call comes from a block
+    "markovian": (lambda: dataclasses.replace(advected_spec(), f_bound=1.6),
+                  TimeGrid(T=0.5, n=4),
+                  HJBConfig(x_bounds=(-1.0, 1.2), dx=0.1, y_bounds=(-1.0, 1.0),
+                            dy=0.1, z_values=(0.0, 0.5, 1.0)), 3),
+    "deterministic": (transport_dual_spec, TimeGrid(T=2.0, n=8),
+                      HJBConfig(y_bounds=(-2.0, 2.0), dy=0.1), 1),
+}
+
+
+def _recording(spec, seen):
+    """spec whose f records (first row coordinate, point-array shape) per call."""
+    if isinstance(spec, MarkovianDualSpec):
+        def f(t, x, y, z, u):
+            seen.append((float(x[0, 0]), x.shape))
+            return spec.f(t, x, y, z, u)
+    else:
+        def f(t, y, u):
+            seen.append((float(y[0, 0, 0]), y.shape[:-1]))
+            return spec.f(t, y, u)
+    return dataclasses.replace(spec, f=f)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("layout", ("one", "two", "three", "min"))
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_row_blocks_reproduce_the_one_block_solve(kind, layout, workers, monkeypatch):
+    make_spec, grid, config, min_rows = BLOCK_CASES[kind]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1 << 30)
+    ref = solve_dual_hjb(make_spec(), grid, config)
+    rows, cols = ref.W.shape[1:]
+    height = {"one": rows, "two": -(-rows // 2), "three": -(-rows // 3),
+              "min": 1}[layout]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", height * cols)
+    monkeypatch.setattr(duality, "_worker_count", lambda: workers)
+    seen = []
+    dual = solve_dual_hjb(_recording(make_spec(), seen), grid, config)
+    assert dual.substeps == ref.substeps
+    for level in ref.levels:
+        assert np.array_equal(dual.at(level), ref.at(level))
+        assert np.array_equal(np.signbit(dual.at(level)), np.signbit(ref.at(level)))
+    # f saw whole rows of the grid, and the blocks tile the first axis
+    axis = dual.axes[0]
+    blocks = sorted({(int(np.argmin(np.abs(axis - first))), shape)
+                     for first, shape in seen})
+    assert all(shape[1] == cols for _, shape in blocks)
+    starts = [start for start, _ in blocks]
+    heights = [shape[0] for _, shape in blocks]
+    assert starts == [sum(heights[:i]) for i in range(len(heights))]
+    assert sum(heights) == rows
+    if layout == "min":
+        assert min(heights) == min_rows and max(heights) <= min_rows + 1
+        assert len(heights) == rows // min_rows
+    else:
+        assert len(heights) == {"one": 1, "two": 2, "three": 3}[layout]
+    if layout == "three":
+        assert len(set(heights)) > 1
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
+def test_row_blocks_on_more_threads_than_cores_under_fast_switching(kind, monkeypatch):
+    make_spec, grid, config, _ = BLOCK_CASES[kind]
+    ref = solve_dual_hjb(make_spec(), grid, config)
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1)
+    monkeypatch.setattr(duality, "_worker_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        dual = solve_dual_hjb(make_spec(), grid, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(dual.W, ref.W)
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_too_few_grid_points_raise_config_error_naming_the_axis_lengths(kind):
+    make_spec, grid, _ = SLICE_CASES[kind]
+    need = {"markovian": 4, "deterministic": 2}[kind]
+    # 3 points on the x axis, 1 on each y axis
+    config = HJBConfig(x_bounds=(0.0, 0.2), dx=0.1, y_bounds=(0.0, 0.05), dy=0.1)
+    lengths = r"\(3, 1\)" if kind == "markovian" else r"\(1, 1\)"
+    with pytest.raises(ConfigError, match=rf"need at least {need} grid points per "
+                       rf"axis .*axis lengths {lengths}"):
+        solve_dual_hjb(make_spec(), grid, config)
+
+
+def _fast_early(u, t):
+    """Speed 1 + 20 (1 - t): 21 at t = 0, 1 at t = T = 1."""
+    return (1.0 + 20.0 * (1.0 - t)) * u
+
+
+def test_deterministic_cfl_estimate_covers_every_level_time():
+    grid, dy = TimeGrid(T=1.0, n=4), 0.05
+    spec = DeterministicDualSpec(
+        f=lambda t, y, u: np.stack([_fast_early(u, t) + 0.0 * y[..., 0],
+                                    0.0 * y[..., 1]], axis=-1),
+        target=(0.0, 0.0), control_values=(-1.0, 1.0))
+    dual = solve_dual_hjb(spec, grid, HJBConfig(dy=dy), levels=(0,))
+    assert 21.0 * grid.dt / dual.substeps / dy <= 1.0
+    assert dual.at(0).max() > 0.0
+
+
+def test_markovian_cfl_estimate_covers_every_level_time():
+    spec = MarkovianDualSpec(f=lambda t, x, y, z, u: _fast_early(u, t) + 0.0 * y,
+                             g=lambda x: 0.0 * x, control_values=(-1.0, 1.0))
+    dual = solve_dual_hjb(spec, TimeGrid(T=1.0, n=4),
+                          HJBConfig(dx=0.05, dy=0.05), levels=(0,))
+    assert np.all(np.isfinite(dual.at(0)))
+    assert dual.at(0).max() <= dual.at(4).max()
 
 
 def control_free_b_terminal(n, T, d=1):
