@@ -52,9 +52,6 @@ class BenchmarkProblem:
     problem: BSDEProblem
     forward: ForwardSDE | None
     optimal_value: float | None
-    control_description: str
-    witness_description: str
-    restored_description: str
     analytic: dict = field(default_factory=dict)
 
 
@@ -146,8 +143,11 @@ def mean_variance(x0: float, c: float, T: float) -> BenchmarkProblem:
 
     Forward dX = u dt + u dB, terminal data (X_T, X_T^2), utility
     phi_c(y) = y1 + y1^2/(2c) - y2/(2c). The analytic feedback is affine,
-    u*(s, x) = x0 - x + c e^T, with value x0 + (c/2)(e^T - 1); the restoring
-    parameter process is c_t = c e^t - e^{t-T} (X*_t - x0), c_0 = c.
+    u*(s, x) = x0 - x + c e^T, with value x0 + (c/2)(e^T - 1). Re-optimizing at
+    t > 0 with the stale parameter c shifts the optimal feedback intercept by
+    c(e^T - e^{T-t}) - (X*_t - x0); the restoring parameter process
+    c_t = c e^t - e^{t-T} (X*_t - x0), c_0 = c, restores the time-0 feedback
+    exactly.
     """
     if not (c > 0 and T > 0):
         raise BenchmarkError(f"need c > 0 and T > 0, got c={c}, T={T}")
@@ -179,12 +179,6 @@ def mean_variance(x0: float, c: float, T: float) -> BenchmarkProblem:
     bench = BenchmarkProblem(
         identifier="mean_variance", problem=problem, forward=sde,
         optimal_value=value,
-        control_description="affine feedback u*(s, x) = x0 - x + c e^T",
-        witness_description=("re-optimizing at t > 0 with the stale parameter c "
-                             "shifts the optimal feedback intercept by "
-                             "c(e^T - e^{T-t}) - (X*_t - x0)"),
-        restored_description="c_t = c e^t - e^{t-T} (X*_t - x0) restores the "
-                             "time-0 feedback exactly",
         analytic={"x0": x0, "c": c, "T": T, "a_star": a_star, "b_star": -1.0,
                   "feedback": feedback, "c_process": c_process},
     )
@@ -215,17 +209,19 @@ def mv_tree_value(bench: BenchmarkProblem, tree: ScenarioTree,
     return float(_mv_phi(a["c"], sol.Y[0][0, 0], sol.Y[0][0, 1]))
 
 
-def mv_grid(bench: BenchmarkProblem, half: int = 10, spacing: float = 1.0):
+def mv_grid(bench: BenchmarkProblem):
+    """The 21 x 21 affine-feedback (intercept, slope) grid of unit spacing
+    centred on the analytic optimum, flattened."""
     a = bench.analytic
-    offs = spacing * np.arange(-half, half + 1)
+    offs = np.arange(-10.0, 11.0)
     A, B = np.meshgrid(a["a_star"] + offs, a["b_star"] + offs, indexing="ij")
     return A.ravel(), B.ravel()
 
 
 def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
-                   c_eff: float, half: int = 10, spacing: float = 1.0):
+                   c_eff: float):
     """Argmax cell of the affine-feedback grid by exact moment recursion."""
-    A, B = mv_grid(bench, half=half, spacing=spacing)
+    A, B = mv_grid(bench)
     m1, m2 = mv_moment_recursion(m1_0, m2_0, A, B, t0, bench.analytic["T"], steps)
     vals = _mv_phi(c_eff, m1, m2)
     k = int(np.argmax(vals))
@@ -235,19 +231,17 @@ def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
 @dataclass(frozen=True)
 class RestorationReport:
     identifier: str
-    restored: bool
     levels: tuple
     nodes_checked: int
     violations: int
     max_deviation: float
-    min_violation_margin: float
     all_match: bool
 
 
 def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
-                         levels=(2, 4, 6, 8), band: float = 2.0,
-                         restored: bool = True) -> RestorationReport:
-    """Per-node affine-grid argmax of the time-t problem vs the time-0 argmax.
+                         levels=(2, 4, 6, 8), restored: bool = True) -> RestorationReport:
+    """Per-node affine-grid argmax of the time-t problem vs the time-0 argmax,
+    at the nodes whose state lies within 2 of x0.
 
     With the restoring parameter c_t the argmax cell coincides at every tested
     node; with the stale constant c it drifts by at least one cell somewhere.
@@ -264,7 +258,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
         if not 0 < k < n:
             raise BenchmarkError(f"levels must lie strictly inside (0, {n})")
         t = tree.grid.times()[k]
-        for i in np.nonzero(np.abs(xs[k] - x0) <= band)[0]:
+        for i in np.nonzero(np.abs(xs[k] - x0) <= 2.0)[0]:
             x = float(xs[k][i])
             c_eff = float(a["c_process"](t, x)) if restored else c
             cell, _ = mv_grid_argmax(bench, x, x * x, t, n - k, c_eff)
@@ -274,9 +268,9 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             if dev > 0:
                 violations += 1
     return RestorationReport(
-        identifier=bench.identifier, restored=restored, levels=tuple(levels),
+        identifier=bench.identifier, levels=tuple(levels),
         nodes_checked=checked, violations=violations, max_deviation=max_dev,
-        min_violation_margin=max_dev, all_match=(violations == 0))
+        all_match=(violations == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +281,10 @@ def one_dimensional(c: float, T: float) -> BenchmarkProblem:
     """f = u, terminal B_T, utility -|c + y|, controls {-1, -1/2, 0, 1/2, 1}.
 
     For c >= T the optimal control is u = -1 throughout (value 0 at c = T);
-    for c <= -T it is u = +1. The restoring parameter is c_t = T - t - B_t and
-    the stale-utility witness set is {B_t <= t - 2T}.
+    for c <= -T it is u = +1. The restoring parameter c_t = T - t - B_t makes
+    u = -1 optimal at every node (the node value of B cancels). On the witness
+    set {B_t <= t - 2T} the stale utility re-optimizes to u = +1 while the
+    time-0 optimum uses -1.
     """
     if not T > 0:
         raise BenchmarkError(f"need T > 0, got {T}")
@@ -305,11 +301,6 @@ def one_dimensional(c: float, T: float) -> BenchmarkProblem:
     bench = BenchmarkProblem(
         identifier="one_dim", problem=problem, forward=None,
         optimal_value=value,
-        control_description="u = -1 throughout when c >= T; u = +1 when c <= -T",
-        witness_description="on {B_t <= t - 2T} the stale utility re-optimizes "
-                            "to u = +1 while the time-0 optimum uses -1",
-        restored_description="c_t = T - t - B_t makes u = -1 optimal at every "
-                             "node (the node value of B cancels)",
         analytic={"c": c, "T": T,
                   "c_process": lambda t, b: T - t - np.asarray(b),
                   "witness_set": lambda t, b: np.asarray(b) <= t - 2.0 * T},
@@ -370,8 +361,7 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
 
 
 def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
-                             levels, restored: bool = True,
-                             cap: int = 10 ** 6) -> RestorationReport:
+                             levels, restored: bool = True) -> RestorationReport:
     """Per-node subtree argmax under Phi(t, y) = -|c_t + y| (or the stale c).
 
     The time-0 optimum at c = T is u = -1 on every slot; restoration holds when
@@ -382,23 +372,22 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     times = tree.grid.times()
     checked = violations = 0
     max_dev = 0.0
-    margin = np.inf
     for k in levels:
         for i in range(tree.node_count(k)):
             b = float(tree.values[k][i, 0])
             c_eff = float(a["c_process"](times[k], b)) if restored else c
-            best, assign = subtree_argmax(
+            _, assign = subtree_argmax(
                 bench.problem, tree, k, i,
-                lambda y: -abs(c_eff + y[0]), cap=cap)
+                lambda y: -abs(c_eff + y[0]))
             checked += 1
             if any(s != 0 for s in assign):
                 violations += 1
                 dev = sum(s != 0 for s in assign)
                 max_dev = max(max_dev, float(dev))
     return RestorationReport(
-        identifier=bench.identifier, restored=restored, levels=tuple(levels),
+        identifier=bench.identifier, levels=tuple(levels),
         nodes_checked=checked, violations=violations, max_deviation=max_dev,
-        min_violation_margin=float(max_dev), all_match=(violations == 0))
+        all_match=(violations == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +401,11 @@ def principal_agent(gamma_A: float, gamma_P: float, R: float,
 
     u* = (1 + gamma_P) / (1 + gamma_A + gamma_P) is the constant optimal
     action; the optimal contract is x_R + u* B_T + ((gamma_A - 1)/2) u*^2 T
-    with x_R = -(1/gamma_A) ln(-R), and the restoring market value is
-    R_t = R exp(-gamma_A [u* B_t + ((gamma_A - 1)/2) u*^2 t]).
+    with x_R = -(1/gamma_A) ln(-R). The restoring market value
+    R_t = R exp(-gamma_A [u* B_t + ((gamma_A - 1)/2) u*^2 t]) makes the
+    re-optimized contract coincide with the time-0 contract; re-optimizing with
+    the stale R restarts the agent value at x_R instead of its running value,
+    which changes the delivered contract by u* B_t + cost t.
     """
     if not (gamma_A > 0 and gamma_P > 0):
         raise BenchmarkError("need gamma_A > 0 and gamma_P > 0")
@@ -458,13 +450,6 @@ def principal_agent(gamma_A: float, gamma_P: float, R: float,
     bench = BenchmarkProblem(
         identifier="principal_agent", problem=problem, forward=sde,
         optimal_value=None,
-        control_description="constant action u* = (1+gamma_P)/(1+gamma_A+gamma_P)",
-        witness_description="re-optimizing with the stale market value R restarts "
-                            "the agent value at x_R instead of its running value, "
-                            "changing the delivered contract by u* B_t + cost t",
-        restored_description="R_t = R exp(-gamma_A [u* B_t + ((gamma_A-1)/2) u*^2 t]) "
-                             "makes the re-optimized contract coincide with the "
-                             "time-0 contract",
         analytic={"gamma_A": gamma_A, "gamma_P": gamma_P, "R": R, "T": T,
                   "u_star": u_star, "x_R": x_R, "cost_rate": cost,
                   "r_process": r_process, "contract": contract},
@@ -517,9 +502,7 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
 @dataclass(frozen=True)
 class ContractReport:
     identifier: str
-    restored: bool
     level: int
-    candidates: tuple
     argmax_matches: int
     argmax_total: int
     max_contract_deviation: float
@@ -527,19 +510,17 @@ class ContractReport:
 
 
 def pa_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
-                         level: int, candidates=None, restored: bool = True,
-                         tol: float = 1e-12) -> ContractReport:
-    """Time-t re-optimization over an action probe grid plus delivered-contract
-    comparison against the time-0 optimum's continuation.
+                         level: int, restored: bool = True) -> ContractReport:
+    """Time-t re-optimization over the action probe grid u* + (-0.1, 0, 0.1)
+    plus delivered-contract comparison against the time-0 optimum's continuation.
 
     Restored market value: per-node argmax is u* and the re-optimized contract
-    agrees with the time-0 contract's restriction to rounding. Stale constant
+    agrees with the time-0 contract's restriction to 1e-12. Stale constant
     R: the contract deviates by |u* B_t + cost t| > 0 off the diagonal.
     """
     a = bench.analytic
     u_star = a["u_star"]
-    if candidates is None:
-        candidates = (u_star - 0.1, u_star, u_star + 0.1)
+    candidates = (u_star - 0.1, u_star, u_star + 0.1)
     times = tree.grid.times()
     t = times[level]
     b_lvl = tree.values[level][:, 0]
@@ -559,11 +540,10 @@ def pa_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     original = forward_states(tree, bench.forward, lambda tt, x: u_star)[-1]
     max_dev = float(np.max(np.abs(reopt - original)))
     return ContractReport(
-        identifier=bench.identifier, restored=restored, level=level,
-        candidates=tuple(float(u) for u in candidates),
+        identifier=bench.identifier, level=level,
         argmax_matches=matches, argmax_total=int(argmax.size),
         max_contract_deviation=max_dev,
-        all_match=(matches == argmax.size) and max_dev <= tol)
+        all_match=(matches == argmax.size) and max_dev <= 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +556,10 @@ def deterministic_example(T: float) -> BenchmarkProblem:
 
     Closed form: the time-t optimal control is the indicator of [t, (1+t) ^ T]
     and V_t = integral of (1 + t - s) over that window (1/2 for t <= T - 1).
-    The witness interval (1, 1+t) needs T > 1.
+    Re-optimizing at t in (0, T-1) turns the control on over the witness
+    interval (1, 1+t), where the time-0 optimum is 0, with margin t^2/2; that
+    interval needs T > 1. Freezing the weight (1 + t - s) at t = 0 pins the
+    value integrand to the initial window and restores consistency.
     """
     if not T > 1:
         raise BenchmarkError(
@@ -607,13 +590,6 @@ def deterministic_example(T: float) -> BenchmarkProblem:
     bench = BenchmarkProblem(
         identifier="deterministic", problem=problem, forward=None,
         optimal_value=0.5,
-        control_description="u^{t,*} = 1 on [t, (1+t) ^ T], 0 after",
-        witness_description="re-optimizing at t in (0, T-1) turns the control "
-                            "on over (1, 1+t) where the time-0 optimum is 0; "
-                            "margin t^2/2",
-        restored_description="the weight (1 + t - s) frozen at t = 0 restores "
-                             "consistency (value integrand pinned to the "
-                             "initial window)",
         analytic={"T": T, "value_at": value_at,
                   "optimal_on": lambda t: (t, min(1.0 + t, T))},
     )

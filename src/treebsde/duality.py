@@ -78,8 +78,7 @@ class HJBConfig:
     """Grids and tolerances for the finite-difference dual solve.
 
     y_bounds/dy apply to both y axes in the deterministic (2-d) shape.
-    substeps=None means CFL-automatic; eps=None defers the nodal tolerance to
-    10x the terminal interpolation error estimate.
+    substeps=None means CFL-automatic.
     """
 
     x_bounds: tuple = (-2.0, 2.0)
@@ -88,15 +87,12 @@ class HJBConfig:
     dy: float = 0.05
     z_values: tuple = (0.0,)
     substeps: int | None = None
-    eps: float | None = None
 
     def __post_init__(self):
         if self.dx <= 0 or self.dy <= 0:
             raise ConfigError("grid spacings must be positive")
         if not any(abs(z) < 1e-15 for z in self.z_values):
             raise ConfigError("z-grid must contain 0")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError("nodal tolerance eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -448,7 +444,6 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
 @dataclass(frozen=True)
 class NodalSet:
     level: int
-    x_index: int | None   # markovian slice index; None for deterministic/tree kinds
     points: np.ndarray    # (m, dim) y points with W <= eps, sorted ascending
     eps: float
     cell: tuple           # grid cell sizes per dimension
@@ -457,9 +452,10 @@ class NodalSet:
 
 def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
                       eps: float | None = None) -> NodalSet:
-    """Grid points with W(level, ...) <= eps; empty sets are flagged, not errors."""
+    """Grid points with W(level, ...) <= eps, eps defaulting to dual.default_eps();
+    empty sets are flagged, not errors."""
     if eps is None:
-        eps = dual.config.eps if dual.config.eps is not None else dual.default_eps()
+        eps = dual.default_eps()
     if dual.kind == "markovian":
         if x_index is None:
             raise ValueError("markovian nodal sets need an x_index")
@@ -474,15 +470,13 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         pts = pts[order]
         cell = (dual.config.dy, dual.config.dy)
-        x_index = None
-    return NodalSet(level=level, x_index=x_index, points=pts, eps=float(eps),
+    return NodalSet(level=level, points=pts, eps=float(eps),
                     cell=cell, empty=pts.shape[0] == 0)
 
 
 @dataclass(frozen=True)
 class DualStaticValue:
     value: float
-    y_star: np.ndarray
     eps: float
     nearest_reachable_distance: float | None
     within_one_cell: bool | None
@@ -503,7 +497,7 @@ def dual_static_value(nodal: NodalSet, phi, reachable_points: np.ndarray | None 
         rp = np.asarray(reachable_points).reshape(len(reachable_points), -1)
         dist = float(np.linalg.norm(rp - y_star[None, :], axis=1).min())
         within = dist <= float(np.linalg.norm(nodal.cell)) * (1 + 1e-9) + 1e-12
-    return DualStaticValue(value=float(vals[i]), y_star=y_star, eps=nodal.eps,
+    return DualStaticValue(value=float(vals[i]), eps=nodal.eps,
                            nearest_reachable_distance=dist, within_one_cell=within)
 
 
@@ -681,9 +675,9 @@ class ConditionalDualValue:
 
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                            y_points, z_values, cap: int = 10 ** 6,
-                           step_mode: str = "inverse",
-                           cell: tuple | None = None) -> ConditionalDualValue:
-    """W-tilde(level, node, y) on the tree for each node and probe point y."""
+                           step_mode: str = "inverse") -> ConditionalDualValue:
+    """W-tilde(level, node, y) on the tree for each node and probe point y; cell
+    is the least spacing of the first coordinates, in every dimension."""
     y_points = np.asarray(y_points, dtype=float)
     if y_points.ndim == 1:
         y_points = y_points[:, None]
@@ -693,23 +687,23 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                 np.tile(y_points, (m, 1)), z_values, cap=cap,
                                 step_mode=step_mode)
     vals = vals.reshape(m, len(y_points))
-    if cell is None:
-        diffs = np.diff(np.sort(np.unique(y_points[:, 0])))
-        c = float(diffs.min()) if len(diffs) else 1.0
-        cell = (c,) * y_points.shape[1]
-    return ConditionalDualValue(level=level, y_points=y_points, values=vals, cell=cell)
+    diffs = np.diff(np.sort(np.unique(y_points[:, 0])))
+    c = float(diffs.min()) if len(diffs) else 1.0
+    return ConditionalDualValue(level=level, y_points=y_points, values=vals,
+                                cell=(c,) * y_points.shape[1])
 
 
-def check_w_regularity(points: np.ndarray, values: np.ndarray,
-                       max_pairs: int = 200_000, seed: int = 0):
-    """Fitted C-hat in |W(y) - W(y')| <= C (1 + |y| + |y'|) |y - y'| over point pairs."""
+def check_w_regularity(points: np.ndarray, values: np.ndarray):
+    """Fitted C-hat in |W(y) - W(y')| <= C (1 + |y| + |y'|) |y - y'| over point
+    pairs: every pair, or 200,000 seeded random ones when there are more."""
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     vals = np.asarray(values, dtype=float).reshape(-1)
     m = len(pts)
+    max_pairs = 200_000
     if m * (m - 1) // 2 <= max_pairs:
         ii, jj = np.triu_indices(m, k=1)
     else:
-        rng = np.random.default_rng(np.random.Philox(seed))
+        rng = np.random.default_rng(np.random.Philox(0))
         ii = rng.integers(0, m, size=max_pairs)
         jj = rng.integers(0, m, size=max_pairs)
         keep = ii != jj
@@ -728,11 +722,9 @@ def check_w_regularity(points: np.ndarray, values: np.ndarray,
 
 @dataclass(frozen=True)
 class GeometricDppReport:
-    level_from: int
-    level_to: int
     eps: float
-    rho_into: float      # worst steer-min over the eps-nodal set at level_from
-    rho_back: float      # worst W at level_from over points steerable into the eps-set
+    rho_into: float      # worst steer-min over the eps-nodal set at k1
+    rho_back: float      # worst W at k1 over points steerable into the eps-set
     nodal_count: int
     steerable_count: int
     inclusions_hold: bool
@@ -786,7 +778,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     nodal_count = int(np.count_nonzero(nodal))
     steer_count = int(np.count_nonzero(steerable))
     return GeometricDppReport(
-        level_from=k1, level_to=k2, eps=float(eps), rho_into=float(rho_into),
+        eps=float(eps), rho_into=float(rho_into),
         rho_back=float(rho_back), nodal_count=nodal_count,
         steerable_count=steer_count,
         inclusions_hold=bool(np.isfinite(rho_into) and np.isfinite(rho_back)

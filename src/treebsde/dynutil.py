@@ -85,8 +85,7 @@ def static_utility(phi, value_dim: int) -> DynamicUtility:
 # deterministic construction
 
 
-def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y,
-                      cap: int = 10 ** 6):
+def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y):
     """Phi(level, y) = max over deterministic control sequences on [0, level) of
     phi(Y_0), where Y runs backward from Y_level = y with Z = 0.
 
@@ -94,7 +93,7 @@ def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y,
     if not _probe_deterministic(problem, grid.times()[:grid.n]):
         raise ProblemValidationError(
             "deterministic utility needs a generator independent of z and the node")
-    return _frontier(problem, y, grid.times()[:level], grid.dt, 1, cap)[:2]
+    return _frontier(problem, y, grid.times()[:level], grid.dt, 1, 10 ** 6)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +110,16 @@ class ComparisonReport:
 
 
 def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
-                     tree: ScenarioTree, t1: int, t2: int, pairs,
-                     tol: float = 1e-10, cap: int = 10 ** 6) -> ComparisonReport:
+                     tree: ScenarioTree, t1: int, t2: int, pairs) -> ComparisonReport:
     """Order preservation of eta -> max-over-policies utility(t1, Y_{t1}(t2, eta)).
 
     Pairs failing the premise utility(t2, eta) <= utility(t2, eta~) node-wise are
     skipped and counted. For qualifying pairs the node-wise inequality at t1 must
-    hold within tol; violations are listed.
+    hold within tol = 1e-10; violations are listed.
     """
     if not 0 <= t1 < t2 <= tree.n:
         raise ValueError(f"need 0 <= t1 < t2 <= n, got {t1}, {t2}")
+    tol = 1e-10
     checked = skipped = 0
     violations = []
     worst = -np.inf
@@ -130,7 +129,7 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
         vals, _, _, _ = maximize_over_policies(
             problem, tree,
             lambda yy: utility.evaluate(t1, yy),
-            start_level=t1, terminal_level=t2, terminal_rv=rv, cap=cap)
+            start_level=t1, terminal_level=t2, terminal_rv=rv)
         return vals
 
     for idx, (eta, eta_t) in enumerate(pairs):
@@ -154,8 +153,8 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
 
 
 def select_maximizer(utility: DynamicUtility, candidates, level: int, node: int,
-                     eps: float | None = None, tol: float = 1e-10):
-    """Lexicographically largest candidate within tol of the utility maximum.
+                     eps: float | None = None):
+    """Lexicographically largest candidate within 1e-10 of the utility maximum.
 
     candidates: an (r, d') array, a ReachableSet, or a ConditionalDualValue
     (then eps selects its nodal points). Returns (y, utility value, tie count).
@@ -173,7 +172,7 @@ def select_maximizer(utility: DynamicUtility, candidates, level: int, node: int,
         raise EmptySelectionError(f"no candidates at level {level}, node {node}")
     vals = utility.evaluate(level, pts, nodes=np.full(len(pts), node))
     top = float(np.max(vals))
-    ties = pts[vals >= top - tol]
+    ties = pts[vals >= top - 1e-10]
     y_bar = max(map(tuple, ties))
     return np.array(y_bar), top, len(ties)
 
@@ -187,8 +186,9 @@ class LinearUtilityCoeffs:
     """Linear generator data f_i = sum_j alpha[i,j] y_j + sum_j beta[i,j] z_j + c_i(u).
 
     alpha(t, b) and beta(t, b) return (2, 2) (or (m, 2, 2)) arrays; c(t, b, u)
-    returns (2,) or (m, 2). bound is the declared sup of the |alpha|, |beta|
-    entries, validated by probes. Scalar noise (d = 1) is assumed throughout.
+    returns (2,) or (m, 2), and from_constants sets c = 0. bound is the declared
+    sup of the |alpha|, |beta| entries, validated by probes. Scalar noise
+    (d = 1) is assumed throughout.
     """
 
     alpha: object
@@ -199,10 +199,10 @@ class LinearUtilityCoeffs:
     bound: float
 
     @staticmethod
-    def from_constants(alpha, beta, a1: float, a2: float, c=(0.0, 0.0)) -> "LinearUtilityCoeffs":
+    def from_constants(alpha, beta, a1: float, a2: float) -> "LinearUtilityCoeffs":
         al = np.array(alpha, dtype=float).reshape(2, 2)
         be = np.array(beta, dtype=float).reshape(2, 2)
-        cv = np.array(c, dtype=float).reshape(2)
+        cv = np.zeros(2)
         bound = float(max(np.abs(al).max(), np.abs(be).max(), 1e-12))
         return LinearUtilityCoeffs(
             alpha=lambda t, b: al, beta=lambda t, b: be,
@@ -607,10 +607,10 @@ class SwitchEvents:
 
 
 def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
-                  seed: int = 0, overshoot_limit: float = 0.1) -> SwitchEvents:
+                  seed: int = 0) -> SwitchEvents:
     """The switch events of build_linear_utility(grid=grid, n_paths=n_paths,
     seed=seed), in O(n_paths + switches) memory."""
-    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
+    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, 0.1)
     counts = np.zeros(n_paths, dtype=np.int64)
     lv_parts, path_parts, rank_parts = [], [], []
     overshoot = 0.0
@@ -680,42 +680,37 @@ class TauBoundReport:
 
 def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
                      steps: int, n_paths: int, seed: int = 0,
-                     delta: float | None = None, pilot_paths: int = 2000,
-                     safety: float = 2.0, overshoot_limit: float = 0.1) -> TauBoundReport:
+                     pilot_paths: int = 2000) -> TauBoundReport:
     """Monte Carlo check of P(tau_n < T) <= min(1, (2n)^m / 2^n).
 
-    delta defaults to 1/(2C) with C = safety * (fitted constant in
-    E[sup_{s<=t} |ratio_s - ratio_0|^2] <= C t) from a switch-free pilot run of
+    delta is 1/(2C), where C is twice the fitted constant in
+    E[sup_{s<=t} |ratio_s - ratio_0|^2] <= C t from a switch-free pilot run of
     the truncated SDE. Also checks the one-step bound: conditionally on the k-th
     switch before T, the next switch within delta has frequency <= 1/2 + 3 SE.
     """
     grid = TimeGrid(T=T, n=steps)
     times = grid.times()
-    if delta is None:
-        alpha, beta, _, a1, a2, _ = _normalize(coeffs)
-        rng = np.random.default_rng(np.random.Philox(seed + 10 ** 6))
-        ah = np.full(pilot_paths, a1 / a2)
-        sup_sq = np.zeros(pilot_paths)
-        dt, sdt = grid.dt, np.sqrt(grid.dt)
-        C_hat = 0.0
-        for k in range(steps):
-            al = _coeff_at(alpha, times[k], np.zeros(1), 1)[0]
-            be = _coeff_at(beta, times[k], np.zeros(1), 1)[0]
-            d1, s1 = riccati_polynomials(al, be, 1)
-            clamped = np.clip(ah, -2.0, 2.0)
-            db = (2.0 * rng.integers(0, 2, size=pilot_paths) - 1.0) * sdt
-            ah = ah + _poly_eval(d1, clamped) * dt + _poly_eval(s1, clamped) * db
-            sup_sq = np.maximum(sup_sq, (ah - a1 / a2) ** 2)
-            C_hat = max(C_hat, float(sup_sq.mean()) / times[k + 1])
-        C = safety * C_hat
-        delta = np.inf if C == 0 else 1.0 / (2.0 * C)
-    else:
-        C_hat = np.nan
+    alpha, beta, _, a1, a2, _ = _normalize(coeffs)
+    rng = np.random.default_rng(np.random.Philox(seed + 10 ** 6))
+    ah = np.full(pilot_paths, a1 / a2)
+    sup_sq = np.zeros(pilot_paths)
+    dt, sdt = grid.dt, np.sqrt(grid.dt)
+    C_hat = 0.0
+    for k in range(steps):
+        al = _coeff_at(alpha, times[k], np.zeros(1), 1)[0]
+        be = _coeff_at(beta, times[k], np.zeros(1), 1)[0]
+        d1, s1 = riccati_polynomials(al, be, 1)
+        clamped = np.clip(ah, -2.0, 2.0)
+        db = (2.0 * rng.integers(0, 2, size=pilot_paths) - 1.0) * sdt
+        ah = ah + _poly_eval(d1, clamped) * dt + _poly_eval(s1, clamped) * db
+        sup_sq = np.maximum(sup_sq, (ah - a1 / a2) ** 2)
+        C_hat = max(C_hat, float(sup_sq.mean()) / times[k + 1])
+    C = 2.0 * C_hat
+    delta = np.inf if C == 0 else 1.0 / (2.0 * C)
 
     m = 0 if delta >= T else int(np.ceil(T / delta)) - 1
 
-    ev = switch_events(coeffs, grid, n_paths, seed=seed,
-                       overshoot_limit=overshoot_limit)
+    ev = switch_events(coeffs, grid, n_paths, seed=seed)
     eps_t = 1e-12
 
     def tau(k):

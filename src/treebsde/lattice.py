@@ -99,10 +99,10 @@ class ScenarioTree:
         return range(node * span, (node + 1) * span)
 
 
-def build_tree(grid: TimeGrid, d: int, mode: str = "path", cap: int = PATH_CAP) -> ScenarioTree:
+def build_tree(grid: TimeGrid, d: int, mode: str = "path") -> ScenarioTree:
     """Construct the +/-sqrt(dt) scenario tree.
 
-    path mode: 2^(k*d) nodes at level k, capped at n*d <= cap.
+    path mode: 2^(k*d) nodes at level k, capped at n*d <= PATH_CAP.
     recombining mode: (k+1)^d nodes at level k.
     """
     if d < 1:
@@ -118,9 +118,9 @@ def build_tree(grid: TimeGrid, d: int, mode: str = "path", cap: int = PATH_CAP) 
 
     values, probs, children = [], [], []
     if mode == "path":
-        if n * d > cap:
+        if n * d > PATH_CAP:
             raise TreeSizeError(
-                f"path tree needs 2^(n*d) = 2^{n * d} leaves; cap is n*d <= {cap}"
+                f"path tree needs 2^(n*d) = 2^{n * d} leaves; cap is n*d <= {PATH_CAP}"
             )
         v = np.zeros((1, d))
         p = np.ones(1)

@@ -62,17 +62,12 @@ class ForwardValue:
         return float(vals[0])
 
 
-def forward_value(problem: BSDEProblem, tree: ScenarioTree, level: int, eta,
-                  cap: int = 10 ** 6) -> float:
-    return ForwardValue(problem, tree, cap=cap).value(level, eta)
+def forward_value(problem: BSDEProblem, tree: ScenarioTree, level: int, eta) -> float:
+    return ForwardValue(problem, tree).value(level, eta)
 
 
 @dataclass(frozen=True)
 class ForwardDppReport:
-    level_from: int
-    level_to: int
-    psi_direct: float
-    psi_nested: float
     residual: float
 
 
@@ -92,8 +87,7 @@ def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int
     for _, pol in segment:
         sol = solve_bsde(problem, tree, pol, terminal_level=t2, terminal_rv=rv)
         best = max(best, fv.value(t1, sol.Y[t1]))
-    return ForwardDppReport(level_from=t1, level_to=t2, psi_direct=direct,
-                            psi_nested=best, residual=abs(direct - best))
+    return ForwardDppReport(residual=abs(direct - best))
 
 
 @dataclass(frozen=True)
@@ -178,8 +172,6 @@ def _cyl_shapes(cyl: CylinderFunctional, t: float, path: np.ndarray, dpr: int):
 @dataclass(frozen=True)
 class PathDerivativeReport:
     max_residual: float
-    threshold: float
-    transitions: int
     passed: bool
 
 
@@ -202,7 +194,6 @@ def path_derivative_probe(cyl: CylinderFunctional, tree: ScenarioTree,
     levels = range(tree.n) if levels is None else levels
     max_res = 0.0
     scale = 1.0
-    count = 0
     for j in levels:
         path = node_histories(tree, j)
         m = path.shape[0]
@@ -218,15 +209,13 @@ def path_derivative_probe(cyl: CylinderFunctional, tree: ScenarioTree,
             quad = 0.5 * np.einsum("mvab,a,b->mv", dbb, step, step)
             pred = val + dt_v * dt + np.einsum("mva,a->mv", db, step) + quad
             max_res = max(max_res, float(np.abs(val_n - pred).max()))
-            count += m
     if threshold is None:
         threshold = max(100.0 * dt ** 1.5 * scale, 1e-9)
     if max_res > threshold:
         raise InvalidCylinderError(
             f"cylinder '{cyl.name}': pathwise expansion residual {max_res:.3e} "
             f"exceeds threshold {threshold:.3e}")
-    return PathDerivativeReport(max_residual=max_res, threshold=float(threshold),
-                                transitions=count, passed=True)
+    return PathDerivativeReport(max_residual=max_res, passed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +230,6 @@ class MasterResidual:
     drift_term: float       # <D_eta Psi, 1/2 tr d_bb eta> (induced dt-term is 0)
     sup_term: float         # sup over node-wise controls of <D_eta Psi, f>
     induced_dt_term: float  # kept for the breakdown; identically 0 for cylinders
-    probe_h: float
-
-    def as_dict(self):
-        return {
-            "level": self.level,
-            "residual": self.residual,
-            "left_time_term": self.left_time_term,
-            "drift_term": self.drift_term,
-            "sup_term": self.sup_term,
-            "induced_dt_term": self.induced_dt_term,
-            "probe_h": self.probe_h,
-        }
 
 
 def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
@@ -280,25 +257,24 @@ def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
 
 
 def master_residual(problem: BSDEProblem, tree: ScenarioTree,
-                    cyl: CylinderFunctional, level: int, probe_h: float = 1e-4,
-                    cap: int = 10 ** 6,
-                    probe_cylinder: bool = True) -> MasterResidual:
+                    cyl: CylinderFunctional, level: int) -> MasterResidual:
     """Stationarity defect of the forward value along the cylinder at a level.
 
     The left time-difference freezes the path one level back while keeping the
     functional's time slot, so the induced time-derivative contribution of the
     cylinder is identically zero and the drift term carries only the
     second-order path derivative. The control term takes per-node maxima of
-    <D_eta Psi, f(t, eta, d_b eta, u)> over the finite control set.
+    <D_eta Psi, f(t, eta, d_b eta, u)> over the finite control set. On a path
+    tree the cylinder's derivatives must first pass path_derivative_probe.
     """
     if level < 1:
         raise ValueError("the left time-difference needs level >= 1")
-    if probe_cylinder and tree.mode == "path":
+    if tree.mode == "path":
         path_derivative_probe(cyl, tree, value_dim=problem.value_dim,
                               levels=range(min(level, tree.n)))
     dt = tree.dt
     t_now = tree.grid.times()[level]
-    fv = ForwardValue(problem, tree, cap=cap)
+    fv = ForwardValue(problem, tree)
 
     hist_now = node_histories(tree, level)
     eta_now, _, db, dbb = _cyl_shapes(cyl, t_now, hist_now, problem.value_dim)
@@ -312,7 +288,7 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
     psi_prev = fv.value(level - 1, eta_frozen)
     left_term = (psi_now - psi_prev) / dt
 
-    D = eta_derivative(fv, level, eta_now, probe_h=probe_h)
+    D = eta_derivative(fv, level, eta_now)
     probs = tree.probs[level]
     # induced drift: 1/2 trace of the second path derivative (dt-term is 0)
     half_trace = 0.5 * np.einsum("mvaa->mv", dbb)
@@ -331,7 +307,7 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
         level=level,
         residual=float(left_term - drift_term - sup_term),
         left_time_term=float(left_term), drift_term=drift_term,
-        sup_term=sup_term, induced_dt_term=0.0, probe_h=probe_h)
+        sup_term=sup_term, induced_dt_term=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,43 +369,43 @@ def default_illposed_generators():
     return f1, f2
 
 
-def illposed_demo(tree: ScenarioTree, f1=None, f2=None, terminal=None, phi=None,
-                  control_values=(0.0,), lipschitz_L: float = 1.0,
-                  delta: float = 1e-6, level: int | None = None,
-                  probe_h: float = 1e-4, cap: int = 10 ** 6) -> IllposedReport:
+def illposed_demo(tree: ScenarioTree, f1=None, f2=None) -> IllposedReport:
     """Two generators sharing their z = 0 restriction: the candidate stationarity
     equation that only sees f(.,.,0,.) assigns both the same sup-term (verified
     bit-wise under a shared derivative input) even though their forward values
     differ (default pair: gap = horizon exactly on the tree).
+
+    Both problems have terminal data B_n, utility y, the single control 0 and
+    Lipschitz constant 1. The sup-terms are taken at level max(1, n // 2), and
+    the pair is a witness when f2 depends on z and the gap is at least 1e-6.
     """
     if f1 is None or f2 is None:
         f1, f2 = default_illposed_generators()
-    if terminal is None:
-        terminal = lambda ctx: ctx.b[:, :1].copy()
-    if phi is None:
-        phi = lambda y: y[:, 0]
     dpr = 1
+    control_values = (0.0,)
     _shares_at_zero_z(f1, f2, tree, dpr, control_values=control_values)
     z_dep = _is_z_dependent(f2, tree, dpr, control_values)
 
     def make(fgen):
-        return BSDEProblem(value_dim=dpr, f=fgen, terminal=terminal, phi=phi,
-                           control_values=control_values, lipschitz_L=lipschitz_L)
+        return BSDEProblem(value_dim=dpr, f=fgen,
+                           terminal=lambda ctx: ctx.b[:, :1].copy(),
+                           phi=lambda y: y[:, 0], control_values=control_values,
+                           lipschitz_L=1.0)
 
     p1, p2 = make(f1), make(f2)
     n = tree.n
     ctx_n = NodeContext(level=n, b=tree.values[n], tree=tree)
-    xi = np.asarray(terminal(ctx_n), dtype=float).reshape(tree.node_count(n), dpr)
-    fv1 = ForwardValue(p1, tree, cap=cap)
-    fv2 = ForwardValue(p2, tree, cap=cap)
+    xi = np.asarray(p1.terminal(ctx_n), dtype=float).reshape(tree.node_count(n), dpr)
+    fv1 = ForwardValue(p1, tree)
+    fv2 = ForwardValue(p2, tree)
     psi1 = fv1.value(n, xi)
     psi2 = fv2.value(n, xi)
     gap = abs(psi2 - psi1)
 
-    lvl = max(1, n // 2) if level is None else level
+    lvl = max(1, n // 2)
     hist = node_histories(tree, lvl)
     eta = hist[:, -1, :dpr].reshape(tree.node_count(lvl), dpr)
-    D = eta_derivative(fv1, lvl, eta, probe_h=probe_h)  # shared derivative input
+    D = eta_derivative(fv1, lvl, eta)  # shared derivative input
     probs = tree.probs[lvl]
     t_here = tree.grid.times()[lvl]
     ctx = NodeContext(level=lvl, b=tree.values[lvl], tree=tree)
@@ -447,4 +423,4 @@ def illposed_demo(tree: ScenarioTree, f1=None, f2=None, terminal=None, phi=None,
     return IllposedReport(
         psi_1=psi1, psi_2=psi2, gap=gap, sup_term_1=s1, sup_term_2=s2,
         sup_terms_identical=(s1 == s2) and np.float64(s1).tobytes() == np.float64(s2).tobytes(),
-        z_dependent=z_dep, witness=bool(gap >= delta and z_dep))
+        z_dependent=z_dep, witness=bool(gap >= 1e-6 and z_dep))

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from treebsde import problems
+from treebsde.benchmarks import BenchmarkError
 from treebsde.cli import main
 from treebsde.experiments import (
     EXPERIMENTS,
@@ -399,3 +400,52 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
     out = capsys.readouterr().out
     assert "fields: mc_paths, steps" in out
     assert "benchmark 'deterministic': T, benchmark, dy, eps, n, value_tol" in out
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"experiment": "static-value", "eps": -1.0}, "field 'eps': must be >= 0"),
+    ({"experiment": "dynamic-utility-linear", "mc_paths": 20, "tol": -1e-9},
+     "field 'tol': must be >= 0"),
+    ({"experiment": "duality", "benchmark": "deterministic", "value_tol": 0.0},
+     "field 'value_tol': must be > 0"),
+    ({"experiment": "duality", "dx": 0.0}, "field 'dx': must be > 0"),
+    ({"experiment": "duality", "dy": 0.0}, "field 'dy': must be > 0"),
+    ({"experiment": "geometric-dpp", "refinements": [1, 3]},
+     "field 'refinements': every entry must be >= 2"),
+    ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "level": -3},
+     "field 'level': must satisfy 0 <= level < n = 8"),
+    ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "n": 8,
+      "level": 8}, "field 'level': must satisfy 0 <= level < n = 8"),
+], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "level-below", "level-at-n"])
+def test_validate_rejects_out_of_range_values(doc, message):
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
+        validate_config({"seed": 0, **doc})
+
+
+def test_validate_accepts_the_edge_of_each_range():
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 0, "n": 8,
+                           "benchmark": "principal_agent", "level": 7})
+    assert cfg.level == 7
+    assert validate_config({"experiment": "static-value", "seed": 0, "eps": 0}).eps == 0
+    assert validate_config({"experiment": "geometric-dpp", "seed": 0,
+                            "refinements": [2]}).refinements == (2,)
+
+
+def test_slack_shrinks_only_where_every_inclusion_holds(tmp_path):
+    # at eps = 1e-9 the terminal-tracking nodal sets are empty at every refinement
+    cfg = validate_config({"experiment": "geometric-dpp", "seed": 0, "eps": 1e-9,
+                           "refinements": [2, 3], "output_dir": str(tmp_path)})
+    passed = {c["name"]: c["passed"] for c in run_experiment(cfg).report["checks"]}
+    for name in ("terminal-tracking", "steering"):
+        holds = passed[f"{name}-inclusions-n2"] and passed[f"{name}-inclusions-n3"]
+        assert passed[f"{name}-slack-shrinks"] == holds
+    assert not passed["terminal-tracking-slack-shrinks"]
+
+
+def test_benchmark_verify_witness_honours_cap(tmp_path):
+    # 16 policies fit the 4-step tree; the witness subtree on 12 steps has more
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 0,
+                           "benchmark": "deterministic", "T": 2.0, "n": 4,
+                           "cap": 20, "output_dir": str(tmp_path)})
+    with pytest.raises(BenchmarkError, match="exceed cap 20"):
+        run_experiment(cfg)
