@@ -230,8 +230,6 @@ def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
 
 @dataclass(frozen=True)
 class RestorationReport:
-    identifier: str
-    levels: tuple
     nodes_checked: int
     violations: int
     max_deviation: float
@@ -268,7 +266,6 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             if dev > 0:
                 violations += 1
     return RestorationReport(
-        identifier=bench.identifier, levels=tuple(levels),
         nodes_checked=checked, violations=violations, max_deviation=max_dev,
         all_match=(violations == 0))
 
@@ -322,7 +319,6 @@ def _onedim_self_check(bench: BenchmarkProblem) -> None:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    identifier: str
     nodes: tuple            # (level, node) pairs in the witness set
     all_flip: bool
     min_margin: float
@@ -336,7 +332,9 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     c = a["c"]
     n = tree.n
     times = tree.grid.times()
-    minus_one = ControlPolicy.constant(tree, bench.problem.control_values[0])
+    U = bench.problem.control_values
+    # the time-0 optimum u = -1, solved once for every witness node
+    ref = solve_bsde(bench.problem, tree, ControlPolicy.constant(tree, U[0]))
     found = []
     min_margin = np.inf
     all_flip = True
@@ -346,16 +344,14 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
             best, assign = subtree_argmax(
                 bench.problem, tree, k, int(i),
                 lambda y: -abs(c + y[0]), cap=cap)
-            ref = solve_bsde(bench.problem, tree, minus_one)
             ref_val = -abs(c + float(ref.Y[k][i, 0]))
-            U = bench.problem.control_values
             flips = all(U[s] == 1.0 for s in assign)
             all_flip = all_flip and flips and best > ref_val
             min_margin = min(min_margin, best - ref_val)
             found.append((k, int(i)))
     if not found:
         min_margin = 0.0
-    return WitnessReport(identifier=bench.identifier, nodes=tuple(found),
+    return WitnessReport(nodes=tuple(found),
                          all_flip=bool(found) and all_flip,
                          min_margin=float(min_margin))
 
@@ -385,7 +381,6 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
                 dev = sum(s != 0 for s in assign)
                 max_dev = max(max_dev, float(dev))
     return RestorationReport(
-        identifier=bench.identifier, levels=tuple(levels),
         nodes_checked=checked, violations=violations, max_deviation=max_dev,
         all_match=(violations == 0))
 
@@ -501,7 +496,6 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
 
 @dataclass(frozen=True)
 class ContractReport:
-    identifier: str
     level: int
     argmax_matches: int
     argmax_total: int
@@ -540,7 +534,7 @@ def pa_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     original = forward_states(tree, bench.forward, lambda tt, x: u_star)[-1]
     max_dev = float(np.max(np.abs(reopt - original)))
     return ContractReport(
-        identifier=bench.identifier, level=level,
+        level=level,
         argmax_matches=matches, argmax_total=int(argmax.size),
         max_contract_deviation=max_dev,
         all_match=(matches == argmax.size) and max_dev <= 1e-12)
@@ -641,8 +635,7 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     on = [bench.problem.control_values[s] for s in assign]
     flipped = any(u == 1.0 and 1.0 < times[level + j] < 1.0 + t
                   for j, u in enumerate(on))
-    return WitnessReport(identifier=bench.identifier,
-                         nodes=((level, 0),),
+    return WitnessReport(nodes=((level, 0),),
                          all_flip=bool(flipped and margin > 0),
                          min_margin=float(margin))
 

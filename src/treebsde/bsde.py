@@ -148,7 +148,6 @@ class BSDESolution:
 
     Y: tuple   # level -> (m, d')
     Z: tuple   # level -> (m, d', d)
-    terminal_level: int
 
 
 def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
@@ -205,7 +204,7 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
         cur = P + fv * dt
         Ys[j] = cur
         Zs[j] = Z
-    return BSDESolution(Y=tuple(Ys), Z=tuple(Zs), terminal_level=k)
+    return BSDESolution(Y=tuple(Ys), Z=tuple(Zs))
 
 
 # ---------------------------------------------------------------------------

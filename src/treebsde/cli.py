@@ -37,7 +37,7 @@ def _cmd_run(args) -> int:
         return 2
     for check in result.report["checks"]:
         words = ["PASS" if check["passed"] else "FAIL", check["name"]]
-        words += [f"{key}={_show(check[key])}" for key in ("value", "bound")
+        words += [f"{key}={_show(check[key])}" for key in ("value", "bound", "reason")
                   if key in check]
         if check.get("flagged"):
             words.append("[flagged]")

@@ -105,8 +105,7 @@ class ComparisonReport:
     checked: int
     skipped: int
     violations: tuple   # (pair index, node, lhs, rhs)
-    worst_slack: float  # max over checked pairs/nodes of lhs - rhs (<= tol means pass)
-    tol: float
+    worst_slack: float  # max over checked pairs/nodes of lhs - rhs (<= 1e-10 means pass)
 
 
 def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
@@ -149,7 +148,7 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
             violations.append((idx, int(node), float(lhs[node]), float(rhs[node])))
     return ComparisonReport(checked=checked, skipped=skipped,
                             violations=tuple(violations),
-                            worst_slack=worst if checked else 0.0, tol=tol)
+                            worst_slack=worst if checked else 0.0)
 
 
 def select_maximizer(utility: DynamicUtility, candidates, level: int, node: int,
@@ -675,7 +674,6 @@ class TauBoundReport:
     one_step: tuple
     failures: tuple
     overshoot: float
-    seed: int
 
 
 def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
@@ -753,8 +751,7 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
             failures.append(("one-step", k, seed))
     return TauBoundReport(C_hat=float(C_hat), delta=float(delta), m=m,
                           rows=tuple(rows), one_step=tuple(one_step),
-                          failures=tuple(failures), overshoot=ev.overshoot,
-                          seed=seed)
+                          failures=tuple(failures), overshoot=ev.overshoot)
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +763,8 @@ class LinearComparisonReport:
     pairs_checked: int
     policies_per_pair: int
     violations: tuple
-    worst_slack: float
     recursion_residual: float
     min_monotone: float
-    tol: float
 
 
 def _probe_linear_form(problem: BSDEProblem, coeffs: LinearUtilityCoeffs,
@@ -832,7 +827,6 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     inc = tree.increments
     pairs_checked = 0
     violations = []
-    worst = -np.inf
     rec_res = 0.0
 
     def contracted(sol):
@@ -873,12 +867,10 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
             rec_res = max(rec_res, recursion_residual(ya, pol))
             for j in range(n + 1):
                 diff = ya[j] - yb[j]
-                worst = max(worst, float(np.max(diff)))
                 bad = np.nonzero(diff > tol)[0]
                 for node in bad:
                     violations.append((p_idx, assignment, j, int(node), float(diff[node])))
     return LinearComparisonReport(
         pairs_checked=pairs_checked, policies_per_pair=space.size,
         violations=tuple(violations),
-        worst_slack=worst if pairs_checked else 0.0,
-        recursion_residual=rec_res, min_monotone=lin.min_monotone, tol=tol)
+        recursion_residual=rec_res, min_monotone=lin.min_monotone)

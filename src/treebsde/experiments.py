@@ -1,20 +1,19 @@
 """Experiment registry and runner.
 
 Flat, typed JSON configs drive nine registered experiments; each accepts only
-the config fields its runner reads, as declared in EXPERIMENTS. Every run
-writes a deterministic artifact directory named experiment-seed-confighash (no
-timestamps anywhere), containing report.json (UTF-8, sorted keys) plus CSV
-files (12 significant digits, comma-delimited, LF). Identical configs rerun
-byte-identically; randomness comes only from the counter-based Philox
-generator seeded from the config.
+the config fields its runner reads, with one default each, as declared in
+EXPERIMENTS. Every run writes a deterministic artifact directory named
+experiment-seed-confighash (no timestamps anywhere), containing report.json
+(UTF-8, sorted keys) plus CSV files (12 significant digits, comma-delimited,
+LF). Identical configs rerun byte-identically; randomness comes only from the
+counter-based Philox generator seeded from the config.
 """
-from __future__ import annotations
-
 import hashlib
 import json
 import os
 from dataclasses import dataclass, asdict, fields as dc_fields
-from typing import Callable, NamedTuple
+from types import NoneType
+from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
@@ -66,6 +65,8 @@ class ConfigValidationError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    # Defaults shared by every experiment that reads the field, unless its
+    # branch in EXPERIMENTS declares its own; None: no shared default.
     experiment: str
     seed: int
     output_dir: str = "runs"
@@ -77,11 +78,11 @@ class ExperimentConfig:
     cap: int = 10 ** 6
     mc_paths: int = 10000
     steps: int = 4096       # Euler steps on [0, 4] (regime-switching ensembles)
-    eps: float = 0.0        # 0 = module default (nodal / inclusion tolerance)
+    eps: float | None = None  # nodal / inclusion / value tolerance
     tol: float = 1e-10      # comparison / identity tolerance
     value_tol: float = 0.05  # closed-form reproduction tolerance
-    level: int = 0
-    refinements: tuple = ()
+    level: int | None = None
+    refinements: tuple | None = None
     pairs: int = 100
     dx: float = 0.05
     dy: float = 0.05
@@ -97,21 +98,29 @@ _ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
 _LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear stores every ensemble level
 _WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
-_TYPES = {
-    "experiment": str, "seed": int, "output_dir": str, "benchmark": str,
-    "T": float, "n": int, "mode": str, "d": int, "cap": int, "mc_paths": int,
-    "steps": int, "eps": float, "tol": float, "value_tol": float, "level": int,
-    "refinements": "int-list", "pairs": int,
-    "dx": float, "dy": float, "x0": float, "c": "float-or-null",
-    "gamma_a": float, "gamma_p": float, "r": float,
-}
+_EXPECTED = {int: "expected integer, got {}", float: "expected number, got {}",
+             str: "expected string, got {}", tuple: "expected a list of integers"}
+
+
+def _kind(field) -> type:
+    """A field's type: its annotation less the None of a missing shared default."""
+    return next(t for t in get_args(field.type) or (field.type,) if t is not NoneType)
+
+
+def _is_kind(raw, kind: type) -> bool:
+    """Whether a JSON value has a field type's kind; a bool is no number."""
+    if kind is tuple:
+        return isinstance(raw, (list, tuple)) and all(_is_kind(v, int) for v in raw)
+    return not isinstance(raw, bool) and isinstance(
+        raw, (int, float) if kind is float else kind)
 
 
 def accepted_fields(experiment: str, benchmark: str = ""):
     """The config fields an experiment's runner reads, besides experiment, seed
     and output_dir, as a sorted tuple; None when it has no branch for benchmark."""
     fields = EXPERIMENTS[experiment].fields
-    return fields.get(benchmark if len(fields) > 1 else "")
+    branch = fields.get(benchmark if len(fields) > 1 else "")
+    return None if branch is None else tuple(branch)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -119,63 +128,42 @@ def validate_config(data: dict) -> ExperimentConfig:
 
     Each experiment accepts only the fields its runner reads (see
     accepted_fields); any other field is rejected, never silently ignored.
+    Each accepted field left out takes its branch's default from EXPERIMENTS.
     """
     msgs = []
     if not isinstance(data, dict):
         raise ConfigValidationError(["config document must be a JSON object"])
-    known = {f.name for f in dc_fields(ExperimentConfig)}
-    for key in sorted(set(data) - known):
-        msgs.append(f"field '{key}': unknown (valid fields: {', '.join(sorted(known))})")
+    kinds = {f.name: _kind(f) for f in dc_fields(ExperimentConfig)}
+    for key in sorted(set(data) - set(kinds)):
+        msgs.append(f"field '{key}': unknown (valid fields: {', '.join(sorted(kinds))})")
     for key in _REQUIRED:
         if key not in data:
             msgs.append(f"field '{key}': required")
-    exp, bench = data.get("experiment"), data.get("benchmark", "")
+    exp = data.get("experiment")
     accepted = None
     if isinstance(exp, str) and exp in EXPERIMENTS:
-        bench = bench if isinstance(bench, str) else ""
-        accepted = accepted_fields(exp, bench)
         branches = EXPERIMENTS[exp].fields
+        # the branches of one experiment share their benchmark default
+        bench = data.get("benchmark", next(iter(branches.values())).get("benchmark", ""))
+        bench = bench if isinstance(bench, str) else ""
+        accepted = branches.get(bench if len(branches) > 1 else "")
         where = f"{exp} with benchmark '{bench}'" if len(branches) > 1 else exp
         if accepted is None:
             msgs.append(f"field 'benchmark': {exp} has no branch '{bench}' "
                         f"(valid: {', '.join(map(repr, sorted(branches)))})")
     clean = {}
     for key, raw in data.items():
-        if key not in known:
+        if key not in kinds:
             continue
         if accepted is not None and key not in accepted and key not in _ALWAYS:
             msgs.append(f"field '{key}': {where} does not read it "
                         f"(accepted: {', '.join(accepted)})")
             continue
-        want = _TYPES[key]
-        if want is int:
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                msgs.append(f"field '{key}': expected integer, got {type(raw).__name__}")
-                continue
-            clean[key] = raw
-        elif want is float:
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                msgs.append(f"field '{key}': expected number, got {type(raw).__name__}")
-                continue
-            clean[key] = float(raw)
-        elif want is str:
-            if not isinstance(raw, str):
-                msgs.append(f"field '{key}': expected string, got {type(raw).__name__}")
-                continue
-            clean[key] = raw
-        elif want == "int-list":
-            if (not isinstance(raw, (list, tuple))
-                    or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)):
-                msgs.append(f"field '{key}': expected a list of integers")
-                continue
-            clean[key] = tuple(raw)
-        elif want == "float-or-null":
-            if raw is None:
-                clean[key] = None
-            elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                msgs.append(f"field '{key}': expected number or null")
-            else:
-                clean[key] = float(raw)
+        if _is_kind(raw, kinds[key]):
+            clean[key] = kinds[key](raw)
+        else:
+            msgs.append(f"field '{key}': "
+                        + _EXPECTED[kinds[key]].format(type(raw).__name__))
     if "experiment" in clean and clean["experiment"] not in EXPERIMENTS:
         msgs.append(f"field 'experiment': unknown '{clean['experiment']}'; valid: "
                     + ", ".join(sorted(EXPERIMENTS)))
@@ -218,7 +206,9 @@ def validate_config(data: dict) -> ExperimentConfig:
         msgs.append("field 'mode': must be 'path' or 'recombining'")
     if msgs:
         raise ConfigValidationError(msgs)
-    return ExperimentConfig(**clean)
+    filled = {k: v for k, v in accepted.items() if not callable(v)} | clean
+    filled |= {k: v(filled) for k, v in accepted.items() if k not in filled}
+    return ExperimentConfig(**filled)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -287,20 +277,16 @@ def _check(name: str, passed, value=None, bound=None, flagged=False, **extra):
     return out
 
 
-def _make_bench(cfg: ExperimentConfig, default: str):
-    name = cfg.benchmark or default
-    if name == "deterministic":
-        return get_benchmark(name, T=cfg.T)
+def _make_bench(cfg: ExperimentConfig):
+    name = cfg.benchmark
     if name == "one_dim":
-        c = cfg.T if cfg.c is None else cfg.c
-        return get_benchmark(name, c=c, T=cfg.T)
+        return get_benchmark(name, c=cfg.c, T=cfg.T)
     if name == "mean_variance":
-        c = 1.0 if cfg.c is None else cfg.c
-        return get_benchmark(name, x0=cfg.x0, c=c, T=cfg.T)
+        return get_benchmark(name, x0=cfg.x0, c=cfg.c, T=cfg.T)
     if name == "principal_agent":
         return get_benchmark(name, gamma_A=cfg.gamma_a, gamma_P=cfg.gamma_p,
                              R=cfg.r, T=cfg.T)
-    return get_benchmark(name)  # raises with the valid listing
+    return get_benchmark(name, T=cfg.T)  # deterministic
 
 
 def _tree(cfg: ExperimentConfig, n=None, mode=None):
@@ -313,16 +299,12 @@ def _tree(cfg: ExperimentConfig, n=None, mode=None):
 
 
 def _run_static_value(cfg: ExperimentConfig, out_dir: str):
-    bench = _make_bench(cfg, "deterministic")
+    bench = _make_bench(cfg)
     tree = _tree(cfg)
     sv = static_value(bench.problem, tree, cap=cfg.cap)
-    checks = []
-    if bench.optimal_value is not None:
-        tol = cfg.eps or 0.05
-        checks.append(_check("value-within-tolerance",
-                             abs(sv.value - bench.optimal_value) <= tol,
-                             value=sv.value, bound=tol,
-                             target=bench.optimal_value))
+    checks = [_check("value-within-tolerance",
+                     abs(sv.value - bench.optimal_value) <= cfg.eps,
+                     value=sv.value, bound=cfg.eps, target=bench.optimal_value)]
     write_csv(os.path.join(out_dir, "value.csv"),
               ("n", "dt", "value", "enumerated", "heuristic"),
               [(tree.n, tree.dt, sv.value, sv.enumerated, sv.heuristic)])
@@ -330,15 +312,13 @@ def _run_static_value(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
-    bench = _make_bench(cfg, "deterministic")
-    checks = []
-    rows = []
+    bench = _make_bench(cfg)
+    checks, rows = [], []
     if bench.identifier == "deterministic":
         tree = _tree(cfg, mode="recombining")
         sv = static_value(bench.problem, tree, cap=cfg.cap)
-        tol = cfg.eps or 0.05
-        checks.append(_check("analytic-value", abs(sv.value - 0.5) <= tol,
-                             value=sv.value, bound=tol, target=0.5))
+        checks.append(_check("analytic-value", abs(sv.value - 0.5) <= cfg.eps,
+                             value=sv.value, bound=cfg.eps, target=0.5))
         disc = deterministic_discrete_optimum(cfg.T, cfg.n)
         checks.append(_check("scheme-optimum-identity",
                              abs(sv.value - disc) <= 1e-12,
@@ -368,9 +348,8 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
     elif bench.identifier == "mean_variance":
         tree = _tree(cfg, mode="path")
         v = mv_tree_value(bench, tree)
-        tol = cfg.eps or 0.1
-        checks.append(_check("analytic-value", abs(v - bench.optimal_value) <= tol,
-                             value=v, bound=tol, target=bench.optimal_value))
+        checks.append(_check("analytic-value", abs(v - bench.optimal_value) <= cfg.eps,
+                             value=v, bound=cfg.eps, target=bench.optimal_value))
         xT = forward_states(tree, bench.forward, bench.analytic["feedback"])[-1]
         p = tree.probs[tree.n]
         m1, m2 = mv_moment_recursion(cfg.x0, cfg.x0 ** 2,
@@ -397,9 +376,8 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check("probe-grid-optimal",
                              int(np.argmax(vals)) == 1, value=vals[1],
                              candidates=list(cand)))
-        lvl = cfg.level or cfg.n // 2
-        rest = pa_restoration_check(bench, tree, lvl, restored=True)
-        stale = pa_restoration_check(bench, tree, lvl, restored=False)
+        rest = pa_restoration_check(bench, tree, cfg.level, restored=True)
+        stale = pa_restoration_check(bench, tree, cfg.level, restored=False)
         checks.append(_check("restoration-exact", rest.all_match,
                              value=rest.max_contract_deviation, bound=1e-12))
         checks.append(_check("stale-control-group-violates", not stale.all_match,
@@ -417,13 +395,12 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(cfg.T, cfg.n), config, levels=(0,))
-        eps = cfg.eps or dual.default_eps()
+        eps = dual.default_eps() if cfg.eps is None else cfg.eps
         nodal = extract_nodal_set(dual, 0, eps=eps)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
-        tol = cfg.value_tol
         checks.append(_check("dual-analytic-value",
-                             abs(dsv.value - 0.5) <= tol, value=dsv.value,
-                             bound=tol, target=0.5))
+                             abs(dsv.value - 0.5) <= cfg.value_tol, value=dsv.value,
+                             bound=cfg.value_tol, target=0.5))
         export_nodal_set_csv(nodal, dual.times, os.path.join(out_dir, "nodal_set.csv"))
         files.append("nodal_set.csv")
         extras = {"flavor": "deterministic-transport", "eps": float(eps),
@@ -454,39 +431,43 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
-    ns = tuple(cfg.refinements) or (4, 8)
-    eps = cfg.eps or 0.35
+    ns = sorted(set(cfg.refinements))
     checks, rows = [], []
     for name, problem, z_values, pts in problems.geometric_dpp_cases():
         rhos, holds = [], []
         for n in ns:
             tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="path")
-            k1, k2 = n - 2, n - 1
-            rep = check_geometric_dpp(problem, tree, k1, k2, eps, pts, z_values,
+            rep = check_geometric_dpp(problem, tree, n - 2, n - 1, cfg.eps, pts, z_values,
                                       cap=cfg.cap, step_mode="euler")
             rho = max(rep.rho_into, rep.rho_back)
             rhos.append(rho)
             holds.append(rep.inclusions_hold)
-            rows.append((name, n, eps, rep.rho_into, rep.rho_back,
+            rows.append((name, n, cfg.eps, rep.rho_into, rep.rho_back,
                          rep.inclusions_hold))
             checks.append(_check(f"{name}-inclusions-n{n}", rep.inclusions_hold,
                                  value=rho))
-        # a slack is measured only where its inclusions hold
-        checks.append(_check(f"{name}-slack-shrinks", all(holds) and rhos[-1] <= rhos[0],
-                             value=rhos[-1], bound=rhos[0]))
+        if len(ns) < 2:
+            checks.append(_check(f"{name}-slack-shrinks", False,
+                                 reason=f"needs two distinct refinements, got {ns}"))
+            continue
+        # a slack is measured only where its inclusions hold; shown is the
+        # refinement step where it grows most (or shrinks least)
+        i = max(range(len(ns) - 1), key=lambda i: rhos[i + 1] - rhos[i])
+        checks.append(_check(f"{name}-slack-shrinks",
+                             all(holds) and rhos[i + 1] <= rhos[i],
+                             value=rhos[i + 1], bound=rhos[i]))
     write_csv(os.path.join(out_dir, "slack.csv"),
               ("problem", "n", "eps", "rho_into", "rho_back", "inclusions"),
               rows)
-    return checks, {"refinements": list(ns), "eps": float(eps)}, ["slack.csv"]
+    return checks, {"refinements": ns, "eps": cfg.eps}, ["slack.csv"]
 
 
 def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     coeffs, problem = problems.linear_setup()
     tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
-    rng_seed = cfg.seed
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
     rep = check_linear_comparison(lin, problem, tree, cap=cfg.cap,
-                                  seed=rng_seed, tol=cfg.tol)
+                                  seed=cfg.seed, tol=cfg.tol)
     checks = [
         _check("comparison-no-violations", len(rep.violations) == 0,
                value=len(rep.violations), pairs=rep.pairs_checked,
@@ -499,7 +480,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
 
     grid = TimeGrid(4.0, cfg.steps)
     ens = build_linear_utility(problems.switch_coeffs(), grid=grid,
-                               n_paths=cfg.mc_paths, seed=rng_seed)
+                               n_paths=cfg.mc_paths, seed=cfg.seed)
     sw_steps = [j for j in range(1, cfg.steps + 1) if ens.switch_flags[j].any()]
     sdt = np.sqrt(grid.dt)
     # one Euler increment of either weight: entries bounded by coeffs.bound,
@@ -635,15 +616,25 @@ def _run_illposed_demo(cfg: ExperimentConfig, out_dir: str):
 class Experiment(NamedTuple):
     runner: Callable
     description: str
-    # benchmark value -> the config fields the runner reads besides experiment,
-    # seed and output_dir; a single '' key where the runner never reads benchmark
+    # benchmark value -> {field: default} for each config field the runner reads
+    # besides experiment, seed and output_dir, sorted by field; a single '' key
+    # where the runner never reads benchmark. A callable default is computed
+    # from the other fields once they are filled in.
     fields: dict
 
 
-def _fields(common: str, branches: dict | None = None) -> dict:
-    """Sorted field names per benchmark: common plus each branch's own."""
-    return {bench: tuple(sorted(f"{common} {more}".split()))
-            for bench, more in (branches or {"": ""}).items()}
+_SHARED = {f.name: f.default for f in dc_fields(ExperimentConfig)}
+
+
+def _branch(names: str = "", **defaults) -> dict:
+    """Fields read with ExperimentConfig's default (names) or with their own."""
+    return {**{k: _SHARED[k] for k in names.split()}, **defaults}
+
+
+def _fields(common: dict, branches: dict | None = None) -> dict:
+    """Per benchmark value: common's fields plus the branch's own."""
+    return {bench: dict(sorted({**common, **more}.items()))
+            for bench, more in (branches or {"": {}}).items()}
 
 
 EXPERIMENTS = {
@@ -651,53 +642,58 @@ EXPERIMENTS = {
         _run_static_value,
         "Exact root value of a benchmark on a scenario tree, by policy "
         "enumeration or the deterministic attainable-point frontier.",
-        _fields("benchmark T n d mode cap", {
-            "": "eps", "deterministic": "eps", "one_dim": "c eps",
-            "mean_variance": "c x0 eps",
-            "principal_agent": "gamma_a gamma_p r"})),
+        _fields(_branch("n d mode cap", benchmark="deterministic", eps=0.05), {
+            "deterministic": _branch(T=2.0),
+            "one_dim": _branch("T", c=lambda f: f["T"]),
+            "mean_variance": _branch("T x0", c=1.0)})),
     "duality": Experiment(
         _run_duality,
         "Finite-difference dual PDE solve, nodal-set extraction, and the "
         "closed-form value bridge.",
-        _fields("benchmark T n dy", {"": "dx", "deterministic": "eps value_tol"})),
+        _fields(_branch("benchmark n dy"), {
+            "": _branch("T dx"),
+            # eps None: computed from the solved grid
+            "deterministic": _branch("eps value_tol", T=2.0)})),
     "geometric-dpp": Experiment(
         _run_geometric_dpp,
         "Set-inclusion dynamic programming on tree dual values: epsilon-"
         "membership slack under grid refinement.",
-        _fields("T cap eps refinements")),
+        _fields(_branch("T cap", eps=0.35, refinements=(4, 8)))),
     "dynamic-utility-linear": Experiment(
         _run_dynamic_utility_linear,
         "Linear dynamic-utility construction with regime switching: exact "
         "recursion, comparison check, switch band and continuity.",
-        _fields("cap tol mc_paths steps")),
+        _fields(_branch("cap tol mc_paths steps"))),
     "tau-bound": Experiment(
         _run_tau_bound,
         "Monte Carlo switch-time frequencies against the combinatorial "
         "(2n)^m/2^n bound with the fitted step-budget delta.",
-        _fields("mc_paths steps")),
+        _fields(_branch("mc_paths steps"))),
     "forward-dpp": Experiment(
         _run_forward_dpp,
         "Concatenation identity of the forward value under full enumeration, "
         "plus the Lipschitz transport bound on seeded pairs.",
-        _fields("T cap pairs")),
+        _fields(_branch("T cap pairs"))),
     "master-residual": Experiment(
         _run_master_residual,
         "Stationarity defect of the forward value along a smooth cylinder, "
         "halving with dt on the control-free linear case.",
-        _fields("T n")),
+        _fields(_branch("T n"))),
     "illposed-demo": Experiment(
         _run_illposed_demo,
         "Two generators agreeing at z = 0: identical sup-terms under a shared "
         "derivative input, forward values a horizon apart.",
-        _fields("T n")),
+        _fields(_branch("T n"))),
     "benchmark-verify": Experiment(
         _run_benchmark_verify,
         "Closed-form benchmark reproduction through the generic machinery: "
         "values, witnesses, restoration and control groups.",
-        _fields("benchmark T n d", {
-            "": "cap eps", "deterministic": "cap eps", "one_dim": "c cap",
-            "mean_variance": "c x0 eps",
-            "principal_agent": "gamma_a gamma_p r level"})),
+        _fields(_branch("n d", benchmark="deterministic"), {
+            "deterministic": _branch("cap", T=2.0, eps=0.05),
+            "one_dim": _branch("T cap", c=lambda f: f["T"]),
+            "mean_variance": _branch("T x0", c=1.0, eps=0.1),
+            "principal_agent": _branch("T gamma_a gamma_p r",
+                                       level=lambda f: f["n"] // 2)})),
 }
 
 

@@ -449,3 +449,191 @@ def test_benchmark_verify_witness_honours_cap(tmp_path):
                            "cap": 20, "output_dir": str(tmp_path)})
     with pytest.raises(BenchmarkError, match="exceed cap 20"):
         run_experiment(cfg)
+
+
+# ---------------------------------------------------------------------------
+# one default per field, filled in by validate_config
+
+
+def _run_cli(tmp_path, capsys, doc, name="cfg.json"):
+    doc = {"seed": 1, "output_dir": str(tmp_path / "runs"), **doc}
+    code = main(["run", write_config(tmp_path, doc, name)])
+    return code, capsys.readouterr()
+
+
+def _read(directory, name):
+    with open(os.path.join(directory, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_eps_zero_is_honoured_not_replaced(tmp_path, capsys):
+    code, out = _run_cli(tmp_path, capsys, {
+        "experiment": "static-value", "benchmark": "one_dim", "T": 2.4, "n": 3,
+        "eps": 0})
+    assert code in (0, 1)
+    assert re.search(r"^(PASS|FAIL) value-within-tolerance value=\S+ bound=0$",
+                     out.out, re.MULTILINE)
+
+
+def test_geometric_dpp_runs_at_the_eps_its_config_records(tmp_path):
+    cfg = validate_config({"experiment": "geometric-dpp", "seed": 0, "eps": 0,
+                           "refinements": [2, 3], "output_dir": str(tmp_path)})
+    report = run_experiment(cfg).report
+    assert report["config"]["eps"] == 0 and report["details"]["eps"] == 0
+    rows = _read(run_directory(cfg), "slack.csv").splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "0.00000000000e+00" for row in rows)
+
+
+def test_level_zero_is_its_own_run_and_an_omitted_level_records_half_n(tmp_path):
+    doc = {"experiment": "benchmark-verify", "seed": 1, "benchmark": "principal_agent",
+           "n": 4, "output_dir": str(tmp_path)}
+    zero, omitted = validate_config({**doc, "level": 0}), validate_config(doc)
+    assert zero.level == 0 and omitted.level == 2
+    assert run_directory(zero) != run_directory(omitted)
+    assert run_directory(omitted) == run_directory(validate_config({**doc, "level": 2}))
+    assert run_experiment(omitted).report["config"]["level"] == 2
+    assert run_experiment(zero).report["config"]["level"] == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "static-value"},
+    {"experiment": "benchmark-verify"},
+    {"experiment": "duality", "benchmark": "deterministic"},
+], ids=["static-value", "benchmark-verify", "duality-deterministic"])
+def test_minimal_deterministic_configs_run_to_a_verdict(doc, tmp_path, capsys):
+    code, out = _run_cli(tmp_path, capsys, doc)
+    assert code in (0, 1), out.err
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = json.loads(_read(run_dir, "report.json"))
+    assert report["config"]["T"] == 2.0
+    if doc["experiment"] != "duality":
+        assert report["config"]["benchmark"] == "deterministic"
+        assert report["config"]["eps"] == 0.05
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "benchmark-verify", "benchmark": "one_dim", "c": None},
+    {"experiment": "static-value", "benchmark": "mean_variance", "c": None},
+    {"experiment": "duality", "benchmark": "deterministic", "eps": None},
+], ids=["one_dim-c", "mean_variance-c", "duality-eps"])
+def test_validate_rejects_null_like_any_other_non_number(doc):
+    key = "eps" if "eps" in doc else "c"
+    with pytest.raises(ConfigValidationError,
+                       match=f"^field '{key}': expected number, got NoneType$"):
+        validate_config({"seed": 0, **doc})
+
+
+def test_static_value_has_no_principal_agent_branch():
+    # principal_agent has no closed-form value, so static-value would check nothing
+    with pytest.raises(ConfigValidationError, match=r"^field 'benchmark': static-value "
+                       r"has no branch 'principal_agent' \(valid: 'deterministic', "
+                       r"'mean_variance', 'one_dim'\)$"):
+        validate_config({"experiment": "static-value", "seed": 0,
+                         "benchmark": "principal_agent", "n": 4})
+
+
+def test_validate_fills_in_each_branchs_own_defaults():
+    def defaults(experiment, bench=""):
+        cfg = validate_config({"experiment": experiment, "seed": 0,
+                               **({"benchmark": bench} if bench else {})})
+        return {k: getattr(cfg, k) for k in accepted_fields(experiment, cfg.benchmark)}
+
+    assert defaults("static-value")["benchmark"] == "deterministic"
+    assert defaults("benchmark-verify")["benchmark"] == "deterministic"
+    for experiment in ("static-value", "benchmark-verify", "duality"):
+        assert defaults(experiment, "deterministic")["T"] == 2.0
+    for bench in ("deterministic", "one_dim", "mean_variance"):
+        assert defaults("static-value", bench)["eps"] == 0.05
+    assert defaults("benchmark-verify", "deterministic")["eps"] == 0.05
+    assert defaults("benchmark-verify", "mean_variance")["eps"] == 0.1
+    for experiment in ("static-value", "benchmark-verify"):
+        assert defaults(experiment, "one_dim")["c"] == 1.0  # T
+        assert defaults(experiment, "mean_variance")["c"] == 1.0
+    assert validate_config({"experiment": "static-value", "seed": 0, "T": 2.4,
+                            "benchmark": "one_dim"}).c == 2.4
+    assert defaults("geometric-dpp")["eps"] == 0.35
+    assert defaults("geometric-dpp")["refinements"] == (4, 8)
+    assert defaults("benchmark-verify", "principal_agent")["level"] == 4
+    assert defaults("duality", "deterministic")["eps"] is None  # computed
+    assert defaults("duality")["benchmark"] == ""
+
+
+class _ValueRecorder(_Recorder):
+    """Also remembers each value read. Numbers and strings come back as
+    subclasses that note a truth test, the way `value or default` would swap
+    a config value for another."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.values, self.truth_tested = {}, set()
+
+    def __getattr__(self, name):
+        value = super().__getattr__(name)
+        self.values[name] = value
+        if type(value) not in (int, float, str):
+            return value
+        base, tested = type(value), self.truth_tested
+
+        class Watched(base):
+            def __bool__(self):
+                tested.add(name)
+                return bool(base(self))
+
+        return Watched(value)
+
+
+@pytest.mark.parametrize("experiment,bench", list(_branches()))
+def test_report_config_holds_the_values_its_runner_read(experiment, bench, tmp_path):
+    doc = {"experiment": experiment, "seed": 0, "output_dir": str(tmp_path),
+           **TINY_BRANCHES[experiment, bench]}
+    if bench:
+        doc["benchmark"] = bench
+    cfg = validate_config(doc)
+    rec = _ValueRecorder(cfg)
+    EXPERIMENTS[experiment].runner(rec, str(tmp_path))
+    config = run_experiment(cfg).report["config"]
+    read = {k: list(v) if isinstance(v, tuple) else v for k, v in rec.values.items()}
+    assert read == {k: config[k] for k in read}
+    assert rec.truth_tested == set()  # no value was swapped for a fallback
+    # only duality's eps is left to the runner, which computes it from the grid
+    unset = {k for k, v in read.items() if v is None}
+    assert unset == ({"eps"} if (experiment, bench) == ("duality", "deterministic")
+                     else set())
+
+
+def _slack_checks(tmp_path, refinements, eps=0.35):
+    cfg = validate_config({"experiment": "geometric-dpp", "seed": 0, "eps": eps,
+                           "refinements": refinements, "output_dir": str(tmp_path)})
+    report = run_experiment(cfg).report
+    return {c["name"]: c for c in report["checks"]}, report["details"]
+
+
+def test_slack_shrinks_compares_refinements_in_ascending_order(tmp_path):
+    checks, details = _slack_checks(tmp_path, [8, 4, 8])
+    assert details["refinements"] == [4, 8]
+    assert checks == _slack_checks(tmp_path, [4, 8])[0]
+    slack = checks["terminal-tracking-slack-shrinks"]
+    assert slack["passed"] and slack["value"] < slack["bound"]
+    assert slack["bound"] == checks["terminal-tracking-inclusions-n4"]["value"]
+
+
+def test_slack_must_shrink_at_each_refinement_step(tmp_path):
+    # terminal tracking: 0.37 at n = 4, 0.413 at n = 5, 0.347 at n = 8
+    checks, _ = _slack_checks(tmp_path, [4, 5, 8])
+    slack = checks["terminal-tracking-slack-shrinks"]
+    assert not slack["passed"]
+    assert slack["value"] == checks["terminal-tracking-inclusions-n5"]["value"]
+    assert slack["bound"] == checks["terminal-tracking-inclusions-n4"]["value"]
+
+
+def test_slack_shrinks_fails_on_one_refinement_and_says_why(tmp_path, capsys):
+    checks, _ = _slack_checks(tmp_path, [3, 3])
+    for name in ("terminal-tracking", "steering"):
+        slack = checks[f"{name}-slack-shrinks"]
+        assert not slack["passed"] and "value" not in slack and "bound" not in slack
+        assert slack["reason"] == "needs two distinct refinements, got [3]"
+    code, out = _run_cli(tmp_path, capsys, {"experiment": "geometric-dpp",
+                                             "refinements": [3]})
+    assert code == 1
+    assert ("FAIL steering-slack-shrinks reason=needs two distinct refinements, "
+            "got [3]") in out.out.splitlines()
