@@ -23,7 +23,7 @@ from treebsde.bsde import (
     BSDEProblem,
     ControlPolicy,
     EnumerationCapError,
-    PolicySpace,
+    maximize_over_policies,
     solve_bsde,
     static_value,
 )
@@ -94,17 +94,17 @@ def subtree_argmax(problem: BSDEProblem, tree: ScenarioTree, level: int,
     objective maps the (d',) value at the node to a float. Returns
     (best value, best assignment).
     """
+    def at_node(y):  # the caller's objective on the node's row, -inf elsewhere
+        vals = np.full(len(y), -np.inf)
+        vals[node] = objective(y[node])
+        return vals
+
     try:
-        policies = PolicySpace(problem, tree, level, node=node).policies(cap)
+        best, assigns, _, _ = maximize_over_policies(problem, tree, at_node,
+                                                     start_level=level, cap=cap, node=node)
     except EnumerationCapError as exc:
         raise BenchmarkError(f"subtree argmax: {exc}") from None
-    best, best_assign = -np.inf, None
-    for assignment, pol in policies:
-        sol = solve_bsde(problem, tree, pol)
-        val = float(objective(sol.Y[level][node]))
-        if val > best:
-            best, best_assign = val, assignment
-    return best, best_assign
+    return float(best[node]), assigns[node]
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +422,6 @@ def principal_agent(gamma_A: float, gamma_P: float, R: float,
         return R * np.exp(-gamma_A * (u_star * np.asarray(b)
                                       + 0.5 * (gamma_A - 1.0) * u_star ** 2 * t))
 
-    def contract(t0, b_T, b_t0=0.0, x_start=None):
-        start = x_R if x_start is None else x_start
-        return (start + 0.5 * (gamma_A - 1.0) * u_star ** 2 * (T - t0)
-                + u_star * (np.asarray(b_T) - b_t0))
-
     def terminal(ctx):
         if ctx.tree is None:
             raise ValueError("the contract terminal data needs the tree context")
@@ -447,7 +442,7 @@ def principal_agent(gamma_A: float, gamma_P: float, R: float,
         optimal_value=None,
         analytic={"gamma_A": gamma_A, "gamma_P": gamma_P, "R": R, "T": T,
                   "u_star": u_star, "x_R": x_R, "cost_rate": cost,
-                  "r_process": r_process, "contract": contract},
+                  "r_process": r_process},
     )
     _pa_self_check(bench)
     return bench
@@ -488,8 +483,7 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
         value_dim=1, f=bench.problem.f, terminal=bench.problem.terminal,
         phi=bench.problem.phi, control_values=(float(u),),
         lipschitz_L=bench.problem.lipschitz_L)
-    pol = ControlPolicy(tuple(np.full(tree.node_count(j), float(u))
-                              for j in range(tree.n)))
+    pol = ControlPolicy.constant(tree, u)
     sol = solve_bsde(carrier, tree, pol, terminal_level=tree.n, terminal_rv=rv)
     return sol.Y[level][:, 0]
 
@@ -584,8 +578,7 @@ def deterministic_example(T: float) -> BenchmarkProblem:
     bench = BenchmarkProblem(
         identifier="deterministic", problem=problem, forward=None,
         optimal_value=0.5,
-        analytic={"T": T, "value_at": value_at,
-                  "optimal_on": lambda t: (t, min(1.0 + t, T))},
+        analytic={"T": T, "value_at": value_at},
     )
     _deterministic_self_check(bench)
     return bench

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from treebsde.lattice import ScenarioTree, TreeRandomVariable, ModeError
+from treebsde.lattice import ScenarioTree, TreeRandomVariable
 
 
 class ProblemValidationError(ValueError):
@@ -272,14 +272,15 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            objective, start_level: int = 0,
                            terminal_level: int | None = None,
                            terminal_rv: TreeRandomVariable | None = None,
-                           cap: int = 10 ** 6):
-    """Per-node max at start_level of objective(Y_{start_level}) over segment policies.
+                           cap: int = 10 ** 6, node: int | None = None):
+    """Per-node max at start_level of objective(Y_{start_level}) over segment policies,
+    or over the subtree policies of one node at start_level when node is given.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
     assignments, enumerated count, False: no maximum is heuristic).
     """
     k = tree.n if terminal_level is None else terminal_level
-    space = PolicySpace(problem, tree, start_level, k)
+    space = PolicySpace(problem, tree, start_level, k, node=node)
     m0 = tree.node_count(start_level)
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
@@ -395,29 +396,22 @@ class ReachableSet:
 
 
 def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> ReachableSet:
-    """Attainable {Y^u_level(node)} over policies on [level, n], deduplicated at 1e-10."""
+    """Attainable {Y^u_level(node)} over policies on [level, n], deduplicated at 1e-10.
+
+    Deterministic controls solve each policy of the level once for all nodes;
+    adapted ones search each node's subtree (path mode only, else ModeError)."""
     m = tree.node_count(level)
-    cap = 10 ** 6
     if problem.deterministic_controls:
-        buckets = [[] for _ in range(m)]
-        for _, pol in PolicySpace(problem, tree, level).policies(cap):
-            sol = solve_bsde(problem, tree, pol)
-            for i in range(m):
-                buckets[i].append(sol.Y[level][i])
-        return ReachableSet(level=level, points=tuple(
-            _dedup(np.array(b)) for b in buckets))
-    if tree.mode != "path":
-        raise ModeError(
-            "adapted reachable sets need path mode (per-node subtrees); "
-            "use deterministic_controls or a path tree"
-        )
-    points = []
-    for i in range(m):
-        space = PolicySpace(problem, tree, level, node=i)
-        vals = [solve_bsde(problem, tree, pol).Y[level][i]
-                for _, pol in space.policies(cap)]
-        points.append(_dedup(np.array(vals)))
-    return ReachableSet(level=level, points=tuple(points))
+        groups = [(PolicySpace(problem, tree, level), range(m))]
+    else:
+        groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
+    buckets = [[] for _ in range(m)]
+    for space, nodes in groups:
+        for _, pol in space.policies(10 ** 6):
+            y = solve_bsde(problem, tree, pol).Y[level]
+            for i in nodes:
+                buckets[i].append(y[i])
+    return ReachableSet(level=level, points=tuple(_dedup(np.array(b)) for b in buckets))
 
 
 def _dedup(arr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -445,59 +439,26 @@ class EnvelopeReport:
     consistent: bool
 
 
-def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, structure: str = "scalar",
-                  skip_probes: bool = False):
+def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = False):
     """Solve with the enveloped generator fbar = sup_u f and report |V_t - phi(Ybar_t)|,
     consistent when its max over levels is at most 1e-10.
 
-    structure='scalar': d'=1 and phi increasing. structure='componentwise': f_i
-    independent of z_j and nondecreasing in y_j for j != i, phi componentwise
-    increasing; fbar takes the per-component sup. V_t is computed by brute-force
-    per-node maximization of phi(Y^u_t) over subtree policies.
+    Scalar only: d' = 1 (StructureError otherwise) and phi increasing, checked
+    by 16 seeded probes. V_t is computed by brute-force per-node maximization of
+    phi(Y^u_t) over subtree policies.
 
-    skip_probes computes the report even when the declared structure fails its
-    probes; the resulting consistent=False then documents the DPP violation.
+    skip_probes computes the report even when phi fails its probes; the
+    resulting consistent=False then documents the DPP violation.
     """
     rng = np.random.default_rng(np.random.Philox(0))
-    dpr, d = problem.value_dim, tree.d
-    lvl = 0
-    ctx = NodeContext(level=lvl, b=tree.values[lvl], tree=tree)
-    m = ctx.b.shape[0]
-    t = 0.0
-    # --- monotonicity probes
+    dpr, m = problem.value_dim, tree.node_count(0)
     for _ in range(0 if skip_probes else 16):
         y = rng.normal(size=(m, dpr))
         bump = np.abs(rng.normal(size=(m, dpr)))
         if np.any(problem.phi(y + bump) < problem.phi(y) - 1e-12):
             raise StructureError("phi monotonicity probe failed (phi not increasing)")
-    if structure == "scalar":
-        if dpr != 1:
-            raise StructureError("scalar structure requires d' = 1")
-    elif structure == "componentwise" and skip_probes:
-        pass
-    elif structure == "componentwise":
-        for _ in range(16):
-            y = rng.normal(size=(m, dpr))
-            z = rng.normal(size=(m, dpr, d))
-            u = np.full(m, problem.control_values[rng.integers(len(problem.control_values))])
-            f0 = np.asarray(problem.f(0.0, ctx, y, z, u))
-            for i in range(dpr):
-                for jj in range(dpr):
-                    if jj == i:
-                        continue
-                    yb = y.copy()
-                    yb[:, jj] += np.abs(rng.normal(size=m))
-                    fb = np.asarray(problem.f(0.0, ctx, yb, z, u))
-                    if np.any(fb[:, i] < f0[:, i] - 1e-12):
-                        raise StructureError(
-                            f"f_{i} decreasing in y_{jj} (needs nondecreasing off-diagonal)")
-                    zb = z.copy()
-                    zb[:, jj, :] += rng.normal(size=(m, d))
-                    fz = np.asarray(problem.f(0.0, ctx, y, zb, u))
-                    if np.any(np.abs(fz[:, i] - f0[:, i]) > 1e-12):
-                        raise StructureError(f"f_{i} depends on z_{jj} (needs independence)")
-    else:
-        raise ValueError(f"unknown structure {structure!r}")
+    if dpr != 1:
+        raise StructureError("the envelope needs d' = 1")
 
     U = problem.control_values
 

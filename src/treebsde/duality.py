@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treebsde.artifacts import write_csv
 from treebsde.lattice import ScenarioTree, TimeGrid
 from treebsde.bsde import BSDEProblem, EnumerationCapError, NodeContext
 
@@ -77,8 +78,8 @@ class EmptyNodalSetError(ValueError):
 class HJBConfig:
     """Grids and tolerances for the finite-difference dual solve.
 
-    y_bounds/dy apply to both y axes in the deterministic (2-d) shape.
-    substeps=None means CFL-automatic.
+    y_bounds/dy apply to both y axes in the deterministic (2-d) shape. The
+    substep count is not configurable: the CFL rate fixes it per solve.
     """
 
     x_bounds: tuple = (-2.0, 2.0)
@@ -86,7 +87,6 @@ class HJBConfig:
     y_bounds: tuple = (-2.0, 2.0)
     dy: float = 0.05
     z_values: tuple = (0.0,)
-    substeps: int | None = None
 
     def __post_init__(self):
         if self.dx <= 0 or self.dy <= 0:
@@ -284,8 +284,7 @@ def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig,
     The sweep rolls one W buffer from T down to 0 and copies out the slices
     of the tree levels in `levels` (None: every level) plus the terminal
     level n, which default_eps reads; levels outside [0, n] raise ConfigError.
-    Internal substeps satisfy the CFL bound (config.substeps validated against
-    it, error names the max stable dt).
+    Each level runs the fewest substeps that satisfy the CFL bound.
     """
     held = _held_levels(grid, levels)
     if isinstance(spec, MarkovianDualSpec):
@@ -306,16 +305,9 @@ def _held_levels(grid: TimeGrid, levels) -> tuple:
     return tuple(sorted(held | {grid.n}))
 
 
-def _cfl_substeps(config: HJBConfig, grid: TimeGrid, rate: float) -> int:
-    """rate = sum of stability rates 1/dt_max; returns validated substep count."""
+def _cfl_substeps(grid: TimeGrid, rate: float) -> int:
+    """rate = sum of stability rates 1/dt_max; returns the substep count."""
     dt_max = 0.9 / rate if rate > 0 else np.inf
-    if config.substeps is not None:
-        if grid.dt / config.substeps > dt_max:
-            raise ConfigError(
-                f"substep dt = {grid.dt / config.substeps:.3e} violates CFL; "
-                f"max stable dt = {dt_max:.3e}"
-            )
-        return config.substeps
     if not np.isfinite(dt_max):
         return 1
     return max(1, int(np.ceil(grid.dt / dt_max)))
@@ -344,7 +336,7 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
                         np.asarray(spec.f(t, X, Y, z, u))).max()))
         fmax *= 1.5
     rate = 1.0 / dx ** 2 + zmax ** 2 / dy ** 2 + zmax / (dx * dy) + fmax / dy
-    sub = _cfl_substeps(config, grid, rate)
+    sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
 
     def make_block(r0, r1):
@@ -401,7 +393,7 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
                 fmax = np.maximum(fmax, np.abs(fv).reshape(-1, 2).max(axis=0))
         fmax = fmax * 1.2
     rate = fmax[0] / dy + fmax[1] / dy
-    sub = _cfl_substeps(config, grid, rate)
+    sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
 
     def make_block(r0, r1):
@@ -694,20 +686,15 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
 
 
 def check_w_regularity(points: np.ndarray, values: np.ndarray):
-    """Fitted C-hat in |W(y) - W(y')| <= C (1 + |y| + |y'|) |y - y'| over point
-    pairs: every pair, or 200,000 seeded random ones when there are more."""
+    """Fitted C-hat in |W(y) - W(y')| <= C (1 + |y| + |y'|) |y - y'| over every
+    point pair; more than 200,000 pairs raise ValueError."""
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     vals = np.asarray(values, dtype=float).reshape(-1)
     m = len(pts)
-    max_pairs = 200_000
-    if m * (m - 1) // 2 <= max_pairs:
-        ii, jj = np.triu_indices(m, k=1)
-    else:
-        rng = np.random.default_rng(np.random.Philox(0))
-        ii = rng.integers(0, m, size=max_pairs)
-        jj = rng.integers(0, m, size=max_pairs)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
+    pairs = m * (m - 1) // 2
+    if pairs > 200_000:
+        raise ValueError(f"{pairs} point pairs exceed the cap of 200,000")
+    ii, jj = np.triu_indices(m, k=1)
     dv = np.abs(vals[ii] - vals[jj])
     dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     weight = 1.0 + np.linalg.norm(pts[ii], axis=1) + np.linalg.norm(pts[jj], axis=1)
@@ -787,11 +774,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
 
 
 # ---------------------------------------------------------------------------
-# CSV export (12 significant digits, comma-separated, LF)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.11e}"
+# CSV export (the artifact format of treebsde.artifacts)
 
 
 def export_dual_grid_csv(dual: DualGrid, path: str, levels=None) -> None:
@@ -800,12 +783,9 @@ def export_dual_grid_csv(dual: DualGrid, path: str, levels=None) -> None:
     names = ("t", "x", "y", "W") if dual.kind == "markovian" else ("t", "y1", "y2", "W")
     levels = dual.levels if levels is None else levels
     slices = [(dual.times[lv], dual.at(lv)) for lv in levels]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for t, W in slices:
-            for i, a in enumerate(dual.axes[0]):
-                for j, b in enumerate(dual.axes[1]):
-                    fh.write(",".join(map(_fmt, (t, a, b, W[i, j]))) + "\n")
+    write_csv(path, names, ((t, a, b, W[i, j]) for t, W in slices
+                            for i, a in enumerate(dual.axes[0])
+                            for j, b in enumerate(dual.axes[1])))
 
 
 def export_nodal_set_csv(nodal: NodalSet, times: np.ndarray, path: str,
@@ -815,9 +795,5 @@ def export_nodal_set_csv(nodal: NodalSet, times: np.ndarray, path: str,
         names = ("t", "x", "y") if x_value is not None else ("t", "y")
     else:
         names = ("t", "y1", "y2")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        t = times[nodal.level]
-        for row in nodal.points:
-            vals = (t,) + ((x_value,) if x_value is not None and dim == 1 else ())
-            fh.write(",".join(map(_fmt, vals + tuple(row))) + "\n")
+    vals = (times[nodal.level],) + ((float(x_value),) if x_value is not None and dim == 1 else ())
+    write_csv(path, names, (vals + tuple(row) for row in nodal.points))

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treebsde.artifacts import write_csv
 from treebsde.lattice import ScenarioTree, TimeGrid, TreeRandomVariable
 from treebsde.bsde import (
     BSDEProblem,
@@ -270,12 +271,9 @@ class SwitchingPath:
     overshoot: float
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,Ahat,regime,A1,A2,is_switch\n")
-            for k in range(len(self.times)):
-                fh.write(
-                    f"{self.times[k]:.11e},{self.ahat[k]:.11e},{int(self.parity[k])},"
-                    f"{self.A1[k]:.11e},{self.A2[k]:.11e},{int(self.is_switch[k])}\n")
+        write_csv(path, ("t", "Ahat", "regime", "A1", "A2", "is_switch"),
+                  zip(self.times, self.ahat, self.parity, self.A1, self.A2,
+                      self.is_switch))
 
 
 def _weights(parity, anchor, ahat, swapped: bool):
@@ -351,14 +349,14 @@ def _max_step_estimate(coeffs: LinearUtilityCoeffs, T: float, dt: float) -> floa
 
 
 def _normalize(coeffs: LinearUtilityCoeffs):
-    """Apply the |a1| <= |a2| role swap; returns (alpha', beta', c', a1', a2', swapped)."""
+    """Apply the |a1| <= |a2| role swap; returns (alpha', beta', a1', a2', swapped)."""
     if coeffs.a1 == 0.0 and coeffs.a2 == 0.0:
         raise DegenerateUtilityError(
             "both initial weights are zero: the static value is 0 and the "
             "utility is trivial")
     swapped = abs(coeffs.a1) > abs(coeffs.a2)
     if not swapped:
-        return coeffs.alpha, coeffs.beta, coeffs.c, coeffs.a1, coeffs.a2, False
+        return coeffs.alpha, coeffs.beta, coeffs.a1, coeffs.a2, False
     perm = np.array([1, 0])
 
     def alpha_p(t, b):
@@ -369,10 +367,7 @@ def _normalize(coeffs: LinearUtilityCoeffs):
         a = np.asarray(coeffs.beta(t, b), dtype=float)
         return a[..., perm, :][..., :, perm]
 
-    def c_p(t, b, u):
-        return np.asarray(coeffs.c(t, b, u), dtype=float)[..., perm]
-
-    return alpha_p, beta_p, c_p, coeffs.a2, coeffs.a1, True
+    return alpha_p, beta_p, coeffs.a2, coeffs.a1, True
 
 
 def _checked_normalize(coeffs: LinearUtilityCoeffs, T: float, dt: float,
@@ -459,8 +454,8 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
               overshoot_limit: float):
     """(times, swapped, level generator) of the checked Euler ensemble."""
-    alpha, beta, _, a1, a2, swapped = _checked_normalize(coeffs, grid.T, grid.dt,
-                                                         overshoot_limit)
+    alpha, beta, a1, a2, swapped = _checked_normalize(coeffs, grid.T, grid.dt,
+                                                      overshoot_limit)
     times = grid.times()
     return times, swapped, _euler_levels(alpha, beta, a1, a2, times, grid.dt,
                                          n_paths, seed)
@@ -538,7 +533,7 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         if tree.mode != "path":
             raise ValueError("tree construction needs path mode")
         times = tree.grid.times()
-        alpha, beta, _, a1, a2, swapped = _checked_normalize(
+        alpha, beta, a1, a2, swapped = _checked_normalize(
             coeffs, tree.grid.T, tree.dt, overshoot_limit)
         parity, anchor, ahat, flags, lam, mu, min_mono, overshoot = _tree_levels(
             alpha, beta, a1, a2, tree, times)
@@ -688,7 +683,7 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
     """
     grid = TimeGrid(T=T, n=steps)
     times = grid.times()
-    alpha, beta, _, a1, a2, _ = _normalize(coeffs)
+    alpha, beta, a1, a2, _ = _normalize(coeffs)
     rng = np.random.default_rng(np.random.Philox(seed + 10 ** 6))
     ah = np.full(pilot_paths, a1 / a2)
     sup_sq = np.zeros(pilot_paths)

@@ -5,8 +5,9 @@ the config fields its runner reads, with one default each, as declared in
 EXPERIMENTS. Every run writes a deterministic artifact directory named
 experiment-seed-confighash (no timestamps anywhere), containing report.json
 (UTF-8, sorted keys) plus CSV files (12 significant digits, comma-delimited,
-LF). Identical configs rerun byte-identically; randomness comes only from the
-counter-based Philox generator seeded from the config.
+LF), written by treebsde.artifacts. Identical configs rerun byte-identically;
+randomness comes only from the counter-based Philox generator seeded from the
+config.
 """
 import hashlib
 import json
@@ -17,6 +18,7 @@ from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
+from treebsde.artifacts import write_csv, write_json
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import NodeContext, static_value
 from treebsde.duality import (
@@ -239,29 +241,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 def run_directory(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.output_dir,
                         f"{cfg.experiment}-{cfg.seed}-{config_hash(cfg)}")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.11e}"
-
-
-def write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, ensure_ascii=False)
-        fh.write("\n")
 
 
 def _check(name: str, passed, value=None, bound=None, flagged=False, **extra):
@@ -643,7 +622,7 @@ EXPERIMENTS = {
         "Exact root value of a benchmark on a scenario tree, by policy "
         "enumeration or the deterministic attainable-point frontier.",
         _fields(_branch("n d mode cap", benchmark="deterministic", eps=0.05), {
-            "deterministic": _branch(T=2.0),
+            "deterministic": _branch(T=2.0, n=64, mode="recombining"),
             "one_dim": _branch("T", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0)})),
     "duality": Experiment(
@@ -653,7 +632,7 @@ EXPERIMENTS = {
         _fields(_branch("benchmark n dy"), {
             "": _branch("T dx"),
             # eps None: computed from the solved grid
-            "deterministic": _branch("eps value_tol", T=2.0)})),
+            "deterministic": _branch("eps value_tol", T=2.0, n=64, dy=0.04)})),
     "geometric-dpp": Experiment(
         _run_geometric_dpp,
         "Set-inclusion dynamic programming on tree dual values: epsilon-"
@@ -689,7 +668,7 @@ EXPERIMENTS = {
         "Closed-form benchmark reproduction through the generic machinery: "
         "values, witnesses, restoration and control groups.",
         _fields(_branch("n d", benchmark="deterministic"), {
-            "deterministic": _branch("cap", T=2.0, eps=0.05),
+            "deterministic": _branch("cap", T=2.0, n=64, eps=0.05),
             "one_dim": _branch("T cap", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0, eps=0.1),
             "principal_agent": _branch("T gamma_a gamma_p r",

@@ -191,21 +191,20 @@ def conditional_expectation(tree: ScenarioTree, rv: TreeRandomVariable,
     return TreeRandomVariable(level=target_level, values=arr)
 
 
+def node_histories(tree: ScenarioTree, level: int) -> np.ndarray:
+    """(m, level+1, d) ancestor value stacks; current values only when recombining."""
+    if tree.mode != "path":
+        return tree.values[level][:, None, :]
+    nodes = np.arange(tree.node_count(level))
+    return np.stack([tree.values[l][nodes >> (tree.d * (level - l))]
+                     for l in range(level + 1)], axis=1)
+
+
 def node_path(tree: ScenarioTree, level: int, node: int) -> np.ndarray:
     """The discrete path (level+1, d) from the root to a path-mode node."""
     if tree.mode != "path":
         raise ModeError("recombining nodes do not determine a path")
-    nc = 2 ** tree.d
-    digits = []
-    j = node
-    for _ in range(level):
-        digits.append(j % nc)
-        j //= nc
-    digits.reverse()
-    path = np.zeros((level + 1, tree.d))
-    for i, c in enumerate(digits):
-        path[i + 1] = path[i] + tree.increments[c]
-    return path
+    return node_histories(tree, level)[node]
 
 
 def path_functional(tree: ScenarioTree, node, functional, current_value_only: bool = False):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treebsde.lattice import ScenarioTree, TreeRandomVariable
+from treebsde.lattice import ScenarioTree, TreeRandomVariable, node_histories
 from treebsde.bsde import (
     BSDEProblem,
     NodeContext,
@@ -146,19 +146,6 @@ class CylinderFunctional:
     name: str = "cylinder"
 
 
-def node_histories(tree: ScenarioTree, level: int) -> np.ndarray:
-    """(m, level+1, d) ancestor value stacks; current values only when recombining."""
-    if tree.mode != "path":
-        return tree.values[level][:, None, :]
-    m = tree.node_count(level)
-    nodes = np.arange(m)
-    cols = []
-    for l in range(level + 1):
-        anc = nodes >> (tree.d * (level - l))
-        cols.append(tree.values[l][anc])
-    return np.stack(cols, axis=1)
-
-
 def _cyl_shapes(cyl: CylinderFunctional, t: float, path: np.ndarray, dpr: int):
     m = path.shape[0]
     d = path.shape[2]
@@ -256,6 +243,18 @@ def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
     return D
 
 
+def _sup_term(f, control_values, tree: ScenarioTree, level: int, t: float,
+              eta: np.ndarray, z: np.ndarray, D: np.ndarray) -> float:
+    """The controlled term sum over nodes of probs * max_u <D, f(t, eta, z, u)>."""
+    m = tree.node_count(level)
+    ctx = NodeContext(level=level, b=tree.values[level], tree=tree)
+    best = np.full(m, -np.inf)
+    for u in control_values:
+        fval = np.asarray(f(t, ctx, eta, z, np.full(m, u)), dtype=float)
+        best = np.maximum(best, np.sum(D * fval, axis=1))
+    return float(np.sum(tree.probs[level] * best))
+
+
 def master_residual(problem: BSDEProblem, tree: ScenarioTree,
                     cyl: CylinderFunctional, level: int) -> MasterResidual:
     """Stationarity defect of the forward value along the cylinder at a level.
@@ -294,14 +293,8 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
     half_trace = 0.5 * np.einsum("mvaa->mv", dbb)
     drift_term = float(np.sum(probs[:, None] * D * half_trace))
 
-    ctx = NodeContext(level=level, b=tree.values[level], tree=tree)
-    per_node_best = np.full(tree.node_count(level), -np.inf)
-    for u in problem.control_values:
-        fval = np.asarray(problem.f(t_now, ctx, eta_now, db,
-                                    np.full(tree.node_count(level), u)),
-                          dtype=float)
-        per_node_best = np.maximum(per_node_best, np.sum(D * fval, axis=1))
-    sup_term = float(np.sum(probs * per_node_best))
+    sup_term = _sup_term(problem.f, problem.control_values, tree, level, t_now,
+                         eta_now, db, D)
 
     return MasterResidual(
         level=level,
@@ -406,20 +399,10 @@ def illposed_demo(tree: ScenarioTree, f1=None, f2=None) -> IllposedReport:
     hist = node_histories(tree, lvl)
     eta = hist[:, -1, :dpr].reshape(tree.node_count(lvl), dpr)
     D = eta_derivative(fv1, lvl, eta)  # shared derivative input
-    probs = tree.probs[lvl]
     t_here = tree.grid.times()[lvl]
-    ctx = NodeContext(level=lvl, b=tree.values[lvl], tree=tree)
     z0 = np.zeros((tree.node_count(lvl), dpr, tree.d))
-
-    def sup_term(fgen):
-        best = np.full(tree.node_count(lvl), -np.inf)
-        for u in control_values:
-            fval = np.asarray(fgen(t_here, ctx, eta, z0,
-                                   np.full(tree.node_count(lvl), u)), dtype=float)
-            best = np.maximum(best, np.sum(D * fval, axis=1))
-        return float(np.sum(probs * best))
-
-    s1, s2 = sup_term(f1), sup_term(f2)
+    s1, s2 = (_sup_term(f, control_values, tree, lvl, t_here, eta, z0, D)
+              for f in (f1, f2))
     return IllposedReport(
         psi_1=psi1, psi_2=psi2, gap=gap, sup_term_1=s1, sup_term_2=s2,
         sup_terms_identical=(s1 == s2) and np.float64(s1).tobytes() == np.float64(s2).tobytes(),

@@ -193,6 +193,11 @@ def test_static_value_tie_break_lexicographic():
     best, assign = subtree_argmax(prob, tree2, 1, 1, lambda y: y[0])
     assert best == 0.5
     assert assign == (0,)
+    vals, assigns, count, _ = maximize_over_policies(
+        prob, tree2, lambda y: y[:, 0], start_level=1, node=1)
+    assert count == 3
+    assert vals[1] == 0.5
+    assert assigns[1] == (0,)
 
 
 def test_static_value_control_free():
@@ -371,7 +376,7 @@ def test_envelope_sup_of_uz():
 
     prob = make_problem(f, lambda ctx: ctx.b[:, :1],
                         U=(-1.0, -0.5, 0.0, 0.5, 1.0), L=1.0)
-    bar, report = envelope_bsde(prob, tree, structure="scalar")
+    bar, report = envelope_bsde(prob, tree)
     assert report.consistent
     assert report.max_residual <= 1e-10
 
@@ -385,8 +390,8 @@ def test_envelope_decreasing_phi_flags_violation():
     prob = make_problem(f, lambda ctx: ctx.b[:, :1], phi=lambda y: -y[:, 0],
                         U=(-1.0, 0.0, 1.0), L=1.0)
     with pytest.raises(StructureError):
-        envelope_bsde(prob, tree, structure="scalar")
-    bar, report = envelope_bsde(prob, tree, structure="scalar", skip_probes=True)
+        envelope_bsde(prob, tree)
+    bar, report = envelope_bsde(prob, tree, skip_probes=True)
     assert not report.consistent
     assert report.max_residual > 1e-6
 
@@ -398,7 +403,7 @@ def test_envelope_control_free_zero_residual():
         return 0.5 * y
 
     prob = make_problem(f, lambda ctx: ctx.b[:, :1] ** 2, U=(0.0,), L=0.5)
-    bar, report = envelope_bsde(prob, tree, structure="scalar")
+    bar, report = envelope_bsde(prob, tree)
     assert report.max_residual <= 1e-14
 
 

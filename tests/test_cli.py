@@ -512,6 +512,18 @@ def test_minimal_deterministic_configs_run_to_a_verdict(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [
+    {"experiment": "static-value"},
+    {"experiment": "benchmark-verify"},
+    {"experiment": "duality", "benchmark": "deterministic"},
+], ids=["static-value", "benchmark-verify", "duality-deterministic"])
+def test_minimal_deterministic_configs_pass(doc, tmp_path, capsys):
+    # each deterministic branch defaults to the n (and mode, dy) its shipped config sets
+    code, out = _run_cli(tmp_path, capsys, doc)
+    assert code == 0, out.out
+    assert "FAIL" not in out.out
+
+
+@pytest.mark.parametrize("doc", [
     {"experiment": "benchmark-verify", "benchmark": "one_dim", "c": None},
     {"experiment": "static-value", "benchmark": "mean_variance", "c": None},
     {"experiment": "duality", "benchmark": "deterministic", "eps": None},

@@ -74,12 +74,6 @@ def test_w_nonnegative_with_advection():
     assert np.min(dual.W) >= 0.0
 
 
-def test_cfl_violation_names_max_stable_dt():
-    grid = TimeGrid(T=0.5, n=2)
-    with pytest.raises(ConfigError, match="max stable dt"):
-        solve_dual_hjb(quad_spec(), grid, quad_config(substeps=1))
-
-
 def test_zgrid_must_contain_zero():
     with pytest.raises(ConfigError, match="z-grid"):
         HJBConfig(z_values=(0.5, 1.0))
@@ -486,6 +480,14 @@ def test_w_regularity_quadratic_bound():
     chat, pairs = check_w_regularity(ys, ys ** 2)
     assert pairs == 41 * 40 // 2
     assert 0.3 <= chat <= 1.0 + 1e-12
+
+
+def test_w_regularity_refuses_more_pairs_than_its_cap():
+    ys = np.linspace(-1.0, 1.0, 633)
+    with pytest.raises(ValueError, match="200028 point pairs"):
+        check_w_regularity(ys, ys ** 2)
+    _, pairs = check_w_regularity(ys[:632], ys[:632] ** 2)
+    assert pairs == 199396
 
 
 def test_csv_exports(tmp_path):

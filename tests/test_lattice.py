@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from treebsde.lattice import (
     TimeGrid, build_tree, conditional_expectation, path_functional,
-    TreeRandomVariable, TreeSizeError, ModeError, node_path, step_expectation,
+    TreeRandomVariable, TreeSizeError, ModeError, node_histories, node_path,
+    step_expectation,
 )
 
 
@@ -159,6 +160,27 @@ def test_node_path_matches_values():
     for node in (0, 7, 100, 255):
         p = node_path(tree, 4, node)
         np.testing.assert_allclose(p[-1], tree.values[4][node], atol=1e-14)
+
+
+def _walked_path(tree, level, node):
+    """Root-to-node path summed from the child increments, earliest step first."""
+    nc = 2 ** tree.d
+    path = np.zeros((level + 1, tree.d))
+    for k in range(level):
+        path[k + 1] = path[k] + tree.increments[(node // nc ** (level - 1 - k)) % nc]
+    return path
+
+
+def test_node_histories_rows_are_the_node_paths_bit_for_bit():
+    for d in (1, 2, 3):
+        tree = build_tree(TimeGrid(1.0, 4), d, "path")
+        for level in range(tree.n + 1):
+            hist = node_histories(tree, level)
+            assert hist.shape == (tree.node_count(level), level + 1, d)
+            for i in range(tree.node_count(level)):
+                walked = _walked_path(tree, level, i).tobytes()
+                assert hist[i].tobytes() == walked
+                assert node_path(tree, level, i).tobytes() == walked
 
 
 @settings(max_examples=25, deadline=None)

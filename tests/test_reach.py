@@ -1,0 +1,101 @@
+"""Every public function and class of the package is reached by program code.
+
+An AST scan: a public top-level function or class of a ``src/treebsde``
+module must be referenced, by name or as an attribute, from ``src`` outside
+its own definition, from ``scripts`` or from ``perfbench``, or be re-exported
+by ``treebsde/__init__.py``. Tests do not count: a name only tests reach
+either feeds a verdict one day or goes. References are matched by name alone.
+"""
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted(path for path in (ROOT / "src/treebsde").glob("*.py")
+                 if not path.name.startswith("_"))
+OUTSIDE = sorted([path for path in (ROOT / "src/treebsde").glob("_*.py")]
+                 + [path for top in ("scripts", "perfbench")
+                    for path in (ROOT / top).rglob("*.py")])
+
+# Reached only from tests today; the list may only shrink.
+ALLOWED = {
+    "benchmarks.onedim_restoration_check",
+    "bsde.envelope_bsde",
+    "bsde.reachable_set",
+    "duality.check_w_regularity",
+    "dynutil.check_comparison",
+    "dynutil.deterministic_phi",
+    "dynutil.select_maximizer",
+    "dynutil.static_utility",
+    "master.forward_value",
+}
+
+
+def definitions(source: str) -> list:
+    """(name, first line, last line) of each public top-level function or class."""
+    return [(node.name, node.lineno, node.end_lineno) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def references(source: str) -> list:
+    """(name, line) of each name read and each attribute accessed."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+    return out
+
+
+def exported(source: str) -> set:
+    """The names an ``__init__`` module imports, and so re-exports."""
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreached(package: dict, outside: list, exports: set) -> set:
+    """module.name of each public definition in package (module -> source) that
+    no other source and no line of its module outside the definition references."""
+    refs = {module: references(source) for module, source in package.items()}
+    names_outside = {name for source in outside for name, _ in references(source)}
+    found = set()
+    for module, source in package.items():
+        elsewhere = names_outside | {name for other, other_refs in refs.items()
+                                     if other != module for name, _ in other_refs}
+        for name, first, last in definitions(source):
+            if name in exports or name in elsewhere:
+                continue
+            if any(ref == name and not first <= line <= last for ref, line in refs[module]):
+                continue
+            found.add(f"{module}.{name}")
+    return found
+
+
+def test_scan_finds_a_definition_nothing_else_reaches():
+    package = {
+        "a": ("def used(): pass\n"
+              "def only_itself(n):\n"
+              "    return only_itself(n - 1)\n"
+              "class K:\n"
+              "    def make(self):\n"
+              "        return K()\n"
+              "def _private(): pass\n"
+              "def exported(): pass\n"
+              "def in_module(): pass\n"
+              "X = in_module\n"),
+        "b": "def by_script(): pass\nused()\n",
+    }
+    outside = ["import m\nm.by_script()\n"]
+    exports = exported("from a import exported\n")
+    assert exports == {"exported"}
+    assert unreached(package, outside, exports) == {"a.only_itself", "a.K"}
+
+
+def test_every_public_definition_is_reached_or_allowlisted():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE}
+    outside = [path.read_text(encoding="utf-8") for path in OUTSIDE]
+    exports = exported((ROOT / "src/treebsde/__init__.py").read_text(encoding="utf-8"))
+    assert sum(len(definitions(source)) for source in package.values()) > 100
+    # equality: an allowlisted name that code now reaches leaves the list
+    assert unreached(package, outside, exports) == ALLOWED
