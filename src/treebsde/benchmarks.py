@@ -425,9 +425,7 @@ def principal_agent(gamma_A: float, gamma_P: float, R: float,
     def terminal(ctx):
         if ctx.tree is None:
             raise ValueError("the contract terminal data needs the tree context")
-        yA = forward_states(ctx.tree, sde, lambda t, x: u_star)[-1]
-        pay = ctx.b[:, 0] - yA
-        return (-np.exp(-gamma_P * pay))[:, None]
+        return _pa_payout(ctx.tree, sde, gamma_P, u_star)
 
     problem = BSDEProblem(
         value_dim=1,
@@ -463,6 +461,16 @@ def _pa_self_check(bench: BenchmarkProblem) -> None:
             raise BenchmarkError("market-value process breaks the payout identity")
 
 
+def _pa_payout(tree: ScenarioTree, sde: ForwardSDE, gamma_P: float, u,
+               level: int = 0, init=None) -> np.ndarray:
+    """Leaf payout utility -exp(-gamma_P (B_T - X_T)), (leaves, 1), with the
+    agent value X run forward under the constant action u from init at level
+    (the participation level x_R = sde.x0 when None)."""
+    yA = forward_states(tree, sde, lambda t, x: u, level0=level, init=init)[-1]
+    pay = tree.values[tree.n][:, 0] - yA
+    return (-np.exp(-gamma_P * pay))[:, None]
+
+
 def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
              start=None) -> np.ndarray:
     """Per-node principal values at a level for a constant action u.
@@ -471,14 +479,8 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
     level x_R), terminal payout utility, backward with the u Z drift; value at
     a node depends only on its subtree, so one full-tree solve serves all nodes.
     """
-    a = bench.analytic
-    init = (np.full(tree.node_count(level), a["x_R"])
-            if start is None else np.asarray(start, dtype=float))
-    yA = forward_states(tree, bench.forward, lambda t, x: u,
-                        level0=level, init=init)[-1]
-    pay = tree.values[tree.n][:, 0] - yA
-    rv = TreeRandomVariable(level=tree.n,
-                            values=(-np.exp(-a["gamma_P"] * pay))[:, None])
+    rv = TreeRandomVariable(level=tree.n, values=_pa_payout(
+        tree, bench.forward, bench.analytic["gamma_P"], u, level, start))
     carrier = BSDEProblem(
         value_dim=1, f=bench.problem.f, terminal=bench.problem.terminal,
         phi=bench.problem.phi, control_values=(float(u),),

@@ -16,7 +16,9 @@ module provides:
     (regime switching). On a tree the children weights are constructed so the
     contracted scalar recursion holds exactly; on an Euler ensemble the
     truncated SDE is simulated with Rademacher increments and every level is
-    stored, (steps + 1) x paths per field.
+    stored, (steps + 1) x paths for the ratio and weights, while parity, anchor
+    and switch flags are stored once per switch level and shared by the levels
+    up to the next one; every stored ensemble array is read-only.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
     by level with O(paths) state, keeping only the sparse switch events, or
     only a few chosen paths;
@@ -249,12 +251,43 @@ def riccati_polynomials(alpha, beta, parity: int):
     return drift, sig
 
 
-def _poly_eval(coeff, x):
-    """Evaluate stacked polynomial coefficients (highest power first) at x."""
-    out = np.zeros_like(np.broadcast_arrays(coeff[0], x)[1], dtype=float)
+def _poly_eval(coeff, x, out=None):
+    """Evaluate stacked polynomial coefficients (highest power first) at x.
+
+    Horner from zeros, out * x + c_k in place; starting from c_0 instead would
+    flip the sign of a -0.0 leading coefficient. out, when given, has the
+    broadcast shape of coeff[0] and x and is overwritten."""
+    if out is None:
+        out = np.zeros(np.broadcast_shapes(np.shape(coeff[0]), np.shape(x)))
+    else:
+        out.fill(0.0)
     for ck in coeff:
-        out = out * x + ck
+        np.multiply(out, x, out=out)
+        np.add(out, ck, out=out)
     return out
+
+
+class _RiccatiMemo:
+    """riccati_polynomials(alpha, beta, parity) for each of `parities`, called
+    again only when (alpha, beta) are not the values of the last call.
+
+    The key is a byte copy of the values the results were computed from, since
+    a coefficient function may return one buffer that it rewrites. Reuse needs
+    the same shapes and bits, so a sign flip of a zero entry (equal under
+    np.array_equal) recomputes too, and NaN coefficients are never reused.
+    """
+
+    def __init__(self, parities):
+        self.parities = parities
+        self.key = None
+        self.polys = None
+
+    def __call__(self, al, be):
+        key = (al.shape, al.tobytes(), be.shape, be.tobytes())
+        if key != self.key:
+            self.polys = [riccati_polynomials(al, be, p) for p in self.parities]
+            self.key = None if np.isnan(al).any() or np.isnan(be).any() else key
+        return self.polys
 
 
 @dataclass(frozen=True)
@@ -279,8 +312,9 @@ class SwitchingPath:
 def _weights(parity, anchor, ahat, swapped: bool):
     """(A1, A2) in the original component labels from the construction frame."""
     act = anchor * ahat
-    w1 = np.where(parity == 1, act, anchor)
-    w2 = np.where(parity == 1, anchor, act)
+    first = parity == 1
+    w1 = np.where(first, act, anchor)
+    w2 = np.where(first, anchor, act)
     return (w2, w1) if swapped else (w1, w2)
 
 
@@ -403,7 +437,9 @@ def _monotone(lam, mu, sdt) -> float:
 class _Level:
     """Ensemble state at one grid level. overshoot belongs to the step into it (0
     at level 0); step is what that step read, (alpha, beta, parity == 1, ratio),
-    for consumers that evaluate _contraction on it (None at level 0)."""
+    for consumers that evaluate _contraction on it (None at level 0). Every
+    array of a level is read-only, and levels share the ones that did not
+    change."""
 
     parity: np.ndarray
     anchor: np.ndarray
@@ -413,6 +449,18 @@ class _Level:
     step: tuple | None
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _rows(coeff, idx, n: int):
+    """Stacked per-path polynomial coefficients restricted to the paths idx."""
+    if coeff.ndim == 1:
+        return coeff
+    return np.broadcast_to(coeff, coeff.shape[:1] + (n,))[:, idx]
+
+
 def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
                   n_paths: int, seed: int):
     """Yield the Euler ensemble of the truncated ratio SDE level by level.
@@ -420,34 +468,60 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     Only the current level is held (parity, anchor, ratio and the Brownian path,
     one (n_paths,) array each). Every step draws rng.integers(0, 2, n_paths)
     once from one Philox stream, so any consumer replays the same paths.
-    alpha and beta are read once per step as returned, (2, 2) or (m, 2, 2).
+    alpha and beta are read once per step as returned, (2, 2) or (m, 2, 2);
+    the Riccati coefficients are reused while those values stay the same bits
+    (_RiccatiMemo). Each path's polynomials are evaluated in its own regime
+    only. A step where no path switches yields the previous parity and anchor
+    arrays, a shared all-False flag array and overshoot 0.0; yielded arrays are
+    read-only, so sharing them is safe.
     """
     sdt = np.sqrt(dt)
     rng = np.random.default_rng(np.random.Philox(seed))
-    p = np.ones(n_paths, dtype=np.int64)
-    an = np.full(n_paths, a2)
-    ah = np.full(n_paths, a1 / a2)
+    riccati = _RiccatiMemo((1, 2))
+    p = _frozen(np.ones(n_paths, dtype=np.int64))
+    an = _frozen(np.full(n_paths, a2))
+    ah = _frozen(np.full(n_paths, a1 / a2))
+    no_switch = _frozen(np.zeros(n_paths, dtype=bool))
+    first = _frozen(p == 1)
+    second = np.zeros(0, dtype=np.int64)  # the paths in regime 2
     b_path = np.zeros(n_paths)
-    yield _Level(p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, None)
+    clamped, drift, vol, db, mag = (np.empty(n_paths) for _ in range(5))
+    yield _Level(p, an, ah, no_switch, 0.0, None)
     for j in range(len(times) - 1):
         al = np.asarray(alpha(times[j], b_path), dtype=float)
         be = np.asarray(beta(times[j], b_path), dtype=float)
-        first = p == 1
         step = (al, be, first, ah)
-        clamped = np.clip(ah, -2.0, 2.0)
-        d1, s1 = riccati_polynomials(al, be, 1)
-        d2, s2 = riccati_polynomials(al, be, 2)
-        drift = np.where(first, _poly_eval(d1, clamped), _poly_eval(d2, clamped))
-        vol = np.where(first, _poly_eval(s1, clamped), _poly_eval(s2, clamped))
-        db = (2.0 * rng.integers(0, 2, size=n_paths) - 1.0) * sdt
-        ah_next = ah + drift * dt + vol * db
-        b_path = b_path + db
-        sw = np.abs(ah_next) >= 2.0
-        overshoot = float(np.max(np.where(sw, np.abs(ah_next) - 2.0, 0.0), initial=0.0))
-        p = np.where(sw, 3 - p, p)
-        an = np.where(sw, an * ah_next, an)
-        safe = np.where(sw, ah_next, 1.0)  # |ah_next| >= 2 wherever sw
-        ah = np.where(sw, 1.0 / safe, ah_next)
+        (d1, s1), (d2, s2) = riccati(al, be)
+        np.clip(ah, -2.0, 2.0, out=clamped)
+        _poly_eval(d1, clamped, drift)
+        _poly_eval(s1, clamped, vol)
+        if second.size:
+            x2 = clamped[second]
+            drift[second] = _poly_eval(_rows(d2, second, n_paths), x2)
+            vol[second] = _poly_eval(_rows(s2, second, n_paths), x2)
+        np.multiply(rng.integers(0, 2, size=n_paths), 2.0, out=db)
+        np.subtract(db, 1.0, out=db)
+        np.multiply(db, sdt, out=db)
+        np.multiply(drift, dt, out=drift)
+        ah_next = np.add(ah, drift)
+        np.multiply(vol, db, out=vol)
+        np.add(ah_next, vol, out=ah_next)
+        b_path += db
+        sw = np.abs(ah_next, out=mag) >= 2.0
+        hit = np.flatnonzero(sw)
+        if not hit.size:
+            ah = _frozen(ah_next)
+            yield _Level(p, an, ah, no_switch, 0.0, step)
+            continue
+        overshoot = float(np.max(mag[hit] - 2.0, initial=0.0))
+        p = p.copy()
+        p[hit] = 3 - p[hit]
+        an = an.copy()
+        an[hit] = an[hit] * ah_next[hit]
+        ah_next[hit] = 1.0 / ah_next[hit]
+        p, an, ah, sw = (_frozen(a) for a in (p, an, ah_next, sw))
+        first = _frozen(p == 1)
+        second = np.flatnonzero(p == 2)
         yield _Level(p, an, ah, sw, overshoot, step)
 
 
@@ -524,8 +598,11 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     The regime ratio is restarted by inversion whenever |ratio| >= 2; an a
     priori one-step bound must stay below overshoot_limit.
 
-    The ensemble is stored densely, (steps + 1) x n_paths per field; consumers
-    that need only the switches use switch_events or replay_paths instead.
+    The ensemble stores ahat, A1 and A2 at every level, (steps + 1) x n_paths
+    each, but parity, anchor and switch flags once per switch level: a level
+    without switches shares the previous level's arrays (and one all-False
+    flag array). Every stored ensemble array is read-only. Consumers that need
+    only the switches use switch_events or replay_paths instead.
     """
     if tree is not None:
         if tree.d != 1:
@@ -557,6 +634,8 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         count = n_paths
 
     weights = [_weights(p, an, ah, swapped) for p, an, ah in zip(parity, anchor, ahat)]
+    if tree is None:
+        weights = [tuple(_frozen(w) for w in pair) for pair in weights]
     A1o = tuple(w[0] for w in weights)
     A2o = tuple(w[1] for w in weights)
     orig_a1, orig_a2 = coeffs.a1, coeffs.a2
@@ -688,15 +767,24 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
     ah = np.full(pilot_paths, a1 / a2)
     sup_sq = np.zeros(pilot_paths)
     dt, sdt = grid.dt, np.sqrt(grid.dt)
+    riccati = _RiccatiMemo((1,))
+    b0 = np.zeros(1)
+    clamped, drift, vol, db = (np.empty(pilot_paths) for _ in range(4))
     C_hat = 0.0
     for k in range(steps):
-        al = _coeff_at(alpha, times[k], np.zeros(1), 1)[0]
-        be = _coeff_at(beta, times[k], np.zeros(1), 1)[0]
-        d1, s1 = riccati_polynomials(al, be, 1)
-        clamped = np.clip(ah, -2.0, 2.0)
-        db = (2.0 * rng.integers(0, 2, size=pilot_paths) - 1.0) * sdt
-        ah = ah + _poly_eval(d1, clamped) * dt + _poly_eval(s1, clamped) * db
-        sup_sq = np.maximum(sup_sq, (ah - a1 / a2) ** 2)
+        al, be = (np.asarray(fn(times[k], b0), dtype=float).reshape(2, 2)
+                  for fn in (alpha, beta))
+        (d1, s1), = riccati(al, be)
+        np.clip(ah, -2.0, 2.0, out=clamped)
+        np.multiply(rng.integers(0, 2, size=pilot_paths), 2.0, out=db)
+        np.subtract(db, 1.0, out=db)
+        np.multiply(db, sdt, out=db)
+        np.multiply(_poly_eval(d1, clamped, drift), dt, out=drift)
+        np.add(ah, drift, out=ah)
+        np.multiply(_poly_eval(s1, clamped, vol), db, out=vol)
+        np.add(ah, vol, out=ah)
+        np.subtract(ah, a1 / a2, out=drift)
+        np.maximum(sup_sq, np.square(drift, out=drift), out=sup_sq)
         C_hat = max(C_hat, float(sup_sq.mean()) / times[k + 1])
     C = 2.0 * C_hat
     delta = np.inf if C == 0 else 1.0 / (2.0 * C)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import static_value
+from treebsde.bsde import ControlPolicy, solve_bsde, static_value
 from treebsde.benchmarks import (
     BenchmarkError,
     OutOfScopeError,
@@ -223,6 +223,14 @@ def test_pa_carrier_value_matches_closed_form_factorization():
         g = np.cosh(th) - u * s * np.sinh(th)
         closed = -np.exp(a["gamma_P"] * (a["x_R"] + a["cost_rate"] * 1.0)) * g ** 5
         assert float(pa_value(pa, tree, u)[0]) == pytest.approx(closed, rel=1e-12)
+
+
+def test_pa_terminal_closure_gives_the_pa_value_payout():
+    pa = principal_agent(1.0, 1.0, -0.5, 1.0)
+    tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
+    u = pa.analytic["u_star"]
+    sol = solve_bsde(pa.problem, tree, ControlPolicy.constant(tree, u))
+    assert sol.Y[0][0, 0] == float(pa_value(pa, tree, u)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import BSDEProblem, ProblemValidationError
+from treebsde import dynutil
 from treebsde.duality import ConditionalDualValue
 from treebsde.dynutil import (
     DegenerateUtilityError,
@@ -412,3 +413,204 @@ def test_verify_tau_bound_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+# Frozen reference: the Euler step and the tau pilot written out as they were
+# before the step reused its Riccati coefficients and shared unchanged state.
+
+
+def _ref_poly_eval(coeff, x):
+    out = np.zeros_like(np.broadcast_arrays(coeff[0], x)[1], dtype=float)
+    for ck in coeff:
+        out = out * x + ck
+    return out
+
+
+def _ref_euler_levels(alpha, beta, a1, a2, times, dt, n_paths, seed):
+    """Yields (parity, anchor, ahat, switched, overshoot, min_monotone term)."""
+    sdt = np.sqrt(dt)
+    rng = np.random.default_rng(np.random.Philox(seed))
+    p = np.ones(n_paths, dtype=np.int64)
+    an = np.full(n_paths, a2)
+    ah = np.full(n_paths, a1 / a2)
+    b_path = np.zeros(n_paths)
+    yield p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, np.inf
+    for j in range(len(times) - 1):
+        al = np.asarray(alpha(times[j], b_path), dtype=float)
+        be = np.asarray(beta(times[j], b_path), dtype=float)
+        first = p == 1
+        mono = dynutil._monotone(*dynutil._contraction(al, be, first, ah, dt), sdt)
+        clamped = np.clip(ah, -2.0, 2.0)
+        d1, s1 = riccati_polynomials(al, be, 1)
+        d2, s2 = riccati_polynomials(al, be, 2)
+        drift = np.where(first, _ref_poly_eval(d1, clamped), _ref_poly_eval(d2, clamped))
+        vol = np.where(first, _ref_poly_eval(s1, clamped), _ref_poly_eval(s2, clamped))
+        db = (2.0 * rng.integers(0, 2, size=n_paths) - 1.0) * sdt
+        ah_next = ah + drift * dt + vol * db
+        b_path = b_path + db
+        sw = np.abs(ah_next) >= 2.0
+        overshoot = float(np.max(np.where(sw, np.abs(ah_next) - 2.0, 0.0), initial=0.0))
+        p = np.where(sw, 3 - p, p)
+        an = np.where(sw, an * ah_next, an)
+        safe = np.where(sw, ah_next, 1.0)
+        ah = np.where(sw, 1.0 / safe, ah_next)
+        yield p, an, ah, sw, overshoot, mono
+
+
+def _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid_dt, seed, pilot_paths):
+    rng = np.random.default_rng(np.random.Philox(seed + 10 ** 6))
+    ah = np.full(pilot_paths, a1 / a2)
+    sup_sq = np.zeros(pilot_paths)
+    dt, sdt = grid_dt, np.sqrt(grid_dt)
+    C_hat = 0.0
+    for k in range(len(times) - 1):
+        al = np.broadcast_to(np.asarray(alpha(times[k], np.zeros(1)), dtype=float),
+                             (1, 2, 2))[0]
+        be = np.broadcast_to(np.asarray(beta(times[k], np.zeros(1)), dtype=float),
+                             (1, 2, 2))[0]
+        d1, s1 = riccati_polynomials(al, be, 1)
+        clamped = np.clip(ah, -2.0, 2.0)
+        db = (2.0 * rng.integers(0, 2, size=pilot_paths) - 1.0) * sdt
+        ah = ah + _ref_poly_eval(d1, clamped) * dt + _ref_poly_eval(s1, clamped) * db
+        sup_sq = np.maximum(sup_sq, (ah - a1 / a2) ** 2)
+        C_hat = max(C_hat, float(sup_sq.mean()) / times[k + 1])
+    return C_hat
+
+
+def _time_dependent_coeffs():
+    """Piecewise-constant in t, written into one buffer per coefficient."""
+    al_buf, be_buf = np.zeros((2, 2)), np.zeros((2, 2))
+
+    def alpha(t, b):
+        al_buf[1, 0] = 0.25 if t < 0.5 else 0.4 if t < 1.25 else 0.1
+        al_buf[0, 0] = 0.05 if 0.75 <= t < 1.5 else 0.0
+        return al_buf
+
+    def beta(t, b):
+        be_buf[1, 0] = 0.6 if t < 1.0 else 0.5
+        return be_buf
+
+    return LinearUtilityCoeffs(alpha=alpha, beta=beta, c=lambda t, b, u: np.zeros(2),
+                               a1=0.0, a2=1.0, bound=0.6)
+
+
+def _path_dependent_coeffs():
+    """(m, 2, 2) coefficients that move with each path's Brownian value."""
+    def alpha(t, b):
+        out = np.zeros((np.size(b), 2, 2))
+        out[:, 1, 0] = 0.25 + 0.1 * np.tanh(b)
+        out[:, 0, 0] = 0.05 * np.cos(b)
+        return out
+
+    def beta(t, b):
+        out = np.zeros((np.size(b), 2, 2))
+        out[:, 1, 0] = 0.6
+        out[:, 0, 1] = 0.02 * np.sin(b)
+        return out
+
+    return LinearUtilityCoeffs(alpha=alpha, beta=beta, c=lambda t, b, u: np.zeros(2),
+                               a1=0.0, a2=1.0, bound=0.6)
+
+
+_COEFF_SETS = {
+    "switch": switch_coeffs,
+    # |a1| > |a2|: the construction runs in the swapped frame
+    "swapped": lambda: LinearUtilityCoeffs.from_constants(
+        [[0.0, 0.25], [0.0, 0.0]], [[0.0, 0.6], [0.0, 0.0]], 1.0, 0.5),
+    "time": _time_dependent_coeffs,
+    "path": _path_dependent_coeffs,
+}
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("name, seed", [("switch", 0), ("switch", 1), ("swapped", 0),
+                                        ("time", 0), ("path", 2)])
+def test_euler_ensemble_matches_frozen_reference(name, seed):
+    coeffs = _COEFF_SETS[name]()
+    grid, n_paths = TimeGrid(T=2.0, n=2048), 1000
+    times = grid.times()
+    alpha, beta, a1, a2, swapped = dynutil._normalize(coeffs)
+    ref = list(_ref_euler_levels(alpha, beta, a1, a2, times, grid.dt, n_paths, seed))
+    _, _, levels = dynutil._ensemble(coeffs, grid, n_paths, seed, 0.1)
+    count = 0
+    for j, (lv, (p, an, ah, sw, overshoot, _)) in enumerate(zip(levels, ref)):
+        for got, want in ((lv.parity, p), (lv.anchor, an), (lv.ahat, ah),
+                          (lv.switched, sw)):
+            assert _bits(got) == _bits(want), j
+        assert _bits(lv.overshoot) == _bits(overshoot), j
+        count += 1
+    assert count == len(ref) == grid.n + 1
+    flag_mat = np.stack([r[3] for r in ref[1:]])
+    assert flag_mat.sum() > 20, flag_mat.sum()
+
+    steps, paths = np.nonzero(flag_mat)
+    events = switch_events(coeffs, grid, n_paths, seed=seed)
+    assert np.array_equal(events.level, steps + 1)
+    assert np.array_equal(events.path, paths)
+    assert np.array_equal(events.counts, flag_mat.sum(axis=0))
+    assert np.array_equal(events.rank, [flag_mat[:s, i].sum() for s, i in zip(steps, paths)])
+    assert _bits(events.overshoot) == _bits(max(r[4] for r in ref))
+
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed)
+    assert lin.swapped == swapped == (name == "swapped")
+    weights = []
+    for p, an, ah, *_ in ref:
+        act = an * ah
+        w1, w2 = np.where(p == 1, act, an), np.where(p == 1, an, act)
+        weights.append((w2, w1) if swapped else (w1, w2))
+    for j, (p, an, ah, sw, _, _) in enumerate(ref):
+        for got, want in ((lin.parity[j], p), (lin.anchor[j], an), (lin.ahat[j], ah),
+                          (lin.switch_flags[j], sw), (lin.A1[j], weights[j][0]),
+                          (lin.A2[j], weights[j][1])):
+            assert _bits(got) == _bits(want), j
+    assert _bits(lin.min_monotone) == _bits(min(r[5] for r in ref))
+    assert _bits(lin.overshoot) == _bits(events.overshoot)
+
+    for i, path in zip((7, 0), replay_paths(coeffs, grid, n_paths, [7, 0], seed=seed)):
+        col = [np.array([r[k][i] for r in ref]) for k in range(4)]
+        assert _bits(path.parity) == _bits(col[0])
+        assert _bits(path.ahat) == _bits(col[2])
+        assert _bits(path.is_switch) == _bits(col[3])
+        w = [np.array([wj[k][i] for wj in weights]) for k in range(2)]
+        assert _bits(path.A1) == _bits(w[0]) and _bits(path.A2) == _bits(w[1])
+
+    rep = verify_tau_bound(coeffs, T=grid.T, switch_indices=(1, 2), steps=grid.n,
+                           n_paths=n_paths, seed=seed, pilot_paths=100)
+    C_hat = _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid.dt, seed, 100)
+    assert _bits(rep.C_hat) == _bits(C_hat)
+    assert _bits(rep.delta) == _bits(np.inf if C_hat == 0 else 1.0 / (4.0 * C_hat))
+
+
+def test_ensemble_state_is_read_only_and_shared():
+    coeffs = switch_coeffs()
+    grid = TimeGrid(T=4.0, n=4096)
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=50, seed=0)
+    quiet = [j for j in range(1, grid.n + 1) if not lin.switch_flags[j].any()]
+    assert quiet and len(quiet) < grid.n
+    j = quiet[-1]
+    assert lin.parity[j] is lin.parity[j - 1] and lin.anchor[j] is lin.anchor[j - 1]
+    for field in ("parity", "anchor", "ahat", "switch_flags", "A1", "A2"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lin, field)[j][0] = 1
+    _, _, levels = dynutil._ensemble(coeffs, grid, 50, 0, 0.1)
+    for lv in itertools.islice(levels, 3):
+        for arr in (lv.parity, lv.anchor, lv.ahat, lv.switched):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_ensemble_peak_memory(seed):
+    # every level's own parity, anchor and flags would take ~52 MB here
+    tracemalloc.start()
+    try:
+        build_linear_utility(switch_coeffs(), grid=TimeGrid(T=4.0, n=4096),
+                             n_paths=300, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
