@@ -20,7 +20,12 @@ through PolicySpace, which fixes:
     lexicographically, so a max over them that keeps strict improvements only
     returns the first (smallest) assignment on exact ties;
   * cap: more than cap assignments raises EnumerationCapError before any solve;
-  * cost: callers run one solve_bsde per enumerated policy.
+  * cost: static_value's enumeration and reachable_set run chunked batch solves
+    (_solve_chunks: one generator call per level for a chunk of assignments
+    stacked along the node axis, at most _CHUNK_FLOATS child floats per chunk).
+    maximize_over_policies, master.check_forward_dpp and
+    dynutil.check_linear_comparison still run one solve_bsde per policy: the
+    benchmark's counters count solves per policy on that path.
 
 Deterministic frontier contract. static_value and dynutil.deterministic_phi
 use the kernel _frontier when the problem sets deterministic_controls, its
@@ -74,6 +79,9 @@ class BSDEProblem:
 
     f must be vectorized over nodes: y has shape (m, d'), z has shape (m, d', d),
     u is an (m,) array of control values from the finite set control_values.
+    f must treat rows independently and read node data only through ctx.b (phi
+    likewise maps rows to values): the batch solves stack many policies along
+    the node axis, so row r need not be node r of ctx.level.
     lipschitz_L is the declared Lipschitz constant in (y, z), validated by probes.
     deterministic_controls restricts policies to functions of time only (one control
     value per level), matching problems whose admissible class is deterministic.
@@ -159,52 +167,66 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
     Default terminal data is problem.terminal evaluated at the last level; pass
     (terminal_level, terminal_rv) to solve from intermediate data eta at level k.
     """
-    n, dt, d, dpr = tree.n, tree.dt, tree.d, problem.value_dim
+    n, dpr = tree.n, problem.value_dim
     k = n if terminal_level is None else terminal_level
     if not 0 <= k <= n:
         raise ValueError(f"terminal level {k} outside 0..{n}")
-    if not problem._lip_checked:
-        probe_lipschitz(problem, tree)
-    if problem.value_dim == 1:
-        bound = monotone_step_bound(problem.lipschitz_L)
-        if dt > bound * (1 + 1e-12):
-            warnings.warn(
-                f"dt = {dt:.4g} exceeds the comparison-preserving bound {bound:.4g} "
-                f"(1 - L*dt - L*sqrt(dt) < 0); order preservation not guaranteed",
-                stacklevel=2,
-            )
+    _check_scheme(problem, tree, stacklevel=3)
     if terminal_rv is not None:
         if terminal_rv.level != k:
             raise ValueError(f"terminal_rv at level {terminal_rv.level}, expected {k}")
         eta = np.asarray(terminal_rv.values, dtype=float).reshape(tree.node_count(k), dpr)
     else:
-        ctx = NodeContext(level=k, b=tree.values[k], tree=tree)
-        eta = np.asarray(problem.terminal(ctx), dtype=float).reshape(tree.node_count(k), dpr)
+        eta = _terminal(problem, tree, k)
     if policy is None:
         policy = ControlPolicy.constant(tree, problem.control_values[0], last_level=k)
     if len(policy.levels) < k:
         raise ValueError(f"policy covers {len(policy.levels)} levels, need {k}")
 
     times = tree.grid.times()
-    inc = tree.increments  # (2^d, d)
-    nc = inc.shape[0]
     Ys = [None] * (k + 1)
     Zs = [None] * k
     Ys[k] = eta
     cur = eta
     for j in range(k - 1, -1, -1):
-        cv = tree.child_values(j, cur)          # (m, 2^d, d')
-        P = cv.mean(axis=1)                     # E_j[Y_{j+1}]
-        Z = np.einsum("mcv,ci->mvi", cv, inc) / (nc * dt)
-        u = np.asarray(policy.levels[j], dtype=float)
-        ctx = NodeContext(level=j, b=tree.values[j], tree=tree)
-        fv = np.asarray(problem.f(times[j], ctx, P, Z, u), dtype=float)
-        if fv.shape != P.shape:
-            raise ValueError(f"generator returned shape {fv.shape}, expected {P.shape}")
-        cur = P + fv * dt
+        cur, Zs[j] = _step(problem, tree, j, times[j], tree.child_values(j, cur),
+                           np.asarray(policy.levels[j], dtype=float), tree.values[j])
         Ys[j] = cur
-        Zs[j] = Z
     return BSDESolution(Y=tuple(Ys), Z=tuple(Zs))
+
+
+def _check_scheme(problem: BSDEProblem, tree: ScenarioTree, stacklevel: int) -> None:
+    """Run the Lipschitz probe once per problem; warn (at the caller stacklevel
+    frames up) when dt exceeds the comparison-preserving bound for d' = 1."""
+    if not problem._lip_checked:
+        probe_lipschitz(problem, tree)
+    if problem.value_dim == 1:
+        bound = monotone_step_bound(problem.lipschitz_L)
+        if tree.dt > bound * (1 + 1e-12):
+            warnings.warn(
+                f"dt = {tree.dt:.4g} exceeds the comparison-preserving bound {bound:.4g} "
+                f"(1 - L*dt - L*sqrt(dt) < 0); order preservation not guaranteed",
+                stacklevel=stacklevel,
+            )
+
+
+def _terminal(problem: BSDEProblem, tree: ScenarioTree, k: int) -> np.ndarray:
+    """problem.terminal at level k as an (m_k, d') array."""
+    ctx = NodeContext(level=k, b=tree.values[k], tree=tree)
+    return np.asarray(problem.terminal(ctx), dtype=float).reshape(
+        tree.node_count(k), problem.value_dim)
+
+
+def _step(problem: BSDEProblem, tree: ScenarioTree, j: int, t: float,
+          cv: np.ndarray, u: np.ndarray, b: np.ndarray):
+    """(Y_j, Z_j) from child values cv (rows, 2^d, d'), controls u and ctx.b rows b."""
+    dt, inc = tree.dt, tree.increments   # inc (2^d, d)
+    P = cv.mean(axis=1)                  # E_j[Y_{j+1}]
+    Z = np.einsum("mcv,ci->mvi", cv, inc) / (inc.shape[0] * dt)
+    fv = np.asarray(problem.f(t, NodeContext(level=j, b=b, tree=tree), P, Z, u), dtype=float)
+    if fv.shape != P.shape:
+        raise ValueError(f"generator returned shape {fv.shape}, expected {P.shape}")
+    return P + fv * dt, Z
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +246,7 @@ class PolicySpace:
         k = tree.n if terminal_level is None else terminal_level
         self.tree = tree
         self.control_values = problem.control_values
+        self.start_level = start_level
         self.terminal_level = k
         if problem.deterministic_controls:
             self.slots = tuple((j, None) for j in range(start_level, k))
@@ -238,6 +261,13 @@ class PolicySpace:
     def check_cap(self, cap: int) -> None:
         if self.size > cap:
             raise EnumerationCapError(f"{self.size} policies exceed cap {cap}")
+
+    def digits(self, lo: int, hi: int) -> np.ndarray:
+        """Assignments lo..hi-1 in lexicographic order, shape (hi - lo, slots):
+        the base-|U| digits of each index, the first slot most significant."""
+        base = len(self.control_values)
+        weights = base ** np.arange(len(self.slots) - 1, -1, -1, dtype=np.int64)
+        return np.arange(lo, hi, dtype=np.int64)[:, None] // weights % base
 
     def policy(self, assignment) -> ControlPolicy:
         """Materialize one assignment; non-slot entries hold U[0]."""
@@ -257,6 +287,52 @@ class PolicySpace:
         choices = range(len(self.control_values))
         return ((a, self.policy(a))
                 for a in itertools.product(choices, repeat=len(self.slots)))
+
+
+# Child floats (assignments x nodes x 2^d x d' at the widest level) per chunk of
+# a batch solve. At 64 KB per array the temporaries stay near 1 MB, as with
+# duality's steering chunks; larger chunks raise peak memory more than they
+# save time.
+_CHUNK_FLOATS = 1 << 13
+
+
+def _solve_chunks(problem: BSDEProblem, space: PolicySpace, cap: int):
+    """(first assignment index, Y at space.start_level of shape (p, m, d')) for
+    consecutive chunks of p assignments of space, in lexicographic order.
+
+    solve_bsde's scheme under every assignment of a chunk at once: the
+    (assignment, node) pairs are flattened into the node axis, with ctx.b tiled,
+    so each level costs one problem.f call per chunk. Controls are
+    space.policy's. More than cap assignments raise EnumerationCapError before
+    any generator call; the probe and the step-size warning are solve_bsde's.
+    """
+    space.check_cap(cap)
+    tree, start, k = space.tree, space.start_level, space.terminal_level
+    _check_scheme(problem, tree, stacklevel=4)
+    dpr, nc = problem.value_dim, 2 ** tree.d
+    widest = max((tree.node_count(j) * nc for j in range(start, k)), default=1) * dpr
+    chunk = min(space.size, max(1, _CHUNK_FLOATS // widest))
+    U = np.asarray(space.control_values, dtype=float)
+    # per level, each node's slot; non-slot nodes read an extra all-zero digit
+    col = {j: np.full(tree.node_count(j), len(space.slots)) for j in range(start, k)}
+    for s, (j, i) in enumerate(space.slots):
+        col[j][slice(None) if i is None else i] = s
+    eta = np.tile(_terminal(problem, tree, k), (chunk, 1))
+    bs = {j: np.tile(tree.values[j], (chunk, 1)) for j in range(start, k)}
+    times = tree.grid.times()
+    for lo in range(0, space.size, chunk):
+        p = min(chunk, space.size - lo)
+        digits = np.pad(space.digits(lo, lo + p), ((0, 0), (0, 1)))
+        cur = eta[:p * tree.node_count(k)]
+        for j in range(k - 1, start - 1, -1):
+            m = tree.node_count(j)
+            u = U[digits[:, col[j]]]  # (p, m)
+            if tree.mode == "path":  # children of flat row r are rows r*2^d + c
+                cv = cur.reshape(p * m, nc, dpr)
+            else:
+                cv = cur.reshape(p, -1, dpr)[:, tree.child_index[j]].reshape(p * m, nc, dpr)
+            cur, _ = _step(problem, tree, j, times[j], cv, u.reshape(-1), bs[j][:p * m])
+        yield lo, cur.reshape(p, -1, dpr)
 
 
 @dataclass(frozen=True)
@@ -298,8 +374,8 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
 def static_value(problem: BSDEProblem, tree: ScenarioTree,
                  cap: int = 10 ** 6) -> StaticValue:
     """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route."""
-    ctx = NodeContext(level=tree.n, b=tree.values[tree.n], tree=tree)
-    eta = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, problem.value_dim)
+    space = PolicySpace(problem, tree)
+    eta = _terminal(problem, tree, tree.n)
     if (problem.deterministic_controls and np.all(eta == eta[0])
             and _probe_deterministic(problem, tree.grid.times()[:tree.n], tree.d)):
         if not problem._lip_checked:
@@ -307,13 +383,24 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree,
         value, assignment, count = _frontier(
             problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d, cap)
     else:
-        vals, assigns, count, _ = maximize_over_policies(
-            problem, tree, lambda y0: np.asarray(problem.phi(y0), dtype=float).reshape(-1),
-            cap=cap)
-        value, assignment = float(vals[0]), tuple(assigns[0])
-    pol = PolicySpace(problem, tree).policy(assignment)
-    return StaticValue(value=value, policy=pol, assignment=assignment,
+        value, assignment, count = _enumerate_static(problem, space, cap)
+    return StaticValue(value=value, policy=space.policy(assignment), assignment=assignment,
                        enumerated=count, heuristic=False)
+
+
+def _enumerate_static(problem: BSDEProblem, space: PolicySpace, cap: int):
+    """(max phi(Y_0), first maximizing assignment, policy count) over space by
+    batch solves. Strict improvements across chunks and the first index within
+    one give maximize_over_policies' winner: ties keep the first assignment and
+    a NaN value never wins."""
+    best, first = -np.inf, None
+    for lo, y0 in _solve_chunks(problem, space, cap):
+        vals = np.asarray(problem.phi(y0[:, 0]), dtype=float).reshape(-1)
+        vals = np.where(np.isnan(vals), -np.inf, vals)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, first = vals[i], lo + i
+    return float(best), tuple(space.digits(first, first + 1)[0].tolist()), space.size
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +494,18 @@ def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> Reach
         groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
     buckets = [[] for _ in range(m)]
     for space, nodes in groups:
-        for _, pol in space.policies(10 ** 6):
-            y = solve_bsde(problem, tree, pol).Y[level]
+        for _, y in _solve_chunks(problem, space, 10 ** 6):
             for i in nodes:
-                buckets[i].append(y[i])
-    return ReachableSet(level=level, points=tuple(_dedup(np.array(b)) for b in buckets))
+                buckets[i].append(y[:, i])
+    return ReachableSet(level=level,
+                        points=tuple(_dedup(np.concatenate(b)) for b in buckets))
 
 
 def _dedup(arr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Deduplicate rows within tol (round-based), preserving first appearance order."""
     arr = arr.reshape(len(arr), -1)
-    seen = {}
-    for row in arr:
-        key = tuple(np.round(row / tol).astype(np.int64))
-        if key not in seen:
-            seen[key] = row
-    return np.array(list(seen.values()))
+    keys = np.round(arr / tol).astype(np.int64)
+    return arr[np.sort(np.unique(keys, axis=0, return_index=True)[1])]
 
 
 # ---------------------------------------------------------------------------

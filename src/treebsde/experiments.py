@@ -210,6 +210,11 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigValidationError(msgs)
     filled = {k: v for k, v in accepted.items() if not callable(v)} | clean
     filled |= {k: v(filled) for k, v in accepted.items() if k not in filled}
+    if filled.get("level") == 0:  # only principal_agent reads level
+        got = "got 0" if "level" in clean else f"the default n // 2 is 0 at n = {n}"
+        raise ConfigValidationError([
+            "field 'level': principal_agent's stale-control-group-violates needs "
+            f"level >= 1 (at t = 0 the stale start equals the restored one); {got}"])
     return ExperimentConfig(**filled)
 
 

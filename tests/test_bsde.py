@@ -1,15 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treebsde import bsde, problems
 from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
 from treebsde.bsde import (
-    BSDEProblem, ControlPolicy, EnumerationCapError, ProblemValidationError,
+    BSDEProblem, ControlPolicy, EnumerationCapError, PolicySpace, ProblemValidationError,
     StructureError, envelope_bsde, monotone_step_bound, reachable_set,
     solve_bsde, static_value, maximize_over_policies,
 )
 from treebsde.benchmarks import (
-    deterministic_discrete_optimum, deterministic_example, subtree_argmax,
+    deterministic_discrete_optimum, deterministic_example, one_dimensional, subtree_argmax,
 )
 
 
@@ -225,13 +228,41 @@ def test_static_value_sup_dominates_members():
 
 def test_enumeration_cap():
     tree = build_tree(TimeGrid(1.0, 4), 1, "path")
+    calls = []
 
     def f(t, ctx, y, z, u):
+        calls.append(t)
         return u[:, None]
 
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0))
     with pytest.raises(EnumerationCapError, match="cap"):
         static_value(prob, tree, cap=10)
+    assert calls == []  # raised before the Lipschitz probe and any solve
+
+
+def test_static_value_enumeration_probes_the_declared_lipschitz_constant():
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+    prob = make_problem(lambda t, ctx, y, z, u: 3.0 * y + u[:, None],
+                        lambda ctx: ctx.b[:, :1], U=(0.0, 1.0), L=0.5)
+    with pytest.raises(ProblemValidationError, match="Lipschitz"):
+        static_value(prob, tree)
+    assert not prob._lip_checked
+
+
+def test_static_value_enumeration_warns_above_the_monotone_step_bound():
+    tree = build_tree(TimeGrid(1.0, 1), 1, "path")  # dt = 1
+    prob = make_problem(lambda t, ctx, y, z, u: 2.0 * y + u[:, None],
+                        lambda ctx: ctx.b[:, :1], U=(0.0, 1.0), L=2.0)
+    with pytest.warns(UserWarning, match="comparison"):
+        static_value(prob, tree)
+
+
+def test_static_value_enumeration_rejects_a_generator_of_the_wrong_shape():
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+    prob = make_problem(lambda t, ctx, y, z, u: np.zeros((y.shape[0], 2)),
+                        lambda ctx: ctx.b[:, :1], U=(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"generator returned shape \(\d+, 2\), expected \(\d+, 1\)"):
+        static_value(prob, tree)
 
 
 def brute_force(prob, tree):
@@ -333,6 +364,92 @@ def test_deterministic_controls_match_adapted_for_deterministic_problem():
     va = static_value(adapted, tree).value
     vd = static_value(determ, tree).value
     assert va == pytest.approx(vd, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batch solves against one solve_bsde per policy, across the problem catalogue
+
+
+def _problems_in(built):
+    if isinstance(built, BSDEProblem):
+        return [built]
+    if isinstance(built, tuple):
+        return [p for item in built for p in _problems_in(item)]
+    return []
+
+
+CONSTRUCTORS = dict(inspect.getmembers(problems, inspect.isfunction))
+CONSTRUCTORS = {name: ctor for name, ctor in CONSTRUCTORS.items()
+                if ctor.__module__ == problems.__name__}
+CONSTRUCTORS["one_dimensional"] = lambda: one_dimensional(2.4, 2.4).problem
+CATALOGUE = [(name, i) for name, ctor in sorted(CONSTRUCTORS.items())
+             for i in range(len(_problems_in(ctor())))]
+# linear_setup's generator multiplies by @ (BLAS), whose rounding depends on
+# the row count: values may move in the last bits, the argmax may not
+BLAS = {("linear_setup", 0)}
+BLAS_RTOL = 8 * np.finfo(float).eps
+
+
+def _catalogue_tree(problem, mode, d, n, budget=4000):
+    """The tree of mode and d with the most steps up to n whose policies fit budget."""
+    while n > 1 and PolicySpace(problem, build_tree(TimeGrid(1.0, n), d, mode)).size > budget:
+        n -= 1
+    return build_tree(TimeGrid(1.0, n), d, mode)
+
+
+def _reachable_by_solves(problem, tree, level):
+    """reachable_set by one solve_bsde per policy and a first-appearance dedup."""
+    m = tree.node_count(level)
+    if problem.deterministic_controls:
+        groups = [(PolicySpace(problem, tree, level), range(m))]
+    else:
+        groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
+    buckets = [[] for _ in range(m)]
+    for space, nodes in groups:
+        for _, pol in space.policies(10 ** 6):
+            y = solve_bsde(problem, tree, pol).Y[level]
+            for i in nodes:
+                buckets[i].append(y[i])
+    out = []
+    for rows in buckets:
+        seen = {}
+        for row in rows:
+            seen.setdefault(tuple(np.round(row / 1e-10).astype(np.int64)), row)
+        out.append(np.array(list(seen.values())))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:dt = .* exceeds the comparison-preserving bound")
+@pytest.mark.parametrize("mode,d,n", [("path", 1, 3), ("recombining", 1, 3),
+                                      ("path", 2, 2), ("recombining", 2, 2)])
+@pytest.mark.parametrize("name,index", CATALOGUE, ids=[f"{n}-{i}" for n, i in CATALOGUE])
+def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
+    problem = _problems_in(CONSTRUCTORS[name]())[index]
+    tree = _catalogue_tree(problem, mode, d, n)
+    vals, assigns, count, _ = maximize_over_policies(
+        problem, tree, lambda y: np.asarray(problem.phi(y), dtype=float).reshape(-1))
+    got = bsde._enumerate_static(problem, PolicySpace(problem, tree), 10 ** 6)
+    assert got[1:] == (tuple(assigns[0]), count)
+    if (name, index) in BLAS:
+        assert got[0] == pytest.approx(vals[0], rel=BLAS_RTOL, abs=BLAS_RTOL)
+    else:
+        assert got[0] == vals[0]
+    if not problem.deterministic_controls:  # static_value's enumeration route
+        sv = static_value(problem, tree)
+        assert (sv.value, sv.assignment, sv.enumerated) == got
+        # the winning policy's own solve gives the per-policy maximum
+        assert problem.phi(solve_bsde(problem, tree, sv.policy).Y[0])[0] == vals[0]
+    if tree.mode == "recombining" and not problem.deterministic_controls:
+        return  # adapted reachable sets search path-mode subtrees
+    for level in (0, 1):
+        batch = reachable_set(problem, tree, level).points
+        ref = _reachable_by_solves(problem, tree, level)
+        assert len(batch) == len(ref)
+        for b, r in zip(batch, ref):
+            if (name, index) in BLAS:
+                np.testing.assert_allclose(b, r, rtol=BLAS_RTOL, atol=BLAS_RTOL)
+            else:
+                np.testing.assert_array_equal(b, r)
 
 
 def test_reachable_set_control_free_singleton():

@@ -484,15 +484,28 @@ def test_geometric_dpp_runs_at_the_eps_its_config_records(tmp_path):
     assert rows and all(row.split(",")[2] == "0.00000000000e+00" for row in rows)
 
 
-def test_level_zero_is_its_own_run_and_an_omitted_level_records_half_n(tmp_path):
+def test_level_one_is_its_own_run_and_an_omitted_level_records_half_n(tmp_path):
     doc = {"experiment": "benchmark-verify", "seed": 1, "benchmark": "principal_agent",
            "n": 4, "output_dir": str(tmp_path)}
-    zero, omitted = validate_config({**doc, "level": 0}), validate_config(doc)
-    assert zero.level == 0 and omitted.level == 2
-    assert run_directory(zero) != run_directory(omitted)
+    one, omitted = validate_config({**doc, "level": 1}), validate_config(doc)
+    assert one.level == 1 and omitted.level == 2
+    assert run_directory(one) != run_directory(omitted)
     assert run_directory(omitted) == run_directory(validate_config({**doc, "level": 2}))
     assert run_experiment(omitted).report["config"]["level"] == 2
-    assert run_experiment(zero).report["config"]["level"] == 0
+    assert run_experiment(one).report["config"]["level"] == 1
+
+
+@pytest.mark.parametrize("doc,got", [
+    ({"n": 8, "level": 0}, "got 0"),
+    ({"n": 1}, "the default n // 2 is 0 at n = 1"),
+], ids=["given", "default"])
+def test_principal_agent_refuses_level_zero(doc, got):
+    # at t = 0 the stale start is the restored one: the stale check cannot pass
+    message = ("field 'level': principal_agent's stale-control-group-violates needs "
+               f"level >= 1 (at t = 0 the stale start equals the restored one); {got}")
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
+        validate_config({"experiment": "benchmark-verify", "seed": 0,
+                         "benchmark": "principal_agent", **doc})
 
 
 @pytest.mark.parametrize("doc", [
