@@ -64,6 +64,10 @@ class EnumerationCapError(ValueError):
     """Policy space larger than the enumeration cap."""
 
 
+class NoMaximumError(ValueError):
+    """phi(Y_0) is NaN or -inf under every policy, so no policy attains a maximum."""
+
+
 @dataclass
 class NodeContext:
     """What the generator sees at one level: current Brownian values per node."""
@@ -373,7 +377,10 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
 
 def static_value(problem: BSDEProblem, tree: ScenarioTree,
                  cap: int = 10 ** 6) -> StaticValue:
-    """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route."""
+    """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route.
+
+    A NaN value never wins; NoMaximumError when phi(Y^u_0) is NaN or -inf under
+    every policy."""
     space = PolicySpace(problem, tree)
     eta = _terminal(problem, tree, tree.n)
     if (problem.deterministic_controls and np.all(eta == eta[0])
@@ -400,6 +407,8 @@ def _enumerate_static(problem: BSDEProblem, space: PolicySpace, cap: int):
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, first = vals[i], lo + i
+    if first is None:
+        raise NoMaximumError("phi(Y_0) is NaN or -inf under every policy")
     return float(best), tuple(space.digits(first, first + 1)[0].tolist()), space.size
 
 
@@ -438,6 +447,10 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
     def phi(pts):
         return np.asarray(problem.phi(pts), dtype=float).reshape(-1)
 
+    def score(pts):  # as in the enumeration, a NaN value never wins
+        vals = phi(pts)
+        return np.where(np.isnan(vals), -np.inf, vals)
+
     def respects(j, pts, s):  # the cone probe of the module docstring
         base = np.tile(pts, (dpr, 1))
         bumped = base + np.repeat(np.diag(np.ptp(pts, axis=0) * s), len(pts), axis=0)
@@ -465,13 +478,15 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
             levels[j] = pts
         else:  # no probe failed
             break
-    value = float(np.max(phi(levels[0])))
+    value = float(np.max(score(levels[0])))
+    if value == -np.inf:
+        raise NoMaximumError("phi(Y_0) is NaN or -inf under every policy")
     assignment = []
     for j in range(k):
         cur = np.concatenate([step(j, levels[j + 1], u) for u in U])
         for i in range(j - 1, -1, -1):
             cur = step(i, cur, U[assignment[i]])
-        best = phi(cur).reshape(len(U), -1).max(axis=1)
+        best = score(cur).reshape(len(U), -1).max(axis=1)
         assignment.append(int(np.flatnonzero(best == value)[0]))
     return value, tuple(assignment), len(U) * sum(len(pts) for pts in levels[1:])
 

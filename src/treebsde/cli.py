@@ -17,7 +17,8 @@ from treebsde.experiments import (
 
 
 def _show(v) -> str:
-    """A check's value or bound for the terminal, numbers to 6 significant digits."""
+    """A check's value, bound or target for the terminal, numbers to 6
+    significant digits."""
     if isinstance(v, list):
         return "[" + ", ".join(map(_show, v)) + "]"
     return f"{v:.6g}" if isinstance(v, float) else str(v)
@@ -37,8 +38,8 @@ def _cmd_run(args) -> int:
         return 2
     for check in result.report["checks"]:
         words = ["PASS" if check["passed"] else "FAIL", check["name"]]
-        words += [f"{key}={_show(check[key])}" for key in ("value", "bound", "reason")
-                  if key in check]
+        words += [f"{key}={_show(check[key])}"
+                  for key in ("value", "bound", "target", "reason") if key in check]
         if check.get("flagged"):
             words.append("[flagged]")
         print(" ".join(words))

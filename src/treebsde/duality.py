@@ -36,6 +36,10 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
     level-major then node-ascending;
   * order: each slot takes one (z, u) pair, pairs z-major over z-grid x
     control_values; assignments run lexicographically, then extra_candidates;
+  * control class: under the problem's deterministic_controls the slots of a
+    level share one control while each keeps its own z, so the assignments are
+    the adapted ones with one u per level, in the same order and with the same
+    tags (|z-grid|^slots x |U|^levels of them);
   * tie-break: a min keeps strict improvements only, so the first assignment
     wins exact ties, a NaN cost never wins, and a start whose every cost is inf
     or NaN keeps tag None;
@@ -55,6 +59,7 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
 """
 from __future__ import annotations
 
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -521,20 +526,35 @@ def _chunks(count: int, floats_per_start: int):
     return (slice(i, min(i + step, count)) for i in range(0, count, step))
 
 
-def _steering_table(tree: ScenarioTree, level: int, stop: int, zmats, U, cap: int):
+def _steering_table(problem: BSDEProblem, tree: ScenarioTree, level: int, stop: int,
+                    zmats, cap: int):
     """Every grid assignment of (z, u) pairs to the subtree slots on [level, stop).
 
     Returns (table, levels): table (A, slots) holds one pair index per slot, one
     row per assignment in lexicographic order; levels holds, per level on
     [level, stop), the (z, u) arrays of shape (1, A, w, d', d) and (1, A, w).
+    Under deterministic_controls the slots of a level share one control, so
+    the rows are the adapted table's rows with one u per level, in its order.
     """
-    nc = 2 ** tree.d
-    widths = [nc ** (j - level) for j in range(level, stop)]
-    slots = sum(widths)
-    total = (len(zmats) * len(U)) ** slots
+    U, nz = problem.control_values, len(zmats)
+    widths = [(2 ** tree.d) ** (j - level) for j in range(level, stop)]
+    if problem.deterministic_controls:
+        # digits per level: its first slot's z, the level's u, its other slots'
+        # z; counting in them runs through the pair columns lexicographically
+        radices, zcol, ucol = [], [], []
+        for w in widths:
+            at = len(radices)
+            radices += [nz, len(U)] + [nz] * (w - 1)
+            zcol += [at] + list(range(at + 2, at + w + 1))
+            ucol += [at + 1] * w
+    else:
+        radices = [nz * len(U)] * sum(widths)
+    total = math.prod(radices)
     if total > cap:
         raise EnumerationCapError(f"{total} steering assignments exceed cap {cap}")
-    table = np.indices((len(zmats) * len(U),) * slots).reshape(slots, total).T
+    table = np.indices(radices).reshape(len(radices), total).T
+    if problem.deterministic_controls:
+        table = table[:, zcol] * len(U) + table[:, ucol]
     zs = np.stack(zmats)[table // len(U)]
     us = np.asarray(U, dtype=float)[table % len(U)]
     levels, off = [], 0
@@ -618,8 +638,8 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
     if tree.mode != "path":
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
     n, d, dpr = tree.n, tree.d, problem.value_dim
-    table, grid = _steering_table(tree, level, n, _as_z_matrices(z_values, dpr, d),
-                                  problem.control_values, cap)
+    table, grid = _steering_table(problem, tree, level, n,
+                                  _as_z_matrices(z_values, dpr, d), cap)
     nodes = np.asarray(node, dtype=np.intp).reshape(-1)
     ys = np.asarray(y, dtype=float).reshape(len(nodes), dpr)
     extras = list(extra_candidates)
@@ -685,24 +705,6 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                 cell=(c,) * y_points.shape[1])
 
 
-def check_w_regularity(points: np.ndarray, values: np.ndarray):
-    """Fitted C-hat in |W(y) - W(y')| <= C (1 + |y| + |y'|) |y - y'| over every
-    point pair; more than 200,000 pairs raise ValueError."""
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-    vals = np.asarray(values, dtype=float).reshape(-1)
-    m = len(pts)
-    pairs = m * (m - 1) // 2
-    if pairs > 200_000:
-        raise ValueError(f"{pairs} point pairs exceed the cap of 200,000")
-    ii, jj = np.triu_indices(m, k=1)
-    dv = np.abs(vals[ii] - vals[jj])
-    dist = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    weight = 1.0 + np.linalg.norm(pts[ii], axis=1) + np.linalg.norm(pts[jj], axis=1)
-    mask = dist > 1e-12
-    ratios = dv[mask] / (weight[mask] * dist[mask])
-    return float(ratios.max()) if ratios.size else 0.0, int(mask.sum())
-
-
 # ---------------------------------------------------------------------------
 # geometric DPP
 
@@ -737,8 +739,8 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
         y_points = y_points[:, None]
     wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values,
                                  cap=cap, step_mode=step_mode)
-    table, segment = _steering_table(tree, k1, k2, _as_z_matrices(z_values, dpr, d),
-                                     problem.control_values, cap)
+    table, segment = _steering_table(problem, tree, k1, k2,
+                                     _as_z_matrices(z_values, dpr, d), cap)
     m, npts = wt1.values.shape
     nodes = np.repeat(np.arange(m), npts)
     ys = np.tile(y_points, (m, 1)).reshape(len(nodes), dpr)

@@ -8,8 +8,6 @@ module provides:
     maximizing over deterministic controls on [0, t] (Z = 0 branch);
   * check_comparison: a node-wise order-preservation diagnostic between two
     terminal variables under max-over-policies evaluation;
-  * select_maximizer: the lexicographically largest candidate among the
-    utility maximizers over a nodal/reachable set;
   * build_linear_utility: weights Phi(t,y) = A^1_t y_1 + A^2_t y_2 where the
     ratio of the active to the frozen weight follows a cubic-drift /
     quadratic-volatility SDE, restarted by inversion each time |ratio| hits 2
@@ -54,21 +52,16 @@ class DegenerateUtilityError(ValueError):
     """Both initial weights vanish: the static value is 0 and no construction is needed."""
 
 
-class EmptySelectionError(ValueError):
-    """Maximizer selection over an empty candidate set."""
-
-
 class StepSizeError(ValueError):
     """Euler step too coarse for the requested regime-band overshoot."""
 
 
 @dataclass(frozen=True)
 class DynamicUtility:
-    """evaluate(level, y, nodes=None) -> (k,) utility values; phi is the t=0 slice.
+    """evaluate(level, y) -> (k,) utility values; phi is the t=0 slice.
 
-    y has shape (k, d'); rows align with all nodes at the level (nodes=None) or
-    with the given node indices. Every construction satisfies
-    evaluate(0, y) == phi(y) exactly.
+    y has shape (k, d'), its rows aligned with the nodes at the level. Every
+    construction satisfies evaluate(0, y) == phi(y) exactly.
     """
 
     evaluate: object
@@ -78,7 +71,7 @@ class DynamicUtility:
 
 def static_utility(phi, value_dim: int) -> DynamicUtility:
     """The time-independent utility Phi(t, y) = phi(y) (control group in tests)."""
-    def evaluate(level, y, nodes=None):
+    def evaluate(level, y):
         return np.asarray(phi(np.asarray(y, dtype=float).reshape(-1, value_dim)),
                           dtype=float).reshape(-1)
     return DynamicUtility(evaluate=evaluate, phi=phi, value_dim=value_dim)
@@ -152,31 +145,6 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
     return ComparisonReport(checked=checked, skipped=skipped,
                             violations=tuple(violations),
                             worst_slack=worst if checked else 0.0)
-
-
-def select_maximizer(utility: DynamicUtility, candidates, level: int, node: int,
-                     eps: float | None = None):
-    """Lexicographically largest candidate within 1e-10 of the utility maximum.
-
-    candidates: an (r, d') array, a ReachableSet, or a ConditionalDualValue
-    (then eps selects its nodal points). Returns (y, utility value, tie count).
-    """
-    if hasattr(candidates, "nodal_points"):
-        if eps is None:
-            raise ValueError("selecting from a conditional dual value needs eps")
-        pts = candidates.nodal_points(node, eps)
-    elif hasattr(candidates, "points") and isinstance(candidates.points, tuple):
-        pts = candidates.points[node]
-    else:
-        pts = np.asarray(candidates, dtype=float)
-    pts = np.asarray(pts, dtype=float).reshape(-1, utility.value_dim) if len(pts) else pts
-    if len(pts) == 0:
-        raise EmptySelectionError(f"no candidates at level {level}, node {node}")
-    vals = utility.evaluate(level, pts, nodes=np.full(len(pts), node))
-    top = float(np.max(vals))
-    ties = pts[vals >= top - 1e-10]
-    y_bar = max(map(tuple, ties))
-    return np.array(y_bar), top, len(ties)
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +612,9 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         y = np.asarray(y, dtype=float).reshape(-1, 2)
         return orig_a1 * y[:, 0] + orig_a2 * y[:, 1]
 
-    def evaluate(level, y, nodes=None):
+    def evaluate(level, y):
         y = np.asarray(y, dtype=float).reshape(-1, 2)
-        w1, w2 = A1o[level], A2o[level]
-        if nodes is not None:
-            w1, w2 = w1[np.asarray(nodes)], w2[np.asarray(nodes)]
-        return w1 * y[:, 0] + w2 * y[:, 1]
+        return A1o[level] * y[:, 0] + A2o[level] * y[:, 1]
 
     return LinearUtility(
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
@@ -735,7 +700,6 @@ class OneStepRow:
     after_switch: int
     conditioning_count: int
     frequency: float
-    std_error: float
     passed: bool
 
 
@@ -829,7 +793,7 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
         se = float(np.sqrt(freq * (1 - freq) / count)) or float(np.sqrt(0.25 / count))
         passed = freq <= 0.5 + 3 * se
         one_step.append(OneStepRow(after_switch=k, conditioning_count=count,
-                                   frequency=freq, std_error=se, passed=passed))
+                                   frequency=freq, passed=passed))
         if not passed:
             failures.append(("one-step", k, seed))
     return TauBoundReport(C_hat=float(C_hat), delta=float(delta), m=m,

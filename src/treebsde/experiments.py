@@ -76,7 +76,6 @@ class ExperimentConfig:
     T: float = 1.0
     n: int = 8
     mode: str = "path"
-    d: int = 1
     cap: int = 10 ** 6
     mc_paths: int = 10000
     steps: int = 4096       # Euler steps on [0, 4] (regime-switching ensembles)
@@ -173,7 +172,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         msgs.append("field 'seed': must be >= 0")
     n = clean.get("n", ExperimentConfig.n)
     for key, cond, note in (("n", lambda v: v >= 1, "must be >= 1"),
-                            ("d", lambda v: v >= 1, "must be >= 1"),
                             ("cap", lambda v: v >= 1, "must be >= 1"),
                             ("mc_paths", lambda v: v >= 1, "must be >= 1"),
                             ("steps", lambda v: v >= 1, "must be >= 1"),
@@ -274,7 +272,7 @@ def _make_bench(cfg: ExperimentConfig):
 
 
 def _tree(cfg: ExperimentConfig, n=None, mode=None):
-    return build_tree(TimeGrid(cfg.T, cfg.n if n is None else n), d=cfg.d,
+    return build_tree(TimeGrid(cfg.T, cfg.n if n is None else n), d=1,
                       mode=mode or cfg.mode)
 
 
@@ -626,7 +624,7 @@ EXPERIMENTS = {
         _run_static_value,
         "Exact root value of a benchmark on a scenario tree, by policy "
         "enumeration or the deterministic attainable-point frontier.",
-        _fields(_branch("n d mode cap", benchmark="deterministic", eps=0.05), {
+        _fields(_branch("n mode cap", benchmark="deterministic", eps=0.05), {
             "deterministic": _branch(T=2.0, n=64, mode="recombining"),
             "one_dim": _branch("T", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0)})),
@@ -672,7 +670,7 @@ EXPERIMENTS = {
         _run_benchmark_verify,
         "Closed-form benchmark reproduction through the generic machinery: "
         "values, witnesses, restoration and control groups.",
-        _fields(_branch("n d", benchmark="deterministic"), {
+        _fields(_branch("n", benchmark="deterministic"), {
             "deterministic": _branch("cap", T=2.0, n=64, eps=0.05),
             "one_dim": _branch("T cap", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0, eps=0.1),

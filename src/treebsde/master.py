@@ -3,7 +3,7 @@
 Psi(t, eta) = max over policies on [0, t) of phi(Y_0) with terminal data eta at
 level t. This module provides:
 
-  * ForwardValue / forward_value: enumeration-exact evaluation of Psi;
+  * ForwardValue: enumeration-exact evaluation of Psi;
   * check_forward_dpp: the concatenation identity
       Psi(t2, eta) = max over [t1,t2)-policies of Psi(t1, Y_{t1}(t2, eta)),
     an exact identity under full enumeration;
@@ -60,10 +60,6 @@ class ForwardValue:
             lambda y: np.asarray(self.problem.phi(y), dtype=float).reshape(-1),
             start_level=0, terminal_level=level, terminal_rv=rv, cap=self.cap)
         return float(vals[0])
-
-
-def forward_value(problem: BSDEProblem, tree: ScenarioTree, level: int, eta) -> float:
-    return ForwardValue(problem, tree).value(level, eta)
 
 
 @dataclass(frozen=True)

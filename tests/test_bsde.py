@@ -351,6 +351,36 @@ def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap():
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
 
+def drift_problem(phi, deterministic):
+    """f = u on U = {0, 1} from Y_n = 0, so Y_0 = dt * (controls used); the
+    frontier serves it when deterministic, the enumeration otherwise."""
+    return make_problem(lambda t, ctx, y, z, u: u[:, None] * np.ones_like(y),
+                        lambda ctx: np.zeros((ctx.b.shape[0], 1)), phi=phi,
+                        U=(0.0, 1.0), deterministic_controls=deterministic)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "minus-inf"])
+@pytest.mark.parametrize("deterministic", [False, True], ids=["enumeration", "frontier"])
+def test_static_value_names_a_missing_maximum(deterministic, bad):
+    prob = drift_problem(lambda y: np.full(len(y), bad), deterministic)
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+    with pytest.raises(bsde.NoMaximumError,
+                       match=r"^phi\(Y_0\) is NaN or -inf under every policy$"):
+        static_value(prob, tree)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["enumeration", "frontier"])
+def test_static_value_never_picks_a_nan_value(deterministic):
+    # phi is NaN at the largest Y_0, 1; the next one is 0.5 under one control
+    # per level and 0.75 under adapted controls
+    prob = drift_problem(lambda y: np.where(y[:, 0] > 0.9, np.nan, y[:, 0]),
+                         deterministic)
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+    res = static_value(prob, tree)
+    assert res.value == (0.5 if deterministic else 0.75)
+    assert (res.value, res.assignment) == brute_force(prob, tree)
+
+
 def test_deterministic_controls_match_adapted_for_deterministic_problem():
     grid = TimeGrid(1.0, 3)
     tree = build_tree(grid, 1, "path")

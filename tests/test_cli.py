@@ -232,7 +232,7 @@ def test_validate_limits_dynamic_utility_linear_paths():
 def test_run_prints_each_value_and_only_the_bounds_a_check_has(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, illposed_doc(tmp_path))]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:3] == ["PASS gap-equals-horizon value=1 bound=1e-12",
+    assert lines[:3] == ["PASS gap-equals-horizon value=1 bound=1e-12 target=1",
                          "PASS shared-derivative-sup-identical value=[0, 0]",
                          "PASS witness value=1"]
     doc = {"experiment": "master-residual", "seed": 0, "output_dir": str(tmp_path)}
@@ -309,7 +309,7 @@ def test_validate_rejects_fields_the_experiment_does_not_read():
         validate_config({"experiment": "tau-bound", "seed": 0, "T": 2.0})
     with pytest.raises(ConfigValidationError, match=r"^field 'eps': benchmark-verify "
                        r"with benchmark 'one_dim' does not read it \(accepted: T, "
-                       r"benchmark, c, cap, d, n\)$"):
+                       r"benchmark, c, cap, n\)$"):
         validate_config({"experiment": "benchmark-verify", "seed": 0,
                          "benchmark": "one_dim", "eps": 0.1})
     for key, value in (("eps", 0.01), ("mode", "path")):
@@ -400,6 +400,8 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
     out = capsys.readouterr().out
     assert "fields: mc_paths, steps" in out
     assert "benchmark 'deterministic': T, benchmark, dy, eps, n, value_tol" in out
+    assert "benchmark 'one_dim': T, benchmark, c, cap, eps, mode, n\n" in out
+    assert "benchmark 'one_dim': T, benchmark, c, cap, n\n" in out
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -416,7 +418,12 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
      "field 'level': must satisfy 0 <= level < n = 8"),
     ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "n": 8,
       "level": 8}, "field 'level': must satisfy 0 <= level < n = 8"),
-], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "level-below", "level-at-n"])
+    ({"experiment": "static-value", "d": 1},
+     "field 'd': unknown (valid fields: T, benchmark, c, cap, dx, dy, eps, experiment, "
+     "gamma_a, gamma_p, level, mc_paths, mode, n, output_dir, pairs, r, refinements, "
+     "seed, steps, tol, value_tol, x0)"),
+], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "level-below", "level-at-n",
+        "d"])
 def test_validate_rejects_out_of_range_values(doc, message):
     with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
         validate_config({"seed": 0, **doc})
@@ -471,7 +478,7 @@ def test_eps_zero_is_honoured_not_replaced(tmp_path, capsys):
         "experiment": "static-value", "benchmark": "one_dim", "T": 2.4, "n": 3,
         "eps": 0})
     assert code in (0, 1)
-    assert re.search(r"^(PASS|FAIL) value-within-tolerance value=\S+ bound=0$",
+    assert re.search(r"^(PASS|FAIL) value-within-tolerance value=\S+ bound=0 target=-0$",
                      out.out, re.MULTILINE)
 
 

@@ -20,7 +20,6 @@ from treebsde.duality import (
     HJBConfig,
     MarkovianDualSpec,
     check_geometric_dpp,
-    check_w_regularity,
     conditional_dual_value,
     dual_static_value,
     dual_value_direct,
@@ -29,7 +28,7 @@ from treebsde.duality import (
     extract_nodal_set,
     solve_dual_hjb,
 )
-from treebsde.problems import transport_dual_spec
+from treebsde.problems import geometric_dpp_cases, transport_dual_spec
 
 
 def quad_spec():
@@ -475,21 +474,6 @@ def test_geometric_dpp_inclusions_small():
     assert wide.inclusions_hold
 
 
-def test_w_regularity_quadratic_bound():
-    ys = np.linspace(-1.0, 1.0, 41)
-    chat, pairs = check_w_regularity(ys, ys ** 2)
-    assert pairs == 41 * 40 // 2
-    assert 0.3 <= chat <= 1.0 + 1e-12
-
-
-def test_w_regularity_refuses_more_pairs_than_its_cap():
-    ys = np.linspace(-1.0, 1.0, 633)
-    with pytest.raises(ValueError, match="200028 point pairs"):
-        check_w_regularity(ys, ys ** 2)
-    _, pairs = check_w_regularity(ys[:632], ys[:632] ** 2)
-    assert pairs == 199396
-
-
 def test_csv_exports(tmp_path):
     grid = TimeGrid(T=0.5, n=2)
     dual = solve_dual_hjb(quad_spec(), grid, quad_config(h=0.5))
@@ -554,11 +538,16 @@ def _ref_steer(problem, tree, level, node, y, stop, zu, mode):
     return xs
 
 
-def _ref_steerings(tree, level, node, stop, zmats, U):
+def _ref_steerings(tree, level, node, stop, zmats, U, deterministic):
+    """Every assignment of (z, u) pairs to the subtree slots in lexicographic
+    order; one u per level when the controls are deterministic."""
     slots = [(j, i) for j in range(level, stop)
              for i in tree.descendants(level, node, j)]
     pairs = list(itertools.product(zmats, U))
     for a in itertools.product(range(len(pairs)), repeat=len(slots)):
+        level_u = {(j, p % len(U)) for (j, _), p in zip(slots, a)}
+        if deterministic and len(level_u) > stop - level:
+            continue
         yield a, dict(zip(slots, (pairs[p] for p in a)))
 
 
@@ -576,7 +565,7 @@ def _ref_dual_value(problem, tree, level, node, y, z_values, mode, extras=()):
 
     best, tag = np.inf, None
     for a, zu in _ref_steerings(tree, level, node, n, _zmats(z_values, dpr, tree.d),
-                                problem.control_values):
+                                problem.control_values, problem.deterministic_controls):
         val = cost(zu)
         if val < best:
             best, tag = val, a
@@ -596,8 +585,8 @@ def _ref_geometric(problem, tree, k1, k2, eps, pts, z_values, mode):
     for node in range(tree.node_count(k1)):
         for y in pts:
             best = np.inf
-            for _, zu in _ref_steerings(tree, k1, node, k2, zmats,
-                                        problem.control_values):
+            for _, zu in _ref_steerings(tree, k1, node, k2, zmats, problem.control_values,
+                                        problem.deterministic_controls):
                 xs = _ref_steer(problem, tree, k1, node, y, k2, zu, mode)
                 worst = 0.0
                 for i, x in xs.items():
@@ -650,6 +639,7 @@ def test_batched_dual_value_matches_per_start_reference(data):
     nu = data.draw(st.integers(1, npairs // nz), label="nu")
     problem.control_values = tuple(data.draw(
         st.lists(st.sampled_from((0.0, 1.0, -0.5)), min_size=nu, max_size=nu)))
+    problem.deterministic_controls = data.draw(st.booleans(), label="deterministic")
     entry = st.sampled_from(_GRID)
     z_values = tuple(data.draw(st.one_of(
         entry, st.lists(entry, min_size=dpr * d, max_size=dpr * d).map(
@@ -670,7 +660,8 @@ def test_batched_dual_value_matches_per_start_reference(data):
               for _ in range(data.draw(st.integers(0, 2), label="extras"))]
     per_chunk = data.draw(st.sampled_from((None, 1, 2, 3)), label="starts per chunk")
 
-    count = (nz * nu) ** slots + len(extras)
+    count = (nz ** slots * nu ** (depth if problem.deterministic_controls else slots)
+             + len(extras))
     with pytest.MonkeyPatch.context() as mp:
         if per_chunk is not None:
             mp.setattr(duality, "_CHUNK_FLOATS",
@@ -758,6 +749,22 @@ def test_geometric_dpp_matches_per_start_reference(mode, monkeypatch):
     assert (rep.rho_into.hex(), rep.rho_back.hex()) == (rho_into.hex(), rho_back.hex())
     assert (rep.nodal_count, rep.steerable_count) == (nodal, steerable)
     assert nodal > 0 and steerable > 0
+
+
+def test_steering_takes_one_control_per_level_under_deterministic_controls():
+    # the geometric-dpp steering problem declares deterministic controls: at
+    # level 6 of 8 its three subtree slots take 2^2 assignments, not 2^3
+    _, problem, z_values, _ = geometric_dpp_cases()[1]
+    tree = build_tree(TimeGrid(T=2.0, n=8), d=1)
+    with pytest.raises(EnumerationCapError, match="^4 steering assignments exceed cap 3$"):
+        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=3)
+    value, tag = dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=4)
+    assert tag[1] == tag[2]  # the two level-7 slots share their control
+    assert value == _ref_dual_value(problem, tree, 6, 0, [0.5, 0.5], z_values,
+                                    "inverse")[0]
+    problem.deterministic_controls = False
+    with pytest.raises(EnumerationCapError, match="^8 steering assignments exceed cap 4$"):
+        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=4)
 
 
 def test_geometric_dpp_fails_when_no_probe_is_in_a_nodal_set():

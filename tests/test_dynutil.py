@@ -1,5 +1,5 @@
-"""Tests for dynamic utilities: deterministic construction, comparison checks,
-maximizer selection, and the linear switching-weight construction."""
+"""Tests for dynamic utilities: deterministic construction, comparison checks
+and the linear switching-weight construction."""
 import itertools
 import tracemalloc
 
@@ -9,10 +9,8 @@ import pytest
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import BSDEProblem, ProblemValidationError
 from treebsde import dynutil
-from treebsde.duality import ConditionalDualValue
 from treebsde.dynutil import (
     DegenerateUtilityError,
-    EmptySelectionError,
     LinearUtilityCoeffs,
     OneStepRow,
     StepSizeError,
@@ -24,7 +22,6 @@ from treebsde.dynutil import (
     make_comparison_pairs,
     replay_paths,
     riccati_polynomials,
-    select_maximizer,
     static_utility,
     switch_events,
     verify_tau_bound,
@@ -122,26 +119,6 @@ def test_check_comparison_detects_time_inconsistency():
     assert len(report.violations) >= 1
     # the dominated terminal value yields the strictly better time-0 utility
     assert report.worst_slack == pytest.approx(1.5, abs=1e-12)
-
-
-def test_select_maximizer_lexicographic_tie():
-    util = static_utility(lambda y: y[:, 0] + y[:, 1], 2)
-    y, top, ties = select_maximizer(util, np.array([[0.0, 1.0], [1.0, 0.0]]), 0, 0)
-    np.testing.assert_array_equal(y, [1.0, 0.0])
-    assert top == 1.0 and ties == 2
-
-
-def test_select_maximizer_containers():
-    util = static_utility(lambda y: -np.abs(y[:, 0] - 0.25), 1)
-    cdv = ConditionalDualValue(
-        level=1, y_points=np.array([[0.0], [0.25], [1.0]]),
-        values=np.array([[0.0, 0.05, 0.5]]), cell=(0.25,))
-    y, _, _ = select_maximizer(util, cdv, 1, 0, eps=0.1)
-    np.testing.assert_array_equal(y, [0.25])
-    with pytest.raises(EmptySelectionError):
-        select_maximizer(util, cdv, 1, 0, eps=-1.0)
-    with pytest.raises(ValueError, match="eps"):
-        select_maximizer(util, cdv, 1, 0)
 
 
 def test_degenerate_weights():
@@ -397,7 +374,7 @@ def test_switch_events_and_tau_rows_match_dense_ensemble(seed):
         freq = float((nxt < np.minimum(T - eps_t, start + rep.delta)).mean())
         se = (float(np.sqrt(freq * (1 - freq) / len(base)))
               or float(np.sqrt(0.25 / len(base))))
-        one_step.append(OneStepRow(k, len(base), freq, se, freq <= 0.5 + 3 * se))
+        one_step.append(OneStepRow(k, len(base), freq, freq <= 0.5 + 3 * se))
     assert len(one_step) >= 2
     assert rep.one_step == tuple(one_step)
     assert rep.overshoot == lin.overshoot

@@ -15,7 +15,6 @@ from treebsde.master import (
     check_lipschitz,
     default_illposed_generators,
     eta_derivative,
-    forward_value,
     illposed_demo,
     master_residual,
     node_histories,
@@ -42,7 +41,7 @@ def test_forward_value_level_zero_is_phi():
     tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
     p = drift_problem()
     eta = np.array([[0.7]])
-    assert forward_value(p, tree, 0, eta) == p.phi(eta)[0]
+    assert ForwardValue(p, tree).value(0, eta) == p.phi(eta)[0]
 
 
 def test_forward_value_terminal_level_is_static_value():
@@ -52,7 +51,7 @@ def test_forward_value_terminal_level_is_static_value():
     xi = np.asarray(p.terminal(ctx), dtype=float)
     direct, _, _, _ = maximize_over_policies(
         p, tree, lambda y: p.phi(y), start_level=0)
-    assert forward_value(p, tree, 3, xi) == direct[0]
+    assert ForwardValue(p, tree).value(3, xi) == direct[0]
 
 
 def test_forward_dpp_exact_scalar():

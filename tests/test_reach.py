@@ -21,12 +21,9 @@ ALLOWED = {
     "benchmarks.onedim_restoration_check",
     "bsde.envelope_bsde",
     "bsde.reachable_set",
-    "duality.check_w_regularity",
     "dynutil.check_comparison",
     "dynutil.deterministic_phi",
-    "dynutil.select_maximizer",
     "dynutil.static_utility",
-    "master.forward_value",
 }
 
 
