@@ -59,13 +59,13 @@ def forward_states(tree: ScenarioTree, sde: ForwardSDE, control,
                    level0: int = 0, init=None):
     """Per-node forward states on a path tree from level0 to the horizon.
 
-    control is a feedback callable u(t, x) -> array, or a sequence of per-level
-    scalars/arrays for levels level0..n-1. Returns a list of (m_j,) arrays.
+    control is a feedback callable u(t, x) -> scalar or (m_j,) array of the
+    controls at level j's nodes. Returns a list of (m_j,) arrays.
     """
     if tree.mode != "path":
         raise ValueError("controlled forward dynamics need path mode "
                          "(states are path-dependent)")
-    n, dt, nc = tree.n, tree.dt, 2 ** tree.d
+    n, dt = tree.n, tree.dt
     times = tree.grid.times()
     x = (np.full(tree.node_count(level0), float(sde.x0))
          if init is None else np.asarray(init, dtype=float).reshape(-1).copy())
@@ -73,11 +73,7 @@ def forward_states(tree: ScenarioTree, sde: ForwardSDE, control,
         raise ValueError("init length does not match the level0 node count")
     out = [x]
     for j in range(level0, n):
-        if callable(control):
-            u = np.asarray(control(times[j], x), dtype=float)
-        else:
-            u = np.asarray(control[j - level0], dtype=float)
-        u = np.broadcast_to(u, x.shape)
+        u = np.broadcast_to(np.asarray(control(times[j], x), dtype=float), x.shape)
         drift = np.asarray(sde.drift(times[j], x, u), dtype=float)
         diff = np.asarray(sde.diffusion(times[j], x, u), dtype=float)
         nxt = (x[:, None] + drift[:, None] * dt
@@ -88,7 +84,7 @@ def forward_states(tree: ScenarioTree, sde: ForwardSDE, control,
 
 
 def subtree_argmax(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                   node: int, objective, cap: int = 10 ** 6):
+                   node: int, objective):
     """Exact max of objective(Y_level[node]) over the node's subtree policies.
 
     objective maps the (d',) value at the node to a float. Returns
@@ -101,7 +97,7 @@ def subtree_argmax(problem: BSDEProblem, tree: ScenarioTree, level: int,
 
     try:
         best, assigns, _, _ = maximize_over_policies(problem, tree, at_node,
-                                                     start_level=level, cap=cap, node=node)
+                                                     start_level=level, node=node)
     except EnumerationCapError as exc:
         raise BenchmarkError(f"subtree argmax: {exc}") from None
     return float(best[node]), assigns[node]
@@ -246,7 +242,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     Deviation is measured in grid cells (Chebyshev distance / spacing).
     """
     a = bench.analytic
-    x0, c, T = a["x0"], a["c"], a["T"]
+    x0, c = a["x0"], a["c"]
     n = tree.n
     xs = forward_states(tree, bench.forward, a["feedback"])
     cell0, _ = mv_grid_argmax(bench, x0, x0 * x0, 0.0, n, c)
@@ -324,8 +320,7 @@ class WitnessReport:
     min_margin: float
 
 
-def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
-                         cap: int = 10 ** 6) -> WitnessReport:
+def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree) -> WitnessReport:
     """Every witness-set node strictly prefers u = +1 over the restriction of
     the time-0 optimal control u = -1 under the stale utility."""
     a = bench.analytic
@@ -343,7 +338,7 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
         for i in np.nonzero(mask)[0]:
             best, assign = subtree_argmax(
                 bench.problem, tree, k, int(i),
-                lambda y: -abs(c + y[0]), cap=cap)
+                lambda y: -abs(c + y[0]))
             ref_val = -abs(c + float(ref.Y[k][i, 0]))
             flips = all(U[s] == 1.0 for s in assign)
             all_flip = all_flip and flips and best > ref_val
@@ -610,7 +605,7 @@ def deterministic_discrete_optimum(T: float, n: int) -> float:
 
 
 def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
-                                level: int, cap: int = 10 ** 6) -> WitnessReport:
+                                level: int) -> WitnessReport:
     """Time-t re-optimization differs from the time-0 optimum's restriction
     with a strict margin (continuous analogue t^2/2)."""
     a = bench.analytic
@@ -619,11 +614,11 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     t = tree.grid.times()[level]
     if not 0.0 < t < T - 1.0:
         raise BenchmarkError("pick a level with 0 < t < T - 1")
-    sv = static_value(bench.problem, tree, cap=cap)
+    sv = static_value(bench.problem, tree)
     sol0 = solve_bsde(bench.problem, tree, sv.policy)
     ref = float(sol0.Y[level][0, 0])  # deterministic: all nodes equal
     best, assign = subtree_argmax(bench.problem, tree, level, 0,
-                                  lambda y: y[0], cap=cap)
+                                  lambda y: y[0])
     margin = best - ref
     # the re-optimized sequence must switch on inside (1, 1+t)
     times = tree.grid.times()[:n]

@@ -19,10 +19,12 @@ through PolicySpace, which fixes:
   * order: assignments (one index into control_values per slot) run
     lexicographically, so a max over them that keeps strict improvements only
     returns the first (smallest) assignment on exact ties;
-  * cap: more than cap assignments raises EnumerationCapError before any solve;
+  * cap: more than ENUMERATION_CAP assignments raise EnumerationCapError
+    before any solve;
   * cost: static_value's enumeration and reachable_set run chunked batch solves
     (_solve_chunks: one generator call per level for a chunk of assignments
-    stacked along the node axis, at most _CHUNK_FLOATS child floats per chunk).
+    stacked along the node axis, at most _CHUNK_FLOATS child floats per chunk;
+    a subtree space solves only its node's descendant rows).
     maximize_over_policies, master.check_forward_dpp and
     dynutil.check_linear_comparison still run one solve_bsde per policy: the
     benchmark's counters count solves per policy on that path.
@@ -33,13 +35,14 @@ terminal data is node-constant and _probe_deterministic (every control, 8
 levels) finds f independent of z and of the node. The kernel moves the
 attainable Y values back one level at a time (Z = 0, one f call per level and
 control, steps y + f*dt as in solve_bsde) and drops exact duplicates: exact
-while the |U|^k policies fit under cap. Above cap it prunes points dominated
-along the first s in product((1, -1)) order that each level's own points
-respect under one-coordinate bumps by s_i times their spread (step maps move
-along s, phi does not fall; a failing s restarts the sweep, none passing means
-dedup only). Slots 0, 1, ... take the first control whose best completion over
-the stored level sets reaches the value, so ties keep the lexicographically
-first assignment. More than cap points at a level raise EnumerationCapError.
+while the |U|^k policies fit under ENUMERATION_CAP. Above it, the kernel prunes
+points dominated along the first s in product((1, -1)) order that each level's
+own points respect under one-coordinate bumps by s_i times their spread (step
+maps move along s, phi does not fall; a failing s restarts the sweep, none
+passing means dedup only). Slots 0, 1, ... take the first control whose best
+completion over the stored level sets reaches the value, so ties keep the
+lexicographically first assignment. More than ENUMERATION_CAP points at a level
+raise EnumerationCapError.
 
 For d'=1 the scheme is monotone (hence order-preserving in the terminal data) when
 1 - L*dt - L*sqrt(dt) >= 0; the sqrt(dt) term enters through the z-slot. This is
@@ -61,7 +64,19 @@ class ProblemValidationError(ValueError):
 
 
 class EnumerationCapError(ValueError):
-    """Policy space larger than the enumeration cap."""
+    """More candidates than ENUMERATION_CAP."""
+
+
+# The most candidates any enumeration of the package takes: tree policies,
+# steering assignments (duality), attainable frontier points at one level.
+ENUMERATION_CAP = 10 ** 6
+
+
+def _check_cap(count: int, what: str) -> None:
+    """EnumerationCapError when count exceeds ENUMERATION_CAP, which is read
+    at each call, so one patch of the constant reaches every enumeration."""
+    if count > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{count} {what} exceed cap {ENUMERATION_CAP}")
 
 
 class NoMaximumError(ValueError):
@@ -252,6 +267,7 @@ class PolicySpace:
         self.control_values = problem.control_values
         self.start_level = start_level
         self.terminal_level = k
+        self.node = node
         if problem.deterministic_controls:
             self.slots = tuple((j, None) for j in range(start_level, k))
         elif node is None:
@@ -262,9 +278,8 @@ class PolicySpace:
                                for i in tree.descendants(start_level, node, j))
         self.size = len(self.control_values) ** len(self.slots)
 
-    def check_cap(self, cap: int) -> None:
-        if self.size > cap:
-            raise EnumerationCapError(f"{self.size} policies exceed cap {cap}")
+    def check_cap(self) -> None:
+        _check_cap(self.size, "policies")
 
     def digits(self, lo: int, hi: int) -> np.ndarray:
         """Assignments lo..hi-1 in lexicographic order, shape (hi - lo, slots):
@@ -285,9 +300,9 @@ class PolicySpace:
                 levels[j][i] = U[a]
         return ControlPolicy(tuple(levels))
 
-    def policies(self, cap: int):
+    def policies(self):
         """Lazy (assignment, policy) pairs in lexicographic order, cap-checked first."""
-        self.check_cap(cap)
+        self.check_cap()
         choices = range(len(self.control_values))
         return ((a, self.policy(a))
                 for a in itertools.product(choices, repeat=len(self.slots)))
@@ -300,36 +315,42 @@ class PolicySpace:
 _CHUNK_FLOATS = 1 << 13
 
 
-def _solve_chunks(problem: BSDEProblem, space: PolicySpace, cap: int):
+def _solve_chunks(problem: BSDEProblem, space: PolicySpace):
     """(first assignment index, Y at space.start_level of shape (p, m, d')) for
-    consecutive chunks of p assignments of space, in lexicographic order.
+    consecutive chunks of p assignments of space, in lexicographic order; m is
+    the start level's node count, or 1 for a node's subtree space.
 
     solve_bsde's scheme under every assignment of a chunk at once: the
     (assignment, node) pairs are flattened into the node axis, with ctx.b tiled,
-    so each level costs one problem.f call per chunk. Controls are
-    space.policy's. More than cap assignments raise EnumerationCapError before
-    any generator call; the probe and the step-size warning are solve_bsde's.
+    so each level costs one problem.f call per chunk. A subtree space solves
+    only its node's descendants (path mode only). Controls are space.policy's.
+    More than ENUMERATION_CAP assignments raise EnumerationCapError before any
+    generator call; the probe and the step-size warning are solve_bsde's.
     """
-    space.check_cap(cap)
+    space.check_cap()
     tree, start, k = space.tree, space.start_level, space.terminal_level
     _check_scheme(problem, tree, stacklevel=4)
     dpr, nc = problem.value_dim, 2 ** tree.d
-    widest = max((tree.node_count(j) * nc for j in range(start, k)), default=1) * dpr
+    # the node rows each level solves: all, or the subtree's
+    rows = {j: range(tree.node_count(j)) if space.node is None
+            else tree.descendants(start, space.node, j) for j in range(start, k + 1)}
+    widest = max((len(rows[j]) * nc for j in range(start, k)), default=1) * dpr
     chunk = min(space.size, max(1, _CHUNK_FLOATS // widest))
     U = np.asarray(space.control_values, dtype=float)
-    # per level, each node's slot; non-slot nodes read an extra all-zero digit
-    col = {j: np.full(tree.node_count(j), len(space.slots)) for j in range(start, k)}
+    # per level, each row's slot; non-slot rows read an extra all-zero digit
+    col = {j: np.full(len(rows[j]), len(space.slots)) for j in range(start, k)}
     for s, (j, i) in enumerate(space.slots):
-        col[j][slice(None) if i is None else i] = s
-    eta = np.tile(_terminal(problem, tree, k), (chunk, 1))
-    bs = {j: np.tile(tree.values[j], (chunk, 1)) for j in range(start, k)}
+        col[j][slice(None) if i is None else i - rows[j].start] = s
+    eta = np.tile(_terminal(problem, tree, k)[rows[k].start:rows[k].stop], (chunk, 1))
+    bs = {j: np.tile(tree.values[j][rows[j].start:rows[j].stop], (chunk, 1))
+          for j in range(start, k)}
     times = tree.grid.times()
     for lo in range(0, space.size, chunk):
         p = min(chunk, space.size - lo)
         digits = np.pad(space.digits(lo, lo + p), ((0, 0), (0, 1)))
-        cur = eta[:p * tree.node_count(k)]
+        cur = eta[:p * len(rows[k])]
         for j in range(k - 1, start - 1, -1):
-            m = tree.node_count(j)
+            m = len(rows[j])
             u = U[digits[:, col[j]]]  # (p, m)
             if tree.mode == "path":  # children of flat row r are rows r*2^d + c
                 cv = cur.reshape(p * m, nc, dpr)
@@ -352,7 +373,7 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            objective, start_level: int = 0,
                            terminal_level: int | None = None,
                            terminal_rv: TreeRandomVariable | None = None,
-                           cap: int = 10 ** 6, node: int | None = None):
+                           node: int | None = None):
     """Per-node max at start_level of objective(Y_{start_level}) over segment policies,
     or over the subtree policies of one node at start_level when node is given.
 
@@ -364,7 +385,7 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     m0 = tree.node_count(start_level)
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
-    for assignment, pol in space.policies(cap):
+    for assignment, pol in space.policies():
         sol = solve_bsde(problem, tree, pol, terminal_level=k, terminal_rv=terminal_rv)
         vals = np.asarray(objective(sol.Y[start_level]), dtype=float)
         improved = vals > best
@@ -375,8 +396,7 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     return best, best_assign, space.size, False
 
 
-def static_value(problem: BSDEProblem, tree: ScenarioTree,
-                 cap: int = 10 ** 6) -> StaticValue:
+def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
     """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route.
 
     A NaN value never wins; NoMaximumError when phi(Y^u_0) is NaN or -inf under
@@ -388,20 +408,20 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree,
         if not problem._lip_checked:
             probe_lipschitz(problem, tree)
         value, assignment, count = _frontier(
-            problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d, cap)
+            problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d)
     else:
-        value, assignment, count = _enumerate_static(problem, space, cap)
+        value, assignment, count = _enumerate_static(problem, space)
     return StaticValue(value=value, policy=space.policy(assignment), assignment=assignment,
                        enumerated=count, heuristic=False)
 
 
-def _enumerate_static(problem: BSDEProblem, space: PolicySpace, cap: int):
+def _enumerate_static(problem: BSDEProblem, space: PolicySpace):
     """(max phi(Y_0), first maximizing assignment, policy count) over space by
     batch solves. Strict improvements across chunks and the first index within
     one give maximize_over_policies' winner: ties keep the first assignment and
     a NaN value never wins."""
     best, first = -np.inf, None
-    for lo, y0 in _solve_chunks(problem, space, cap):
+    for lo, y0 in _solve_chunks(problem, space):
         vals = np.asarray(problem.phi(y0[:, 0]), dtype=float).reshape(-1)
         vals = np.where(np.isnan(vals), -np.inf, vals)
         i = int(np.argmax(vals))
@@ -433,7 +453,7 @@ def _probe_deterministic(problem: BSDEProblem, times, d: int = 1, seed: int = 0)
     return True
 
 
-def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
+def _frontier(problem: BSDEProblem, y, times, dt: float, d: int):
     """(max phi(Y_0), first maximizing assignment, points evaluated) over one control
     per level on [0, k), k = len(times), from Y_k = y; see the module docstring."""
     U, dpr, k = problem.control_values, problem.value_dim, len(times)
@@ -460,7 +480,8 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
                    for u in U)
 
     # prune only above the enumeration cap, along the first sign that passes
-    signs = list(itertools.product((1.0, -1.0), repeat=dpr)) if len(U) ** k > cap else []
+    signs = (list(itertools.product((1.0, -1.0), repeat=dpr))
+             if len(U) ** k > ENUMERATION_CAP else [])
     for s in [np.array(s) for s in signs] + [None]:
         levels = [None] * k + [np.asarray(y, dtype=float).reshape(1, dpr)]
         for j in range(k - 1, -1, -1):
@@ -472,9 +493,7 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int, cap: int):
                 q, block = pts * s, max(1, 2 ** 20 // pts.size)
                 pts = pts[np.concatenate([np.all(q >= q[a:a + block, None], axis=2).sum(axis=1) == 1
                                           for a in range(0, len(q), block)])]
-            if len(pts) > cap:
-                raise EnumerationCapError(
-                    f"{len(pts)} attainable points at level {j} exceed cap {cap}")
+            _check_cap(len(pts), f"attainable points at level {j}")
             levels[j] = pts
         else:  # no probe failed
             break
@@ -509,9 +528,9 @@ def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> Reach
         groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
     buckets = [[] for _ in range(m)]
     for space, nodes in groups:
-        for _, y in _solve_chunks(problem, space, 10 ** 6):
-            for i in nodes:
-                buckets[i].append(y[:, i])
+        for _, y in _solve_chunks(problem, space):
+            for c, i in enumerate(nodes):
+                buckets[i].append(y[:, c])
     return ReachableSet(level=level,
                         points=tuple(_dedup(np.concatenate(b)) for b in buckets))
 

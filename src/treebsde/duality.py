@@ -43,8 +43,8 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
   * tie-break: a min keeps strict improvements only, so the first assignment
     wins exact ties, a NaN cost never wins, and a start whose every cost is inf
     or NaN keeps tag None;
-  * cap: more than cap assignments raise EnumerationCapError before any
-    problem.f call;
+  * cap: more than bsde.ENUMERATION_CAP assignments raise EnumerationCapError
+    before any problem.f call;
   * step: explicit Euler x - f dt, or (inverse) the fixed point P + f(P) dt = x
     in at most 60 iterations, each row stopping at its own max|step| < 1e-15;
     child c then adds z @ increment[c];
@@ -68,7 +68,7 @@ import numpy as np
 
 from treebsde.artifacts import write_csv
 from treebsde.lattice import ScenarioTree, TimeGrid
-from treebsde.bsde import BSDEProblem, EnumerationCapError, NodeContext
+from treebsde.bsde import BSDEProblem, NodeContext, _check_cap
 
 
 class ConfigError(ValueError):
@@ -443,7 +443,6 @@ class NodalSet:
     level: int
     points: np.ndarray    # (m, dim) y points with W <= eps, sorted ascending
     eps: float
-    cell: tuple           # grid cell sizes per dimension
     empty: bool
 
 
@@ -459,43 +458,29 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
         row = dual.at(level)[x_index, :]
         ys = dual.axes[1]
         pts = ys[row <= eps][:, None]
-        cell = (dual.config.dy,)
     else:
         mask = dual.at(level) <= eps
         ii, jj = np.nonzero(mask)
         pts = np.stack([dual.axes[0][ii], dual.axes[1][jj]], axis=-1)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         pts = pts[order]
-        cell = (dual.config.dy, dual.config.dy)
-    return NodalSet(level=level, points=pts, eps=float(eps),
-                    cell=cell, empty=pts.shape[0] == 0)
+    return NodalSet(level=level, points=pts, eps=float(eps), empty=pts.shape[0] == 0)
 
 
 @dataclass(frozen=True)
 class DualStaticValue:
     value: float
     eps: float
-    nearest_reachable_distance: float | None
-    within_one_cell: bool | None
 
 
-def dual_static_value(nodal: NodalSet, phi, reachable_points: np.ndarray | None = None) -> DualStaticValue:
+def dual_static_value(nodal: NodalSet, phi) -> DualStaticValue:
     """max of phi over the nodal set; errors on empty sets advising a larger eps."""
     if nodal.empty:
         raise EmptyNodalSetError(
             f"nodal set empty at eps = {nodal.eps:.3e}; enlarge eps or refine the grid"
         )
     vals = np.asarray(phi(nodal.points)).reshape(-1)
-    i = int(np.argmax(vals))
-    y_star = nodal.points[i]
-    dist = None
-    within = None
-    if reachable_points is not None and len(reachable_points):
-        rp = np.asarray(reachable_points).reshape(len(reachable_points), -1)
-        dist = float(np.linalg.norm(rp - y_star[None, :], axis=1).min())
-        within = dist <= float(np.linalg.norm(nodal.cell)) * (1 + 1e-9) + 1e-12
-    return DualStaticValue(value=float(vals[i]), eps=nodal.eps,
-                           nearest_reachable_distance=dist, within_one_cell=within)
+    return DualStaticValue(value=float(vals.max()), eps=nodal.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +512,7 @@ def _chunks(count: int, floats_per_start: int):
 
 
 def _steering_table(problem: BSDEProblem, tree: ScenarioTree, level: int, stop: int,
-                    zmats, cap: int):
+                    zmats):
     """Every grid assignment of (z, u) pairs to the subtree slots on [level, stop).
 
     Returns (table, levels): table (A, slots) holds one pair index per slot, one
@@ -550,8 +535,7 @@ def _steering_table(problem: BSDEProblem, tree: ScenarioTree, level: int, stop: 
     else:
         radices = [nz * len(U)] * sum(widths)
     total = math.prod(radices)
-    if total > cap:
-        raise EnumerationCapError(f"{total} steering assignments exceed cap {cap}")
+    _check_cap(total, "steering assignments")
     table = np.indices(radices).reshape(len(radices), total).T
     if problem.deterministic_controls:
         table = table[:, zcol] * len(U) + table[:, ucol]
@@ -624,8 +608,8 @@ def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: i
 
 
 def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                      node, y, z_values, cap: int = 10 ** 6,
-                      step_mode: str = "inverse", extra_candidates=()):
+                      node, y, z_values, step_mode: str = "inverse",
+                      extra_candidates=()):
     """min over enumerated (z,u) node-assignments of E_node |X_T - xi|^2, X_level = y.
 
     The forward step inverts the backward Euler map (or takes an explicit Euler
@@ -639,7 +623,7 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
     n, d, dpr = tree.n, tree.d, problem.value_dim
     table, grid = _steering_table(problem, tree, level, n,
-                                  _as_z_matrices(z_values, dpr, d), cap)
+                                  _as_z_matrices(z_values, dpr, d))
     nodes = np.asarray(node, dtype=np.intp).reshape(-1)
     ys = np.asarray(y, dtype=float).reshape(len(nodes), dpr)
     extras = list(extra_candidates)
@@ -686,7 +670,7 @@ class ConditionalDualValue:
 
 
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                           y_points, z_values, cap: int = 10 ** 6,
+                           y_points, z_values,
                            step_mode: str = "inverse") -> ConditionalDualValue:
     """W-tilde(level, node, y) on the tree for each node and probe point y; cell
     is the least spacing of the first coordinates, in every dimension."""
@@ -696,7 +680,7 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
     m = tree.node_count(level)
     vals, _ = dual_value_direct(problem, tree, level,
                                 np.repeat(np.arange(m), len(y_points)),
-                                np.tile(y_points, (m, 1)), z_values, cap=cap,
+                                np.tile(y_points, (m, 1)), z_values,
                                 step_mode=step_mode)
     vals = vals.reshape(m, len(y_points))
     diffs = np.diff(np.sort(np.unique(y_points[:, 0])))
@@ -720,7 +704,7 @@ class GeometricDppReport:
 
 
 def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: int,
-                        eps: float, y_points, z_values, cap: int = 10 ** 6,
+                        eps: float, y_points, z_values,
                         step_mode: str = "inverse") -> GeometricDppReport:
     """Empirical two-sided nodal-set inclusion between levels k1 < k2.
 
@@ -738,9 +722,9 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     if y_points.ndim == 1:
         y_points = y_points[:, None]
     wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values,
-                                 cap=cap, step_mode=step_mode)
+                                 step_mode=step_mode)
     table, segment = _steering_table(problem, tree, k1, k2,
-                                     _as_z_matrices(z_values, dpr, d), cap)
+                                     _as_z_matrices(z_values, dpr, d))
     m, npts = wt1.values.shape
     nodes = np.repeat(np.arange(m), npts)
     ys = np.tile(y_points, (m, 1)).reshape(len(nodes), dpr)
@@ -754,7 +738,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
         succ = np.broadcast_to((nodes[sl, None] * width + np.arange(width))[:, None],
                                xs.shape[:3])
         w2, _ = dual_value_direct(problem, tree, k2, succ.reshape(-1),
-                                  xs.reshape(-1, dpr), z_values, cap=cap,
+                                  xs.reshape(-1, dpr), z_values,
                                   step_mode=step_mode)
         worst = np.fmax.reduce(w2.reshape(xs.shape[:3]), axis=2, initial=0.0)
         steer_min[sl] = np.fmin.reduce(worst, axis=1, initial=np.inf)
@@ -790,12 +774,8 @@ def export_dual_grid_csv(dual: DualGrid, path: str, levels=None) -> None:
                             for j, b in enumerate(dual.axes[1])))
 
 
-def export_nodal_set_csv(nodal: NodalSet, times: np.ndarray, path: str,
-                         x_value: float | None = None) -> None:
-    dim = nodal.points.shape[1] if nodal.points.size else len(nodal.cell)
-    if dim == 1:
-        names = ("t", "x", "y") if x_value is not None else ("t", "y")
-    else:
-        names = ("t", "y1", "y2")
-    vals = (times[nodal.level],) + ((float(x_value),) if x_value is not None and dim == 1 else ())
-    write_csv(path, names, (vals + tuple(row) for row in nodal.points))
+def export_nodal_set_csv(nodal: NodalSet, times: np.ndarray, path: str) -> None:
+    """One (t, y) or (t, y1, y2) row per nodal point; an empty set writes the header."""
+    names = ("t", "y") if nodal.points.shape[1] == 1 else ("t", "y1", "y2")
+    t = times[nodal.level]
+    write_csv(path, names, ((t,) + tuple(row) for row in nodal.points))

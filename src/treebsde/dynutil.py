@@ -11,15 +11,18 @@ module provides:
   * build_linear_utility: weights Phi(t,y) = A^1_t y_1 + A^2_t y_2 where the
     ratio of the active to the frozen weight follows a cubic-drift /
     quadratic-volatility SDE, restarted by inversion each time |ratio| hits 2
-    (regime switching). On a tree the children weights are constructed so the
-    contracted scalar recursion holds exactly; on an Euler ensemble the
+    (regime switching). A grid is refused (StepSizeError) when the a priori
+    one-step ratio change exceeds the overshoot limit, OVERSHOOT_LIMIT unless
+    build_linear_utility is given another, so a switching step ends with
+    |ratio| at most 2 + limit. On a tree the children weights are constructed
+    so the contracted scalar recursion holds exactly; on an Euler ensemble the
     truncated SDE is simulated with Rademacher increments and every level is
     stored, (steps + 1) x paths for the ratio and weights, while parity, anchor
     and switch flags are stored once per switch level and shared by the levels
     up to the next one; every stored ensemble array is read-only.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
     by level with O(paths) state, keeping only the sparse switch events, or
-    only a few chosen paths;
+    only a few chosen paths, under OVERSHOOT_LIMIT;
   * verify_tau_bound: Monte Carlo check of the switching-time tail bound
     P(tau_n < T) <= (2n)^m / 2^n with m*delta < T <= (m+1)*delta, delta = 1/(2C),
     C fitted from a pilot simulation of the one-regime truncated SDE; it reads
@@ -56,6 +59,11 @@ class StepSizeError(ValueError):
     """Euler step too coarse for the requested regime-band overshoot."""
 
 
+# Largest a priori one-step change of the regime ratio that an Euler ensemble
+# accepts: a switch then lands with |ratio| in [2, 2 + OVERSHOOT_LIMIT].
+OVERSHOOT_LIMIT = 0.1
+
+
 @dataclass(frozen=True)
 class DynamicUtility:
     """evaluate(level, y) -> (k,) utility values; phi is the t=0 slice.
@@ -89,7 +97,7 @@ def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y):
     if not _probe_deterministic(problem, grid.times()[:grid.n]):
         raise ProblemValidationError(
             "deterministic utility needs a generator independent of z and the node")
-    return _frontier(problem, y, grid.times()[:level], grid.dt, 1, 10 ** 6)[:2]
+    return _frontier(problem, y, grid.times()[:level], grid.dt, 1)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +566,8 @@ def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
 
 def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None = None,
                          *, grid: TimeGrid | None = None, n_paths: int | None = None,
-                         seed: int = 0, overshoot_limit: float = 0.1) -> LinearUtility:
+                         seed: int = 0,
+                         overshoot_limit: float = OVERSHOOT_LIMIT) -> LinearUtility:
     """Construct the linear weights A^1, A^2 and the utility Phi(t,y) = A.y.
 
     Pass a tree (scalar noise) for the exact per-node construction, or
@@ -648,7 +657,7 @@ def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
                   seed: int = 0) -> SwitchEvents:
     """The switch events of build_linear_utility(grid=grid, n_paths=n_paths,
     seed=seed), in O(n_paths + switches) memory."""
-    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, 0.1)
+    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
     counts = np.zeros(n_paths, dtype=np.int64)
     lv_parts, path_parts, rank_parts = [], [], []
     overshoot = 0.0
@@ -673,7 +682,7 @@ def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, path
     """Paths `paths` of the seeded ensemble, equal to build_linear_utility(grid=grid,
     n_paths=n_paths, seed=seed).path(i) for each i, without storing the others."""
     sel = np.asarray(paths, dtype=np.int64)
-    times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, 0.1)
+    times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
     cols = [(lv.ahat[sel], lv.parity[sel], lv.anchor[sel], lv.switched[sel])
             for lv in levels]
     ahat, parity, anchor, flags = (np.stack(c, axis=1) for c in zip(*cols))
@@ -854,7 +863,7 @@ def make_comparison_pairs(lin: LinearUtility, problem: BSDEProblem,
 
 def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
                             tree: ScenarioTree, pairs=None, tol: float = 1e-8,
-                            cap: int = 10 ** 5, seed: int = 0) -> LinearComparisonReport:
+                            seed: int = 0) -> LinearComparisonReport:
     """Order preservation of the contracted scalar process under every policy.
 
     For each terminal pair with Phi(T, xi) <= Phi(T, xi~) node-wise and each
@@ -869,7 +878,7 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
         pairs = make_comparison_pairs(lin, problem, tree, seed=seed)
     n, dt = tree.n, tree.dt
     space = PolicySpace(problem, tree)
-    space.check_cap(cap)
+    space.check_cap()
     times = tree.grid.times()
     inc = tree.increments
     pairs_checked = 0
@@ -903,7 +912,7 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
         if np.any(phi_T > phi_Tt + 1e-12):
             continue
         pairs_checked += 1
-        for assignment, pol in space.policies(cap):
+        for assignment, pol in space.policies():
             sol_a = solve_bsde(problem, tree, pol,
                                terminal_rv=TreeRandomVariable(n, eta),
                                terminal_level=n)

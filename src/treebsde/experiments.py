@@ -31,6 +31,7 @@ from treebsde.duality import (
     solve_dual_hjb,
 )
 from treebsde.dynutil import (
+    OVERSHOOT_LIMIT,
     build_linear_utility,
     check_linear_comparison,
     verify_tau_bound,
@@ -76,7 +77,6 @@ class ExperimentConfig:
     T: float = 1.0
     n: int = 8
     mode: str = "path"
-    cap: int = 10 ** 6
     mc_paths: int = 10000
     steps: int = 4096       # Euler steps on [0, 4] (regime-switching ensembles)
     eps: float | None = None  # nodal / inclusion / value tolerance
@@ -172,7 +172,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         msgs.append("field 'seed': must be >= 0")
     n = clean.get("n", ExperimentConfig.n)
     for key, cond, note in (("n", lambda v: v >= 1, "must be >= 1"),
-                            ("cap", lambda v: v >= 1, "must be >= 1"),
                             ("mc_paths", lambda v: v >= 1, "must be >= 1"),
                             ("steps", lambda v: v >= 1, "must be >= 1"),
                             ("T", lambda v: v > 0, "must be > 0"),
@@ -283,7 +282,7 @@ def _tree(cfg: ExperimentConfig, n=None, mode=None):
 def _run_static_value(cfg: ExperimentConfig, out_dir: str):
     bench = _make_bench(cfg)
     tree = _tree(cfg)
-    sv = static_value(bench.problem, tree, cap=cfg.cap)
+    sv = static_value(bench.problem, tree)
     checks = [_check("value-within-tolerance",
                      abs(sv.value - bench.optimal_value) <= cfg.eps,
                      value=sv.value, bound=cfg.eps, target=bench.optimal_value)]
@@ -298,7 +297,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
     checks, rows = [], []
     if bench.identifier == "deterministic":
         tree = _tree(cfg, mode="recombining")
-        sv = static_value(bench.problem, tree, cap=cfg.cap)
+        sv = static_value(bench.problem, tree)
         checks.append(_check("analytic-value", abs(sv.value - 0.5) <= cfg.eps,
                              value=sv.value, bound=cfg.eps, target=0.5))
         disc = deterministic_discrete_optimum(cfg.T, cfg.n)
@@ -307,7 +306,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
                              value=sv.value, bound=1e-12, target=disc))
         tree_w = _tree(cfg, n=_WITNESS_N, mode="recombining")
         lvl = max(1, round(0.5 * _WITNESS_N / cfg.T))
-        wit = deterministic_witness_check(bench, tree_w, lvl, cap=cfg.cap)
+        wit = deterministic_witness_check(bench, tree_w, lvl)
         checks.append(_check("witness-strict-margin",
                              wit.all_flip and wit.min_margin > 0,
                              value=wit.min_margin, n=_WITNESS_N))
@@ -321,7 +320,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
                              value=best, bound=1e-12,
                              target=bench.optimal_value))
         tree = _tree(cfg, mode="path")
-        wit = onedim_witness_check(bench, tree, cap=cfg.cap)
+        wit = onedim_witness_check(bench, tree)
         checks.append(_check("witness-nodes-flip",
                              bool(wit.nodes) and wit.all_flip,
                              value=wit.min_margin, nodes=len(wit.nodes)))
@@ -420,7 +419,7 @@ def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
         for n in ns:
             tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="path")
             rep = check_geometric_dpp(problem, tree, n - 2, n - 1, cfg.eps, pts, z_values,
-                                      cap=cfg.cap, step_mode="euler")
+                                      step_mode="euler")
             rho = max(rep.rho_into, rep.rho_back)
             rhos.append(rho)
             holds.append(rep.inclusions_hold)
@@ -448,8 +447,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     coeffs, problem = problems.linear_setup()
     tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
-    rep = check_linear_comparison(lin, problem, tree, cap=cfg.cap,
-                                  seed=cfg.seed, tol=cfg.tol)
+    rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed, tol=cfg.tol)
     checks = [
         _check("comparison-no-violations", len(rep.violations) == 0,
                value=len(rep.violations), pairs=rep.pairs_checked,
@@ -465,23 +463,25 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
                                n_paths=cfg.mc_paths, seed=cfg.seed)
     sw_steps = [j for j in range(1, cfg.steps + 1) if ens.switch_flags[j].any()]
     sdt = np.sqrt(grid.dt)
+    # a switch inverts a ratio with |ratio| in [2, 2 + limit]
+    lo, hi = 1.0 / (2.0 + OVERSHOOT_LIMIT) - 1e-12, 0.5 + 1e-12
     # one Euler increment of either weight: entries bounded by coeffs.bound,
-    # the frozen ratio stays below 2 + overshoot, so |dA| <= K (|A1| + |A2|)
-    step_coef = ens.coeffs.bound * (2.0 + 0.1 + 1.0) * (grid.dt + sdt)
+    # the frozen ratio stays below 2 + limit, so |dA| <= K (|A1| + |A2|)
+    step_coef = ens.coeffs.bound * (2.0 + OVERSHOOT_LIMIT + 1.0) * (grid.dt + sdt)
     band_ok, cont_ok = True, True
     n_switches = 0
     for j in sw_steps:
         sw = ens.switch_flags[j]
         n_switches += int(sw.sum())
         ah = np.abs(ens.ahat[j][sw])
-        band_ok = band_ok and bool(np.all((ah >= 1.0 / 2.2) & (ah <= 0.55)))
+        band_ok = band_ok and bool(np.all((ah >= lo) & (ah <= hi)))
         allowed = step_coef * (np.abs(ens.A1[j - 1][sw])
                                + np.abs(ens.A2[j - 1][sw])) + 1e-15
         jump = np.maximum(np.abs(ens.A1[j][sw] - ens.A1[j - 1][sw]),
                           np.abs(ens.A2[j][sw] - ens.A2[j - 1][sw]))
         cont_ok = cont_ok and bool(np.all(jump <= allowed))
-    checks.append(_check("switch-band", band_ok and ens.overshoot <= 0.1,
-                         value=ens.overshoot, bound=0.1,
+    checks.append(_check("switch-band", band_ok and ens.overshoot <= OVERSHOOT_LIMIT,
+                         value=ens.overshoot, bound=OVERSHOOT_LIMIT,
                          switches=n_switches))
     checks.append(_check("weight-continuity-at-switches", cont_ok,
                          value=n_switches))
@@ -505,8 +505,8 @@ def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check(f"one-step-after-{row.after_switch}", row.passed,
                              value=row.frequency,
                              conditioning=row.conditioning_count))
-    checks.append(_check("overshoot", rep.overshoot <= 0.1,
-                         value=rep.overshoot, bound=0.1))
+    checks.append(_check("overshoot", rep.overshoot <= OVERSHOOT_LIMIT,
+                         value=rep.overshoot, bound=OVERSHOOT_LIMIT))
     write_csv(os.path.join(out_dir, "tau_bound.csv"),
               ("switch_index", "frequency", "std_error", "bound", "vacuous",
                "passed"),
@@ -530,7 +530,7 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
     for name, prob, tree, t1, t2 in cases:
         ctx = NodeContext(level=t2, b=tree.values[t2], tree=tree)
         eta = np.asarray(prob.terminal(ctx), dtype=float)
-        rep = check_forward_dpp(prob, tree, t1, t2, eta, cap=cfg.cap)
+        rep = check_forward_dpp(prob, tree, t1, t2, eta)
         checks.append(_check(f"{name}-residual", rep.residual <= 1e-12,
                              value=rep.residual, bound=1e-12))
         rows.append((name, tree.n, t1, t2, rep.residual))
@@ -539,7 +539,7 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
     m = tree.node_count(2)
     pairs = [(rng.normal(size=(m, 1)), rng.normal(size=(m, 1)))
              for _ in range(cfg.pairs)]
-    lrep = check_lipschitz(p_scalar, tree, 2, pairs, cap=cfg.cap)
+    lrep = check_lipschitz(p_scalar, tree, 2, pairs)
     checks.append(_check("lipschitz-transport-bound", lrep.passed,
                          value=lrep.max_ratio, bound=lrep.bound,
                          pairs=lrep.pairs_checked))
@@ -624,7 +624,7 @@ EXPERIMENTS = {
         _run_static_value,
         "Exact root value of a benchmark on a scenario tree, by policy "
         "enumeration or the deterministic attainable-point frontier.",
-        _fields(_branch("n mode cap", benchmark="deterministic", eps=0.05), {
+        _fields(_branch("n mode", benchmark="deterministic", eps=0.05), {
             "deterministic": _branch(T=2.0, n=64, mode="recombining"),
             "one_dim": _branch("T", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0)})),
@@ -640,12 +640,12 @@ EXPERIMENTS = {
         _run_geometric_dpp,
         "Set-inclusion dynamic programming on tree dual values: epsilon-"
         "membership slack under grid refinement.",
-        _fields(_branch("T cap", eps=0.35, refinements=(4, 8)))),
+        _fields(_branch("T", eps=0.35, refinements=(4, 8)))),
     "dynamic-utility-linear": Experiment(
         _run_dynamic_utility_linear,
         "Linear dynamic-utility construction with regime switching: exact "
         "recursion, comparison check, switch band and continuity.",
-        _fields(_branch("cap tol mc_paths steps"))),
+        _fields(_branch("tol mc_paths steps"))),
     "tau-bound": Experiment(
         _run_tau_bound,
         "Monte Carlo switch-time frequencies against the combinatorial "
@@ -655,7 +655,7 @@ EXPERIMENTS = {
         _run_forward_dpp,
         "Concatenation identity of the forward value under full enumeration, "
         "plus the Lipschitz transport bound on seeded pairs.",
-        _fields(_branch("T cap pairs"))),
+        _fields(_branch("T pairs"))),
     "master-residual": Experiment(
         _run_master_residual,
         "Stationarity defect of the forward value along a smooth cylinder, "
@@ -671,8 +671,8 @@ EXPERIMENTS = {
         "Closed-form benchmark reproduction through the generic machinery: "
         "values, witnesses, restoration and control groups.",
         _fields(_branch("n", benchmark="deterministic"), {
-            "deterministic": _branch("cap", T=2.0, n=64, eps=0.05),
-            "one_dim": _branch("T cap", c=lambda f: f["T"]),
+            "deterministic": _branch(T=2.0, n=64, eps=0.05),
+            "one_dim": _branch("T", c=lambda f: f["T"]),
             "mean_variance": _branch("T x0", c=1.0, eps=0.1),
             "principal_agent": _branch("T gamma_a gamma_p r",
                                        level=lambda f: f["n"] // 2)})),

@@ -136,7 +136,6 @@ def build_tree(grid: TimeGrid, d: int, mode: str = "path") -> ScenarioTree:
     else:
         # per-axis binomial probabilities via the pascal recursion (dyadic, near-exact)
         pb = np.ones(1)
-        axes = [np.zeros(1)]
         for k in range(n + 1):
             ax = (2.0 * np.arange(k + 1) - k) * sq
             grids = np.meshgrid(*([ax] * d), indexing="ij")
@@ -160,7 +159,6 @@ def build_tree(grid: TimeGrid, d: int, mode: str = "path") -> ScenarioTree:
                 pb = nxt
             else:
                 children.append(None)
-            axes.append(ax)
     return ScenarioTree(
         grid=grid, d=d, mode=mode,
         values=tuple(values), probs=tuple(probs),

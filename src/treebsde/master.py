@@ -49,7 +49,6 @@ class ForwardValue:
 
     problem: BSDEProblem
     tree: ScenarioTree
-    cap: int = 10 ** 6
 
     def value(self, level: int, eta) -> float:
         eta = np.asarray(eta, dtype=float).reshape(
@@ -58,7 +57,7 @@ class ForwardValue:
         vals, _, _, _ = maximize_over_policies(
             self.problem, self.tree,
             lambda y: np.asarray(self.problem.phi(y), dtype=float).reshape(-1),
-            start_level=0, terminal_level=level, terminal_rv=rv, cap=self.cap)
+            start_level=0, terminal_level=level, terminal_rv=rv)
         return float(vals[0])
 
 
@@ -68,13 +67,13 @@ class ForwardDppReport:
 
 
 def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int,
-                      eta, cap: int = 10 ** 6) -> ForwardDppReport:
+                      eta) -> ForwardDppReport:
     """Residual of the forward concatenation identity between levels t1 < t2,
     zero to rounding under full enumeration."""
     if not 0 <= t1 <= t2 <= tree.n:
         raise ValueError(f"need 0 <= t1 <= t2 <= n, got {t1}, {t2}")
-    segment = PolicySpace(problem, tree, t1, t2).policies(cap)
-    fv = ForwardValue(problem, tree, cap=cap)
+    segment = PolicySpace(problem, tree, t1, t2).policies()
+    fv = ForwardValue(problem, tree)
     direct = fv.value(t2, eta)
     eta_arr = np.asarray(eta, dtype=float).reshape(
         tree.node_count(t2), problem.value_dim)
@@ -96,11 +95,11 @@ class LipschitzReport:
 
 
 def check_lipschitz(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                    pairs, cap: int = 10 ** 6) -> LipschitzReport:
+                    pairs) -> LipschitzReport:
     """max |Psi(t,a) - Psi(t,b)| / ||a-b||_L2(tree) against e^{2(1+L)LT} Lip(phi)."""
     if problem.phi_lipschitz is None:
         raise ValueError("check_lipschitz needs problem.phi_lipschitz declared")
-    fv = ForwardValue(problem, tree, cap=cap)
+    fv = ForwardValue(problem, tree)
     probs = tree.probs[level]
     L = problem.lipschitz_L
     bound = float(np.exp(2.0 * (1.0 + L) * L * tree.grid.T) * problem.phi_lipschitz)
@@ -212,14 +211,12 @@ class MasterResidual:
     left_time_term: float   # D-_t Psi with the path frozen at level t-1
     drift_term: float       # <D_eta Psi, 1/2 tr d_bb eta> (induced dt-term is 0)
     sup_term: float         # sup over node-wise controls of <D_eta Psi, f>
-    induced_dt_term: float  # kept for the breakdown; identically 0 for cylinders
 
 
-def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
-                   probe_h: float = 1e-4) -> np.ndarray:
+def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray) -> np.ndarray:
     """Riesz density of D_eta Psi w.r.t. the tree-L2 pairing, by central bumps.
 
-    Bump size is probe_h * (1 + |eta|) per node/component; the slope divided by
+    Bump size is 1e-4 * (1 + |eta|) per node/component; the slope divided by
     the node probability gives the density.
     """
     tree = fv.tree
@@ -229,7 +226,7 @@ def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray,
     D = np.empty((m, dpr))
     for i in range(m):
         for k in range(dpr):
-            h = probe_h * (1.0 + abs(eta[i, k]))
+            h = 1e-4 * (1.0 + abs(eta[i, k]))
             up = eta.copy()
             up[i, k] += h
             dn = eta.copy()
@@ -296,7 +293,7 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
         level=level,
         residual=float(left_term - drift_term - sup_term),
         left_time_term=float(left_term), drift_term=drift_term,
-        sup_term=sup_term, induced_dt_term=0.0)
+        sup_term=sup_term)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_forward_states_needs_path_mode_and_checked_init():
 def test_forward_states_accepts_per_level_controls():
     mv = mean_variance(0.0, 1.0, 1.0)
     tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
-    xs = forward_states(tree, mv.forward, [1.0, 0.0])
+    xs = forward_states(tree, mv.forward, lambda t, x: 1.0 if t < tree.dt / 2 else 0.0)
     sq = np.sqrt(tree.dt)
     np.testing.assert_allclose(
         xs[1], [0.5 - sq, 0.5 + sq])  # u=1: dx = dt +/- sqrt(dt)
@@ -271,8 +271,8 @@ def test_deterministic_witness_margin():
         deterministic_witness_check(de, tree, level=9)  # t = 1.5 > T - 1
 
 
-def test_subtree_argmax_cap():
+def test_subtree_argmax_cap(enumeration_cap):
     od = one_dimensional(2.4, 2.4)
     tree = build_tree(TimeGrid(2.4, 8), d=1, mode="path")
-    with pytest.raises(BenchmarkError, match="cap"):
-        subtree_argmax(od.problem, tree, 1, 0, lambda y: y[0], cap=10)
+    with enumeration_cap(10), pytest.raises(BenchmarkError, match="cap"):
+        subtree_argmax(od.problem, tree, 1, 0, lambda y: y[0])

@@ -226,7 +226,7 @@ def test_static_value_sup_dominates_members():
         assert res.value >= prob.phi(y0)[0] - 1e-14
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(enumeration_cap):
     tree = build_tree(TimeGrid(1.0, 4), 1, "path")
     calls = []
 
@@ -235,8 +235,8 @@ def test_enumeration_cap():
         return u[:, None]
 
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0))
-    with pytest.raises(EnumerationCapError, match="cap"):
-        static_value(prob, tree, cap=10)
+    with enumeration_cap(10), pytest.raises(EnumerationCapError, match="cap"):
+        static_value(prob, tree)
     assert calls == []  # raised before the Lipschitz probe and any solve
 
 
@@ -273,17 +273,19 @@ def brute_force(prob, tree):
 @pytest.mark.parametrize("cap", [10 ** 6, 50])  # 50 < 2^n: prune along the cone
 @pytest.mark.parametrize("mode", ["recombining", "path"])
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
-def test_frontier_matches_enumeration_on_the_deterministic_benchmark(n, mode, cap):
+def test_frontier_matches_enumeration_on_the_deterministic_benchmark(n, mode, cap,
+                                                                    enumeration_cap):
     bench = deterministic_example(2.0)
     tree = build_tree(TimeGrid(2.0, n), 1, mode)
-    res = static_value(bench.problem, tree, cap=cap)
+    with enumeration_cap(cap):
+        res = static_value(bench.problem, tree)
     value, assignment = brute_force(bench.problem, tree)
     assert res.value == value  # bit for bit
     assert res.assignment == assignment
 
 
 @pytest.mark.parametrize("cap", [10 ** 6, 4])
-def test_frontier_ties_keep_the_first_assignment(cap):
+def test_frontier_ties_keep_the_first_assignment(cap, enumeration_cap):
     # phi = y1 = T for every control sequence; (0, 0, 0) reaches the smallest
     # y2, so a pruning that kept each point's own assignment would return a
     # dominating later sequence
@@ -293,7 +295,8 @@ def test_frontier_ties_keep_the_first_assignment(cap):
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 2)), U=(1.0, -1.0),
                         L=1.0, dpr=2, deterministic_controls=True)
     tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
-    res = static_value(prob, tree, cap=cap)
+    with enumeration_cap(cap):
+        res = static_value(prob, tree)
     assert res.assignment == (0, 0, 0)
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
@@ -307,7 +310,7 @@ def test_frontier_prunes_along_the_probed_cone():
 
 
 @pytest.mark.parametrize("cap", [10 ** 6, 100])
-def test_frontier_probes_the_cone_at_the_attainable_points(cap):
+def test_frontier_probes_the_cone_at_the_attainable_points(cap, enumeration_cap):
     # phi = -(y - 5)^2 rises near the origin but peaks inside the attainable
     # range [0, 10]: a cone probed near 0 would keep only the largest point
     # per level and return phi(10) = -25
@@ -316,7 +319,8 @@ def test_frontier_probes_the_cone_at_the_attainable_points(cap):
                         phi=lambda y: -(y[:, 0] - 5.0) ** 2, U=(0.0, 1.0),
                         deterministic_controls=True)
     tree = build_tree(TimeGrid(1.0, 10), 1, "recombining")
-    res = static_value(prob, tree, cap=cap)
+    with enumeration_cap(cap):
+        res = static_value(prob, tree)
     assert res.value == 0.0
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
@@ -335,7 +339,7 @@ def test_frontier_skips_a_node_dependence_under_a_later_control():
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
 
-def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap():
+def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap(enumeration_cap):
     # phi peaks at y = 0.3, inside the attainable range, so no sign vector
     # passes the probes and every distinct point is kept
     def f(t, ctx, y, z, u):
@@ -345,8 +349,9 @@ def test_frontier_without_a_cone_only_deduplicates_and_keeps_the_cap():
                         phi=lambda y: -(y[:, 0] - 0.3) ** 2, U=(0.0, 1.0),
                         deterministic_controls=True)
     tree = build_tree(TimeGrid(1.0, 10), 1, "recombining")
-    with pytest.raises(EnumerationCapError, match="attainable points at level .* exceed cap 100"):
-        static_value(prob, tree, cap=100)
+    with enumeration_cap(100), pytest.raises(
+            EnumerationCapError, match="attainable points at level .* exceed cap 100"):
+        static_value(prob, tree)
     res = static_value(prob, tree)
     assert (res.value, res.assignment) == brute_force(prob, tree)
 
@@ -436,7 +441,7 @@ def _reachable_by_solves(problem, tree, level):
         groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
     buckets = [[] for _ in range(m)]
     for space, nodes in groups:
-        for _, pol in space.policies(10 ** 6):
+        for _, pol in space.policies():
             y = solve_bsde(problem, tree, pol).Y[level]
             for i in nodes:
                 buckets[i].append(y[i])
@@ -458,7 +463,7 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
     tree = _catalogue_tree(problem, mode, d, n)
     vals, assigns, count, _ = maximize_over_policies(
         problem, tree, lambda y: np.asarray(problem.phi(y), dtype=float).reshape(-1))
-    got = bsde._enumerate_static(problem, PolicySpace(problem, tree), 10 ** 6)
+    got = bsde._enumerate_static(problem, PolicySpace(problem, tree))
     assert got[1:] == (tuple(assigns[0]), count)
     if (name, index) in BLAS:
         assert got[0] == pytest.approx(vals[0], rel=BLAS_RTOL, abs=BLAS_RTOL)
@@ -480,6 +485,28 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
                 np.testing.assert_allclose(b, r, rtol=BLAS_RTOL, atol=BLAS_RTOL)
             else:
                 np.testing.assert_array_equal(b, r)
+
+
+def test_reachable_set_solves_only_each_subtree():
+    # level 2 of a 4-step path tree: each of the 4 nodes' subtree spaces has
+    # 1 + 2 slot nodes and 2^3 policies, 96 generator rows in all; solving the
+    # full levels 2 and 3 for every subtree takes 4 * 8 * (4 + 8) = 384
+    problem = problems.scalar_drift_problem()
+    tree = build_tree(TimeGrid(1.0, 4), 1, "path")
+    bsde.probe_lipschitz(problem, tree)  # its calls are not the solve's
+    rows, f = [], problem.f
+
+    def counted(t, ctx, y, z, u):
+        rows.append(len(y))
+        return f(t, ctx, y, z, u)
+
+    problem.f = counted
+    points = reachable_set(problem, tree, 2).points
+    assert sum(rows) == 96
+    ref = _reachable_by_solves(problem, tree, 2)
+    assert len(points) == len(ref) == 4
+    for got, want in zip(points, ref):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_reachable_set_control_free_singleton():

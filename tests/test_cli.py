@@ -309,7 +309,7 @@ def test_validate_rejects_fields_the_experiment_does_not_read():
         validate_config({"experiment": "tau-bound", "seed": 0, "T": 2.0})
     with pytest.raises(ConfigValidationError, match=r"^field 'eps': benchmark-verify "
                        r"with benchmark 'one_dim' does not read it \(accepted: T, "
-                       r"benchmark, c, cap, n\)$"):
+                       r"benchmark, c, n\)$"):
         validate_config({"experiment": "benchmark-verify", "seed": 0,
                          "benchmark": "one_dim", "eps": 0.1})
     for key, value in (("eps", 0.01), ("mode", "path")):
@@ -400,8 +400,8 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
     out = capsys.readouterr().out
     assert "fields: mc_paths, steps" in out
     assert "benchmark 'deterministic': T, benchmark, dy, eps, n, value_tol" in out
-    assert "benchmark 'one_dim': T, benchmark, c, cap, eps, mode, n\n" in out
-    assert "benchmark 'one_dim': T, benchmark, c, cap, n\n" in out
+    assert "benchmark 'one_dim': T, benchmark, c, eps, mode, n\n" in out
+    assert "benchmark 'one_dim': T, benchmark, c, n\n" in out
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -419,11 +419,15 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
     ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "n": 8,
       "level": 8}, "field 'level': must satisfy 0 <= level < n = 8"),
     ({"experiment": "static-value", "d": 1},
-     "field 'd': unknown (valid fields: T, benchmark, c, cap, dx, dy, eps, experiment, "
+     "field 'd': unknown (valid fields: T, benchmark, c, dx, dy, eps, experiment, "
+     "gamma_a, gamma_p, level, mc_paths, mode, n, output_dir, pairs, r, refinements, "
+     "seed, steps, tol, value_tol, x0)"),
+    ({"experiment": "static-value", "cap": 10},
+     "field 'cap': unknown (valid fields: T, benchmark, c, dx, dy, eps, experiment, "
      "gamma_a, gamma_p, level, mc_paths, mode, n, output_dir, pairs, r, refinements, "
      "seed, steps, tol, value_tol, x0)"),
 ], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "level-below", "level-at-n",
-        "d"])
+        "d", "cap"])
 def test_validate_rejects_out_of_range_values(doc, message):
     with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
         validate_config({"seed": 0, **doc})
@@ -449,12 +453,12 @@ def test_slack_shrinks_only_where_every_inclusion_holds(tmp_path):
     assert not passed["terminal-tracking-slack-shrinks"]
 
 
-def test_benchmark_verify_witness_honours_cap(tmp_path):
+def test_benchmark_verify_witness_honours_cap(tmp_path, enumeration_cap):
     # 16 policies fit the 4-step tree; the witness subtree on 12 steps has more
     cfg = validate_config({"experiment": "benchmark-verify", "seed": 0,
                            "benchmark": "deterministic", "T": 2.0, "n": 4,
-                           "cap": 20, "output_dir": str(tmp_path)})
-    with pytest.raises(BenchmarkError, match="exceed cap 20"):
+                           "output_dir": str(tmp_path)})
+    with enumeration_cap(20), pytest.raises(BenchmarkError, match="exceed cap 20"):
         run_experiment(cfg)
 
 

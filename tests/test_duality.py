@@ -126,11 +126,8 @@ def test_dual_static_value_and_reachable_distance():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config())
     xi = int(np.argmin(np.abs(dual.axes[0])))
     nodal = extract_nodal_set(dual, 0, x_index=xi, eps=0.011)
-    res = dual_static_value(nodal, lambda p: p[:, 0],
-                            reachable_points=np.array([[0.0]]))
+    res = dual_static_value(nodal, lambda p: p[:, 0])
     assert res.value == pytest.approx(0.1)  # largest grid y with y^2 <= 0.011
-    assert res.nearest_reachable_distance == pytest.approx(0.1)
-    assert res.within_one_cell
 
 
 def test_transport_translation_minimum_location():
@@ -488,9 +485,9 @@ def test_csv_exports(tmp_path):
     xi = int(np.argmin(np.abs(dual.axes[0])))
     nodal = extract_nodal_set(dual, 0, x_index=xi, eps=0.3)
     nodal_path = tmp_path / "nodal.csv"
-    export_nodal_set_csv(nodal, dual.times, str(nodal_path), x_value=0.0)
+    export_nodal_set_csv(nodal, dual.times, str(nodal_path))
     nlines = nodal_path.read_text().splitlines()
-    assert nlines[0] == "t,x,y"
+    assert nlines[0] == "t,y"
     assert len(nlines) == 1 + len(nodal.points)
 
 
@@ -713,7 +710,7 @@ def test_nan_costs_never_win_and_all_inf_rows_keep_no_tag():
     assert values.tolist() == [np.inf] and tags == [None]
 
 
-def test_steering_cap_raises_before_any_generator_call():
+def test_steering_cap_raises_before_any_generator_call(enumeration_cap):
     calls = []
 
     def f(t, ctx, y, z, u):
@@ -725,12 +722,13 @@ def test_steering_cap_raises_before_any_generator_call():
                           phi=lambda y: y[:, 0], control_values=(0.0, 1.0),
                           lipschitz_L=0.0)
     # 7 slots with 4 (z, u) pairs each: 4^7 = 16384 assignments
-    with pytest.raises(EnumerationCapError,
-                       match="16384 steering assignments exceed cap 1000"):
-        dual_value_direct(problem, tree, 0, np.arange(1), np.zeros((1, 1)), (0.0, 1.0),
-                          cap=1000)
-    with pytest.raises(EnumerationCapError):
-        check_geometric_dpp(problem, tree, 0, 1, 0.1, [0.0], (0.0, 1.0), cap=1000)
+    with enumeration_cap(1000):
+        with pytest.raises(EnumerationCapError,
+                           match="16384 steering assignments exceed cap 1000"):
+            dual_value_direct(problem, tree, 0, np.arange(1), np.zeros((1, 1)),
+                              (0.0, 1.0))
+        with pytest.raises(EnumerationCapError):
+            check_geometric_dpp(problem, tree, 0, 1, 0.1, [0.0], (0.0, 1.0))
     assert calls == []
 
 
@@ -751,20 +749,24 @@ def test_geometric_dpp_matches_per_start_reference(mode, monkeypatch):
     assert nodal > 0 and steerable > 0
 
 
-def test_steering_takes_one_control_per_level_under_deterministic_controls():
+def test_steering_takes_one_control_per_level_under_deterministic_controls(
+        enumeration_cap):
     # the geometric-dpp steering problem declares deterministic controls: at
     # level 6 of 8 its three subtree slots take 2^2 assignments, not 2^3
     _, problem, z_values, _ = geometric_dpp_cases()[1]
     tree = build_tree(TimeGrid(T=2.0, n=8), d=1)
-    with pytest.raises(EnumerationCapError, match="^4 steering assignments exceed cap 3$"):
-        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=3)
-    value, tag = dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=4)
+    with enumeration_cap(3), pytest.raises(
+            EnumerationCapError, match="^4 steering assignments exceed cap 3$"):
+        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
+    with enumeration_cap(4):
+        value, tag = dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
     assert tag[1] == tag[2]  # the two level-7 slots share their control
     assert value == _ref_dual_value(problem, tree, 6, 0, [0.5, 0.5], z_values,
                                     "inverse")[0]
     problem.deterministic_controls = False
-    with pytest.raises(EnumerationCapError, match="^8 steering assignments exceed cap 4$"):
-        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values, cap=4)
+    with enumeration_cap(4), pytest.raises(
+            EnumerationCapError, match="^8 steering assignments exceed cap 4$"):
+        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
 
 
 def test_geometric_dpp_fails_when_no_probe_is_in_a_nodal_set():

@@ -1,11 +1,12 @@
-"""Every defaulted parameter of the public API is passed by some call site.
+"""Every defaulted parameter of the public API is passed by program code.
 
 An AST scan: a parameter with a default, on a public function of a
 ``src/treebsde`` module or on a public method of a public class there, must be
-passed by position or by keyword at some call in ``src``, ``scripts``,
-``perfbench`` or ``tests``. Calls are matched by the called name alone, and a
-call with ``*args`` or ``**kwargs`` passes everything. A default that no
-caller changes is a constant, not a parameter.
+passed by position or by keyword at some call in ``src``, ``scripts`` or
+``perfbench``. Tests do not count, as in ``test_reach.py``: a default that no
+program caller changes is a constant, not a parameter. Calls are matched by
+the called name alone, after resolving ``from m import f as g`` aliases, and a
+call with ``*args`` or ``**kwargs`` passes everything.
 """
 import ast
 import pathlib
@@ -13,8 +14,21 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted(path for path in (ROOT / "src/treebsde").glob("*.py")
                  if not path.name.startswith("_"))
-CALLERS = sorted(path for top in ("src", "scripts", "perfbench", "tests")
+CALLERS = sorted(path for top in ("src", "scripts", "perfbench")
                  for path in (ROOT / top).rglob("*.py"))
+
+# Test seams: parameters only tests pass today; the list may only shrink.
+ALLOWED = {
+    "benchmarks.mv_tree_value:feedback",
+    "benchmarks.onedim_restoration_check:restored",
+    "bsde.envelope_bsde:skip_probes",
+    "duality.dual_value_direct:extra_candidates",
+    "dynutil.check_linear_comparison:pairs",
+    "dynutil.make_comparison_pairs:count",
+    "dynutil.verify_tau_bound:pilot_paths",
+    "lattice.path_functional:current_value_only",
+    "master.path_derivative_probe:threshold",
+}
 
 
 def defaulted(source: str) -> list:
@@ -46,12 +60,19 @@ def defaulted(source: str) -> list:
 
 
 def calls(source: str) -> dict:
-    """Called name -> [(positional count, keyword names, passes everything)]."""
+    """Called name -> [(positional count, keyword names, passes everything)];
+    a name bound by ``from m import f as g`` is called as f."""
+    tree = ast.parse(source)
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.asname}
     out = {}
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        name = getattr(node.func, "attr", None)
+        if isinstance(node.func, ast.Name):
+            name = aliases.get(node.func.id, node.func.id)
         if name is None:
             continue
         star = (any(isinstance(a, ast.Starred) for a in node.args)
@@ -74,6 +95,8 @@ def test_scan_finds_a_parameter_no_call_passes():
     definitions = defaulted(
         "def f(a, b=1, *, c=2, d=3): pass\n"
         "def _g(a=1): pass\n"
+        "def main(argv=None): pass\n"
+        "def seam(a, only_tests=False): pass\n"
         "class K:\n"
         "    def m(self, x=1, y=2): pass\n"
         "    @staticmethod\n"
@@ -81,9 +104,13 @@ def test_scan_finds_a_parameter_no_call_passes():
         "class _H:\n"
         "    def h(self, z=1): pass\n")
     assert definitions == [("f", "b", 1), ("f", "c", None), ("f", "d", None),
+                           ("main", "argv", 0), ("seam", "only_tests", 1),
                            ("m", "x", 0), ("m", "y", 1), ("s", "x", 0)]
-    sites = calls("f(0, 5, d=1)\nobj.m(7)\ns(**kw)\n")
-    assert unpassed(definitions, sites) == [("f", "c"), ("m", "y")]
+    # cli_main is main under its alias; only a test would pass only_tests
+    program = calls("from pkg.cli import main as cli_main\n"
+                    "f(0, 5, d=1)\nobj.m(7)\ns(**kw)\ncli_main(['run'])\nseam(1)\n")
+    assert unpassed(definitions, program) == [("f", "c"), ("seam", "only_tests"),
+                                              ("m", "y")]
 
 
 def test_every_defaulted_public_parameter_is_passed_somewhere():
@@ -93,6 +120,7 @@ def test_every_defaulted_public_parameter_is_passed_somewhere():
             sites.setdefault(name, []).extend(found)
     definitions = {path.stem: defaulted(path.read_text(encoding="utf-8"))
                    for path in PACKAGE}
-    assert sum(map(len, definitions.values())) > 50
+    assert sum(map(len, definitions.values())) > 40
+    # equality: a seam that program code now passes leaves the list
     assert {f"{module}.{fn}:{param}" for module, found in definitions.items()
-            for fn, param in unpassed(found, sites)} == set()
+            for fn, param in unpassed(found, sites)} == ALLOWED

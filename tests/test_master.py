@@ -92,14 +92,15 @@ def test_forward_dpp_degenerate_endpoints():
         check_forward_dpp(p, tree, 2, 1, eta)
 
 
-def test_forward_dpp_segment_over_cap_raises_enumeration_cap_error():
+def test_forward_dpp_segment_over_cap_raises_enumeration_cap_error(enumeration_cap):
     tree = build_tree(TimeGrid(1.0, 3), d=1, mode="path")
     p = drift_problem()
     ctx = NodeContext(level=3, b=tree.values[3], tree=tree)
     eta = np.asarray(p.terminal(ctx), dtype=float)
     # the 2^6 segment policies on [1, 3) are refused before the direct side
-    with pytest.raises(EnumerationCapError, match="64 policies exceed cap 10"):
-        check_forward_dpp(p, tree, 1, 3, eta, cap=10)
+    with enumeration_cap(10), pytest.raises(EnumerationCapError,
+                                            match="64 policies exceed cap 10"):
+        check_forward_dpp(p, tree, 1, 3, eta)
 
 
 def test_lipschitz_ratio_within_bound():
@@ -238,7 +239,7 @@ def test_eta_derivative_quadratic_phi_closed_form():
     fv = ForwardValue(p, tree)
     rng = np.random.default_rng(np.random.Philox(2))
     eta = rng.normal(size=(tree.node_count(1), 1))
-    D = eta_derivative(fv, 1, eta, probe_h=1e-4)
+    D = eta_derivative(fv, 1, eta)
     mean = float(np.sum(tree.probs[1][:, None] * eta))
     np.testing.assert_allclose(D, 2.0 * mean * np.ones_like(D), atol=1e-10)
 
@@ -252,7 +253,6 @@ def test_master_residual_drift_only_linear_case():
         tree = build_tree(TimeGrid(1.0, n), d=1, mode="recombining")
         rep = master_residual(p, tree, exp_cylinder(), level=n // 2)
         assert rep.sup_term == 0.0
-        assert rep.induced_dt_term == 0.0
         res.append(abs(rep.residual))
     assert res[0] > res[1] > res[2] > 0
     for a, b in zip(res, res[1:]):
