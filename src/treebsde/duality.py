@@ -661,19 +661,13 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
 @dataclass(frozen=True)
 class ConditionalDualValue:
     level: int
-    y_points: np.ndarray  # (p, d')
     values: np.ndarray    # (m_nodes, p)
-    cell: tuple
-
-    def nodal_points(self, node: int, eps: float) -> np.ndarray:
-        return self.y_points[self.values[node] <= eps]
 
 
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                            y_points, z_values,
                            step_mode: str = "inverse") -> ConditionalDualValue:
-    """W-tilde(level, node, y) on the tree for each node and probe point y; cell
-    is the least spacing of the first coordinates, in every dimension."""
+    """W-tilde(level, node, y) on the tree for each node and probe point y."""
     y_points = np.asarray(y_points, dtype=float)
     if y_points.ndim == 1:
         y_points = y_points[:, None]
@@ -682,11 +676,7 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                 np.repeat(np.arange(m), len(y_points)),
                                 np.tile(y_points, (m, 1)), z_values,
                                 step_mode=step_mode)
-    vals = vals.reshape(m, len(y_points))
-    diffs = np.diff(np.sort(np.unique(y_points[:, 0])))
-    c = float(diffs.min()) if len(diffs) else 1.0
-    return ConditionalDualValue(level=level, y_points=y_points, values=vals,
-                                cell=(c,) * y_points.shape[1])
+    return ConditionalDualValue(level=level, values=vals.reshape(m, len(y_points)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ module provides:
     build_linear_utility is given another, so a switching step ends with
     |ratio| at most 2 + limit. On a tree the children weights are constructed
     so the contracted scalar recursion holds exactly; on an Euler ensemble the
-    truncated SDE is simulated with Rademacher increments and every level is
-    stored, (steps + 1) x paths for the ratio and weights, while parity, anchor
-    and switch flags are stored once per switch level and shared by the levels
-    up to the next one; every stored ensemble array is read-only.
+    truncated SDE is simulated with Rademacher increments and the ratio is
+    stored at every level, (steps + 1) x paths, while parity, anchor and switch
+    flags are stored once per switch level and shared by the levels up to the
+    next one; every stored ensemble array is read-only. In both modes the
+    weights are not stored: A1[j] and A2[j] derive level j's from its parity,
+    anchor and ratio on each read.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
     by level with O(paths) state, keeping only the sparse switch events, or
     only a few chosen paths, under OVERSHOOT_LIMIT;
@@ -32,6 +34,7 @@ module provides:
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +309,26 @@ def _switching_path(times, ahat, parity, anchor, is_switch, swapped: bool) -> Sw
                          overshoot=float(np.max(np.abs(ratio) - 2.0, initial=0.0)))
 
 
+class LevelWeights(Sequence):
+    """Level -> (m,) weight of one original component, derived on each read
+    from that level's stored parity, anchor and ratio by _weights, and returned
+    read-only; no level's weights are stored."""
+
+    def __init__(self, parity: tuple, anchor: tuple, ahat: tuple, swapped: bool,
+                 component: int):
+        self._levels = (parity, anchor, ahat)
+        self._swapped = swapped
+        self._component = component
+
+    def __len__(self) -> int:
+        return len(self._levels[2])
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        parity, anchor, ahat = self._levels
+        return _frozen(_weights(parity[j], anchor[j], ahat[j],
+                                self._swapped)[self._component])
+
+
 @dataclass(frozen=True)
 class LinearUtility:
     """Constructed linear weights on a tree or path ensemble, plus the utility."""
@@ -313,8 +336,8 @@ class LinearUtility:
     coeffs: LinearUtilityCoeffs
     mode: str            # "tree" | "ensemble"
     times: np.ndarray
-    A1: tuple            # level -> (m,) weights (original component labels)
-    A2: tuple
+    A1: LevelWeights     # level -> (m,) weights (original component labels),
+    A2: LevelWeights     # derived on read from parity, anchor and ahat
     ahat: tuple          # construction-frame ratio per level
     parity: tuple
     anchor: tuple
@@ -575,11 +598,13 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     The regime ratio is restarted by inversion whenever |ratio| >= 2; an a
     priori one-step bound must stay below overshoot_limit.
 
-    The ensemble stores ahat, A1 and A2 at every level, (steps + 1) x n_paths
-    each, but parity, anchor and switch flags once per switch level: a level
-    without switches shares the previous level's arrays (and one all-False
-    flag array). Every stored ensemble array is read-only. Consumers that need
-    only the switches use switch_events or replay_paths instead.
+    The ensemble stores ahat at every level, (steps + 1) x n_paths, but
+    parity, anchor and switch flags once per switch level: a level without
+    switches shares the previous level's arrays (and one all-False flag array).
+    Every stored ensemble array is read-only. Neither mode stores the weights:
+    A1[j] and A2[j] are computed from level j's parity, anchor and ahat on each
+    read and returned read-only. Consumers that need only the switches use
+    switch_events or replay_paths instead.
     """
     if tree is not None:
         if tree.d != 1:
@@ -610,11 +635,8 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
             overshoot = max(overshoot, lv.overshoot)
         count = n_paths
 
-    weights = [_weights(p, an, ah, swapped) for p, an, ah in zip(parity, anchor, ahat)]
-    if tree is None:
-        weights = [tuple(_frozen(w) for w in pair) for pair in weights]
-    A1o = tuple(w[0] for w in weights)
-    A2o = tuple(w[1] for w in weights)
+    parity, anchor, ahat = tuple(parity), tuple(anchor), tuple(ahat)
+    A1o, A2o = (LevelWeights(parity, anchor, ahat, swapped, k) for k in (0, 1))
     orig_a1, orig_a2 = coeffs.a1, coeffs.a2
 
     def phi(y):
@@ -627,8 +649,8 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
 
     return LinearUtility(
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
-        times=times, A1=A1o, A2=A2o, ahat=tuple(ahat), parity=tuple(parity),
-        anchor=tuple(anchor), switch_flags=tuple(flags),
+        times=times, A1=A1o, A2=A2o, ahat=ahat, parity=parity,
+        anchor=anchor, switch_flags=tuple(flags),
         lam=tuple(lam), mu=tuple(mu),
         min_monotone=float(min_mono) if np.isfinite(min_mono) else 1.0,
         overshoot=overshoot, swapped=swapped,
@@ -885,9 +907,11 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     violations = []
     rec_res = 0.0
 
+    weights = [(lin.A1[j], lin.A2[j]) for j in range(n + 1)]
+
     def contracted(sol):
-        return [lin.A1[j] * sol.Y[j][:, 0] + lin.A2[j] * sol.Y[j][:, 1]
-                for j in range(n + 1)]
+        return [w1 * sol.Y[j][:, 0] + w2 * sol.Y[j][:, 1]
+                for j, (w1, w2) in enumerate(weights)]
 
     def recursion_residual(yhat, policy):
         res = 0.0
@@ -899,7 +923,8 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
             cval = np.broadcast_to(np.asarray(
                 lin.coeffs.c(times[j], b_here, np.asarray(policy.levels[j])),
                 dtype=float), (tree.node_count(j), 2))
-            source = (lin.A1[j] * cval[:, 0] + lin.A2[j] * cval[:, 1]) * dt
+            w1, w2 = weights[j]
+            source = (w1 * cval[:, 0] + w2 * cval[:, 1]) * dt
             pred = lin.lam[j] * ehat + lin.mu[j] * zhat + source
             res = max(res, float(np.max(np.abs(yhat[j] - pred))))
         return res

@@ -475,10 +475,11 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
         n_switches += int(sw.sum())
         ah = np.abs(ens.ahat[j][sw])
         band_ok = band_ok and bool(np.all((ah >= lo) & (ah <= hi)))
-        allowed = step_coef * (np.abs(ens.A1[j - 1][sw])
-                               + np.abs(ens.A2[j - 1][sw])) + 1e-15
-        jump = np.maximum(np.abs(ens.A1[j][sw] - ens.A1[j - 1][sw]),
-                          np.abs(ens.A2[j][sw] - ens.A2[j - 1][sw]))
+        # each read derives a level's weights, so read each one once
+        a1_prev, a2_prev = ens.A1[j - 1][sw], ens.A2[j - 1][sw]
+        a1, a2 = ens.A1[j][sw], ens.A2[j][sw]
+        allowed = step_coef * (np.abs(a1_prev) + np.abs(a2_prev)) + 1e-15
+        jump = np.maximum(np.abs(a1 - a1_prev), np.abs(a2 - a2_prev))
         cont_ok = cont_ok and bool(np.all(jump <= allowed))
     checks.append(_check("switch-band", band_ok and ens.overshoot <= OVERSHOOT_LIMIT,
                          value=ens.overshoot, bound=OVERSHOOT_LIMIT,

@@ -591,3 +591,25 @@ def test_dense_ensemble_peak_memory(seed):
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_ensemble_weights_are_derived_not_stored():
+    grid, n_paths = TimeGrid(T=4.0, n=4096), 2000
+    dense = (grid.n + 1) * n_paths * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        lin = build_linear_utility(switch_coeffs(), grid=grid, n_paths=n_paths, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stored ratio plus one more dense array: no room for stored weights
+    assert peak < 2 * dense, (peak, dense)
+    for weights in (lin.A1, lin.A2):
+        assert len(weights) == grid.n + 1
+        assert _bits(weights[-1]) == _bits(weights[grid.n])
+        count = 0
+        for j, level in enumerate(weights):
+            assert _bits(level) == _bits(weights[j]), j
+            assert not level.flags.writeable, j
+            count += 1
+        assert count == grid.n + 1
