@@ -22,7 +22,11 @@ one core). Each block writes only its own rows of a second W buffer, so W is
 identical, bit for bit, for any block or worker count. f is called on one
 block's rows at a time, possibly from several worker threads at once, and g and
 the CFL estimate of sup|f| see the whole grid; so f and g must act point by
-point, and f must be thread-safe.
+point, and f must be thread-safe. Deterministic points arrive component-first:
+y has shape (rows, cols, 2), but each y[..., k] plane is contiguous, so an f
+that allocates its output with np.empty_like(y) returns contiguous components
+and the step reads them without copies. An f of any other layout (an
+np.stack(..., axis=-1), say) gives the same W, only slower.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates; the forward step defaults to the exact inverse
@@ -114,6 +118,10 @@ class MarkovianDualSpec:
 class DeterministicDualSpec:
     """f(t,y,u) -> (..., 2) vectorized; terminal target point in R^2.
 
+    y arrives component-first (each y[..., k] contiguous); an f that allocates
+    with np.empty_like(y) keeps that layout, which the solve reads fastest, and
+    any other layout stays correct.
+
     f_bound may be a scalar or a per-component pair; when given it is used as-is
     in the CFL rate (no safety margin), which keeps substep counts reproducible.
     """
@@ -182,10 +190,11 @@ def _one_sided_second(W, h, axis):
 
 # Grid floats per row block of an explicit HJB substep; a grid of at most this
 # many floats runs as one block, inline. The 501 x 501 transport grid runs as 4
-# blocks. On a 2-core host 4 blocks on 2 threads solved it fastest: blocks of
-# 2^13 floats lost more to handing the interpreter lock between threads than
-# they gained, and 2 blocks made f's freed temporaries page-fault on every
-# substep (1.8M minor faults against 9k).
+# blocks. On a 2-core host its 256-level solve took 11-12 s at 2^13 floats
+# (32 blocks), 7.1 s at 2^14, 5.1 s at 2^15, 4.5 s at 2^16, 4.6-5.0 s at 2^17
+# and 7.7-8.2 s at 2^18 (one block, one thread): small blocks lose more to
+# handing the interpreter lock between threads than they gain, and 2^16 peaks
+# 2 MB below 2^17.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -204,6 +213,17 @@ def _padded_diff(W, r0: int, r1: int, h: float, out) -> None:
         out[0] = out[1]
     if r1 == len(W):
         out[-1] = out[-2]
+
+
+def _col_diff(Wb, h, out) -> None:
+    """Edge-padded first differences along axis 1 of Wb, into out of shape
+    (rows, cols + 1): out[:, :-1] is the backward and out[:, 1:] the forward
+    difference of each column, the same floats as _padded_diff on Wb.T."""
+    inner = out[:, 1:-1]
+    np.subtract(Wb[:, 1:], Wb[:, :-1], out=inner)
+    np.divide(inner, h, out=inner)
+    out[:, 0] = out[:, 1]
+    out[:, -1] = out[:, -2]
 
 
 def _upwind(f, bwd, fwd, up, out):
@@ -350,6 +370,8 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
         Xb, Yb = X[r0:r1], Y[r0:r1]
         d = np.empty((r1 - r0, len(ys) + 1))
         bwd, fwd = d[:, :-1], d[:, 1:]
+        sel, cand, best = (np.empty(Xb.shape) for _ in range(3))
+        up = np.empty(Xb.shape, dtype=bool)
 
         def step(W, nxt, t):
             # the x stencils run on the halo slab, whose edge rows are either
@@ -360,15 +382,20 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
             Dyy = _one_sided_second(Wb, dy, 1)
             Dxy = np.gradient(np.gradient(slab, dy, axis=1, edge_order=2),
                               dx, axis=0, edge_order=2)[own]
-            _padded_diff(Wb.T, 0, len(ys), dy, d.T)
-            best = None
+            _col_diff(Wb, dy, d)
+            first = True
             for z in config.z_values:
                 zpart = 0.5 * z * z * Dyy + z * Dxy
                 for u in spec.control_values:
                     fv = np.asarray(spec.f(t, Xb, Yb, z, u))
-                    adv = -fv * np.where(fv > 0, bwd, fwd)
-                    cand = zpart + adv
-                    best = cand if best is None else np.minimum(best, cand)
+                    # zpart - f * sel is zpart + (-f) * sel, bit for bit
+                    np.multiply(fv, _upwind(fv, bwd, fwd, up, sel), out=sel)
+                    if first:
+                        np.subtract(zpart, sel, out=best)
+                        first = False
+                    else:
+                        np.subtract(zpart, sel, out=cand)
+                        np.minimum(best, cand, out=best)
             np.maximum(Wb + dts * (0.5 * Dxx + best), 0.0, out=nxt[r0:r1])
         return step
 
@@ -384,7 +411,8 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    pts = np.stack([Y1, Y2], axis=-1)
+    # component-first: each y[..., k] plane of a row block is contiguous
+    pts = np.moveaxis(np.stack([Y1, Y2]), 0, -1)
     t1, t2 = spec.target
     W = (Y1 - t1) ** 2 + (Y2 - t2) ** 2
     times = grid.times()
@@ -406,26 +434,30 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
         P = pts[r0:r1]
         d0, d1 = np.empty((rows + 1, cols)), np.empty((rows, cols + 1))
         b0, f0d, b1, f1d = d0[:-1], d0[1:], d1[:, :-1], d1[:, 1:]
-        sel, adv, best = (np.empty((rows, cols)) for _ in range(3))
+        sel, p, best = (np.empty((rows, cols)) for _ in range(3))
         up = np.empty((rows, cols), dtype=bool)
 
         def step(W, nxt, t):
-            # the float sequence of W = max(W + dts * min_u
-            # [(-f0) * sel0 - f1 * sel1], 0), one buffer per intermediate
+            # W = max(W - dts * max_u [f0 * sel0 + f1 * sel1], 0), one buffer
+            # per intermediate: the bits of max(W + dts * min_u [(-f0) * sel0
+            # - f1 * sel1], 0), as negation is exact and W never holds -0
             _padded_diff(W, r0, r1, dy, d0)
-            _padded_diff(W[r0:r1].T, 0, cols, dy, d1.T)
+            _col_diff(W[r0:r1], dy, d1)
             for k, u in enumerate(spec.control_values):
                 fv = np.asarray(spec.f(t, P, u))
-                np.negative(fv[..., 0], out=adv)
-                np.multiply(adv, _upwind(fv[..., 0], b0, f0d, up, sel), out=adv)
-                np.multiply(fv[..., 1], _upwind(fv[..., 1], b1, f1d, up, sel), out=sel)
-                if k == 0:
-                    np.subtract(adv, sel, out=best)
-                else:
-                    np.subtract(adv, sel, out=adv)
-                    np.minimum(best, adv, out=best)
+                f0, f1 = fv[..., 0], fv[..., 1]
+                acc = best if k == 0 else p
+                np.multiply(f0, _upwind(f0, b0, f0d, up, sel), out=acc)
+                np.multiply(f1, _upwind(f1, b1, f1d, up, sel), out=sel)
+                np.add(acc, sel, out=acc)
+                if k:
+                    np.maximum(best, p, out=best)
+                # free f's output so the next call reuses its memory: with two
+                # outputs live, the free heap top passes glibc's trim threshold
+                # and is faulted back in on every substep
+                del fv, f0, f1
             np.multiply(best, dts, out=best)
-            np.add(W[r0:r1], best, out=best)
+            np.subtract(W[r0:r1], best, out=best)
             np.maximum(best, 0.0, out=nxt[r0:r1])
         return step
 
@@ -658,16 +690,10 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
     return values, tags
 
 
-@dataclass(frozen=True)
-class ConditionalDualValue:
-    level: int
-    values: np.ndarray    # (m_nodes, p)
-
-
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                            y_points, z_values,
-                           step_mode: str = "inverse") -> ConditionalDualValue:
-    """W-tilde(level, node, y) on the tree for each node and probe point y."""
+                           step_mode: str = "inverse") -> np.ndarray:
+    """W-tilde(level, node, y) on the tree, shape (nodes at level, probe points)."""
     y_points = np.asarray(y_points, dtype=float)
     if y_points.ndim == 1:
         y_points = y_points[:, None]
@@ -676,7 +702,7 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                 np.repeat(np.arange(m), len(y_points)),
                                 np.tile(y_points, (m, 1)), z_values,
                                 step_mode=step_mode)
-    return ConditionalDualValue(level=level, values=vals.reshape(m, len(y_points)))
+    return vals.reshape(m, len(y_points))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +741,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
                                  step_mode=step_mode)
     table, segment = _steering_table(problem, tree, k1, k2,
                                      _as_z_matrices(z_values, dpr, d))
-    m, npts = wt1.values.shape
+    m, npts = wt1.shape
     nodes = np.repeat(np.arange(m), npts)
     ys = np.tile(y_points, (m, 1)).reshape(len(nodes), dpr)
     width = (2 ** d) ** (k2 - k1)
@@ -733,7 +759,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
         worst = np.fmax.reduce(w2.reshape(xs.shape[:3]), axis=2, initial=0.0)
         steer_min[sl] = np.fmin.reduce(worst, axis=1, initial=np.inf)
 
-    w1 = wt1.values.reshape(-1)
+    w1 = wt1.reshape(-1)
     nodal = w1 <= eps
     steerable = steer_min <= eps
     rho_into = np.fmax.reduce(steer_min[nodal], initial=0.0)

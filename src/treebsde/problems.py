@@ -135,9 +135,15 @@ def switch_coeffs():
 
 def transport_dual_spec():
     """Steering system y1' = u - y2, y2' = u driven to the origin."""
+    def f(t, y, u):
+        # keeps y's layout, so component-first points give contiguous planes
+        out = np.empty_like(y)
+        np.subtract(u, y[..., 1], out=out[..., 0])
+        out[..., 1] = u
+        return out
+
     return DeterministicDualSpec(
-        f=lambda t, y, u: np.stack(
-            [u - y[..., 1], u + 0.0 * y[..., 0]], axis=-1),
+        f=f,
         target=(0.0, 0.0),
         control_values=(0.0, 1.0),
         f_bound=(3.0, 1.0))

@@ -357,6 +357,39 @@ def test_row_blocks_on_more_threads_than_cores_under_fast_switching(kind, monkey
     assert np.array_equal(dual.W, ref.W)
 
 
+def _stacked_transport_f(t, y, u):
+    """The transport f as an interleaved np.stack, the reference for the bits."""
+    return np.stack([u - y[..., 1], u + 0.0 * y[..., 0]], axis=-1)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("layout", ("one", "two", "three", "min"))
+def test_transport_points_arrive_component_first_and_keep_the_stacked_f_bits(
+        layout, workers, monkeypatch):
+    make_spec, grid, config, _ = BLOCK_CASES["deterministic"]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1 << 30)
+    ref = solve_dual_hjb(dataclasses.replace(make_spec(), f=_stacked_transport_f),
+                         grid, config)
+    rows, cols = ref.W.shape[1:]
+    height = {"one": rows, "two": -(-rows // 2), "three": -(-rows // 3),
+              "min": 1}[layout]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", height * cols)
+    monkeypatch.setattr(duality, "_worker_count", lambda: workers)
+    spec = make_spec()
+    contiguous = []
+
+    def f(t, y, u):
+        contiguous.append(all(y[..., k].flags.c_contiguous for k in (0, 1)))
+        return spec.f(t, y, u)
+
+    dual = solve_dual_hjb(dataclasses.replace(spec, f=f), grid, config)
+    assert contiguous and all(contiguous)
+    assert dual.substeps == ref.substeps
+    for level in ref.levels:
+        assert np.array_equal(dual.at(level), ref.at(level))
+        assert np.array_equal(np.signbit(dual.at(level)), np.signbit(ref.at(level)))
+
+
 @pytest.mark.parametrize("kind", sorted(SLICE_CASES))
 def test_too_few_grid_points_raise_config_error_naming_the_axis_lengths(kind):
     make_spec, grid, _ = SLICE_CASES[kind]
@@ -449,7 +482,7 @@ def test_conditional_dual_value_matches_closed_form():
     cdv = conditional_dual_value(problem, tree, 1, ys, z_values=(0.0, 1.0))
     b = tree.values[1][:, 0]
     expected = (ys[None, :] - b[:, None]) ** 2
-    np.testing.assert_allclose(cdv.values, expected, atol=1e-12)
+    np.testing.assert_allclose(cdv, expected, atol=1e-12)
 
 
 def test_geometric_dpp_inclusions_small():
