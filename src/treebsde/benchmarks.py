@@ -23,7 +23,8 @@ from treebsde.bsde import (
     BSDEProblem,
     ControlPolicy,
     EnumerationCapError,
-    maximize_over_policies,
+    PolicySpace,
+    _search,
     solve_bsde,
     static_value,
 )
@@ -87,20 +88,20 @@ def subtree_argmax(problem: BSDEProblem, tree: ScenarioTree, level: int,
                    node: int, objective):
     """Exact max of objective(Y_level[node]) over the node's subtree policies.
 
-    objective maps the (d',) value at the node to a float. Returns
-    (best value, best assignment).
+    objective maps (k, d') values to (k,), like phi. Returns (best value, best
+    assignment), or (-inf, None) when every value is NaN or -inf. Deterministic
+    controls search the level's whole space and read row node, so recombining
+    trees work; adapted ones search the node's subtree (path mode only).
     """
-    def at_node(y):  # the caller's objective on the node's row, -inf elsewhere
-        vals = np.full(len(y), -np.inf)
-        vals[node] = objective(y[node])
-        return vals
-
+    if problem.deterministic_controls:
+        space, row = PolicySpace(problem, tree, level), node
+    else:
+        space, row = PolicySpace(problem, tree, level, node=node), 0
     try:
-        best, assigns, _, _ = maximize_over_policies(problem, tree, at_node,
-                                                     start_level=level, node=node)
+        best, first = _search(problem, space, objective)
     except EnumerationCapError as exc:
         raise BenchmarkError(f"subtree argmax: {exc}") from None
-    return float(best[node]), assigns[node]
+    return float(best[row]), space.assignment(first[row]) if first[row] >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,7 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree) -> Witness
         for i in np.nonzero(mask)[0]:
             best, assign = subtree_argmax(
                 bench.problem, tree, k, int(i),
-                lambda y: -abs(c + y[0]))
+                lambda y: -np.abs(c + y[:, 0]))
             ref_val = -abs(c + float(ref.Y[k][i, 0]))
             flips = all(U[s] == 1.0 for s in assign)
             all_flip = all_flip and flips and best > ref_val
@@ -369,7 +370,7 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             c_eff = float(a["c_process"](times[k], b)) if restored else c
             _, assign = subtree_argmax(
                 bench.problem, tree, k, i,
-                lambda y: -abs(c_eff + y[0]))
+                lambda y: -np.abs(c_eff + y[:, 0]))
             checked += 1
             if any(s != 0 for s in assign):
                 violations += 1
@@ -618,7 +619,7 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     sol0 = solve_bsde(bench.problem, tree, sv.policy)
     ref = float(sol0.Y[level][0, 0])  # deterministic: all nodes equal
     best, assign = subtree_argmax(bench.problem, tree, level, 0,
-                                  lambda y: y[0])
+                                  lambda y: y[:, 0])
     margin = best - ref
     # the re-optimized sequence must switch on inside (1, 1+t)
     times = tree.grid.times()[:n]

@@ -21,11 +21,13 @@ through PolicySpace, which fixes:
     returns the first (smallest) assignment on exact ties;
   * cap: more than ENUMERATION_CAP assignments raise EnumerationCapError
     before any solve;
-  * cost: static_value's enumeration and reachable_set run chunked batch solves
-    (_solve_chunks: one generator call per level for a chunk of assignments
-    stacked along the node axis, at most _CHUNK_FLOATS child floats per chunk;
-    a subtree space solves only its node's descendant rows).
-    maximize_over_policies, master.check_forward_dpp and
+  * cost: every search from the problem's own terminal data (static_value's
+    enumeration, envelope_bsde, benchmarks.subtree_argmax) runs _search, and
+    reachable_set runs its kernel _solve_chunks: one generator call per level
+    for a chunk of assignments stacked along the node axis, at most
+    _CHUNK_FLOATS child floats per chunk; a subtree space solves only its
+    node's descendant rows. maximize_over_policies (searches from
+    caller-supplied terminal data), master.check_forward_dpp and
     dynutil.check_linear_comparison still run one solve_bsde per policy: the
     benchmark's counters count solves per policy on that path.
 
@@ -42,7 +44,8 @@ maps move along s, phi does not fall; a failing s restarts the sweep, none
 passing means dedup only). Slots 0, 1, ... take the first control whose best
 completion over the stored level sets reaches the value, so ties keep the
 lexicographically first assignment. More than ENUMERATION_CAP points at a level
-raise EnumerationCapError.
+raise EnumerationCapError. static_value's frontier route runs solve_bsde's
+Lipschitz probe and step-size warning, as its enumeration does.
 
 For d'=1 the scheme is monotone (hence order-preserving in the terminal data) when
 1 - L*dt - L*sqrt(dt) >= 0; the sqrt(dt) term enters through the z-slot. This is
@@ -288,6 +291,10 @@ class PolicySpace:
         weights = base ** np.arange(len(self.slots) - 1, -1, -1, dtype=np.int64)
         return np.arange(lo, hi, dtype=np.int64)[:, None] // weights % base
 
+    def assignment(self, index: int) -> tuple:
+        """Assignment number index of the lexicographic order."""
+        return tuple(self.digits(index, index + 1)[0].tolist())
+
     def policy(self, assignment) -> ControlPolicy:
         """Materialize one assignment; non-slot entries hold U[0]."""
         U = self.control_values
@@ -309,9 +316,9 @@ class PolicySpace:
 
 
 # Child floats (assignments x nodes x 2^d x d' at the widest level) per chunk of
-# a batch solve. At 64 KB per array the temporaries stay near 1 MB, as with
-# duality's steering chunks; larger chunks raise peak memory more than they
-# save time.
+# a batch solve, and steered floats per chunk of duality's steering starts. At
+# 64 KB per array the temporaries stay near 1 MB; larger chunks raise peak
+# memory more than they save time.
 _CHUNK_FLOATS = 1 << 13
 
 
@@ -372,16 +379,16 @@ class StaticValue:
 def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            objective, start_level: int = 0,
                            terminal_level: int | None = None,
-                           terminal_rv: TreeRandomVariable | None = None,
-                           node: int | None = None):
-    """Per-node max at start_level of objective(Y_{start_level}) over segment policies,
-    or over the subtree policies of one node at start_level when node is given.
+                           terminal_rv: TreeRandomVariable | None = None):
+    """Per-node max at start_level of objective(Y_{start_level}) over segment
+    policies, one solve_bsde per policy: the route for caller-supplied terminal
+    data, which _search does not take.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
     assignments, enumerated count, False: no maximum is heuristic).
     """
     k = tree.n if terminal_level is None else terminal_level
-    space = PolicySpace(problem, tree, start_level, k, node=node)
+    space = PolicySpace(problem, tree, start_level, k)
     m0 = tree.node_count(start_level)
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
@@ -405,31 +412,39 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
     eta = _terminal(problem, tree, tree.n)
     if (problem.deterministic_controls and np.all(eta == eta[0])
             and _probe_deterministic(problem, tree.grid.times()[:tree.n], tree.d)):
-        if not problem._lip_checked:
-            probe_lipschitz(problem, tree)
+        _check_scheme(problem, tree, stacklevel=3)
         value, assignment, count = _frontier(
             problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d)
     else:
-        value, assignment, count = _enumerate_static(problem, space)
+        best, first = _search(problem, space, problem.phi)
+        if first[0] < 0:
+            raise NoMaximumError("phi(Y_0) is NaN or -inf under every policy")
+        value, assignment, count = float(best[0]), space.assignment(first[0]), space.size
     return StaticValue(value=value, policy=space.policy(assignment), assignment=assignment,
                        enumerated=count, heuristic=False)
 
 
-def _enumerate_static(problem: BSDEProblem, space: PolicySpace):
-    """(max phi(Y_0), first maximizing assignment, policy count) over space by
-    batch solves. Strict improvements across chunks and the first index within
-    one give maximize_over_policies' winner: ties keep the first assignment and
-    a NaN value never wins."""
-    best, first = -np.inf, None
-    for lo, y0 in _solve_chunks(problem, space):
-        vals = np.asarray(problem.phi(y0[:, 0]), dtype=float).reshape(-1)
+def _search(problem: BSDEProblem, space: PolicySpace, objective):
+    """(max of objective(Y), index of the first assignment reaching it) per
+    start-level row of _solve_chunks, two (m,) arrays; -1 marks a row no
+    assignment wins.
+
+    objective maps (k, d') -> (k,), like phi. Strict improvements across chunks
+    and the first index within one give maximize_over_policies' winner: ties
+    keep the first assignment, a NaN value counts as -inf, and a row whose every
+    value is -inf has no winner."""
+    for lo, y in _solve_chunks(problem, space):
+        p, m, dpr = y.shape
+        vals = np.asarray(objective(y.reshape(p * m, dpr)), dtype=float).reshape(p, m)
         vals = np.where(np.isnan(vals), -np.inf, vals)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, first = vals[i], lo + i
-    if first is None:
-        raise NoMaximumError("phi(Y_0) is NaN or -inf under every policy")
-    return float(best), tuple(space.digits(first, first + 1)[0].tolist()), space.size
+        i = np.argmax(vals, axis=0)
+        top = vals[i, np.arange(m)]
+        if lo == 0:
+            best, first = np.full(m, -np.inf), np.full(m, -1)
+        better = top > best
+        best = np.where(better, top, best)
+        first = np.where(better, lo + i, first)
+    return best, first
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +576,8 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = 
     consistent when its max over levels is at most 1e-10.
 
     Scalar only: d' = 1 (StructureError otherwise) and phi increasing, checked
-    by 16 seeded probes. V_t is computed by brute-force per-node maximization of
-    phi(Y^u_t) over subtree policies.
+    by 16 seeded probes. V_t is the per-node max of phi(Y^u_t) over the
+    policies on [t, n], by _search.
 
     skip_probes computes the report even when phi fails its probes; the
     resulting consistent=False then documents the DPP violation.
@@ -592,13 +607,10 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = 
         _lip_checked=True,
     )
     bar = solve_bsde(env, tree)
-    # --- brute-force V_t per node and compare with phi(Ybar_t); at t = n both
-    # sides are the terminal data
+    # --- V_t per node against phi(Ybar_t); at t = n both sides are the terminal data
     max_res = 0.0
     for t in range(tree.n):
-        vals, _, _, _ = maximize_over_policies(
-            problem, tree, lambda y: np.asarray(problem.phi(y)).reshape(-1),
-            start_level=t)
+        vals, _ = _search(problem, PolicySpace(problem, tree, t), problem.phi)
         max_res = max(max_res, float(np.max(np.abs(
             vals - np.asarray(problem.phi(bar.Y[t])).reshape(-1)))))
     return bar, EnvelopeReport(max_residual=max_res, consistent=max_res <= 1e-10)

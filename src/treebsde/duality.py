@@ -72,7 +72,7 @@ import numpy as np
 
 from treebsde.artifacts import write_csv
 from treebsde.lattice import ScenarioTree, TimeGrid
-from treebsde.bsde import BSDEProblem, NodeContext, _check_cap
+from treebsde.bsde import _CHUNK_FLOATS, BSDEProblem, NodeContext, _check_cap
 
 
 class ConfigError(ValueError):
@@ -517,11 +517,6 @@ def dual_static_value(nodal: NodalSet, phi) -> DualStaticValue:
 
 # ---------------------------------------------------------------------------
 # exact tree-conditional dual value W-tilde
-
-# Steered floats (starts x assignments x subtree nodes x d') per chunk of starts.
-# At 64 KB per array the kernel's temporaries stay near 1 MB; larger chunks
-# raise peak memory more than they save time.
-_CHUNK_FLOATS = 1 << 13
 
 
 def _as_z_matrices(z_values, dpr: int, d: int):

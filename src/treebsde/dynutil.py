@@ -344,7 +344,6 @@ class LinearUtility:
     switch_flags: tuple
     lam: tuple           # tree mode: level -> (m,) contraction factor 1 + alpha_hat*dt
     mu: tuple            # tree mode: level -> (m,) beta_hat*dt; both () for an ensemble
-    min_monotone: float  # min over nodes of min(lam +- mu/sqrt(dt)); >= 0 <=> order-preserving
     overshoot: float
     swapped: bool
     utility: DynamicUtility
@@ -435,17 +434,14 @@ def _monotone(lam, mu, sdt) -> float:
 @dataclass(frozen=True)
 class _Level:
     """Ensemble state at one grid level. overshoot belongs to the step into it (0
-    at level 0); step is what that step read, (alpha, beta, parity == 1, ratio),
-    for consumers that evaluate _contraction on it (None at level 0). Every
-    array of a level is read-only, and levels share the ones that did not
-    change."""
+    at level 0). Every array of a level is read-only, and levels share the ones
+    that did not change."""
 
     parity: np.ndarray
     anchor: np.ndarray
     ahat: np.ndarray
     switched: np.ndarray
     overshoot: float
-    step: tuple | None
 
 
 def _frozen(a):
@@ -481,15 +477,13 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     an = _frozen(np.full(n_paths, a2))
     ah = _frozen(np.full(n_paths, a1 / a2))
     no_switch = _frozen(np.zeros(n_paths, dtype=bool))
-    first = _frozen(p == 1)
     second = np.zeros(0, dtype=np.int64)  # the paths in regime 2
     b_path = np.zeros(n_paths)
     clamped, drift, vol, db, mag = (np.empty(n_paths) for _ in range(5))
-    yield _Level(p, an, ah, no_switch, 0.0, None)
+    yield _Level(p, an, ah, no_switch, 0.0)
     for j in range(len(times) - 1):
         al = np.asarray(alpha(times[j], b_path), dtype=float)
         be = np.asarray(beta(times[j], b_path), dtype=float)
-        step = (al, be, first, ah)
         (d1, s1), (d2, s2) = riccati(al, be)
         np.clip(ah, -2.0, 2.0, out=clamped)
         _poly_eval(d1, clamped, drift)
@@ -510,7 +504,7 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
         hit = np.flatnonzero(sw)
         if not hit.size:
             ah = _frozen(ah_next)
-            yield _Level(p, an, ah, no_switch, 0.0, step)
+            yield _Level(p, an, ah, no_switch, 0.0)
             continue
         overshoot = float(np.max(mag[hit] - 2.0, initial=0.0))
         p = p.copy()
@@ -519,9 +513,8 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
         an[hit] = an[hit] * ah_next[hit]
         ah_next[hit] = 1.0 / ah_next[hit]
         p, an, ah, sw = (_frozen(a) for a in (p, an, ah_next, sw))
-        first = _frozen(p == 1)
         second = np.flatnonzero(p == 2)
-        yield _Level(p, an, ah, sw, overshoot, step)
+        yield _Level(p, an, ah, sw, overshoot)
 
 
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
@@ -536,7 +529,7 @@ def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: i
 
 def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
     """Exact per-node construction: children weights obey the matched division
-    formula. Returns the per-level lists and (lam, mu, min_monotone, overshoot)."""
+    formula. Returns the per-level lists, lam, mu and the overshoot."""
     dt, sdt = tree.dt, np.sqrt(tree.dt)
     m0 = tree.node_count(0)
     parity = [np.ones(m0, dtype=np.int64)]
@@ -544,7 +537,6 @@ def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
     ahat = [np.full(m0, a1 / a2)]
     flags = [np.zeros(m0, dtype=bool)]
     lam_levels, mu_levels = [], []
-    min_mono = np.inf
     overshoot = 0.0
     for j in range(tree.n):
         p, an, ah = parity[j], anchor[j], ahat[j]
@@ -555,7 +547,6 @@ def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
         lam, mu = _contraction(al, be, first, ah, dt)
         lam_levels.append(lam)
         mu_levels.append(mu)
-        min_mono = min(min_mono, _monotone(lam, mu, sdt))
         active = an * ah
         drift_num = (_frame(al, first, 0, 0) * active + _frame(al, first, 1, 0) * an) * dt
         vol_num = (_frame(be, first, 0, 0) * active + _frame(be, first, 1, 0) * an) * sdt
@@ -584,7 +575,7 @@ def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
         anchor.append(new_an)
         ahat.append(new_ah)
         flags.append(new_fl)
-    return parity, anchor, ahat, flags, lam_levels, mu_levels, min_mono, overshoot
+    return parity, anchor, ahat, flags, lam_levels, mu_levels, overshoot
 
 
 def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None = None,
@@ -614,7 +605,7 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         times = tree.grid.times()
         alpha, beta, a1, a2, swapped = _checked_normalize(
             coeffs, tree.grid.T, tree.dt, overshoot_limit)
-        parity, anchor, ahat, flags, lam, mu, min_mono, overshoot = _tree_levels(
+        parity, anchor, ahat, flags, lam, mu, overshoot = _tree_levels(
             alpha, beta, a1, a2, tree, times)
         count = tree.node_count(0)
     else:
@@ -623,15 +614,12 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
         parity, anchor, ahat, flags = [], [], [], []
         lam = mu = ()
-        min_mono, overshoot = np.inf, 0.0
-        sdt = np.sqrt(grid.dt)
+        overshoot = 0.0
         for lv in levels:
             parity.append(lv.parity)
             anchor.append(lv.anchor)
             ahat.append(lv.ahat)
             flags.append(lv.switched)
-            if lv.step is not None:
-                min_mono = min(min_mono, _monotone(*_contraction(*lv.step, grid.dt), sdt))
             overshoot = max(overshoot, lv.overshoot)
         count = n_paths
 
@@ -652,7 +640,6 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         times=times, A1=A1o, A2=A2o, ahat=ahat, parity=parity,
         anchor=anchor, switch_flags=tuple(flags),
         lam=tuple(lam), mu=tuple(mu),
-        min_monotone=float(min_mono) if np.isfinite(min_mono) else 1.0,
         overshoot=overshoot, swapped=swapped,
         utility=DynamicUtility(evaluate=evaluate, phi=phi, value_dim=2),
         n_paths=count,
@@ -954,4 +941,6 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     return LinearComparisonReport(
         pairs_checked=pairs_checked, policies_per_pair=space.size,
         violations=tuple(violations),
-        recursion_residual=rec_res, min_monotone=lin.min_monotone)
+        recursion_residual=rec_res,
+        min_monotone=min(_monotone(lam, mu, np.sqrt(dt))
+                         for lam, mu in zip(lin.lam, lin.mu)))

@@ -97,7 +97,7 @@ class ExperimentConfig:
 _REQUIRED = ("experiment", "seed")
 _ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
-_LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear stores every ensemble level
+_LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear's dense Euler ahat: (steps + 1) x paths
 _WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
 _EXPECTED = {int: "expected integer, got {}", float: "expected number, got {}",
              str: "expected string, got {}", tuple: "expected a list of integers"}
@@ -196,7 +196,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         if paths is not None and paths > _LINEAR_MAX_PATHS:
             got = f"got {paths}" if given else f"the default {paths} exceeds it"
             msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
-                        f"Euler ensemble ((steps + 1) x paths per field) and runs "
+                        f"Euler ensemble ratio ((steps + 1) x paths floats) and runs "
                         f"at most {_LINEAR_MAX_PATHS} paths, {got}")
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "

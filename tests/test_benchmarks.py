@@ -275,4 +275,4 @@ def test_subtree_argmax_cap(enumeration_cap):
     od = one_dimensional(2.4, 2.4)
     tree = build_tree(TimeGrid(2.4, 8), d=1, mode="path")
     with enumeration_cap(10), pytest.raises(BenchmarkError, match="cap"):
-        subtree_argmax(od.problem, tree, 1, 0, lambda y: y[0])
+        subtree_argmax(od.problem, tree, 1, 0, lambda y: y[:, 0])

@@ -193,14 +193,10 @@ def test_static_value_tie_break_lexicographic():
     np.testing.assert_array_equal(vals, [0.5, 0.5])
     assert assigns == [(0, 0), (0, 0)]
     # ... and for a single node's subtree, whose only slot is the node itself
-    best, assign = subtree_argmax(prob, tree2, 1, 1, lambda y: y[0])
+    best, assign = subtree_argmax(prob, tree2, 1, 1, lambda y: y[:, 0])
     assert best == 0.5
     assert assign == (0,)
-    vals, assigns, count, _ = maximize_over_policies(
-        prob, tree2, lambda y: y[:, 0], start_level=1, node=1)
-    assert count == 3
-    assert vals[1] == 0.5
-    assert assigns[1] == (0,)
+    assert PolicySpace(prob, tree2, 1, node=1).size == 3
 
 
 def test_static_value_control_free():
@@ -255,6 +251,21 @@ def test_static_value_enumeration_warns_above_the_monotone_step_bound():
                         lambda ctx: ctx.b[:, :1], U=(0.0, 1.0), L=2.0)
     with pytest.warns(UserWarning, match="comparison"):
         static_value(prob, tree)
+
+
+def test_static_value_frontier_warns_above_the_monotone_step_bound():
+    # d' = 1 at dt = 0.5 > 0.382 = monotone_step_bound(1): adapted controls warn
+    # through the enumeration, and the frontier runs the same scheme
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+    for deterministic in (False, True):
+        prob = make_problem(lambda t, ctx, y, z, u: y + u[:, None],
+                            lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0),
+                            L=1.0, deterministic_controls=deterministic)
+        with pytest.warns(UserWarning, match="comparison") as rec:
+            res = static_value(prob, tree)
+        assert (res.value, res.assignment) == (1.25, (1,) * (2 if deterministic else 3))
+    assert bsde._probe_deterministic(prob, tree.grid.times()[:tree.n])
+    assert rec[0].filename == __file__
 
 
 def test_static_value_enumeration_rejects_a_generator_of_the_wrong_shape():
@@ -463,7 +474,9 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
     tree = _catalogue_tree(problem, mode, d, n)
     vals, assigns, count, _ = maximize_over_policies(
         problem, tree, lambda y: np.asarray(problem.phi(y), dtype=float).reshape(-1))
-    got = bsde._enumerate_static(problem, PolicySpace(problem, tree))
+    space = PolicySpace(problem, tree)
+    best, first = bsde._search(problem, space, problem.phi)
+    got = (float(best[0]), space.assignment(first[0]), space.size)
     assert got[1:] == (tuple(assigns[0]), count)
     if (name, index) in BLAS:
         assert got[0] == pytest.approx(vals[0], rel=BLAS_RTOL, abs=BLAS_RTOL)
@@ -485,6 +498,64 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
                 np.testing.assert_allclose(b, r, rtol=BLAS_RTOL, atol=BLAS_RTOL)
             else:
                 np.testing.assert_array_equal(b, r)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+SEARCH_OBJECTIVES = {
+    "plain": lambda y: y[:, 0],
+    "ties": lambda y: np.floor(2.0 * y[:, 0]),
+    "nan": lambda y: np.where(y[:, 0] > 1.0, np.nan, y[:, 0]),
+    "void": lambda y: np.where(y[:, 0] > 1.0, np.nan, -np.inf),
+}
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 64, 1 << 13])
+@pytest.mark.parametrize("objective", SEARCH_OBJECTIVES)
+def test_batched_search_matches_the_per_policy_search_on_subtrees(objective, chunk_floats,
+                                                                  monkeypatch):
+    # u = -1 and u = 1 tie exactly; a chunk of one float holds one assignment
+    monkeypatch.setattr(bsde, "_CHUNK_FLOATS", chunk_floats)
+    obj = SEARCH_OBJECTIVES[objective]
+    prob = make_problem(lambda t, ctx, y, z, u: (u ** 2)[:, None] + 0.5 * z[:, :, 0],
+                        lambda ctx: ctx.b[:, :1], U=(-1.0, 0.5, 1.0), L=0.5)
+    tree = build_tree(TimeGrid(1.0, 3), 1, "path")
+    for level in range(3):
+        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level)
+        slots = PolicySpace(prob, tree, level).slots
+        for node in range(tree.node_count(level)):
+            space = PolicySpace(prob, tree, level, node=node)
+            best, first = bsde._search(prob, space, obj)
+            assert _bits(best) == _bits(vals[node:node + 1])
+            if assigns[node] is None:
+                assert first.tolist() == [-1]
+                continue
+            # the first level-wide winner holds U[0] on every slot off the subtree
+            want = tuple(assigns[node][slots.index(s)] for s in space.slots)
+            assert space.assignment(first[0]) == want
+            assert sum(assigns[node]) == sum(want)
+            assert subtree_argmax(prob, tree, level, node, obj) == (vals[node], want)
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 1 << 13])
+@pytest.mark.parametrize("objective", SEARCH_OBJECTIVES)
+def test_batched_search_matches_the_per_policy_search_on_a_recombining_tree(
+        objective, chunk_floats, monkeypatch):
+    monkeypatch.setattr(bsde, "_CHUNK_FLOATS", chunk_floats)
+    obj = SEARCH_OBJECTIVES[objective]
+    prob = problems.level_controls_problem()
+    tree = build_tree(TimeGrid(1.0, 4), 1, "recombining")
+    for level in range(4):
+        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level)
+        space = PolicySpace(prob, tree, level)
+        best, first = bsde._search(prob, space, obj)
+        assert _bits(best) == _bits(vals)
+        assert [space.assignment(i) if i >= 0 else None for i in first] == assigns
+        for node in range(tree.node_count(level)):  # subtree_argmax reads row node
+            assert subtree_argmax(prob, tree, level, node, obj) == (vals[node], assigns[node])
 
 
 def test_reachable_set_solves_only_each_subtree():

@@ -135,7 +135,9 @@ def test_zero_dynamics_constant_weights():
         np.testing.assert_array_equal(lin.A1[j], np.ones(tree.node_count(j)))
         np.testing.assert_array_equal(lin.A2[j], 2 * np.ones(tree.node_count(j)))
         assert not lin.switch_flags[j].any()
-    assert lin.min_monotone == 1.0
+    for j in range(3):
+        np.testing.assert_array_equal(lin.lam[j], np.ones(tree.node_count(j)))
+        np.testing.assert_array_equal(lin.mu[j], np.zeros(tree.node_count(j)))
     np.testing.assert_array_equal(
         lin.utility.evaluate(2, np.array([[1.0, 1.0]] * 4)), np.full(4, 3.0))
     np.testing.assert_array_equal(lin.utility.phi(np.array([[2.0, 0.5]])), [3.0])
@@ -404,19 +406,18 @@ def _ref_poly_eval(coeff, x):
 
 
 def _ref_euler_levels(alpha, beta, a1, a2, times, dt, n_paths, seed):
-    """Yields (parity, anchor, ahat, switched, overshoot, min_monotone term)."""
+    """Yields (parity, anchor, ahat, switched, overshoot)."""
     sdt = np.sqrt(dt)
     rng = np.random.default_rng(np.random.Philox(seed))
     p = np.ones(n_paths, dtype=np.int64)
     an = np.full(n_paths, a2)
     ah = np.full(n_paths, a1 / a2)
     b_path = np.zeros(n_paths)
-    yield p, an, ah, np.zeros(n_paths, dtype=bool), 0.0, np.inf
+    yield p, an, ah, np.zeros(n_paths, dtype=bool), 0.0
     for j in range(len(times) - 1):
         al = np.asarray(alpha(times[j], b_path), dtype=float)
         be = np.asarray(beta(times[j], b_path), dtype=float)
         first = p == 1
-        mono = dynutil._monotone(*dynutil._contraction(al, be, first, ah, dt), sdt)
         clamped = np.clip(ah, -2.0, 2.0)
         d1, s1 = riccati_polynomials(al, be, 1)
         d2, s2 = riccati_polynomials(al, be, 2)
@@ -431,7 +432,7 @@ def _ref_euler_levels(alpha, beta, a1, a2, times, dt, n_paths, seed):
         an = np.where(sw, an * ah_next, an)
         safe = np.where(sw, ah_next, 1.0)
         ah = np.where(sw, 1.0 / safe, ah_next)
-        yield p, an, ah, sw, overshoot, mono
+        yield p, an, ah, sw, overshoot
 
 
 def _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid_dt, seed, pilot_paths):
@@ -514,7 +515,7 @@ def test_euler_ensemble_matches_frozen_reference(name, seed):
     ref = list(_ref_euler_levels(alpha, beta, a1, a2, times, grid.dt, n_paths, seed))
     _, _, levels = dynutil._ensemble(coeffs, grid, n_paths, seed, 0.1)
     count = 0
-    for j, (lv, (p, an, ah, sw, overshoot, _)) in enumerate(zip(levels, ref)):
+    for j, (lv, (p, an, ah, sw, overshoot)) in enumerate(zip(levels, ref)):
         for got, want in ((lv.parity, p), (lv.anchor, an), (lv.ahat, ah),
                           (lv.switched, sw)):
             assert _bits(got) == _bits(want), j
@@ -539,12 +540,11 @@ def test_euler_ensemble_matches_frozen_reference(name, seed):
         act = an * ah
         w1, w2 = np.where(p == 1, act, an), np.where(p == 1, an, act)
         weights.append((w2, w1) if swapped else (w1, w2))
-    for j, (p, an, ah, sw, _, _) in enumerate(ref):
+    for j, (p, an, ah, sw, _) in enumerate(ref):
         for got, want in ((lin.parity[j], p), (lin.anchor[j], an), (lin.ahat[j], ah),
                           (lin.switch_flags[j], sw), (lin.A1[j], weights[j][0]),
                           (lin.A2[j], weights[j][1])):
             assert _bits(got) == _bits(want), j
-    assert _bits(lin.min_monotone) == _bits(min(r[5] for r in ref))
     assert _bits(lin.overshoot) == _bits(events.overshoot)
 
     for i, path in zip((7, 0), replay_paths(coeffs, grid, n_paths, [7, 0], seed=seed)):

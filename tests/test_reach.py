@@ -5,6 +5,10 @@ module must be referenced, by name or as an attribute, from ``src`` outside
 its own definition, from ``scripts`` or from ``perfbench``, or be re-exported
 by ``treebsde/__init__.py``. Tests do not count: a name only tests reach
 either feeds a verdict one day or goes. References are matched by name alone.
+
+A second scan keeps the per-policy search for caller-supplied terminal data:
+every call of ``maximize_over_policies`` in ``src/treebsde`` passes
+``terminal_rv=``.
 """
 import ast
 import pathlib
@@ -67,6 +71,37 @@ def unreached(package: dict, outside: list, exports: set) -> set:
                 continue
             found.add(f"{module}.{name}")
     return found
+
+
+def calls(source: str, func: str) -> list:
+    """(line, keyword names) of each call of func, by name or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == func:
+                out.append((node.lineno, {kw.arg for kw in node.keywords}))
+    return sorted(out)
+
+
+def test_call_scan_reads_keywords_by_name_and_attribute():
+    source = ("f(1, terminal_rv=rv)\n"
+              "m.f(2)\n"
+              "g(3, terminal_rv=rv)\n"
+              "f(*args, **kw)\n")
+    assert calls(source, "f") == [(1, {"terminal_rv"}), (2, set()), (4, {None})]
+
+
+def test_per_policy_searches_take_caller_terminal_data():
+    """maximize_over_policies runs one solve_bsde per policy; a search from the
+    problem's own terminal data belongs on the batched bsde._search."""
+    found = [(path.name, line, keywords)
+             for path in sorted((ROOT / "src/treebsde").glob("*.py"))
+             for line, keywords in calls(path.read_text(encoding="utf-8"),
+                                         "maximize_over_policies")]
+    assert found
+    assert [(name, line) for name, line, keywords in found
+            if "terminal_rv" not in keywords] == []
 
 
 def test_scan_finds_a_definition_nothing_else_reaches():
