@@ -54,6 +54,8 @@ sharper than the dt < 1/(2L) rule of thumb and is what solve_bsde warns about.
 from __future__ import annotations
 
 import itertools
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -193,7 +195,7 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
     k = n if terminal_level is None else terminal_level
     if not 0 <= k <= n:
         raise ValueError(f"terminal level {k} outside 0..{n}")
-    _check_scheme(problem, tree, stacklevel=3)
+    _check_scheme(problem, tree)
     if terminal_rv is not None:
         if terminal_rv.level != k:
             raise ValueError(f"terminal_rv at level {terminal_rv.level}, expected {k}")
@@ -217,18 +219,27 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
     return BSDESolution(Y=tuple(Ys), Z=tuple(Zs))
 
 
-def _check_scheme(problem: BSDEProblem, tree: ScenarioTree, stacklevel: int) -> None:
-    """Run the Lipschitz probe once per problem; warn (at the caller stacklevel
-    frames up) when dt exceeds the comparison-preserving bound for d' = 1."""
+_PACKAGE_DIR = os.path.dirname(__file__)
+
+
+def _check_scheme(problem: BSDEProblem, tree: ScenarioTree) -> None:
+    """Run the Lipschitz probe once per problem; warn when dt exceeds the
+    comparison-preserving bound for d' = 1, at the innermost frame outside the
+    package, so the warning names the caller's line."""
     if not problem._lip_checked:
         probe_lipschitz(problem, tree)
     if problem.value_dim == 1:
         bound = monotone_step_bound(problem.lipschitz_L)
         if tree.dt > bound * (1 + 1e-12):
+            # level 2 is this function's caller; the walk runs only on a warning
+            frame, level = sys._getframe(1), 2
+            while (frame.f_back is not None
+                   and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"dt = {tree.dt:.4g} exceeds the comparison-preserving bound {bound:.4g} "
                 f"(1 - L*dt - L*sqrt(dt) < 0); order preservation not guaranteed",
-                stacklevel=stacklevel,
+                stacklevel=level,
             )
 
 
@@ -336,7 +347,7 @@ def _solve_chunks(problem: BSDEProblem, space: PolicySpace):
     """
     space.check_cap()
     tree, start, k = space.tree, space.start_level, space.terminal_level
-    _check_scheme(problem, tree, stacklevel=4)
+    _check_scheme(problem, tree)
     dpr, nc = problem.value_dim, 2 ** tree.d
     # the node rows each level solves: all, or the subtree's
     rows = {j: range(tree.node_count(j)) if space.node is None
@@ -412,7 +423,7 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
     eta = _terminal(problem, tree, tree.n)
     if (problem.deterministic_controls and np.all(eta == eta[0])
             and _probe_deterministic(problem, tree.grid.times()[:tree.n], tree.d)):
-        _check_scheme(problem, tree, stacklevel=3)
+        _check_scheme(problem, tree)
         value, assignment, count = _frontier(
             problem, eta[0], tree.grid.times()[:tree.n], tree.dt, tree.d)
     else:

@@ -178,14 +178,36 @@ def _axis(bounds, step):
     return lo + step * np.arange(npts)
 
 
-def _one_sided_second(W, h, axis):
-    """Central second difference, second-order one-sided rows at the edges."""
-    W = np.moveaxis(W, axis, 0)
-    out = np.empty_like(W)
-    out[1:-1] = (W[2:] - 2 * W[1:-1] + W[:-2]) / (h * h)
-    out[0] = (2 * W[0] - 5 * W[1] + 4 * W[2] - W[3]) / (h * h)
-    out[-1] = (2 * W[-1] - 5 * W[-2] + 4 * W[-3] - W[-4]) / (h * h)
-    return np.moveaxis(out, 0, axis)
+def _second_rows(W, r0: int, r1: int, h: float, out) -> None:
+    """Rows [r0, r1) of the second difference of W along axis 0 into out: the
+    central difference inside, second-order one-sided rows at W's first and
+    last row. Pass transposes for axis 1."""
+    i0, i1 = max(r0, 1), min(r1, len(W) - 1)
+    mid = out[i0 - r0:i1 - r0]
+    np.multiply(W[i0:i1], 2, out=mid)
+    np.subtract(W[i0 + 1:i1 + 1], mid, out=mid)
+    np.add(mid, W[i0 - 1:i1 - 1], out=mid)
+    np.divide(mid, h * h, out=mid)
+    if r0 == 0:
+        out[0] = (2 * W[0] - 5 * W[1] + 4 * W[2] - W[3]) / (h * h)
+    if r1 == len(W):
+        out[-1] = (2 * W[-1] - 5 * W[-2] + 4 * W[-3] - W[-4]) / (h * h)
+
+
+def _gradient_rows(f, r0: int, r1: int, h: float, out) -> None:
+    """Rows [r0, r1) of np.gradient(f, h, axis=0, edge_order=2) into out, in
+    numpy's expressions for uniform spacing, so the bits are its. Pass
+    transposes for axis 1."""
+    i0, i1 = max(r0, 1), min(r1, len(f) - 1)
+    mid = out[i0 - r0:i1 - r0]
+    np.subtract(f[i0 + 1:i1 + 1], f[i0 - 1:i1 - 1], out=mid)
+    np.divide(mid, 2. * h, out=mid)
+    if r0 == 0:
+        a, b, c = -1.5 / h, 2. / h, -0.5 / h
+        out[0] = a * f[0] + b * f[1] + c * f[2]
+    if r1 == len(f):
+        a, b, c = 0.5 / h, -2. / h, 1.5 / h
+        out[-1] = a * f[-3] + b * f[-2] + c * f[-1]
 
 
 # Grid floats per row block of an explicit HJB substep; a grid of at most this
@@ -366,26 +388,34 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
 
     def make_block(r0, r1):
         lo, hi = max(r0 - 1, 0), min(r1 + 1, len(xs))
-        own = slice(r0 - lo, r1 - lo)
+        own = (r0 - lo, r1 - lo)
         Xb, Yb = X[r0:r1], Y[r0:r1]
-        d = np.empty((r1 - r0, len(ys) + 1))
+        rows, cols = r1 - r0, len(ys)
+        d = np.empty((rows, cols + 1))
         bwd, fwd = d[:, :-1], d[:, 1:]
-        sel, cand, best = (np.empty(Xb.shape) for _ in range(3))
+        Dxx, Dyy, Dxy, zpart, sel, cand, best = (np.empty((rows, cols))
+                                                 for _ in range(7))
+        Dy = np.empty((hi - lo, cols))
         up = np.empty(Xb.shape, dtype=bool)
 
         def step(W, nxt, t):
-            # the x stencils run on the halo slab, whose edge rows are either
-            # the grid's own edges or halo rows that are dropped
+            # the x stencils read the halo slab, whose edge rows are either the
+            # grid's own edges or halo rows, so only the grid's edges take the
+            # one-sided rows
             slab = W[lo:hi]
             Wb = W[r0:r1]
-            Dxx = _one_sided_second(slab, dx, 0)[own]
-            Dyy = _one_sided_second(Wb, dy, 1)
-            Dxy = np.gradient(np.gradient(slab, dy, axis=1, edge_order=2),
-                              dx, axis=0, edge_order=2)[own]
+            _second_rows(slab, *own, dx, Dxx)
+            _second_rows(Wb.T, 0, cols, dy, Dyy.T)
+            _gradient_rows(slab.T, 0, cols, dy, Dy.T)
+            _gradient_rows(Dy, *own, dx, Dxy)
             _col_diff(Wb, dy, d)
             first = True
             for z in config.z_values:
-                zpart = 0.5 * z * z * Dyy + z * Dxy
+                # zpart = 0.5 * z * z * Dyy + z * Dxy; cand is free until the
+                # second control
+                np.multiply(Dyy, 0.5 * z * z, out=zpart)
+                np.multiply(Dxy, z, out=cand)
+                np.add(zpart, cand, out=zpart)
                 for u in spec.control_values:
                     fv = np.asarray(spec.f(t, Xb, Yb, z, u))
                     # zpart - f * sel is zpart + (-f) * sel, bit for bit
@@ -396,7 +426,12 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
                     else:
                         np.subtract(zpart, sel, out=cand)
                         np.minimum(best, cand, out=best)
-            np.maximum(Wb + dts * (0.5 * Dxx + best), 0.0, out=nxt[r0:r1])
+            # max(Wb + dts * (0.5 * Dxx + best), 0), in Dxx
+            np.multiply(Dxx, 0.5, out=Dxx)
+            np.add(Dxx, best, out=Dxx)
+            np.multiply(Dxx, dts, out=Dxx)
+            np.add(Wb, Dxx, out=Dxx)
+            np.maximum(Dxx, 0.0, out=nxt[r0:r1])
         return step
 
     out = _sweep(grid, held, W, sub, min_rows, make_block)

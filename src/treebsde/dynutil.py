@@ -235,7 +235,8 @@ def _poly_eval(coeff, x, out=None):
 
     Horner from zeros, out * x + c_k in place; starting from c_0 instead would
     flip the sign of a -0.0 leading coefficient. out, when given, has the
-    broadcast shape of coeff[0] and x and is overwritten."""
+    broadcast shape of coeff[0] and x and is overwritten. The Euler steps use
+    _lead_eval, which skips the leading passes that cannot change a bit."""
     if out is None:
         out = np.zeros(np.broadcast_shapes(np.shape(coeff[0]), np.shape(x)))
     else:
@@ -246,9 +247,47 @@ def _poly_eval(coeff, x, out=None):
     return out
 
 
+def _lead_start(coeff) -> int:
+    """Index k of the first coefficient of coeff with no zero entry, when every
+    entry of c_0..c_{k-1} is zero; -1 when there is none, or when a coefficient
+    before it is zero on some paths only."""
+    for k, ck in enumerate(coeff):
+        nonzero = ck != 0
+        if nonzero.all():
+            return k
+        if nonzero.any():
+            return -1
+    return -1
+
+
+def _lead_eval(poly, x, out):
+    """_poly_eval(coeff, x, out) for poly = (coeff, _lead_start(coeff)), from
+    c_k * x + c_{k+1} on (or a copy of c_k when it is the last coefficient).
+
+    While every coefficient so far is zero, the Horner state at a finite x is
+    a signed zero, and (+-0) * x + c_k is c_k bit for bit once c_k has no zero
+    entry; the trailing + 0 passes stay, since they fix the sign of a zero.
+    The Euler steps pass the clamped ratio, which is in [-2, 2] or NaN; at NaN
+    the two results differ, but the ratio itself is NaN, so the next ratio is
+    NaN either way. Start -1 runs the full Horner from zeros."""
+    coeff, start = poly
+    if start < 0:
+        return _poly_eval(coeff, x, out)
+    if start == len(coeff) - 1:
+        np.copyto(out, coeff[start])
+        return out
+    np.multiply(coeff[start], x, out=out)
+    np.add(out, coeff[start + 1], out=out)
+    for ck in coeff[start + 2:]:
+        np.multiply(out, x, out=out)
+        np.add(out, ck, out=out)
+    return out
+
+
 class _RiccatiMemo:
     """riccati_polynomials(alpha, beta, parity) for each of `parities`, called
-    again only when (alpha, beta) are not the values of the last call.
+    again only when (alpha, beta) are not the values of the last call. Each
+    polynomial comes as (coeff, _lead_start(coeff)), for _lead_eval.
 
     The key is a byte copy of the values the results were computed from, since
     a coefficient function may return one buffer that it rewrites. Reuse needs
@@ -264,7 +303,9 @@ class _RiccatiMemo:
     def __call__(self, al, be):
         key = (al.shape, al.tobytes(), be.shape, be.tobytes())
         if key != self.key:
-            self.polys = [riccati_polynomials(al, be, p) for p in self.parities]
+            self.polys = [tuple((c, _lead_start(c))
+                                for c in riccati_polynomials(al, be, p))
+                          for p in self.parities]
             self.key = None if np.isnan(al).any() or np.isnan(be).any() else key
         return self.polys
 
@@ -449,11 +490,13 @@ def _frozen(a):
     return a
 
 
-def _rows(coeff, idx, n: int):
-    """Stacked per-path polynomial coefficients restricted to the paths idx."""
+def _rows(poly, idx, n: int):
+    """A (coeff, start) polynomial restricted to the paths idx; its start holds
+    on every subset of the paths."""
+    coeff, start = poly
     if coeff.ndim == 1:
-        return coeff
-    return np.broadcast_to(coeff, coeff.shape[:1] + (n,))[:, idx]
+        return poly
+    return np.broadcast_to(coeff, coeff.shape[:1] + (n,))[:, idx], start
 
 
 def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
@@ -466,9 +509,14 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     alpha and beta are read once per step as returned, (2, 2) or (m, 2, 2);
     the Riccati coefficients are reused while those values stay the same bits
     (_RiccatiMemo). Each path's polynomials are evaluated in its own regime
-    only. A step where no path switches yields the previous parity and anchor
-    arrays, a shared all-False flag array and overshoot 0.0; yielded arrays are
-    read-only, so sharing them is safe.
+    only, by _lead_eval into buffers made once: every path in regime 1's, then
+    the regime-2 paths gathered into the head of their own buffers and
+    scattered back. For the shipped switch_coeffs regime 1's drift and
+    volatility are constants, so they cost one copy each. The +-sqrt(dt)
+    increment is bits * (2 sqrt(dt)) - sqrt(dt), which is exact. A step where
+    no path switches yields the previous parity and anchor arrays, a shared
+    all-False flag array and overshoot 0.0; yielded arrays are read-only, so
+    sharing them is safe.
     """
     sdt = np.sqrt(dt)
     rng = np.random.default_rng(np.random.Philox(seed))
@@ -479,22 +527,24 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     no_switch = _frozen(np.zeros(n_paths, dtype=bool))
     second = np.zeros(0, dtype=np.int64)  # the paths in regime 2
     b_path = np.zeros(n_paths)
-    clamped, drift, vol, db, mag = (np.empty(n_paths) for _ in range(5))
+    clamped, drift, vol, db, mag, x_2, drift_2, vol_2 = (np.empty(n_paths)
+                                                         for _ in range(8))
     yield _Level(p, an, ah, no_switch, 0.0)
     for j in range(len(times) - 1):
         al = np.asarray(alpha(times[j], b_path), dtype=float)
         be = np.asarray(beta(times[j], b_path), dtype=float)
         (d1, s1), (d2, s2) = riccati(al, be)
         np.clip(ah, -2.0, 2.0, out=clamped)
-        _poly_eval(d1, clamped, drift)
-        _poly_eval(s1, clamped, vol)
+        _lead_eval(d1, clamped, drift)
+        _lead_eval(s1, clamped, vol)
         if second.size:
-            x2 = clamped[second]
-            drift[second] = _poly_eval(_rows(d2, second, n_paths), x2)
-            vol[second] = _poly_eval(_rows(s2, second, n_paths), x2)
-        np.multiply(rng.integers(0, 2, size=n_paths), 2.0, out=db)
-        np.subtract(db, 1.0, out=db)
-        np.multiply(db, sdt, out=db)
+            x2, dr2, vo2 = (a[:second.size] for a in (x_2, drift_2, vol_2))
+            # second is in range; mode="clip" skips take's buffered bounds check
+            np.take(clamped, second, out=x2, mode="clip")
+            drift[second] = _lead_eval(_rows(d2, second, n_paths), x2, dr2)
+            vol[second] = _lead_eval(_rows(s2, second, n_paths), x2, vo2)
+        np.multiply(rng.integers(0, 2, size=n_paths), 2.0 * sdt, out=db)
+        np.subtract(db, sdt, out=db)
         np.multiply(drift, dt, out=drift)
         ah_next = np.add(ah, drift)
         np.multiply(vol, db, out=vol)
@@ -758,12 +808,11 @@ def verify_tau_bound(coeffs: LinearUtilityCoeffs, T: float, switch_indices,
                   for fn in (alpha, beta))
         (d1, s1), = riccati(al, be)
         np.clip(ah, -2.0, 2.0, out=clamped)
-        np.multiply(rng.integers(0, 2, size=pilot_paths), 2.0, out=db)
-        np.subtract(db, 1.0, out=db)
-        np.multiply(db, sdt, out=db)
-        np.multiply(_poly_eval(d1, clamped, drift), dt, out=drift)
+        np.multiply(rng.integers(0, 2, size=pilot_paths), 2.0 * sdt, out=db)
+        np.subtract(db, sdt, out=db)
+        np.multiply(_lead_eval(d1, clamped, drift), dt, out=drift)
         np.add(ah, drift, out=ah)
-        np.multiply(_poly_eval(s1, clamped, vol), db, out=vol)
+        np.multiply(_lead_eval(s1, clamped, vol), db, out=vol)
         np.add(ah, vol, out=ah)
         np.subtract(ah, a1 / a2, out=drift)
         np.maximum(sup_sq, np.square(drift, out=drift), out=sup_sq)

@@ -268,6 +268,29 @@ def test_static_value_frontier_warns_above_the_monotone_step_bound():
     assert rec[0].filename == __file__
 
 
+def test_step_size_warnings_name_the_calling_line():
+    # dt = 0.5 > 0.382 = monotone_step_bound(1) on every route; each call makes
+    # a fresh problem, since the probe runs once per problem
+    tree = build_tree(TimeGrid(1.0, 2), 1, "path")
+
+    def prob(deterministic=False):
+        return make_problem(lambda t, ctx, y, z, u: y + u[:, None],
+                            lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(0.0, 1.0),
+                            L=1.0, deterministic_controls=deterministic)
+
+    routes = {
+        "solve_bsde": lambda: solve_bsde(prob(), tree),
+        "static_value enumeration": lambda: static_value(prob(), tree),
+        "static_value frontier": lambda: static_value(prob(True), tree),
+        "subtree_argmax": lambda: subtree_argmax(prob(), tree, 1, 1, lambda y: y[:, 0]),
+        "envelope_bsde": lambda: envelope_bsde(prob(), tree),
+    }
+    for name, call in routes.items():
+        with pytest.warns(UserWarning, match="comparison") as rec:
+            call()
+        assert {r.filename for r in rec} == {__file__}, name
+
+
 def test_static_value_enumeration_rejects_a_generator_of_the_wrong_shape():
     tree = build_tree(TimeGrid(1.0, 2), 1, "path")
     prob = make_problem(lambda t, ctx, y, z, u: np.zeros((y.shape[0], 2)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde import duality
+from treebsde import duality, problems
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import (BSDEProblem, ControlPolicy, EnumerationCapError,
                            NodeContext, solve_bsde)
@@ -355,6 +355,72 @@ def test_row_blocks_on_more_threads_than_cores_under_fast_switching(kind, monkey
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(dual.W, ref.W)
+
+
+# Frozen reference: the Markovian step as it was before it wrote its stencils
+# into block buffers, on one block, with np.moveaxis and nested np.gradient.
+
+
+def _ref_one_sided_second(W, h, axis):
+    W = np.moveaxis(W, axis, 0)
+    out = np.empty_like(W)
+    out[1:-1] = (W[2:] - 2 * W[1:-1] + W[:-2]) / (h * h)
+    out[0] = (2 * W[0] - 5 * W[1] + 4 * W[2] - W[3]) / (h * h)
+    out[-1] = (2 * W[-1] - 5 * W[-2] + 4 * W[-3] - W[-4]) / (h * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _ref_markovian_levels(spec, grid, config, sub):
+    """W at levels n, n - 1, ..., 0 with `sub` substeps per level."""
+    dx, dy = config.dx, config.dy
+    X, Y = np.meshgrid(duality._axis(config.x_bounds, dx),
+                       duality._axis(config.y_bounds, dy), indexing="ij")
+    W = (Y - np.asarray(spec.g(X))) ** 2
+    levels, t, dts = [W], grid.T, grid.dt / sub
+    for _ in range(grid.n):
+        for _ in range(sub):
+            Dxx = _ref_one_sided_second(W, dx, 0)
+            Dyy = _ref_one_sided_second(W, dy, 1)
+            Dxy = np.gradient(np.gradient(W, dy, axis=1, edge_order=2),
+                              dx, axis=0, edge_order=2)
+            diff = np.diff(W, axis=1) / dy
+            bwd = np.concatenate([diff[:, :1], diff], axis=1)
+            fwd = np.concatenate([diff, diff[:, -1:]], axis=1)
+            best = None
+            for z in config.z_values:
+                zpart = 0.5 * z * z * Dyy + z * Dxy
+                for u in spec.control_values:
+                    fv = np.asarray(spec.f(t, X, Y, z, u))
+                    cand = zpart - fv * np.where(fv > 0, bwd, fwd)
+                    best = cand if best is None else np.minimum(best, cand)
+            W = np.maximum(W + dts * (0.5 * Dxx + best), 0.0)
+            t -= dts
+        levels.append(W)
+    return levels
+
+
+MARKOVIAN_CASES = {
+    # the shipped duality_markovian config: 81 x 81 points, one block
+    "duality_markovian": (problems.quadratic_dual_spec, TimeGrid(T=1.0, n=8),
+                          HJBConfig(x_bounds=(-2.0, 2.0), dx=0.05,
+                                    y_bounds=(-2.0, 2.0), dy=0.05,
+                                    z_values=(-1.0, 0.0, 1.0))),
+    "block_case": BLOCK_CASES["markovian"][:3],
+}
+
+
+@pytest.mark.parametrize("layout", ("one", "min"))
+@pytest.mark.parametrize("case", sorted(MARKOVIAN_CASES))
+def test_markovian_step_matches_the_frozen_gradient_step(case, layout, monkeypatch):
+    make_spec, grid, config = MARKOVIAN_CASES[case]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1 << 30 if layout == "one" else 1)
+    dual = solve_dual_hjb(make_spec(), grid, config)
+    ref = _ref_markovian_levels(make_spec(), grid, config, dual.substeps)
+    assert dual.substeps > 1
+    for level, want in zip(range(grid.n, -1, -1), ref):
+        got = dual.at(level)
+        assert np.array_equal(got, want), level
+        assert np.array_equal(np.signbit(got), np.signbit(want)), level
 
 
 def _stacked_transport_f(t, y, u):

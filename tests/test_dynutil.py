@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import BSDEProblem, ProblemValidationError
@@ -490,6 +492,24 @@ def _path_dependent_coeffs():
                                a1=0.0, a2=1.0, bound=0.6)
 
 
+def _mixed_lead_coeffs():
+    """(m, 2, 2) coefficients whose leading regime-1 Riccati coefficients are
+    zero (or -0.0) on the paths with b <= 0 and nonzero on the others."""
+    def alpha(t, b):
+        out = np.zeros((np.size(b), 2, 2))
+        out[:, 1, 0] = 0.25
+        return out
+
+    def beta(t, b):
+        out = np.zeros((np.size(b), 2, 2))
+        out[:, 1, 0] = 0.6
+        out[:, 0, 1] = np.where(b > 0, 0.05, -0.0)
+        return out
+
+    return LinearUtilityCoeffs(alpha=alpha, beta=beta, c=lambda t, b, u: np.zeros(2),
+                               a1=0.0, a2=1.0, bound=0.6)
+
+
 _COEFF_SETS = {
     "switch": switch_coeffs,
     # |a1| > |a2|: the construction runs in the swapped frame
@@ -497,6 +517,7 @@ _COEFF_SETS = {
         [[0.0, 0.25], [0.0, 0.0]], [[0.0, 0.6], [0.0, 0.0]], 1.0, 0.5),
     "time": _time_dependent_coeffs,
     "path": _path_dependent_coeffs,
+    "mixed": _mixed_lead_coeffs,
 }
 
 
@@ -506,7 +527,7 @@ def _bits(a):
 
 
 @pytest.mark.parametrize("name, seed", [("switch", 0), ("switch", 1), ("swapped", 0),
-                                        ("time", 0), ("path", 2)])
+                                        ("time", 0), ("path", 2), ("mixed", 0)])
 def test_euler_ensemble_matches_frozen_reference(name, seed):
     coeffs = _COEFF_SETS[name]()
     grid, n_paths = TimeGrid(T=2.0, n=2048), 1000
@@ -560,6 +581,49 @@ def test_euler_ensemble_matches_frozen_reference(name, seed):
     C_hat = _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid.dt, seed, 100)
     assert _bits(rep.C_hat) == _bits(C_hat)
     assert _bits(rep.delta) == _bits(np.inf if C_hat == 0 else 1.0 / (4.0 * C_hat))
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+_COEFF = st.one_of(_SIGNED_ZERO, st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_lead_eval_matches_horner_from_zeros(data):
+    m = data.draw(st.integers(1, 5), label="paths")
+    size = data.draw(st.integers(1, 5), label="coefficients")
+    zeros = data.draw(st.integers(0, size), label="signed-zero prefix")
+    per_path = data.draw(st.booleans(), label="per-path coefficients")
+    width = m if per_path else 1
+    rows = np.array([data.draw(st.lists(_SIGNED_ZERO if k < zeros else _COEFF,
+                                        min_size=width, max_size=width))
+                     for k in range(size)])
+    coeff = rows if per_path else rows[:, 0]
+    x = np.array(data.draw(st.lists(st.one_of(_SIGNED_ZERO, st.floats(-2.0, 2.0)),
+                                    min_size=m, max_size=m)))
+    start = dynutil._lead_start(coeff)
+    got = dynutil._lead_eval((coeff, start), x, np.full(m, np.nan))
+    assert _bits(got) == _bits(dynutil._poly_eval(coeff, x))
+    lead = next((c for c in coeff if np.any(c != 0)), None)
+    if lead is None or not np.all(lead != 0):
+        assert start == -1
+
+
+def test_lead_start_skips_only_coefficients_zero_on_every_path():
+    (d1, s1), (d2, s2) = dynutil._RiccatiMemo((1, 2))(np.array([[0.0, 0.0], [0.25, 0.0]]),
+                                                      np.array([[0.0, 0.0], [0.6, 0.0]]))
+    # switch_coeffs: regime 1's drift and volatility are the constants 0.25, 0.6
+    assert [d1[1], s1[1], d2[1], s2[1]] == [3, 2, 0, 0]
+    assert (d1[0][3], s1[0][2]) == (0.25, 0.6)
+    mixed = np.array([[0.0, 1.0], [2.0, 3.0], [1.0, 1.0]])
+    assert dynutil._lead_start(mixed) == -1
+    assert dynutil._lead_start(np.array([[-0.0, 0.0], [0.0, 0.5], [1.0, 1.0]])) == -1
+    assert dynutil._lead_start(np.array([[-0.0, 0.0], [2.0, -0.5], [0.0, 1.0]])) == 1
+    assert dynutil._lead_start(np.zeros((3, 2))) == -1
+    coeffs = _mixed_lead_coeffs()
+    b = np.array([-1.0, 0.0, 1.0])
+    polys = dynutil._RiccatiMemo((1,))(coeffs.alpha(0.0, b), coeffs.beta(0.0, b))
+    assert [start for _, start in polys[0]] == [-1, -1]
 
 
 def test_ensemble_state_is_read_only_and_shared():
