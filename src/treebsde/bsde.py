@@ -21,15 +21,15 @@ through PolicySpace, which fixes:
     returns the first (smallest) assignment on exact ties;
   * cap: more than ENUMERATION_CAP assignments raise EnumerationCapError
     before any solve;
-  * cost: every search from the problem's own terminal data (static_value's
-    enumeration, envelope_bsde, benchmarks.subtree_argmax) runs _search, and
-    reachable_set runs its kernel _solve_chunks: one generator call per level
-    for a chunk of assignments stacked along the node axis, at most
-    _CHUNK_FLOATS child floats per chunk; a subtree space solves only its
-    node's descendant rows. maximize_over_policies (searches from
-    caller-supplied terminal data), master.check_forward_dpp and
-    dynutil.check_linear_comparison still run one solve_bsde per policy: the
-    benchmark's counters count solves per policy on that path.
+  * cost: _search (static_value's enumeration, envelope_bsde,
+    benchmarks.subtree_argmax, dynutil.check_comparison), reachable_set and
+    dynutil.check_linear_comparison run the kernel _solve_chunks, from the
+    problem's terminal data or the caller's: one generator call per level for a
+    chunk of assignments stacked along the node axis, at most _CHUNK_FLOATS
+    child floats per chunk; a subtree space solves only its node's descendant
+    rows. maximize_over_policies (behind master.ForwardValue) and
+    master.check_forward_dpp's segment loop still run one solve_bsde per
+    policy: the benchmark's counters count solves per policy on that path.
 
 Deterministic frontier contract. static_value and dynutil.deterministic_phi
 use the kernel _frontier when the problem sets deterministic_controls, its
@@ -333,10 +333,12 @@ class PolicySpace:
 _CHUNK_FLOATS = 1 << 13
 
 
-def _solve_chunks(problem: BSDEProblem, space: PolicySpace):
-    """(first assignment index, Y at space.start_level of shape (p, m, d')) for
-    consecutive chunks of p assignments of space, in lexicographic order; m is
-    the start level's node count, or 1 for a node's subtree space.
+def _solve_chunks(problem: BSDEProblem, space: PolicySpace, eta=None):
+    """(first assignment index, Y, u) for consecutive chunks of p assignments of
+    space in lexicographic order, solved from eta, the (m_k, d') terminal data
+    at space.terminal_level (problem.terminal's when None): Y[i] and u[i] are
+    Y, (p, m, d'), and the controls, (p, m), at level space.start_level + i,
+    with m that level's rows (its subtree rows for a node's subtree space).
 
     solve_bsde's scheme under every assignment of a chunk at once: the
     (assignment, node) pairs are flattened into the node axis, with ctx.b tiled,
@@ -359,23 +361,26 @@ def _solve_chunks(problem: BSDEProblem, space: PolicySpace):
     col = {j: np.full(len(rows[j]), len(space.slots)) for j in range(start, k)}
     for s, (j, i) in enumerate(space.slots):
         col[j][slice(None) if i is None else i - rows[j].start] = s
-    eta = np.tile(_terminal(problem, tree, k)[rows[k].start:rows[k].stop], (chunk, 1))
+    if eta is None:
+        eta = _terminal(problem, tree, k)
+    eta = np.tile(eta[rows[k].start:rows[k].stop], (chunk, 1))
     bs = {j: np.tile(tree.values[j][rows[j].start:rows[j].stop], (chunk, 1))
           for j in range(start, k)}
     times = tree.grid.times()
     for lo in range(0, space.size, chunk):
         p = min(chunk, space.size - lo)
         digits = np.pad(space.digits(lo, lo + p), ((0, 0), (0, 1)))
-        cur = eta[:p * len(rows[k])]
+        ys, us = [eta[:p * len(rows[k])].reshape(p, -1, dpr)], []
         for j in range(k - 1, start - 1, -1):
             m = len(rows[j])
-            u = U[digits[:, col[j]]]  # (p, m)
+            us.append(U[digits[:, col[j]]])  # (p, m)
             if tree.mode == "path":  # children of flat row r are rows r*2^d + c
-                cv = cur.reshape(p * m, nc, dpr)
+                cv = ys[-1].reshape(p * m, nc, dpr)
             else:
-                cv = cur.reshape(p, -1, dpr)[:, tree.child_index[j]].reshape(p * m, nc, dpr)
-            cur, _ = _step(problem, tree, j, times[j], cv, u.reshape(-1), bs[j][:p * m])
-        yield lo, cur.reshape(p, -1, dpr)
+                cv = ys[-1][:, tree.child_index[j]].reshape(p * m, nc, dpr)
+            y, _ = _step(problem, tree, j, times[j], cv, us[-1].reshape(-1), bs[j][:p * m])
+            ys.append(y.reshape(p, m, dpr))
+        yield lo, ys[::-1], us[::-1]
 
 
 @dataclass(frozen=True)
@@ -392,8 +397,9 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            terminal_level: int | None = None,
                            terminal_rv: TreeRandomVariable | None = None):
     """Per-node max at start_level of objective(Y_{start_level}) over segment
-    policies, one solve_bsde per policy: the route for caller-supplied terminal
-    data, which _search does not take.
+    policies, one solve_bsde per policy. Its one caller is master.ForwardValue:
+    the benchmark counts that route's solves and policies through this
+    function, so it stays until those counters read the batched _search.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
     assignments, enumerated count, False: no maximum is heuristic).
@@ -435,16 +441,16 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
                        enumerated=count, heuristic=False)
 
 
-def _search(problem: BSDEProblem, space: PolicySpace, objective):
+def _search(problem: BSDEProblem, space: PolicySpace, objective, eta=None):
     """(max of objective(Y), index of the first assignment reaching it) per
-    start-level row of _solve_chunks, two (m,) arrays; -1 marks a row no
-    assignment wins.
+    start-level row of _solve_chunks from the terminal data eta, two (m,)
+    arrays; -1 marks a row no assignment wins.
 
-    objective maps (k, d') -> (k,), like phi. Strict improvements across chunks
-    and the first index within one give maximize_over_policies' winner: ties
-    keep the first assignment, a NaN value counts as -inf, and a row whose every
-    value is -inf has no winner."""
-    for lo, y in _solve_chunks(problem, space):
+    objective maps (k, d') -> (k,), like phi, its rows in (assignment, node)
+    order. Strict improvements across chunks and the first index within one
+    give maximize_over_policies' winner: ties keep the first assignment, a NaN
+    value counts as -inf, and a row whose every value is -inf has no winner."""
+    for lo, (y, *_), _ in _solve_chunks(problem, space, eta):
         p, m, dpr = y.shape
         vals = np.asarray(objective(y.reshape(p * m, dpr)), dtype=float).reshape(p, m)
         vals = np.where(np.isnan(vals), -np.inf, vals)
@@ -554,7 +560,7 @@ def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> Reach
         groups = [(PolicySpace(problem, tree, level, node=i), (i,)) for i in range(m)]
     buckets = [[] for _ in range(m)]
     for space, nodes in groups:
-        for _, y in _solve_chunks(problem, space):
+        for _, (y, *_), _ in _solve_chunks(problem, space):
             for c, i in enumerate(nodes):
                 buckets[i].append(y[:, c])
     return ReachableSet(level=level,

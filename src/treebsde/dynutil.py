@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from treebsde.artifacts import write_csv
-from treebsde.lattice import ScenarioTree, TimeGrid, TreeRandomVariable
+from treebsde.lattice import ScenarioTree, TimeGrid
 from treebsde.bsde import (
     BSDEProblem,
     NodeContext,
@@ -49,8 +49,8 @@ from treebsde.bsde import (
     StructureError,
     _frontier,
     _probe_deterministic,
-    maximize_over_policies,
-    solve_bsde,
+    _search,
+    _solve_chunks,
 )
 
 
@@ -71,8 +71,9 @@ OVERSHOOT_LIMIT = 0.1
 class DynamicUtility:
     """evaluate(level, y) -> (k,) utility values; phi is the t=0 slice.
 
-    y has shape (k, d'), its rows aligned with the nodes at the level. Every
-    construction satisfies evaluate(0, y) == phi(y) exactly.
+    y has shape (k, d'), k a multiple of the level's node count m: rows come in
+    (assignment, node) order, row r at node r mod m, as the batched searches
+    stack them. Every construction satisfies evaluate(0, y) == phi(y) exactly.
     """
 
     evaluate: object
@@ -127,16 +128,11 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
         raise ValueError(f"need 0 <= t1 < t2 <= n, got {t1}, {t2}")
     tol = 1e-10
     checked = skipped = 0
-    violations = []
-    worst = -np.inf
+    violations, worst = [], -np.inf
+    space = PolicySpace(problem, tree, t1, t2)
 
     def level_values(eta):
-        rv = TreeRandomVariable(level=t2, values=np.asarray(eta, dtype=float))
-        vals, _, _, _ = maximize_over_policies(
-            problem, tree,
-            lambda yy: utility.evaluate(t1, yy),
-            start_level=t1, terminal_level=t2, terminal_rv=rv)
-        return vals
+        return _search(problem, space, lambda yy: utility.evaluate(t1, yy), eta)[0]
 
     for idx, (eta, eta_t) in enumerate(pairs):
         eta = np.asarray(eta, dtype=float).reshape(tree.node_count(t2), -1)
@@ -147,8 +143,7 @@ def check_comparison(utility: DynamicUtility, problem: BSDEProblem,
             skipped += 1
             continue
         checked += 1
-        lhs = level_values(eta)
-        rhs = level_values(eta_t)
+        lhs, rhs = level_values(eta), level_values(eta_t)
         worst = max(worst, float(np.max(lhs - rhs)))
         bad = np.nonzero(lhs > rhs + tol)[0]
         for node in bad:
@@ -681,9 +676,10 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
         y = np.asarray(y, dtype=float).reshape(-1, 2)
         return orig_a1 * y[:, 0] + orig_a2 * y[:, 1]
 
-    def evaluate(level, y):
-        y = np.asarray(y, dtype=float).reshape(-1, 2)
-        return A1o[level] * y[:, 0] + A2o[level] * y[:, 1]
+    def evaluate(level, y):  # rows in (assignment, node) order
+        w1, w2 = A1o[level], A2o[level]
+        y = np.asarray(y, dtype=float).reshape(-1, len(w1), 2)
+        return (w1 * y[..., 0] + w2 * y[..., 1]).reshape(-1)
 
     return LinearUtility(
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
@@ -927,7 +923,8 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     For each terminal pair with Phi(T, xi) <= Phi(T, xi~) node-wise and each
     enumerated policy, checks Phi(j, Y_j(xi)) <= Phi(j, Y_j(xi~)) + tol at every
     node and level, and reports the worst residual of the exact one-step
-    recursion of the contracted process.
+    recursion of the contracted process, on the batched kernel's levels.
+    Violations are ordered by pair, assignment, level and node.
     """
     if lin.mode != "tree":
         raise ValueError("needs a tree-mode linear utility")
@@ -939,28 +936,25 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     space.check_cap()
     times = tree.grid.times()
     inc = tree.increments
-    pairs_checked = 0
-    violations = []
-    rec_res = 0.0
-
+    pairs_checked, violations, rec_res = 0, [], 0.0
     weights = [(lin.A1[j], lin.A2[j]) for j in range(n + 1)]
 
-    def contracted(sol):
-        return [w1 * sol.Y[j][:, 0] + w2 * sol.Y[j][:, 1]
-                for j, (w1, w2) in enumerate(weights)]
+    def contracted(ys):  # level j -> (p, m_j)
+        return [w1 * y[..., 0] + w2 * y[..., 1] for y, (w1, w2) in zip(ys, weights)]
 
-    def recursion_residual(yhat, policy):
+    def recursion_residual(yhat, us):
         res = 0.0
         for j in range(n - 1, -1, -1):
-            cv = tree.child_values(j, yhat[j + 1][:, None])
-            ehat = cv[:, :, 0].mean(axis=1)
-            zhat = np.einsum("mc,ci->mi", cv[:, :, 0], inc)[:, 0] / (inc.shape[0] * dt)
-            b_here = tree.values[j][:, 0]
+            p, m = us[j].shape
+            # the children of each (assignment, node), one row each
+            cv = np.moveaxis(tree.child_values(j, yhat[j + 1].T), -1, 0).reshape(p * m, -1)
+            ehat = cv.mean(axis=1).reshape(p, m)
+            zhat = np.einsum("mc,ci->mi", cv, inc)[:, 0].reshape(p, m) / (inc.shape[0] * dt)
             cval = np.broadcast_to(np.asarray(
-                lin.coeffs.c(times[j], b_here, np.asarray(policy.levels[j])),
-                dtype=float), (tree.node_count(j), 2))
+                lin.coeffs.c(times[j], np.tile(tree.values[j][:, 0], p), us[j].reshape(-1)),
+                dtype=float), (p * m, 2)).reshape(p, m, 2)
             w1, w2 = weights[j]
-            source = (w1 * cval[:, 0] + w2 * cval[:, 1]) * dt
+            source = (w1 * cval[..., 0] + w2 * cval[..., 1]) * dt
             pred = lin.lam[j] * ehat + lin.mu[j] * zhat + source
             res = max(res, float(np.max(np.abs(yhat[j] - pred))))
         return res
@@ -973,20 +967,16 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
         if np.any(phi_T > phi_Tt + 1e-12):
             continue
         pairs_checked += 1
-        for assignment, pol in space.policies():
-            sol_a = solve_bsde(problem, tree, pol,
-                               terminal_rv=TreeRandomVariable(n, eta),
-                               terminal_level=n)
-            sol_b = solve_bsde(problem, tree, pol,
-                               terminal_rv=TreeRandomVariable(n, eta_t),
-                               terminal_level=n)
-            ya, yb = contracted(sol_a), contracted(sol_b)
-            rec_res = max(rec_res, recursion_residual(ya, pol))
-            for j in range(n + 1):
-                diff = ya[j] - yb[j]
-                bad = np.nonzero(diff > tol)[0]
-                for node in bad:
-                    violations.append((p_idx, assignment, j, int(node), float(diff[node])))
+        for (lo, ys, us), (_, ys_t, _) in zip(_solve_chunks(problem, space, eta),
+                                              _solve_chunks(problem, space, eta_t)):
+            ya, yb = contracted(ys), contracted(ys_t)
+            rec_res = max(rec_res, recursion_residual(ya, us))
+            diffs = [a - b for a, b in zip(ya, yb)]
+            for row in np.flatnonzero(np.any([(d > tol).any(axis=1) for d in diffs], axis=0)):
+                assignment = space.assignment(lo + row)
+                violations += [(p_idx, assignment, j, int(node), float(diff[row, node]))
+                               for j, diff in enumerate(diffs)
+                               for node in np.nonzero(diff[row] > tol)[0]]
     return LinearComparisonReport(
         pairs_checked=pairs_checked, policies_per_pair=space.size,
         violations=tuple(violations),

@@ -452,12 +452,14 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
     rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed, tol=cfg.tol)
+    # with no pair checked, neither check has looked at a solve
+    why = {} if rep.pairs_checked else {"reason": "no pair meets the premise"}
     checks = [
-        _check("comparison-no-violations", len(rep.violations) == 0,
+        _check("comparison-no-violations", rep.pairs_checked and not rep.violations,
                value=len(rep.violations), pairs=rep.pairs_checked,
-               policies=rep.policies_per_pair),
-        _check("recursion-residual", rep.recursion_residual <= 1e-10,
-               value=rep.recursion_residual, bound=1e-10),
+               policies=rep.policies_per_pair, **why),
+        _check("recursion-residual", rep.pairs_checked and rep.recursion_residual <= 1e-10,
+               value=rep.recursion_residual, bound=1e-10, **why),
         _check("monotone-weights", rep.min_monotone >= 0.0,
                value=rep.min_monotone, bound=0.0),
     ]

@@ -546,12 +546,17 @@ def test_batched_search_matches_the_per_policy_search_on_subtrees(objective, chu
     prob = make_problem(lambda t, ctx, y, z, u: (u ** 2)[:, None] + 0.5 * z[:, :, 0],
                         lambda ctx: ctx.b[:, :1], U=(-1.0, 0.5, 1.0), L=0.5)
     tree = build_tree(TimeGrid(1.0, 3), 1, "path")
-    for level in range(3):
-        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level)
-        slots = PolicySpace(prob, tree, level).slots
+    # the problem's terminal data at n, then the caller's at level 2 < n
+    caller = 1.5 * tree.values[2][:, :1] + 0.2
+    cases = [(level, 3, None) for level in range(3)] + [(level, 2, caller) for level in (0, 1)]
+    for level, k, eta in cases:
+        rv = None if eta is None else TreeRandomVariable(k, eta)
+        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level,
+                                                     terminal_level=k, terminal_rv=rv)
+        slots = PolicySpace(prob, tree, level, k).slots
         for node in range(tree.node_count(level)):
-            space = PolicySpace(prob, tree, level, node=node)
-            best, first = bsde._search(prob, space, obj)
+            space = PolicySpace(prob, tree, level, k, node=node)
+            best, first = bsde._search(prob, space, obj, eta)
             assert _bits(best) == _bits(vals[node:node + 1])
             if assigns[node] is None:
                 assert first.tolist() == [-1]
@@ -560,10 +565,12 @@ def test_batched_search_matches_the_per_policy_search_on_subtrees(objective, chu
             want = tuple(assigns[node][slots.index(s)] for s in space.slots)
             assert space.assignment(first[0]) == want
             assert sum(assigns[node]) == sum(want)
+            if eta is not None:
+                continue  # subtree_argmax searches from the problem's terminal data
             assert subtree_argmax(prob, tree, level, node, obj) == (vals[node], want)
 
 
-@pytest.mark.parametrize("chunk_floats", [1, 1 << 13])
+@pytest.mark.parametrize("chunk_floats", [1, 64, 1 << 13])
 @pytest.mark.parametrize("objective", SEARCH_OBJECTIVES)
 def test_batched_search_matches_the_per_policy_search_on_a_recombining_tree(
         objective, chunk_floats, monkeypatch):
@@ -571,12 +578,19 @@ def test_batched_search_matches_the_per_policy_search_on_a_recombining_tree(
     obj = SEARCH_OBJECTIVES[objective]
     prob = problems.level_controls_problem()
     tree = build_tree(TimeGrid(1.0, 4), 1, "recombining")
-    for level in range(4):
-        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level)
-        space = PolicySpace(prob, tree, level)
-        best, first = bsde._search(prob, space, obj)
+    # the problem's terminal data at n, then the caller's at level 3 < n
+    caller = 1.5 * tree.values[3][:, :1] - 0.1
+    cases = [(level, 4, None) for level in range(4)] + [(level, 3, caller) for level in (1, 2)]
+    for level, k, eta in cases:
+        rv = None if eta is None else TreeRandomVariable(k, eta)
+        vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level,
+                                                     terminal_level=k, terminal_rv=rv)
+        space = PolicySpace(prob, tree, level, k)
+        best, first = bsde._search(prob, space, obj, eta)
         assert _bits(best) == _bits(vals)
         assert [space.assignment(i) if i >= 0 else None for i in first] == assigns
+        if eta is not None:
+            continue  # subtree_argmax searches from the problem's terminal data
         for node in range(tree.node_count(level)):  # subtree_argmax reads row node
             assert subtree_argmax(prob, tree, level, node, obj) == (vals[node], assigns[node])
 

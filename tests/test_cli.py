@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from treebsde import problems
+from treebsde import dynutil, problems
 from treebsde.benchmarks import BenchmarkError
 from treebsde.cli import main
 from treebsde.experiments import (
@@ -451,6 +451,22 @@ def test_slack_shrinks_only_where_every_inclusion_holds(tmp_path):
         holds = passed[f"{name}-inclusions-n2"] and passed[f"{name}-inclusions-n3"]
         assert passed[f"{name}-slack-shrinks"] == holds
     assert not passed["terminal-tracking-slack-shrinks"]
+
+
+def test_linear_comparison_checks_fail_when_no_pair_is_checked(tmp_path, monkeypatch):
+    # swapped pairs break the premise Phi(T, xi) <= Phi(T, xi~) at every node
+    pairs = dynutil.make_comparison_pairs
+    monkeypatch.setattr(dynutil, "make_comparison_pairs",
+                        lambda *args, **kw: [(b, a) for a, b in pairs(*args, **kw)])
+    cfg = validate_config({"experiment": "dynamic-utility-linear", "seed": 0,
+                           "mc_paths": 20, "output_dir": str(tmp_path)})
+    result = run_experiment(cfg)
+    checks = {c["name"]: c for c in result.report["checks"]}
+    for name in ("comparison-no-violations", "recursion-residual"):
+        assert not checks[name]["passed"]
+        assert checks[name]["reason"] == "no pair meets the premise"
+    assert checks["comparison-no-violations"]["pairs"] == 0
+    assert not result.passed
 
 
 def test_benchmark_verify_witness_honours_cap(tmp_path, enumeration_cap):

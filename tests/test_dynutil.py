@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import BSDEProblem, ProblemValidationError
+from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
+from treebsde.bsde import BSDEProblem, ProblemValidationError, maximize_over_policies
 from treebsde import dynutil
 from treebsde.dynutil import (
+    ComparisonReport,
     DegenerateUtilityError,
     LinearUtilityCoeffs,
     OneStepRow,
@@ -28,7 +29,7 @@ from treebsde.dynutil import (
     switch_events,
     verify_tau_bound,
 )
-from treebsde.problems import switch_coeffs
+from treebsde.problems import linear_setup, switch_coeffs
 
 
 def steering_problem():
@@ -121,6 +122,54 @@ def test_check_comparison_detects_time_inconsistency():
     assert len(report.violations) >= 1
     # the dominated terminal value yields the strictly better time-0 utility
     assert report.worst_slack == pytest.approx(1.5, abs=1e-12)
+
+
+def _comparison_by_policy(utility, problem, tree, t1, t2, pairs):
+    """check_comparison's report from one solve_bsde per policy."""
+    checked = skipped = 0
+    violations, worst = [], -np.inf
+    for idx, (eta, eta_t) in enumerate(pairs):
+        if np.any(utility.evaluate(t2, eta) > utility.evaluate(t2, eta_t) + 1e-12):
+            skipped += 1
+            continue
+        checked += 1
+        lhs, rhs = (maximize_over_policies(
+            problem, tree, lambda y: utility.evaluate(t1, y), start_level=t1,
+            terminal_level=t2, terminal_rv=TreeRandomVariable(t2, e))[0]
+            for e in (eta, eta_t))
+        worst = max(worst, float(np.max(lhs - rhs)))
+        violations += [(idx, int(i), float(lhs[i]), float(rhs[i]))
+                       for i in np.nonzero(lhs > rhs + 1e-10)[0]]
+    return ComparisonReport(checked=checked, skipped=skipped, violations=tuple(violations),
+                            worst_slack=worst if checked else 0.0)
+
+
+@pytest.mark.parametrize("t1,t2", [(0, 2), (1, 2), (0, 1)])
+def test_check_comparison_reads_a_node_dependent_utility_by_row(t1, t2):
+    # the tree-mode linear weights differ by node, and the batched search hands
+    # evaluate its rows in (assignment, node) order
+    coeffs, problem = linear_setup()
+    tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
+    lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
+    assert len(set(lin.A1[1].tolist())) == 2
+    m = tree.node_count(t2)
+    # bumps along the weights, a thousandfold smaller on the upper half of the
+    # level, so the worst slack at t1 = 1 comes from node 1
+    bump = np.where(np.arange(m)[:, None] < m // 2, 1.0, 1e-3) * np.stack(
+        [lin.A1[t2], lin.A2[t2]], axis=1)
+    rng = np.random.default_rng(np.random.Philox(4))
+    pairs = []
+    for eta in rng.normal(size=(4, m, 2)) + [3.0, 0.0]:
+        pairs += [(eta, eta + bump), (eta + bump, eta)]  # the second is skipped
+    report = check_comparison(lin.utility, problem, tree, t1, t2, pairs)
+    ref = _comparison_by_policy(lin.utility, problem, tree, t1, t2, pairs)
+    assert (report.checked, report.skipped) == (ref.checked, ref.skipped) == (4, 4)
+    # linear_setup's generator multiplies through BLAS, which rounds by row count
+    assert [v[:2] for v in report.violations] == [v[:2] for v in ref.violations]
+    np.testing.assert_allclose(
+        [report.worst_slack] + [x for v in report.violations for x in v[2:]],
+        [ref.worst_slack] + [x for v in ref.violations for x in v[2:]],
+        rtol=8 * np.finfo(float).eps, atol=8 * np.finfo(float).eps)
 
 
 def test_degenerate_weights():

@@ -8,7 +8,8 @@ either feeds a verdict one day or goes. References are matched by name alone.
 
 A second scan keeps the per-policy search for caller-supplied terminal data:
 every call of ``maximize_over_policies`` in ``src/treebsde`` passes
-``terminal_rv=``.
+``terminal_rv=``. A third keeps the per-policy loops, ``maximize_over_policies``
+and ``PolicySpace.policies``, in ``bsde.py`` and ``master.py``.
 """
 import ast
 import pathlib
@@ -102,6 +103,20 @@ def test_per_policy_searches_take_caller_terminal_data():
     assert found
     assert [(name, line) for name, line, keywords in found
             if "terminal_rv" not in keywords] == []
+
+
+# Modules that may call the per-policy loops; the set may only shrink. The
+# benchmark counts solves and policies through maximize_over_policies.
+PER_POLICY = {"bsde.py", "master.py"}
+
+
+def test_per_policy_loops_stay_in_their_modules():
+    """Each policy of maximize_over_policies or PolicySpace.policies costs one
+    solve_bsde; every other search runs on the batched kernel."""
+    found = {path.name for path in sorted((ROOT / "src/treebsde").glob("*.py"))
+             for func in ("maximize_over_policies", "policies")
+             if calls(path.read_text(encoding="utf-8"), func)}
+    assert found == PER_POLICY
 
 
 def test_scan_finds_a_definition_nothing_else_reaches():
