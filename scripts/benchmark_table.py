@@ -14,10 +14,10 @@ from treebsde.lattice import TimeGrid, build_tree  # noqa: E402
 from treebsde.bsde import static_value  # noqa: E402
 from treebsde.benchmarks import (  # noqa: E402
     deterministic_discrete_optimum,
-    get_benchmark,
     mv_tree_value,
     pa_value,
 )
+from treebsde.problems import benchmark  # noqa: E402
 
 
 def run(argv=None):
@@ -27,24 +27,24 @@ def run(argv=None):
     n = args.n
     rows = []
 
-    bench = get_benchmark("deterministic", T=2.0)
+    bench = benchmark("deterministic", 2.0)
     tree = build_tree(TimeGrid(2.0, 64), d=1, mode="recombining")
     sv = static_value(bench.problem, tree)
     rows.append(("deterministic (T=2, n=64)", bench.optimal_value, sv.value,
                  f"scheme optimum {deterministic_discrete_optimum(2.0, 64):.6f}"))
 
-    bench = get_benchmark("one_dim", c=2.4, T=2.4)
+    bench = benchmark("one_dim", 2.4)
     u_grid = np.asarray(bench.problem.control_values)
     best = float(np.max(bench.problem.phi((u_grid * 2.4)[:, None])))
-    rows.append(("one-dim (c=T=2.4)", bench.optimal_value, best,
+    rows.append((f"one-dim (c=T={bench.analytic['c']:g})", bench.optimal_value, best,
                  "constant-control scan"))
 
-    bench = get_benchmark("mean_variance", x0=0.0, c=1.0, T=1.0)
+    bench = benchmark("mean_variance", 1.0)
     tree = build_tree(TimeGrid(1.0, n), d=1, mode="path")
-    rows.append((f"mean-variance (c=1, n={n})", bench.optimal_value,
+    rows.append((f"mean-variance (c={bench.analytic['c']:g}, n={n})", bench.optimal_value,
                  mv_tree_value(bench, tree), "analytic feedback on the tree"))
 
-    bench = get_benchmark("principal_agent", gamma_A=1.0, gamma_P=1.0, R=-0.5, T=1.0)
+    bench = benchmark("principal_agent", 1.0)
     n_pa = min(n, 10)
     tree = build_tree(TimeGrid(1.0, n_pa), d=1, mode="path")
     v = float(pa_value(bench, tree, bench.analytic["u_star"])[0])
@@ -53,7 +53,7 @@ def run(argv=None):
     th = a["gamma_P"] * (1.0 - a["u_star"]) * s
     g = np.cosh(th) - a["u_star"] * s * np.sinh(th)
     closed = -np.exp(a["gamma_P"] * (a["x_R"] + a["cost_rate"] * 1.0)) * g ** n_pa
-    rows.append((f"principal-agent (R=-0.5, n={n_pa})", closed, v,
+    rows.append((f"principal-agent (R={a['R']:g}, n={n_pa})", closed, v,
                  f"constant effort u* = {a['u_star']:.4f}, per-step factorization"))
 
     print(f"{'benchmark':<34} {'closed form':>12} {'tree value':>12} {'abs err':>9}  route")

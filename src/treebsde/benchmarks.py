@@ -229,7 +229,6 @@ def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
 class RestorationReport:
     nodes_checked: int
     violations: int
-    max_deviation: float
     all_match: bool
 
 
@@ -240,7 +239,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
 
     With the restoring parameter c_t the argmax cell coincides at every tested
     node; with the stale constant c it drifts by at least one cell somewhere.
-    Deviation is measured in grid cells (Chebyshev distance / spacing).
+    A node whose argmax cell differs from the time-0 cell is a violation.
     """
     a = bench.analytic
     x0, c = a["x0"], a["c"]
@@ -248,7 +247,6 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     xs = forward_states(tree, bench.forward, a["feedback"])
     cell0, _ = mv_grid_argmax(bench, x0, x0 * x0, 0.0, n, c)
     checked = violations = 0
-    max_dev = 0.0
     for k in levels:
         if not 0 < k < n:
             raise BenchmarkError(f"levels must lie strictly inside (0, {n})")
@@ -257,14 +255,10 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             x = float(xs[k][i])
             c_eff = float(a["c_process"](t, x)) if restored else c
             cell, _ = mv_grid_argmax(bench, x, x * x, t, n - k, c_eff)
-            dev = max(abs(cell[0] - cell0[0]), abs(cell[1] - cell0[1]))
             checked += 1
-            max_dev = max(max_dev, dev)
-            if dev > 0:
-                violations += 1
-    return RestorationReport(
-        nodes_checked=checked, violations=violations, max_deviation=max_dev,
-        all_match=(violations == 0))
+            violations += cell != cell0
+    return RestorationReport(nodes_checked=checked, violations=violations,
+                             all_match=(violations == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,6 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     c = a["c"]
     times = tree.grid.times()
     checked = violations = 0
-    max_dev = 0.0
     for k in levels:
         for i in range(tree.node_count(k)):
             b = float(tree.values[k][i, 0])
@@ -374,11 +367,8 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             checked += 1
             if any(s != 0 for s in assign):
                 violations += 1
-                dev = sum(s != 0 for s in assign)
-                max_dev = max(max_dev, float(dev))
-    return RestorationReport(
-        nodes_checked=checked, violations=violations, max_deviation=max_dev,
-        all_match=(violations == 0))
+    return RestorationReport(nodes_checked=checked, violations=violations,
+                             all_match=(violations == 0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from treebsde.master import (
 from treebsde.benchmarks import (
     deterministic_discrete_optimum,
     deterministic_witness_check,
-    get_benchmark,
     mv_restoration_check,
     mv_tree_value,
     forward_states,
@@ -80,18 +79,11 @@ class ExperimentConfig:
     mc_paths: int = 10000
     steps: int = 4096       # Euler steps on [0, 4] (regime-switching ensembles)
     eps: float | None = None  # nodal / inclusion / value tolerance
-    tol: float = 1e-10      # comparison / identity tolerance
     value_tol: float = 0.05  # closed-form reproduction tolerance
-    level: int | None = None
     refinements: tuple | None = None
     pairs: int = 100
     dx: float = 0.05
     dy: float = 0.05
-    x0: float = 0.0
-    c: float | None = None
-    gamma_a: float = 1.0
-    gamma_p: float = 1.0
-    r: float = -0.5
 
 
 _REQUIRED = ("experiment", "seed")
@@ -170,21 +162,17 @@ def validate_config(data: dict) -> ExperimentConfig:
                     + ", ".join(sorted(EXPERIMENTS)))
     if "seed" in clean and clean["seed"] < 0:
         msgs.append("field 'seed': must be >= 0")
-    n = clean.get("n", ExperimentConfig.n)
     for key, cond, note in (("n", lambda v: v >= 1, "must be >= 1"),
                             ("mc_paths", lambda v: v >= 1, "must be >= 1"),
                             ("steps", lambda v: v >= 1, "must be >= 1"),
                             ("T", lambda v: v > 0, "must be > 0"),
                             ("pairs", lambda v: v >= 1, "must be >= 1"),
                             ("eps", lambda v: v >= 0, "must be >= 0"),
-                            ("tol", lambda v: v >= 0, "must be >= 0"),
                             ("value_tol", lambda v: v > 0, "must be > 0"),
                             ("dx", lambda v: v > 0, "must be > 0"),
                             ("dy", lambda v: v > 0, "must be > 0"),
                             ("refinements", lambda v: all(r >= 2 for r in v),
-                             "every entry must be >= 2"),
-                            ("level", lambda v: 0 <= v < n,
-                             f"must satisfy 0 <= level < n = {n}")):
+                             "every entry must be >= 2")):
         if key in clean and not cond(clean[key]):
             msgs.append(f"field '{key}': {note}")
     if clean.get("experiment") == "illposed-demo" and clean.get("n", 1) > _ILLPOSED_MAX_N:
@@ -201,18 +189,15 @@ def validate_config(data: dict) -> ExperimentConfig:
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "
                     f"its left time-difference, got {clean['n']}")
+    if accepted is not None and bench == "principal_agent" and clean.get("n", 2) < 2:
+        msgs.append(f"field 'n': principal_agent re-optimizes at level n // 2, which "
+                    f"its stale-control-group-violates needs >= 1 (at t = 0 the stale "
+                    f"start equals the restored one); got {clean['n']}")
     if "mode" in clean and clean["mode"] not in ("path", "recombining"):
         msgs.append("field 'mode': must be 'path' or 'recombining'")
     if msgs:
         raise ConfigValidationError(msgs)
-    filled = {k: v for k, v in accepted.items() if not callable(v)} | clean
-    filled |= {k: v(filled) for k, v in accepted.items() if k not in filled}
-    if filled.get("level") == 0:  # only principal_agent reads level
-        got = "got 0" if "level" in clean else f"the default n // 2 is 0 at n = {n}"
-        raise ConfigValidationError([
-            "field 'level': principal_agent's stale-control-group-violates needs "
-            f"level >= 1 (at t = 0 the stale start equals the restored one); {got}"])
-    return ExperimentConfig(**filled)
+    return ExperimentConfig(**(accepted | clean))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -227,16 +212,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _config_document(cfg: ExperimentConfig) -> dict:
-    """The fields cfg's experiment accepts, defaults filled in, as JSON values."""
-    keep = _ALWAYS + accepted_fields(cfg.experiment, cfg.benchmark)
+    """The fields cfg's experiment accepts, defaults filled in, as JSON values;
+    not output_dir, since the report lives there."""
+    keep = _REQUIRED + accepted_fields(cfg.experiment, cfg.benchmark)
     return {k: (list(v) if isinstance(v, tuple) else v)
             for k, v in asdict(cfg).items() if k in keep}
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    doc = _config_document(cfg)
-    del doc["output_dir"]
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(_config_document(cfg), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:8]
 
 
@@ -258,18 +243,6 @@ def _check(name: str, passed, value=None, bound=None, flagged=False, **extra):
     return out
 
 
-def _make_bench(cfg: ExperimentConfig):
-    name = cfg.benchmark
-    if name == "one_dim":
-        return get_benchmark(name, c=cfg.c, T=cfg.T)
-    if name == "mean_variance":
-        return get_benchmark(name, x0=cfg.x0, c=cfg.c, T=cfg.T)
-    if name == "principal_agent":
-        return get_benchmark(name, gamma_A=cfg.gamma_a, gamma_P=cfg.gamma_p,
-                             R=cfg.r, T=cfg.T)
-    return get_benchmark(name, T=cfg.T)  # deterministic
-
-
 def _tree(cfg: ExperimentConfig, n=None, mode=None):
     return build_tree(TimeGrid(cfg.T, cfg.n if n is None else n), d=1,
                       mode=mode or cfg.mode)
@@ -280,7 +253,7 @@ def _tree(cfg: ExperimentConfig, n=None, mode=None):
 
 
 def _run_static_value(cfg: ExperimentConfig, out_dir: str):
-    bench = _make_bench(cfg)
+    bench = problems.benchmark(cfg.benchmark, cfg.T)
     tree = _tree(cfg)
     sv = static_value(bench.problem, tree)
     checks = [_check("value-within-tolerance",
@@ -293,7 +266,7 @@ def _run_static_value(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
-    bench = _make_bench(cfg)
+    bench = problems.benchmark(cfg.benchmark, cfg.T)
     checks, rows = [], []
     if bench.identifier == "deterministic":
         tree = _tree(cfg, mode="recombining")
@@ -333,7 +306,8 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
                              value=v, bound=cfg.eps, target=bench.optimal_value))
         xT = forward_states(tree, bench.forward, bench.analytic["feedback"])[-1]
         p = tree.probs[tree.n]
-        m1, m2 = mv_moment_recursion(cfg.x0, cfg.x0 ** 2,
+        x0 = bench.analytic["x0"]
+        m1, m2 = mv_moment_recursion(x0, x0 ** 2,
                                      bench.analytic["a_star"], -1.0,
                                      0.0, cfg.T, tree.n)
         dev = max(abs(float(np.sum(p * xT)) - float(m1)),
@@ -357,8 +331,9 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check("probe-grid-optimal",
                              int(np.argmax(vals)) == 1, value=vals[1],
                              candidates=list(cand)))
-        rest = pa_restoration_check(bench, tree, cfg.level, restored=True)
-        stale = pa_restoration_check(bench, tree, cfg.level, restored=False)
+        level = cfg.n // 2  # validate_config refuses level 0
+        rest = pa_restoration_check(bench, tree, level, restored=True)
+        stale = pa_restoration_check(bench, tree, level, restored=False)
         checks.append(_check("restoration-exact", rest.all_match,
                              value=rest.max_contract_deviation, bound=1e-12))
         checks.append(_check("stale-control-group-violates", not stale.all_match,
@@ -372,7 +347,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
 def _run_duality(cfg: ExperimentConfig, out_dir: str):
     checks, files = [], []
     if cfg.benchmark == "deterministic":
-        get_benchmark("deterministic", T=cfg.T)  # the 0.5 target needs T > 1
+        problems.benchmark("deterministic", cfg.T)  # the 0.5 target needs T > 1
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(cfg.T, cfg.n), config, levels=(0,))
@@ -451,7 +426,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     coeffs, problem = problems.linear_setup()
     tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
-    rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed, tol=cfg.tol)
+    rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed, tol=1e-10)
     # with no pair checked, neither check has looked at a solve
     why = {} if rep.pairs_checked else {"reason": "no pair meets the premise"}
     checks = [
@@ -607,8 +582,7 @@ class Experiment(NamedTuple):
     description: str
     # benchmark value -> {field: default} for each config field the runner reads
     # besides experiment, seed and output_dir, sorted by field; a single '' key
-    # where the runner never reads benchmark. A callable default is computed
-    # from the other fields once they are filled in.
+    # where the runner never reads benchmark.
     fields: dict
 
 
@@ -633,8 +607,8 @@ EXPERIMENTS = {
         "enumeration or the deterministic attainable-point frontier.",
         _fields(_branch("n mode", benchmark="deterministic", eps=0.05), {
             "deterministic": _branch(T=2.0, n=64, mode="recombining"),
-            "one_dim": _branch("T", c=lambda f: f["T"]),
-            "mean_variance": _branch("T x0", c=1.0)})),
+            "one_dim": _branch("T"),
+            "mean_variance": _branch("T")})),
     "duality": Experiment(
         _run_duality,
         "Finite-difference dual PDE solve, nodal-set extraction, and the "
@@ -652,7 +626,7 @@ EXPERIMENTS = {
         _run_dynamic_utility_linear,
         "Linear dynamic-utility construction with regime switching: exact "
         "recursion, comparison check, switch band and continuity.",
-        _fields(_branch("tol mc_paths steps"))),
+        _fields(_branch("mc_paths steps"))),
     "tau-bound": Experiment(
         _run_tau_bound,
         "Monte Carlo switch-time frequencies against the combinatorial "
@@ -679,10 +653,9 @@ EXPERIMENTS = {
         "values, witnesses, restoration and control groups.",
         _fields(_branch("n", benchmark="deterministic"), {
             "deterministic": _branch(T=2.0, n=64, eps=0.05),
-            "one_dim": _branch("T", c=lambda f: f["T"]),
-            "mean_variance": _branch("T x0", c=1.0, eps=0.1),
-            "principal_agent": _branch("T gamma_a gamma_p r",
-                                       level=lambda f: f["n"] // 2)})),
+            "one_dim": _branch("T"),
+            "mean_variance": _branch("T", eps=0.1),
+            "principal_agent": _branch("T")})),
 }
 
 

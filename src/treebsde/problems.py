@@ -1,16 +1,27 @@
 """Problem catalogue shared by the experiments, the acceptance suite and the scripts.
 
 They all build their problems here, so the CLI runs exactly the problems the
-acceptance suite verifies. Every constructor takes no arguments and returns
-fresh objects: no caller sees another's arrays or Lipschitz-probe flag.
-Trees, levels and seeds stay with the caller.
+acceptance suite verifies. That includes the four closed-form benchmarks:
+benchmark(identifier, T) builds each at the one parameter point every run
+uses, with only the horizon left to the caller. Every other constructor
+takes no arguments. Each returns fresh objects: no caller sees another's
+arrays or Lipschitz-probe flag. Trees, levels and seeds stay with the caller.
 """
 import numpy as np
 
+from treebsde.benchmarks import BenchmarkProblem, get_benchmark
 from treebsde.bsde import BSDEProblem
 from treebsde.duality import DeterministicDualSpec, MarkovianDualSpec
 from treebsde.dynutil import LinearUtilityCoeffs
 from treebsde.master import CylinderFunctional
+
+
+def benchmark(identifier: str, T: float) -> BenchmarkProblem:
+    """The named closed-form benchmark on [0, T] at its one parameter point."""
+    params = {"one_dim": {"c": T},  # the value-0 edge c = T
+              "mean_variance": {"x0": 0.0, "c": 1.0},
+              "principal_agent": {"gamma_A": 1.0, "gamma_P": 1.0, "R": -0.5}}
+    return get_benchmark(identifier, T=T, **params.get(identifier, {}))
 
 
 def geometric_dpp_cases():

@@ -48,7 +48,6 @@ from treebsde.master import (
 )
 from treebsde.benchmarks import (
     deterministic_witness_check,
-    get_benchmark,
     mv_restoration_check,
     onedim_restoration_check,
     onedim_witness_check,
@@ -84,7 +83,7 @@ def test_acceptance_01_root_value_primal_and_dual():
     parts = []
     ok = True
     for n, tol in ((64, 5e-2), (256, 1e-2)):
-        bench = get_benchmark("deterministic", T=2.0)
+        bench = problems.benchmark("deterministic", 2.0)
         tree = build_tree(TimeGrid(2.0, n), d=1, mode="recombining")
         t0 = time.monotonic()
         sv = static_value(bench.problem, tree)
@@ -114,11 +113,11 @@ def test_acceptance_01_root_value_primal_and_dual():
 
 
 def test_acceptance_02_reoptimization_witnesses():
-    det = get_benchmark("deterministic", T=2.0)
+    det = problems.benchmark("deterministic", 2.0)
     det_tree = build_tree(TimeGrid(2.0, 8), d=1, mode="recombining")
     det_wit = deterministic_witness_check(det, det_tree, level=2)
 
-    od = get_benchmark("one_dim", c=2.4, T=2.4)
+    od = problems.benchmark("one_dim", 2.4)
     od_tree = build_tree(TimeGrid(2.4, 8), d=1, mode="path")
     od_wit = onedim_witness_check(od, od_tree)
 
@@ -138,22 +137,21 @@ def test_acceptance_02_reoptimization_witnesses():
 
 @pytest.mark.filterwarnings("ignore:dt = 0.4")
 def test_acceptance_03_restoration_vs_stale_control_groups():
-    mv = get_benchmark("mean_variance", x0=0.0, c=1.0, T=1.0)
+    mv = problems.benchmark("mean_variance", 1.0)
     mv_tree = build_tree(TimeGrid(1.0, 12), d=1, mode="path")
     mv_rest = mv_restoration_check(mv, mv_tree, levels=(2, 4, 6, 8),
                                    restored=True)
     mv_stale = mv_restoration_check(mv, mv_tree, levels=(2, 4, 6, 8),
                                     restored=False)
 
-    od = get_benchmark("one_dim", c=2.4, T=2.4)
+    od = problems.benchmark("one_dim", 2.4)
     od_tree = build_tree(TimeGrid(2.4, 6), d=1, mode="path")
     od_rest = onedim_restoration_check(od, od_tree, levels=(4, 5),
                                        restored=True)
     od_stale = onedim_restoration_check(od, od_tree, levels=(4, 5),
                                         restored=False)
 
-    pa = get_benchmark("principal_agent", gamma_A=1.0, gamma_P=1.0, R=-0.5,
-                       T=1.0)
+    pa = problems.benchmark("principal_agent", 1.0)
     pa_tree = build_tree(TimeGrid(1.0, 8), d=1, mode="path")
     pa_rest = pa_restoration_check(pa, pa_tree, level=4, restored=True)
     pa_stale = pa_restoration_check(pa, pa_tree, level=4, restored=False)
@@ -195,7 +193,7 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
     # deterministic steering: nodal set vs the enumerated reachable set,
     # measured at calibrated late levels where the remaining-horizon smear
     # stays below two mesh cells
-    det = get_benchmark("deterministic", T=2.0)
+    det = problems.benchmark("deterministic", 2.0)
     distances = []
     ok_h = True
     for n, dy, efac, k in ((8, 0.1, 0.3, 6), (16, 0.05, 0.2, 14)):
@@ -355,7 +353,7 @@ def test_acceptance_08_switching_ensemble_and_comparison():
 
     # static control group: freezing the terminal functional on the
     # time-inconsistent steering problem must produce a comparison violation
-    det = get_benchmark("deterministic", T=2.0)
+    det = problems.benchmark("deterministic", 2.0)
     s_tree = build_tree(TimeGrid(2.0, 2), d=1, mode="path")
     util = static_utility(det.problem.phi, det.problem.value_dim)
     m = s_tree.node_count(2)

@@ -111,7 +111,6 @@ def test_mv_restoration_and_stale_control_group():
     assert rest.all_match and rest.violations == 0 and rest.nodes_checked > 100
     stale = mv_restoration_check(mv, tree, levels=(2, 4, 6, 8), restored=False)
     assert stale.violations >= 1
-    assert stale.max_deviation >= 1.0
 
 
 def test_forward_states_needs_path_mode_and_checked_init():

@@ -449,7 +449,8 @@ def _problems_in(built):
 
 CONSTRUCTORS = dict(inspect.getmembers(problems, inspect.isfunction))
 CONSTRUCTORS = {name: ctor for name, ctor in CONSTRUCTORS.items()
-                if ctor.__module__ == problems.__name__}
+                if ctor.__module__ == problems.__name__
+                and not inspect.signature(ctor).parameters}  # not benchmark
 CONSTRUCTORS["one_dimensional"] = lambda: one_dimensional(2.4, 2.4).problem
 CATALOGUE = [(name, i) for name, ctor in sorted(CONSTRUCTORS.items())
              for i in range(len(_problems_in(ctor())))]

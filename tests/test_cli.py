@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields as dc_fields
 
 import pytest
 
@@ -14,6 +15,7 @@ from treebsde.cli import main
 from treebsde.experiments import (
     EXPERIMENTS,
     ConfigValidationError,
+    ExperimentConfig,
     accepted_fields,
     config_hash,
     load_config,
@@ -49,7 +51,6 @@ def test_validate_fills_defaults():
     cfg = validate_config({"experiment": "illposed-demo", "seed": 0})
     assert cfg.output_dir == "runs"
     assert cfg.T == 1.0 and cfg.n == 8 and cfg.mode == "path"
-    assert cfg.c is None
 
 
 def test_validate_collects_field_diagnostics():
@@ -309,7 +310,7 @@ def test_validate_rejects_fields_the_experiment_does_not_read():
         validate_config({"experiment": "tau-bound", "seed": 0, "T": 2.0})
     with pytest.raises(ConfigValidationError, match=r"^field 'eps': benchmark-verify "
                        r"with benchmark 'one_dim' does not read it \(accepted: T, "
-                       r"benchmark, c, n\)$"):
+                       r"benchmark, n\)$"):
         validate_config({"experiment": "benchmark-verify", "seed": 0,
                          "benchmark": "one_dim", "eps": 0.1})
     for key, value in (("eps", 0.01), ("mode", "path")):
@@ -379,11 +380,32 @@ def test_validate_checks_mode_and_refinements_where_they_are_read():
 def test_report_config_and_hash_cover_only_the_accepted_fields(tmp_path):
     cfg = validate_config(illposed_doc(tmp_path))
     report = run_experiment(cfg).report
+    # not output_dir: the report lives in that directory
     assert report["config"] == {"experiment": "illposed-demo", "seed": 7, "T": 1.0,
-                                "n": 4, "output_dir": str(tmp_path / "runs")}
-    blob = json.dumps({"T": 1.0, "experiment": "illposed-demo", "n": 4, "seed": 7},
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+                                "n": 4}
+    blob = json.dumps(report["config"], sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
     assert report["config_hash"] == hashlib.sha256(blob).hexdigest()[:8]
+
+
+def test_one_config_in_two_directories_writes_the_same_report(tmp_path):
+    first, second = (run_experiment(validate_config(illposed_doc(tmp_path / where)))
+                     for where in ("a", "elsewhere"))
+    assert first.out_dir != second.out_dir
+    assert (_read(first.out_dir, "report.json")
+            == _read(second.out_dir, "report.json"))
+
+
+def test_validate_rejects_the_removed_constant_fields():
+    # each was a field no run set to a second value; problems.benchmark and the
+    # runners now hold it as a constant
+    assert len(dc_fields(ExperimentConfig)) == 15
+    doc = {"experiment": "benchmark-verify", "seed": 0, "benchmark": "principal_agent"}
+    for key in ("x0", "c", "gamma_a", "gamma_p", "r", "level", "tol"):
+        with pytest.raises(ConfigValidationError, match=f"^field '{key}': unknown "):
+            validate_config({**doc, key: 1.0})
+    assert not any(callable(v) for exp in EXPERIMENTS.values()
+                   for branch in exp.fields.values() for v in branch.values())
 
 
 def test_witness_margin_records_its_tree_size(tmp_path):
@@ -400,43 +422,34 @@ def test_list_prints_each_experiments_accepted_fields(capsys):
     out = capsys.readouterr().out
     assert "fields: mc_paths, steps" in out
     assert "benchmark 'deterministic': T, benchmark, dy, eps, n, value_tol" in out
-    assert "benchmark 'one_dim': T, benchmark, c, eps, mode, n\n" in out
-    assert "benchmark 'one_dim': T, benchmark, c, n\n" in out
+    assert "benchmark 'one_dim': T, benchmark, eps, mode, n\n" in out
+    assert "benchmark 'one_dim': T, benchmark, n\n" in out
 
 
 @pytest.mark.parametrize("doc,message", [
     ({"experiment": "static-value", "eps": -1.0}, "field 'eps': must be >= 0"),
-    ({"experiment": "dynamic-utility-linear", "mc_paths": 20, "tol": -1e-9},
-     "field 'tol': must be >= 0"),
+    ({"experiment": "dynamic-utility-linear", "mc_paths": 20, "tol": 1e-9},
+     "field 'tol': unknown (valid fields: T, benchmark, dx, dy, eps, experiment, "
+     "mc_paths, mode, n, output_dir, pairs, refinements, seed, steps, value_tol)"),
     ({"experiment": "duality", "benchmark": "deterministic", "value_tol": 0.0},
      "field 'value_tol': must be > 0"),
     ({"experiment": "duality", "dx": 0.0}, "field 'dx': must be > 0"),
     ({"experiment": "duality", "dy": 0.0}, "field 'dy': must be > 0"),
     ({"experiment": "geometric-dpp", "refinements": [1, 3]},
      "field 'refinements': every entry must be >= 2"),
-    ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "level": -3},
-     "field 'level': must satisfy 0 <= level < n = 8"),
-    ({"experiment": "benchmark-verify", "benchmark": "principal_agent", "n": 8,
-      "level": 8}, "field 'level': must satisfy 0 <= level < n = 8"),
     ({"experiment": "static-value", "d": 1},
-     "field 'd': unknown (valid fields: T, benchmark, c, dx, dy, eps, experiment, "
-     "gamma_a, gamma_p, level, mc_paths, mode, n, output_dir, pairs, r, refinements, "
-     "seed, steps, tol, value_tol, x0)"),
+     "field 'd': unknown (valid fields: T, benchmark, dx, dy, eps, experiment, "
+     "mc_paths, mode, n, output_dir, pairs, refinements, seed, steps, value_tol)"),
     ({"experiment": "static-value", "cap": 10},
-     "field 'cap': unknown (valid fields: T, benchmark, c, dx, dy, eps, experiment, "
-     "gamma_a, gamma_p, level, mc_paths, mode, n, output_dir, pairs, r, refinements, "
-     "seed, steps, tol, value_tol, x0)"),
-], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "level-below", "level-at-n",
-        "d", "cap"])
+     "field 'cap': unknown (valid fields: T, benchmark, dx, dy, eps, experiment, "
+     "mc_paths, mode, n, output_dir, pairs, refinements, seed, steps, value_tol)"),
+], ids=["eps", "tol", "value_tol", "dx", "dy", "refinements", "d", "cap"])
 def test_validate_rejects_out_of_range_values(doc, message):
     with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
         validate_config({"seed": 0, **doc})
 
 
 def test_validate_accepts_the_edge_of_each_range():
-    cfg = validate_config({"experiment": "benchmark-verify", "seed": 0, "n": 8,
-                           "benchmark": "principal_agent", "level": 7})
-    assert cfg.level == 7
     assert validate_config({"experiment": "static-value", "seed": 0, "eps": 0}).eps == 0
     assert validate_config({"experiment": "geometric-dpp", "seed": 0,
                             "refinements": [2]}).refinements == (2,)
@@ -511,28 +524,18 @@ def test_geometric_dpp_runs_at_the_eps_its_config_records(tmp_path):
     assert rows and all(row.split(",")[2] == "0.00000000000e+00" for row in rows)
 
 
-def test_level_one_is_its_own_run_and_an_omitted_level_records_half_n(tmp_path):
-    doc = {"experiment": "benchmark-verify", "seed": 1, "benchmark": "principal_agent",
-           "n": 4, "output_dir": str(tmp_path)}
-    one, omitted = validate_config({**doc, "level": 1}), validate_config(doc)
-    assert one.level == 1 and omitted.level == 2
-    assert run_directory(one) != run_directory(omitted)
-    assert run_directory(omitted) == run_directory(validate_config({**doc, "level": 2}))
-    assert run_experiment(omitted).report["config"]["level"] == 2
-    assert run_experiment(one).report["config"]["level"] == 1
-
-
-@pytest.mark.parametrize("doc,got", [
-    ({"n": 8, "level": 0}, "got 0"),
-    ({"n": 1}, "the default n // 2 is 0 at n = 1"),
-], ids=["given", "default"])
-def test_principal_agent_refuses_level_zero(doc, got):
-    # at t = 0 the stale start is the restored one: the stale check cannot pass
-    message = ("field 'level': principal_agent's stale-control-group-violates needs "
-               f"level >= 1 (at t = 0 the stale start equals the restored one); {got}")
+@pytest.mark.parametrize("n", [1], ids=["default"])
+def test_principal_agent_refuses_level_zero(n):
+    # it re-optimizes at level n // 2, and at t = 0 the stale start is the
+    # restored one: the stale check cannot pass
+    message = ("field 'n': principal_agent re-optimizes at level n // 2, which its "
+               "stale-control-group-violates needs >= 1 (at t = 0 the stale start "
+               f"equals the restored one); got {n}")
     with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
         validate_config({"experiment": "benchmark-verify", "seed": 0,
-                         "benchmark": "principal_agent", **doc})
+                         "benchmark": "principal_agent", "n": n})
+    assert validate_config({"experiment": "benchmark-verify", "seed": 0,
+                            "benchmark": "principal_agent", "n": 2}).n == 2
 
 
 @pytest.mark.parametrize("doc", [
@@ -564,14 +567,11 @@ def test_minimal_deterministic_configs_pass(doc, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [
-    {"experiment": "benchmark-verify", "benchmark": "one_dim", "c": None},
-    {"experiment": "static-value", "benchmark": "mean_variance", "c": None},
     {"experiment": "duality", "benchmark": "deterministic", "eps": None},
-], ids=["one_dim-c", "mean_variance-c", "duality-eps"])
+], ids=["duality-eps"])
 def test_validate_rejects_null_like_any_other_non_number(doc):
-    key = "eps" if "eps" in doc else "c"
     with pytest.raises(ConfigValidationError,
-                       match=f"^field '{key}': expected number, got NoneType$"):
+                       match="^field 'eps': expected number, got NoneType$"):
         validate_config({"seed": 0, **doc})
 
 
@@ -598,14 +598,8 @@ def test_validate_fills_in_each_branchs_own_defaults():
         assert defaults("static-value", bench)["eps"] == 0.05
     assert defaults("benchmark-verify", "deterministic")["eps"] == 0.05
     assert defaults("benchmark-verify", "mean_variance")["eps"] == 0.1
-    for experiment in ("static-value", "benchmark-verify"):
-        assert defaults(experiment, "one_dim")["c"] == 1.0  # T
-        assert defaults(experiment, "mean_variance")["c"] == 1.0
-    assert validate_config({"experiment": "static-value", "seed": 0, "T": 2.4,
-                            "benchmark": "one_dim"}).c == 2.4
     assert defaults("geometric-dpp")["eps"] == 0.35
     assert defaults("geometric-dpp")["refinements"] == (4, 8)
-    assert defaults("benchmark-verify", "principal_agent")["level"] == 4
     assert defaults("duality", "deterministic")["eps"] is None  # computed
     assert defaults("duality")["benchmark"] == ""
 

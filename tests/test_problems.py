@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from treebsde import problems
+from treebsde.benchmarks import BenchmarkError
 from treebsde.bsde import BSDEProblem, probe_lipschitz
 from treebsde.dynutil import LinearUtilityCoeffs
 from treebsde.lattice import TimeGrid, build_tree
@@ -50,3 +51,16 @@ def test_each_call_returns_fresh_objects(make):
     assert len(fresh) == len(expected)
     for a, e in zip(fresh, expected):
         np.testing.assert_array_equal(a, e)
+
+
+@pytest.mark.parametrize("identifier,T", [("deterministic", 2.0), ("one_dim", 2.4),
+                                          ("mean_variance", 1.0), ("principal_agent", 1.0)])
+def test_benchmark_builds_a_fresh_problem_at_the_given_horizon(identifier, T):
+    first, second = problems.benchmark(identifier, T), problems.benchmark(identifier, T)
+    assert first.identifier == second.identifier == identifier
+    assert first is not second and first.problem is not second.problem
+    assert first.optimal_value == second.optimal_value
+    if identifier == "one_dim":
+        assert first.optimal_value == 0.0  # c = T
+    with pytest.raises(BenchmarkError, match="unknown benchmark 'nope'"):
+        problems.benchmark("nope", T)
