@@ -7,6 +7,7 @@ import glob
 import json
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,22 +28,23 @@ def run(argv=None):
         print(f"no configs found under {args.configs}", file=sys.stderr)
         return 2
     results = []
-    for path in paths:
-        name = os.path.splitext(os.path.basename(path))[0]
-        if name in args.skip:
-            results.append((name, "skipped"))
-            continue
-        if args.output_dir is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            doc["output_dir"] = args.output_dir
-            path = os.path.join(args.output_dir, f"_cfg_{name}.json")
-            os.makedirs(args.output_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"=== {name}")
-        code = cli_main(["run", path])
-        results.append((name, {0: "pass", 1: "FAIL", 2: "ERROR"}[code]))
+    with tempfile.TemporaryDirectory() as scratch:
+        for path in paths:
+            name = os.path.splitext(os.path.basename(path))[0]
+            if name in args.skip:
+                results.append((name, "skipped"))
+                continue
+            if args.output_dir is not None:
+                # the rewritten config goes to scratch, not into the output dir
+                with open(path, "r", encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                doc["output_dir"] = args.output_dir
+                path = os.path.join(scratch, f"{name}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh, indent=2, sort_keys=True)
+            print(f"=== {name}")
+            code = cli_main(["run", path])
+            results.append((name, {0: "pass", 1: "FAIL", 2: "ERROR"}[code]))
     print()
     width = max(len(n) for n, _ in results)
     for name, verdict in results:

@@ -4,12 +4,19 @@ consistency-restoring parameter processes.
 Each constructor returns a BenchmarkProblem: a tree-ready BSDEProblem carrier
 plus analytic references (optimal control, value where known, restoring
 process, inconsistency witness) that pass self-checks at construction.
+treebsde.problems.benchmark builds each at the one parameter point every run
+uses.
 
 Two instances (mean_variance, principal_agent) control the *forward* dynamics;
 they carry a ForwardSDE component and evaluation helpers here rather than
 widening the core backward-solver contract. Their carrier BSDEProblem bakes
 the analytic optimal control into the terminal map so the generic solver
-reproduces the analytic value with no example-specific shortcut.
+reproduces the analytic value with no example-specific shortcut:
+static_value(bench.problem, tree) is the mean-variance tree value.
+
+The probability-distortion example of the literature is not covered: it ranks
+outcomes through a distorted (Choquet) expectation, and that
+nonlinear-expectation machinery is outside this library's scope.
 """
 from __future__ import annotations
 
@@ -32,10 +39,6 @@ from treebsde.bsde import (
 
 class BenchmarkError(ValueError):
     """Invalid benchmark parameters."""
-
-
-class OutOfScopeError(NotImplementedError):
-    """Registered identifier whose model class this library does not cover."""
 
 
 @dataclass(frozen=True)
@@ -193,17 +196,6 @@ def _mv_self_check(bench: BenchmarkProblem) -> None:
     m1, m2 = mv_moment_recursion(x0, x0 * x0, a["a_star"], -1.0, 0.0, T, 4096)
     if abs(_mv_phi(c, m1, m2) - bench.optimal_value) > 1e-3 * (1 + abs(bench.optimal_value)):
         raise BenchmarkError("fine-step moment recursion does not reproduce the value")
-
-
-def mv_tree_value(bench: BenchmarkProblem, tree: ScenarioTree,
-                  feedback=None) -> float:
-    """phi_c at the root for a feedback control, via generic forward + backward."""
-    a = bench.analytic
-    fb = a["feedback"] if feedback is None else feedback
-    xT = forward_states(tree, bench.forward, fb)[-1]
-    rv = TreeRandomVariable(level=tree.n, values=np.stack([xT, xT * xT], axis=1))
-    sol = solve_bsde(bench.problem, tree, terminal_level=tree.n, terminal_rv=rv)
-    return float(_mv_phi(a["c"], sol.Y[0][0, 0], sol.Y[0][0, 1]))
 
 
 def mv_grid(bench: BenchmarkProblem):
@@ -476,6 +468,19 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
     return sol.Y[level][:, 0]
 
 
+def pa_closed_form(bench: BenchmarkProblem, tree: ScenarioTree, u) -> float:
+    """Root principal value of the constant action u on a path tree, in closed
+    form: each step of the u Z drift tilts the payout utility by one factor,
+    v = -exp(gamma_P (x_R + cost(u) T)) g^n with
+    g = cosh(gamma_P (1 - u) s) - u s sinh(gamma_P (1 - u) s), s = sqrt(dt)."""
+    a = bench.analytic
+    gamma_P, s = a["gamma_P"], math.sqrt(tree.dt)
+    th = gamma_P * (1.0 - u) * s
+    g = math.cosh(th) - u * s * math.sinh(th)
+    cost = 0.5 * (a["gamma_A"] - 1.0) * u * u
+    return -math.exp(gamma_P * (a["x_R"] + cost * tree.grid.T)) * g ** tree.n
+
+
 @dataclass(frozen=True)
 class ContractReport:
     level: int
@@ -526,9 +531,29 @@ def pa_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
 # deterministic example
 
 
+def deterministic_problem() -> BSDEProblem:
+    """The deterministic example's carrier on any horizon: f = (u - y2, u),
+    terminal 0, utility y1, controls {0, 1} as deterministic functions of time."""
+    def f(t, ctx, y, z, u):
+        out = np.empty_like(y)
+        out[:, 0] = u - y[:, 1]
+        out[:, 1] = u
+        return out
+
+    return BSDEProblem(
+        value_dim=2,
+        f=f,
+        terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
+        phi=lambda y: y[:, 0],
+        control_values=(0.0, 1.0),
+        lipschitz_L=1.0,
+        deterministic_controls=True,
+        phi_lipschitz=1.0,
+    )
+
+
 def deterministic_example(T: float) -> BenchmarkProblem:
-    """Two-component deterministic dynamics f = (u - y2, u), terminal 0,
-    utility y1, controls {0, 1} as deterministic functions of time.
+    """The deterministic_problem carrier on [0, T] with its closed form.
 
     Closed form: the time-t optimal control is the indicator of [t, (1+t) ^ T]
     and V_t = integral of (1 + t - s) over that window (1/2 for t <= T - 1).
@@ -541,30 +566,13 @@ def deterministic_example(T: float) -> BenchmarkProblem:
         raise BenchmarkError(
             f"need T > 1 (the witness interval (1, 1+t) is empty otherwise), got {T}")
 
-    def f(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u - y[:, 1]
-        out[:, 1] = u
-        return out
-
-    problem = BSDEProblem(
-        value_dim=2,
-        f=f,
-        terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0),
-        lipschitz_L=1.0,
-        deterministic_controls=True,
-        phi_lipschitz=1.0,
-    )
-
     def value_at(t):
         if t <= T - 1.0:
             return 0.5
         return 0.5 * (T - t) * (2.0 - (T - t))
 
     bench = BenchmarkProblem(
-        identifier="deterministic", problem=problem, forward=None,
+        identifier="deterministic", problem=deterministic_problem(), forward=None,
         optimal_value=0.5,
         analytic={"T": T, "value_at": value_at},
     )
@@ -619,33 +627,3 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     return WitnessReport(nodes=((level, 0),),
                          all_flip=bool(flipped and margin > 0),
                          min_margin=float(margin))
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-REGISTRY = {
-    "mean_variance": mean_variance,
-    "one_dim": one_dimensional,
-    "principal_agent": principal_agent,
-    "deterministic": deterministic_example,
-}
-
-OUT_OF_SCOPE = {
-    "probability_distortion": (
-        "the probability-distortion example ranks outcomes through a distorted "
-        "(Choquet) expectation; that nonlinear-expectation machinery is outside "
-        "this library's scope"),
-}
-
-
-def get_benchmark(identifier: str, **params) -> BenchmarkProblem:
-    if identifier in OUT_OF_SCOPE:
-        raise OutOfScopeError(OUT_OF_SCOPE[identifier])
-    try:
-        ctor = REGISTRY[identifier]
-    except KeyError:
-        valid = ", ".join(sorted(REGISTRY) + sorted(OUT_OF_SCOPE))
-        raise BenchmarkError(
-            f"unknown benchmark '{identifier}'; valid identifiers: {valid}") from None
-    return ctor(**params)

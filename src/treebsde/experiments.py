@@ -47,10 +47,10 @@ from treebsde.benchmarks import (
     deterministic_discrete_optimum,
     deterministic_witness_check,
     mv_restoration_check,
-    mv_tree_value,
     forward_states,
     mv_moment_recursion,
     onedim_witness_check,
+    pa_closed_form,
     pa_restoration_check,
     pa_value,
 )
@@ -178,14 +178,11 @@ def validate_config(data: dict) -> ExperimentConfig:
     if clean.get("experiment") == "illposed-demo" and clean.get("n", 1) > _ILLPOSED_MAX_N:
         msgs.append(f"field 'n': illposed-demo runs on at most {_ILLPOSED_MAX_N} "
                     f"tree steps, got {clean['n']}")
-    if clean.get("experiment") == "dynamic-utility-linear":
-        given = "mc_paths" in data
-        paths = clean.get("mc_paths") if given else ExperimentConfig.mc_paths
-        if paths is not None and paths > _LINEAR_MAX_PATHS:
-            got = f"got {paths}" if given else f"the default {paths} exceeds it"
-            msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
-                        f"Euler ensemble ratio ((steps + 1) x paths floats) and runs "
-                        f"at most {_LINEAR_MAX_PATHS} paths, {got}")
+    if (clean.get("experiment") == "dynamic-utility-linear"
+            and clean.get("mc_paths", 0) > _LINEAR_MAX_PATHS):
+        msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
+                    f"Euler ensemble ratio ((steps + 1) x paths floats) and runs "
+                    f"at most {_LINEAR_MAX_PATHS} paths, got {clean['mc_paths']}")
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "
                     f"its left time-difference, got {clean['n']}")
@@ -301,7 +298,7 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         rows.append(("witness_margin", wit.min_margin, 0.0))
     elif bench.identifier == "mean_variance":
         tree = _tree(cfg, mode="path")
-        v = mv_tree_value(bench, tree)
+        v = static_value(bench.problem, tree).value
         checks.append(_check("analytic-value", abs(v - bench.optimal_value) <= cfg.eps,
                              value=v, bound=cfg.eps, target=bench.optimal_value))
         xT = forward_states(tree, bench.forward, bench.analytic["feedback"])[-1]
@@ -331,14 +328,22 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check("probe-grid-optimal",
                              int(np.argmax(vals)) == 1, value=vals[1],
                              candidates=list(cand)))
+        closed = pa_closed_form(bench, tree, us)
+        # the tree value is the closed form's product up to rounding: at most
+        # 8 ulps of |closed| per step
+        tol = cfg.n * 8 * np.finfo(float).eps * abs(closed)
+        checks.append(_check("closed-form-value", abs(vals[1] - closed) <= tol,
+                             value=vals[1], bound=tol, target=closed))
         level = cfg.n // 2  # validate_config refuses level 0
         rest = pa_restoration_check(bench, tree, level, restored=True)
         stale = pa_restoration_check(bench, tree, level, restored=False)
         checks.append(_check("restoration-exact", rest.all_match,
-                             value=rest.max_contract_deviation, bound=1e-12))
+                             value=rest.max_contract_deviation, bound=1e-12,
+                             argmax_matches=rest.argmax_matches,
+                             nodes=rest.argmax_total))
         checks.append(_check("stale-control-group-violates", not stale.all_match,
                              value=stale.max_contract_deviation))
-        rows.append(("value_at_u_star", vals[1], vals[1]))
+        rows.append(("value_at_u_star", vals[1], closed))
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("quantity", "measured", "reference"), rows)
     return checks, {"benchmark": bench.identifier}, ["summary.csv"]
@@ -405,7 +410,8 @@ def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
             rows.append((name, n, cfg.eps, rep.rho_into, rep.rho_back,
                          rep.inclusions_hold))
             checks.append(_check(f"{name}-inclusions-n{n}", rep.inclusions_hold,
-                                 value=rho))
+                                 value=rho, nodal=rep.nodal_count,
+                                 steerable=rep.steerable_count))
         if len(ns) < 2:
             checks.append(_check(f"{name}-slack-shrinks", False,
                                  reason=f"needs two distinct refinements, got {ns}"))
@@ -567,7 +573,7 @@ def _run_illposed_demo(cfg: ExperimentConfig, out_dir: str):
                value=rep.gap, bound=1e-12, target=cfg.T),
         _check("shared-derivative-sup-identical", rep.sup_terms_identical,
                value=[rep.sup_term_1, rep.sup_term_2]),
-        _check("witness", rep.witness, value=rep.gap),
+        _check("witness", rep.witness, value=rep.gap, z_dependent=rep.z_dependent),
         _check("control-group-non-witness", not control.witness,
                value=control.gap),
     ]
@@ -626,7 +632,7 @@ EXPERIMENTS = {
         _run_dynamic_utility_linear,
         "Linear dynamic-utility construction with regime switching: exact "
         "recursion, comparison check, switch band and continuity.",
-        _fields(_branch("mc_paths steps"))),
+        _fields(_branch("steps", mc_paths=_LINEAR_MAX_PATHS))),
     "tau-bound": Experiment(
         _run_tau_bound,
         "Monte Carlo switch-time frequencies against the combinatorial "

@@ -1,15 +1,17 @@
 """Problem catalogue shared by the experiments, the acceptance suite and the scripts.
 
 They all build their problems here, so the CLI runs exactly the problems the
-acceptance suite verifies. That includes the four closed-form benchmarks:
-benchmark(identifier, T) builds each at the one parameter point every run
-uses, with only the horizon left to the caller. Every other constructor
+acceptance suite verifies. benchmark(identifier, T) is the one table of the
+four closed-form benchmarks: it builds each at the one parameter point every
+run uses, with only the horizon left to the caller. Every other constructor
 takes no arguments. Each returns fresh objects: no caller sees another's
 arrays or Lipschitz-probe flag. Trees, levels and seeds stay with the caller.
 """
 import numpy as np
 
-from treebsde.benchmarks import BenchmarkProblem, get_benchmark
+from treebsde.benchmarks import (
+    BenchmarkError, BenchmarkProblem, deterministic_example, deterministic_problem,
+    mean_variance, one_dimensional, principal_agent)
 from treebsde.bsde import BSDEProblem
 from treebsde.duality import DeterministicDualSpec, MarkovianDualSpec
 from treebsde.dynutil import LinearUtilityCoeffs
@@ -18,36 +20,28 @@ from treebsde.master import CylinderFunctional
 
 def benchmark(identifier: str, T: float) -> BenchmarkProblem:
     """The named closed-form benchmark on [0, T] at its one parameter point."""
-    params = {"one_dim": {"c": T},  # the value-0 edge c = T
-              "mean_variance": {"x0": 0.0, "c": 1.0},
-              "principal_agent": {"gamma_A": 1.0, "gamma_P": 1.0, "R": -0.5}}
-    return get_benchmark(identifier, T=T, **params.get(identifier, {}))
+    builders = {"deterministic": lambda: deterministic_example(T),
+                "one_dim": lambda: one_dimensional(T, T),  # the value-0 edge c = T
+                "mean_variance": lambda: mean_variance(0.0, 1.0, T),
+                "principal_agent": lambda: principal_agent(1.0, 1.0, -0.5, T)}
+    if identifier not in builders:
+        raise BenchmarkError(f"unknown benchmark '{identifier}'; valid identifiers: "
+                             + ", ".join(sorted(builders)))
+    return builders[identifier]()
 
 
 def geometric_dpp_cases():
-    """(name, problem, z values, probe points) for each geometric-DPP problem."""
-    p1 = control_free_problem()
+    """(name, problem, z values, probe points) for each geometric-DPP problem:
+    terminal tracking, and steering on the deterministic benchmark's carrier."""
     # steering z off the perfect tracking value so the quantization defect
     # scales with dt and the slack shrinks as the tree refines
     z1 = (0.0, 0.8)
-
-    def f2(t, ctx, y, z, u):
-        out = np.empty_like(y)
-        out[:, 0] = u - y[:, 1]
-        out[:, 1] = u
-        return out
-
-    p2 = BSDEProblem(
-        value_dim=2, f=f2,
-        terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0, 1.0),
-        lipschitz_L=1.0, deterministic_controls=True)
     z2 = (np.zeros((2, 1)),)
     pts1 = np.linspace(-1.5, 1.5, 16)[:, None]
     g = np.linspace(-0.25, 1.25, 7)
     pts2 = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    return (("terminal-tracking", p1, z1, pts1), ("steering", p2, z2, pts2))
+    return (("terminal-tracking", control_free_problem(), z1, pts1),
+            ("steering", deterministic_problem(), z2, pts2))
 
 
 def scalar_drift_problem():

@@ -3,25 +3,23 @@ and consistency-restoration reports."""
 import numpy as np
 import pytest
 
-from treebsde.lattice import TimeGrid, build_tree
+from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
 from treebsde.bsde import ControlPolicy, solve_bsde, static_value
 from treebsde.benchmarks import (
     BenchmarkError,
-    OutOfScopeError,
     deterministic_discrete_optimum,
     deterministic_example,
     deterministic_witness_check,
     forward_states,
-    get_benchmark,
     mean_variance,
     mv_grid,
     mv_grid_argmax,
     mv_moment_recursion,
     mv_restoration_check,
-    mv_tree_value,
     one_dimensional,
     onedim_restoration_check,
     onedim_witness_check,
+    pa_closed_form,
     pa_restoration_check,
     pa_value,
     principal_agent,
@@ -30,7 +28,7 @@ from treebsde.benchmarks import (
 
 
 # ---------------------------------------------------------------------------
-# construction and registry
+# construction
 
 
 def test_parameter_validation():
@@ -48,15 +46,6 @@ def test_parameter_validation():
         deterministic_example(1.0)
 
 
-def test_registry_dispatch_and_out_of_scope():
-    b = get_benchmark("one_dim", c=2.4, T=2.4)
-    assert b.identifier == "one_dim"
-    with pytest.raises(BenchmarkError, match="valid identifiers"):
-        get_benchmark("nope")
-    with pytest.raises(OutOfScopeError, match="Choquet"):
-        get_benchmark("probability_distortion")
-
-
 # ---------------------------------------------------------------------------
 # mean-variance
 
@@ -68,10 +57,22 @@ def test_mv_analytic_references():
     assert mv.analytic["feedback"](0.0, 0.5) == pytest.approx(2.0 * np.e)
 
 
-def test_mv_tree_value_near_analytic():
+def _mv_feedback_value(mv, tree, feedback):
+    """phi_c at the root for a feedback control: forward states, then one
+    backward solve of the carrier on the resulting terminal data."""
+    xT = forward_states(tree, mv.forward, feedback)[-1]
+    rv = TreeRandomVariable(level=tree.n, values=np.stack([xT, xT * xT], axis=1))
+    sol = solve_bsde(mv.problem, tree, terminal_level=tree.n, terminal_rv=rv)
+    return float(mv.problem.phi(sol.Y[0])[0])
+
+
+def test_mv_carrier_value_near_analytic():
     mv = mean_variance(0.0, 1.0, 1.0)
     tree = build_tree(TimeGrid(1.0, 12), d=1, mode="path")
-    assert mv_tree_value(mv, tree) == pytest.approx(mv.optimal_value, abs=0.1)
+    v = static_value(mv.problem, tree).value
+    assert v == pytest.approx(mv.optimal_value, abs=0.1)
+    # the carrier bakes the analytic feedback into its terminal map
+    assert v == _mv_feedback_value(mv, tree, mv.analytic["feedback"])
 
 
 def test_mv_tree_moments_match_recursion():
@@ -96,11 +97,11 @@ def test_mv_time_zero_grid_argmax_is_analytic_cell():
 def test_mv_analytic_feedback_near_grid_best_on_tree():
     mv = mean_variance(0.0, 1.0, 1.0)
     tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
-    va = mv_tree_value(mv, tree)
+    va = static_value(mv.problem, tree).value
     best = -np.inf
     for a, b in zip(*mv_grid(mv)):
-        best = max(best, mv_tree_value(
-            mv, tree, feedback=lambda t, x, a=a, b=b: a + b * np.asarray(x)))
+        best = max(best, _mv_feedback_value(
+            mv, tree, lambda t, x, a=a, b=b: a + b * np.asarray(x)))
     assert 0.0 <= best - va <= 0.1
 
 
@@ -222,6 +223,7 @@ def test_pa_carrier_value_matches_closed_form_factorization():
         g = np.cosh(th) - u * s * np.sinh(th)
         closed = -np.exp(a["gamma_P"] * (a["x_R"] + a["cost_rate"] * 1.0)) * g ** 5
         assert float(pa_value(pa, tree, u)[0]) == pytest.approx(closed, rel=1e-12)
+        assert pa_closed_form(pa, tree, u) == pytest.approx(closed, rel=1e-12)
 
 
 def test_pa_terminal_closure_gives_the_pa_value_payout():

@@ -223,9 +223,8 @@ def test_validate_limits_dynamic_utility_linear_paths():
     with pytest.raises(ConfigValidationError, match=r"^field 'mc_paths': .*dense Euler "
                        r"ensemble.* at most 2000 paths, got 2001$"):
         validate_config({**doc, "mc_paths": 2001})
-    with pytest.raises(ConfigValidationError,
-                       match="at most 2000 paths, the default 10000 exceeds it$"):
-        validate_config(doc)
+    # its own default is the limit, so the minimal config validates
+    assert validate_config(doc).mc_paths == 2000
     # the limit belongs to dynamic-utility-linear alone
     assert validate_config({"experiment": "tau-bound", "seed": 0}).mc_paths == 10000
 

@@ -19,7 +19,6 @@ CALLERS = sorted(path for top in ("src", "scripts", "perfbench")
 
 # Test seams: parameters only tests pass today; the list may only shrink.
 ALLOWED = {
-    "benchmarks.mv_tree_value:feedback",
     "benchmarks.onedim_restoration_check:restored",
     "bsde.envelope_bsde:skip_probes",
     "duality.dual_value_direct:extra_candidates",

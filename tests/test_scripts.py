@@ -1,6 +1,7 @@
 """Smoke tests for the standalone scripts under scripts/."""
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 
@@ -54,3 +55,13 @@ def test_switching_paths_rejects_a_coarse_grid_in_one_line(tmp_path):
     (line,) = proc.stderr.splitlines()
     assert "--steps 256" in line and "overshoot limit 0.1" in line
     assert not (tmp_path / "switching").exists()
+
+
+def test_run_all_leaves_only_run_directories_in_the_output_dir(tmp_path, capsys):
+    configs, out = tmp_path / "configs", tmp_path / "runs"
+    configs.mkdir()
+    shutil.copy(os.path.join(SCRIPTS, "configs", "illposed_demo.json"), configs)
+    assert _load("run_all").run(["--configs", str(configs), "--output-dir", str(out)]) == 0
+    assert "illposed_demo  pass" in capsys.readouterr().out
+    (written,) = os.listdir(out)
+    assert written.startswith("illposed-demo-") and (out / written / "report.json").is_file()
