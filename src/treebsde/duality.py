@@ -29,9 +29,9 @@ and the step reads them without copies. An f of any other layout (an
 np.stack(..., axis=-1), say) gives the same W, only slower.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
-enumerating steering candidates; the forward step defaults to the exact inverse
-of the backward Euler map, so steering with a BSDE solution's own (Z,u)
-reproduces X = Y identically.
+enumerating steering candidates. Each one runs the forward process
+X = y - int f(X, Z, u) ds + int Z dB by its explicit Euler step toward the
+terminal xi.
 
 Steering contract. Every steering walk in the module (dual_value_direct,
 conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixes:
@@ -39,7 +39,7 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
   * slots: one per path-mode descendant of the start node on [level, stop),
     level-major then node-ascending;
   * order: each slot takes one (z, u) pair, pairs z-major over z-grid x
-    control_values; assignments run lexicographically, then extra_candidates;
+    control_values; assignments run lexicographically;
   * control class: under the problem's deterministic_controls the slots of a
     level share one control while each keeps its own z, so the assignments are
     the adapted ones with one u per level, in the same order and with the same
@@ -49,14 +49,13 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
     or NaN keeps tag None;
   * cap: more than bsde.ENUMERATION_CAP assignments raise EnumerationCapError
     before any problem.f call;
-  * step: explicit Euler x - f dt, or (inverse) the fixed point P + f(P) dt = x
-    in at most 60 iterations, each row stopping at its own max|step| < 1e-15;
-    child c then adds z @ increment[c];
+  * step: explicit Euler p = x - f(t_j, x, z, u) dt, then child c adds
+    z @ increment[c];
   * batches: dual_value_direct takes node (S,) and y (S, d') and returns values
     (S,) and S tags. The kernel steps arrays of shape (starts, assignments,
-    subtree nodes, d') one level at a time with one problem.f call per level
-    (per fixed-point iteration), ctx.b gathered by absolute node index, so f
-    and terminal must act row by row;
+    subtree nodes, d') one level at a time with one problem.f call per level,
+    ctx.b gathered by absolute node index, so f and terminal must act row by
+    row;
   * chunks: starts run in chunks of at most _CHUNK_FLOATS steered floats
     (starts x assignments x subtree nodes at the stop level x d'); a single
     start larger than that runs alone.
@@ -610,29 +609,12 @@ def _steering_table(problem: BSDEProblem, tree: ScenarioTree, level: int, stop: 
     return table, levels
 
 
-def _extra_steering(tree: ScenarioTree, level: int, nodes: np.ndarray,
-                    extra_candidates, dpr: int):
-    """Per-level (z, u) arrays, shape (s, E, w, d', d) and (s, E, w), that the E
-    full-tree node-indexed (z_levels, u_levels) candidates take below each start."""
-    nc = 2 ** tree.d
-    levels = []
-    for j in range(level, tree.n):
-        w = nc ** (j - level)
-        idx = nodes[:, None] * w + np.arange(w)
-        levels.append((
-            np.stack([np.asarray(zl[j], dtype=float).reshape(-1, dpr, tree.d)[idx]
-                      for zl, _ in extra_candidates], axis=1),
-            np.stack([np.asarray(ul[j], dtype=float)[idx]
-                      for _, ul in extra_candidates], axis=1)))
-    return levels
-
-
 def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: int,
-           nodes: np.ndarray, ys: np.ndarray, count: int, levels, step_mode: str):
+           nodes: np.ndarray, ys: np.ndarray, count: int, levels):
     """Forward X from X_level(nodes[s]) = ys[s] under each of count steerings.
 
-    levels holds per level the (z, u) arrays of shape (1 or s, count, w, d', d)
-    and (1 or s, count, w) over the w subtree nodes of each start. Returns X at
+    levels holds per level the (z, u) arrays of shape (1, count, w, d', d) and
+    (1, count, w) over the w subtree nodes of each start. Returns X at
     level + len(levels), shape (s, count, w, d'), nodes ascending.
     """
     dt, dpr, nc = tree.dt, problem.value_dim, 2 ** tree.d
@@ -647,39 +629,21 @@ def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: i
         idx = np.broadcast_to((nodes[:, None] * w + np.arange(w))[:, None, :], shape)
         b = tree.values[j][idx.reshape(rows)]
         x = X.reshape(rows, dpr)
-        if step_mode == "euler":
-            ctx = NodeContext(level=j, b=b, tree=tree)
-            p = x - np.asarray(problem.f(times[j], ctx, x, zr, ur)) * dt
-        else:
-            # P + f(t_j, P, z, u) dt = x by fixed point; each row stops at its own
-            # convergence, so it follows the same sequence as a one-row solve
-            p = x.copy()
-            live = np.arange(rows)
-            for _ in range(60):
-                ctx = NodeContext(level=j, b=b[live], tree=tree)
-                fv = np.asarray(problem.f(times[j], ctx, p[live], zr[live], ur[live]))
-                nxt = x[live] - fv * dt
-                done = np.max(np.abs(nxt - p[live]), axis=-1) < 1e-15
-                p[live] = nxt
-                live = live[~done]
-                if not live.size:
-                    break
+        ctx = NodeContext(level=j, b=b, tree=tree)
+        p = x - np.asarray(problem.f(times[j], ctx, x, zr, ur)) * dt
         dz = np.stack([z @ inc for inc in tree.increments], axis=-2)
         X = (p.reshape(shape + (1, dpr)) + dz).reshape(s, count, w * nc, dpr)
     return X
 
 
 def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                      node, y, z_values, step_mode: str = "inverse",
-                      extra_candidates=()):
+                      node, y, z_values):
     """min over enumerated (z,u) node-assignments of E_node |X_T - xi|^2, X_level = y.
 
-    The forward step inverts the backward Euler map (or takes an explicit Euler
-    step with step_mode='euler') and diffuses with the chosen z. extra_candidates
-    are (z_levels, u_levels) pairs of full-tree node-indexed arrays, evaluated in
-    addition to the grid assignments (used to inject a BSDE solution's own
-    steering). With an int node, returns (value, best-assignment-or-tag); with
-    node an int array (S,) and y of shape (S, d'), returns (values (S,), tags).
+    Each forward step is the explicit Euler step x - f(t_j, x, z, u) dt, and
+    child c adds z @ increment[c]. With an int node, returns (value, best
+    assignment or None); with node an int array (S,) and y of shape (S, d'),
+    returns (values (S,), tags), one such assignment per start.
     """
     if tree.mode != "path":
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
@@ -688,8 +652,7 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                   _as_z_matrices(z_values, dpr, d))
     nodes = np.asarray(node, dtype=np.intp).reshape(-1)
     ys = np.asarray(y, dtype=float).reshape(len(nodes), dpr)
-    extras = list(extra_candidates)
-    count = len(table) + len(extras)
+    count = len(table)
     width = (2 ** d) ** (n - level)
     times = tree.grid.times()
     values = np.empty(len(nodes))
@@ -698,13 +661,7 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
         leaves = (nodes[sl, None] * width + np.arange(width)).reshape(-1)
         ctx = NodeContext(level=n, b=tree.values[n][leaves], tree=tree)
         xi = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, 1, width, dpr)
-        X = _steer(problem, tree, times, level, nodes[sl], ys[sl], len(table), grid,
-                   step_mode)
-        if extras:
-            X = np.concatenate([X, _steer(
-                problem, tree, times, level, nodes[sl], ys[sl], len(extras),
-                _extra_steering(tree, level, nodes[sl], extras, dpr), step_mode)],
-                axis=1)
+        X = _steer(problem, tree, times, level, nodes[sl], ys[sl], count, grid)
         cost = np.mean(np.sum((X - xi) ** 2, axis=-1), axis=-1)
         # first index of the smallest cost; NaN never wins, all-inf keeps no tag
         cost[np.isnan(cost)] = np.inf
@@ -712,8 +669,7 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
         values[sl] = cost[np.arange(len(best)), best]
         winners, which = np.unique(np.where(values[sl] < np.inf, best, -1),
                                    return_inverse=True)
-        named = [None if a < 0 else tuple(table[a].tolist()) if a < len(table)
-                 else ("extra", int(a) - len(table)) for a in winners]
+        named = [None if a < 0 else tuple(table[a].tolist()) for a in winners]
         tags.extend(named[i] for i in which.tolist())
     if np.ndim(node) == 0:
         return float(values[0]), tags[0]
@@ -721,8 +677,7 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
 
 
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                           y_points, z_values,
-                           step_mode: str = "inverse") -> np.ndarray:
+                           y_points, z_values) -> np.ndarray:
     """W-tilde(level, node, y) on the tree, shape (nodes at level, probe points)."""
     y_points = np.asarray(y_points, dtype=float)
     if y_points.ndim == 1:
@@ -730,8 +685,7 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
     m = tree.node_count(level)
     vals, _ = dual_value_direct(problem, tree, level,
                                 np.repeat(np.arange(m), len(y_points)),
-                                np.tile(y_points, (m, 1)), z_values,
-                                step_mode=step_mode)
+                                np.tile(y_points, (m, 1)), z_values)
     return vals.reshape(m, len(y_points))
 
 
@@ -750,8 +704,7 @@ class GeometricDppReport:
 
 
 def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: int,
-                        eps: float, y_points, z_values,
-                        step_mode: str = "inverse") -> GeometricDppReport:
+                        eps: float, y_points, z_values) -> GeometricDppReport:
     """Empirical two-sided nodal-set inclusion between levels k1 < k2.
 
     For y in the eps-nodal set at k1: the best steering keeps all k2-successors'
@@ -767,8 +720,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     y_points = np.asarray(y_points, dtype=float)
     if y_points.ndim == 1:
         y_points = y_points[:, None]
-    wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values,
-                                 step_mode=step_mode)
+    wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values)
     table, segment = _steering_table(problem, tree, k1, k2,
                                      _as_z_matrices(z_values, dpr, d))
     m, npts = wt1.shape
@@ -779,13 +731,11 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     # steer_min: min over segment assignments of the max successor W-tilde at k2
     steer_min = np.empty(len(nodes))
     for sl in _chunks(len(nodes), len(table) * width * dpr):
-        xs = _steer(problem, tree, times, k1, nodes[sl], ys[sl], len(table), segment,
-                    step_mode)
+        xs = _steer(problem, tree, times, k1, nodes[sl], ys[sl], len(table), segment)
         succ = np.broadcast_to((nodes[sl, None] * width + np.arange(width))[:, None],
                                xs.shape[:3])
         w2, _ = dual_value_direct(problem, tree, k2, succ.reshape(-1),
-                                  xs.reshape(-1, dpr), z_values,
-                                  step_mode=step_mode)
+                                  xs.reshape(-1, dpr), z_values)
         worst = np.fmax.reduce(w2.reshape(xs.shape[:3]), axis=2, initial=0.0)
         steer_min[sl] = np.fmin.reduce(worst, axis=1, initial=np.inf)
 

@@ -49,6 +49,7 @@ from treebsde.benchmarks import (
     mv_restoration_check,
     forward_states,
     mv_moment_recursion,
+    onedim_restoration_check,
     onedim_witness_check,
     pa_closed_form,
     pa_restoration_check,
@@ -262,6 +263,21 @@ def _run_static_value(cfg: ExperimentConfig, out_dir: str):
     return checks, {"value": float(sv.value), "heuristic": sv.heuristic}, ["value.csv"]
 
 
+def _restoration_checks(check, levels, n: int) -> list:
+    """restoration-exact and stale-control-group-violates from the
+    RestorationReports of check(restored=True) and check(restored=False) on
+    levels; with no level to check, both fail with a reason."""
+    if not levels:
+        why = f"no restoration level lies in [1, n - 1] at n = {n}"
+        return [_check("restoration-exact", False, reason=why),
+                _check("stale-control-group-violates", False, reason=why)]
+    rest, stale = check(True), check(False)
+    return [_check("restoration-exact", rest.all_match,
+                   value=rest.violations, nodes=rest.nodes_checked),
+            _check("stale-control-group-violates",
+                   stale.violations >= 1, value=stale.violations)]
+
+
 def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
     bench = problems.benchmark(cfg.benchmark, cfg.T)
     checks, rows = [], []
@@ -294,6 +310,10 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
         checks.append(_check("witness-nodes-flip",
                              bool(wit.nodes) and wit.all_flip,
                              value=wit.min_margin, bound=0.0, nodes=len(wit.nodes)))
+        levels = sorted({cfg.n - 2, cfg.n - 1} & set(range(1, cfg.n)))
+        checks += _restoration_checks(
+            lambda restored: onedim_restoration_check(bench, tree, levels, restored),
+            levels, cfg.n)
         rows.append(("value", best, bench.optimal_value))
         rows.append(("witness_margin", wit.min_margin, 0.0))
     elif bench.identifier == "mean_variance":
@@ -313,12 +333,9 @@ def _run_benchmark_verify(cfg: ExperimentConfig, out_dir: str):
                              bound=1e-10))
         levels = tuple(sorted({max(1, cfg.n // 6), cfg.n // 3, cfg.n // 2,
                                2 * cfg.n // 3} - {0, cfg.n}))
-        rest = mv_restoration_check(bench, tree, levels=levels, restored=True)
-        stale = mv_restoration_check(bench, tree, levels=levels, restored=False)
-        checks.append(_check("restoration-exact", rest.all_match,
-                             value=rest.violations, nodes=rest.nodes_checked))
-        checks.append(_check("stale-control-group-violates",
-                             stale.violations >= 1, value=stale.violations))
+        checks += _restoration_checks(
+            lambda restored: mv_restoration_check(bench, tree, levels, restored),
+            levels, cfg.n)
         rows.append(("value", v, bench.optimal_value))
     elif bench.identifier == "principal_agent":
         tree = _tree(cfg, mode="path")
@@ -356,15 +373,14 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(cfg.T, cfg.n), config, levels=(0,))
-        eps = dual.default_eps() if cfg.eps is None else cfg.eps
-        nodal = extract_nodal_set(dual, 0, eps=eps)
+        nodal = extract_nodal_set(dual, 0, eps=cfg.eps)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
         checks.append(_check("dual-analytic-value",
                              abs(dsv.value - 0.5) <= cfg.value_tol, value=dsv.value,
                              bound=cfg.value_tol, target=0.5))
         export_nodal_set_csv(nodal, dual.times, os.path.join(out_dir, "nodal_set.csv"))
         files.append("nodal_set.csv")
-        extras = {"flavor": "deterministic-transport", "eps": float(eps),
+        extras = {"flavor": "deterministic-transport", "eps": nodal.eps,
                   "value": float(dsv.value)}
     else:
         config = HJBConfig(x_bounds=(-2.0, 2.0), dx=cfg.dx,
@@ -402,8 +418,7 @@ def _run_geometric_dpp(cfg: ExperimentConfig, out_dir: str):
         rhos, holds = [], []
         for n in ns:
             tree = build_tree(TimeGrid(cfg.T, n), d=1, mode="path")
-            rep = check_geometric_dpp(problem, tree, n - 2, n - 1, cfg.eps, pts, z_values,
-                                      step_mode="euler")
+            rep = check_geometric_dpp(problem, tree, n - 2, n - 1, cfg.eps, pts, z_values)
             rho = max(rep.rho_into, rep.rho_back)
             rhos.append(rho)
             holds.append(rep.inclusions_hold)

@@ -228,8 +228,7 @@ def test_acceptance_05_geometric_dpp_slack_shrinks():
         rhos = []
         for n in (4, 8):
             tree = build_tree(TimeGrid(1.0, n), d=1, mode="path")
-            rep = check_geometric_dpp(problem, tree, n - 2, n - 1, eps, pts,
-                                      z_values, step_mode="euler")
+            rep = check_geometric_dpp(problem, tree, n - 2, n - 1, eps, pts, z_values)
             ok = ok and rep.inclusions_hold
             rhos.append(max(rep.rho_into, rep.rho_back))
         ok = ok and rhos[1] <= rhos[0]

@@ -212,18 +212,24 @@ def test_pa_restoration_and_stale_control_group():
 
 def test_pa_carrier_value_matches_closed_form_factorization():
     """Tree value of a constant action factorizes into per-step tilted factors:
-    v = -exp(gamma_P (x_R + cost T)) * g(u)^n with
+    v = -exp(gamma_P (x_R + cost(u) T)) * g(u)^n with the agent's cost of the
+    probed action, cost(u) = (gamma_A - 1) u^2 / 2, and
     g(u) = cosh(gp (1-u) s) - u s sinh(gp (1-u) s), s = sqrt(dt)."""
-    pa = principal_agent(1.0, 1.0, -0.5, 1.0)
     tree = build_tree(TimeGrid(1.0, 5), d=1, mode="path")
-    a = pa.analytic
-    for u in (0.5, a["u_star"]):
-        s = np.sqrt(tree.dt)
-        th = a["gamma_P"] * (1.0 - u) * s
-        g = np.cosh(th) - u * s * np.sinh(th)
-        closed = -np.exp(a["gamma_P"] * (a["x_R"] + a["cost_rate"] * 1.0)) * g ** 5
-        assert float(pa_value(pa, tree, u)[0]) == pytest.approx(closed, rel=1e-12)
-        assert pa_closed_form(pa, tree, u) == pytest.approx(closed, rel=1e-12)
+    s = np.sqrt(tree.dt)
+    unit = principal_agent(1.0, 1.0, -0.5, 1.0)
+    # at gamma_A = 1 every action costs 0; at gamma_A = 2 u = 0.3 is off u*
+    for pa, actions in ((unit, (0.5, unit.analytic["u_star"])),
+                        (principal_agent(2.0, 1.0, -0.25, 1.0), (0.3,))):
+        a = pa.analytic
+        for u in actions:
+            th = a["gamma_P"] * (1.0 - u) * s
+            g = np.cosh(th) - u * s * np.sinh(th)
+            cost = 0.5 * (a["gamma_A"] - 1.0) * u * u
+            closed = -np.exp(a["gamma_P"] * (a["x_R"] + cost * 1.0)) * g ** 5
+            assert float(pa_value(pa, tree, u)[0]) == pytest.approx(closed, rel=1e-12)
+            assert pa_closed_form(pa, tree, u) == pytest.approx(closed, rel=1e-12)
+    assert closed == pytest.approx(-2.163215, abs=1e-6)
 
 
 def test_pa_terminal_closure_gives_the_pa_value_payout():

@@ -682,3 +682,37 @@ def test_slack_shrinks_fails_on_one_refinement_and_says_why(tmp_path, capsys):
     assert code == 1
     assert ("FAIL steering-slack-shrinks reason=needs two distinct refinements, "
             "got [3]") in out.out.splitlines()
+
+
+def _one_dim_checks(tmp_path, T, n):
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 1,
+                           "benchmark": "one_dim", "T": T, "n": n,
+                           "output_dir": str(tmp_path)})
+    return {c["name"]: c for c in run_experiment(cfg).report["checks"]}
+
+
+@pytest.mark.filterwarnings("ignore:dt = ")
+@pytest.mark.parametrize("T, n, nodes, stale", [
+    (2.4, 8, 64 + 128, 15), (1.0, 8, 64 + 128, 36), (2.4, 3, 2 + 4, 0),
+    (2.4, 2, 2, 0)])
+def test_one_dim_restores_on_levels_n_minus_2_and_n_minus_1(tmp_path, T, n, nodes,
+                                                             stale):
+    checks = _one_dim_checks(tmp_path, T, n)
+    rest = checks["restoration-exact"]
+    assert rest["passed"] and rest["value"] == 0 and rest["nodes"] == nodes
+    # on a coarse tree no stale node leaves u = -1, and the check says so
+    group = checks["stale-control-group-violates"]
+    assert group["value"] == stale and group["passed"] == (stale >= 1)
+
+
+@pytest.mark.filterwarnings("ignore:dt = ")
+@pytest.mark.parametrize("identifier", ["one_dim", "mean_variance"])
+def test_restoration_fails_with_a_reason_when_no_level_qualifies(tmp_path, identifier):
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 1,
+                           "benchmark": identifier, "n": 1,
+                           "output_dir": str(tmp_path)})
+    checks = {c["name"]: c for c in run_experiment(cfg).report["checks"]}
+    for name in ("restoration-exact", "stale-control-group-violates"):
+        assert not checks[name]["passed"] and "value" not in checks[name]
+        assert checks[name]["reason"] == ("no restoration level lies in "
+                                          "[1, n - 1] at n = 1")

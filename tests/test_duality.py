@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from treebsde import duality, problems
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import (BSDEProblem, ControlPolicy, EnumerationCapError,
-                           NodeContext, solve_bsde)
+from treebsde.bsde import BSDEProblem, EnumerationCapError, NodeContext
 from treebsde.duality import (
     ConfigError,
     DeterministicDualSpec,
@@ -522,26 +521,6 @@ def test_dual_value_direct_terminal_level():
     assert val == pytest.approx((0.2 - b) ** 2, abs=1e-14)
 
 
-def test_extra_candidates_reproduce_bsde_solution():
-    tree = build_tree(TimeGrid(T=0.75, n=3), d=1)
-    problem = BSDEProblem(
-        value_dim=1,
-        f=lambda t, ctx, y, z, u: -0.5 * y + 0.25 * z[:, :, 0],
-        terminal=lambda ctx: ctx.b[:, :1].copy(),
-        phi=lambda y: y[:, 0],
-        control_values=(0.0,),
-        lipschitz_L=0.75,
-    )
-    policy = ControlPolicy.constant(tree, 0.0)
-    sol = solve_bsde(problem, tree, policy)
-    y0 = sol.Y[0][0]
-    val, tag = dual_value_direct(
-        problem, tree, 0, 0, y0, z_values=(0.0,),
-        extra_candidates=[(sol.Z, policy.levels)])
-    assert val < 1e-24
-    assert tag == ("extra", 0)
-
-
 def test_conditional_dual_value_matches_closed_form():
     tree, problem = control_free_b_terminal(n=3, T=0.75)
     ys = np.linspace(-1.0, 1.0, 9)
@@ -596,27 +575,15 @@ def _zmats(z_values, dpr, d):
             else np.asarray(z, dtype=float).reshape(dpr, d) for z in z_values]
 
 
-def _ref_step(problem, tree, j, node, x, z, u, mode):
-    """One node's forward step: explicit Euler, or invert the backward Euler map."""
+def _ref_step(problem, tree, j, node, x, z, u):
+    """One node's explicit Euler forward step."""
     t = tree.grid.times()[j]
     ctx = NodeContext(level=j, b=tree.values[j][node:node + 1], tree=tree)
-    uarr = np.full(1, u)
-
-    def f(p):
-        return np.asarray(problem.f(t, ctx, p[None, :], z[None], uarr))[0]
-
-    if mode == "euler":
-        return x - f(x) * tree.dt
-    p = x.copy()
-    for _ in range(60):
-        nxt = x - f(p) * tree.dt
-        if np.max(np.abs(nxt - p)) < 1e-15:
-            return nxt
-        p = nxt
-    return p
+    fx = problem.f(t, ctx, x[None, :], z[None], np.full(1, u))
+    return x - np.asarray(fx)[0] * tree.dt
 
 
-def _ref_steer(problem, tree, level, node, y, stop, zu, mode):
+def _ref_steer(problem, tree, level, node, y, stop, zu):
     """{node at stop: X} from X_level(node) = y under zu[(j, i)] = (z, u)."""
     nc = 2 ** tree.d
     xs = {node: y}
@@ -624,7 +591,7 @@ def _ref_steer(problem, tree, level, node, y, stop, zu, mode):
         nxt = {}
         for i, x in xs.items():
             z, u = zu[(j, i)]
-            p = _ref_step(problem, tree, j, i, x, z, u, mode)
+            p = _ref_step(problem, tree, j, i, x, z, u)
             for c in range(nc):
                 nxt[i * nc + c] = p + z @ tree.increments[c]
         xs = nxt
@@ -644,7 +611,7 @@ def _ref_steerings(tree, level, node, stop, zmats, U, deterministic):
         yield a, dict(zip(slots, (pairs[p] for p in a)))
 
 
-def _ref_dual_value(problem, tree, level, node, y, z_values, mode, extras=()):
+def _ref_dual_value(problem, tree, level, node, y, z_values):
     n, dpr = tree.n, problem.value_dim
     y = np.asarray(y, dtype=float).reshape(dpr)
     leaves = tree.descendants(level, node, n)
@@ -652,7 +619,7 @@ def _ref_dual_value(problem, tree, level, node, y, z_values, mode, extras=()):
     xi = np.asarray(problem.terminal(ctx), dtype=float).reshape(-1, dpr)
 
     def cost(zu):
-        xs = _ref_steer(problem, tree, level, node, y, n, zu, mode)
+        xs = _ref_steer(problem, tree, level, node, y, n, zu)
         return float(np.mean(np.sum((np.stack([xs[i] for i in leaves]) - xi) ** 2,
                                     axis=1)))
 
@@ -662,16 +629,10 @@ def _ref_dual_value(problem, tree, level, node, y, z_values, mode, extras=()):
         val = cost(zu)
         if val < best:
             best, tag = val, a
-    for k, (zl, ul) in enumerate(extras):
-        val = cost({(j, i): (np.asarray(zl[j][i], dtype=float).reshape(dpr, tree.d),
-                             float(ul[j][i]))
-                    for j in range(level, n) for i in tree.descendants(level, node, j)})
-        if val < best:
-            best, tag = val, ("extra", k)
     return best, tag
 
 
-def _ref_geometric(problem, tree, k1, k2, eps, pts, z_values, mode):
+def _ref_geometric(problem, tree, k1, k2, eps, pts, z_values):
     zmats = _zmats(z_values, problem.value_dim, tree.d)
     rho_into = rho_back = 0.0
     nodal = steerable = 0
@@ -680,15 +641,15 @@ def _ref_geometric(problem, tree, k1, k2, eps, pts, z_values, mode):
             best = np.inf
             for _, zu in _ref_steerings(tree, k1, node, k2, zmats, problem.control_values,
                                         problem.deterministic_controls):
-                xs = _ref_steer(problem, tree, k1, node, y, k2, zu, mode)
+                xs = _ref_steer(problem, tree, k1, node, y, k2, zu)
                 worst = 0.0
                 for i, x in xs.items():
-                    w, _ = _ref_dual_value(problem, tree, k2, i, x, z_values, mode)
+                    w, _ = _ref_dual_value(problem, tree, k2, i, x, z_values)
                     worst = max(worst, w)
                     if worst >= best:
                         break
                 best = min(best, worst)
-            w1, _ = _ref_dual_value(problem, tree, k1, node, y, z_values, mode)
+            w1, _ = _ref_dual_value(problem, tree, k1, node, y, z_values)
             if w1 <= eps:
                 nodal += 1
                 rho_into = max(rho_into, best)
@@ -737,7 +698,6 @@ def test_batched_dual_value_matches_per_start_reference(data):
     z_values = tuple(data.draw(st.one_of(
         entry, st.lists(entry, min_size=dpr * d, max_size=dpr * d).map(
             lambda v: np.reshape(v, (dpr, d))))) for _ in range(nz))
-    mode = data.draw(st.sampled_from(("euler", "inverse")), label="mode")
     starts = data.draw(st.integers(1, 5), label="starts")
     nodes = np.array(data.draw(st.lists(
         st.integers(0, tree.node_count(level) - 1), min_size=starts,
@@ -745,49 +705,34 @@ def test_batched_dual_value_matches_per_start_reference(data):
     ys = np.array(data.draw(st.lists(
         st.one_of(entry, st.floats(-1.5, 1.5)), min_size=starts * dpr,
         max_size=starts * dpr))).reshape(starts, dpr)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16), label="seed"))
-    extras = [(tuple(rng.choice(_GRID, size=(tree.node_count(j), dpr, d))
-                     for j in range(n)),
-               tuple(rng.choice(problem.control_values, size=tree.node_count(j))
-                     for j in range(n)))
-              for _ in range(data.draw(st.integers(0, 2), label="extras"))]
     per_chunk = data.draw(st.sampled_from((None, 1, 2, 3)), label="starts per chunk")
 
-    count = (nz ** slots * nu ** (depth if problem.deterministic_controls else slots)
-             + len(extras))
+    count = nz ** slots * nu ** (depth if problem.deterministic_controls else slots)
     with pytest.MonkeyPatch.context() as mp:
         if per_chunk is not None:
             mp.setattr(duality, "_CHUNK_FLOATS",
                        per_chunk * count * 2 ** (d * depth) * dpr)
-        values, tags = dual_value_direct(problem, tree, level, nodes, ys, z_values,
-                                         step_mode=mode, extra_candidates=extras)
-    ref = [_ref_dual_value(problem, tree, level, int(i), y, z_values, mode, extras)
+        values, tags = dual_value_direct(problem, tree, level, nodes, ys, z_values)
+    ref = [_ref_dual_value(problem, tree, level, int(i), y, z_values)
            for i, y in zip(nodes, ys)]
     assert [float(v).hex() for v in values] == [v.hex() for v, _ in ref]
     assert tags == [tag for _, tag in ref]
-    one = dual_value_direct(problem, tree, level, int(nodes[0]), ys[0], z_values,
-                            step_mode=mode, extra_candidates=extras)
+    one = dual_value_direct(problem, tree, level, int(nodes[0]), ys[0], z_values)
     assert type(one[0]) is float and one[0].hex() == ref[0][0].hex()
     assert one[1] == ref[0][1]
 
 
-def test_exact_ties_keep_the_first_assignment_and_grid_before_extras():
+def test_exact_ties_keep_the_first_assignment():
     tree = build_tree(TimeGrid(T=0.5, n=2), d=1)
     problem = _row_problem(1, 0.5, 0.0, 0.0)   # f ignores z and u
     problem.control_values = (0.0, 1.0)
-    # one z value twice: all 4^3 assignments and the extra candidate tie exactly
+    # one z value twice: all 4^3 assignments tie exactly
     z_values = (0.7, 0.7)
-    half = tuple(np.full((tree.node_count(j), 1, 1), 0.7) for j in range(2))
-    extra = [(half, tuple(np.zeros(tree.node_count(j)) for j in range(2)))]
     values, tags = dual_value_direct(problem, tree, 0, np.array([0, 0]),
-                                     np.array([[0.1], [-0.3]]), z_values,
-                                     extra_candidates=extra)
+                                     np.array([[0.1], [-0.3]]), z_values)
     assert tags == [(0, 0, 0), (0, 0, 0)]
     for value, y in zip(values, (0.1, -0.3)):
-        assert value == _ref_dual_value(problem, tree, 0, 0, [y], z_values,
-                                        "inverse", extra)[0]
-        assert value == _ref_dual_value(problem, tree, 0, 0, [y], (), "inverse",
-                                        extra)[0]
+        assert value == _ref_dual_value(problem, tree, 0, 0, [y], z_values)[0]
 
 
 def test_nan_costs_never_win_and_all_inf_rows_keep_no_tag():
@@ -797,12 +742,12 @@ def test_nan_costs_never_win_and_all_inf_rows_keep_no_tag():
         f=lambda t, ctx, y, z, u: np.where(u[:, None] > 0, np.nan, 0.0) + 0.0 * y,
         terminal=lambda ctx: ctx.b[:, :1].copy(),
         phi=lambda y: y[:, 0], control_values=(1.0, 0.0), lipschitz_L=0.0)
-    val, tag = dual_value_direct(problem, tree, 0, 0, [0.2], (0.0,), step_mode="euler")
+    val, tag = dual_value_direct(problem, tree, 0, 0, [0.2], (0.0,))
     assert tag == (1,)
-    assert val == _ref_dual_value(problem, tree, 0, 0, [0.2], (0.0,), "euler")[0]
+    assert val == _ref_dual_value(problem, tree, 0, 0, [0.2], (0.0,))[0]
     problem.control_values = (1.0,)
     values, tags = dual_value_direct(problem, tree, 0, np.array([0]), np.array([[0.2]]),
-                                     (0.0,), step_mode="euler")
+                                     (0.0,))
     assert values.tolist() == [np.inf] and tags == [None]
 
 
@@ -828,18 +773,16 @@ def test_steering_cap_raises_before_any_generator_call(enumeration_cap):
     assert calls == []
 
 
-@pytest.mark.parametrize("mode", ["euler", "inverse"])
-def test_geometric_dpp_matches_per_start_reference(mode, monkeypatch):
+def test_geometric_dpp_matches_per_start_reference(monkeypatch):
     tree = build_tree(TimeGrid(T=0.75, n=3), d=1)
     problem = _row_problem(1, 0.5, 0.4, 0.4)
     problem.control_values = (0.0, 1.0)
     pts = np.linspace(-1.0, 1.0, 5)
     # two starts per chunk at k1 (4 segment assignments x 2 successors)
     monkeypatch.setattr(duality, "_CHUNK_FLOATS", 2 * 4 * 2)
-    rep = check_geometric_dpp(problem, tree, 1, 2, 0.4, pts, (0.0, 0.6),
-                              step_mode=mode)
+    rep = check_geometric_dpp(problem, tree, 1, 2, 0.4, pts, (0.0, 0.6))
     rho_into, rho_back, nodal, steerable = _ref_geometric(
-        problem, tree, 1, 2, 0.4, pts[:, None], (0.0, 0.6), mode)
+        problem, tree, 1, 2, 0.4, pts[:, None], (0.0, 0.6))
     assert (rep.rho_into.hex(), rep.rho_back.hex()) == (rho_into.hex(), rho_back.hex())
     assert (rep.nodal_count, rep.steerable_count) == (nodal, steerable)
     assert nodal > 0 and steerable > 0
@@ -857,8 +800,7 @@ def test_steering_takes_one_control_per_level_under_deterministic_controls(
     with enumeration_cap(4):
         value, tag = dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
     assert tag[1] == tag[2]  # the two level-7 slots share their control
-    assert value == _ref_dual_value(problem, tree, 6, 0, [0.5, 0.5], z_values,
-                                    "inverse")[0]
+    assert value == _ref_dual_value(problem, tree, 6, 0, [0.5, 0.5], z_values)[0]
     problem.deterministic_controls = False
     with enumeration_cap(4), pytest.raises(
             EnumerationCapError, match="^8 steering assignments exceed cap 4$"):

@@ -23,7 +23,6 @@ OUTSIDE = sorted([path for path in (ROOT / "src/treebsde").glob("_*.py")]
 
 # Reached only from tests today; the list may only shrink.
 ALLOWED = {
-    "benchmarks.onedim_restoration_check",
     "bsde.envelope_bsde",
     "bsde.reachable_set",
     "dynutil.check_comparison",
