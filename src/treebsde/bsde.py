@@ -22,14 +22,15 @@ through PolicySpace, which fixes:
   * cap: more than ENUMERATION_CAP assignments raise EnumerationCapError
     before any solve;
   * cost: _search (static_value's enumeration, envelope_bsde,
-    benchmarks.subtree_argmax, dynutil.check_comparison), reachable_set and
-    dynutil.check_linear_comparison run the kernel _solve_chunks, from the
-    problem's terminal data or the caller's: one generator call per level for a
-    chunk of assignments stacked along the node axis, at most _CHUNK_FLOATS
-    child floats per chunk; a subtree space solves only its node's descendant
-    rows. maximize_over_policies (behind master.ForwardValue) and
-    master.check_forward_dpp's segment loop still run one solve_bsde per
-    policy: the benchmark's counters count solves per policy on that path.
+    benchmarks.subtree_argmax, dynutil.check_comparison, master.ForwardValue),
+    reachable_set and dynutil.check_linear_comparison run the kernel
+    _solve_chunks, from the problem's terminal data, the caller's, or a stack
+    of the caller's: one generator call per level for a chunk of (terminal
+    array, assignment) pairs stacked along the node axis, at most
+    _CHUNK_FLOATS child floats per chunk; a subtree space solves only its
+    node's descendant rows. Only master.check_forward_dpp still runs one
+    solve_bsde per policy, through maximize_over_policies and its own segment
+    loop: the benchmark's counters count solves per policy on that path.
 
 Deterministic frontier contract. static_value and dynutil.deterministic_phi
 use the kernel _frontier when the problem sets deterministic_controls, its
@@ -334,18 +335,22 @@ _CHUNK_FLOATS = 1 << 13
 
 
 def _solve_chunks(problem: BSDEProblem, space: PolicySpace, eta=None):
-    """(first assignment index, Y, u) for consecutive chunks of p assignments of
-    space in lexicographic order, solved from eta, the (m_k, d') terminal data
-    at space.terminal_level (problem.terminal's when None): Y[i] and u[i] are
-    Y, (p, m, d'), and the controls, (p, m), at level space.start_level + i,
-    with m that level's rows (its subtree rows for a node's subtree space).
+    """(first pair index, Y, u) for consecutive chunks of p (terminal array,
+    assignment) pairs, solved from eta at space.terminal_level: the (m_k, d')
+    terminal data (problem.terminal's when None), or a stack of S of them,
+    (S, m_k, d'). Pair q solves stack q // space.size under assignment
+    q % space.size, so from one terminal array q is the assignment index. A
+    chunk holds whole stacks, or consecutive assignments of one stack. Y[i]
+    and u[i] are Y, (p, m, d'), and the controls, (p, m), at level
+    space.start_level + i, with m that level's rows (its subtree rows for a
+    node's subtree space; stacks are needed only for full spaces).
 
-    solve_bsde's scheme under every assignment of a chunk at once: the
-    (assignment, node) pairs are flattened into the node axis, with ctx.b tiled,
-    so each level costs one problem.f call per chunk. A subtree space solves
-    only its node's descendants (path mode only). Controls are space.policy's.
-    More than ENUMERATION_CAP assignments raise EnumerationCapError before any
-    generator call; the probe and the step-size warning are solve_bsde's.
+    solve_bsde's scheme under every pair of a chunk at once: the (pair, node)
+    rows are flattened into the node axis, with ctx.b tiled, so each level
+    costs one problem.f call per chunk. A subtree space solves only its node's
+    descendants (path mode only). Controls are space.policy's. More than
+    ENUMERATION_CAP assignments raise EnumerationCapError before any generator
+    call; the probe and the step-size warning are solve_bsde's.
     """
     space.check_cap()
     tree, start, k = space.tree, space.start_level, space.terminal_level
@@ -354,23 +359,27 @@ def _solve_chunks(problem: BSDEProblem, space: PolicySpace, eta=None):
     # the node rows each level solves: all, or the subtree's
     rows = {j: range(tree.node_count(j)) if space.node is None
             else tree.descendants(start, space.node, j) for j in range(start, k + 1)}
+    if eta is None:
+        eta = _terminal(problem, tree, k)
+    eta = np.asarray(eta, dtype=float).reshape(
+        -1, tree.node_count(k), dpr)[:, rows[k].start:rows[k].stop]
     widest = max((len(rows[j]) * nc for j in range(start, k)), default=1) * dpr
-    chunk = min(space.size, max(1, _CHUNK_FLOATS // widest))
+    per = max(1, _CHUNK_FLOATS // widest)  # pairs per chunk at most
+    # a chunk: g stacks (whole ones when g > 1) under `chunk` consecutive assignments
+    chunk, g = min(per, space.size), max(1, min(len(eta), per // space.size))
     U = np.asarray(space.control_values, dtype=float)
     # per level, each row's slot; non-slot rows read an extra all-zero digit
     col = {j: np.full(len(rows[j]), len(space.slots)) for j in range(start, k)}
     for s, (j, i) in enumerate(space.slots):
         col[j][slice(None) if i is None else i - rows[j].start] = s
-    if eta is None:
-        eta = _terminal(problem, tree, k)
-    eta = np.tile(eta[rows[k].start:rows[k].stop], (chunk, 1))
-    bs = {j: np.tile(tree.values[j][rows[j].start:rows[j].stop], (chunk, 1))
+    bs = {j: np.tile(tree.values[j][rows[j].start:rows[j].stop], (g * chunk, 1))
           for j in range(start, k)}
     times = tree.grid.times()
-    for lo in range(0, space.size, chunk):
-        p = min(chunk, space.size - lo)
+    for s0, a in itertools.product(range(0, len(eta), g), range(0, space.size, chunk)):
+        ys, us = [np.repeat(eta[s0:s0 + g], min(chunk, space.size - a), axis=0)], []
+        lo, p = s0 * space.size + a, len(ys[0])
+        # the lowest base-|U| digits of pair q are those of assignment q % size
         digits = np.pad(space.digits(lo, lo + p), ((0, 0), (0, 1)))
-        ys, us = [eta[:p * len(rows[k])].reshape(p, -1, dpr)], []
         for j in range(k - 1, start - 1, -1):
             m = len(rows[j])
             us.append(U[digits[:, col[j]]])  # (p, m)
@@ -397,9 +406,10 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            terminal_level: int | None = None,
                            terminal_rv: TreeRandomVariable | None = None):
     """Per-node max at start_level of objective(Y_{start_level}) over segment
-    policies, one solve_bsde per policy. Its one caller is master.ForwardValue:
-    the benchmark counts that route's solves and policies through this
-    function, so it stays until those counters read the batched _search.
+    policies, one solve_bsde per policy. Its one caller is
+    master.check_forward_dpp: the benchmark counts that route's solves and
+    policies through this function, so it stays until those counters read the
+    batched _search.
 
     objective maps (m, d') -> (m,). Returns (per-node max values, per-node argmax
     assignments, enumerated count, False: no maximum is heuristic).
@@ -443,25 +453,30 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
 
 def _search(problem: BSDEProblem, space: PolicySpace, objective, eta=None):
     """(max of objective(Y), index of the first assignment reaching it) per
-    start-level row of _solve_chunks from the terminal data eta, two (m,)
-    arrays; -1 marks a row no assignment wins.
+    start-level row of _solve_chunks from the terminal data eta: two (m,)
+    arrays, or two (S, m) arrays, one row per stack, when eta is a stack of S;
+    -1 marks a row no assignment wins.
 
-    objective maps (k, d') -> (k,), like phi, its rows in (assignment, node)
-    order. Strict improvements across chunks and the first index within one
-    give maximize_over_policies' winner: ties keep the first assignment, a NaN
-    value counts as -inf, and a row whose every value is -inf has no winner."""
+    objective maps (k, d') -> (k,), like phi, its rows in (pair, node) order.
+    Within each stack, strict improvements across chunks and the first index
+    within one give maximize_over_policies' winner: ties keep the first
+    assignment, a NaN value counts as -inf, and a row whose every value is -inf
+    has no winner."""
+    stacked, size = np.ndim(eta) == 3, space.size
+    m = space.tree.node_count(space.start_level) if space.node is None else 1
+    best = np.full((len(eta) if stacked else 1, m), -np.inf)
+    first = np.full(best.shape, -1)
     for lo, (y, *_), _ in _solve_chunks(problem, space, eta):
-        p, m, dpr = y.shape
-        vals = np.asarray(objective(y.reshape(p * m, dpr)), dtype=float).reshape(p, m)
+        vals = np.asarray(objective(y.reshape(-1, y.shape[-1])), dtype=float)
+        vals = vals.reshape(-1, min(len(y), size), m)  # (stacks, assignments, m)
         vals = np.where(np.isnan(vals), -np.inf, vals)
-        i = np.argmax(vals, axis=0)
-        top = vals[i, np.arange(m)]
-        if lo == 0:
-            best, first = np.full(m, -np.inf), np.full(m, -1)
-        better = top > best
-        best = np.where(better, top, best)
-        first = np.where(better, lo + i, first)
-    return best, first
+        i = np.argmax(vals, axis=1)
+        top = vals[np.arange(len(vals))[:, None], i, np.arange(m)]
+        s = slice(lo // size, lo // size + len(vals))
+        better = top > best[s]
+        best[s] = np.where(better, top, best[s])
+        first[s] = np.where(better, lo % size + i, first[s])
+    return (best, first) if stacked else (best[0], first[0])
 
 
 # ---------------------------------------------------------------------------

@@ -543,9 +543,11 @@ def _run_forward_dpp(cfg: ExperimentConfig, out_dir: str):
     pairs = [(rng.normal(size=(m, 1)), rng.normal(size=(m, 1)))
              for _ in range(cfg.pairs)]
     lrep = check_lipschitz(p_scalar, tree, 2, pairs)
+    why = {} if lrep.pairs_checked else {
+        "reason": f"all {lrep.skipped} pairs closer than 1e-14; none checked"}
     checks.append(_check("lipschitz-transport-bound", lrep.passed,
                          value=lrep.max_ratio, bound=lrep.bound,
-                         pairs=lrep.pairs_checked))
+                         pairs=lrep.pairs_checked, **why))
     write_csv(os.path.join(out_dir, "residuals.csv"),
               ("case", "n", "t1", "t2", "residual"), rows)
     return checks, {"lipschitz_ratio": lrep.max_ratio}, ["residuals.csv"]

@@ -3,12 +3,14 @@
 Psi(t, eta) = max over policies on [0, t) of phi(Y_0) with terminal data eta at
 level t. This module provides:
 
-  * ForwardValue: enumeration-exact evaluation of Psi;
+  * ForwardValue: enumeration-exact evaluation of Psi for a stack of eta at
+    once, on the batched search of bsde;
   * check_forward_dpp: the concatenation identity
       Psi(t2, eta) = max over [t1,t2)-policies of Psi(t1, Y_{t1}(t2, eta)),
-    an exact identity under full enumeration;
+    an exact identity under full enumeration, run one solve_bsde per policy
+    (bsde.maximize_over_policies), the route the benchmark counts;
   * check_lipschitz: |Psi(t,a) - Psi(t,b)| <= e^{2(1+L)LT} Lip(phi) ||a-b||
-    in the tree-L2 norm;
+    in the tree-L2 norm, every pair's values from one ForwardValue.values;
   * CylinderFunctional / path_derivative_probe: caller-supplied closed-form
     path functionals with their time/path derivatives, validated by the
     discrete pathwise Ito identity on tree transitions (dB^2 = dt exactly);
@@ -16,8 +18,9 @@ level t. This module provides:
       D-_t Psi - <D_eta Psi, induced-dt eta + 1/2 tr d_bb eta>
                - sup_u <D_eta Psi, f(t, eta, d_b eta, u)>
     where D-_t freezes the path at the previous level (keeping the functional's
-    time slot), D_eta is probed by per-node central bumps, and the induced
-    time-derivative of a fixed-slot cylinder is zero;
+    time slot), D_eta is probed by per-node central bumps (one
+    ForwardValue.values call), and the induced time-derivative of a
+    fixed-slot cylinder is zero;
   * illposed_demo: two generators agreeing at z = 0 whose sup-terms coincide
     bit-wise under a shared derivative input while their forward values differ
     by a positive gap — one equation, two value functions.
@@ -34,6 +37,7 @@ from treebsde.bsde import (
     NodeContext,
     PolicySpace,
     StructureError,
+    _search,
     maximize_over_policies,
     solve_bsde,
 )
@@ -45,20 +49,22 @@ class InvalidCylinderError(ValueError):
 
 @dataclass
 class ForwardValue:
-    """Evaluator for Psi(t, eta) on a fixed problem and tree."""
+    """Evaluator for Psi(t, eta) on a fixed problem and tree: one bsde._search
+    over the policies on [0, t) solves a whole stack of eta."""
 
     problem: BSDEProblem
     tree: ScenarioTree
 
+    def values(self, level: int, etas) -> np.ndarray:
+        """Psi(level, eta) for each eta of a stack (S, m_level, d'), S floats."""
+        etas = np.asarray(etas, dtype=float).reshape(
+            len(etas), self.tree.node_count(level), self.problem.value_dim)
+        best, _ = _search(self.problem, PolicySpace(self.problem, self.tree, 0, level),
+                          self.problem.phi, etas)
+        return best[:, 0]
+
     def value(self, level: int, eta) -> float:
-        eta = np.asarray(eta, dtype=float).reshape(
-            self.tree.node_count(level), self.problem.value_dim)
-        rv = TreeRandomVariable(level=level, values=eta)
-        vals, _, _, _ = maximize_over_policies(
-            self.problem, self.tree,
-            lambda y: np.asarray(self.problem.phi(y), dtype=float).reshape(-1),
-            start_level=0, terminal_level=level, terminal_rv=rv)
-        return float(vals[0])
+        return float(self.values(level, [eta])[0])
 
 
 @dataclass(frozen=True)
@@ -69,19 +75,30 @@ class ForwardDppReport:
 def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int,
                       eta) -> ForwardDppReport:
     """Residual of the forward concatenation identity between levels t1 < t2,
-    zero to rounding under full enumeration."""
+    zero to rounding under full enumeration.
+
+    Every Psi here runs one solve_bsde per policy, through
+    maximize_over_policies, as does the segment loop: the benchmark counts
+    this route's solves and policies. ForwardValue gives the same floats."""
     if not 0 <= t1 <= t2 <= tree.n:
         raise ValueError(f"need 0 <= t1 <= t2 <= n, got {t1}, {t2}")
     segment = PolicySpace(problem, tree, t1, t2).policies()
-    fv = ForwardValue(problem, tree)
-    direct = fv.value(t2, eta)
+
+    def psi(level, values):
+        vals, _, _, _ = maximize_over_policies(
+            problem, tree, lambda y: np.asarray(problem.phi(y), dtype=float).reshape(-1),
+            start_level=0, terminal_level=level,
+            terminal_rv=TreeRandomVariable(level=level, values=values))
+        return float(vals[0])
+
     eta_arr = np.asarray(eta, dtype=float).reshape(
         tree.node_count(t2), problem.value_dim)
+    direct = psi(t2, eta_arr)
     rv = TreeRandomVariable(level=t2, values=eta_arr)
     best = -np.inf
     for _, pol in segment:
         sol = solve_bsde(problem, tree, pol, terminal_level=t2, terminal_rv=rv)
-        best = max(best, fv.value(t1, sol.Y[t1]))
+        best = max(best, psi(t1, sol.Y[t1]))
     return ForwardDppReport(residual=abs(direct - best))
 
 
@@ -96,28 +113,27 @@ class LipschitzReport:
 
 def check_lipschitz(problem: BSDEProblem, tree: ScenarioTree, level: int,
                     pairs) -> LipschitzReport:
-    """max |Psi(t,a) - Psi(t,b)| / ||a-b||_L2(tree) against e^{2(1+L)LT} Lip(phi)."""
+    """max |Psi(t,a) - Psi(t,b)| / ||a-b||_L2(tree) against e^{2(1+L)LT} Lip(phi).
+
+    Pairs closer than 1e-14 are skipped; both sides of every other pair come
+    from one ForwardValue.values call. With no pair checked, nothing passes."""
     if problem.phi_lipschitz is None:
         raise ValueError("check_lipschitz needs problem.phi_lipschitz declared")
-    fv = ForwardValue(problem, tree)
     probs = tree.probs[level]
     L = problem.lipschitz_L
     bound = float(np.exp(2.0 * (1.0 + L) * L * tree.grid.T) * problem.phi_lipschitz)
-    max_ratio = 0.0
-    checked = skipped = 0
-    for eta1, eta2 in pairs:
-        a = np.asarray(eta1, dtype=float).reshape(tree.node_count(level), -1)
-        b = np.asarray(eta2, dtype=float).reshape(tree.node_count(level), -1)
-        dist = float(np.sqrt(np.sum(probs[:, None] * (a - b) ** 2)))
-        if dist < 1e-14:
-            skipped += 1
-            continue
-        checked += 1
-        ratio = abs(fv.value(level, a) - fv.value(level, b)) / dist
-        max_ratio = max(max_ratio, ratio)
-    return LipschitzReport(pairs_checked=checked, skipped=skipped,
+    m, dpr = tree.node_count(level), problem.value_dim
+    ab = np.asarray(pairs, dtype=float).reshape(-1, 2, m, dpr)
+    # one sum per pair keeps each distance's summation order, and so its bits
+    dist = np.sqrt(np.array([np.sum(probs[:, None] * (a - b) ** 2) for a, b in ab]))
+    checked = ~(dist < 1e-14)
+    psi = ForwardValue(problem, tree).values(level, ab[checked].reshape(-1, m, dpr))
+    ratios = np.abs(psi[0::2] - psi[1::2]) / dist[checked]
+    max_ratio = max([0.0, *ratios.tolist()])
+    count = int(checked.sum())
+    return LipschitzReport(pairs_checked=count, skipped=len(ab) - count,
                            max_ratio=max_ratio, bound=bound,
-                           passed=max_ratio <= bound * (1 + 1e-9))
+                           passed=count > 0 and max_ratio <= bound * (1 + 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +233,16 @@ def eta_derivative(fv: ForwardValue, level: int, eta: np.ndarray) -> np.ndarray:
     """Riesz density of D_eta Psi w.r.t. the tree-L2 pairing, by central bumps.
 
     Bump size is 1e-4 * (1 + |eta|) per node/component; the slope divided by
-    the node probability gives the density.
+    the node probability gives the density. All 2 m d' bumped eta are one
+    ForwardValue.values call.
     """
-    tree = fv.tree
-    m = tree.node_count(level)
-    dpr = fv.problem.value_dim
-    probs = tree.probs[level]
-    D = np.empty((m, dpr))
-    for i in range(m):
-        for k in range(dpr):
-            h = 1e-4 * (1.0 + abs(eta[i, k]))
-            up = eta.copy()
-            up[i, k] += h
-            dn = eta.copy()
-            dn[i, k] -= h
-            slope = (fv.value(level, up) - fv.value(level, dn)) / (2 * h)
-            D[i, k] = slope / probs[i]
-    return D
+    h = 1e-4 * (1.0 + np.abs(eta))
+    k = np.arange(eta.size)
+    bumped = np.repeat(eta[None], 2 * eta.size, axis=0).reshape(2, eta.size, eta.size)
+    bumped[0, k, k] += h.ravel()
+    bumped[1, k, k] -= h.ravel()
+    up, dn = fv.values(level, bumped.reshape(-1, *eta.shape)).reshape(2, *eta.shape)
+    return (up - dn) / (2 * h) / fv.tree.probs[level][:, None]
 
 
 def _sup_term(f, control_values, tree: ScenarioTree, level: int, t: float,

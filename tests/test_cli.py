@@ -9,7 +9,7 @@ from dataclasses import fields as dc_fields
 
 import pytest
 
-from treebsde import dynutil, problems
+from treebsde import dynutil, experiments, problems
 from treebsde.benchmarks import BenchmarkError
 from treebsde.cli import main
 from treebsde.experiments import (
@@ -364,6 +364,22 @@ def test_master_residual_halves_dt_around_n(tmp_path):
                        match="^field 'refinements': master-residual does not read it"):
         validate_config({"experiment": "master-residual", "seed": 0,
                          "refinements": [4, 8, 16]})
+
+
+def test_forward_dpp_names_the_skipped_pairs_when_no_pair_is_checked(tmp_path, monkeypatch):
+    def bound_check(name):
+        cfg = validate_config({"experiment": "forward-dpp", "seed": 0, "pairs": 3,
+                               "output_dir": str(tmp_path / name)})
+        return next(c for c in run_experiment(cfg).report["checks"]
+                    if c["name"] == "lipschitz-transport-bound")
+
+    assert "reason" not in bound_check("drawn")
+    check_lipschitz = experiments.check_lipschitz
+    monkeypatch.setattr(experiments, "check_lipschitz", lambda p, tree, level, pairs:
+                        check_lipschitz(p, tree, level, [(a, a) for a, _ in pairs]))
+    check = bound_check("identical")
+    assert (check["passed"], check["pairs"], check["reason"]) == (
+        False, 0, "all 3 pairs closer than 1e-14; none checked")
 
 
 def test_validate_checks_mode_and_refinements_where_they_are_read():

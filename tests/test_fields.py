@@ -20,9 +20,7 @@ ALLOWED = {
     "bsde.EnvelopeReport.max_residual",
     "bsde.EnvelopeReport.consistent",
     "dynutil.ComparisonReport.checked",
-    "dynutil.ComparisonReport.skipped",
     "dynutil.ComparisonReport.worst_slack",
-    "master.LipschitzReport.skipped",
     "master.PathDerivativeReport.max_residual",
 }
 

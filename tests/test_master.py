@@ -1,11 +1,15 @@
 """Forward value function, its concatenation identity, cylinder calculus,
 stationarity residual, and the two-generator gap demonstration."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from treebsde.lattice import TimeGrid, build_tree
+from treebsde import bsde, problems
+from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
 from treebsde.bsde import (
-    BSDEProblem, EnumerationCapError, NodeContext, StructureError, maximize_over_policies,
+    BSDEProblem, EnumerationCapError, NodeContext, PolicySpace, StructureError,
+    maximize_over_policies,
 )
 from treebsde.master import (
     CylinderFunctional,
@@ -123,6 +127,91 @@ def test_lipschitz_ratio_within_bound():
     assert rep.skipped == 1
     assert rep.passed
     assert rep.max_ratio <= rep.bound
+
+
+@pytest.mark.filterwarnings("ignore:dt = .* exceeds the comparison-preserving bound")
+def test_lipschitz_with_no_pair_checked_does_not_pass():
+    tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
+    same = np.ones((tree.node_count(2), 1))
+    rep = check_lipschitz(problems.scalar_drift_problem(), tree, 2, [(same, same.copy())])
+    assert (rep.pairs_checked, rep.skipped, rep.max_ratio, rep.passed) == (0, 1, 0.0, False)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _illposed_problem(index):
+    return BSDEProblem(value_dim=1, f=default_illposed_generators()[index],
+                       terminal=lambda ctx: ctx.b[:, :1].copy(), phi=lambda y: y[:, 0],
+                       control_values=(0.0,), lipschitz_L=1.0)
+
+
+def _floored(problem):
+    """problem with phi floored to halves: many policies tie at the maximum."""
+    return dataclasses.replace(problem, phi=lambda y: np.floor(2.0 * y[:, 0]))
+
+
+# problem, tree mode, tree steps, level of the terminal data
+FORWARD_CASES = {
+    "scalar-drift": (problems.scalar_drift_problem, "path", 3, 2),
+    "scalar-drift-ties": (lambda: _floored(problems.scalar_drift_problem()), "path", 3, 2),
+    "coupled-two-dim": (coupled_two_dim_problem, "path", 2, 2),
+    "level-controls": (problems.level_controls_problem, "recombining", 6, 4),
+    "illposed-f1": (lambda: _illposed_problem(0), "path", 4, 2),
+    "illposed-f2": (lambda: _illposed_problem(1), "path", 4, 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore:dt = .* exceeds the comparison-preserving bound")
+@pytest.mark.parametrize("pairs_per_chunk", [1, 3, 8, 4096])
+@pytest.mark.parametrize("case", FORWARD_CASES)
+def test_stacked_forward_values_match_the_per_eta_search_and_the_per_policy_route(
+        case, pairs_per_chunk, monkeypatch):
+    ctor, mode, n, level = FORWARD_CASES[case]
+    problem, tree = ctor(), build_tree(TimeGrid(1.0, n), d=1, mode=mode)
+    m, dpr = tree.node_count(level), problem.value_dim
+    # child floats of one pair at the widest level, node_count(level - 1) rows
+    monkeypatch.setattr(bsde, "_CHUNK_FLOATS",
+                        pairs_per_chunk * tree.node_count(level - 1) * 2 * dpr)
+    rng = np.random.default_rng(np.random.Philox(11))
+    # the last two stacks make phi NaN, then -inf or NaN, under every policy
+    etas = np.concatenate([rng.normal(size=(5, m, dpr)), np.full((1, m, dpr), np.nan),
+                           np.full((1, m, dpr), -np.inf)])
+    space = PolicySpace(problem, tree, 0, level)
+    bsde.probe_lipschitz(problem, tree)  # its calls are not the solve's
+    calls, f = [], problem.f
+    problem.f = lambda *args: calls.append(1) or f(*args)
+    best, first = bsde._search(problem, space, problem.phi, etas)
+    searched = len(calls)
+    chunks = [(lo, len(y)) for lo, (y, *_), _ in bsde._solve_chunks(problem, space, etas)]
+    assert searched == len(chunks) * level  # one problem.f call per level per chunk
+    assert max(p for _, p in chunks) <= pairs_per_chunk
+    assert [lo for lo, _ in chunks] == np.cumsum([0] + [p for _, p in chunks[:-1]]).tolist()
+    assert sum(p for _, p in chunks) == len(etas) * space.size
+    assert _bits(ForwardValue(problem, tree).values(level, etas)) == _bits(best[:, 0])
+    assert best[-2:, 0].tolist() == [-np.inf, -np.inf] and first[-2:, 0].tolist() == [-1, -1]
+    for eta, top, index in zip(etas, best, first):
+        one = bsde._search(problem, space, problem.phi, eta)
+        assert _bits(one[0]) == _bits(top) and _bits(one[1]) == _bits(index)
+        vals, assigns, _, _ = maximize_over_policies(
+            problem, tree, lambda y: problem.phi(y), terminal_level=level,
+            terminal_rv=TreeRandomVariable(level, eta))
+        assert _bits(vals) == _bits(top)
+        assert assigns == [space.assignment(index[0]) if index[0] >= 0 else None]
+
+
+def test_stacked_forward_values_refuse_over_cap_before_any_generator_call(enumeration_cap):
+    problem = problems.scalar_drift_problem()
+    tree = build_tree(TimeGrid(1.0, 3), d=1, mode="path")
+    calls, f = [], problem.f
+    problem.f = lambda *args: calls.append(1) or f(*args)
+    etas = np.zeros((2, tree.node_count(3), 1))
+    with enumeration_cap(10), pytest.raises(EnumerationCapError,
+                                            match="128 policies exceed cap 10"):
+        ForwardValue(problem, tree).values(3, etas)
+    assert calls == []
 
 
 def test_lipschitz_requires_declared_phi_constant():

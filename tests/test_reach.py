@@ -9,7 +9,8 @@ either feeds a verdict one day or goes. References are matched by name alone.
 A second scan keeps the per-policy search for caller-supplied terminal data:
 every call of ``maximize_over_policies`` in ``src/treebsde`` passes
 ``terminal_rv=``. A third keeps the per-policy loops, ``maximize_over_policies``
-and ``PolicySpace.policies``, in ``bsde.py`` and ``master.py``.
+and ``PolicySpace.policies``, in ``bsde.maximize_over_policies`` and
+``master.check_forward_dpp``.
 """
 import ast
 import pathlib
@@ -104,17 +105,51 @@ def test_per_policy_searches_take_caller_terminal_data():
             if "terminal_rv" not in keywords] == []
 
 
-# Modules that may call the per-policy loops; the set may only shrink. The
+def callers(source: str, funcs) -> set:
+    """The top-level function, or Class.method, around each call of a name in
+    funcs (by name or as an attribute); a class body's own calls give Class
+    and module-level calls ``<module>``."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                        else node.name, item) for item in node.body]
+        else:
+            scopes.append((node.name if isinstance(node, ast.FunctionDef)
+                           else "<module>", node))
+    return {scope for scope, node in scopes for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", getattr(call.func, "attr", None)) in funcs}
+
+
+def test_caller_scan_names_the_enclosing_definition():
+    source = ("def outer():\n"
+              "    def inner():\n"
+              "        return f(1)\n"
+              "    return inner\n"
+              "class K:\n"
+              "    def method(self):\n"
+              "        return self.space.f()\n"
+              "    x = f(2)\n"
+              "def other():\n"
+              "    return g(f)\n"
+              "f(3)\n")
+    assert callers(source, {"f"}) == {"outer", "K.method", "K", "<module>"}
+    assert callers(source, {"g", "h"}) == {"other"}
+
+
+# Functions that may call the per-policy loops; the set may only shrink. The
 # benchmark counts solves and policies through maximize_over_policies.
-PER_POLICY = {"bsde.py", "master.py"}
+PER_POLICY = {"bsde.maximize_over_policies", "master.check_forward_dpp"}
 
 
-def test_per_policy_loops_stay_in_their_modules():
+def test_per_policy_loops_stay_in_their_functions():
     """Each policy of maximize_over_policies or PolicySpace.policies costs one
     solve_bsde; every other search runs on the batched kernel."""
-    found = {path.name for path in sorted((ROOT / "src/treebsde").glob("*.py"))
-             for func in ("maximize_over_policies", "policies")
-             if calls(path.read_text(encoding="utf-8"), func)}
+    found = {f"{path.stem}.{scope}"
+             for path in sorted((ROOT / "src/treebsde").glob("*.py"))
+             for scope in callers(path.read_text(encoding="utf-8"),
+                                  {"maximize_over_policies", "policies"})}
     assert found == PER_POLICY
 
 
