@@ -31,10 +31,18 @@ def _cmd_run(args) -> int:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
-    try:
-        result = run_experiment(cfg)
-    except Exception as exc:  # runtime failure, not a check verdict
-        print(f"runtime error: {exc}", file=sys.stderr)
+    import warnings  # not at module level: only this command records them
+    # printed as bare messages: a warning's location would be the first frame
+    # outside the package, under `python -m` one of runpy's
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result, error = run_experiment(cfg), None
+        except Exception as exc:  # runtime failure, not a check verdict
+            result, error = None, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"runtime error: {error}", file=sys.stderr)
         return 2
     for check in result.report["checks"]:
         words = ["PASS" if check["passed"] else "FAIL", check["name"]]

@@ -16,9 +16,11 @@ Unless the spec declares f_bound, the CFL rate takes sup|f| over the grid at
 every tree-level time, with a safety factor.
 
 Row blocks. Each substep splits the grid's first axis into row blocks of at
-most _BLOCK_FLOATS grid floats, each read with a one-row halo, and runs them on
-a pool of one thread per core this process may use (inline for one block or
-one core). Each block writes only its own rows of a second W buffer, so W is
+most _BLOCK_FLOATS grid floats, each read with a one-row halo, and the blocks
+into one contiguous band per thread, one thread per core this process may use
+(inline for one block or one core). A band runs its blocks in order in one
+scratch set sized for its tallest block, so scratch grows with cores, not
+blocks. Each block writes only its own rows of the next W buffer, so W is
 identical, bit for bit, for any block or worker count. f is called on one
 block's rows at a time, possibly from several worker threads at once, and g and
 the CFL estimate of sup|f| see the whole grid; so f and g must act point by
@@ -211,11 +213,13 @@ def _gradient_rows(f, r0: int, r1: int, h: float, out) -> None:
 
 # Grid floats per row block of an explicit HJB substep; a grid of at most this
 # many floats runs as one block, inline. The 501 x 501 transport grid runs as 4
-# blocks. On a 2-core host its 256-level solve took 11-12 s at 2^13 floats
-# (32 blocks), 7.1 s at 2^14, 5.1 s at 2^15, 4.5 s at 2^16, 4.6-5.0 s at 2^17
-# and 7.7-8.2 s at 2^18 (one block, one thread): small blocks lose more to
-# handing the interpreter lock between threads than they gain, and 2^16 peaks
-# 2 MB below 2^17.
+# blocks, two per band on a 2-core host. There, with one scratch set per block,
+# its 256-level solve took 11-12 s at 2^13 floats (32 blocks), 7.1 s at 2^14,
+# 5.1 s at 2^15, 4.5 s at 2^16, 4.6-5.0 s at 2^17 and 7.7-8.2 s at 2^18 (one
+# block, one thread): small blocks lose more to handing the interpreter lock
+# between threads than they gain. With one scratch set per band, the solve
+# alone in a fresh process peaks at 45 MB RSS at 2^15, 48 MB at 2^16 and 55 MB
+# at 2^17.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -281,22 +285,35 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(grid: TimeGrid, held: tuple, W, sub: int, min_rows: int,
-           make_block) -> np.ndarray:
-    """Roll W from level n back to 0 in `sub` substeps per level; returns the
-    slices of the levels in `held` (W is the terminal one).
+def _sweep(grid: TimeGrid, held: tuple, out, sub: int, min_rows: int,
+           make_step) -> None:
+    """Roll W from level n, held in out[-1], back to 0 in `sub` substeps per
+    level, writing the slice of each level in `held` into its slot of out.
 
-    make_block(r0, r1) returns a step (W, nxt, t) that writes rows [r0, r1) of
-    nxt from W. The steps of one substep run on a thread pool, or inline on one
-    core or for one block, and the two buffers swap once all are done.
+    make_step(rows) returns a step (W, nxt, t, r0, r1) that writes rows
+    [r0, r1) of nxt from W, with one scratch set for blocks of up to `rows`
+    rows. The row blocks fall into one contiguous band per worker, each band
+    running its blocks in order on one step; the bands of a substep run on a
+    thread pool (inline for one band), and the next substep waits for all.
+    The substep that ends a held level writes its slot; the others alternate
+    between two rolling buffers, the first being level 0's slot when that is
+    held, so that the substep before each slot write fills the second.
     """
-    steps = [make_block(r0, r1) for r0, r1 in _row_blocks(*W.shape, min_rows)]
+    blocks = _row_blocks(*out.shape[1:], min_rows)
+    workers = min(_worker_count(), len(blocks))
+    bands = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
+             for i in range(workers)]
+    jobs = [(make_step(max(r1 - r0 for r0, r1 in band)), band) for band in bands]
     slot = {lv: i for i, lv in enumerate(held)}
-    out = np.empty((len(held),) + W.shape)
-    out[-1] = W
-    nxt = np.empty_like(W)
+    rolling = (out[0] if held[0] == 0 else np.empty(out.shape[1:]),
+               np.empty(out.shape[1:]))
     dts = grid.dt / sub
-    workers = min(_worker_count(), len(steps))
+
+    def run(job, W, nxt, t):
+        step, band = job
+        for r0, r1 in band:
+            step(W, nxt, t, r0, r1)
+
     pool = None
     if workers > 1:
         # imported here: the import takes ~7 ms, which every process that
@@ -304,32 +321,35 @@ def _sweep(grid: TimeGrid, held: tuple, W, sub: int, min_rows: int,
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
     try:
-        t = grid.T
+        W, t = out[-1], grid.T
         for level in range(grid.n - 1, -1, -1):
-            for _ in range(sub):
+            # the next slot write ends `stop`, the highest held level at or
+            # below this one; `left` counts the substeps after this one to it
+            stop = max((lv for lv in held if lv <= level), default=0)
+            for k in range(sub):
+                left = (level - stop + 1) * sub - 1 - k
+                nxt = (out[slot[level]] if left == 0 and level in slot
+                       else rolling[left % 2])
                 if pool is None:
-                    for step in steps:
-                        step(W, nxt, t)
+                    for job in jobs:
+                        run(job, W, nxt, t)
                 else:
-                    for _ in pool.map(lambda step: step(W, nxt, t), steps):
+                    for _ in pool.map(lambda job: run(job, W, nxt, t), jobs):
                         pass
-                W, nxt = nxt, W
+                W = nxt
                 t -= dts
-            if level in slot:
-                out[slot[level]] = W
     finally:
         if pool is not None:
             pool.shutdown()
-    return out
 
 
 def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig,
                    levels=None) -> DualGrid:
     """Backward explicit finite-difference solve of the dual HJB on [0, T].
 
-    The sweep rolls one W buffer from T down to 0 and copies out the slices
-    of the tree levels in `levels` (None: every level) plus the terminal
-    level n, which default_eps reads; levels outside [0, n] raise ConfigError.
+    The sweep rolls W from T down to 0 and keeps the slices of the tree
+    levels in `levels` (None: every level) plus the terminal level n, which
+    default_eps reads; levels outside [0, n] raise ConfigError.
     Each level runs the fewest substeps that satisfy the CFL bound.
     """
     held = _held_levels(grid, levels)
@@ -366,8 +386,8 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
     min_rows = _check_axes((xs, ys), 4, "edge stencils")
     dx, dy = config.dx, config.dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    gx = np.asarray(spec.g(X))
-    W = (Y - gx) ** 2
+    out = np.empty((len(held), len(xs), len(ys)))
+    out[-1] = (Y - np.asarray(spec.g(X))) ** 2
     zmax = max(abs(z) for z in config.z_values)
     times = grid.times()
     # estimate sup|f| over the grid and every tree-level time unless declared
@@ -381,23 +401,29 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
                     fmax = max(fmax, float(np.abs(
                         np.asarray(spec.f(t, X, Y, z, u))).max()))
         fmax *= 1.5
+    # f sees each block's points in its band's scratch, not views of these
+    del X, Y
     rate = 1.0 / dx ** 2 + zmax ** 2 / dy ** 2 + zmax / (dx * dy) + fmax / dy
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
 
-    def make_block(r0, r1):
-        lo, hi = max(r0 - 1, 0), min(r1 + 1, len(xs))
-        own = (r0 - lo, r1 - lo)
-        Xb, Yb = X[r0:r1], Y[r0:r1]
-        rows, cols = r1 - r0, len(ys)
-        d = np.empty((rows, cols + 1))
-        bwd, fwd = d[:, :-1], d[:, 1:]
-        Dxx, Dyy, Dxy, zpart, sel, cand, best = (np.empty((rows, cols))
-                                                 for _ in range(7))
-        Dy = np.empty((hi - lo, cols))
-        up = np.empty(Xb.shape, dtype=bool)
+    def make_step(rows):
+        cols = len(ys)
+        # Xb, Yb, Dxx, ... below; every row of Yb is ys, Xb's rows are
+        # written per block
+        planes = [np.empty((rows, cols)) for _ in range(9)]
+        planes[1][:] = ys
+        d_rows, Dy_rows = np.empty((rows, cols + 1)), np.empty((rows + 2, cols))
+        up_rows = np.empty((rows, cols), dtype=bool)
 
-        def step(W, nxt, t):
+        def step(W, nxt, t, r0, r1):
+            lo, hi = max(r0 - 1, 0), min(r1 + 1, len(xs))
+            own = (r0 - lo, r1 - lo)
+            Xb, Yb, Dxx, Dyy, Dxy, zpart, sel, cand, best = (
+                a[:r1 - r0] for a in planes)
+            Xb[:] = xs[r0:r1, None]
+            d, Dy, up = d_rows[:r1 - r0], Dy_rows[:hi - lo], up_rows[:r1 - r0]
+            bwd, fwd = d[:, :-1], d[:, 1:]
             # the x stencils read the halo slab, whose edge rows are either the
             # grid's own edges or halo rows, so only the grid's edges take the
             # one-sided rows
@@ -433,7 +459,7 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
             np.maximum(Dxx, 0.0, out=nxt[r0:r1])
         return step
 
-    out = _sweep(grid, held, W, sub, min_rows, make_block)
+    _sweep(grid, held, out, sub, min_rows, make_step)
     return DualGrid(kind="markovian", times=times, axes=(xs, ys), levels=held,
                     W=out, config=config, substeps=sub)
 
@@ -444,11 +470,13 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     y2 = _axis(config.y_bounds, config.dy)
     min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    # component-first: each y[..., k] plane of a row block is contiguous
-    pts = np.moveaxis(np.stack([Y1, Y2]), 0, -1)
+    # component-first: each y[..., k] plane of a row block is contiguous; the
+    # stack is the only copy of the points
+    pts = np.moveaxis(np.stack(np.meshgrid(y1, y2, indexing="ij", copy=False)),
+                      0, -1)
     t1, t2 = spec.target
-    W = (Y1 - t1) ** 2 + (Y2 - t2) ** 2
+    out = np.empty((len(held), len(y1), len(y2)))
+    out[-1] = (pts[..., 0] - t1) ** 2 + (pts[..., 1] - t2) ** 2
     times = grid.times()
     if spec.f_bound is not None:
         fmax = np.broadcast_to(np.asarray(spec.f_bound, dtype=float), (2,))
@@ -463,15 +491,18 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
 
-    def make_block(r0, r1):
-        rows, cols = r1 - r0, len(y2)
-        P = pts[r0:r1]
-        d0, d1 = np.empty((rows + 1, cols)), np.empty((rows, cols + 1))
-        b0, f0d, b1, f1d = d0[:-1], d0[1:], d1[:, :-1], d1[:, 1:]
-        sel, p, best = (np.empty((rows, cols)) for _ in range(3))
-        up = np.empty((rows, cols), dtype=bool)
+    def make_step(rows):
+        cols = len(y2)
+        d0_rows, d1_rows = np.empty((rows + 1, cols)), np.empty((rows, cols + 1))
+        planes = [np.empty((rows, cols)) for _ in range(3)]
+        up_rows = np.empty((rows, cols), dtype=bool)
 
-        def step(W, nxt, t):
+        def step(W, nxt, t, r0, r1):
+            P = pts[r0:r1]
+            d0, d1 = d0_rows[:r1 - r0 + 1], d1_rows[:r1 - r0]
+            b0, f0d, b1, f1d = d0[:-1], d0[1:], d1[:, :-1], d1[:, 1:]
+            sel, p, best = (a[:r1 - r0] for a in planes)
+            up = up_rows[:r1 - r0]
             # W = max(W - dts * max_u [f0 * sel0 + f1 * sel1], 0), one buffer
             # per intermediate: the bits of max(W + dts * min_u [(-f0) * sel0
             # - f1 * sel1], 0), as negation is exact and W never holds -0
@@ -495,7 +526,7 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
             np.maximum(best, 0.0, out=nxt[r0:r1])
         return step
 
-    out = _sweep(grid, held, W, sub, min_rows, make_block)
+    _sweep(grid, held, out, sub, min_rows, make_step)
     return DualGrid(kind="deterministic", times=times, axes=(y1, y2),
                     levels=held, W=out, config=config, substeps=sub)
 

@@ -202,6 +202,23 @@ def test_module_entry_point_runs():
     assert "illposed-demo" in proc.stdout
 
 
+def test_module_entry_point_prints_each_warning_once_without_a_location(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    doc = {"experiment": "benchmark-verify", "seed": 0, "benchmark": "one_dim",
+           "T": 2.4, "n": 3, "output_dir": str(tmp_path / "runs")}
+    proc = subprocess.run([sys.executable, "-m", "treebsde", "run",
+                           write_config(tmp_path, doc)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode in (0, 1)
+    lines = proc.stderr.splitlines()
+    assert sum(line.startswith("warning: dt = 0.8 exceeds") for line in lines) == 1
+    assert all(line.startswith("warning: ") for line in lines)
+    assert "<frozen" not in proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("report: ")
+
+
 def test_validate_rejects_illposed_demo_above_ten_steps():
     with pytest.raises(ConfigValidationError,
                        match="field 'n': illposed-demo runs on at most 10 tree steps"):

@@ -237,6 +237,31 @@ def test_transport_solve_peak_memory_stays_small():
     assert peak < 16 * 2 ** 20
 
 
+def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
+    # 8 row blocks of at most 26 rows on 2 workers; in grid arrays G of
+    # 201 x 201 floats the solve holds 2 level slices (0 and n), 1 rolling
+    # buffer, 2 point planes, per worker one scratch set for 26 rows (2
+    # padded differences, 3 planes and a mask: 0.67 G) and one f output of
+    # 2 planes (0.26 G), 6.9 G in all; before the sweep the points, slices
+    # and three terminal temporaries make 7 G. One more G covers the rest.
+    spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
+    monkeypatch.setattr(duality, "_worker_count", lambda: 2)
+    solve_dual_hjb(spec, TimeGrid(0.02, 1), config)  # lazy imports, pool start
+    seen = []
+    f = spec.f
+    spec = dataclasses.replace(spec, f=lambda t, y, u: seen.append(len(y)) or f(t, y, u))
+    tracemalloc.start()
+    try:
+        dual = solve_dual_hjb(spec, TimeGrid(0.5, 4), config, levels=(0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dual.W.shape == (2, 201, 201) and sorted(set(seen)) == [25, 26]
+    assert len(seen) == 8 * 2 * 4 * dual.substeps
+    assert peak < 8 * dual.W[0].nbytes
+
+
 def _transport_exact_w0(y, T):
     """W(0, y) = dist^2(p, K) for the relaxed-control transport dual, p = (y1 + T y2, y2),
     K = {0 <= b <= T, b + b^2/2 <= a <= (1+T) b - b^2/2}; the distance to the
@@ -306,15 +331,17 @@ def _recording(spec, seen):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("layout", ("one", "two", "three", "min"))
+@pytest.mark.parametrize("layout", ("one", "two", "three", "five", "min"))
 @pytest.mark.parametrize("kind", sorted(BLOCK_CASES))
 def test_row_blocks_reproduce_the_one_block_solve(kind, layout, workers, monkeypatch):
+    # "five" on 2 workers puts uneven blocks in two bands, so the shorter
+    # blocks of a band run in a slice of scratch sized for its tallest
     make_spec, grid, config, min_rows = BLOCK_CASES[kind]
     monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1 << 30)
     ref = solve_dual_hjb(make_spec(), grid, config)
     rows, cols = ref.W.shape[1:]
     height = {"one": rows, "two": -(-rows // 2), "three": -(-rows // 3),
-              "min": 1}[layout]
+              "five": -(-rows // 5), "min": 1}[layout]
     monkeypatch.setattr(duality, "_BLOCK_FLOATS", height * cols)
     monkeypatch.setattr(duality, "_worker_count", lambda: workers)
     seen = []
@@ -336,8 +363,8 @@ def test_row_blocks_reproduce_the_one_block_solve(kind, layout, workers, monkeyp
         assert min(heights) == min_rows and max(heights) <= min_rows + 1
         assert len(heights) == rows // min_rows
     else:
-        assert len(heights) == {"one": 1, "two": 2, "three": 3}[layout]
-    if layout == "three":
+        assert len(heights) == {"one": 1, "two": 2, "three": 3, "five": 5}[layout]
+    if layout in ("three", "five"):
         assert len(set(heights)) > 1
 
 
