@@ -31,13 +31,15 @@ through PolicySpace, which fixes:
     node's descendant rows. Only master.check_forward_dpp still runs one
     solve_bsde per policy, through maximize_over_policies and its own segment
     loop: the benchmark's counters count solves per policy on that path.
+    The dynamic utility Phi_t of a deterministic generator is the forward
+    value Psi(t, .) of master.ForwardValue, so it is computed in one place.
 
-Deterministic frontier contract. static_value and dynutil.deterministic_phi
-use the kernel _frontier when the problem sets deterministic_controls, its
-terminal data is node-constant and _probe_deterministic (every control, 8
-levels) finds f independent of z and of the node. The kernel moves the
-attainable Y values back one level at a time (Z = 0, one f call per level and
-control, steps y + f*dt as in solve_bsde) and drops exact duplicates: exact
+Deterministic frontier contract. static_value uses the kernel _frontier when
+the problem sets deterministic_controls, its terminal data is node-constant
+and _probe_deterministic (every control, 8 levels) finds f independent of z
+and of the node. The kernel moves the attainable Y values back one level at a
+time (Z = 0, one f call per level and control, steps y + f*dt as in
+solve_bsde) and drops exact duplicates: exact
 while the |U|^k policies fit under ENUMERATION_CAP. Above it, the kernel prunes
 points dominated along the first s in product((1, -1)) order that each level's
 own points respect under one-coordinate bumps by s_i times their spread (step

@@ -13,7 +13,9 @@ Explicit schemes: central second differences (second-order one-sided at edges),
 four-point mixed stencil via gradient composition, first-order upwinding for the
 advection, CFL-limited substeps, W clipped below at zero after each substep.
 Unless the spec declares f_bound, the CFL rate takes sup|f| over the grid at
-every tree-level time, with a safety factor.
+every tree-level time, with a safety factor. A solve keeps W at two tree
+levels only: 0, whose nodal set gives the static value, and the terminal level
+n. Its substeps alternate between level 0's slice and one spare buffer.
 
 Row blocks. Each substep splits the grid's first axis into row blocks of at
 most _BLOCK_FLOATS grid floats, each read with a one-row halo, and the blocks
@@ -24,11 +26,12 @@ blocks. Each block writes only its own rows of the next W buffer, so W is
 identical, bit for bit, for any block or worker count. f is called on one
 block's rows at a time, possibly from several worker threads at once, and g and
 the CFL estimate of sup|f| see the whole grid; so f and g must act point by
-point, and f must be thread-safe. Deterministic points arrive component-first:
-y has shape (rows, cols, 2), but each y[..., k] plane is contiguous, so an f
-that allocates its output with np.empty_like(y) returns contiguous components
-and the step reads them without copies. An f of any other layout (an
-np.stack(..., axis=-1), say) gives the same W, only slower.
+point, and f must be thread-safe. Each band holds its block's points in its
+scratch; only the CFL estimate builds the whole grid's. Deterministic points
+arrive component-first: y has shape (rows, cols, 2), but each y[..., k] plane
+is contiguous, so an f that allocates its output with np.empty_like(y) returns
+contiguous components and the step reads them without copies. An f of any
+other layout (an np.stack(..., axis=-1), say) gives the same W, only slower.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates. Each one runs the forward process
@@ -65,7 +68,6 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 
@@ -138,13 +140,17 @@ class DualGrid:
     kind: str          # "markovian" | "deterministic"
     times: np.ndarray  # every tree-level time, increasing
     axes: tuple        # markovian: (xs, ys); deterministic: (y1s, y2s)
-    levels: tuple      # ascending tree levels held in W, always ending at n
-    W: np.ndarray      # (len(levels), len(axes[0]), len(axes[1])); W[i] is levels[i]
+    W: np.ndarray      # (2, len(axes[0]), len(axes[1])): W at levels 0 and n
     config: HJBConfig
     substeps: int
 
+    @property
+    def levels(self) -> tuple:
+        """The tree levels held in W: 0 and n."""
+        return (0, len(self.times) - 1)
+
     def at(self, level: int) -> np.ndarray:
-        """The W slice of tree level `level`; ValueError unless that level is held."""
+        """The W slice of tree level 0 or n; ValueError for any other level."""
         try:
             return self.W[self.levels.index(level)]
         except ValueError:
@@ -217,9 +223,9 @@ def _gradient_rows(f, r0: int, r1: int, h: float, out) -> None:
 # its 256-level solve took 11-12 s at 2^13 floats (32 blocks), 7.1 s at 2^14,
 # 5.1 s at 2^15, 4.5 s at 2^16, 4.6-5.0 s at 2^17 and 7.7-8.2 s at 2^18 (one
 # block, one thread): small blocks lose more to handing the interpreter lock
-# between threads than they gain. With one scratch set per band, the solve
-# alone in a fresh process peaks at 45 MB RSS at 2^15, 48 MB at 2^16 and 55 MB
-# at 2^17.
+# between threads than they gain. With one scratch set per band, which holds
+# the band's points too, the solve alone in a fresh process peaks at 41 MB RSS
+# at 2^15, 46 MB at 2^16 and 55 MB at 2^17.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -285,28 +291,24 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(grid: TimeGrid, held: tuple, out, sub: int, min_rows: int,
-           make_step) -> None:
-    """Roll W from level n, held in out[-1], back to 0 in `sub` substeps per
-    level, writing the slice of each level in `held` into its slot of out.
+def _sweep(grid: TimeGrid, out, sub: int, min_rows: int, make_step) -> None:
+    """Roll W from level n, held in out[1], back to level 0 in `sub` substeps
+    per level, ending in out[0].
 
     make_step(rows) returns a step (W, nxt, t, r0, r1) that writes rows
     [r0, r1) of nxt from W, with one scratch set for blocks of up to `rows`
     rows. The row blocks fall into one contiguous band per worker, each band
     running its blocks in order on one step; the bands of a substep run on a
     thread pool (inline for one band), and the next substep waits for all.
-    The substep that ends a held level writes its slot; the others alternate
-    between two rolling buffers, the first being level 0's slot when that is
-    held, so that the substep before each slot write fills the second.
+    The substeps alternate between out[0] and one spare buffer, so that the
+    last one writes out[0].
     """
     blocks = _row_blocks(*out.shape[1:], min_rows)
     workers = min(_worker_count(), len(blocks))
     bands = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
              for i in range(workers)]
     jobs = [(make_step(max(r1 - r0 for r0, r1 in band)), band) for band in bands]
-    slot = {lv: i for i, lv in enumerate(held)}
-    rolling = (out[0] if held[0] == 0 else np.empty(out.shape[1:]),
-               np.empty(out.shape[1:]))
+    buffers = (out[0], np.empty(out.shape[1:]))
     dts = grid.dt / sub
 
     def run(job, W, nxt, t):
@@ -321,54 +323,36 @@ def _sweep(grid: TimeGrid, held: tuple, out, sub: int, min_rows: int,
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
     try:
-        W, t = out[-1], grid.T
-        for level in range(grid.n - 1, -1, -1):
-            # the next slot write ends `stop`, the highest held level at or
-            # below this one; `left` counts the substeps after this one to it
-            stop = max((lv for lv in held if lv <= level), default=0)
-            for k in range(sub):
-                left = (level - stop + 1) * sub - 1 - k
-                nxt = (out[slot[level]] if left == 0 and level in slot
-                       else rolling[left % 2])
-                if pool is None:
-                    for job in jobs:
-                        run(job, W, nxt, t)
-                else:
-                    for _ in pool.map(lambda job: run(job, W, nxt, t), jobs):
-                        pass
-                W = nxt
-                t -= dts
+        W, t = out[1], grid.T
+        # left counts the substeps after this one
+        for left in range(grid.n * sub - 1, -1, -1):
+            nxt = buffers[left % 2]
+            if pool is None:
+                for job in jobs:
+                    run(job, W, nxt, t)
+            else:
+                for _ in pool.map(lambda job: run(job, W, nxt, t), jobs):
+                    pass
+            W = nxt
+            t -= dts
     finally:
         if pool is not None:
             pool.shutdown()
 
 
-def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig,
-                   levels=None) -> DualGrid:
+def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
     """Backward explicit finite-difference solve of the dual HJB on [0, T].
 
-    The sweep rolls W from T down to 0 and keeps the slices of the tree
-    levels in `levels` (None: every level) plus the terminal level n, which
-    default_eps reads; levels outside [0, n] raise ConfigError.
-    Each level runs the fewest substeps that satisfy the CFL bound.
+    The sweep rolls W from T down to 0 and keeps W at level 0, whose nodal
+    set gives the static value, and at the terminal level n, which
+    default_eps reads. Each level runs the fewest substeps that satisfy the
+    CFL bound.
     """
-    held = _held_levels(grid, levels)
     if isinstance(spec, MarkovianDualSpec):
-        return _solve_markovian(spec, grid, config, held)
+        return _solve_markovian(spec, grid, config)
     if isinstance(spec, DeterministicDualSpec):
-        return _solve_deterministic(spec, grid, config, held)
+        return _solve_deterministic(spec, grid, config)
     raise TypeError(f"unsupported dual spec {type(spec)!r}")
-
-
-def _held_levels(grid: TimeGrid, levels) -> tuple:
-    """Ascending tree levels a solve keeps: the requested ones plus n."""
-    if levels is None:
-        return tuple(range(grid.n + 1))
-    held = {operator.index(lv) for lv in levels}
-    bad = sorted(lv for lv in held if not 0 <= lv <= grid.n)
-    if bad:
-        raise ConfigError(f"levels {bad} outside the tree levels [0, {grid.n}]")
-    return tuple(sorted(held | {grid.n}))
 
 
 def _cfl_substeps(grid: TimeGrid, rate: float) -> int:
@@ -379,15 +363,15 @@ def _cfl_substeps(grid: TimeGrid, rate: float) -> int:
     return max(1, int(np.ceil(grid.dt / dt_max)))
 
 
-def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
-                     held: tuple) -> DualGrid:
+def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
+                     config: HJBConfig) -> DualGrid:
     xs = _axis(config.x_bounds, config.dx)
     ys = _axis(config.y_bounds, config.dy)
     min_rows = _check_axes((xs, ys), 4, "edge stencils")
     dx, dy = config.dx, config.dy
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    out = np.empty((len(held), len(xs), len(ys)))
-    out[-1] = (Y - np.asarray(spec.g(X))) ** 2
+    out = np.empty((2, len(xs), len(ys)))
+    out[1] = (Y - np.asarray(spec.g(X))) ** 2
     zmax = max(abs(z) for z in config.z_values)
     times = grid.times()
     # estimate sup|f| over the grid and every tree-level time unless declared
@@ -459,46 +443,53 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid, config: HJBConfig,
             np.maximum(Dxx, 0.0, out=nxt[r0:r1])
         return step
 
-    _sweep(grid, held, out, sub, min_rows, make_step)
-    return DualGrid(kind="markovian", times=times, axes=(xs, ys), levels=held,
-                    W=out, config=config, substeps=sub)
+    _sweep(grid, out, sub, min_rows, make_step)
+    return DualGrid(kind="markovian", times=times, axes=(xs, ys), W=out,
+                    config=config, substeps=sub)
 
 
 def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
-                         config: HJBConfig, held: tuple) -> DualGrid:
+                         config: HJBConfig) -> DualGrid:
     y1 = _axis(config.y_bounds, config.dy)
     y2 = _axis(config.y_bounds, config.dy)
     min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
-    # component-first: each y[..., k] plane of a row block is contiguous; the
-    # stack is the only copy of the points
-    pts = np.moveaxis(np.stack(np.meshgrid(y1, y2, indexing="ij", copy=False)),
-                      0, -1)
     t1, t2 = spec.target
-    out = np.empty((len(held), len(y1), len(y2)))
-    out[-1] = (pts[..., 0] - t1) ** 2 + (pts[..., 1] - t2) ** 2
+    out = np.empty((2, len(y1), len(y2)))
+    out[1] = (y1[:, None] - t1) ** 2 + (y2[None, :] - t2) ** 2
     times = grid.times()
     if spec.f_bound is not None:
         fmax = np.broadcast_to(np.asarray(spec.f_bound, dtype=float), (2,))
     else:
+        # component-first, as the blocks see their points
+        pts = np.moveaxis(np.stack(np.meshgrid(y1, y2, indexing="ij", copy=False)),
+                          0, -1)
         fmax = np.zeros(2)
         for t in times:
             for u in spec.control_values:
-                fv = np.asarray(spec.f(t, pts, u))
-                fmax = np.maximum(fmax, np.abs(fv).reshape(-1, 2).max(axis=0))
+                fv = np.abs(np.asarray(spec.f(t, pts, u))).reshape(-1, 2)
+                fmax = np.maximum(fmax, fv.max(axis=0))
         fmax = fmax * 1.2
+        # f sees each block's points in its band's scratch, not views of these
+        del pts, fv
     rate = fmax[0] / dy + fmax[1] / dy
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
 
     def make_step(rows):
         cols = len(y2)
+        # component-first points: every row of the y2 plane is y2, the y1
+        # plane's rows are written per block
+        pts_rows = np.empty((2, rows, cols))
+        pts_rows[1] = y2
         d0_rows, d1_rows = np.empty((rows + 1, cols)), np.empty((rows, cols + 1))
         planes = [np.empty((rows, cols)) for _ in range(3)]
         up_rows = np.empty((rows, cols), dtype=bool)
 
         def step(W, nxt, t, r0, r1):
-            P = pts[r0:r1]
+            pb = pts_rows[:, :r1 - r0]
+            pb[0] = y1[r0:r1, None]
+            P = np.moveaxis(pb, 0, -1)
             d0, d1 = d0_rows[:r1 - r0 + 1], d1_rows[:r1 - r0]
             b0, f0d, b1, f1d = d0[:-1], d0[1:], d1[:, :-1], d1[:, 1:]
             sel, p, best = (a[:r1 - r0] for a in planes)
@@ -526,9 +517,9 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
             np.maximum(best, 0.0, out=nxt[r0:r1])
         return step
 
-    _sweep(grid, held, out, sub, min_rows, make_step)
-    return DualGrid(kind="deterministic", times=times, axes=(y1, y2),
-                    levels=held, W=out, config=config, substeps=sub)
+    _sweep(grid, out, sub, min_rows, make_step)
+    return DualGrid(kind="deterministic", times=times, axes=(y1, y2), W=out,
+                    config=config, substeps=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -790,13 +781,11 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
 # CSV export (the artifact format of treebsde.artifacts)
 
 
-def export_dual_grid_csv(dual: DualGrid, path: str, levels=None) -> None:
-    """One (t, axis 0, axis 1, W) row per grid point of each level in `levels`
-    (None: every held level); a level the solve did not keep raises first."""
+def export_dual_grid_csv(dual: DualGrid, path: str) -> None:
+    """One (t, axis 0, axis 1, W) row per grid point of level 0."""
     names = ("t", "x", "y", "W") if dual.kind == "markovian" else ("t", "y1", "y2", "W")
-    levels = dual.levels if levels is None else levels
-    slices = [(dual.times[lv], dual.at(lv)) for lv in levels]
-    write_csv(path, names, ((t, a, b, W[i, j]) for t, W in slices
+    W = dual.at(0)
+    write_csv(path, names, ((dual.times[0], a, b, W[i, j])
                             for i, a in enumerate(dual.axes[0])
                             for j, b in enumerate(dual.axes[1])))
 

@@ -1,11 +1,12 @@
 """Dynamic utility functions with a two-component linear weight construction.
 
 A dynamic utility assigns to each (time level, node) a function of the value
-vector, reducing the two-dimensional control problem to a scalar one. This
-module provides:
+vector, reducing the two-dimensional control problem to a scalar one. The
+utility Phi_t built from a deterministic generator, by maximizing phi(Y_0)
+over the controls on [0, t), is the forward value Psi(t, .) with the same eta
+on every node: master.ForwardValue computes it, in one place. This module
+provides:
 
-  * deterministic_phi: the utility built from a deterministic generator by
-    maximizing over deterministic controls on [0, t] (Z = 0 branch);
   * check_comparison: a node-wise order-preservation diagnostic between two
     terminal variables under max-over-policies evaluation;
   * build_linear_utility: weights Phi(t,y) = A^1_t y_1 + A^2_t y_2 where the
@@ -47,8 +48,6 @@ from treebsde.bsde import (
     PolicySpace,
     ProblemValidationError,
     StructureError,
-    _frontier,
-    _probe_deterministic,
     _search,
     _solve_chunks,
 )
@@ -87,21 +86,6 @@ def static_utility(phi, value_dim: int) -> DynamicUtility:
         return np.asarray(phi(np.asarray(y, dtype=float).reshape(-1, value_dim)),
                           dtype=float).reshape(-1)
     return DynamicUtility(evaluate=evaluate, phi=phi, value_dim=value_dim)
-
-
-# ---------------------------------------------------------------------------
-# deterministic construction
-
-
-def deterministic_phi(problem: BSDEProblem, grid: TimeGrid, level: int, y):
-    """Phi(level, y) = max over deterministic control sequences on [0, level) of
-    phi(Y_0), where Y runs backward from Y_level = y with Z = 0.
-
-    Returns (value, lexicographically first best control sequence)."""
-    if not _probe_deterministic(problem, grid.times()[:grid.n]):
-        raise ProblemValidationError(
-            "deterministic utility needs a generator independent of z and the node")
-    return _frontier(problem, y, grid.times()[:level], grid.dt, 1)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -912,14 +896,14 @@ def make_comparison_pairs(lin: LinearUtility, problem: BSDEProblem,
 
 
 def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
-                            tree: ScenarioTree, pairs=None, tol: float = 1e-8,
+                            tree: ScenarioTree, pairs=None,
                             seed: int = 0) -> LinearComparisonReport:
     """Order preservation of the contracted scalar process under every policy.
 
     For each terminal pair with Phi(T, xi) <= Phi(T, xi~) node-wise and each
     enumerated policy, checks Phi(j, Y_j(xi)) <= Phi(j, Y_j(xi~)) + tol at every
-    node and level, and reports the worst residual of the exact one-step
-    recursion of the contracted process, on the batched kernel's levels.
+    node and level, tol = 1e-10, and reports the worst residual of the exact
+    one-step recursion of the contracted process, on the batched kernel's levels.
     Violations are ordered by pair, assignment, level and node.
     """
     if lin.mode != "tree":
@@ -928,6 +912,7 @@ def check_linear_comparison(lin: LinearUtility, problem: BSDEProblem,
     if pairs is None:
         pairs = make_comparison_pairs(lin, problem, tree, seed=seed)
     n, dt = tree.n, tree.dt
+    tol = 1e-10
     space = PolicySpace(problem, tree)
     space.check_cap()
     times = tree.grid.times()

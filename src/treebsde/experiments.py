@@ -372,7 +372,7 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         problems.benchmark("deterministic", cfg.T)  # the 0.5 target needs T > 1
         config = HJBConfig(y_bounds=(-2.0, 2.0), dy=cfg.dy)
         dual = solve_dual_hjb(problems.transport_dual_spec(),
-                              TimeGrid(cfg.T, cfg.n), config, levels=(0,))
+                              TimeGrid(cfg.T, cfg.n), config)
         nodal = extract_nodal_set(dual, 0, eps=cfg.eps)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
         checks.append(_check("dual-analytic-value",
@@ -387,7 +387,7 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
                            y_bounds=(-2.0, 2.0), dy=cfg.dy,
                            z_values=(-1.0, 0.0, 1.0))
         dual = solve_dual_hjb(problems.quadratic_dual_spec(),
-                              TimeGrid(cfg.T, cfg.n), config, levels=(0,))
+                              TimeGrid(cfg.T, cfg.n), config)
         xs, ys = dual.axes
         mx, my = dual.trusted_interior()
         ref = (ys[None, :] - xs[:, None]) ** 2
@@ -404,8 +404,7 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
                 if not nodal.empty else np.inf)
         checks.append(_check("nodal-at-origin", dist <= cfg.dy * (1 + 1e-9),
                              value=dist, bound=cfg.dy))
-        export_dual_grid_csv(dual, os.path.join(out_dir, "dual_grid.csv"),
-                             levels=(0,))
+        export_dual_grid_csv(dual, os.path.join(out_dir, "dual_grid.csv"))
         files.append("dual_grid.csv")
         extras = {"flavor": "markovian", "closed_form_error": err}
     return checks, extras, files
@@ -447,7 +446,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     coeffs, problem = problems.linear_setup()
     tree = build_tree(TimeGrid(0.5, 2), d=1, mode="path")
     lin = build_linear_utility(coeffs, tree, overshoot_limit=1.0)
-    rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed, tol=1e-10)
+    rep = check_linear_comparison(lin, problem, tree, seed=cfg.seed)
     # with no pair checked, neither check has looked at a solve
     why = {} if rep.pairs_checked else {"reason": "no pair meets the premise"}
     checks = [

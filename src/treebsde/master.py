@@ -1,7 +1,9 @@
 """Forward value function over (time, terminal-data) pairs and its calculus.
 
 Psi(t, eta) = max over policies on [0, t) of phi(Y_0) with terminal data eta at
-level t. This module provides:
+level t. With the same eta on every node, Psi(t, .) is also the dynamic
+utility Phi_t of a deterministic generator; ForwardValue is the one place
+either is computed. This module provides:
 
   * ForwardValue: enumeration-exact evaluation of Psi for a stack of eta at
     once, on the batched search of bsde;
@@ -44,7 +46,8 @@ from treebsde.bsde import (
 
 
 class InvalidCylinderError(ValueError):
-    """Supplied path derivatives fail the discrete pathwise Ito probe."""
+    """Supplied path derivatives fail the discrete pathwise Ito probe, or a
+    cylinder's value dimension is not the problem's."""
 
 
 @dataclass
@@ -158,13 +161,20 @@ class CylinderFunctional:
 
 
 def _cyl_shapes(cyl: CylinderFunctional, t: float, path: np.ndarray, dpr: int):
-    m = path.shape[0]
-    d = path.shape[2]
-    val = np.asarray(cyl.value(t, path), dtype=float).reshape(m, dpr)
-    dt_v = np.asarray(cyl.d_t(t, path), dtype=float).reshape(m, dpr)
-    db = np.asarray(cyl.d_b(t, path), dtype=float).reshape(m, dpr, d)
-    dbb = np.asarray(cyl.d_bb(t, path), dtype=float).reshape(m, dpr, d, d)
-    return val, dt_v, db, dbb
+    """value, d_t, d_b and d_bb at the m nodes of path, shaped (m, dpr, ...);
+    InvalidCylinderError when one holds other than dpr values per node."""
+    m, d = path.shape[0], path.shape[2]
+    out = []
+    for name, fn, tail in (("value", cyl.value, ()), ("d_t", cyl.d_t, ()),
+                           ("d_b", cyl.d_b, (d,)), ("d_bb", cyl.d_bb, (d, d))):
+        arr = np.asarray(fn(t, path), dtype=float)
+        per_value = m * int(np.prod(tail))
+        if arr.size != per_value * dpr:
+            raise InvalidCylinderError(
+                f"cylinder '{cyl.name}': {name} has value dimension "
+                f"{arr.size / per_value:g}, the problem's is {dpr}")
+        out.append(arr.reshape((m, dpr) + tail))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

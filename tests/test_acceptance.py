@@ -97,8 +97,7 @@ def test_acceptance_01_root_value_primal_and_dual():
         t0 = time.monotonic()
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(2.0, n),
-                              HJBConfig(y_bounds=(-2.0, 2.0), dy=dy),
-                              levels=(0,))
+                              HJBConfig(y_bounds=(-2.0, 2.0), dy=dy))
         nodal = extract_nodal_set(dual, 0, eps=efac * dy)
         dsv = dual_static_value(nodal, lambda y: y[..., 0])
         elapsed = time.monotonic() - t0
@@ -198,10 +197,12 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
     ok_h = True
     for n, dy, efac, k in ((8, 0.1, 0.3, 6), (16, 0.05, 0.2, 14)):
         tree = build_tree(TimeGrid(2.0, n), d=1, mode="recombining")
+        # the transport f ignores t, so W at level k is level 0 of the solve
+        # over the last n - k levels: the same substeps, bit for bit
         dual_det = solve_dual_hjb(problems.transport_dual_spec(),
-                                  TimeGrid(2.0, n),
+                                  TimeGrid(2.0 * (n - k) / n, n - k),
                                   HJBConfig(y_bounds=(-2.0, 3.0), dy=dy))
-        nodal = extract_nodal_set(dual_det, k, eps=efac * dy)
+        nodal = extract_nodal_set(dual_det, 0, eps=efac * dy)
         rpts = np.asarray(reachable_set(det.problem, tree, k).points[0])
         dh = _hausdorff(nodal.points, rpts)
         ok_h = ok_h and not nodal.empty and dh <= 2.0 * dy + 1e-9

@@ -57,8 +57,8 @@ def test_markovian_quadratic_preserved_every_level():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config())
     xs, ys = dual.axes
     expected = (ys[None, :] - xs[:, None]) ** 2
-    for level in range(grid.n + 1):
-        assert np.max(np.abs(dual.W[level] - expected)) < 1e-9
+    for level in (0, grid.n):
+        assert np.max(np.abs(dual.at(level) - expected)) < 1e-9
 
 
 def test_w_nonnegative_with_advection():
@@ -166,7 +166,7 @@ def test_transport_steering_band_sanity():
 
 
 # ---------------------------------------------------------------------------
-# slice storage: a solve keeps only the requested tree levels plus n
+# slice storage: a solve keeps levels 0 and n only
 
 
 def advected_spec():
@@ -182,47 +182,18 @@ SLICE_CASES = {
 
 
 @pytest.mark.parametrize("kind", sorted(SLICE_CASES))
-def test_kept_slices_equal_full_storage(kind):
-    make_spec, grid, config = SLICE_CASES[kind]
-    full = solve_dual_hjb(make_spec(), grid, config)
-    assert full.levels == tuple(range(grid.n + 1))
-    kept = solve_dual_hjb(make_spec(), grid, config, levels=(2, 0, 2))
-    assert kept.kind == kind
-    assert kept.levels == (0, 2, grid.n)
-    assert kept.W.shape == (3,) + full.W.shape[1:]
-    np.testing.assert_array_equal(kept.times, full.times)
-    for level in kept.levels:
-        assert np.array_equal(kept.at(level), full.W[level])
-    assert kept.default_eps() == full.default_eps()
-
-
-@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
 def test_unkept_level_raises_naming_the_held_levels(kind, tmp_path):
     make_spec, grid, config = SLICE_CASES[kind]
-    dual = solve_dual_hjb(make_spec(), grid, config, levels=(0,))
+    dual = solve_dual_hjb(make_spec(), grid, config)
     assert dual.levels == (0, grid.n)
     with pytest.raises(ValueError, match=rf"level 1 .*held levels \(0, {grid.n}\)"):
         dual.at(1)
     with pytest.raises(ValueError, match="held levels"):
         extract_nodal_set(dual, 1, x_index=0, eps=0.1)
     path = tmp_path / "grid.csv"
-    with pytest.raises(ValueError, match="held levels"):
-        export_dual_grid_csv(dual, str(path), levels=(0, 1))
-    assert not path.exists()
     export_dual_grid_csv(dual, str(path))
     npts = len(dual.axes[0]) * len(dual.axes[1])
-    assert len(path.read_text().splitlines()) == 1 + 2 * npts
-
-
-@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
-def test_levels_outside_the_tree_are_rejected(kind):
-    make_spec, _, config = SLICE_CASES[kind]
-    grid = TimeGrid(T=0.5, n=8)
-    for levels, bad in (((-1, 0), r"\[-1\]"), ((0, 9, 12), r"\[9, 12\]")):
-        with pytest.raises(ConfigError, match=bad + r" outside the tree levels \[0, 8\]"):
-            solve_dual_hjb(make_spec(), grid, config, levels=levels)
-    with pytest.raises(TypeError):
-        solve_dual_hjb(make_spec(), grid, config, levels=(0.5,))
+    assert len(path.read_text().splitlines()) == 1 + npts
 
 
 def test_transport_solve_peak_memory_stays_small():
@@ -230,7 +201,7 @@ def test_transport_solve_peak_memory_stays_small():
     tracemalloc.start()
     try:
         solve_dual_hjb(transport_dual_spec(), TimeGrid(2.0, 256),
-                       HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02), levels=(0,))
+                       HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -239,11 +210,11 @@ def test_transport_solve_peak_memory_stays_small():
 
 def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
     # 8 row blocks of at most 26 rows on 2 workers; in grid arrays G of
-    # 201 x 201 floats the solve holds 2 level slices (0 and n), 1 rolling
-    # buffer, 2 point planes, per worker one scratch set for 26 rows (2
-    # padded differences, 3 planes and a mask: 0.67 G) and one f output of
-    # 2 planes (0.26 G), 6.9 G in all; before the sweep the points, slices
-    # and three terminal temporaries make 7 G. One more G covers the rest.
+    # 201 x 201 floats the solve holds 2 level slices (0 and n), 1 spare
+    # buffer, per worker one scratch set for 26 rows (2 point planes, 2
+    # padded differences, 3 planes and a mask: 0.93 G) and one f output of
+    # 2 planes (0.26 G), 5.4 G in all; before the sweep the slices and the
+    # terminal sum make 3 G. The bound leaves room for the rest.
     spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
     monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
     monkeypatch.setattr(duality, "_worker_count", lambda: 2)
@@ -253,7 +224,7 @@ def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
     spec = dataclasses.replace(spec, f=lambda t, y, u: seen.append(len(y)) or f(t, y, u))
     tracemalloc.start()
     try:
-        dual = solve_dual_hjb(spec, TimeGrid(0.5, 4), config, levels=(0,))
+        dual = solve_dual_hjb(spec, TimeGrid(0.5, 4), config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,7 +253,7 @@ def test_transport_w0_matches_the_closed_form_where_characteristics_stay_inside(
     errors = []
     for n, dy in ((32, 0.05), (128, 0.02)):
         dual = solve_dual_hjb(transport_dual_spec(), TimeGrid(T, n),
-                              HJBConfig(y_bounds=(lo, hi), dy=dy), levels=(0,))
+                              HJBConfig(y_bounds=(lo, hi), dy=dy))
         Y1, Y2 = np.meshgrid(*dual.axes, indexing="ij")
         # Characteristics y' = (y2 - u, -u) with u(t) in [0, 1]: y2(t) spans
         # [y2 - t, y2] and y1(t) spans [y1 + y2 t - t - t^2/2, y1 + y2 t]; the
@@ -443,7 +414,7 @@ def test_markovian_step_matches_the_frozen_gradient_step(case, layout, monkeypat
     dual = solve_dual_hjb(make_spec(), grid, config)
     ref = _ref_markovian_levels(make_spec(), grid, config, dual.substeps)
     assert dual.substeps > 1
-    for level, want in zip(range(grid.n, -1, -1), ref):
+    for level, want in ((grid.n, ref[0]), (0, ref[-1])):
         got = dual.at(level)
         assert np.array_equal(got, want), level
         assert np.array_equal(np.signbit(got), np.signbit(want)), level
@@ -505,7 +476,7 @@ def test_deterministic_cfl_estimate_covers_every_level_time():
         f=lambda t, y, u: np.stack([_fast_early(u, t) + 0.0 * y[..., 0],
                                     0.0 * y[..., 1]], axis=-1),
         target=(0.0, 0.0), control_values=(-1.0, 1.0))
-    dual = solve_dual_hjb(spec, grid, HJBConfig(dy=dy), levels=(0,))
+    dual = solve_dual_hjb(spec, grid, HJBConfig(dy=dy))
     assert 21.0 * grid.dt / dual.substeps / dy <= 1.0
     assert dual.at(0).max() > 0.0
 
@@ -514,7 +485,7 @@ def test_markovian_cfl_estimate_covers_every_level_time():
     spec = MarkovianDualSpec(f=lambda t, x, y, z, u: _fast_early(u, t) + 0.0 * y,
                              g=lambda x: 0.0 * x, control_values=(-1.0, 1.0))
     dual = solve_dual_hjb(spec, TimeGrid(T=1.0, n=4),
-                          HJBConfig(dx=0.05, dy=0.05), levels=(0,))
+                          HJBConfig(dx=0.05, dy=0.05))
     assert np.all(np.isfinite(dual.at(0)))
     assert dual.at(0).max() <= dual.at(4).max()
 
@@ -577,7 +548,7 @@ def test_csv_exports(tmp_path):
     grid = TimeGrid(T=0.5, n=2)
     dual = solve_dual_hjb(quad_spec(), grid, quad_config(h=0.5))
     grid_path = tmp_path / "grid.csv"
-    export_dual_grid_csv(dual, str(grid_path), levels=[0])
+    export_dual_grid_csv(dual, str(grid_path))
     lines = grid_path.read_text().splitlines()
     assert lines[0] == "t,x,y,W"
     assert len(lines) == 1 + 5 * 5

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
-from treebsde.bsde import BSDEProblem, ProblemValidationError, maximize_over_policies
+from treebsde.bsde import BSDEProblem, maximize_over_policies
+from treebsde.master import ForwardValue
 from treebsde import dynutil
 from treebsde.dynutil import (
     ComparisonReport,
@@ -21,7 +22,6 @@ from treebsde.dynutil import (
     build_linear_utility,
     check_comparison,
     check_linear_comparison,
-    deterministic_phi,
     make_comparison_pairs,
     replay_paths,
     riccati_polynomials,
@@ -52,26 +52,33 @@ def test_static_utility_is_phi():
     np.testing.assert_array_equal(util.evaluate(3, y), [5.0, -2.0])
 
 
-def test_deterministic_phi_level_zero_is_phi():
-    val, seq = deterministic_phi(steering_problem(), TimeGrid(T=2.0, n=4), 0, [0.7, 0.1])
-    assert val == 0.7
-    assert seq == ()
+def deterministic_utility(problem, grid, level, y):
+    """Phi(level, y): Psi(level, .) of master.ForwardValue, y on every node of a
+    path tree on grid."""
+    tree = build_tree(grid, d=1)
+    eta = np.tile(np.asarray(y, dtype=float), (tree.node_count(level), 1))
+    return ForwardValue(problem, tree).value(level, eta)
 
 
-def test_deterministic_phi_frozen_dynamics():
+def test_deterministic_utility_level_zero_is_phi():
+    assert deterministic_utility(steering_problem(), TimeGrid(T=2.0, n=4), 0,
+                                 [0.7, 0.1]) == 0.7
+
+
+def test_deterministic_utility_frozen_dynamics():
     problem = BSDEProblem(
         value_dim=2, f=lambda t, ctx, y, z, u: np.zeros_like(y),
         terminal=lambda ctx: np.zeros((ctx.b.shape[0], 2)),
         phi=lambda y: y[:, 0], control_values=(0.0, 1.0), lipschitz_L=0.0)
-    val, _ = deterministic_phi(problem, TimeGrid(T=1.0, n=3), 3, [0.4, -0.2])
+    val = deterministic_utility(problem, TimeGrid(T=1.0, n=3), 3, [0.4, -0.2])
     assert val == pytest.approx(0.4, abs=1e-15)
 
 
-def test_deterministic_phi_forward_dpp():
+def test_deterministic_utility_forward_dpp():
     problem = steering_problem()
     grid = TimeGrid(T=2.0, n=4)
     y = np.array([0.3, -0.1])
-    full, _ = deterministic_phi(problem, grid, 4, y)
+    full = deterministic_utility(problem, grid, 4, y)
     times, dt = grid.times(), grid.dt
     from treebsde.bsde import NodeContext
     ctx = NodeContext(level=0, b=np.zeros((1, 1)))
@@ -80,18 +87,25 @@ def test_deterministic_phi_forward_dpp():
         cur = y.reshape(1, 2)
         for j, uv in ((3, seq[1]), (2, seq[0])):
             cur = cur + np.asarray(problem.f(times[j], ctx, cur, None, np.full(1, uv))) * dt
-        val, _ = deterministic_phi(problem, grid, 2, cur[0])
-        best = max(best, val)
+        best = max(best, deterministic_utility(problem, grid, 2, cur[0]))
     assert full == pytest.approx(best, abs=1e-12)
 
 
-def test_deterministic_phi_rejects_z_dependence():
+def test_forward_value_of_a_z_dependent_generator_is_the_enumerated_one():
+    # f reads z, which node-dependent terminal data makes nonzero; u = 0
+    # everywhere gives E[eta] = 1
     problem = BSDEProblem(
-        value_dim=1, f=lambda t, ctx, y, z, u: z[:, :, 0],
+        value_dim=1, f=lambda t, ctx, y, z, u: u[:, None] * (z[:, :, 0] - 0.5),
         terminal=lambda ctx: np.zeros((ctx.b.shape[0], 1)),
-        phi=lambda y: y[:, 0], control_values=(0.0,), lipschitz_L=1.0)
-    with pytest.raises(ProblemValidationError, match="independent of z"):
-        deterministic_phi(problem, TimeGrid(T=1.0, n=2), 1, [0.0])
+        phi=lambda y: y[:, 0], control_values=(0.0, 1.0), lipschitz_L=1.0)
+    tree = build_tree(TimeGrid(T=1.0, n=3), d=1)
+    eta = tree.values[3][:, :1] ** 2
+    want, _, count, _ = maximize_over_policies(
+        problem, tree, problem.phi, terminal_level=3,
+        terminal_rv=TreeRandomVariable(3, eta))
+    got = ForwardValue(problem, tree).value(3, eta)
+    assert count == 2 ** 7
+    assert got == want[0] and got > 1.3
 
 
 def test_check_comparison_monotone_scalar():

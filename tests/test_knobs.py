@@ -34,9 +34,6 @@ ALLOWED = {
 # Parameters every program call passes the same literal; the list may only shrink.
 CONSTANT = {
     "bsde.maximize_over_policies:start_level",
-    "duality.export_dual_grid_csv:levels",
-    "duality.solve_dual_hjb:levels",
-    "dynutil.check_linear_comparison:tol",
 }
 
 
@@ -160,7 +157,7 @@ def test_scan_finds_a_parameter_no_call_passes():
 
 def test_every_defaulted_public_parameter_is_passed_somewhere():
     sites, definitions = program_sites(), package_definitions()
-    assert sum(map(len, definitions.values())) > 40
+    assert sum(map(len, definitions.values())) > 30
     # equality: a seam that program code now passes leaves the list
     assert {f"{module}.{fn}:{param}" for module, found in definitions.items()
             for fn, param in unpassed(found, sites)} == ALLOWED

@@ -374,6 +374,15 @@ def test_master_residual_needs_positive_level():
         master_residual(p, tree, exp_cylinder(), level=0)
 
 
+@pytest.mark.parametrize("mode", ("path", "recombining"))
+def test_master_residual_names_a_value_dimension_mismatch(mode):
+    # exp_cylinder has d' = 1, the coupled problem d' = 2
+    tree = build_tree(TimeGrid(1.0, 4), d=1, mode=mode)
+    with pytest.raises(InvalidCylinderError,
+                       match="'exp_b': value has value dimension 1, the problem's is 2"):
+        master_residual(coupled_two_dim_problem(), tree, exp_cylinder(), level=2)
+
+
 def test_illposed_demo_gap_equals_horizon():
     tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
     rep = illposed_demo(tree)

@@ -27,7 +27,6 @@ ALLOWED = {
     "bsde.envelope_bsde",
     "bsde.reachable_set",
     "dynutil.check_comparison",
-    "dynutil.deterministic_phi",
     "dynutil.static_utility",
 }
 
