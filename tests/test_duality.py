@@ -196,6 +196,45 @@ def test_unkept_level_raises_naming_the_held_levels(kind, tmp_path):
     assert len(path.read_text().splitlines()) == 1 + npts
 
 
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_levels_outside_the_tree_are_rejected(kind):
+    make_spec, grid, config = SLICE_CASES[kind]
+    dual = solve_dual_hjb(make_spec(), grid, config)
+    for level in (-1, grid.n + 1):
+        with pytest.raises(ValueError, match=rf"level {level} .*held levels \(0, {grid.n}\)"):
+            dual.at(level)
+        with pytest.raises(ValueError, match="held levels"):
+            extract_nodal_set(dual, level, x_index=0, eps=0.1)
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_sweep_calls_f_once_per_substep_down_to_level_zero(kind, monkeypatch):
+    # one block on one worker: every substep calls f once per (z, u), at the
+    # substep's start time, from T down to dts and no further
+    make_spec, grid, config = SLICE_CASES[kind]
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 1 << 30)
+    monkeypatch.setattr(duality, "_worker_count", lambda: 1)
+    spec, seen = make_spec(), []
+    f = spec.f
+    if kind == "markovian":
+        # a declared bound keeps the sup|f| estimate from calling f
+        spec = dataclasses.replace(
+            spec, f_bound=2.0, f=lambda t, x, y, z, u: seen.append(t) or f(t, x, y, z, u))
+        per_substep = len(config.z_values) * len(spec.control_values)
+    else:
+        spec = dataclasses.replace(
+            spec, f=lambda t, y, u: seen.append(t) or f(t, y, u))
+        per_substep = len(spec.control_values)
+    dual = solve_dual_hjb(spec, grid, config)
+    count = grid.n * dual.substeps
+    assert len(seen) == count * per_substep
+    times = np.asarray(seen[::per_substep])
+    np.testing.assert_array_equal(np.asarray(seen).reshape(count, per_substep),
+                                  np.repeat(times[:, None], per_substep, axis=1))
+    np.testing.assert_allclose(times, grid.T - grid.dt / dual.substeps * np.arange(count),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_transport_solve_peak_memory_stays_small():
     # all 257 levels of the 201 x 201 grid would take ~83 MB here
     tracemalloc.start()
