@@ -12,6 +12,7 @@ config.
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass, asdict, fields as dc_fields
 from types import NoneType
 from typing import Callable, NamedTuple, get_args
@@ -90,7 +91,10 @@ class ExperimentConfig:
 _REQUIRED = ("experiment", "seed")
 _ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
-_LINEAR_MAX_PATHS = 2000  # dynamic-utility-linear's dense Euler ahat: (steps + 1) x paths
+# dynamic-utility-linear's default paths, the most its default steps allow: its
+# dense Euler ahat, (steps + 1) x paths floats, is capped at this shipped size
+_LINEAR_MAX_PATHS = 2000
+_LINEAR_MAX_FLOATS = (ExperimentConfig.steps + 1) * _LINEAR_MAX_PATHS
 _WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
 _EXPECTED = {int: "expected integer, got {}", float: "expected number, got {}",
              str: "expected string, got {}", tuple: "expected a list of integers"}
@@ -179,11 +183,15 @@ def validate_config(data: dict) -> ExperimentConfig:
     if clean.get("experiment") == "illposed-demo" and clean.get("n", 1) > _ILLPOSED_MAX_N:
         msgs.append(f"field 'n': illposed-demo runs on at most {_ILLPOSED_MAX_N} "
                     f"tree steps, got {clean['n']}")
-    if (clean.get("experiment") == "dynamic-utility-linear"
-            and clean.get("mc_paths", 0) > _LINEAR_MAX_PATHS):
+    steps = clean.get("steps", ExperimentConfig.steps)
+    paths = clean.get("mc_paths", _LINEAR_MAX_PATHS)
+    if (clean.get("experiment") == "dynamic-utility-linear" and steps >= 1
+            and (steps + 1) * paths > _LINEAR_MAX_FLOATS):
+        at = "" if steps == ExperimentConfig.steps else f" at field 'steps' = {steps}"
         msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
-                    f"Euler ensemble ratio ((steps + 1) x paths floats) and runs "
-                    f"at most {_LINEAR_MAX_PATHS} paths, got {clean['mc_paths']}")
+                    f"Euler ensemble ratio ((steps + 1) x paths floats, at most "
+                    f"{_LINEAR_MAX_FLOATS}) and runs at most "
+                    f"{_LINEAR_MAX_FLOATS // (steps + 1)} paths{at}, got {paths}")
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "
                     f"its left time-difference, got {clean['n']}")
@@ -689,10 +697,28 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run one experiment and write its report.json.
+
+    Every warning the runner raises is recorded, whatever the warning filters,
+    and the report lists their distinct messages, in first-seen order, as
+    `diagnostics`; a run that raises none has no such field. Each distinct
+    warning is then issued again at its own location, also when the runner
+    fails, for the caller's filters to show or ignore.
+    """
     runner, description, _ = EXPERIMENTS[cfg.experiment]
     out_dir = run_directory(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    checks, extras, files = runner(cfg, out_dir)
+    caught, first = [], {}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            checks, extras, files = runner(cfg, out_dir)
+    finally:
+        for w in caught:
+            first.setdefault(str(w.message), w)
+        for w in first.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
     passed = all(c["passed"] for c in checks)
     report = {
         "experiment": cfg.experiment,
@@ -704,5 +730,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "artifacts": sorted(files + ["report.json"]),
         "passed": passed,
     }
+    if first:
+        report["diagnostics"] = list(first)
     write_json(os.path.join(out_dir, "report.json"), report)
     return ExperimentResult(report=report, passed=passed, out_dir=out_dir)

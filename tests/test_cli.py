@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields as dc_fields
 
 import pytest
@@ -219,6 +220,50 @@ def test_module_entry_point_prints_each_warning_once_without_a_location(tmp_path
     assert proc.stdout.splitlines()[-1].startswith("report: ")
 
 
+def _report_bytes(result):
+    with open(os.path.join(result.out_dir, "report.json"), "rb") as fh:
+        return fh.read()
+
+
+def test_report_lists_the_warnings_of_its_run_whatever_the_filters(tmp_path):
+    cfg = validate_config({"experiment": "benchmark-verify", "seed": 0,
+                           "benchmark": "one_dim", "T": 2.4, "n": 3,
+                           "output_dir": str(tmp_path)})
+    # passed on to the caller once, at the caller's line
+    with pytest.warns(UserWarning, match="dt = 0.8 exceeds") as rec:
+        result = run_experiment(cfg)
+    assert [r.filename for r in rec] == [__file__]
+    diagnostics = result.report["diagnostics"]
+    assert len(diagnostics) == 1 and diagnostics[0].startswith(
+        "dt = 0.8 exceeds the comparison-preserving bound")
+    first = _report_bytes(result)
+    assert b'"diagnostics": [' in first
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert _report_bytes(run_experiment(cfg)) == first
+
+    quiet = validate_config(illposed_doc(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(quiet)
+    assert "diagnostics" not in result.report
+    assert _report_bytes(run_experiment(quiet)) == _report_bytes(result)
+
+
+def test_run_prints_warnings_raised_before_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def runner(cfg, out_dir):
+        warnings.warn("first")
+        warnings.warn("second")
+        warnings.warn("first")
+        raise ValueError("boom")
+
+    monkeypatch.setitem(EXPERIMENTS, "illposed-demo",
+                        EXPERIMENTS["illposed-demo"]._replace(runner=runner))
+    assert main(["run", write_config(tmp_path, illposed_doc(tmp_path))]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: first", "warning: second", "runtime error: boom"]
+
+
 def test_validate_rejects_illposed_demo_above_ten_steps():
     with pytest.raises(ConfigValidationError,
                        match="field 'n': illposed-demo runs on at most 10 tree steps"):
@@ -244,6 +289,19 @@ def test_validate_limits_dynamic_utility_linear_paths():
     assert validate_config(doc).mc_paths == 2000
     # the limit belongs to dynamic-utility-linear alone
     assert validate_config({"experiment": "tau-bound", "seed": 0}).mc_paths == 10000
+
+
+def test_validate_limits_dynamic_utility_linear_dense_floats():
+    # the cap is on (steps + 1) x paths, the dense ratio's floats, not on paths
+    doc = {"experiment": "dynamic-utility-linear", "seed": 0, "steps": 8192}
+    for over in ({"mc_paths": 2000}, {}):  # given, or the default 2000
+        with pytest.raises(ConfigValidationError, match=(
+                r"^field 'mc_paths': .*dense Euler ensemble.* at most 8194000\) .*"
+                r"at most 1000 paths at field 'steps' = 8192, got 2000$")):
+            validate_config({**doc, **over})
+    assert validate_config({**doc, "mc_paths": 1000}).steps == 8192
+    with pytest.raises(ConfigValidationError, match="at most 8 paths at field 'steps'"):
+        validate_config({**doc, "mc_paths": 2000, "steps": 1000000})
 
 
 def test_run_prints_each_value_and_only_the_bounds_a_check_has(tmp_path, capsys):

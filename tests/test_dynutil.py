@@ -593,6 +593,9 @@ _COEFF_SETS = {
     "time": _time_dependent_coeffs,
     "path": _path_dependent_coeffs,
     "mixed": _mixed_lead_coeffs,
+    # a geometric ratio from 1: thousands of 16,385 paths switch within 101 steps
+    "fast": lambda: LinearUtilityCoeffs.from_constants(
+        np.zeros((2, 2)), [[1.5, 0.0], [0.0, 0.0]], 1.0, 1.0),
 }
 
 
@@ -601,11 +604,24 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-@pytest.mark.parametrize("name, seed", [("switch", 0), ("switch", 1), ("swapped", 0),
-                                        ("time", 0), ("path", 2), ("mixed", 0)])
-def test_euler_ensemble_matches_frozen_reference(name, seed):
+def _case(name, seed, n_paths=1000, pilot_paths=100, steps=2048, id=None):
+    return pytest.param(name, seed, n_paths, pilot_paths, steps,
+                        id=id or f"{name}-{seed}")
+
+
+# dt = 2 / 2048 throughout. The increments are read in blocks of an even number
+# of steps (dynutil._increments); the last two cases have odd path counts and a
+# step count that is no multiple of the block's, and the last one more paths
+# than a block's float budget, so that each block holds two steps.
+@pytest.mark.parametrize("name, seed, n_paths, pilot_paths, steps", [
+    _case("switch", 0), _case("switch", 1), _case("swapped", 0), _case("time", 0),
+    _case("path", 2), _case("mixed", 0),
+    _case("switch", 3, 1025, 103, 2047, id="odd-paths"),
+    _case("fast", 1, dynutil._DRAW_FLOATS + 1, dynutil._DRAW_FLOATS + 1, 101,
+          id="two-step-blocks")])
+def test_euler_ensemble_matches_frozen_reference(name, seed, n_paths, pilot_paths, steps):
     coeffs = _COEFF_SETS[name]()
-    grid, n_paths = TimeGrid(T=2.0, n=2048), 1000
+    grid = TimeGrid(T=steps / 1024, n=steps)
     times = grid.times()
     alpha, beta, a1, a2, swapped = dynutil._normalize(coeffs)
     ref = list(_ref_euler_levels(alpha, beta, a1, a2, times, grid.dt, n_paths, seed))
@@ -652,10 +668,41 @@ def test_euler_ensemble_matches_frozen_reference(name, seed):
         assert _bits(path.A1) == _bits(w[0]) and _bits(path.A2) == _bits(w[1])
 
     rep = verify_tau_bound(coeffs, T=grid.T, switch_indices=(1, 2), steps=grid.n,
-                           n_paths=n_paths, seed=seed, pilot_paths=100)
-    C_hat = _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid.dt, seed, 100)
+                           n_paths=n_paths, seed=seed, pilot_paths=pilot_paths)
+    C_hat = _ref_pilot_C_hat(alpha, beta, a1, a2, times, grid.dt, seed, pilot_paths)
     assert _bits(rep.C_hat) == _bits(C_hat)
     assert _bits(rep.delta) == _bits(np.inf if C_hat == 0 else 1.0 / (4.0 * C_hat))
+
+
+def test_increments_equal_one_integers_draw_per_step():
+    # one path: three blocks of increments, the last one odd
+    sdt = np.sqrt(4.0 / 4096)
+    steps = 2 * dynutil._DRAW_FLOATS + 3
+    rng = np.random.default_rng(np.random.Philox(5))
+    buffers, count = set(), 0
+    for row in dynutil._increments(5, 1, steps, sdt):
+        want = rng.integers(0, 2, size=1) * (2.0 * sdt) - sdt
+        assert _bits(row) == _bits(want), count
+        buffers.add(id(row.base))
+        count += 1
+    assert count == steps and len(buffers) == 1
+
+
+def test_switch_events_peak_does_not_grow_with_the_horizon():
+    # one draw over all 4096 steps of 2000 paths would take 32 MB of words
+    grid = TimeGrid(T=4.0, n=4096)
+    switch_events(switch_coeffs(), TimeGrid(T=0.5, n=512), 2000, seed=0)  # warm-up
+    peaks = {}
+    for steps in (512, 4096):
+        tracemalloc.start()
+        try:
+            switch_events(switch_coeffs(), TimeGrid(T=steps * grid.dt, n=steps), 2000,
+                          seed=0)
+            _, peaks[steps] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # the 660 switch events of the longer horizon take about 0.3 MB
+    assert peaks[4096] < peaks[512] + 2 ** 20, peaks
 
 
 _SIGNED_ZERO = st.sampled_from([0.0, -0.0])
