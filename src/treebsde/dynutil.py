@@ -21,12 +21,13 @@ provides:
     sign is the top bit of one 32-bit word of the Philox(seed) stream per path
     and step, the low half of each 64-bit output first (the bits of one
     rng.integers(0, 2, paths) draw per step), read one block of steps at a
-    time into one reused buffer. The ratio is stored at every level,
-    (steps + 1) x paths, while parity, anchor and switch flags are stored once
-    per switch level and shared by the levels up to the next one; every
-    stored ensemble array is read-only. In both modes the weights are not
-    stored: A1[j] and A2[j] derive level j's from its parity, anchor and ratio
-    on each read.
+    time into one reused buffer. The ensemble stores the ratio only at each
+    switch level and the level before it, and replays any other level from
+    the same seeded stream; parity, anchor and switch flags are stored once
+    per switch level and shared by the levels up to the next one. Every
+    stored or replayed ensemble array is read-only. In both modes the weights
+    are not stored: A1[j] and A2[j] derive level j's from its parity, anchor
+    and ratio on each read.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
     by level with O(paths) state, keeping only the sparse switch events, or
     only a few chosen paths, under OVERSHOOT_LIMIT;
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -337,10 +339,10 @@ def _switching_path(times, ahat, parity, anchor, is_switch, swapped: bool) -> Sw
 
 class LevelWeights(Sequence):
     """Level -> (m,) weight of one original component, derived on each read
-    from that level's stored parity, anchor and ratio by _weights, and returned
+    from that level's parity, anchor and ratio by _weights, and returned
     read-only; no level's weights are stored."""
 
-    def __init__(self, parity: tuple, anchor: tuple, ahat: tuple, swapped: bool,
+    def __init__(self, parity: tuple, anchor: tuple, ahat: Sequence, swapped: bool,
                  component: int):
         self._levels = (parity, anchor, ahat)
         self._swapped = swapped
@@ -364,9 +366,10 @@ class LinearUtility:
     times: np.ndarray
     A1: LevelWeights     # level -> (m,) weights (original component labels),
     A2: LevelWeights     # derived on read from parity, anchor and ahat
-    ahat: tuple          # construction-frame ratio per level
-    parity: tuple
-    anchor: tuple
+    ahat: Sequence       # construction-frame ratio per level: a tuple on a tree,
+                         # an _EnsembleRatio (switch levels stored) on an ensemble
+    parity: tuple        # parity, anchor and flags: one array per level; an
+    anchor: tuple        # ensemble's levels share them up to the next switch
     switch_flags: tuple
     lam: tuple           # tree mode: level -> (m,) contraction factor 1 + alpha_hat*dt
     mu: tuple            # tree mode: level -> (m,) beta_hat*dt; both () for an ensemble
@@ -520,9 +523,10 @@ def _increments(seed: int, n_paths: int, steps: int, sdt: float):
         np.multiply(halves.reshape(k, n_paths), 2.0 * sdt, out=rows)
         np.subtract(rows, sdt, out=rows)
         # freed before the consumer allocates: words alive across a block's
-        # steps leave holes that the dense build's per-level arrays fragment
-        # (glibc malloc, tau-bound then dynamic-utility-linear in one process:
-        # peak RSS 124 MB instead of 118 MB at 2,000 paths x 4,096 steps)
+        # steps leave holes among the per-level arrays a consumer keeps
+        # (glibc malloc, tau-bound then dynamic-utility-linear in one process,
+        # with the ratio kept at every level: peak RSS 124 MB instead of
+        # 118 MB at 2,000 paths x 4,096 steps)
         del halves
         yield from rows
 
@@ -603,14 +607,59 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
         yield _Level(p, an, ah, sw, overshoot)
 
 
+class _EulerLevels:
+    """The levels of one seeded Euler ensemble, re-iterable: each iteration is
+    a fresh _euler_levels run of the same normalized arguments, so it yields
+    the same bits and runs no bound check or normalization again."""
+
+    def __init__(self, *args):
+        self._args = args
+
+    def __iter__(self):
+        return _euler_levels(*self._args)
+
+
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
               overshoot_limit: float):
-    """(times, swapped, level generator) of the checked Euler ensemble."""
+    """(times, swapped, _EulerLevels) of the checked Euler ensemble."""
     alpha, beta, a1, a2, swapped = _checked_normalize(coeffs, grid.T, grid.dt,
                                                       overshoot_limit)
     times = grid.times()
-    return times, swapped, _euler_levels(alpha, beta, a1, a2, times, grid.dt,
-                                         n_paths, seed)
+    return times, swapped, _EulerLevels(alpha, beta, a1, a2, times, grid.dt,
+                                        n_paths, seed)
+
+
+class _EnsembleRatio(Sequence):
+    """Level -> (n_paths,) read-only ratio of an Euler ensemble.
+
+    Only the record is stored: the ratio at each switch level and at the level
+    before it. Any other level is replayed from the ensemble's _EulerLevels by
+    a forward cursor, so reads in increasing order cost one pass in total; a
+    read behind the cursor restarts the replay from level 0."""
+
+    def __init__(self, record: dict, levels: _EulerLevels, count: int):
+        self._record = record
+        self._levels = levels
+        self._count = count
+        self._replay = None     # the running replay, once a level needed one
+        self._at = (-1, None)   # the replay's last level and its ratio
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if not -self._count <= j < self._count:
+            raise IndexError(f"level {j} outside the {self._count} levels")
+        j %= self._count
+        if j in self._record:
+            return self._record[j]
+        at, ahat = self._at
+        if self._replay is None or j < at:
+            self._replay, at = iter(self._levels), -1
+        if j > at:
+            ahat = next(islice(self._replay, j - at - 1, None)).ahat
+            self._at = (j, ahat)
+        return ahat
 
 
 def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
@@ -675,13 +724,14 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     The regime ratio is restarted by inversion whenever |ratio| >= 2; an a
     priori one-step bound must stay below overshoot_limit.
 
-    The ensemble stores ahat at every level, (steps + 1) x n_paths, but
+    The ensemble stores ahat only at each switch level and the level before
+    it, and replays any other level on read (_EnsembleRatio); it stores
     parity, anchor and switch flags once per switch level: a level without
     switches shares the previous level's arrays (and one all-False flag array).
-    Every stored ensemble array is read-only. Neither mode stores the weights:
-    A1[j] and A2[j] are computed from level j's parity, anchor and ahat on each
-    read and returned read-only. Consumers that need only the switches use
-    switch_events or replay_paths instead.
+    Every stored or replayed ensemble array is read-only. Neither mode stores
+    the weights: A1[j] and A2[j] are computed from level j's parity, anchor and
+    ahat on each read and returned read-only. Consumers that need only the
+    switches use switch_events or replay_paths instead.
     """
     if tree is not None:
         if tree.d != 1:
@@ -693,23 +743,27 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
             coeffs, tree.grid.T, tree.dt, overshoot_limit)
         parity, anchor, ahat, flags, lam, mu, overshoot = _tree_levels(
             alpha, beta, a1, a2, tree, times)
+        ahat = tuple(ahat)
         count = tree.node_count(0)
     else:
         if grid is None or n_paths is None:
             raise ValueError("pass a tree, or grid= and n_paths=")
         times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
-        parity, anchor, ahat, flags = [], [], [], []
+        parity, anchor, flags, record = [], [], [], {}
         lam = mu = ()
-        overshoot = 0.0
-        for lv in levels:
+        overshoot, before = 0.0, None
+        for j, lv in enumerate(levels):
             parity.append(lv.parity)
             anchor.append(lv.anchor)
-            ahat.append(lv.ahat)
             flags.append(lv.switched)
+            if lv.switched.any():  # level 0 never switches
+                record[j - 1], record[j] = before, lv.ahat
+            before = lv.ahat
             overshoot = max(overshoot, lv.overshoot)
+        ahat = _EnsembleRatio(record, levels, len(flags))
         count = n_paths
 
-    parity, anchor, ahat = tuple(parity), tuple(anchor), tuple(ahat)
+    parity, anchor = tuple(parity), tuple(anchor)
     A1o, A2o = (LevelWeights(parity, anchor, ahat, swapped, k) for k in (0, 1))
     orig_a1, orig_a2 = coeffs.a1, coeffs.a2
 

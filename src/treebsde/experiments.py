@@ -92,7 +92,9 @@ _REQUIRED = ("experiment", "seed")
 _ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
 # dynamic-utility-linear's default paths, the most its default steps allow: its
-# dense Euler ahat, (steps + 1) x paths floats, is capped at this shipped size
+# Euler ensemble keeps the ratio at the levels where some path switches and the
+# level before each, (steps + 1) x paths floats at worst, when every level
+# switches; that worst case is capped at this shipped size
 _LINEAR_MAX_PATHS = 2000
 _LINEAR_MAX_FLOATS = (ExperimentConfig.steps + 1) * _LINEAR_MAX_PATHS
 _WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
@@ -188,9 +190,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     if (clean.get("experiment") == "dynamic-utility-linear" and steps >= 1
             and (steps + 1) * paths > _LINEAR_MAX_FLOATS):
         at = "" if steps == ExperimentConfig.steps else f" at field 'steps' = {steps}"
-        msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its dense "
-                    f"Euler ensemble ratio ((steps + 1) x paths floats, at most "
-                    f"{_LINEAR_MAX_FLOATS}) and runs at most "
+        msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its Euler "
+                    f"ensemble ratio at switch levels and the level before each, "
+                    f"at worst as much as a dense Euler ensemble ((steps + 1) x "
+                    f"paths floats, at most {_LINEAR_MAX_FLOATS}) and runs at most "
                     f"{_LINEAR_MAX_FLOATS // (steps + 1)} paths{at}, got {paths}")
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "

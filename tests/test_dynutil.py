@@ -799,3 +799,69 @@ def test_ensemble_weights_are_derived_not_stored():
             assert not level.flags.writeable, j
             count += 1
         assert count == grid.n + 1
+
+
+def test_ensemble_build_peak_stays_below_one_dense_ratio():
+    # the ratio is kept at the 524 switch levels and the level before each,
+    # not at all 4,097 levels: (steps + 1) x paths floats alone are 62.5 MiB
+    grid, n_paths = TimeGrid(T=4.0, n=4096), 2000
+    dense = (grid.n + 1) * n_paths * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        build_linear_utility(switch_coeffs(), grid=grid, n_paths=n_paths, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense, (peak, dense)
+
+
+def _count_replays(monkeypatch):
+    """A list that gains one entry each time an Euler ensemble starts."""
+    starts, run = [], dynutil._euler_levels
+
+    def counted(*args):
+        starts.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(dynutil, "_euler_levels", counted)
+    return starts
+
+
+def test_ensemble_ratio_replays_only_unrecorded_levels(monkeypatch):
+    starts = _count_replays(monkeypatch)
+    grid = TimeGrid(T=4.0, n=4096)
+    lin = build_linear_utility(switch_coeffs(), grid=grid, n_paths=200, seed=1)
+    assert len(starts) == 1
+    # dynamic-utility-linear's reads: the ratio at each switch level, both
+    # weights there and at the level before
+    switch_levels = [j for j in range(1, grid.n + 1) if lin.switch_flags[j].any()]
+    assert len(switch_levels) > 20
+    for j in switch_levels:
+        for level in (lin.ahat[j], lin.A1[j - 1], lin.A2[j - 1], lin.A1[j], lin.A2[j]):
+            assert not level.flags.writeable
+    assert len(starts) == 1
+    assert sum(1 for _ in lin.A1) == grid.n + 1
+    assert len(starts) <= 2
+
+
+def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
+    # a geometric ratio from 1: 5 of 20 paths' levels switch within 256 steps
+    coeffs = _COEFF_SETS["fast"]()
+    grid = TimeGrid(T=256 / 1024, n=256)
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=20, seed=1)
+    _, _, levels = dynutil._ensemble(coeffs, grid, 20, 1, 0.1)
+    forward = [_bits(lv.ahat) for lv in levels]
+    assert sum(1 for f in lin.switch_flags if f.any()) == 5
+    starts = _count_replays(monkeypatch)
+    count = len(lin.ahat)
+    assert count == grid.n + 1
+    for j in reversed(range(count)):
+        for level in (lin.ahat[j], lin.ahat[j - count]):
+            assert _bits(level) == forward[j], j
+            assert not level.flags.writeable, j
+    # every unrecorded level read behind the cursor restarts the replay
+    assert 2 < len(starts) < count
+    assert [_bits(level) for level in lin.ahat] == forward
+    for j in (count, -count - 1):
+        with pytest.raises(IndexError):
+            lin.ahat[j]
