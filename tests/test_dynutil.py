@@ -845,13 +845,15 @@ def test_ensemble_ratio_replays_only_unrecorded_levels(monkeypatch):
 
 
 def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
-    # a geometric ratio from 1: 5 of 20 paths' levels switch within 256 steps
+    # a geometric ratio from 1: some of 20 paths switch at 5 of 256 steps
     coeffs = _COEFF_SETS["fast"]()
     grid = TimeGrid(T=256 / 1024, n=256)
     lin = build_linear_utility(coeffs, grid=grid, n_paths=20, seed=1)
     _, _, levels = dynutil._ensemble(coeffs, grid, 20, 1, 0.1)
     forward = [_bits(lv.ahat) for lv in levels]
-    assert sum(1 for f in lin.switch_flags if f.any()) == 5
+    switch_levels = [j for j, f in enumerate(lin.switch_flags) if f.any()]
+    assert len(switch_levels) == 5
+    recorded = set(switch_levels) | {j - 1 for j in switch_levels}
     starts = _count_replays(monkeypatch)
     count = len(lin.ahat)
     assert count == grid.n + 1
@@ -859,8 +861,8 @@ def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
         for level in (lin.ahat[j], lin.ahat[j - count]):
             assert _bits(level) == forward[j], j
             assert not level.flags.writeable, j
-    # every unrecorded level read behind the cursor restarts the replay
-    assert 2 < len(starts) < count
+    # read in descending order, every unrecorded level restarts the replay
+    assert len(starts) == count - len(recorded)
     assert [_bits(level) for level in lin.ahat] == forward
     for j in (count, -count - 1):
         with pytest.raises(IndexError):
