@@ -1,8 +1,8 @@
 """Tree-based numerics for time-inconsistent control of multidimensional BSDEs.
 
 Modules:
-  lattice     +/-sqrt(dt) scenario trees with exact conditional expectations and
-              root-to-node paths
+  lattice     +/-sqrt(dt) scenario trees with exact conditional expectations of
+              per-level node arrays and root-to-node paths
   bsde        controlled BSDE solving, policy enumeration (whole tree or one
               node's subtree), reachable sets, the scalar envelope
   duality     dual control value W, HJB finite differences, nodal sets, geometric DPP
@@ -15,13 +15,13 @@ Modules:
 """
 
 from treebsde.lattice import (
-    TimeGrid, ScenarioTree, TreeRandomVariable,
+    TimeGrid, ScenarioTree,
     build_tree, conditional_expectation, path_functional,
     TreeSizeError, ModeError,
 )
 
 __all__ = [
-    "TimeGrid", "ScenarioTree", "TreeRandomVariable",
+    "TimeGrid", "ScenarioTree",
     "build_tree", "conditional_expectation", "path_functional",
     "TreeSizeError", "ModeError",
 ]

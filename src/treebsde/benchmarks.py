@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from treebsde.lattice import ScenarioTree, TreeRandomVariable
+from treebsde.lattice import ScenarioTree
 from treebsde.bsde import (
     BSDEProblem,
     ControlPolicy,
@@ -457,14 +457,13 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
     level x_R), terminal payout utility, backward with the u Z drift; value at
     a node depends only on its subtree, so one full-tree solve serves all nodes.
     """
-    rv = TreeRandomVariable(level=tree.n, values=_pa_payout(
-        tree, bench.forward, bench.analytic["gamma_P"], u, level, start))
+    payout = _pa_payout(tree, bench.forward, bench.analytic["gamma_P"], u, level, start)
     carrier = BSDEProblem(
         value_dim=1, f=bench.problem.f, terminal=bench.problem.terminal,
         phi=bench.problem.phi, control_values=(float(u),),
         lipschitz_L=bench.problem.lipschitz_L)
     pol = ControlPolicy.constant(tree, u)
-    sol = solve_bsde(carrier, tree, pol, terminal_level=tree.n, terminal_rv=rv)
+    sol = solve_bsde(carrier, tree, pol, eta=payout)
     return sol.Y[level][:, 0]
 
 
@@ -483,7 +482,6 @@ def pa_closed_form(bench: BenchmarkProblem, tree: ScenarioTree, u) -> float:
 
 @dataclass(frozen=True)
 class ContractReport:
-    level: int
     argmax_matches: int
     argmax_total: int
     max_contract_deviation: float
@@ -521,7 +519,6 @@ def pa_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     original = forward_states(tree, bench.forward, lambda tt, x: u_star)[-1]
     max_dev = float(np.max(np.abs(reopt - original)))
     return ContractReport(
-        level=level,
         argmax_matches=matches, argmax_total=int(argmax.size),
         max_contract_deviation=max_dev,
         all_match=(matches == argmax.size) and max_dev <= 1e-12)

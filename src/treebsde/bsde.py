@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from treebsde.lattice import ScenarioTree, TreeRandomVariable
+from treebsde.lattice import ScenarioTree
 
 
 class ProblemValidationError(ValueError):
@@ -187,24 +187,22 @@ class BSDESolution:
 
 def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
                policy: ControlPolicy | None = None,
-               terminal_level: int | None = None,
-               terminal_rv: TreeRandomVariable | None = None) -> BSDESolution:
+               terminal_level: int | None = None, eta=None) -> BSDESolution:
     """Backward induction on [0, terminal_level] under the given policy.
 
     Default terminal data is problem.terminal evaluated at the last level; pass
-    (terminal_level, terminal_rv) to solve from intermediate data eta at level k.
+    terminal_level k and eta, the (m_k, d') array at level k, to solve from
+    intermediate data.
     """
     n, dpr = tree.n, problem.value_dim
     k = n if terminal_level is None else terminal_level
     if not 0 <= k <= n:
         raise ValueError(f"terminal level {k} outside 0..{n}")
     _check_scheme(problem, tree)
-    if terminal_rv is not None:
-        if terminal_rv.level != k:
-            raise ValueError(f"terminal_rv at level {terminal_rv.level}, expected {k}")
-        eta = np.asarray(terminal_rv.values, dtype=float).reshape(tree.node_count(k), dpr)
-    else:
+    if eta is None:
         eta = _terminal(problem, tree, k)
+    else:
+        eta = np.asarray(eta, dtype=float).reshape(tree.node_count(k), dpr)
     if policy is None:
         policy = ControlPolicy.constant(tree, problem.control_values[0], last_level=k)
     if len(policy.levels) < k:
@@ -405,10 +403,10 @@ class StaticValue:
 
 def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
                            objective, start_level: int = 0,
-                           terminal_level: int | None = None,
-                           terminal_rv: TreeRandomVariable | None = None):
+                           terminal_level: int | None = None, eta=None):
     """Per-node max at start_level of objective(Y_{start_level}) over segment
-    policies, one solve_bsde per policy. Its one caller is
+    policies from the terminal array eta at terminal_level (as solve_bsde's),
+    one solve_bsde per policy. Its one caller is
     master.check_forward_dpp: the benchmark counts that route's solves and
     policies through this function, so it stays until those counters read the
     batched _search.
@@ -422,7 +420,7 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
     for assignment, pol in space.policies():
-        sol = solve_bsde(problem, tree, pol, terminal_level=k, terminal_rv=terminal_rv)
+        sol = solve_bsde(problem, tree, pol, terminal_level=k, eta=eta)
         vals = np.asarray(objective(sol.Y[start_level]), dtype=float)
         improved = vals > best
         if improved.any():
@@ -559,14 +557,9 @@ def _frontier(problem: BSDEProblem, y, times, dt: float, d: int):
     return value, tuple(assignment), len(U) * sum(len(pts) for pts in levels[1:])
 
 
-@dataclass(frozen=True)
-class ReachableSet:
-    level: int
-    points: tuple  # node -> (r, d') array of attainable Y values, deduplicated
-
-
-def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> ReachableSet:
-    """Attainable {Y^u_level(node)} over policies on [level, n], deduplicated at 1e-10.
+def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> tuple:
+    """Attainable {Y^u_level(node)} over policies on [level, n], deduplicated at
+    1e-10: one (r, d') array of points per node of the level.
 
     Deterministic controls solve each policy of the level once for all nodes;
     adapted ones search each node's subtree (path mode only, else ModeError)."""
@@ -580,8 +573,7 @@ def reachable_set(problem: BSDEProblem, tree: ScenarioTree, level: int) -> Reach
         for _, (y, *_), _ in _solve_chunks(problem, space):
             for c, i in enumerate(nodes):
                 buckets[i].append(y[:, c])
-    return ReachableSet(level=level,
-                        points=tuple(_dedup(np.concatenate(b)) for b in buckets))
+    return tuple(_dedup(np.concatenate(b)) for b in buckets)
 
 
 def _dedup(arr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -599,22 +591,17 @@ class StructureError(ValueError):
     """Declared monotone structure failed a probe."""
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    max_residual: float
-    consistent: bool
-
-
 def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = False):
-    """Solve with the enveloped generator fbar = sup_u f and report |V_t - phi(Ybar_t)|,
-    consistent when its max over levels is at most 1e-10.
+    """(Ybar, max residual): the solution under the enveloped generator fbar =
+    sup_u f, and the max over levels t < n and nodes of |V_t - phi(Ybar_t)|.
+    The envelope is consistent when that residual is at most 1e-10.
 
     Scalar only: d' = 1 (StructureError otherwise) and phi increasing, checked
     by 16 seeded probes. V_t is the per-node max of phi(Y^u_t) over the
     policies on [t, n], by _search.
 
-    skip_probes computes the report even when phi fails its probes; the
-    resulting consistent=False then documents the DPP violation.
+    skip_probes computes the residual even when phi fails its probes; a
+    residual above 1e-10 then documents the DPP violation.
     """
     rng = np.random.default_rng(np.random.Philox(0))
     dpr, m = problem.value_dim, tree.node_count(0)
@@ -647,4 +634,4 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = 
         vals, _ = _search(problem, PolicySpace(problem, tree, t), problem.phi)
         max_res = max(max_res, float(np.max(np.abs(
             vals - np.asarray(problem.phi(bar.Y[t])).reshape(-1)))))
-    return bar, EnvelopeReport(max_residual=max_res, consistent=max_res <= 1e-10)
+    return bar, max_res

@@ -141,7 +141,6 @@ class DualGrid:
     times: np.ndarray  # every tree-level time, increasing
     axes: tuple        # markovian: (xs, ys); deterministic: (y1s, y2s)
     W: np.ndarray      # (2, len(axes[0]), len(axes[1])): W at levels 0 and n
-    config: HJBConfig
     substeps: int
 
     @property
@@ -445,7 +444,7 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
 
     _sweep(grid, out, sub, min_rows, make_step)
     return DualGrid(kind="markovian", times=times, axes=(xs, ys), W=out,
-                    config=config, substeps=sub)
+                    substeps=sub)
 
 
 def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
@@ -519,7 +518,7 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
 
     _sweep(grid, out, sub, min_rows, make_step)
     return DualGrid(kind="deterministic", times=times, axes=(y1, y2), W=out,
-                    config=config, substeps=sub)
+                    substeps=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -555,20 +554,14 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
     return NodalSet(level=level, points=pts, eps=float(eps), empty=pts.shape[0] == 0)
 
 
-@dataclass(frozen=True)
-class DualStaticValue:
-    value: float
-    eps: float
-
-
-def dual_static_value(nodal: NodalSet, phi) -> DualStaticValue:
+def dual_static_value(nodal: NodalSet, phi) -> float:
     """max of phi over the nodal set; errors on empty sets advising a larger eps."""
     if nodal.empty:
         raise EmptyNodalSetError(
             f"nodal set empty at eps = {nodal.eps:.3e}; enlarge eps or refine the grid"
         )
     vals = np.asarray(phi(nodal.points)).reshape(-1)
-    return DualStaticValue(value=float(vals.max()), eps=nodal.eps)
+    return float(vals.max())
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +710,6 @@ def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
 
 @dataclass(frozen=True)
 class GeometricDppReport:
-    eps: float
     rho_into: float      # worst steer-min over the eps-nodal set at k1
     rho_back: float      # worst W at k1 over points steerable into the eps-set
     nodal_count: int
@@ -769,7 +761,7 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     nodal_count = int(np.count_nonzero(nodal))
     steer_count = int(np.count_nonzero(steerable))
     return GeometricDppReport(
-        eps=float(eps), rho_into=float(rho_into),
+        rho_into=float(rho_into),
         rho_back=float(rho_back), nodal_count=nodal_count,
         steerable_count=steer_count,
         inclusions_hold=bool(np.isfinite(rho_into) and np.isfinite(rho_back)

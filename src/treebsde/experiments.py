@@ -385,14 +385,14 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         dual = solve_dual_hjb(problems.transport_dual_spec(),
                               TimeGrid(cfg.T, cfg.n), config)
         nodal = extract_nodal_set(dual, 0, eps=cfg.eps)
-        dsv = dual_static_value(nodal, lambda y: y[..., 0])
+        value = dual_static_value(nodal, lambda y: y[..., 0])
         checks.append(_check("dual-analytic-value",
-                             abs(dsv.value - 0.5) <= cfg.value_tol, value=dsv.value,
+                             abs(value - 0.5) <= cfg.value_tol, value=value,
                              bound=cfg.value_tol, target=0.5))
         export_nodal_set_csv(nodal, dual.times, os.path.join(out_dir, "nodal_set.csv"))
         files.append("nodal_set.csv")
         extras = {"flavor": "deterministic-transport", "eps": nodal.eps,
-                  "value": float(dsv.value)}
+                  "value": value}
     else:
         config = HJBConfig(x_bounds=(-2.0, 2.0), dx=cfg.dx,
                            y_bounds=(-2.0, 2.0), dy=cfg.dy,

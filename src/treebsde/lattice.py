@@ -52,14 +52,6 @@ class TimeGrid:
         return np.linspace(0.0, self.T, self.n + 1)
 
 
-@dataclass(frozen=True)
-class TreeRandomVariable:
-    """Values attached to the nodes of one tree level: shape (m_k,) or (m_k, d')."""
-
-    level: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioTree:
     """Immutable scenario tree; build with build_tree."""
@@ -171,22 +163,23 @@ def step_expectation(tree: ScenarioTree, level: int, arr: np.ndarray) -> np.ndar
     return tree.child_values(level, arr).mean(axis=1)
 
 
-def conditional_expectation(tree: ScenarioTree, rv: TreeRandomVariable,
-                            target_level: int) -> TreeRandomVariable:
-    """E[rv | F_{target_level}], exact average over descendants.
+def conditional_expectation(tree: ScenarioTree, level: int, values: np.ndarray,
+                            target_level: int) -> np.ndarray:
+    """E[values | F_{target_level}] for values on the nodes of a level, shape
+    (m_level,) or (m_level, d'): the exact average over descendants.
 
     Iterates one-step averages, so the tower property holds bit-identically.
     """
-    if not 0 <= target_level <= rv.level <= tree.n:
+    if not 0 <= target_level <= level <= tree.n:
         raise ValueError(
-            f"need 0 <= target {target_level} <= rv level {rv.level} <= {tree.n}"
+            f"need 0 <= target {target_level} <= level {level} <= {tree.n}"
         )
-    if rv.values.shape[0] != tree.node_count(rv.level):
-        raise ValueError("rv values do not match node count at its level")
-    arr = rv.values
-    for k in range(rv.level - 1, target_level - 1, -1):
+    if values.shape[0] != tree.node_count(level):
+        raise ValueError("values do not match the node count at their level")
+    arr = values
+    for k in range(level - 1, target_level - 1, -1):
         arr = step_expectation(tree, k, arr)
-    return TreeRandomVariable(level=target_level, values=arr)
+    return arr
 
 
 def node_histories(tree: ScenarioTree, level: int) -> np.ndarray:

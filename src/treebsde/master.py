@@ -15,8 +15,9 @@ either is computed. This module provides:
     in the tree-L2 norm, every pair's values from one ForwardValue.values;
   * CylinderFunctional / path_derivative_probe: caller-supplied closed-form
     path functionals with their time/path derivatives, validated by the
-    discrete pathwise Ito identity on tree transitions (dB^2 = dt exactly);
-  * master_residual: the stationarity defect
+    discrete pathwise Ito identity on tree transitions (dB^2 = dt exactly)
+    in either tree mode;
+  * master_residual: after the path-derivative probe, the stationarity defect
       D-_t Psi - <D_eta Psi, induced-dt eta + 1/2 tr d_bb eta>
                - sup_u <D_eta Psi, f(t, eta, d_b eta, u)>
     where D-_t freezes the path at the previous level (keeping the functional's
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from treebsde.lattice import ScenarioTree, TreeRandomVariable, node_histories
+from treebsde.lattice import ScenarioTree, node_histories
 from treebsde.bsde import (
     BSDEProblem,
     NodeContext,
@@ -90,17 +91,14 @@ def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int
     def psi(level, values):
         vals, _, _, _ = maximize_over_policies(
             problem, tree, lambda y: np.asarray(problem.phi(y), dtype=float).reshape(-1),
-            start_level=0, terminal_level=level,
-            terminal_rv=TreeRandomVariable(level=level, values=values))
+            start_level=0, terminal_level=level, eta=values)
         return float(vals[0])
 
-    eta_arr = np.asarray(eta, dtype=float).reshape(
-        tree.node_count(t2), problem.value_dim)
-    direct = psi(t2, eta_arr)
-    rv = TreeRandomVariable(level=t2, values=eta_arr)
+    eta = np.asarray(eta, dtype=float).reshape(tree.node_count(t2), problem.value_dim)
+    direct = psi(t2, eta)
     best = -np.inf
     for _, pol in segment:
-        sol = solve_bsde(problem, tree, pol, terminal_level=t2, terminal_rv=rv)
+        sol = solve_bsde(problem, tree, pol, terminal_level=t2, eta=eta)
         best = max(best, psi(t1, sol.Y[t1]))
     return ForwardDppReport(residual=abs(direct - best))
 
@@ -119,7 +117,9 @@ def check_lipschitz(problem: BSDEProblem, tree: ScenarioTree, level: int,
     """max |Psi(t,a) - Psi(t,b)| / ||a-b||_L2(tree) against e^{2(1+L)LT} Lip(phi).
 
     Pairs closer than 1e-14 are skipped; both sides of every other pair come
-    from one ForwardValue.values call. With no pair checked, nothing passes."""
+    from one ForwardValue.values call. With no pair checked, nothing passes;
+    a pair it cannot measure, whose distance or ratio is not finite, fails the
+    check and shows as max_ratio."""
     if problem.phi_lipschitz is None:
         raise ValueError("check_lipschitz needs problem.phi_lipschitz declared")
     probs = tree.probs[level]
@@ -131,8 +131,11 @@ def check_lipschitz(problem: BSDEProblem, tree: ScenarioTree, level: int,
     dist = np.sqrt(np.array([np.sum(probs[:, None] * (a - b) ** 2) for a, b in ab]))
     checked = ~(dist < 1e-14)
     psi = ForwardValue(problem, tree).values(level, ab[checked].reshape(-1, m, dpr))
-    ratios = np.abs(psi[0::2] - psi[1::2]) / dist[checked]
-    max_ratio = max([0.0, *ratios.tolist()])
+    dist = dist[checked]
+    with np.errstate(invalid="ignore"):  # a NaN pair's two Psi values are -inf
+        ratios = np.where(np.isfinite(dist), np.abs(psi[0::2] - psi[1::2]) / dist, dist)
+    unmeasured = ratios[~np.isfinite(ratios)]
+    max_ratio = float(unmeasured[0]) if unmeasured.size else max([0.0, *ratios.tolist()])
     count = int(checked.sum())
     return LipschitzReport(pairs_checked=count, skipped=len(ab) - count,
                            max_ratio=max_ratio, bound=bound,
@@ -149,8 +152,9 @@ class CylinderFunctional:
 
     value(t, path) -> (m, d'), d_t likewise, d_b(t, path) -> (m, d', d),
     d_bb(t, path) -> (m, d', d, d). path has shape (m, k+1, d): the node
-    history up to the current level (a single current-value slot on
-    recombining trees, so only path[:, -1, :] may be read there).
+    history up to the current level (on recombining trees the current-value
+    slot, plus one step in path_derivative_probe, so only path[:, -1, :] may
+    be read there).
     """
 
     value: object
@@ -177,25 +181,18 @@ def _cyl_shapes(cyl: CylinderFunctional, t: float, path: np.ndarray, dpr: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class PathDerivativeReport:
-    max_residual: float
-    passed: bool
-
-
 def path_derivative_probe(cyl: CylinderFunctional, tree: ScenarioTree,
                           value_dim: int = 1, levels=None,
-                          threshold: float | None = None) -> PathDerivativeReport:
-    """Residual of eta(t+dt, path+) - eta(t, path) against the supplied
+                          threshold: float | None = None) -> float:
+    """Max residual of eta(t+dt, path+) - eta(t, path) against the supplied
     dt/db/dbb expansion over tree transitions (using dB dB^T = inc inc^T,
-    whose diagonal is exactly dt).
+    whose diagonal is exactly dt). The paths are node_histories', so on a
+    recombining tree a path is the current-value slot plus one step.
 
     Exactly zero for polynomial functionals of degree <= 2 in the path values;
     O(dt^{3/2}) for smooth ones. Residuals above the threshold raise an
     invalid-cylinder error.
     """
-    if tree.mode != "path":
-        raise ValueError("the derivative probe walks explicit paths: path mode only")
     dt = tree.dt
     times = tree.grid.times()
     inc = tree.increments
@@ -223,7 +220,7 @@ def path_derivative_probe(cyl: CylinderFunctional, tree: ScenarioTree,
         raise InvalidCylinderError(
             f"cylinder '{cyl.name}': pathwise expansion residual {max_res:.3e} "
             f"exceeds threshold {threshold:.3e}")
-    return PathDerivativeReport(max_residual=max_res, passed=True)
+    return max_res
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,6 @@ def path_derivative_probe(cyl: CylinderFunctional, tree: ScenarioTree,
 
 @dataclass(frozen=True)
 class MasterResidual:
-    level: int
     residual: float
     left_time_term: float   # D-_t Psi with the path frozen at level t-1
     drift_term: float       # <D_eta Psi, 1/2 tr d_bb eta> (induced dt-term is 0)
@@ -275,14 +271,13 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
     functional's time slot, so the induced time-derivative contribution of the
     cylinder is identically zero and the drift term carries only the
     second-order path derivative. The control term takes per-node maxima of
-    <D_eta Psi, f(t, eta, d_b eta, u)> over the finite control set. On a path
-    tree the cylinder's derivatives must first pass path_derivative_probe.
+    <D_eta Psi, f(t, eta, d_b eta, u)> over the finite control set. The
+    cylinder's derivatives must first pass path_derivative_probe.
     """
     if level < 1:
         raise ValueError("the left time-difference needs level >= 1")
-    if tree.mode == "path":
-        path_derivative_probe(cyl, tree, value_dim=problem.value_dim,
-                              levels=range(min(level, tree.n)))
+    path_derivative_probe(cyl, tree, value_dim=problem.value_dim,
+                          levels=range(min(level, tree.n)))
     dt = tree.dt
     t_now = tree.grid.times()[level]
     fv = ForwardValue(problem, tree)
@@ -309,7 +304,6 @@ def master_residual(problem: BSDEProblem, tree: ScenarioTree,
                          eta_now, db, D)
 
     return MasterResidual(
-        level=level,
         residual=float(left_term - drift_term - sup_term),
         left_time_term=float(left_term), drift_term=drift_term,
         sup_term=sup_term)

@@ -13,7 +13,6 @@ import pytest
 
 from treebsde.lattice import (
     TimeGrid,
-    TreeRandomVariable,
     build_tree,
     conditional_expectation,
 )
@@ -99,9 +98,9 @@ def test_acceptance_01_root_value_primal_and_dual():
                               TimeGrid(2.0, n),
                               HJBConfig(y_bounds=(-2.0, 2.0), dy=dy))
         nodal = extract_nodal_set(dual, 0, eps=efac * dy)
-        dsv = dual_static_value(nodal, lambda y: y[..., 0])
+        value = dual_static_value(nodal, lambda y: y[..., 0])
         elapsed = time.monotonic() - t0
-        err = abs(dsv.value - target)
+        err = abs(value - target)
         ok = ok and err <= tol and elapsed < 60.0
         parts.append(f"dual n={n}: err={err:.2e} (tol {tol:g}, {elapsed:.1f}s)")
     _verdict(1, ok, "V0=1/2 via both routes; " + "; ".join(parts))
@@ -203,7 +202,7 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
                                   TimeGrid(2.0 * (n - k) / n, n - k),
                                   HJBConfig(y_bounds=(-2.0, 3.0), dy=dy))
         nodal = extract_nodal_set(dual_det, 0, eps=efac * dy)
-        rpts = np.asarray(reachable_set(det.problem, tree, k).points[0])
+        rpts = np.asarray(reachable_set(det.problem, tree, k)[0])
         dh = _hausdorff(nodal.points, rpts)
         ok_h = ok_h and not nodal.empty and dh <= 2.0 * dy + 1e-9
         distances.append(dh)
@@ -379,16 +378,14 @@ def test_acceptance_08_switching_ensemble_and_comparison():
 def test_acceptance_09_tree_identities_and_mode_agreement():
     tree = build_tree(TimeGrid(2.0, 7), d=1, mode="path")
     rng = np.random.default_rng(np.random.Philox(5))
-    rv = TreeRandomVariable(7, rng.normal(size=tree.node_count(7)))
-    direct = conditional_expectation(tree, rv, 1).values
-    mid = conditional_expectation(tree, rv, 4)
-    tower_ok = np.array_equal(direct,
-                              conditional_expectation(tree, mid, 1).values)
+    values = rng.normal(size=tree.node_count(7))
+    direct = conditional_expectation(tree, 7, values, 1)
+    mid = conditional_expectation(tree, 7, values, 4)
+    tower_ok = np.array_equal(direct, conditional_expectation(tree, 4, mid, 1))
 
     mart_dev = 0.0
-    walk = TreeRandomVariable(7, tree.values[7][:, 0])
     for k in (0, 2, 4, 6):
-        ek = conditional_expectation(tree, walk, k).values
+        ek = conditional_expectation(tree, 7, tree.values[7][:, 0], k)
         mart_dev = max(mart_dev,
                        float(np.max(np.abs(ek - tree.values[k][:, 0]))))
 
@@ -419,12 +416,10 @@ def test_acceptance_09_tree_identities_and_mode_agreement():
     agree_dev = max(agree_dev, abs(y0["path"] - y0["recombining"]))
     func_dev = abs(
         float(conditional_expectation(
-            trees["path"], TreeRandomVariable(
-                8, np.cosh(trees["path"].values[8][:, 0])), 0).values[0])
+            trees["path"], 8, np.cosh(trees["path"].values[8][:, 0]), 0)[0])
         - float(conditional_expectation(
-            trees["recombining"], TreeRandomVariable(
-                8, np.cosh(trees["recombining"].values[8][:, 0])),
-            0).values[0]))
+            trees["recombining"], 8, np.cosh(trees["recombining"].values[8][:, 0]),
+            0)[0]))
     agree_dev = max(agree_dev, func_dev)
 
     ok = (tower_ok and mart_dev <= 1e-14 and inc_dev <= 1e-14

@@ -3,7 +3,7 @@ and consistency-restoration reports."""
 import numpy as np
 import pytest
 
-from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
+from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import ControlPolicy, solve_bsde, static_value
 from treebsde.benchmarks import (
     BenchmarkError,
@@ -61,8 +61,7 @@ def _mv_feedback_value(mv, tree, feedback):
     """phi_c at the root for a feedback control: forward states, then one
     backward solve of the carrier on the resulting terminal data."""
     xT = forward_states(tree, mv.forward, feedback)[-1]
-    rv = TreeRandomVariable(level=tree.n, values=np.stack([xT, xT * xT], axis=1))
-    sol = solve_bsde(mv.problem, tree, terminal_level=tree.n, terminal_rv=rv)
+    sol = solve_bsde(mv.problem, tree, eta=np.stack([xT, xT * xT], axis=1))
     return float(mv.problem.phi(sol.Y[0])[0])
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treebsde import bsde, problems
-from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
+from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import (
     BSDEProblem, ControlPolicy, EnumerationCapError, PolicySpace, ProblemValidationError,
     StructureError, envelope_bsde, monotone_step_bound, reachable_set,
@@ -57,8 +57,7 @@ def test_terminal_consistency_bitwise():
     tree = build_tree(TimeGrid(1.0, 3), 1, "path")
     eta = np.random.default_rng(1).normal(size=(tree.node_count(3), 1))
     prob = make_problem(zero_f, None)
-    sol = solve_bsde(prob, tree, terminal_level=3,
-                     terminal_rv=TreeRandomVariable(3, eta))
+    sol = solve_bsde(prob, tree, terminal_level=3, eta=eta)
     assert sol.Y[3] is not eta or np.shares_memory(sol.Y[3], eta) or True
     np.testing.assert_array_equal(sol.Y[3], eta.reshape(-1, 1))
 
@@ -94,8 +93,7 @@ def test_flow_concatenation_identity():
         rng.choice([-1.0, 1.0], size=tree.node_count(j)) for j in range(5)))
     full = solve_bsde(prob, tree, pol)
     k = 3
-    two_stage = solve_bsde(prob, tree, pol, terminal_level=k,
-                           terminal_rv=TreeRandomVariable(k, full.Y[k]))
+    two_stage = solve_bsde(prob, tree, pol, terminal_level=k, eta=full.Y[k])
     np.testing.assert_allclose(two_stage.Y[0], full.Y[0], atol=1e-12)
 
 
@@ -110,9 +108,8 @@ def test_stability_bound():
     rng = np.random.default_rng(9)
     eta = rng.normal(size=(tree.node_count(6), 1))
     delta = rng.normal(size=(tree.node_count(6), 1)) * 0.1
-    s0 = solve_bsde(prob, tree, terminal_level=6, terminal_rv=TreeRandomVariable(6, eta))
-    s1 = solve_bsde(prob, tree, terminal_level=6,
-                    terminal_rv=TreeRandomVariable(6, eta + delta))
+    s0 = solve_bsde(prob, tree, terminal_level=6, eta=eta)
+    s1 = solve_bsde(prob, tree, terminal_level=6, eta=eta + delta)
     l2 = lambda v, k: np.sqrt((tree.probs[k] * (v[:, 0] ** 2)).sum())
     C = 2.0 * (1.0 + L)
     bound = np.exp(C * L * tree.grid.T) * l2(delta, 6)
@@ -132,8 +129,8 @@ def test_comparison_one_dim():
     rng = np.random.default_rng(11)
     eta = rng.normal(size=(tree.node_count(n), 1))
     etap = eta + np.abs(rng.normal(size=eta.shape))
-    s0 = solve_bsde(prob, tree, terminal_level=n, terminal_rv=TreeRandomVariable(n, eta))
-    s1 = solve_bsde(prob, tree, terminal_level=n, terminal_rv=TreeRandomVariable(n, etap))
+    s0 = solve_bsde(prob, tree, terminal_level=n, eta=eta)
+    s1 = solve_bsde(prob, tree, terminal_level=n, eta=etap)
     for j in range(n + 1):
         assert np.all(s1.Y[j] >= s0.Y[j] - 1e-14)
 
@@ -514,7 +511,7 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
     if tree.mode == "recombining" and not problem.deterministic_controls:
         return  # adapted reachable sets search path-mode subtrees
     for level in (0, 1):
-        batch = reachable_set(problem, tree, level).points
+        batch = reachable_set(problem, tree, level)
         ref = _reachable_by_solves(problem, tree, level)
         assert len(batch) == len(ref)
         for b, r in zip(batch, ref):
@@ -551,9 +548,8 @@ def test_batched_search_matches_the_per_policy_search_on_subtrees(objective, chu
     caller = 1.5 * tree.values[2][:, :1] + 0.2
     cases = [(level, 3, None) for level in range(3)] + [(level, 2, caller) for level in (0, 1)]
     for level, k, eta in cases:
-        rv = None if eta is None else TreeRandomVariable(k, eta)
         vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level,
-                                                     terminal_level=k, terminal_rv=rv)
+                                                     terminal_level=k, eta=eta)
         slots = PolicySpace(prob, tree, level, k).slots
         for node in range(tree.node_count(level)):
             space = PolicySpace(prob, tree, level, k, node=node)
@@ -583,9 +579,8 @@ def test_batched_search_matches_the_per_policy_search_on_a_recombining_tree(
     caller = 1.5 * tree.values[3][:, :1] - 0.1
     cases = [(level, 4, None) for level in range(4)] + [(level, 3, caller) for level in (1, 2)]
     for level, k, eta in cases:
-        rv = None if eta is None else TreeRandomVariable(k, eta)
         vals, assigns, _, _ = maximize_over_policies(prob, tree, obj, start_level=level,
-                                                     terminal_level=k, terminal_rv=rv)
+                                                     terminal_level=k, eta=eta)
         space = PolicySpace(prob, tree, level, k)
         best, first = bsde._search(prob, space, obj, eta)
         assert _bits(best) == _bits(vals)
@@ -610,7 +605,7 @@ def test_reachable_set_solves_only_each_subtree():
         return f(t, ctx, y, z, u)
 
     problem.f = counted
-    points = reachable_set(problem, tree, 2).points
+    points = reachable_set(problem, tree, 2)
     assert sum(rows) == 96
     ref = _reachable_by_solves(problem, tree, 2)
     assert len(points) == len(ref) == 4
@@ -622,10 +617,10 @@ def test_reachable_set_control_free_singleton():
     tree = build_tree(TimeGrid(1.0, 3), 1, "path")
     prob = make_problem(zero_f, lambda ctx: ctx.b[:, :1] ** 2)
     rs = reachable_set(prob, tree, 1)
-    for i, pts in enumerate(rs.points):
+    for i, pts in enumerate(rs):
         assert pts.shape == (1, 1)
     sol = solve_bsde(prob, tree)
-    for i, pts in enumerate(rs.points):
+    for i, pts in enumerate(rs):
         assert abs(pts[0, 0] - sol.Y[1][i, 0]) < 1e-12
 
 
@@ -637,7 +632,7 @@ def test_reachable_set_one_step():
 
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(-1.0, 1.0))
     rs = reachable_set(prob, tree, 0)
-    np.testing.assert_allclose(np.sort(rs.points[0].ravel()), [-1.0, 1.0])
+    np.testing.assert_allclose(np.sort(rs[0].ravel()), [-1.0, 1.0])
 
 
 def test_reachable_set_dedup():
@@ -648,7 +643,7 @@ def test_reachable_set_dedup():
 
     prob = make_problem(f, lambda ctx: np.zeros((ctx.b.shape[0], 1)), U=(-1.0, 1.0))
     rs = reachable_set(prob, tree, 0)
-    assert rs.points[0].shape[0] == 1  # all policies give the same value
+    assert rs[0].shape[0] == 1  # all policies give the same value
 
 
 def test_envelope_sup_of_uz():
@@ -659,9 +654,8 @@ def test_envelope_sup_of_uz():
 
     prob = make_problem(f, lambda ctx: ctx.b[:, :1],
                         U=(-1.0, -0.5, 0.0, 0.5, 1.0), L=1.0)
-    bar, report = envelope_bsde(prob, tree)
-    assert report.consistent
-    assert report.max_residual <= 1e-10
+    bar, residual = envelope_bsde(prob, tree)
+    assert residual <= 1e-10  # consistent
 
 
 def test_envelope_decreasing_phi_flags_violation():
@@ -674,9 +668,9 @@ def test_envelope_decreasing_phi_flags_violation():
                         U=(-1.0, 0.0, 1.0), L=1.0)
     with pytest.raises(StructureError):
         envelope_bsde(prob, tree)
-    bar, report = envelope_bsde(prob, tree, skip_probes=True)
-    assert not report.consistent
-    assert report.max_residual > 1e-6
+    bar, residual = envelope_bsde(prob, tree, skip_probes=True)
+    assert not residual <= 1e-10  # not consistent
+    assert residual > 1e-6
 
 
 def test_envelope_control_free_zero_residual():
@@ -686,8 +680,8 @@ def test_envelope_control_free_zero_residual():
         return 0.5 * y
 
     prob = make_problem(f, lambda ctx: ctx.b[:, :1] ** 2, U=(0.0,), L=0.5)
-    bar, report = envelope_bsde(prob, tree)
-    assert report.max_residual <= 1e-14
+    bar, residual = envelope_bsde(prob, tree)
+    assert residual <= 1e-14
 
 
 @settings(max_examples=20, deadline=None)
@@ -704,7 +698,7 @@ def test_comparison_property_random_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     eta = rng.normal(size=(tree.node_count(n), 1))
     etap = eta + np.abs(rng.normal(size=eta.shape))
-    s0 = solve_bsde(prob, tree, terminal_level=n, terminal_rv=TreeRandomVariable(n, eta))
-    s1 = solve_bsde(prob, tree, terminal_level=n, terminal_rv=TreeRandomVariable(n, etap))
+    s0 = solve_bsde(prob, tree, terminal_level=n, eta=eta)
+    s1 = solve_bsde(prob, tree, terminal_level=n, eta=etap)
     for j in range(n + 1):
         assert np.all(s1.Y[j] >= s0.Y[j] - 1e-12)

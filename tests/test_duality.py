@@ -125,8 +125,8 @@ def test_dual_static_value_and_reachable_distance():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config())
     xi = int(np.argmin(np.abs(dual.axes[0])))
     nodal = extract_nodal_set(dual, 0, x_index=xi, eps=0.011)
-    res = dual_static_value(nodal, lambda p: p[:, 0])
-    assert res.value == pytest.approx(0.1)  # largest grid y with y^2 <= 0.011
+    # the largest grid y with y^2 <= 0.011
+    assert dual_static_value(nodal, lambda p: p[:, 0]) == pytest.approx(0.1)
 
 
 def test_transport_translation_minimum_location():

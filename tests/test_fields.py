@@ -17,11 +17,8 @@ READERS = sorted(path for top in ("src", "scripts", "perfbench")
 # Read only by tests today; the list may only shrink.
 ALLOWED = {
     "bsde.BSDESolution.Z",
-    "bsde.EnvelopeReport.max_residual",
-    "bsde.EnvelopeReport.consistent",
     "dynutil.ComparisonReport.checked",
     "dynutil.ComparisonReport.worst_slack",
-    "master.PathDerivativeReport.max_residual",
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from treebsde.lattice import (
     TimeGrid, build_tree, conditional_expectation, path_functional,
-    TreeRandomVariable, TreeSizeError, ModeError, node_histories, node_path,
+    TreeSizeError, ModeError, node_histories, node_path,
     step_expectation,
 )
 
@@ -50,32 +50,30 @@ def test_probabilities_sum_to_one():
 
 def test_martingale_property():
     tree = build_tree(TimeGrid(1.0, 6), 1, "path")
-    rv = TreeRandomVariable(6, tree.values[6][:, 0])
     for k in (0, 2, 4):
-        ek = conditional_expectation(tree, rv, k)
-        np.testing.assert_allclose(ek.values, tree.values[k][:, 0], atol=1e-14)
+        ek = conditional_expectation(tree, 6, tree.values[6][:, 0], k)
+        np.testing.assert_allclose(ek, tree.values[k][:, 0], atol=1e-14)
 
 
 def test_b_squared_expectation():
     tree = build_tree(TimeGrid(1.0, 5), 1, "path")
-    rv = TreeRandomVariable(5, tree.values[5][:, 0] ** 2)
-    assert abs(conditional_expectation(tree, rv, 0).values[0] - 1.0) < 1e-14
+    assert abs(conditional_expectation(tree, 5, tree.values[5][:, 0] ** 2, 0)[0]
+               - 1.0) < 1e-14
 
 
 def test_constant_preserved():
     tree = build_tree(TimeGrid(1.0, 4), 2, "recombining")
-    rv = TreeRandomVariable(4, np.full(tree.node_count(4), 3.25))
     np.testing.assert_array_equal(
-        conditional_expectation(tree, rv, 1).values, 3.25)
+        conditional_expectation(tree, 4, np.full(tree.node_count(4), 3.25), 1), 3.25)
 
 
 def test_tower_property_bit_identical():
     tree = build_tree(TimeGrid(2.0, 7), 1, "path")
     rng = np.random.default_rng(3)
-    rv = TreeRandomVariable(7, rng.normal(size=tree.node_count(7)))
-    direct = conditional_expectation(tree, rv, 1).values
-    mid = conditional_expectation(tree, rv, 4)
-    two_stage = conditional_expectation(tree, mid, 1).values
+    values = rng.normal(size=tree.node_count(7))
+    direct = conditional_expectation(tree, 7, values, 1)
+    mid = conditional_expectation(tree, 7, values, 4)
+    two_stage = conditional_expectation(tree, 4, mid, 1)
     np.testing.assert_array_equal(direct, two_stage)
 
 
@@ -106,11 +104,11 @@ def test_mode_agreement_markovian():
     pt = build_tree(grid, 1, "path")
     rt = build_tree(grid, 1, "recombining")
     h = lambda b: np.cos(b) + b ** 3
-    ep = conditional_expectation(pt, TreeRandomVariable(6, h(pt.values[6][:, 0])), 3)
-    er = conditional_expectation(rt, TreeRandomVariable(6, h(rt.values[6][:, 0])), 3)
+    ep = conditional_expectation(pt, 6, h(pt.values[6][:, 0]), 3)
+    er = conditional_expectation(rt, 6, h(rt.values[6][:, 0]), 3)
     for i, b in enumerate(pt.values[3][:, 0]):
         j = np.argmin(np.abs(rt.values[3][:, 0] - b))
-        assert abs(ep.values[i] - er.values[j]) < 1e-12
+        assert abs(ep[i] - er[j]) < 1e-12
 
 
 def test_path_functional_terminal_and_running_max():
@@ -188,10 +186,10 @@ def test_node_histories_rows_are_the_node_paths_bit_for_bit():
 def test_tower_property_random(n, d, seed):
     tree = build_tree(TimeGrid(1.0, n), d, "path")
     rng = np.random.default_rng(seed)
-    rv = TreeRandomVariable(n, rng.normal(size=(tree.node_count(n), 2)))
+    values = rng.normal(size=(tree.node_count(n), 2))
     for k in range(n):
-        direct = conditional_expectation(tree, rv, k).values
+        direct = conditional_expectation(tree, n, values, k)
         staged = conditional_expectation(
-            tree, conditional_expectation(tree, rv, min(k + 1, n)), k).values
+            tree, k + 1, conditional_expectation(tree, n, values, k + 1), k)
         np.testing.assert_array_equal(direct, staged)
     assert abs(tree.probs[n].sum() - 1.0) < 1e-12

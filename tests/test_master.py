@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treebsde import bsde, problems
-from treebsde.lattice import TimeGrid, TreeRandomVariable, build_tree
+from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import (
     BSDEProblem, EnumerationCapError, NodeContext, PolicySpace, StructureError,
     maximize_over_policies,
@@ -137,6 +137,22 @@ def test_lipschitz_with_no_pair_checked_does_not_pass():
     assert (rep.pairs_checked, rep.skipped, rep.max_ratio, rep.passed) == (0, 1, 0.0, False)
 
 
+@pytest.mark.filterwarnings("ignore:dt = .* exceeds the comparison-preserving bound")
+@pytest.mark.parametrize("case", ("all-nan", "one-nan", "inf-side"))
+def test_lipschitz_fails_a_pair_it_cannot_measure(case):
+    tree = build_tree(TimeGrid(1.0, 2), d=1, mode="path")
+    m = tree.node_count(2)
+    zero, one = np.zeros((m, 1)), np.ones((m, 1))
+    one_nan = zero.copy()
+    one_nan[1] = np.nan
+    bad = {"all-nan": (np.full((m, 1), np.nan),) * 2, "one-nan": (one_nan, one),
+           "inf-side": (np.full((m, 1), np.inf), one)}[case]
+    # the measurable pair alone has ratio 1, well inside the bound
+    rep = check_lipschitz(problems.scalar_drift_problem(), tree, 2, [(zero, one), bad])
+    assert (rep.pairs_checked, rep.skipped, rep.passed) == (2, 0, False)
+    np.testing.assert_equal(rep.max_ratio, np.inf if case == "inf-side" else np.nan)
+
+
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
@@ -196,8 +212,7 @@ def test_stacked_forward_values_match_the_per_eta_search_and_the_per_policy_rout
         one = bsde._search(problem, space, problem.phi, eta)
         assert _bits(one[0]) == _bits(top) and _bits(one[1]) == _bits(index)
         vals, assigns, _, _ = maximize_over_policies(
-            problem, tree, lambda y: problem.phi(y), terminal_level=level,
-            terminal_rv=TreeRandomVariable(level, eta))
+            problem, tree, lambda y: problem.phi(y), terminal_level=level, eta=eta)
         assert _bits(vals) == _bits(top)
         assert assigns == [space.assignment(index[0]) if index[0] >= 0 else None]
 
@@ -240,9 +255,7 @@ def quadratic_cylinder():
 
 def test_path_probe_quadratic_exact_zero():
     tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
-    rep = path_derivative_probe(quadratic_cylinder(), tree)
-    assert rep.max_residual == 0.0
-    assert rep.passed
+    assert path_derivative_probe(quadratic_cylinder(), tree) == 0.0
 
 
 def test_path_probe_time_linear_cross_term():
@@ -254,9 +267,8 @@ def test_path_probe_time_linear_cross_term():
         d_bb=lambda t, path: np.zeros((path.shape[0], 1, 1, 1)),
         name="t_times_b",
     )
-    rep = path_derivative_probe(cyl, tree)
     # residual is exactly dt * |dB| = dt^{3/2}
-    assert rep.max_residual == pytest.approx(tree.dt ** 1.5, rel=1e-12)
+    assert path_derivative_probe(cyl, tree) == pytest.approx(tree.dt ** 1.5, rel=1e-12)
 
 
 def test_path_probe_cubic_residual_scale():
@@ -268,27 +280,46 @@ def test_path_probe_cubic_residual_scale():
         d_bb=lambda t, path: 6.0 * path[:, -1, 0].reshape(-1, 1, 1, 1),
         name="b_cubed",
     )
-    rep = path_derivative_probe(cyl, tree)
-    assert rep.max_residual == pytest.approx(tree.dt ** 1.5, rel=1e-12)
+    assert path_derivative_probe(cyl, tree) == pytest.approx(tree.dt ** 1.5, rel=1e-12)
 
 
-def test_path_probe_rejects_wrong_derivative():
-    tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
-    cyl = CylinderFunctional(
+def broken_cylinder():
+    return CylinderFunctional(
         value=lambda t, path: path[:, -1, 0] ** 2,
         d_t=lambda t, path: np.zeros(path.shape[0]),
         d_b=lambda t, path: np.zeros((path.shape[0], 1, 1)),  # missing 2B term
         d_bb=lambda t, path: 2.0 * np.ones((path.shape[0], 1, 1, 1)),
         name="broken",
     )
+
+
+def test_path_probe_rejects_wrong_derivative():
+    tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
     with pytest.raises(InvalidCylinderError, match="broken"):
-        path_derivative_probe(cyl, tree, threshold=1e-9)
+        path_derivative_probe(broken_cylinder(), tree, threshold=1e-9)
 
 
-def test_path_probe_needs_path_mode():
+@pytest.mark.parametrize("n", (4, 8, 16))
+def test_path_probe_passes_the_exp_cylinder_on_a_recombining_tree(n):
+    # a recombining path is the current-value slot plus one step; on the
+    # levels master_residual probes at level n // 2 the residual is
+    # O(dt^{3/2}), far below the default threshold (9.0 or more here)
+    tree = build_tree(TimeGrid(1.0, n), d=1, mode="recombining")
+    assert 0.0 < path_derivative_probe(exp_cylinder(), tree, levels=range(n // 2)) < 0.05
+
+
+def test_path_probe_rejects_wrong_derivative_on_a_recombining_tree():
     tree = build_tree(TimeGrid(1.0, 4), d=1, mode="recombining")
-    with pytest.raises(ValueError, match="path mode"):
-        path_derivative_probe(quadratic_cylinder(), tree)
+    with pytest.raises(InvalidCylinderError, match="broken"):
+        path_derivative_probe(broken_cylinder(), tree, threshold=1e-9)
+
+
+def test_master_residual_probes_the_cylinder_on_a_recombining_tree():
+    # at n = 64 the missing 2B dB term reaches 2 * 31/8 * 1/8 = 0.97 below
+    # level 32, above the default threshold 100 * dt^{3/2} * 2 = 0.39
+    tree = build_tree(TimeGrid(1.0, 64), d=1, mode="recombining")
+    with pytest.raises(InvalidCylinderError, match="broken"):
+        master_residual(control_free_problem(), tree, broken_cylinder(), level=32)
 
 
 def test_node_histories_path_and_recombining():

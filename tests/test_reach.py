@@ -8,7 +8,7 @@ either feeds a verdict one day or goes. References are matched by name alone.
 
 A second scan keeps the per-policy search for caller-supplied terminal data:
 every call of ``maximize_over_policies`` in ``src/treebsde`` passes
-``terminal_rv=``. A third keeps the per-policy loops, ``maximize_over_policies``
+``eta=``. A third keeps the per-policy loops, ``maximize_over_policies``
 and ``PolicySpace.policies``, in ``bsde.maximize_over_policies`` and
 ``master.check_forward_dpp``.
 """
@@ -85,11 +85,11 @@ def calls(source: str, func: str) -> list:
 
 
 def test_call_scan_reads_keywords_by_name_and_attribute():
-    source = ("f(1, terminal_rv=rv)\n"
+    source = ("f(1, eta=eta)\n"
               "m.f(2)\n"
-              "g(3, terminal_rv=rv)\n"
+              "g(3, eta=eta)\n"
               "f(*args, **kw)\n")
-    assert calls(source, "f") == [(1, {"terminal_rv"}), (2, set()), (4, {None})]
+    assert calls(source, "f") == [(1, {"eta"}), (2, set()), (4, {None})]
 
 
 def test_per_policy_searches_take_caller_terminal_data():
@@ -101,7 +101,7 @@ def test_per_policy_searches_take_caller_terminal_data():
                                          "maximize_over_policies")]
     assert found
     assert [(name, line) for name, line, keywords in found
-            if "terminal_rv" not in keywords] == []
+            if "eta" not in keywords] == []
 
 
 def callers(source: str, funcs) -> set:
