@@ -21,16 +21,17 @@ provides:
     sign is the top bit of one 32-bit word of the Philox(seed) stream per path
     and step, the low half of each 64-bit output first (the bits of one
     rng.integers(0, 2, paths) draw per step), read one block of steps at a
-    time into one reused buffer. The ensemble stores the ratio only at each
-    switch level and the level before it, and replays any other level from
-    the same seeded stream; parity, anchor and switch flags are stored once
-    per switch level and shared by the levels up to the next one. Every
-    stored or replayed ensemble array is read-only. In both modes the weights
-    are not stored: A1[j] and A2[j] derive level j's from its parity, anchor
-    and ratio on each read.
+    time into one reused buffer. The ensemble stores only its switch record
+    (switch_events): per (level, path) event the rank, the ratio after the
+    switch and both weights at the switch level and the level before, in
+    O(paths + switches) memory; its per-level parity, anchor, ratio and switch
+    flags are replayed from the same seeded stream on read, by one forward
+    cursor that the four share. Every stored or replayed ensemble array is
+    read-only. In both modes the weights are not stored: A1[j] and A2[j]
+    derive level j's from its parity, anchor and ratio on each read.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
-    by level with O(paths) state, keeping only the sparse switch events, or
-    only a few chosen paths, under OVERSHOOT_LIMIT;
+    by level with O(paths) state, keeping only the switch record, or only a
+    few chosen paths, under OVERSHOOT_LIMIT;
   * verify_tau_bound: Monte Carlo check of the switching-time tail bound
     P(tau_n < T) <= (2n)^m / 2^n with m*delta < T <= (m+1)*delta, delta = 1/(2C),
     C fitted from a pilot simulation of the one-regime truncated SDE; it reads
@@ -366,17 +367,17 @@ class LinearUtility:
     times: np.ndarray
     A1: LevelWeights     # level -> (m,) weights (original component labels),
     A2: LevelWeights     # derived on read from parity, anchor and ahat
-    ahat: Sequence       # construction-frame ratio per level: a tuple on a tree,
-                         # an _EnsembleRatio (switch levels stored) on an ensemble
-    parity: tuple        # parity, anchor and flags: one array per level; an
-    anchor: tuple        # ensemble's levels share them up to the next switch
-    switch_flags: tuple
+    ahat: Sequence       # construction-frame ratio, parity, anchor and switch
+    parity: Sequence     # flags, one array per level: tuples on a tree; on an
+    anchor: Sequence     # ensemble, views that replay the level stream through
+    switch_flags: Sequence  # one shared forward cursor (_LevelField)
     lam: tuple           # tree mode: level -> (m,) contraction factor 1 + alpha_hat*dt
     mu: tuple            # tree mode: level -> (m,) beta_hat*dt; both () for an ensemble
     overshoot: float
     swapped: bool
     utility: DynamicUtility
     n_paths: int
+    events: SwitchEvents | None  # an ensemble's switch record; None on a tree
 
     def path(self, i: int) -> SwitchingPath:
         """Path i of the ensemble, or the root-to-leaf-i path of the tree."""
@@ -385,12 +386,10 @@ class LinearUtility:
             idx = [i] * (n + 1)
         else:
             idx = [i >> (n - j) for j in range(n + 1)]
-
-        def column(levels):
-            return np.array([levels[j][idx[j]] for j in range(n + 1)])
-
-        return _switching_path(self.times, column(self.ahat), column(self.parity),
-                               column(self.anchor), column(self.switch_flags),
+        # level by level, so an ensemble is replayed once
+        fields = (self.ahat, self.parity, self.anchor, self.switch_flags)
+        rows = [tuple(levels[j][idx[j]] for levels in fields) for j in range(n + 1)]
+        return _switching_path(self.times, *(np.array(c) for c in zip(*rows)),
                                self.swapped)
 
 
@@ -610,13 +609,50 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
 class _EulerLevels:
     """The levels of one seeded Euler ensemble, re-iterable: each iteration is
     a fresh _euler_levels run of the same normalized arguments, so it yields
-    the same bits and runs no bound check or normalization again."""
+    the same bits and runs no bound check or normalization again.
+
+    level(j) reads one level through a forward cursor over one such run, which
+    holds its current level and the one before: reads in increasing order cost
+    one pass in total, and a read further behind restarts from level 0."""
 
     def __init__(self, *args):
         self._args = args
+        self._replay, self._at, self._held = None, -1, (None, None)
 
     def __iter__(self):
         return _euler_levels(*self._args)
+
+    def __len__(self) -> int:
+        return len(self._args[4])  # the grid times
+
+    def level(self, j: int) -> _Level:
+        count = len(self)
+        if not -count <= j < count:
+            raise IndexError(f"level {j} outside the {count} levels")
+        j %= count
+        if self._replay is None or j < self._at - 1:
+            self._replay, self._at, self._held = iter(self), -1, (None, None)
+        for lv in islice(self._replay, max(j - self._at, 0)):
+            self._held = (self._held[1], lv)
+        self._at = max(self._at, j)
+        return self._held[j - self._at + 1]
+
+
+class _LevelField(Sequence):
+    """Level -> one read-only (n_paths,) array of an Euler ensemble's levels
+    (a _Level field), replayed on read by the ensemble's shared cursor."""
+
+    def __init__(self, levels: _EulerLevels, name: str):
+        self._levels = levels
+        self._name = name
+
+    def __len__(self) -> int:
+        return len(self._levels)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(*j.indices(len(self))))
+        return getattr(self._levels.level(j), self._name)
 
 
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
@@ -627,39 +663,6 @@ def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: i
     times = grid.times()
     return times, swapped, _EulerLevels(alpha, beta, a1, a2, times, grid.dt,
                                         n_paths, seed)
-
-
-class _EnsembleRatio(Sequence):
-    """Level -> (n_paths,) read-only ratio of an Euler ensemble.
-
-    Only the record is stored: the ratio at each switch level and at the level
-    before it. Any other level is replayed from the ensemble's _EulerLevels by
-    a forward cursor, so reads in increasing order cost one pass in total; a
-    read behind the cursor restarts the replay from level 0."""
-
-    def __init__(self, record: dict, levels: _EulerLevels, count: int):
-        self._record = record
-        self._levels = levels
-        self._count = count
-        self._replay = None     # the running replay, once a level needed one
-        self._at = (-1, None)   # the replay's last level and its ratio
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        if not -self._count <= j < self._count:
-            raise IndexError(f"level {j} outside the {self._count} levels")
-        j %= self._count
-        if j in self._record:
-            return self._record[j]
-        at, ahat = self._at
-        if self._replay is None or j < at:
-            self._replay, at = iter(self._levels), -1
-        if j > at:
-            ahat = next(islice(self._replay, j - at - 1, None)).ahat
-            self._at = (j, ahat)
-        return ahat
 
 
 def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
@@ -724,14 +727,13 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     The regime ratio is restarted by inversion whenever |ratio| >= 2; an a
     priori one-step bound must stay below overshoot_limit.
 
-    The ensemble stores ahat only at each switch level and the level before
-    it, and replays any other level on read (_EnsembleRatio); it stores
-    parity, anchor and switch flags once per switch level: a level without
-    switches shares the previous level's arrays (and one all-False flag array).
+    The ensemble stores only its switch record, `events` (switch_events), in
+    O(n_paths + switches) memory; ahat, parity, anchor and switch_flags replay
+    level j from the same seeded stream on each read, by one forward cursor
+    that they share, so reading levels in increasing order costs one pass.
     Every stored or replayed ensemble array is read-only. Neither mode stores
     the weights: A1[j] and A2[j] are computed from level j's parity, anchor and
-    ahat on each read and returned read-only. Consumers that need only the
-    switches use switch_events or replay_paths instead.
+    ahat on each read and returned read-only.
     """
     if tree is not None:
         if tree.d != 1:
@@ -743,27 +745,18 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
             coeffs, tree.grid.T, tree.dt, overshoot_limit)
         parity, anchor, ahat, flags, lam, mu, overshoot = _tree_levels(
             alpha, beta, a1, a2, tree, times)
-        ahat = tuple(ahat)
-        count = tree.node_count(0)
+        parity, anchor, ahat, flags = map(tuple, (parity, anchor, ahat, flags))
+        count, events = tree.node_count(0), None
     else:
         if grid is None or n_paths is None:
             raise ValueError("pass a tree, or grid= and n_paths=")
         times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
-        parity, anchor, flags, record = [], [], [], {}
+        events = _switch_record(levels, n_paths, swapped)
+        parity, anchor, ahat, flags = (_LevelField(levels, name) for name in
+                                       ("parity", "anchor", "ahat", "switched"))
         lam = mu = ()
-        overshoot, before = 0.0, None
-        for j, lv in enumerate(levels):
-            parity.append(lv.parity)
-            anchor.append(lv.anchor)
-            flags.append(lv.switched)
-            if lv.switched.any():  # level 0 never switches
-                record[j - 1], record[j] = before, lv.ahat
-            before = lv.ahat
-            overshoot = max(overshoot, lv.overshoot)
-        ahat = _EnsembleRatio(record, levels, len(flags))
-        count = n_paths
+        overshoot, count = events.overshoot, n_paths
 
-    parity, anchor = tuple(parity), tuple(anchor)
     A1o, A2o = (LevelWeights(parity, anchor, ahat, swapped, k) for k in (0, 1))
     orig_a1, orig_a2 = coeffs.a1, coeffs.a2
 
@@ -779,21 +772,23 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     return LinearUtility(
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
         times=times, A1=A1o, A2=A2o, ahat=ahat, parity=parity,
-        anchor=anchor, switch_flags=tuple(flags),
+        anchor=anchor, switch_flags=flags,
         lam=tuple(lam), mu=tuple(mu),
         overshoot=overshoot, swapped=swapped,
         utility=DynamicUtility(evaluate=evaluate, phi=phi, value_dim=2),
-        n_paths=count,
+        n_paths=count, events=events,
     )
 
 
 @dataclass(frozen=True)
 class SwitchEvents:
-    """The switches of an Euler ensemble, one entry per (level, path) event.
+    """The switch record of an Euler ensemble, one entry per (level, path) event.
 
     Events are ordered by level, then path, as np.nonzero of the stacked dense
     switch flags orders them; rank[e] is the number of earlier switches of
-    path[e], counts[i] the number of switches of path i.
+    path[e], counts[i] the number of switches of path i. ahat[e] is the ratio
+    after the switch, A1[e] and A2[e] the weights at level[e], and A1_before,
+    A2_before those at level[e] - 1, bit for bit.
     """
 
     level: np.ndarray
@@ -801,30 +796,40 @@ class SwitchEvents:
     rank: np.ndarray
     counts: np.ndarray
     overshoot: float
+    ahat: np.ndarray
+    A1_before: np.ndarray
+    A2_before: np.ndarray
+    A1: np.ndarray
+    A2: np.ndarray
+
+
+def _switch_record(levels: _EulerLevels, n_paths: int, swapped: bool) -> SwitchEvents:
+    """One pass over the levels with O(n_paths) state, keeping the switch
+    events. Their weights are _weights of the switched rows of a level's
+    arrays: it works element by element, so they are the dense reads' bits."""
+    counts = np.zeros(n_paths, dtype=np.int64)
+    parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),) * 5]
+    overshoot, before = 0.0, None
+    for j, lv in enumerate(levels):
+        overshoot = max(overshoot, lv.overshoot)
+        idx = lv.switched.nonzero()[0]
+        if idx.size:  # level 0 never switches, so `before` is set
+            weights = [_weights(at.parity[idx], at.anchor[idx], at.ahat[idx], swapped)
+                       for at in (before, lv)]
+            parts.append((np.full(idx.size, j), idx, counts[idx], lv.ahat[idx],
+                          *weights[0], *weights[1]))
+            counts[idx] += 1
+        before = lv
+    level, path, rank, *ratio_and_weights = map(np.concatenate, zip(*parts))
+    return SwitchEvents(level, path, rank, counts, overshoot, *ratio_and_weights)
 
 
 def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
                   seed: int = 0) -> SwitchEvents:
-    """The switch events of build_linear_utility(grid=grid, n_paths=n_paths,
+    """The switch record of build_linear_utility(grid=grid, n_paths=n_paths,
     seed=seed), in O(n_paths + switches) memory."""
-    _, _, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
-    counts = np.zeros(n_paths, dtype=np.int64)
-    lv_parts, path_parts, rank_parts = [], [], []
-    overshoot = 0.0
-    for j, lv in enumerate(levels):
-        overshoot = max(overshoot, lv.overshoot)
-        idx = lv.switched.nonzero()[0]
-        if idx.size:
-            lv_parts.append(np.full(idx.size, j))
-            path_parts.append(idx)
-            rank_parts.append(counts[idx])
-            counts[idx] += 1
-
-    def cat(parts):
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-    return SwitchEvents(level=cat(lv_parts), path=cat(path_parts),
-                        rank=cat(rank_parts), counts=counts, overshoot=overshoot)
+    _, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
+    return _switch_record(levels, n_paths, swapped)
 
 
 def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, paths,

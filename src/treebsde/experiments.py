@@ -92,9 +92,9 @@ _REQUIRED = ("experiment", "seed")
 _ALWAYS = ("experiment", "seed", "output_dir")  # accepted by every experiment
 _ILLPOSED_MAX_N = 10  # illposed-demo's path tree has 2^n leaves
 # dynamic-utility-linear's default paths, the most its default steps allow: its
-# Euler ensemble keeps the ratio at the levels where some path switches and the
-# level before each, (steps + 1) x paths floats at worst, when every level
-# switches; that worst case is capped at this shipped size
+# Euler ensemble stores only the switch record, O(paths + switches), so the cap
+# bounds the work of its one Euler pass, (steps + 1) x paths path-steps (the
+# floats of a dense ensemble), at this shipped size
 _LINEAR_MAX_PATHS = 2000
 _LINEAR_MAX_FLOATS = (ExperimentConfig.steps + 1) * _LINEAR_MAX_PATHS
 _WITNESS_N = 12  # steps of benchmark-verify's deterministic witness tree
@@ -190,10 +190,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     if (clean.get("experiment") == "dynamic-utility-linear" and steps >= 1
             and (steps + 1) * paths > _LINEAR_MAX_FLOATS):
         at = "" if steps == ExperimentConfig.steps else f" at field 'steps' = {steps}"
-        msgs.append(f"field 'mc_paths': dynamic-utility-linear keeps its Euler "
-                    f"ensemble ratio at switch levels and the level before each, "
-                    f"at worst as much as a dense Euler ensemble ((steps + 1) x "
-                    f"paths floats, at most {_LINEAR_MAX_FLOATS}) and runs at most "
+        msgs.append(f"field 'mc_paths': dynamic-utility-linear stores only its "
+                    f"switch record but runs one Euler pass, the work of a dense "
+                    f"Euler ensemble ((steps + 1) x paths path-steps, at most "
+                    f"{_LINEAR_MAX_FLOATS}) and runs at most "
                     f"{_LINEAR_MAX_FLOATS // (steps + 1)} paths{at}, got {paths}")
     if clean.get("experiment") == "master-residual" and clean.get("n", 2) < 2:
         msgs.append(f"field 'n': master-residual needs at least 2 tree steps for "
@@ -471,30 +471,23 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
     ]
 
     grid = TimeGrid(4.0, cfg.steps)
-    ens = build_linear_utility(problems.switch_coeffs(), grid=grid,
-                               n_paths=cfg.mc_paths, seed=cfg.seed)
-    sw_steps = [j for j in range(1, cfg.steps + 1) if ens.switch_flags[j].any()]
+    switching = problems.switch_coeffs()
+    ev = build_linear_utility(switching, grid=grid, n_paths=cfg.mc_paths,
+                              seed=cfg.seed).events
     sdt = np.sqrt(grid.dt)
     # a switch inverts a ratio with |ratio| in [2, 2 + limit]
     lo, hi = 1.0 / (2.0 + OVERSHOOT_LIMIT) - 1e-12, 0.5 + 1e-12
     # one Euler increment of either weight: entries bounded by coeffs.bound,
     # the frozen ratio stays below 2 + limit, so |dA| <= K (|A1| + |A2|)
-    step_coef = ens.coeffs.bound * (2.0 + OVERSHOOT_LIMIT + 1.0) * (grid.dt + sdt)
-    band_ok, cont_ok = True, True
-    n_switches = 0
-    for j in sw_steps:
-        sw = ens.switch_flags[j]
-        n_switches += int(sw.sum())
-        ah = np.abs(ens.ahat[j][sw])
-        band_ok = band_ok and bool(np.all((ah >= lo) & (ah <= hi)))
-        # each read derives a level's weights, so read each one once
-        a1_prev, a2_prev = ens.A1[j - 1][sw], ens.A2[j - 1][sw]
-        a1, a2 = ens.A1[j][sw], ens.A2[j][sw]
-        allowed = step_coef * (np.abs(a1_prev) + np.abs(a2_prev)) + 1e-15
-        jump = np.maximum(np.abs(a1 - a1_prev), np.abs(a2 - a2_prev))
-        cont_ok = cont_ok and bool(np.all(jump <= allowed))
-    checks.append(_check("switch-band", band_ok and ens.overshoot <= OVERSHOOT_LIMIT,
-                         value=ens.overshoot, bound=OVERSHOOT_LIMIT,
+    step_coef = switching.bound * (2.0 + OVERSHOOT_LIMIT + 1.0) * (grid.dt + sdt)
+    ah = np.abs(ev.ahat)
+    band_ok = bool(np.all((ah >= lo) & (ah <= hi)))
+    allowed = step_coef * (np.abs(ev.A1_before) + np.abs(ev.A2_before)) + 1e-15
+    jump = np.maximum(np.abs(ev.A1 - ev.A1_before), np.abs(ev.A2 - ev.A2_before))
+    cont_ok = bool(np.all(jump <= allowed))
+    n_switches = len(ev.level)
+    checks.append(_check("switch-band", band_ok and ev.overshoot <= OVERSHOOT_LIMIT,
+                         value=ev.overshoot, bound=OVERSHOOT_LIMIT,
                          switches=n_switches))
     checks.append(_check("weight-continuity-at-switches", cont_ok,
                          value=n_switches))
@@ -503,7 +496,7 @@ def _run_dynamic_utility_linear(cfg: ExperimentConfig, out_dir: str):
                "min_monotone"),
               [(rep.pairs_checked, rep.policies_per_pair, len(rep.violations),
                 rep.recursion_residual, rep.min_monotone)])
-    return checks, {"ensemble_switch_steps": len(sw_steps)}, ["comparison.csv"]
+    return checks, {"ensemble_switch_steps": len(np.unique(ev.level))}, ["comparison.csv"]
 
 
 def _run_tau_bound(cfg: ExperimentConfig, out_dir: str):

@@ -37,6 +37,7 @@ from treebsde.dynutil import (
     check_linear_comparison,
     make_comparison_pairs,
     static_utility,
+    switch_events,
     verify_tau_bound,
 )
 from treebsde.master import (
@@ -308,31 +309,22 @@ def test_acceptance_07_master_residual_halving_and_illposedness():
 def test_acceptance_08_switching_ensemble_and_comparison():
     coeffs = problems.switch_coeffs()
     grid = TimeGrid(4.0, 4096)
-    ens = build_linear_utility(coeffs, grid=grid, n_paths=10 ** 4, seed=0)
+    ev = switch_events(coeffs, grid, 10 ** 4, seed=0)
 
     # (a) the switch is detected inside [1/2, 2] up to the overshoot slack;
     # (b) both weights move by at most one Euler increment across a switch
     lo, hi = 1.0 / 2.1, 0.5
-    band_ok = ens.overshoot <= 0.1
-    cont_ok = True
-    n_switches = 0
+    band_ok = ev.overshoot <= 0.1
     sdt = np.sqrt(grid.dt)
     step_coef = coeffs.bound * (2.0 + 0.1 + 1.0) * (grid.dt + sdt)
-    for j in range(1, grid.n + 1):
-        sw = ens.switch_flags[j]
-        if not sw.any():
-            continue
-        n_switches += int(sw.sum())
-        ah = np.abs(ens.ahat[j][sw])
-        band_ok = band_ok and bool(np.all((ah >= lo - 1e-12)
-                                          & (ah <= hi + 1e-12)))
-        allowed = step_coef * (np.abs(ens.A1[j - 1][sw])
-                               + np.abs(ens.A2[j - 1][sw])) + 1e-15
-        jump = np.maximum(np.abs(ens.A1[j][sw] - ens.A1[j - 1][sw]),
-                          np.abs(ens.A2[j][sw] - ens.A2[j - 1][sw]))
-        cont_ok = cont_ok and bool(np.all(jump <= allowed))
-    overshoot = ens.overshoot
-    del ens  # release the stored ensemble before the streaming MC pass
+    n_switches = len(ev.level)
+    ah = np.abs(ev.ahat)
+    band_ok = band_ok and bool(np.all((ah >= lo - 1e-12)
+                                      & (ah <= hi + 1e-12)))
+    allowed = step_coef * (np.abs(ev.A1_before) + np.abs(ev.A2_before)) + 1e-15
+    jump = np.maximum(np.abs(ev.A1 - ev.A1_before), np.abs(ev.A2 - ev.A2_before))
+    cont_ok = bool(np.all(jump <= allowed))
+    overshoot = ev.overshoot
 
     # (c) switching-time tail frequencies against the combinatorial bound
     trep = verify_tau_bound(coeffs, T=4.0, switch_indices=tuple(range(1, 7)),

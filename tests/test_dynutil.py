@@ -1,5 +1,6 @@
 """Tests for dynamic utilities: deterministic construction, comparison checks
 and the linear switching-weight construction."""
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -29,6 +30,7 @@ from treebsde.dynutil import (
     switch_events,
     verify_tau_bound,
 )
+from treebsde.experiments import run_experiment, validate_config
 from treebsde.problems import linear_setup, switch_coeffs
 
 
@@ -673,6 +675,31 @@ def test_euler_ensemble_matches_frozen_reference(name, seed, n_paths, pilot_path
     assert _bits(rep.delta) == _bits(np.inf if C_hat == 0 else 1.0 / (4.0 * C_hat))
 
 
+# the descending-read case below and the odd-paths frozen-reference case
+@pytest.mark.parametrize("name, seed, n_paths, steps", [
+    ("fast", 1, 20, 256), ("switch", 3, 1025, 2047)], ids=["fast", "odd-paths"])
+def test_switch_record_is_the_dense_reads_bit_for_bit(name, seed, n_paths, steps):
+    coeffs = _COEFF_SETS[name]()
+    grid = TimeGrid(T=steps / 1024, n=steps)
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed)
+    rec = lin.events
+    levels = np.unique(rec.level)
+    assert len(levels) >= 5
+    assert list(levels) == [j for j, f in enumerate(lin.switch_flags) if f.any()]
+    for j in levels:
+        sw = lin.switch_flags[j]
+        at = rec.level == j
+        assert np.array_equal(rec.path[at], np.flatnonzero(sw)), j
+        for col, dense in ((rec.ahat, lin.ahat[j]), (rec.A1_before, lin.A1[j - 1]),
+                           (rec.A2_before, lin.A2[j - 1]), (rec.A1, lin.A1[j]),
+                           (rec.A2, lin.A2[j])):
+            assert _bits(col[at]) == _bits(dense[sw]), j
+    events = switch_events(coeffs, grid, n_paths, seed=seed)
+    for field in dataclasses.fields(events):
+        assert _bits(getattr(events, field.name)) == _bits(getattr(rec, field.name)), \
+            field.name
+
+
 def test_increments_equal_one_integers_draw_per_step():
     # one path: three blocks of increments, the last one odd
     sdt = np.sqrt(4.0 / 4096)
@@ -780,16 +807,25 @@ def test_dense_ensemble_peak_memory(seed):
 
 def test_ensemble_weights_are_derived_not_stored():
     grid, n_paths = TimeGrid(T=4.0, n=4096), 2000
-    dense = (grid.n + 1) * n_paths * np.dtype(float).itemsize
     tracemalloc.start()
     try:
         lin = build_linear_utility(switch_coeffs(), grid=grid, n_paths=n_paths, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the switch record keeps the build below one dense ratio array: no room
-    # for stored weights
-    assert peak < dense, (peak, dense)
+    events = len(lin.events.level)
+    levels = len(np.unique(lin.events.level))
+    assert (levels, events) == (524, 647)
+    # the build holds the switch record and O(paths) Euler state, nothing per
+    # level: under 32 (n_paths,) arrays of state; one block of increments with
+    # its raw words (2 x _DRAW_FLOATS floats); per switch level eight small
+    # arrays with their headers (under 2 KiB); per event eight 8-byte columns,
+    # twice while they are concatenated (128 B); and 1 MiB for the one-time
+    # allocations of a first call in the process. That is 2.8 MiB here; one
+    # (n_paths,) array at each of the 524 switch levels alone would be 8 MiB.
+    bound = (32 * n_paths * 8 + 2 * dynutil._DRAW_FLOATS * 8 + 2048 * levels
+             + 128 * events + 2 ** 20)
+    assert peak < bound, (peak, bound)
     for weights in (lin.A1, lin.A2):
         assert len(weights) == grid.n + 1
         assert _bits(weights[-1]) == _bits(weights[grid.n])
@@ -799,20 +835,6 @@ def test_ensemble_weights_are_derived_not_stored():
             assert not level.flags.writeable, j
             count += 1
         assert count == grid.n + 1
-
-
-def test_ensemble_build_peak_stays_below_one_dense_ratio():
-    # the ratio is kept at the 524 switch levels and the level before each,
-    # not at all 4,097 levels: (steps + 1) x paths floats alone are 62.5 MiB
-    grid, n_paths = TimeGrid(T=4.0, n=4096), 2000
-    dense = (grid.n + 1) * n_paths * np.dtype(float).itemsize
-    tracemalloc.start()
-    try:
-        build_linear_utility(switch_coeffs(), grid=grid, n_paths=n_paths, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < dense, (peak, dense)
 
 
 def _count_replays(monkeypatch):
@@ -827,21 +849,19 @@ def _count_replays(monkeypatch):
     return starts
 
 
-def test_ensemble_ratio_replays_only_unrecorded_levels(monkeypatch):
+def test_ensemble_record_reads_start_no_replay(monkeypatch, tmp_path):
     starts = _count_replays(monkeypatch)
+    # dynamic-utility-linear reads only the switch record: its one Euler
+    # ensemble run is the build's own pass
+    cfg = validate_config({"experiment": "dynamic-utility-linear", "seed": 1,
+                           "mc_paths": 200, "output_dir": str(tmp_path)})
+    assert run_experiment(cfg).report["details"]["ensemble_switch_steps"] > 20
+    assert len(starts) == 1
     grid = TimeGrid(T=4.0, n=4096)
     lin = build_linear_utility(switch_coeffs(), grid=grid, n_paths=200, seed=1)
-    assert len(starts) == 1
-    # dynamic-utility-linear's reads: the ratio at each switch level, both
-    # weights there and at the level before
-    switch_levels = [j for j in range(1, grid.n + 1) if lin.switch_flags[j].any()]
-    assert len(switch_levels) > 20
-    for j in switch_levels:
-        for level in (lin.ahat[j], lin.A1[j - 1], lin.A2[j - 1], lin.A1[j], lin.A2[j]):
-            assert not level.flags.writeable
-    assert len(starts) == 1
+    assert len(starts) == 2
     assert sum(1 for _ in lin.A1) == grid.n + 1
-    assert len(starts) <= 2
+    assert len(starts) <= 3
 
 
 def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
@@ -853,7 +873,6 @@ def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
     forward = [_bits(lv.ahat) for lv in levels]
     switch_levels = [j for j, f in enumerate(lin.switch_flags) if f.any()]
     assert len(switch_levels) == 5
-    recorded = set(switch_levels) | {j - 1 for j in switch_levels}
     starts = _count_replays(monkeypatch)
     count = len(lin.ahat)
     assert count == grid.n + 1
@@ -861,8 +880,10 @@ def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
         for level in (lin.ahat[j], lin.ahat[j - count]):
             assert _bits(level) == forward[j], j
             assert not level.flags.writeable, j
-    # read in descending order, every unrecorded level restarts the replay
-    assert len(starts) == count - len(recorded)
+    # no level is stored, and the cursor holds its level and the one before:
+    # the flags read above leave it on the last two levels, and read in
+    # descending order every other level below them restarts the replay
+    assert len(starts) == (count - 1) // 2
     assert [_bits(level) for level in lin.ahat] == forward
     for j in (count, -count - 1):
         with pytest.raises(IndexError):
