@@ -2,7 +2,7 @@
 
 Modules:
   lattice     +/-sqrt(dt) scenario trees with exact conditional expectations of
-              per-level node arrays and root-to-node paths
+              per-level node arrays and the ancestor histories of a level's nodes
   bsde        controlled BSDE solving, policy enumeration (whole tree or one
               node's subtree), reachable sets, the scalar envelope
   duality     dual control value W, HJB finite differences, nodal sets, geometric DPP
@@ -16,13 +16,13 @@ Modules:
 
 from treebsde.lattice import (
     TimeGrid, ScenarioTree,
-    build_tree, conditional_expectation, path_functional,
+    build_tree, conditional_expectation,
     TreeSizeError, ModeError,
 )
 
 __all__ = [
     "TimeGrid", "ScenarioTree",
-    "build_tree", "conditional_expectation", "path_functional",
+    "build_tree", "conditional_expectation",
     "TreeSizeError", "ModeError",
 ]
 

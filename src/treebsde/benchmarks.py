@@ -212,9 +212,8 @@ def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
     """Argmax cell of the affine-feedback grid by exact moment recursion."""
     A, B = mv_grid(bench)
     m1, m2 = mv_moment_recursion(m1_0, m2_0, A, B, t0, bench.analytic["T"], steps)
-    vals = _mv_phi(c_eff, m1, m2)
-    k = int(np.argmax(vals))
-    return (float(A[k]), float(B[k])), float(vals[k])
+    k = int(np.argmax(_mv_phi(c_eff, m1, m2)))
+    return float(A[k]), float(B[k])
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
     x0, c = a["x0"], a["c"]
     n = tree.n
     xs = forward_states(tree, bench.forward, a["feedback"])
-    cell0, _ = mv_grid_argmax(bench, x0, x0 * x0, 0.0, n, c)
+    cell0 = mv_grid_argmax(bench, x0, x0 * x0, 0.0, n, c)
     checked = violations = 0
     for k in levels:
         if not 0 < k < n:
@@ -246,7 +245,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
         for i in np.nonzero(np.abs(xs[k] - x0) <= 2.0)[0]:
             x = float(xs[k][i])
             c_eff = float(a["c_process"](t, x)) if restored else c
-            cell, _ = mv_grid_argmax(bench, x, x * x, t, n - k, c_eff)
+            cell = mv_grid_argmax(bench, x, x * x, t, n - k, c_eff)
             checked += 1
             violations += cell != cell0
     return RestorationReport(nodes_checked=checked, violations=violations,

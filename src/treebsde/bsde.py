@@ -149,7 +149,11 @@ def monotone_step_bound(L: float) -> float:
 
 def probe_lipschitz(problem: BSDEProblem, tree: ScenarioTree) -> None:
     """24 seeded finite-difference probes of |f(y,z) - f(y',z')| <= L(|y-y'| + |z-z'|)
-    at points of scale 2 with steps a tenth of that."""
+    at points of scale 2 with steps a tenth of that; a non-finite L fails
+    without a probe, as every comparison with NaN is False."""
+    if not np.isfinite(problem.lipschitz_L):
+        raise ProblemValidationError(
+            f"declared Lipschitz constant L = {problem.lipschitz_L} is not finite")
     rng = np.random.default_rng(np.random.Philox(0))
     dpr, d = problem.value_dim, tree.d
     lvl = 0

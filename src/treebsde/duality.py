@@ -12,10 +12,11 @@ Two dual problem shapes are supported:
 Explicit schemes: central second differences (second-order one-sided at edges),
 four-point mixed stencil via gradient composition, first-order upwinding for the
 advection, CFL-limited substeps, W clipped below at zero after each substep.
-Unless the spec declares f_bound, the CFL rate takes sup|f| over the grid at
-every tree-level time, with a safety factor. A solve keeps W at two tree
-levels only: 0, whose nodal set gives the static value, and the terminal level
-n. Its substeps alternate between level 0's slice and one spare buffer.
+Every spec declares f_bound, a bound on sup|f| over the grid at every
+tree-level time; the CFL rate takes it as-is, and solve_dual_hjb checks only
+that it is finite and nonnegative. A solve keeps W at two tree levels only: 0,
+whose nodal set gives the static value, and the terminal level n. Its
+substeps alternate between level 0's slice and one spare buffer.
 
 Row blocks. Each substep splits the grid's first axis into row blocks of at
 most _BLOCK_FLOATS grid floats, each read with a one-row halo, and the blocks
@@ -24,14 +25,14 @@ into one contiguous band per thread, one thread per core this process may use
 scratch set sized for its tallest block, so scratch grows with cores, not
 blocks. Each block writes only its own rows of the next W buffer, so W is
 identical, bit for bit, for any block or worker count. f is called on one
-block's rows at a time, possibly from several worker threads at once, and g and
-the CFL estimate of sup|f| see the whole grid; so f and g must act point by
-point, and f must be thread-safe. Each band holds its block's points in its
-scratch; only the CFL estimate builds the whole grid's. Deterministic points
-arrive component-first: y has shape (rows, cols, 2), but each y[..., k] plane
-is contiguous, so an f that allocates its output with np.empty_like(y) returns
-contiguous components and the step reads them without copies. An f of any
-other layout (an np.stack(..., axis=-1), say) gives the same W, only slower.
+block's rows at a time, possibly from several worker threads at once, and g
+sees the x axis as one column; so f and g must act point by point, and f must
+be thread-safe. Each band holds its block's points in its scratch, and no
+solve builds the whole grid's. Deterministic points arrive component-first: y
+has shape (rows, cols, 2), but each y[..., k] plane is contiguous, so an f that
+allocates its output with np.empty_like(y) returns contiguous components and
+the step reads them without copies. An f of any other layout (an
+np.stack(..., axis=-1), say) gives the same W, only slower.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates. Each one runs the forward process
@@ -56,8 +57,8 @@ conditional_dual_value, check_geometric_dpp) runs through one kernel, which fixe
     before any problem.f call;
   * step: explicit Euler p = x - f(t_j, x, z, u) dt, then child c adds
     z @ increment[c];
-  * batches: dual_value_direct takes node (S,) and y (S, d') and returns values
-    (S,) and S tags. The kernel steps arrays of shape (starts, assignments,
+  * batches: dual_value_direct takes nodes (S,) and ys (S, d') and returns
+    values (S,) and S tags. The kernel steps arrays of shape (starts, assignments,
     subtree nodes, d') one level at a time with one problem.f call per level,
     ctx.b gathered by absolute node index, so f and terminal must act row by
     row;
@@ -109,12 +110,13 @@ class HJBConfig:
 
 @dataclass(frozen=True)
 class MarkovianDualSpec:
-    """f(t,x,y,z,u) scalar-vectorized; terminal target g(x); finite control set."""
+    """f(t,x,y,z,u) scalar-vectorized; terminal target g(x); finite control set;
+    f_bound bounds sup|f| on the grid at every tree-level time, for the CFL rate."""
 
     f: object
     g: object
     control_values: tuple
-    f_bound: float | None = None  # optional known sup|f| on the grid
+    f_bound: float
 
 
 @dataclass(frozen=True)
@@ -125,14 +127,15 @@ class DeterministicDualSpec:
     with np.empty_like(y) keeps that layout, which the solve reads fastest, and
     any other layout stays correct.
 
-    f_bound may be a scalar or a per-component pair; when given it is used as-is
-    in the CFL rate (no safety margin), which keeps substep counts reproducible.
+    f_bound bounds sup|f| on the grid at every tree-level time, as a scalar or
+    a per-component pair. The CFL rate uses it as-is (no safety margin), so
+    substep counts are reproducible, and nothing checks it against f.
     """
 
     f: object
     target: tuple
     control_values: tuple
-    f_bound: object = None
+    f_bound: object
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,8 @@ def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
     The sweep rolls W from T down to 0 and keeps W at level 0, whose nodal
     set gives the static value, and at the terminal level n, which
     default_eps reads. Each level runs the fewest substeps that satisfy the
-    CFL bound.
+    CFL bound of the spec's declared f_bound; ConfigError names f_bound when
+    it, or one of its components, is NaN, infinite or negative.
     """
     if isinstance(spec, MarkovianDualSpec):
         return _solve_markovian(spec, grid, config)
@@ -354,12 +358,22 @@ def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
     raise TypeError(f"unsupported dual spec {type(spec)!r}")
 
 
+def _declared_bound(spec, shape):
+    """spec.f_bound broadcast to shape; ConfigError unless every entry is
+    finite and nonnegative."""
+    fmax = np.broadcast_to(np.asarray(spec.f_bound, dtype=float), shape)
+    if not np.all(np.isfinite(fmax) & (fmax >= 0)):
+        raise ConfigError(f"f_bound must be finite and nonnegative, "
+                          f"got {spec.f_bound!r}")
+    return fmax
+
+
 def _cfl_substeps(grid: TimeGrid, rate: float) -> int:
-    """rate = sum of stability rates 1/dt_max; returns the substep count."""
-    dt_max = 0.9 / rate if rate > 0 else np.inf
-    if not np.isfinite(dt_max):
+    """rate = sum of stability rates 1/dt_max, finite and nonnegative;
+    returns the substep count."""
+    if rate == 0:
         return 1
-    return max(1, int(np.ceil(grid.dt / dt_max)))
+    return max(1, int(np.ceil(grid.dt / (0.9 / rate))))
 
 
 def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
@@ -368,24 +382,10 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
     ys = _axis(config.y_bounds, config.dy)
     min_rows = _check_axes((xs, ys), 4, "edge stencils")
     dx, dy = config.dx, config.dy
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    fmax = float(_declared_bound(spec, ()))
     out = np.empty((2, len(xs), len(ys)))
-    out[1] = (Y - np.asarray(spec.g(X))) ** 2
+    out[1] = (ys - np.asarray(spec.g(xs[:, None]))) ** 2
     zmax = max(abs(z) for z in config.z_values)
-    times = grid.times()
-    # estimate sup|f| over the grid and every tree-level time unless declared
-    if spec.f_bound is not None:
-        fmax = spec.f_bound
-    else:
-        fmax = 0.0
-        for t in times:
-            for u in spec.control_values:
-                for z in config.z_values:
-                    fmax = max(fmax, float(np.abs(
-                        np.asarray(spec.f(t, X, Y, z, u))).max()))
-        fmax *= 1.5
-    # f sees each block's points in its band's scratch, not views of these
-    del X, Y
     rate = 1.0 / dx ** 2 + zmax ** 2 / dy ** 2 + zmax / (dx * dy) + fmax / dy
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
@@ -443,7 +443,7 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
         return step
 
     _sweep(grid, out, sub, min_rows, make_step)
-    return DualGrid(kind="markovian", times=times, axes=(xs, ys), W=out,
+    return DualGrid(kind="markovian", times=grid.times(), axes=(xs, ys), W=out,
                     substeps=sub)
 
 
@@ -453,24 +453,10 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     y2 = _axis(config.y_bounds, config.dy)
     min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
+    fmax = _declared_bound(spec, (2,))
     t1, t2 = spec.target
     out = np.empty((2, len(y1), len(y2)))
     out[1] = (y1[:, None] - t1) ** 2 + (y2[None, :] - t2) ** 2
-    times = grid.times()
-    if spec.f_bound is not None:
-        fmax = np.broadcast_to(np.asarray(spec.f_bound, dtype=float), (2,))
-    else:
-        # component-first, as the blocks see their points
-        pts = np.moveaxis(np.stack(np.meshgrid(y1, y2, indexing="ij", copy=False)),
-                          0, -1)
-        fmax = np.zeros(2)
-        for t in times:
-            for u in spec.control_values:
-                fv = np.abs(np.asarray(spec.f(t, pts, u))).reshape(-1, 2)
-                fmax = np.maximum(fmax, fv.max(axis=0))
-        fmax = fmax * 1.2
-        # f sees each block's points in its band's scratch, not views of these
-        del pts, fv
     rate = fmax[0] / dy + fmax[1] / dy
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
@@ -517,7 +503,7 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
         return step
 
     _sweep(grid, out, sub, min_rows, make_step)
-    return DualGrid(kind="deterministic", times=times, axes=(y1, y2), W=out,
+    return DualGrid(kind="deterministic", times=grid.times(), axes=(y1, y2), W=out,
                     substeps=sub)
 
 
@@ -652,21 +638,21 @@ def _steer(problem: BSDEProblem, tree: ScenarioTree, times: np.ndarray, level: i
 
 
 def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
-                      node, y, z_values):
-    """min over enumerated (z,u) node-assignments of E_node |X_T - xi|^2, X_level = y.
+                      nodes, ys, z_values):
+    """min over enumerated (z,u) node-assignments of E_node |X_T - xi|^2, X_level = y,
+    for each start (node, y) of nodes (S,) and ys (S, d').
 
     Each forward step is the explicit Euler step x - f(t_j, x, z, u) dt, and
-    child c adds z @ increment[c]. With an int node, returns (value, best
-    assignment or None); with node an int array (S,) and y of shape (S, d'),
-    returns (values (S,), tags), one such assignment per start.
+    child c adds z @ increment[c]. Returns (values (S,), tags): per start the
+    best assignment, or None when every cost is inf or NaN.
     """
     if tree.mode != "path":
         raise ValueError("dual_value_direct walks per-node subtrees: path mode only")
     n, d, dpr = tree.n, tree.d, problem.value_dim
     table, grid = _steering_table(problem, tree, level, n,
                                   _as_z_matrices(z_values, dpr, d))
-    nodes = np.asarray(node, dtype=np.intp).reshape(-1)
-    ys = np.asarray(y, dtype=float).reshape(len(nodes), dpr)
+    nodes = np.asarray(nodes, dtype=np.intp)
+    ys = np.asarray(ys, dtype=float).reshape(len(nodes), dpr)
     count = len(table)
     width = (2 ** d) ** (n - level)
     times = tree.grid.times()
@@ -686,17 +672,13 @@ def dual_value_direct(problem: BSDEProblem, tree: ScenarioTree, level: int,
                                    return_inverse=True)
         named = [None if a < 0 else tuple(table[a].tolist()) for a in winners]
         tags.extend(named[i] for i in which.tolist())
-    if np.ndim(node) == 0:
-        return float(values[0]), tags[0]
     return values, tags
 
 
 def conditional_dual_value(problem: BSDEProblem, tree: ScenarioTree, level: int,
                            y_points, z_values) -> np.ndarray:
-    """W-tilde(level, node, y) on the tree, shape (nodes at level, probe points)."""
-    y_points = np.asarray(y_points, dtype=float)
-    if y_points.ndim == 1:
-        y_points = y_points[:, None]
+    """W-tilde(level, node, y) on the tree, shape (nodes at level, probe points);
+    y_points is (P, d'), or (P,) when d' = 1."""
     m = tree.node_count(level)
     vals, _ = dual_value_direct(problem, tree, level,
                                 np.repeat(np.arange(m), len(y_points)),
@@ -731,9 +713,6 @@ def check_geometric_dpp(problem: BSDEProblem, tree: ScenarioTree, k1: int, k2: i
     if not 0 <= k1 < k2 <= tree.n:
         raise ValueError(f"need 0 <= k1 < k2 <= n, got {k1}, {k2}")
     d, dpr = tree.d, problem.value_dim
-    y_points = np.asarray(y_points, dtype=float)
-    if y_points.ndim == 1:
-        y_points = y_points[:, None]
     wt1 = conditional_dual_value(problem, tree, k1, y_points, z_values)
     table, segment = _steering_table(problem, tree, k1, k2,
                                      _as_z_matrices(z_values, dpr, d))

@@ -183,6 +183,9 @@ def _coeff_at(fn, t, b, m):
 
 
 def _probe_bounds(coeffs: LinearUtilityCoeffs, T: float) -> None:
+    if not np.isfinite(coeffs.bound):
+        raise ProblemValidationError(
+            f"declared coefficient bound {coeffs.bound} is not finite")
     for t in np.linspace(0.0, T, 5):
         for fn in (coeffs.alpha, coeffs.beta):
             arr = np.asarray(fn(t, np.zeros(1)), dtype=float)

@@ -189,29 +189,3 @@ def node_histories(tree: ScenarioTree, level: int) -> np.ndarray:
     nodes = np.arange(tree.node_count(level))
     return np.stack([tree.values[l][nodes >> (tree.d * (level - l))]
                      for l in range(level + 1)], axis=1)
-
-
-def node_path(tree: ScenarioTree, level: int, node: int) -> np.ndarray:
-    """The discrete path (level+1, d) from the root to a path-mode node."""
-    if tree.mode != "path":
-        raise ModeError("recombining nodes do not determine a path")
-    return node_histories(tree, level)[node]
-
-
-def path_functional(tree: ScenarioTree, node, functional, current_value_only: bool = False):
-    """Evaluate functional(times, path) on the discrete path to node = (level, index).
-
-    The path is the piecewise-constant (left-endpoint) record of the walk including
-    the root row. In recombining mode only current-value functionals are allowed,
-    declared via current_value_only; they receive the single-row path at the node.
-    """
-    level, idx = node
-    times = tree.grid.times()[: level + 1]
-    if tree.mode == "recombining":
-        if not current_value_only:
-            raise ModeError(
-                "path-dependent functionals require path mode; pass "
-                "current_value_only=True for functionals of the current value"
-            )
-        return functional(times[-1:], tree.values[level][idx][None, :])
-    return functional(times, node_path(tree, level, idx))

@@ -89,7 +89,7 @@ def test_mv_tree_moments_match_recursion():
 
 def test_mv_time_zero_grid_argmax_is_analytic_cell():
     mv = mean_variance(0.0, 1.0, 1.0)
-    cell, _ = mv_grid_argmax(mv, 0.0, 0.0, 0.0, 12, 1.0)
+    cell = mv_grid_argmax(mv, 0.0, 0.0, 0.0, 12, 1.0)
     assert cell == (mv.analytic["a_star"], mv.analytic["b_star"])
 
 

@@ -157,6 +157,17 @@ def test_lipschitz_probe_failure():
         solve_bsde(prob, tree)
 
 
+@pytest.mark.parametrize("L", (np.nan, np.inf))
+def test_a_non_finite_lipschitz_constant_fails_validation(L):
+    # every comparison with NaN is False, and none exceeds inf, so either
+    # would pass every probe and silence the step-size warning
+    problem = problems.scalar_drift_problem()
+    problem.lipschitz_L = L
+    with pytest.raises(ProblemValidationError, match="L = .* is not finite"):
+        static_value(problem, build_tree(TimeGrid(1.0, 3), 1, "path"))
+    assert not problem._lip_checked
+
+
 def test_static_value_one_step():
     tree = build_tree(TimeGrid(1.0, 1), 1, "path")
 

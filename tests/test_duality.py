@@ -36,6 +36,7 @@ def quad_spec():
         f=lambda t, x, y, z, u: 0.0,
         g=lambda x: x,
         control_values=(0.0,),
+        f_bound=0.0,
     )
 
 
@@ -66,6 +67,7 @@ def test_w_nonnegative_with_advection():
         f=lambda t, x, y, z, u: u + 0.0 * y,
         g=lambda x: x,
         control_values=(-1.0, 1.0),
+        f_bound=1.5,
     )
     grid = TimeGrid(T=0.25, n=2)
     dual = solve_dual_hjb(spec, grid, quad_config())
@@ -110,7 +112,7 @@ def test_nodal_default_eps_contains_target():
 
 def test_empty_nodal_set_flags_and_static_value_raises():
     spec = MarkovianDualSpec(f=lambda t, x, y, z, u: 0.0, g=lambda x: x,
-                             control_values=(0.0,))
+                             control_values=(0.0,), f_bound=0.0)
     config = HJBConfig(x_bounds=(2.0, 3.0), dx=0.1, y_bounds=(-1.0, 1.0), dy=0.1,
                        z_values=(0.0,))
     dual = solve_dual_hjb(spec, TimeGrid(T=0.25, n=1), config)
@@ -136,6 +138,7 @@ def test_transport_translation_minimum_location():
                                     np.zeros_like(y[..., 1])], axis=-1),
         target=(0.0, 0.0),
         control_values=(1.0,),
+        f_bound=(1.2, 0.0),
     )
     grid = TimeGrid(T=0.5, n=4)
     config = HJBConfig(y_bounds=(-1.0, 1.0), dy=0.05, z_values=(0.0,))
@@ -170,8 +173,10 @@ def test_transport_steering_band_sanity():
 
 
 def advected_spec():
+    # 1.5 times sup|f| = 1 + 0.3 + 0.2 on quad_config's grid
     return MarkovianDualSpec(f=lambda t, x, y, z, u: u + 0.3 * y - 0.2 * x * z,
-                             g=lambda x: np.sin(x), control_values=(-1.0, 1.0))
+                             g=lambda x: np.sin(x), control_values=(-1.0, 1.0),
+                             f_bound=2.25)
 
 
 SLICE_CASES = {
@@ -217,9 +222,8 @@ def test_sweep_calls_f_once_per_substep_down_to_level_zero(kind, monkeypatch):
     spec, seen = make_spec(), []
     f = spec.f
     if kind == "markovian":
-        # a declared bound keeps the sup|f| estimate from calling f
         spec = dataclasses.replace(
-            spec, f_bound=2.0, f=lambda t, x, y, z, u: seen.append(t) or f(t, x, y, z, u))
+            spec, f=lambda t, x, y, z, u: seen.append(t) or f(t, x, y, z, u))
         per_substep = len(config.z_values) * len(spec.control_values)
     else:
         spec = dataclasses.replace(
@@ -316,8 +320,7 @@ def test_transport_w0_matches_the_closed_form_where_characteristics_stay_inside(
 
 
 BLOCK_CASES = {
-    # 23 x 21 points; the declared f_bound keeps the CFL estimate from calling f
-    # on the whole grid, so every recorded call comes from a block
+    # 23 x 21 points: x reaches 1.2, so |f| <= 1 + 0.3 + 0.24 < 1.6
     "markovian": (lambda: dataclasses.replace(advected_spec(), f_bound=1.6),
                   TimeGrid(T=0.5, n=4),
                   HJBConfig(x_bounds=(-1.0, 1.2), dx=0.1, y_bounds=(-1.0, 1.0),
@@ -504,29 +507,23 @@ def test_too_few_grid_points_raise_config_error_naming_the_axis_lengths(kind):
         solve_dual_hjb(make_spec(), grid, config)
 
 
-def _fast_early(u, t):
-    """Speed 1 + 20 (1 - t): 21 at t = 0, 1 at t = T = 1."""
-    return (1.0 + 20.0 * (1.0 - t)) * u
+# f_bound is trusted as declared: NaN or a negative entry would run one substep
+BAD_BOUNDS = {"markovian": (np.nan, np.inf, -np.inf, -1.0),
+              "deterministic": (np.nan, np.inf, -1.0, (np.nan, 1.0), (3.0, np.inf),
+                                (3.0, -0.5), (-3.0, -1.0))}
 
 
-def test_deterministic_cfl_estimate_covers_every_level_time():
-    grid, dy = TimeGrid(T=1.0, n=4), 0.05
-    spec = DeterministicDualSpec(
-        f=lambda t, y, u: np.stack([_fast_early(u, t) + 0.0 * y[..., 0],
-                                    0.0 * y[..., 1]], axis=-1),
-        target=(0.0, 0.0), control_values=(-1.0, 1.0))
-    dual = solve_dual_hjb(spec, grid, HJBConfig(dy=dy))
-    assert 21.0 * grid.dt / dual.substeps / dy <= 1.0
-    assert dual.at(0).max() > 0.0
-
-
-def test_markovian_cfl_estimate_covers_every_level_time():
-    spec = MarkovianDualSpec(f=lambda t, x, y, z, u: _fast_early(u, t) + 0.0 * y,
-                             g=lambda x: 0.0 * x, control_values=(-1.0, 1.0))
-    dual = solve_dual_hjb(spec, TimeGrid(T=1.0, n=4),
-                          HJBConfig(dx=0.05, dy=0.05))
-    assert np.all(np.isfinite(dual.at(0)))
-    assert dual.at(0).max() <= dual.at(4).max()
+@pytest.mark.parametrize("kind,bound", [(kind, bound) for kind in sorted(BAD_BOUNDS)
+                                        for bound in BAD_BOUNDS[kind]])
+def test_a_nan_infinite_or_negative_f_bound_raises_config_error(kind, bound):
+    make_spec, grid, config = SLICE_CASES[kind]
+    spec, calls = make_spec(), []
+    f = spec.f
+    spec = dataclasses.replace(spec, f_bound=bound,
+                               f=lambda *args: calls.append(args) or f(*args))
+    with pytest.raises(ConfigError, match="f_bound must be finite and nonnegative"):
+        solve_dual_hjb(spec, grid, config)
+    assert calls == []
 
 
 def control_free_b_terminal(n, T, d=1):
@@ -547,15 +544,17 @@ def test_dual_value_direct_closed_form():
     tree, problem = control_free_b_terminal(n=3, T=0.75)
     b = tree.values[1][0, 0]
     for y in (-1.0, 0.0, 0.5):
-        val, _ = dual_value_direct(problem, tree, 1, 0, [y], z_values=(0.0, 1.0))
-        assert val == pytest.approx((y - b) ** 2, abs=1e-12)
+        val, _ = dual_value_direct(problem, tree, 1, np.array([0]), np.array([[y]]),
+                                   z_values=(0.0, 1.0))
+        assert val[0] == pytest.approx((y - b) ** 2, abs=1e-12)
 
 
 def test_dual_value_direct_terminal_level():
     tree, problem = control_free_b_terminal(n=2, T=0.5)
     b = tree.values[2][3, 0]
-    val, _ = dual_value_direct(problem, tree, 2, 3, [0.2], z_values=(0.0,))
-    assert val == pytest.approx((0.2 - b) ** 2, abs=1e-14)
+    val, _ = dual_value_direct(problem, tree, 2, np.array([3]), np.array([[0.2]]),
+                               z_values=(0.0,))
+    assert val[0] == pytest.approx((0.2 - b) ** 2, abs=1e-14)
 
 
 def test_conditional_dual_value_matches_closed_form():
@@ -754,9 +753,6 @@ def test_batched_dual_value_matches_per_start_reference(data):
            for i, y in zip(nodes, ys)]
     assert [float(v).hex() for v in values] == [v.hex() for v, _ in ref]
     assert tags == [tag for _, tag in ref]
-    one = dual_value_direct(problem, tree, level, int(nodes[0]), ys[0], z_values)
-    assert type(one[0]) is float and one[0].hex() == ref[0][0].hex()
-    assert one[1] == ref[0][1]
 
 
 def test_exact_ties_keep_the_first_assignment():
@@ -779,9 +775,10 @@ def test_nan_costs_never_win_and_all_inf_rows_keep_no_tag():
         f=lambda t, ctx, y, z, u: np.where(u[:, None] > 0, np.nan, 0.0) + 0.0 * y,
         terminal=lambda ctx: ctx.b[:, :1].copy(),
         phi=lambda y: y[:, 0], control_values=(1.0, 0.0), lipschitz_L=0.0)
-    val, tag = dual_value_direct(problem, tree, 0, 0, [0.2], (0.0,))
-    assert tag == (1,)
-    assert val == _ref_dual_value(problem, tree, 0, 0, [0.2], (0.0,))[0]
+    val, tag = dual_value_direct(problem, tree, 0, np.array([0]), np.array([[0.2]]),
+                                 (0.0,))
+    assert tag == [(1,)]
+    assert val[0] == _ref_dual_value(problem, tree, 0, 0, [0.2], (0.0,))[0]
     problem.control_values = (1.0,)
     values, tags = dual_value_direct(problem, tree, 0, np.array([0]), np.array([[0.2]]),
                                      (0.0,))
@@ -831,17 +828,18 @@ def test_steering_takes_one_control_per_level_under_deterministic_controls(
     # level 6 of 8 its three subtree slots take 2^2 assignments, not 2^3
     _, problem, z_values, _ = geometric_dpp_cases()[1]
     tree = build_tree(TimeGrid(T=2.0, n=8), d=1)
+    start = (np.array([0]), np.array([[0.5, 0.5]]))
     with enumeration_cap(3), pytest.raises(
             EnumerationCapError, match="^4 steering assignments exceed cap 3$"):
-        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
+        dual_value_direct(problem, tree, 6, *start, z_values)
     with enumeration_cap(4):
-        value, tag = dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
+        (value,), (tag,) = dual_value_direct(problem, tree, 6, *start, z_values)
     assert tag[1] == tag[2]  # the two level-7 slots share their control
     assert value == _ref_dual_value(problem, tree, 6, 0, [0.5, 0.5], z_values)[0]
     problem.deterministic_controls = False
     with enumeration_cap(4), pytest.raises(
             EnumerationCapError, match="^8 steering assignments exceed cap 4$"):
-        dual_value_direct(problem, tree, 6, 0, [0.5, 0.5], z_values)
+        dual_value_direct(problem, tree, 6, *start, z_values)
 
 
 def test_geometric_dpp_fails_when_no_probe_is_in_a_nodal_set():

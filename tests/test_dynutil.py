@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import BSDEProblem, maximize_over_policies
+from treebsde.bsde import BSDEProblem, ProblemValidationError, maximize_over_policies
 from treebsde.master import ForwardValue
 from treebsde import dynutil
 from treebsde.dynutil import (
@@ -888,3 +888,14 @@ def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
     for j in (count, -count - 1):
         with pytest.raises(IndexError):
             lin.ahat[j]
+
+
+@pytest.mark.parametrize("bound", (np.nan, np.inf))
+def test_a_non_finite_coefficient_bound_fails_validation(bound):
+    # no coefficient entry compares above a NaN or an infinite bound
+    coeffs, _ = linear_setup()
+    tree = build_tree(TimeGrid(0.5, 3), d=1, mode="path")
+    build_linear_utility(coeffs, tree, overshoot_limit=1.0)
+    with pytest.raises(ProblemValidationError, match="bound .* is not finite"):
+        build_linear_utility(dataclasses.replace(coeffs, bound=bound), tree,
+                             overshoot_limit=1.0)

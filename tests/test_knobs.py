@@ -27,7 +27,6 @@ ALLOWED = {
     "dynutil.check_linear_comparison:pairs",
     "dynutil.make_comparison_pairs:count",
     "dynutil.verify_tau_bound:pilot_paths",
-    "lattice.path_functional:current_value_only",
     "master.path_derivative_probe:threshold",
 }
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treebsde.lattice import (
-    TimeGrid, build_tree, conditional_expectation, path_functional,
-    TreeSizeError, ModeError, node_histories, node_path,
+    TimeGrid, build_tree, conditional_expectation,
+    TreeSizeError, ModeError, node_histories,
     step_expectation,
 )
 
@@ -111,31 +111,6 @@ def test_mode_agreement_markovian():
         assert abs(ep[i] - er[j]) < 1e-12
 
 
-def test_path_functional_terminal_and_running_max():
-    tree = build_tree(TimeGrid(1.0, 2), 1, "path")  # dt = 0.5
-    # node (2, 2) is (+, -): path 0, +sqrt(.5), 0
-    val = path_functional(tree, (2, 2), lambda t, p: p[-1, 0])
-    assert abs(val - 0.0) < 1e-14
-    mx = path_functional(tree, (2, 2), lambda t, p: np.abs(p[:, 0]).max())
-    assert abs(mx - np.sqrt(0.5)) < 1e-14
-
-
-def test_path_functional_left_endpoint_integral():
-    tree = build_tree(TimeGrid(1.0, 1), 1, "path")
-    integral = path_functional(
-        tree, (1, 1), lambda t, p: (p[:-1, 0] * np.diff(t)).sum())
-    assert integral == 0.0
-
-
-def test_path_functional_mode_error():
-    tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
-    with pytest.raises(ModeError):
-        path_functional(tree, (2, 1), lambda t, p: p[-1, 0])
-    # current-value functionals are fine
-    v = path_functional(tree, (2, 1), lambda t, p: p[-1, 0], current_value_only=True)
-    assert abs(v - 0.0) < 1e-14
-
-
 def test_descendants_contiguous_path_indices():
     t1 = build_tree(TimeGrid(1.0, 3), 1, "path")
     assert list(t1.descendants(1, 1, 1)) == [1]
@@ -147,17 +122,11 @@ def test_descendants_contiguous_path_indices():
     assert list(t2.descendants(1, 2, 2)) == [8, 9, 10, 11]
     assert list(t2.descendants(1, 3, 2)) == [12, 13, 14, 15]
     # every descendant's path passes through the ancestor
+    hist1, hist2 = node_histories(t2, 1), node_histories(t2, 2)
     for i in t2.descendants(1, 2, 2):
-        np.testing.assert_array_equal(node_path(t2, 2, i)[1], node_path(t2, 1, 2)[1])
+        np.testing.assert_array_equal(hist2[i, 1], hist1[2, 1])
     with pytest.raises(ModeError):
         build_tree(TimeGrid(1.0, 3), 1, "recombining").descendants(1, 0, 2)
-
-
-def test_node_path_matches_values():
-    tree = build_tree(TimeGrid(1.0, 4), 2, "path")
-    for node in (0, 7, 100, 255):
-        p = node_path(tree, 4, node)
-        np.testing.assert_allclose(p[-1], tree.values[4][node], atol=1e-14)
 
 
 def _walked_path(tree, level, node):
@@ -175,10 +144,10 @@ def test_node_histories_rows_are_the_node_paths_bit_for_bit():
         for level in range(tree.n + 1):
             hist = node_histories(tree, level)
             assert hist.shape == (tree.node_count(level), level + 1, d)
+            assert hist[:, -1].tobytes() == tree.values[level].tobytes()
             for i in range(tree.node_count(level)):
                 walked = _walked_path(tree, level, i).tobytes()
                 assert hist[i].tobytes() == walked
-                assert node_path(tree, level, i).tobytes() == walked
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,11 +1,17 @@
-"""The problem catalogue hands every caller fresh, unshared objects."""
+"""The problem catalogue hands every caller fresh, unshared objects, and its
+declared bounds hold where the shipped configs use them."""
+import dataclasses
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
-from treebsde import problems
+from treebsde import duality, experiments, problems
 from treebsde.benchmarks import BenchmarkError
 from treebsde.bsde import BSDEProblem, probe_lipschitz
 from treebsde.dynutil import LinearUtilityCoeffs
+from treebsde.experiments import load_config, run_experiment
 from treebsde.lattice import TimeGrid, build_tree
 
 CONSTRUCTORS = (
@@ -64,3 +70,47 @@ def test_benchmark_builds_a_fresh_problem_at_the_given_horizon(identifier, T):
         assert first.optimal_value == 0.0  # c = T
     with pytest.raises(BenchmarkError, match="unknown benchmark 'nope'"):
         problems.benchmark("nope", T)
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
+DUALITY_CONFIGS = sorted(path.stem for path in CONFIGS.glob("*.json")
+                         if load_config(str(path)).experiment == "duality")
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", DUALITY_CONFIGS)
+def test_declared_dual_bounds_hold_on_each_shipped_duality_grid(name, monkeypatch,
+                                                                tmp_path):
+    # the solve trusts f_bound for its CFL rate, so sample |f| where the
+    # shipped run would: every grid point, every tree-level time, every
+    # control and every z of the config
+    seen = []
+
+    def capture(spec, grid, config):
+        seen.append((spec, grid, config))
+        raise _Captured
+
+    monkeypatch.setattr(experiments, "solve_dual_hjb", capture)
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    with pytest.raises(_Captured):
+        run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
+    (spec, grid, config), = seen
+    if isinstance(spec, duality.DeterministicDualSpec):
+        ys = duality._axis(config.y_bounds, config.dy)
+        # component-first, as the solve's blocks see their points
+        pts = np.moveaxis(np.stack(np.meshgrid(ys, ys, indexing="ij")), 0, -1)
+        samples = (np.abs(spec.f(t, pts, u)).max(axis=(0, 1))
+                   for t, u in itertools.product(grid.times(), spec.control_values))
+        bound = np.broadcast_to(spec.f_bound, (2,))
+    else:
+        X, Y = np.meshgrid(duality._axis(config.x_bounds, config.dx),
+                           duality._axis(config.y_bounds, config.dy), indexing="ij")
+        samples = (np.abs(np.asarray(spec.f(t, X, Y, z, u))).max()
+                   for t, u, z in itertools.product(grid.times(), spec.control_values,
+                                                    config.z_values))
+        bound = spec.f_bound
+    fmax = np.max(list(samples), axis=0)
+    assert np.all(fmax <= bound), (fmax, bound)
