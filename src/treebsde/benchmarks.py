@@ -28,7 +28,6 @@ import numpy as np
 from treebsde.lattice import ScenarioTree
 from treebsde.bsde import (
     BSDEProblem,
-    ControlPolicy,
     EnumerationCapError,
     PolicySpace,
     _search,
@@ -220,7 +219,6 @@ def mv_grid_argmax(bench: BenchmarkProblem, m1_0, m2_0, t0: float, steps: int,
 class RestorationReport:
     nodes_checked: int
     violations: int
-    all_match: bool
 
 
 def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
@@ -248,8 +246,7 @@ def mv_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             cell = mv_grid_argmax(bench, x, x * x, t, n - k, c_eff)
             checked += 1
             violations += cell != cell0
-    return RestorationReport(nodes_checked=checked, violations=violations,
-                             all_match=(violations == 0))
+    return RestorationReport(nodes_checked=checked, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +311,8 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree) -> Witness
     n = tree.n
     times = tree.grid.times()
     U = bench.problem.control_values
-    # the time-0 optimum u = -1, solved once for every witness node
-    ref = solve_bsde(bench.problem, tree, ControlPolicy.constant(tree, U[0]))
+    # the time-0 optimum u = U[0] = -1, solved once for every witness node
+    ref = solve_bsde(bench.problem, tree)
     found = []
     min_margin = np.inf
     all_flip = True
@@ -325,7 +322,7 @@ def onedim_witness_check(bench: BenchmarkProblem, tree: ScenarioTree) -> Witness
             best, assign = subtree_argmax(
                 bench.problem, tree, k, int(i),
                 lambda y: -np.abs(c + y[:, 0]))
-            ref_val = -abs(c + float(ref.Y[k][i, 0]))
+            ref_val = -abs(c + float(ref[k][i, 0]))
             flips = all(U[s] == 1.0 for s in assign)
             all_flip = all_flip and flips and best > ref_val
             min_margin = min(min_margin, best - ref_val)
@@ -358,8 +355,7 @@ def onedim_restoration_check(bench: BenchmarkProblem, tree: ScenarioTree,
             checked += 1
             if any(s != 0 for s in assign):
                 violations += 1
-    return RestorationReport(nodes_checked=checked, violations=violations,
-                             all_match=(violations == 0))
+    return RestorationReport(nodes_checked=checked, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +457,8 @@ def pa_value(bench: BenchmarkProblem, tree: ScenarioTree, u, level: int = 0,
         value_dim=1, f=bench.problem.f, terminal=bench.problem.terminal,
         phi=bench.problem.phi, control_values=(float(u),),
         lipschitz_L=bench.problem.lipschitz_L)
-    pol = ControlPolicy.constant(tree, u)
-    sol = solve_bsde(carrier, tree, pol, eta=payout)
-    return sol.Y[level][:, 0]
+    # u is the carrier's U[0], so solve_bsde's default policy
+    return solve_bsde(carrier, tree, eta=payout)[level][:, 0]
 
 
 def pa_closed_form(bench: BenchmarkProblem, tree: ScenarioTree, u) -> float:
@@ -610,8 +605,8 @@ def deterministic_witness_check(bench: BenchmarkProblem, tree: ScenarioTree,
     if not 0.0 < t < T - 1.0:
         raise BenchmarkError("pick a level with 0 < t < T - 1")
     sv = static_value(bench.problem, tree)
-    sol0 = solve_bsde(bench.problem, tree, sv.policy)
-    ref = float(sol0.Y[level][0, 0])  # deterministic: all nodes equal
+    winner = PolicySpace(bench.problem, tree).policy(sv.assignment)
+    ref = float(solve_bsde(bench.problem, tree, winner)[level][0, 0])  # all nodes equal
     best, assign = subtree_argmax(bench.problem, tree, level, 0,
                                   lambda y: y[:, 0])
     margin = best - ref

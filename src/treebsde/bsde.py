@@ -125,20 +125,6 @@ class BSDEProblem:
     _lip_checked: bool = field(default=False, repr=False)
 
 
-@dataclass(frozen=True)
-class ControlPolicy:
-    """One control value per node per level (levels 0..k-1 for a solve up to k)."""
-
-    levels: tuple  # level j -> (m_j,) array of control values
-
-    @staticmethod
-    def constant(tree: ScenarioTree, value: float, last_level: int | None = None) -> "ControlPolicy":
-        k = tree.n if last_level is None else last_level
-        return ControlPolicy(tuple(
-            np.full(tree.node_count(j), float(value)) for j in range(k)
-        ))
-
-
 def monotone_step_bound(L: float) -> float:
     """Largest dt with 1 - L*dt - L*sqrt(dt) >= 0 (comparison-preserving scheme)."""
     if L <= 0:
@@ -181,18 +167,11 @@ def probe_lipschitz(problem: BSDEProblem, tree: ScenarioTree) -> None:
     problem._lip_checked = True
 
 
-@dataclass(frozen=True)
-class BSDESolution:
-    """Y per level 0..terminal_level, Z per level 0..terminal_level-1."""
-
-    Y: tuple   # level -> (m, d')
-    Z: tuple   # level -> (m, d', d)
-
-
-def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
-               policy: ControlPolicy | None = None,
-               terminal_level: int | None = None, eta=None) -> BSDESolution:
-    """Backward induction on [0, terminal_level] under the given policy.
+def solve_bsde(problem: BSDEProblem, tree: ScenarioTree, policy=None,
+               terminal_level: int | None = None, eta=None) -> tuple:
+    """Y on levels 0..terminal_level, a tuple of (m_j, d') arrays, by backward
+    induction under policy: one (m_j,) array of control values per level
+    j < terminal_level, U[0] everywhere when None.
 
     Default terminal data is problem.terminal evaluated at the last level; pass
     terminal_level k and eta, the (m_k, d') array at level k, to solve from
@@ -208,20 +187,17 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree,
     else:
         eta = np.asarray(eta, dtype=float).reshape(tree.node_count(k), dpr)
     if policy is None:
-        policy = ControlPolicy.constant(tree, problem.control_values[0], last_level=k)
-    if len(policy.levels) < k:
-        raise ValueError(f"policy covers {len(policy.levels)} levels, need {k}")
+        policy = [np.full(tree.node_count(j), float(problem.control_values[0]))
+                  for j in range(k)]
+    if len(policy) < k:
+        raise ValueError(f"policy covers {len(policy)} levels, need {k}")
 
     times = tree.grid.times()
-    Ys = [None] * (k + 1)
-    Zs = [None] * k
-    Ys[k] = eta
-    cur = eta
+    Ys = [None] * k + [eta]
     for j in range(k - 1, -1, -1):
-        cur, Zs[j] = _step(problem, tree, j, times[j], tree.child_values(j, cur),
-                           np.asarray(policy.levels[j], dtype=float), tree.values[j])
-        Ys[j] = cur
-    return BSDESolution(Y=tuple(Ys), Z=tuple(Zs))
+        Ys[j] = _step(problem, tree, j, times[j], tree.child_values(j, Ys[j + 1]),
+                      np.asarray(policy[j], dtype=float), tree.values[j])
+    return tuple(Ys)
 
 
 _PACKAGE_DIR = os.path.dirname(__file__)
@@ -257,14 +233,15 @@ def _terminal(problem: BSDEProblem, tree: ScenarioTree, k: int) -> np.ndarray:
 
 def _step(problem: BSDEProblem, tree: ScenarioTree, j: int, t: float,
           cv: np.ndarray, u: np.ndarray, b: np.ndarray):
-    """(Y_j, Z_j) from child values cv (rows, 2^d, d'), controls u and ctx.b rows b."""
+    """Y_j from child values cv (rows, 2^d, d'), controls u and ctx.b rows b;
+    Z_j, (rows, d', d), is computed for f."""
     dt, inc = tree.dt, tree.increments   # inc (2^d, d)
     P = cv.mean(axis=1)                  # E_j[Y_{j+1}]
     Z = np.einsum("mcv,ci->mvi", cv, inc) / (inc.shape[0] * dt)
     fv = np.asarray(problem.f(t, NodeContext(level=j, b=b, tree=tree), P, Z, u), dtype=float)
     if fv.shape != P.shape:
         raise ValueError(f"generator returned shape {fv.shape}, expected {P.shape}")
-    return P + fv * dt, Z
+    return P + fv * dt
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +288,9 @@ class PolicySpace:
         """Assignment number index of the lexicographic order."""
         return tuple(self.digits(index, index + 1)[0].tolist())
 
-    def policy(self, assignment) -> ControlPolicy:
-        """Materialize one assignment; non-slot entries hold U[0]."""
+    def policy(self, assignment) -> tuple:
+        """One assignment as solve_bsde's policy, a tuple of (m_j,) control
+        arrays for levels 0..terminal_level-1; non-slot entries hold U[0]."""
         U = self.control_values
         levels = [np.full(self.tree.node_count(j), float(U[0]))
                   for j in range(self.terminal_level)]
@@ -321,7 +299,7 @@ class PolicySpace:
                 levels[j][:] = U[a]
             else:
                 levels[j][i] = U[a]
-        return ControlPolicy(tuple(levels))
+        return tuple(levels)
 
     def policies(self):
         """Lazy (assignment, policy) pairs in lexicographic order, cap-checked first."""
@@ -391,7 +369,7 @@ def _solve_chunks(problem: BSDEProblem, space: PolicySpace, eta=None):
                 cv = ys[-1].reshape(p * m, nc, dpr)
             else:
                 cv = ys[-1][:, tree.child_index[j]].reshape(p * m, nc, dpr)
-            y, _ = _step(problem, tree, j, times[j], cv, us[-1].reshape(-1), bs[j][:p * m])
+            y = _step(problem, tree, j, times[j], cv, us[-1].reshape(-1), bs[j][:p * m])
             ys.append(y.reshape(p, m, dpr))
         yield lo, ys[::-1], us[::-1]
 
@@ -399,7 +377,6 @@ def _solve_chunks(problem: BSDEProblem, space: PolicySpace, eta=None):
 @dataclass(frozen=True)
 class StaticValue:
     value: float
-    policy: ControlPolicy
     assignment: tuple
     enumerated: int
     heuristic: bool
@@ -424,8 +401,8 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
     best = np.full(m0, -np.inf)
     best_assign = [None] * m0
     for assignment, pol in space.policies():
-        sol = solve_bsde(problem, tree, pol, terminal_level=k, eta=eta)
-        vals = np.asarray(objective(sol.Y[start_level]), dtype=float)
+        Y = solve_bsde(problem, tree, pol, terminal_level=k, eta=eta)
+        vals = np.asarray(objective(Y[start_level]), dtype=float)
         improved = vals > best
         if improved.any():
             for i in np.nonzero(improved)[0]:
@@ -435,7 +412,9 @@ def maximize_over_policies(problem: BSDEProblem, tree: ScenarioTree,
 
 
 def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
-    """V_0 = max over policies of phi(Y^u_0); the module docstring says by which route.
+    """V_0 = max over policies of phi(Y^u_0) and the first assignment reaching
+    it, whose policy is PolicySpace(problem, tree).policy(assignment); the
+    module docstring says by which route.
 
     A NaN value never wins; NoMaximumError when phi(Y^u_0) is NaN or -inf under
     every policy."""
@@ -451,8 +430,8 @@ def static_value(problem: BSDEProblem, tree: ScenarioTree) -> StaticValue:
         if first[0] < 0:
             raise NoMaximumError("phi(Y_0) is NaN or -inf under every policy")
         value, assignment, count = float(best[0]), space.assignment(first[0]), space.size
-    return StaticValue(value=value, policy=space.policy(assignment), assignment=assignment,
-                       enumerated=count, heuristic=False)
+    return StaticValue(value=value, assignment=assignment, enumerated=count,
+                       heuristic=False)
 
 
 def _search(problem: BSDEProblem, space: PolicySpace, objective, eta=None):
@@ -596,8 +575,8 @@ class StructureError(ValueError):
 
 
 def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = False):
-    """(Ybar, max residual): the solution under the enveloped generator fbar =
-    sup_u f, and the max over levels t < n and nodes of |V_t - phi(Ybar_t)|.
+    """(Ybar, max residual): solve_bsde's Y tuple under the enveloped generator
+    fbar = sup_u f, and the max over levels t < n and nodes of |V_t - phi(Ybar_t)|.
     The envelope is consistent when that residual is at most 1e-10.
 
     Scalar only: d' = 1 (StructureError otherwise) and phi increasing, checked
@@ -631,11 +610,11 @@ def envelope_bsde(problem: BSDEProblem, tree: ScenarioTree, skip_probes: bool = 
         control_values=(U[0],), lipschitz_L=problem.lipschitz_L,
         _lip_checked=True,
     )
-    bar = solve_bsde(env, tree)
+    Ybar = solve_bsde(env, tree)
     # --- V_t per node against phi(Ybar_t); at t = n both sides are the terminal data
     max_res = 0.0
     for t in range(tree.n):
         vals, _ = _search(problem, PolicySpace(problem, tree, t), problem.phi)
         max_res = max(max_res, float(np.max(np.abs(
-            vals - np.asarray(problem.phi(bar.Y[t])).reshape(-1)))))
-    return bar, max_res
+            vals - np.asarray(problem.phi(Ybar[t])).reshape(-1)))))
+    return Ybar, max_res

@@ -102,6 +102,9 @@ class HJBConfig:
     z_values: tuple = (0.0,)
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.dx, self.dy, *self.x_bounds, *self.y_bounds,
+                                   *self.z_values))):
+            raise ConfigError("grid spacings, bounds and z-values must be finite")
         if self.dx <= 0 or self.dy <= 0:
             raise ConfigError("grid spacings must be positive")
         if not any(abs(z) < 1e-15 for z in self.z_values):
@@ -516,13 +519,12 @@ class NodalSet:
     level: int
     points: np.ndarray    # (m, dim) y points with W <= eps, sorted ascending
     eps: float
-    empty: bool
 
 
 def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
                       eps: float | None = None) -> NodalSet:
     """Grid points with W(level, ...) <= eps, eps defaulting to dual.default_eps();
-    empty sets are flagged, not errors."""
+    an empty set (no points) is no error."""
     if eps is None:
         eps = dual.default_eps()
     if dual.kind == "markovian":
@@ -537,12 +539,12 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
         pts = np.stack([dual.axes[0][ii], dual.axes[1][jj]], axis=-1)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         pts = pts[order]
-    return NodalSet(level=level, points=pts, eps=float(eps), empty=pts.shape[0] == 0)
+    return NodalSet(level=level, points=pts, eps=float(eps))
 
 
 def dual_static_value(nodal: NodalSet, phi) -> float:
     """max of phi over the nodal set; errors on empty sets advising a larger eps."""
-    if nodal.empty:
+    if len(nodal.points) == 0:
         raise EmptyNodalSetError(
             f"nodal set empty at eps = {nodal.eps:.3e}; enlarge eps or refine the grid"
         )

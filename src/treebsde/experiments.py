@@ -159,11 +159,13 @@ def validate_config(data: dict) -> ExperimentConfig:
             msgs.append(f"field '{key}': {where} does not read it "
                         f"(accepted: {', '.join(accepted)})")
             continue
-        if _is_kind(raw, kinds[key]):
-            clean[key] = kinds[key](raw)
-        else:
+        if not _is_kind(raw, kinds[key]):
             msgs.append(f"field '{key}': "
                         + _EXPECTED[kinds[key]].format(type(raw).__name__))
+        elif isinstance(raw, float) and not np.isfinite(raw):  # JSON's NaN, Infinity
+            msgs.append(f"field '{key}': must be finite")
+        else:
+            clean[key] = kinds[key](raw)
     if "experiment" in clean and clean["experiment"] not in EXPERIMENTS:
         msgs.append(f"field 'experiment': unknown '{clean['experiment']}'; valid: "
                     + ", ".join(sorted(EXPERIMENTS)))
@@ -283,7 +285,7 @@ def _restoration_checks(check, levels, n: int) -> list:
         return [_check("restoration-exact", False, reason=why),
                 _check("stale-control-group-violates", False, reason=why)]
     rest, stale = check(True), check(False)
-    return [_check("restoration-exact", rest.all_match,
+    return [_check("restoration-exact", rest.violations == 0,
                    value=rest.violations, nodes=rest.nodes_checked),
             _check("stale-control-group-violates",
                    stale.violations >= 1, value=stale.violations)]
@@ -412,7 +414,7 @@ def _run_duality(cfg: ExperimentConfig, out_dir: str):
         ix = int(np.argmin(np.abs(xs)))
         nodal = extract_nodal_set(dual, 0, x_index=ix)
         dist = (float(np.min(np.abs(nodal.points[:, 0])))
-                if not nodal.empty else np.inf)
+                if len(nodal.points) else np.inf)
         checks.append(_check("nodal-at-origin", dist <= cfg.dy * (1 + 1e-9),
                              value=dist, bound=cfg.dy))
         export_dual_grid_csv(dual, os.path.join(out_dir, "dual_grid.csv"))

@@ -98,8 +98,8 @@ def check_forward_dpp(problem: BSDEProblem, tree: ScenarioTree, t1: int, t2: int
     direct = psi(t2, eta)
     best = -np.inf
     for _, pol in segment:
-        sol = solve_bsde(problem, tree, pol, terminal_level=t2, eta=eta)
-        best = max(best, psi(t1, sol.Y[t1]))
+        Y = solve_bsde(problem, tree, pol, terminal_level=t2, eta=eta)
+        best = max(best, psi(t1, Y[t1]))
     return ForwardDppReport(residual=abs(direct - best))
 
 

@@ -18,7 +18,6 @@ from treebsde.lattice import (
 )
 from treebsde.bsde import (
     BSDEProblem,
-    ControlPolicy,
     NodeContext,
     reachable_set,
     solve_bsde,
@@ -155,8 +154,8 @@ def test_acceptance_03_restoration_vs_stale_control_groups():
     pa_rest = pa_restoration_check(pa, pa_tree, level=4, restored=True)
     pa_stale = pa_restoration_check(pa, pa_tree, level=4, restored=False)
 
-    ok = (mv_rest.all_match and mv_stale.violations >= 1
-          and od_rest.all_match and od_stale.violations >= 1
+    ok = (mv_rest.violations == 0 and mv_stale.violations >= 1
+          and od_rest.violations == 0 and od_stale.violations >= 1
           and pa_rest.all_match and pa_rest.max_contract_deviation <= 1e-12
           and not pa_stale.all_match)
     _verdict(3, ok,
@@ -187,7 +186,7 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
     ix = int(np.argmin(np.abs(xs)))
     nodal0 = extract_nodal_set(dual, 0, x_index=ix)
     origin_dist = (float(np.min(np.abs(nodal0.points[:, 0])))
-                   if not nodal0.empty else np.inf)
+                   if len(nodal0.points) else np.inf)
 
     # deterministic steering: nodal set vs the enumerated reachable set,
     # measured at calibrated late levels where the remaining-horizon smear
@@ -205,7 +204,7 @@ def test_acceptance_04_dual_pde_closed_form_and_nodal_geometry():
         nodal = extract_nodal_set(dual_det, 0, eps=efac * dy)
         rpts = np.asarray(reachable_set(det.problem, tree, k)[0])
         dh = _hausdorff(nodal.points, rpts)
-        ok_h = ok_h and not nodal.empty and dh <= 2.0 * dy + 1e-9
+        ok_h = ok_h and len(nodal.points) > 0 and dh <= 2.0 * dy + 1e-9
         distances.append(dh)
 
     ok = (err <= 0.05 and origin_dist <= 0.05 + 1e-12
@@ -404,10 +403,8 @@ def test_acceptance_09_tree_identities_and_mode_agreement():
     trees = {mode: build_tree(TimeGrid(1.0, 8), d=1, mode=mode)
              for mode in ("path", "recombining")}
     y0 = {}
-    for mode, tr in trees.items():
-        pol = ControlPolicy(tuple(np.full(tr.node_count(j), 0.0)
-                                  for j in range(8)))
-        y0[mode] = float(solve_bsde(prob, tr, pol).Y[0][0, 0])
+    for mode, tr in trees.items():  # the one control 0.0 on every node
+        y0[mode] = float(solve_bsde(prob, tr)[0][0, 0])
     agree_dev = max(agree_dev, abs(y0["path"] - y0["recombining"]))
     func_dev = abs(
         float(conditional_expectation(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treebsde.lattice import TimeGrid, build_tree
-from treebsde.bsde import ControlPolicy, solve_bsde, static_value
+from treebsde.bsde import solve_bsde, static_value
 from treebsde.benchmarks import (
     BenchmarkError,
     deterministic_discrete_optimum,
@@ -61,8 +61,8 @@ def _mv_feedback_value(mv, tree, feedback):
     """phi_c at the root for a feedback control: forward states, then one
     backward solve of the carrier on the resulting terminal data."""
     xT = forward_states(tree, mv.forward, feedback)[-1]
-    sol = solve_bsde(mv.problem, tree, eta=np.stack([xT, xT * xT], axis=1))
-    return float(mv.problem.phi(sol.Y[0])[0])
+    Y = solve_bsde(mv.problem, tree, eta=np.stack([xT, xT * xT], axis=1))
+    return float(mv.problem.phi(Y[0])[0])
 
 
 def test_mv_carrier_value_near_analytic():
@@ -108,7 +108,7 @@ def test_mv_restoration_and_stale_control_group():
     mv = mean_variance(0.0, 1.0, 1.0)
     tree = build_tree(TimeGrid(1.0, 12), d=1, mode="path")
     rest = mv_restoration_check(mv, tree, levels=(2, 4, 6, 8), restored=True)
-    assert rest.all_match and rest.violations == 0 and rest.nodes_checked > 100
+    assert rest.violations == 0 and rest.nodes_checked > 100
     stale = mv_restoration_check(mv, tree, levels=(2, 4, 6, 8), restored=False)
     assert stale.violations >= 1
 
@@ -170,7 +170,7 @@ def test_onedim_restoration_and_stale_control_group():
     od = one_dimensional(2.4, 2.4)
     tree = build_tree(TimeGrid(2.4, 6), d=1, mode="path")
     rest = onedim_restoration_check(od, tree, levels=(4, 5), restored=True)
-    assert rest.all_match and rest.nodes_checked == 48
+    assert rest.violations == 0 and rest.nodes_checked == 48
     stale = onedim_restoration_check(od, tree, levels=(4, 5), restored=False)
     assert stale.violations >= 1
 
@@ -235,8 +235,8 @@ def test_pa_terminal_closure_gives_the_pa_value_payout():
     pa = principal_agent(1.0, 1.0, -0.5, 1.0)
     tree = build_tree(TimeGrid(1.0, 4), d=1, mode="path")
     u = pa.analytic["u_star"]
-    sol = solve_bsde(pa.problem, tree, ControlPolicy.constant(tree, u))
-    assert sol.Y[0][0, 0] == float(pa_value(pa, tree, u)[0])
+    policy = tuple(np.full(tree.node_count(j), u) for j in range(tree.n))
+    assert solve_bsde(pa.problem, tree, policy)[0][0, 0] == float(pa_value(pa, tree, u)[0])
 
 
 # ---------------------------------------------------------------------------

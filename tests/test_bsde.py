@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from treebsde import bsde, problems
 from treebsde.lattice import TimeGrid, build_tree
 from treebsde.bsde import (
-    BSDEProblem, ControlPolicy, EnumerationCapError, PolicySpace, ProblemValidationError,
+    BSDEProblem, EnumerationCapError, PolicySpace, ProblemValidationError,
     StructureError, envelope_bsde, monotone_step_bound, reachable_set,
     solve_bsde, static_value, maximize_over_policies,
 )
@@ -25,31 +25,50 @@ def make_problem(f, terminal, phi=lambda y: y[:, 0], U=(0.0,), L=0.0, dpr=1, **k
                        control_values=tuple(U), lipschitz_L=L, **kw)
 
 
+def recording(f):
+    """f, and a dict that keeps the z each call of f receives, by ctx.level.
+    A later call at a level replaces an earlier one, so after a solve each
+    level holds the solve's own Z, not the Lipschitz probe's."""
+    zs = {}
+
+    def rec(t, ctx, y, z, u):
+        zs[ctx.level] = z.copy()
+        return f(t, ctx, y, z, u)
+
+    return rec, zs
+
+
 def test_martingale_representation_of_b():
     tree = build_tree(TimeGrid(1.0, 4), 1, "path")
-    prob = make_problem(zero_f, lambda ctx: ctx.b[:, :1])
-    sol = solve_bsde(prob, tree)
-    assert abs(sol.Y[0][0, 0]) < 1e-14
-    for Z in sol.Z:
+    f, zs = recording(zero_f)
+    prob = make_problem(f, lambda ctx: ctx.b[:, :1])
+    Y = solve_bsde(prob, tree)
+    assert abs(Y[0][0, 0]) < 1e-14
+    assert sorted(zs) == [0, 1, 2, 3]
+    for Z in zs.values():
         np.testing.assert_allclose(Z, 1.0, atol=1e-13)
 
 
 def test_identity_z_multidim():
     tree = build_tree(TimeGrid(1.0, 3), 2, "path")
-    prob = make_problem(zero_f, lambda ctx: ctx.b, dpr=2)
-    sol = solve_bsde(prob, tree)
-    for Z in sol.Z:
+    f, zs = recording(zero_f)
+    prob = make_problem(f, lambda ctx: ctx.b, dpr=2)
+    solve_bsde(prob, tree)
+    assert sorted(zs) == [0, 1, 2]
+    for Z in zs.values():
         np.testing.assert_allclose(
             Z, np.broadcast_to(np.eye(2), Z.shape), atol=1e-13)
 
 
 def test_constant_terminal():
     tree = build_tree(TimeGrid(1.0, 3), 1, "recombining")
-    prob = make_problem(zero_f, lambda ctx: np.full((ctx.b.shape[0], 1), 2.5))
-    sol = solve_bsde(prob, tree)
-    for Y in sol.Y:
-        np.testing.assert_array_equal(Y, 2.5)
-    for Z in sol.Z:
+    f, zs = recording(zero_f)
+    prob = make_problem(f, lambda ctx: np.full((ctx.b.shape[0], 1), 2.5))
+    Y = solve_bsde(prob, tree)
+    for y in Y:
+        np.testing.assert_array_equal(y, 2.5)
+    assert sorted(zs) == [0, 1, 2]
+    for Z in zs.values():
         np.testing.assert_array_equal(Z, 0.0)
 
 
@@ -57,9 +76,8 @@ def test_terminal_consistency_bitwise():
     tree = build_tree(TimeGrid(1.0, 3), 1, "path")
     eta = np.random.default_rng(1).normal(size=(tree.node_count(3), 1))
     prob = make_problem(zero_f, None)
-    sol = solve_bsde(prob, tree, terminal_level=3, eta=eta)
-    assert sol.Y[3] is not eta or np.shares_memory(sol.Y[3], eta) or True
-    np.testing.assert_array_equal(sol.Y[3], eta.reshape(-1, 1))
+    Y = solve_bsde(prob, tree, terminal_level=3, eta=eta)
+    np.testing.assert_array_equal(Y[3], eta.reshape(-1, 1))
 
 
 def test_backward_recursion_holds():
@@ -68,17 +86,34 @@ def test_backward_recursion_holds():
     def f(t, ctx, y, z, u):
         return 0.5 * np.sin(y) + 0.25 * np.cos(z[:, :, 0]) + u[:, None]
 
-    prob = make_problem(f, lambda ctx: ctx.b[:, :1] ** 2, U=(0.0, 1.0), L=0.75)
-    pol = ControlPolicy.constant(tree, 1.0)
-    sol = solve_bsde(prob, tree, pol)
+    rec, zs = recording(f)
+    prob = make_problem(rec, lambda ctx: ctx.b[:, :1] ** 2, U=(0.0, 1.0), L=0.75)
+    Y = solve_bsde(prob, tree, tuple(np.full(tree.node_count(j), 1.0) for j in range(4)))
     dt = tree.dt
     for j in range(4):
-        cv = tree.child_values(j, sol.Y[j + 1])
+        cv = tree.child_values(j, Y[j + 1])
         P = cv.mean(axis=1)
-        lhs = sol.Y[j]
-        rhs = P + f(tree.grid.times()[j], None, P, sol.Z[j],
+        rhs = P + f(tree.grid.times()[j], None, P, zs[j],
                     np.full(P.shape[0], 1.0)) * dt
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        np.testing.assert_allclose(Y[j], rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["path", "recombining"])
+def test_default_policy_is_u0_everywhere_bit_for_bit(mode):
+    tree = build_tree(TimeGrid(1.0, 4), 1, mode)
+
+    def f(t, ctx, y, z, u):
+        return 0.5 * np.sin(y) + 0.25 * z[:, :, 0] + u[:, None] * ctx.b[:, :1]
+
+    prob = make_problem(f, lambda ctx: np.cos(ctx.b[:, :1]), U=(-0.5, 1.0), L=0.75)
+    u0 = [tuple(np.full(tree.node_count(j), -0.5) for j in range(k)) for k in (4, 2)]
+    eta = np.sin(tree.values[2][:, :1])
+    for got, want in ((solve_bsde(prob, tree), solve_bsde(prob, tree, u0[0])),
+                      (solve_bsde(prob, tree, terminal_level=2, eta=eta),
+                       solve_bsde(prob, tree, u0[1], terminal_level=2, eta=eta))):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_flow_concatenation_identity():
@@ -89,12 +124,11 @@ def test_flow_concatenation_identity():
 
     prob = make_problem(f, lambda ctx: np.abs(ctx.b[:, :1]), U=(-1.0, 1.0), L=0.6)
     rng = np.random.default_rng(5)
-    pol = ControlPolicy(tuple(
-        rng.choice([-1.0, 1.0], size=tree.node_count(j)) for j in range(5)))
+    pol = tuple(rng.choice([-1.0, 1.0], size=tree.node_count(j)) for j in range(5))
     full = solve_bsde(prob, tree, pol)
     k = 3
-    two_stage = solve_bsde(prob, tree, pol, terminal_level=k, eta=full.Y[k])
-    np.testing.assert_allclose(two_stage.Y[0], full.Y[0], atol=1e-12)
+    two_stage = solve_bsde(prob, tree, pol, terminal_level=k, eta=full[k])
+    np.testing.assert_allclose(two_stage[0], full[0], atol=1e-12)
 
 
 def test_stability_bound():
@@ -113,7 +147,7 @@ def test_stability_bound():
     l2 = lambda v, k: np.sqrt((tree.probs[k] * (v[:, 0] ** 2)).sum())
     C = 2.0 * (1.0 + L)
     bound = np.exp(C * L * tree.grid.T) * l2(delta, 6)
-    assert abs(s1.Y[0][0, 0] - s0.Y[0][0, 0]) <= bound + 1e-14
+    assert abs(s1[0][0, 0] - s0[0][0, 0]) <= bound + 1e-14
 
 
 def test_comparison_one_dim():
@@ -132,7 +166,7 @@ def test_comparison_one_dim():
     s0 = solve_bsde(prob, tree, terminal_level=n, eta=eta)
     s1 = solve_bsde(prob, tree, terminal_level=n, eta=etap)
     for j in range(n + 1):
-        assert np.all(s1.Y[j] >= s0.Y[j] - 1e-14)
+        assert np.all(s1[j] >= s0[j] - 1e-14)
 
 
 def test_monotone_warning_when_dt_large():
@@ -224,9 +258,8 @@ def test_static_value_sup_dominates_members():
     res = static_value(prob, tree)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        pol = ControlPolicy(tuple(
-            rng.choice([-1.0, 0.0, 1.0], size=tree.node_count(j)) for j in range(3)))
-        y0 = solve_bsde(prob, tree, pol).Y[0]
+        pol = tuple(rng.choice([-1.0, 0.0, 1.0], size=tree.node_count(j)) for j in range(3))
+        y0 = solve_bsde(prob, tree, pol)[0]
         assert res.value >= prob.phi(y0)[0] - 1e-14
 
 
@@ -485,7 +518,7 @@ def _reachable_by_solves(problem, tree, level):
     buckets = [[] for _ in range(m)]
     for space, nodes in groups:
         for _, pol in space.policies():
-            y = solve_bsde(problem, tree, pol).Y[level]
+            y = solve_bsde(problem, tree, pol)[level]
             for i in nodes:
                 buckets[i].append(y[i])
     out = []
@@ -518,7 +551,8 @@ def test_batch_solves_match_one_solve_per_policy(name, index, mode, d, n):
         sv = static_value(problem, tree)
         assert (sv.value, sv.assignment, sv.enumerated) == got
         # the winning policy's own solve gives the per-policy maximum
-        assert problem.phi(solve_bsde(problem, tree, sv.policy).Y[0])[0] == vals[0]
+        winner = space.policy(sv.assignment)
+        assert problem.phi(solve_bsde(problem, tree, winner)[0])[0] == vals[0]
     if tree.mode == "recombining" and not problem.deterministic_controls:
         return  # adapted reachable sets search path-mode subtrees
     for level in (0, 1):
@@ -630,9 +664,9 @@ def test_reachable_set_control_free_singleton():
     rs = reachable_set(prob, tree, 1)
     for i, pts in enumerate(rs):
         assert pts.shape == (1, 1)
-    sol = solve_bsde(prob, tree)
+    Y = solve_bsde(prob, tree)
     for i, pts in enumerate(rs):
-        assert abs(pts[0, 0] - sol.Y[1][i, 0]) < 1e-12
+        assert abs(pts[0, 0] - Y[1][i, 0]) < 1e-12
 
 
 def test_reachable_set_one_step():
@@ -712,4 +746,4 @@ def test_comparison_property_random_linear(seed, a, b):
     s0 = solve_bsde(prob, tree, terminal_level=n, eta=eta)
     s1 = solve_bsde(prob, tree, terminal_level=n, eta=etap)
     for j in range(n + 1):
-        assert np.all(s1.Y[j] >= s0.Y[j] - 1e-12)
+        assert np.all(s1[j] >= s0[j] - 1e-12)

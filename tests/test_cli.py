@@ -114,6 +114,23 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("doc,key", [
+    ({"experiment": "forward-dpp"}, "T"),
+    ({"experiment": "static-value", "benchmark": "deterministic"}, "eps"),
+    ({"experiment": "duality", "benchmark": "deterministic"}, "value_tol"),
+    ({"experiment": "duality"}, "dx"),
+    ({"experiment": "duality"}, "dy"),
+])
+def test_validate_rejects_a_non_finite_float_field(tmp_path, capsys, doc, key, value):
+    doc = {**doc, "seed": 0, key: value}
+    with pytest.raises(ConfigValidationError, match=f"^field '{key}': must be finite$"):
+        validate_config(doc)
+    # json writes NaN and Infinity, which json.load reads back
+    assert main(["validate", write_config(tmp_path, doc)]) == 2
+    assert f"field '{key}': must be finite" in capsys.readouterr().err
+
+
 def test_run_unknown_experiment_lists_identifiers(tmp_path, capsys):
     path = write_config(tmp_path, {"experiment": "mystery", "seed": 0})
     assert main(["run", path]) == 2

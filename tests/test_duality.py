@@ -79,6 +79,16 @@ def test_zgrid_must_contain_zero():
         HJBConfig(z_values=(0.5, 1.0))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("z_values", (0.0, np.nan)), ("z_values", (np.nan, 0.0)), ("z_values", (0.0, np.inf)),
+    ("dx", np.nan), ("dy", np.inf), ("x_bounds", (-1.0, np.nan)),
+    ("y_bounds", (-1.0, np.inf)), ("y_bounds", (-np.inf, 1.0)),
+])
+def test_a_non_finite_spacing_bound_or_z_value_raises_config_error(field, value):
+    with pytest.raises(ConfigError, match="must be finite"):
+        HJBConfig(**{field: value})
+
+
 def test_default_eps_is_ten_times_interpolation_estimate():
     grid = TimeGrid(T=0.5, n=2)
     dual = solve_dual_hjb(quad_spec(), grid, quad_config(h=0.1))
@@ -104,7 +114,7 @@ def test_nodal_default_eps_contains_target():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config())
     xi = int(np.argmin(np.abs(dual.axes[0])))
     nodal = extract_nodal_set(dual, 0, x_index=xi)
-    assert not nodal.empty
+    assert len(nodal.points) > 0
     assert np.min(np.abs(nodal.points[:, 0])) < 1e-12
     # default eps = 5 h^2 puts the band inside sqrt(5) h < 2.5 cells
     assert np.max(np.abs(nodal.points[:, 0])) <= 2.5 * 0.1
@@ -117,7 +127,7 @@ def test_empty_nodal_set_flags_and_static_value_raises():
                        z_values=(0.0,))
     dual = solve_dual_hjb(spec, TimeGrid(T=0.25, n=1), config)
     nodal = extract_nodal_set(dual, 0, x_index=0, eps=0.5)
-    assert nodal.empty
+    assert nodal.points.shape == (0, 1)
     with pytest.raises(EmptyNodalSetError, match="enlarge eps"):
         dual_static_value(nodal, lambda p: p[:, 0])
 
@@ -163,7 +173,7 @@ def test_transport_steering_band_sanity():
     config = HJBConfig(y_bounds=(-2.0, 2.0), dy=0.05, z_values=(0.0,))
     dual = solve_dual_hjb(spec, grid, config)
     nodal = extract_nodal_set(dual, 0, eps=0.15 * 0.05)
-    assert not nodal.empty
+    assert len(nodal.points) > 0
     v_hat = float(nodal.points[:, 0].max())
     assert 0.4 <= v_hat <= 0.6
 

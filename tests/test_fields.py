@@ -16,7 +16,6 @@ READERS = sorted(path for top in ("src", "scripts", "perfbench")
 
 # Read only by tests today; the list may only shrink.
 ALLOWED = {
-    "bsde.BSDESolution.Z",
     "dynutil.ComparisonReport.checked",
     "dynutil.ComparisonReport.worst_slack",
 }
