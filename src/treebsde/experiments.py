@@ -12,6 +12,7 @@ config.
 import hashlib
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass, asdict, fields as dc_fields
 from types import NoneType
@@ -162,7 +163,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         if not _is_kind(raw, kinds[key]):
             msgs.append(f"field '{key}': "
                         + _EXPECTED[kinds[key]].format(type(raw).__name__))
-        elif isinstance(raw, float) and not np.isfinite(raw):  # JSON's NaN, Infinity
+        elif kinds[key] is float and not abs(raw) <= sys.float_info.max:
+            # JSON's NaN and Infinity, or an integer past the float range
             msgs.append(f"field '{key}': must be finite")
         else:
             clean[key] = kinds[key](raw)

@@ -114,7 +114,8 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-past-float-range"])
 @pytest.mark.parametrize("doc,key", [
     ({"experiment": "forward-dpp"}, "T"),
     ({"experiment": "static-value", "benchmark": "deterministic"}, "eps"),
