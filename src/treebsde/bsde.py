@@ -181,16 +181,20 @@ def solve_bsde(problem: BSDEProblem, tree: ScenarioTree, policy=None,
     k = n if terminal_level is None else terminal_level
     if not 0 <= k <= n:
         raise ValueError(f"terminal level {k} outside 0..{n}")
-    _check_scheme(problem, tree)
-    if eta is None:
-        eta = _terminal(problem, tree, k)
-    else:
-        eta = np.asarray(eta, dtype=float).reshape(tree.node_count(k), dpr)
     if policy is None:
         policy = [np.full(tree.node_count(j), float(problem.control_values[0]))
                   for j in range(k)]
     if len(policy) < k:
         raise ValueError(f"policy covers {len(policy)} levels, need {k}")
+    for j in range(k):
+        if np.shape(policy[j]) != (tree.node_count(j),):
+            raise ValueError(f"policy level {j} has shape {np.shape(policy[j])}, "
+                             f"need ({tree.node_count(j)},), one control per node")
+    _check_scheme(problem, tree)
+    if eta is None:
+        eta = _terminal(problem, tree, k)
+    else:
+        eta = np.asarray(eta, dtype=float).reshape(tree.node_count(k), dpr)
 
     times = tree.grid.times()
     Ys = [None] * k + [eta]

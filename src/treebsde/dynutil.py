@@ -24,11 +24,10 @@ provides:
     time into one reused buffer. The ensemble stores only its switch record
     (switch_events): per (level, path) event the rank, the ratio after the
     switch and both weights at the switch level and the level before, in
-    O(paths + switches) memory; its per-level parity, anchor, ratio and switch
-    flags are replayed from the same seeded stream on read, by one forward
-    cursor that the four share. Every stored or replayed ensemble array is
-    read-only. In both modes the weights are not stored: A1[j] and A2[j]
-    derive level j's from its parity, anchor and ratio on each read.
+    O(paths + switches) memory. Its per-level weights, parity, anchor, ratio
+    and switch flags are re-iterables: each iteration replays the whole level
+    stream from the same seed. A tree stores every level. Every array of
+    either mode is read-only.
   * switch_events / replay_paths: the same seeded Euler ensemble streamed level
     by level with O(paths) state, keeping only the switch record, or only a
     few chosen paths, under OVERSHOOT_LIMIT;
@@ -41,9 +40,8 @@ provides:
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
 
 import numpy as np
 
@@ -341,26 +339,6 @@ def _switching_path(times, ahat, parity, anchor, is_switch, swapped: bool) -> Sw
                          overshoot=float(np.max(np.abs(ratio) - 2.0, initial=0.0)))
 
 
-class LevelWeights(Sequence):
-    """Level -> (m,) weight of one original component, derived on each read
-    from that level's parity, anchor and ratio by _weights, and returned
-    read-only; no level's weights are stored."""
-
-    def __init__(self, parity: tuple, anchor: tuple, ahat: Sequence, swapped: bool,
-                 component: int):
-        self._levels = (parity, anchor, ahat)
-        self._swapped = swapped
-        self._component = component
-
-    def __len__(self) -> int:
-        return len(self._levels[2])
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        parity, anchor, ahat = self._levels
-        return _frozen(_weights(parity[j], anchor[j], ahat[j],
-                                self._swapped)[self._component])
-
-
 @dataclass(frozen=True)
 class LinearUtility:
     """Constructed linear weights on a tree or path ensemble, plus the utility."""
@@ -368,30 +346,32 @@ class LinearUtility:
     coeffs: LinearUtilityCoeffs
     mode: str            # "tree" | "ensemble"
     times: np.ndarray
-    A1: LevelWeights     # level -> (m,) weights (original component labels),
-    A2: LevelWeights     # derived on read from parity, anchor and ahat
-    ahat: Sequence       # construction-frame ratio, parity, anchor and switch
-    parity: Sequence     # flags, one array per level: tuples on a tree; on an
-    anchor: Sequence     # ensemble, views that replay the level stream through
-    switch_flags: Sequence  # one shared forward cursor (_LevelField)
+    # One read-only (m,) array per level: A1 and A2 are the weights in the
+    # original component labels; ahat, parity, anchor and switch_flags are the
+    # construction-frame ratio, regime, frozen weight and switch markers. A
+    # tree stores tuples; an ensemble has _LevelFields, each iteration of which
+    # replays the seeded level stream.
+    A1: tuple | _LevelField
+    A2: tuple | _LevelField
+    ahat: tuple | _LevelField
+    parity: tuple | _LevelField
+    anchor: tuple | _LevelField
+    switch_flags: tuple | _LevelField
     lam: tuple           # tree mode: level -> (m,) contraction factor 1 + alpha_hat*dt
     mu: tuple            # tree mode: level -> (m,) beta_hat*dt; both () for an ensemble
     overshoot: float
     swapped: bool
-    utility: DynamicUtility
+    utility: DynamicUtility | None  # None on an ensemble
     n_paths: int
     events: SwitchEvents | None  # an ensemble's switch record; None on a tree
 
     def path(self, i: int) -> SwitchingPath:
         """Path i of the ensemble, or the root-to-leaf-i path of the tree."""
         n = len(self.times) - 1
-        if self.mode == "ensemble":
-            idx = [i] * (n + 1)
-        else:
-            idx = [i >> (n - j) for j in range(n + 1)]
-        # level by level, so an ensemble is replayed once
-        fields = (self.ahat, self.parity, self.anchor, self.switch_flags)
-        rows = [tuple(levels[j][idx[j]] for levels in fields) for j in range(n + 1)]
+        tree = self.mode == "tree"
+        levels = zip(self.ahat, self.parity, self.anchor, self.switch_flags)
+        rows = [tuple(a[i >> (n - j) if tree else i] for a in level)
+                for j, level in enumerate(levels)]
         return _switching_path(self.times, *(np.array(c) for c in zip(*rows)),
                                self.swapped)
 
@@ -548,8 +528,9 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
     one (n_paths,) array each). Step j's increment is row j of
     _increments(seed, ...): the top bit of one 32-bit word of the Philox(seed)
     stream per path, low half of each 64-bit output first, read one block of
-    steps at a time into one reused buffer; so any consumer replays the same
-    paths, and they equal one rng.integers(0, 2, n_paths) draw per step.
+    steps at a time into one reused buffer; so every run of the same arguments
+    replays the same paths, and they equal one rng.integers(0, 2, n_paths)
+    draw per step.
     alpha and beta are read once per step as returned, (2, 2) or (m, 2, 2);
     the Riccati coefficients are reused while those values stay the same bits
     (_RiccatiMemo). Each path's polynomials are evaluated in its own regime
@@ -609,63 +590,28 @@ def _euler_levels(alpha, beta, a1: float, a2: float, times, dt: float,
         yield _Level(p, an, ah, sw, overshoot)
 
 
-class _EulerLevels:
-    """The levels of one seeded Euler ensemble, re-iterable: each iteration is
-    a fresh _euler_levels run of the same normalized arguments, so it yields
-    the same bits and runs no bound check or normalization again.
+class _LevelField:
+    """One read-only (n_paths,) array per level of an Euler ensemble, re-iterable:
+    each iteration is one fresh levels() run, yielding read(level) per level."""
 
-    level(j) reads one level through a forward cursor over one such run, which
-    holds its current level and the one before: reads in increasing order cost
-    one pass in total, and a read further behind restarts from level 0."""
-
-    def __init__(self, *args):
-        self._args = args
-        self._replay, self._at, self._held = None, -1, (None, None)
+    def __init__(self, levels, read):
+        self._levels = levels
+        self._read = read
 
     def __iter__(self):
-        return _euler_levels(*self._args)
-
-    def __len__(self) -> int:
-        return len(self._args[4])  # the grid times
-
-    def level(self, j: int) -> _Level:
-        count = len(self)
-        if not -count <= j < count:
-            raise IndexError(f"level {j} outside the {count} levels")
-        j %= count
-        if self._replay is None or j < self._at - 1:
-            self._replay, self._at, self._held = iter(self), -1, (None, None)
-        for lv in islice(self._replay, max(j - self._at, 0)):
-            self._held = (self._held[1], lv)
-        self._at = max(self._at, j)
-        return self._held[j - self._at + 1]
-
-
-class _LevelField(Sequence):
-    """Level -> one read-only (n_paths,) array of an Euler ensemble's levels
-    (a _Level field), replayed on read by the ensemble's shared cursor."""
-
-    def __init__(self, levels: _EulerLevels, name: str):
-        self._levels = levels
-        self._name = name
-
-    def __len__(self) -> int:
-        return len(self._levels)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[k] for k in range(*j.indices(len(self))))
-        return getattr(self._levels.level(j), self._name)
+        return map(self._read, self._levels())
 
 
 def _ensemble(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, seed: int,
               overshoot_limit: float):
-    """(times, swapped, _EulerLevels) of the checked Euler ensemble."""
+    """(times, swapped, levels) of the checked Euler ensemble: levels() starts a
+    fresh _euler_levels run of the normalized arguments, so every run yields
+    the same bits and none repeats the bound check or the normalization."""
     alpha, beta, a1, a2, swapped = _checked_normalize(coeffs, grid.T, grid.dt,
                                                       overshoot_limit)
-    times = grid.times()
-    return times, swapped, _EulerLevels(alpha, beta, a1, a2, times, grid.dt,
-                                        n_paths, seed)
+    times = _frozen(grid.times())
+    return times, swapped, partial(_euler_levels, alpha, beta, a1, a2, times, grid.dt,
+                                   n_paths, seed)
 
 
 def _tree_levels(alpha, beta, a1: float, a2: float, tree: ScenarioTree, times):
@@ -731,55 +677,57 @@ def build_linear_utility(coeffs: LinearUtilityCoeffs, tree: ScenarioTree | None 
     priori one-step bound must stay below overshoot_limit.
 
     The ensemble stores only its switch record, `events` (switch_events), in
-    O(n_paths + switches) memory; ahat, parity, anchor and switch_flags replay
-    level j from the same seeded stream on each read, by one forward cursor
-    that they share, so reading levels in increasing order costs one pass.
-    Every stored or replayed ensemble array is read-only. Neither mode stores
-    the weights: A1[j] and A2[j] are computed from level j's parity, anchor and
-    ahat on each read and returned read-only.
+    O(n_paths + switches) memory. Its A1, A2, ahat, parity, anchor and
+    switch_flags are _LevelFields: each iteration replays the seeded level
+    stream once and yields one read-only array per level. Its utility is None,
+    since evaluating one level would replay every level before it. A tree
+    computes every level once and stores each field as a tuple of read-only
+    arrays.
     """
     if tree is not None:
         if tree.d != 1:
             raise ValueError("linear utility construction implemented for scalar noise")
         if tree.mode != "path":
             raise ValueError("tree construction needs path mode")
-        times = tree.grid.times()
+        times = _frozen(tree.grid.times())
         alpha, beta, a1, a2, swapped = _checked_normalize(
             coeffs, tree.grid.T, tree.dt, overshoot_limit)
-        parity, anchor, ahat, flags, lam, mu, overshoot = _tree_levels(
-            alpha, beta, a1, a2, tree, times)
-        parity, anchor, ahat, flags = map(tuple, (parity, anchor, ahat, flags))
+        *levels, overshoot = _tree_levels(alpha, beta, a1, a2, tree, times)
+        parity, anchor, ahat, flags, lam, mu = (tuple(map(_frozen, f)) for f in levels)
+        A1, A2 = (tuple(map(_frozen, w)) for w in zip(*map(
+            partial(_weights, swapped=swapped), parity, anchor, ahat)))
+        orig_a1, orig_a2 = coeffs.a1, coeffs.a2
+
+        def phi(y):
+            y = np.asarray(y, dtype=float).reshape(-1, 2)
+            return orig_a1 * y[:, 0] + orig_a2 * y[:, 1]
+
+        def evaluate(level, y):  # rows in (assignment, node) order
+            w1, w2 = A1[level], A2[level]
+            y = np.asarray(y, dtype=float).reshape(-1, len(w1), 2)
+            return (w1 * y[..., 0] + w2 * y[..., 1]).reshape(-1)
+
+        utility = DynamicUtility(evaluate=evaluate, phi=phi, value_dim=2)
         count, events = tree.node_count(0), None
     else:
         if grid is None or n_paths is None:
             raise ValueError("pass a tree, or grid= and n_paths=")
         times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, overshoot_limit)
         events = _switch_record(levels, n_paths, swapped)
-        parity, anchor, ahat, flags = (_LevelField(levels, name) for name in
-                                       ("parity", "anchor", "ahat", "switched"))
+        parity, anchor, ahat, flags, A1, A2 = (_LevelField(levels, read) for read in (
+            lambda lv: lv.parity, lambda lv: lv.anchor, lambda lv: lv.ahat,
+            lambda lv: lv.switched,
+            lambda lv: _frozen(_weights(lv.parity, lv.anchor, lv.ahat, swapped)[0]),
+            lambda lv: _frozen(_weights(lv.parity, lv.anchor, lv.ahat, swapped)[1])))
         lam = mu = ()
+        utility = None
         overshoot, count = events.overshoot, n_paths
-
-    A1o, A2o = (LevelWeights(parity, anchor, ahat, swapped, k) for k in (0, 1))
-    orig_a1, orig_a2 = coeffs.a1, coeffs.a2
-
-    def phi(y):
-        y = np.asarray(y, dtype=float).reshape(-1, 2)
-        return orig_a1 * y[:, 0] + orig_a2 * y[:, 1]
-
-    def evaluate(level, y):  # rows in (assignment, node) order
-        w1, w2 = A1o[level], A2o[level]
-        y = np.asarray(y, dtype=float).reshape(-1, len(w1), 2)
-        return (w1 * y[..., 0] + w2 * y[..., 1]).reshape(-1)
 
     return LinearUtility(
         coeffs=coeffs, mode="tree" if tree is not None else "ensemble",
-        times=times, A1=A1o, A2=A2o, ahat=ahat, parity=parity,
-        anchor=anchor, switch_flags=flags,
-        lam=tuple(lam), mu=tuple(mu),
-        overshoot=overshoot, swapped=swapped,
-        utility=DynamicUtility(evaluate=evaluate, phi=phi, value_dim=2),
-        n_paths=count, events=events,
+        times=times, A1=A1, A2=A2, ahat=ahat, parity=parity, anchor=anchor,
+        switch_flags=flags, lam=lam, mu=mu, overshoot=overshoot, swapped=swapped,
+        utility=utility, n_paths=count, events=events,
     )
 
 
@@ -806,14 +754,14 @@ class SwitchEvents:
     A2: np.ndarray
 
 
-def _switch_record(levels: _EulerLevels, n_paths: int, swapped: bool) -> SwitchEvents:
-    """One pass over the levels with O(n_paths) state, keeping the switch
-    events. Their weights are _weights of the switched rows of a level's
-    arrays: it works element by element, so they are the dense reads' bits."""
+def _switch_record(levels, n_paths: int, swapped: bool) -> SwitchEvents:
+    """One levels() run with O(n_paths) state, keeping the switch events.
+    Their weights are _weights of the switched rows of a level's arrays: it
+    works element by element, so they are the bits of A1 and A2's levels."""
     counts = np.zeros(n_paths, dtype=np.int64)
     parts = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0),) * 5]
     overshoot, before = 0.0, None
-    for j, lv in enumerate(levels):
+    for j, lv in enumerate(levels()):
         overshoot = max(overshoot, lv.overshoot)
         idx = lv.switched.nonzero()[0]
         if idx.size:  # level 0 never switches, so `before` is set
@@ -840,9 +788,12 @@ def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, path
     """Paths `paths` of the seeded ensemble, equal to build_linear_utility(grid=grid,
     n_paths=n_paths, seed=seed).path(i) for each i, without storing the others."""
     sel = np.asarray(paths, dtype=np.int64)
+    outside = sel[(sel < 0) | (sel >= n_paths)]
+    if outside.size:
+        raise ValueError(f"path indices {outside.tolist()} outside 0..{n_paths - 1}")
     times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
     cols = [(lv.ahat[sel], lv.parity[sel], lv.anchor[sel], lv.switched[sel])
-            for lv in levels]
+            for lv in levels()]
     ahat, parity, anchor, flags = (np.stack(c, axis=1) for c in zip(*cols))
     return tuple(_switching_path(times, ahat[k], parity[k], anchor[k], flags[k], swapped)
                  for k in range(len(sel)))

@@ -116,6 +116,21 @@ def test_default_policy_is_u0_everywhere_bit_for_bit(mode):
             np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("policy, message", [
+    ([np.array([1.0])] * 3, r"level 1 has shape \(1,\), need \(2,\)"),
+    ([np.ones(1), np.ones(2), np.ones(5)], r"level 2 has shape \(5,\), need \(4,\)"),
+], ids=["one-control-per-level", "long-level-2"])
+def test_solve_bsde_rejects_a_policy_level_of_the_wrong_length(policy, message):
+    tree = build_tree(TimeGrid(1.0, 3), 1, "path")
+    problem = problems.scalar_drift_problem()
+    calls = []
+    f = problem.f
+    problem.f = lambda *args: calls.append(args) or f(*args)
+    with pytest.raises(ValueError, match=message):
+        solve_bsde(problem, tree, policy)
+    assert calls == []
+
+
 def test_flow_concatenation_identity():
     tree = build_tree(TimeGrid(1.0, 5), 1, "path")
 

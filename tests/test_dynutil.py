@@ -2,6 +2,7 @@
 and the linear switching-weight construction."""
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -373,15 +374,15 @@ def test_ensemble_switching_statistics():
     coeffs = LinearUtilityCoeffs.from_constants(np.zeros((2, 2)), beta, 0.0, 1.0)
     grid = TimeGrid(T=4.0, n=4096)
     lin = build_linear_utility(coeffs, grid=grid, n_paths=300, seed=7)
-    total_switches = sum(int(f.sum()) for f in lin.switch_flags)
-    assert total_switches > 0
     assert lin.overshoot <= 0.1
-    for j in range(1, grid.n + 1):
-        sw = lin.switch_flags[j]
+    total_switches = 0
+    for sw, ahat in itertools.islice(zip(lin.switch_flags, lin.ahat), 1, None):
+        total_switches += int(sw.sum())
         if sw.any():
-            post = np.abs(lin.ahat[j][sw])
+            post = np.abs(ahat[sw])
             assert np.all((post >= 1 / 2.1 - 1e-12) & (post <= 0.5 + 1e-12))
-        assert np.all(np.abs(lin.ahat[j]) <= 2.0 + lin.overshoot + 1e-12)
+        assert np.all(np.abs(ahat) <= 2.0 + lin.overshoot + 1e-12)
+    assert total_switches > 0
     path = lin.path(0)
     assert len(path.times) == grid.n + 1
 
@@ -403,7 +404,7 @@ def test_switch_events_and_tau_rows_match_dense_ensemble(seed):
     T, n_paths, indices = 4.0, 300, tuple(range(1, 7))
     grid = TimeGrid(T=T, n=4096)
     lin = build_linear_utility(coeffs, grid=grid, n_paths=n_paths, seed=seed)
-    flag_mat = np.stack(lin.switch_flags[1:])
+    flag_mat = np.stack(tuple(lin.switch_flags)[1:])
     steps, paths = np.nonzero(flag_mat)
     assert len(paths) > 0
 
@@ -628,7 +629,7 @@ def test_euler_ensemble_matches_frozen_reference(name, seed, n_paths, pilot_path
     ref = list(_ref_euler_levels(alpha, beta, a1, a2, times, grid.dt, n_paths, seed))
     _, _, levels = dynutil._ensemble(coeffs, grid, n_paths, seed, 0.1)
     count = 0
-    for j, (lv, (p, an, ah, sw, overshoot)) in enumerate(zip(levels, ref)):
+    for j, (lv, (p, an, ah, sw, overshoot)) in enumerate(zip(levels(), ref)):
         for got, want in ((lv.parity, p), (lv.anchor, an), (lv.ahat, ah),
                           (lv.switched, sw)):
             assert _bits(got) == _bits(want), j
@@ -653,11 +654,14 @@ def test_euler_ensemble_matches_frozen_reference(name, seed, n_paths, pilot_path
         act = an * ah
         w1, w2 = np.where(p == 1, act, an), np.where(p == 1, an, act)
         weights.append((w2, w1) if swapped else (w1, w2))
-    for j, (p, an, ah, sw, _) in enumerate(ref):
-        for got, want in ((lin.parity[j], p), (lin.anchor[j], an), (lin.ahat[j], ah),
-                          (lin.switch_flags[j], sw), (lin.A1[j], weights[j][0]),
-                          (lin.A2[j], weights[j][1])):
-            assert _bits(got) == _bits(want), j
+    # the six fields in lock-step, one level of each at a time
+    fields = zip(lin.parity, lin.anchor, lin.ahat, lin.switch_flags, lin.A1, lin.A2)
+    count = 0
+    for j, (got, (p, an, ah, sw, _), w) in enumerate(zip(fields, ref, weights)):
+        for level, want in zip(got, (p, an, ah, sw, *w)):
+            assert _bits(level) == _bits(want), j
+        count += 1
+    assert count == grid.n + 1
     assert _bits(lin.overshoot) == _bits(events.overshoot)
 
     for i, path in zip((7, 0), replay_paths(coeffs, grid, n_paths, [7, 0], seed=seed)):
@@ -685,15 +689,19 @@ def test_switch_record_is_the_dense_reads_bit_for_bit(name, seed, n_paths, steps
     rec = lin.events
     levels = np.unique(rec.level)
     assert len(levels) >= 5
-    assert list(levels) == [j for j, f in enumerate(lin.switch_flags) if f.any()]
-    for j in levels:
-        sw = lin.switch_flags[j]
-        at = rec.level == j
-        assert np.array_equal(rec.path[at], np.flatnonzero(sw)), j
-        for col, dense in ((rec.ahat, lin.ahat[j]), (rec.A1_before, lin.A1[j - 1]),
-                           (rec.A2_before, lin.A2[j - 1]), (rec.A1, lin.A1[j]),
-                           (rec.A2, lin.A2[j])):
-            assert _bits(col[at]) == _bits(dense[sw]), j
+    switch_levels, before = [], None
+    # the four fields in lock-step, keeping only the weights of the level before
+    for j, (sw, ahat, a1, a2) in enumerate(zip(lin.switch_flags, lin.ahat, lin.A1,
+                                               lin.A2)):
+        if sw.any():
+            switch_levels.append(j)
+            at = rec.level == j
+            assert np.array_equal(rec.path[at], np.flatnonzero(sw)), j
+            for col, dense in ((rec.ahat, ahat), (rec.A1_before, before[0]),
+                               (rec.A2_before, before[1]), (rec.A1, a1), (rec.A2, a2)):
+                assert _bits(col[at]) == _bits(dense[sw]), j
+        before = a1, a2
+    assert switch_levels == list(levels)
     events = switch_events(coeffs, grid, n_paths, seed=seed)
     for field in dataclasses.fields(events):
         assert _bits(getattr(events, field.name)) == _bits(getattr(rec, field.name)), \
@@ -778,18 +786,47 @@ def test_ensemble_state_is_read_only_and_shared():
     coeffs = switch_coeffs()
     grid = TimeGrid(T=4.0, n=4096)
     lin = build_linear_utility(coeffs, grid=grid, n_paths=50, seed=0)
-    quiet = [j for j in range(1, grid.n + 1) if not lin.switch_flags[j].any()]
+    quiet = [j for j, f in enumerate(lin.switch_flags) if j and not f.any()]
     assert quiet and len(quiet) < grid.n
     j = quiet[-1]
-    assert lin.parity[j] is lin.parity[j - 1] and lin.anchor[j] is lin.anchor[j - 1]
+    for field in ("parity", "anchor"):
+        levels = tuple(getattr(lin, field))
+        assert levels[j] is levels[j - 1], field
     for field in ("parity", "anchor", "ahat", "switch_flags", "A1", "A2"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(lin, field)[j][0] = 1
+            tuple(getattr(lin, field))[j][0] = 1
     _, _, levels = dynutil._ensemble(coeffs, grid, 50, 0, 0.1)
-    for lv in itertools.islice(levels, 3):
+    for lv in itertools.islice(levels(), 3):
         for arr in (lv.parity, lv.anchor, lv.ahat, lv.switched):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
+
+
+@pytest.mark.parametrize("mode", ["tree", "ensemble"])
+def test_every_array_of_a_linear_utility_is_read_only(mode):
+    if mode == "tree":
+        coeffs, _ = linear_setup()
+        lin = build_linear_utility(coeffs, build_tree(TimeGrid(0.5, 3), d=1, mode="path"),
+                                   overshoot_limit=1.0)
+        # stored once: a write to a stored level could leave A1 and A2 stale
+        assert type(lin.A1) is type(lin.A2) is tuple and len(lin.lam) == 3
+    else:
+        lin = build_linear_utility(_COEFF_SETS["fast"](), grid=TimeGrid(T=0.25, n=256),
+                                   n_paths=20, seed=1)
+    for field in ("A1", "A2", "ahat", "parity", "anchor", "switch_flags", "lam", "mu"):
+        for level in (lin.times, *getattr(lin, field)):
+            with pytest.raises(ValueError, match="read-only"):
+                level[0] = 1
+
+
+@pytest.mark.parametrize("paths, named", [
+    ([-1], "[-1]"), ([10], "[10]"), ([3, 10, -2], "[10, -2]")],
+    ids=["negative", "past-the-end", "mixed"])
+def test_replay_paths_rejects_a_path_outside_the_ensemble(monkeypatch, paths, named):
+    starts = _count_replays(monkeypatch)
+    with pytest.raises(ValueError, match=f"path indices {re.escape(named)} outside 0..9"):
+        replay_paths(switch_coeffs(), TimeGrid(4.0, 4096), 10, paths)
+    assert starts == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -827,11 +864,10 @@ def test_ensemble_weights_are_derived_not_stored():
              + 128 * events + 2 ** 20)
     assert peak < bound, (peak, bound)
     for weights in (lin.A1, lin.A2):
-        assert len(weights) == grid.n + 1
-        assert _bits(weights[-1]) == _bits(weights[grid.n])
         count = 0
-        for j, level in enumerate(weights):
-            assert _bits(level) == _bits(weights[j]), j
+        # two iterations in lock-step: each replays the same bits
+        for j, (level, again) in enumerate(zip(weights, weights)):
+            assert _bits(level) == _bits(again), j
             assert not level.flags.writeable, j
             count += 1
         assert count == grid.n + 1
@@ -864,30 +900,32 @@ def test_ensemble_record_reads_start_no_replay(monkeypatch, tmp_path):
     assert len(starts) <= 3
 
 
-def test_ensemble_ratio_reads_in_any_order_give_the_forward_bits(monkeypatch):
+def test_each_ensemble_field_iteration_is_one_euler_run(monkeypatch):
     # a geometric ratio from 1: some of 20 paths switch at 5 of 256 steps
     coeffs = _COEFF_SETS["fast"]()
     grid = TimeGrid(T=256 / 1024, n=256)
-    lin = build_linear_utility(coeffs, grid=grid, n_paths=20, seed=1)
-    _, _, levels = dynutil._ensemble(coeffs, grid, 20, 1, 0.1)
-    forward = [_bits(lv.ahat) for lv in levels]
-    switch_levels = [j for j, f in enumerate(lin.switch_flags) if f.any()]
+    _, swapped, levels = dynutil._ensemble(coeffs, grid, 20, 1, 0.1)
+    direct = list(levels())
+    switch_levels = [j for j, lv in enumerate(direct) if lv.switched.any()]
     assert len(switch_levels) == 5
+    quiet = max(set(range(1, grid.n + 1)) - set(switch_levels))
     starts = _count_replays(monkeypatch)
-    count = len(lin.ahat)
-    assert count == grid.n + 1
-    for j in reversed(range(count)):
-        for level in (lin.ahat[j], lin.ahat[j - count]):
-            assert _bits(level) == forward[j], j
-            assert not level.flags.writeable, j
-    # no level is stored, and the cursor holds its level and the one before:
-    # the flags read above leave it on the last two levels, and read in
-    # descending order every other level below them restarts the replay
-    assert len(starts) == (count - 1) // 2
-    assert [_bits(level) for level in lin.ahat] == forward
-    for j in (count, -count - 1):
-        with pytest.raises(IndexError):
-            lin.ahat[j]
+    lin = build_linear_utility(coeffs, grid=grid, n_paths=20, seed=1)
+    assert lin.utility is None
+    reads = {"parity": lambda lv: lv.parity, "anchor": lambda lv: lv.anchor,
+             "ahat": lambda lv: lv.ahat, "switch_flags": lambda lv: lv.switched,
+             "A1": lambda lv: dynutil._weights(lv.parity, lv.anchor, lv.ahat, swapped)[0],
+             "A2": lambda lv: dynutil._weights(lv.parity, lv.anchor, lv.ahat, swapped)[1]}
+    for field, read in reads.items():
+        before = len(starts)
+        got = list(getattr(lin, field))
+        assert len(starts) == before + 1, field
+        assert len(got) == grid.n + 1, field
+        for j, (level, lv) in enumerate(zip(got, direct)):
+            assert not level.flags.writeable, (field, j)
+            assert _bits(level) == _bits(read(lv)), (field, j)
+        if field in ("parity", "anchor"):
+            assert got[quiet] is got[quiet - 1], field
 
 
 @pytest.mark.parametrize("bound", (np.nan, np.inf))
