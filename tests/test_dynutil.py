@@ -813,10 +813,10 @@ def test_every_array_of_a_linear_utility_is_read_only(mode):
     else:
         lin = build_linear_utility(_COEFF_SETS["fast"](), grid=TimeGrid(T=0.25, n=256),
                                    n_paths=20, seed=1)
-    for field in ("A1", "A2", "ahat", "parity", "anchor", "switch_flags", "lam", "mu"):
-        for level in (lin.times, *getattr(lin, field)):
-            with pytest.raises(ValueError, match="read-only"):
-                level[0] = 1
+    fields = ("A1", "A2", "ahat", "parity", "anchor", "switch_flags", "lam", "mu")
+    for array in itertools.chain([lin.times], *(getattr(lin, f) for f in fields)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 @pytest.mark.parametrize("paths, named", [
