@@ -14,25 +14,29 @@ four-point mixed stencil via gradient composition, first-order upwinding for the
 advection, CFL-limited substeps, W clipped below at zero after each substep.
 Every spec declares f_bound, a bound on sup|f| over the grid at every
 tree-level time; the CFL rate takes it as-is, and solve_dual_hjb checks only
-that it is finite and nonnegative. A solve keeps W at two tree levels only: 0,
-whose nodal set gives the static value, and the terminal level n. Its
-substeps alternate between level 0's slice and one spare buffer.
+that it is finite and nonnegative. A solve holds one grid slice: W starts at
+the terminal level n and rolls back in place to level 0, whose nodal set
+gives the static value. The terminal slice is not stored; reading it
+recomputes it from the spec with the expression that seeded the sweep.
 
 Row blocks. Each substep splits the grid's first axis into row blocks of at
-most _BLOCK_FLOATS grid floats, each read with a one-row halo, and the blocks
-into one contiguous band per thread, one thread per core this process may use
-(inline for one block or one core). A band runs its blocks in order in one
-scratch set sized for its tallest block, so scratch grows with cores, not
-blocks. Each block writes only its own rows of the next W buffer, so W is
-identical, bit for bit, for any block or worker count. f is called on one
-block's rows at a time, possibly from several worker threads at once, and g
-sees the x axis as one column; so f and g must act point by point, and f must
-be thread-safe. Each band holds its block's points in its scratch, and no
-solve builds the whole grid's. Deterministic points arrive component-first: y
-has shape (rows, cols, 2), but each y[..., k] plane is contiguous, so an f that
-allocates its output with np.empty_like(y) returns contiguous components and
-the step reads them without copies. An f of any other layout (an
-np.stack(..., axis=-1), say) gives the same W, only slower.
+most _BLOCK_FLOATS grid floats, and the blocks into one contiguous band per
+thread, one thread per core this process may use (inline for one block or
+one core). A band runs its blocks in order in one scratch set sized for its
+tallest block, so scratch grows with cores, not blocks. Before each substep
+the two rows on either side of every block boundary go into one small halo
+snapshot; a block reads its own rows from W and its neighbours' rows from
+the snapshot, and writes its own rows only after its last read. So every
+substep reads the W of the substep before, and W is identical, bit for bit,
+for any block or worker count. f is called on one block's rows at a time,
+possibly from several worker threads at once, and g sees the x axis as one
+column; so f and g act point by point, and f must be thread-safe. Each band
+holds its block's points in its scratch, and no solve builds the whole
+grid's. Deterministic points arrive component-first: y has shape (rows,
+cols, 2), but each y[..., k] plane is contiguous, so an f that allocates its
+output with np.empty_like(y) returns contiguous components and the step
+reads them without copies. An f of any other layout (an np.stack(...,
+axis=-1), say) gives the same W, only slower.
 
 W-tilde (the tree-conditional dual value) is computed exactly on the tree by
 enumerating steering candidates. Each one runs the forward process
@@ -144,23 +148,27 @@ class DeterministicDualSpec:
 @dataclass(frozen=True)
 class DualGrid:
     kind: str          # "markovian" | "deterministic"
+    spec: object       # the solved spec, from which at(n) recomputes level n
     times: np.ndarray  # every tree-level time, increasing
     axes: tuple        # markovian: (xs, ys); deterministic: (y1s, y2s)
-    W: np.ndarray      # (2, len(axes[0]), len(axes[1])): W at levels 0 and n
+    W: np.ndarray      # (1, len(axes[0]), len(axes[1])): W at level 0 only
     substeps: int
 
     @property
     def levels(self) -> tuple:
-        """The tree levels held in W: 0 and n."""
+        """The tree levels at() serves: 0 and n."""
         return (0, len(self.times) - 1)
 
     def at(self, level: int) -> np.ndarray:
-        """The W slice of tree level 0 or n; ValueError for any other level."""
-        try:
-            return self.W[self.levels.index(level)]
-        except ValueError:
-            raise ValueError(f"W at level {level} was not kept; "
-                             f"held levels {self.levels}") from None
+        """The W slice of tree level 0, or a fresh copy of level n's, which is
+        the terminal slice recomputed from the spec in the bits the sweep
+        started from; ValueError for any other level."""
+        if level == self.levels[0]:
+            return self.W[0]
+        if level == self.levels[1]:
+            return _terminal(self.spec, self.axes, np.empty(self.W.shape[1:]))
+        raise ValueError(f"W at level {level} was not kept; "
+                         f"held levels {self.levels}")
 
     def default_eps(self) -> float:
         """10x the terminal-slice interpolation error estimate (max 2nd diff / 8)."""
@@ -188,6 +196,19 @@ def _axis(bounds, step):
         raise ConfigError(f"empty axis bounds {bounds}")
     npts = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(npts)
+
+
+def _terminal(spec, axes, out) -> np.ndarray:
+    """W at the terminal level written into out and returned: |y - g(x)|^2 or
+    |y - target|^2 on the grid of axes. The sweep starts from it and
+    DualGrid.at(n) recomputes it, so both hold the same bits."""
+    a0, a1 = axes
+    if isinstance(spec, MarkovianDualSpec):
+        out[...] = (a1 - np.asarray(spec.g(a0[:, None]))) ** 2
+    else:
+        t1, t2 = spec.target
+        out[...] = (a0[:, None] - t1) ** 2 + (a1[None, :] - t2) ** 2
+    return out
 
 
 def _second_rows(W, r0: int, r1: int, h: float, out) -> None:
@@ -230,25 +251,35 @@ def _gradient_rows(f, r0: int, r1: int, h: float, out) -> None:
 # block, one thread): small blocks lose more to handing the interpreter lock
 # between threads than they gain. With one scratch set per band, which holds
 # the band's points too, the solve alone in a fresh process peaks at 41 MB RSS
-# at 2^15, 46 MB at 2^16 and 55 MB at 2^17.
+# at 2^15, 46 MB at 2^16 and 55 MB at 2^17. With W rolled in place in one
+# slice, the 501 x 501 transport solve alone in a fresh process peaked at
+# 45.9-46.2 MB at 2^16 and 43.4-43.6 MB at 2^15, 2.3 MB less scratch per core,
+# but 2^15 took 10-16% longer (medians 3.87 s against 4.51 s over 5
+# alternating runs), so 2^16 stays.
 _BLOCK_FLOATS = 1 << 16
 
 
-def _padded_diff(W, r0: int, r1: int, h: float, out) -> None:
-    """Edge-padded first differences along axis 0 for the rows [r0, r1) of W.
+def _padded_diff(Wb, above, below, h: float, out) -> None:
+    """Edge-padded first differences along axis 0 for the rows Wb of a block.
 
-    out[j] gets (W[k] - W[k-1]) / h with k = r0 + j clipped to [1, len(W) - 1],
-    so out[:-1] is the backward and out[1:] the forward difference of each row;
-    rows r0 - 1 and r1 of W are the halo.
+    above and below are the halo rows just outside Wb, None at the grid's
+    edges. With row -1 of Wb meaning above and row len(Wb) below, out[j] gets
+    (Wb[j] - Wb[j-1]) / h, the nearest inner difference where a halo row is
+    None; so out[:-1] is the backward and out[1:] the forward difference of
+    each row.
     """
-    k0, k1 = max(r0, 1), min(r1, len(W) - 1)
-    d = out[k0 - r0:k1 - r0 + 1]
-    np.subtract(W[k0:k1 + 1], W[k0 - 1:k1], out=d)
+    rows = len(Wb)
+    np.subtract(Wb[1:], Wb[:-1], out=out[1:rows])
+    if above is not None:
+        np.subtract(Wb[0], above, out=out[0])
+    if below is not None:
+        np.subtract(below, Wb[-1], out=out[rows])
+    d = out[(above is None):rows + (below is not None)]
     np.divide(d, h, out=d)
-    if r0 == 0:
+    if above is None:
         out[0] = out[1]
-    if r1 == len(W):
-        out[-1] = out[-2]
+    if below is None:
+        out[rows] = out[rows - 1]
 
 
 def _col_diff(Wb, h, out) -> None:
@@ -296,30 +327,40 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep(grid: TimeGrid, out, sub: int, min_rows: int, make_step) -> None:
-    """Roll W from level n, held in out[1], back to level 0 in `sub` substeps
-    per level, ending in out[0].
+def _sweep(grid: TimeGrid, W, sub: int, min_rows: int, make_step) -> None:
+    """Roll W, which holds level n, back to level 0 in place, in `sub`
+    substeps per level.
 
-    make_step(rows) returns a step (W, nxt, t, r0, r1) that writes rows
-    [r0, r1) of nxt from W, with one scratch set for blocks of up to `rows`
-    rows. The row blocks fall into one contiguous band per worker, each band
-    running its blocks in order on one step; the bands of a substep run on a
-    thread pool (inline for one band), and the next substep waits for all.
-    The substeps alternate between out[0] and one spare buffer, so that the
-    last one writes out[0].
+    make_step(rows) returns a step (W, t, r0, r1, above, below) that updates
+    rows [r0, r1) of W in place, with one scratch set for blocks of up to
+    `rows` rows; above and below are rows r0 - 1 and r1 as they stood before
+    the substep, None at the grid's edges. Before each substep the two rows on
+    either side of every block boundary are copied into one (boundaries, 2,
+    cols) halo snapshot, which serves those rows. A step reads its own rows
+    from W and its neighbours' rows from the snapshot only, and writes its own
+    rows after its last read, so each substep reads the W of the one before
+    in any block order. The row blocks fall into one contiguous band per
+    worker, each band running its blocks in order on one step; the bands of a
+    substep run on a thread pool (inline for one band), and the next substep
+    waits for all.
     """
-    blocks = _row_blocks(*out.shape[1:], min_rows)
-    workers = min(_worker_count(), len(blocks))
-    bands = [blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers]
+    blocks = _row_blocks(*W.shape, min_rows)
+    cuts = np.array([[r0 - 1, r0] for r0, _ in blocks[1:]], dtype=np.intp)
+    halo = np.empty((len(cuts), 2, W.shape[1]))
+    tasks = [(r0, r1, halo[i - 1, 0] if i else None,
+              halo[i, 1] if i < len(cuts) else None)
+             for i, (r0, r1) in enumerate(blocks)]
+    workers = min(_worker_count(), len(tasks))
+    bands = [tasks[len(tasks) * i // workers:len(tasks) * (i + 1) // workers]
              for i in range(workers)]
-    jobs = [(make_step(max(r1 - r0 for r0, r1 in band)), band) for band in bands]
-    buffers = (out[0], np.empty(out.shape[1:]))
+    jobs = [(make_step(max(r1 - r0 for r0, r1, _, _ in band)), band)
+            for band in bands]
     dts = grid.dt / sub
 
-    def run(job, W, nxt, t):
+    def run(job, t):
         step, band = job
-        for r0, r1 in band:
-            step(W, nxt, t, r0, r1)
+        for task in band:
+            step(W, t, *task)
 
     pool = None
     if workers > 1:
@@ -328,17 +369,16 @@ def _sweep(grid: TimeGrid, out, sub: int, min_rows: int, make_step) -> None:
         from concurrent.futures import ThreadPoolExecutor
         pool = ThreadPoolExecutor(workers)
     try:
-        W, t = out[1], grid.T
-        # left counts the substeps after this one
-        for left in range(grid.n * sub - 1, -1, -1):
-            nxt = buffers[left % 2]
+        t = grid.T
+        for _ in range(grid.n * sub):
+            if len(cuts):
+                np.take(W, cuts, axis=0, out=halo)
             if pool is None:
                 for job in jobs:
-                    run(job, W, nxt, t)
+                    run(job, t)
             else:
-                for _ in pool.map(lambda job: run(job, W, nxt, t), jobs):
+                for _ in pool.map(lambda job: run(job, t), jobs):
                     pass
-            W = nxt
             t -= dts
     finally:
         if pool is not None:
@@ -348,11 +388,12 @@ def _sweep(grid: TimeGrid, out, sub: int, min_rows: int, make_step) -> None:
 def solve_dual_hjb(spec, grid: TimeGrid, config: HJBConfig) -> DualGrid:
     """Backward explicit finite-difference solve of the dual HJB on [0, T].
 
-    The sweep rolls W from T down to 0 and keeps W at level 0, whose nodal
-    set gives the static value, and at the terminal level n, which
-    default_eps reads. Each level runs the fewest substeps that satisfy the
-    CFL bound of the spec's declared f_bound; ConfigError names f_bound when
-    it, or one of its components, is NaN, infinite or negative.
+    W starts from the terminal slice at level n and rolls back to level 0 in
+    place, in one grid slice; the DualGrid keeps W at level 0, whose nodal
+    set gives the static value, and recomputes level n from the spec when
+    at(n) or default_eps reads it. Each level runs the fewest substeps that
+    satisfy the CFL bound of the spec's declared f_bound; ConfigError names
+    f_bound when it, or one of its components, is NaN, infinite or negative.
     """
     if isinstance(spec, MarkovianDualSpec):
         return _solve_markovian(spec, grid, config)
@@ -386,8 +427,8 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
     min_rows = _check_axes((xs, ys), 4, "edge stencils")
     dx, dy = config.dx, config.dy
     fmax = float(_declared_bound(spec, ()))
-    out = np.empty((2, len(xs), len(ys)))
-    out[1] = (ys - np.asarray(spec.g(xs[:, None]))) ** 2
+    W = np.empty((1, len(xs), len(ys)))
+    _terminal(spec, (xs, ys), W[0])
     zmax = max(abs(z) for z in config.z_values)
     rate = 1.0 / dx ** 2 + zmax ** 2 / dy ** 2 + zmax / (dx * dy) + fmax / dy
     sub = _cfl_substeps(grid, rate)
@@ -401,20 +442,30 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
         planes[1][:] = ys
         d_rows, Dy_rows = np.empty((rows, cols + 1)), np.empty((rows + 2, cols))
         up_rows = np.empty((rows, cols), dtype=bool)
+        # a block shorter than the grid stacks its halo rows around its own
+        slab_rows = np.empty((rows + 2, cols)) if rows < len(xs) else None
 
-        def step(W, nxt, t, r0, r1):
-            lo, hi = max(r0 - 1, 0), min(r1 + 1, len(xs))
-            own = (r0 - lo, r1 - lo)
+        def step(W, t, r0, r1, above, below):
+            Wb = W[r0:r1]
+            if slab_rows is None:
+                slab, own = Wb, (0, r1 - r0)
+            else:
+                top = int(above is not None)
+                own = (top, top + r1 - r0)
+                slab = slab_rows[:own[1] + (below is not None)]
+                if top:
+                    slab[0] = above
+                slab[own[0]:own[1]] = Wb
+                if below is not None:
+                    slab[-1] = below
             Xb, Yb, Dxx, Dyy, Dxy, zpart, sel, cand, best = (
                 a[:r1 - r0] for a in planes)
             Xb[:] = xs[r0:r1, None]
-            d, Dy, up = d_rows[:r1 - r0], Dy_rows[:hi - lo], up_rows[:r1 - r0]
+            d, Dy, up = d_rows[:r1 - r0], Dy_rows[:len(slab)], up_rows[:r1 - r0]
             bwd, fwd = d[:, :-1], d[:, 1:]
             # the x stencils read the halo slab, whose edge rows are either the
             # grid's own edges or halo rows, so only the grid's edges take the
             # one-sided rows
-            slab = W[lo:hi]
-            Wb = W[r0:r1]
             _second_rows(slab, *own, dx, Dxx)
             _second_rows(Wb.T, 0, cols, dy, Dyy.T)
             _gradient_rows(slab.T, 0, cols, dy, Dy.T)
@@ -442,12 +493,12 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
             np.add(Dxx, best, out=Dxx)
             np.multiply(Dxx, dts, out=Dxx)
             np.add(Wb, Dxx, out=Dxx)
-            np.maximum(Dxx, 0.0, out=nxt[r0:r1])
+            np.maximum(Dxx, 0.0, out=Wb)
         return step
 
-    _sweep(grid, out, sub, min_rows, make_step)
-    return DualGrid(kind="markovian", times=grid.times(), axes=(xs, ys), W=out,
-                    substeps=sub)
+    _sweep(grid, W[0], sub, min_rows, make_step)
+    return DualGrid(kind="markovian", spec=spec, times=grid.times(), axes=(xs, ys),
+                    W=W, substeps=sub)
 
 
 def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
@@ -457,9 +508,8 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
     min_rows = _check_axes((y1, y2), 2, "the upwind stencil")
     dy = config.dy
     fmax = _declared_bound(spec, (2,))
-    t1, t2 = spec.target
-    out = np.empty((2, len(y1), len(y2)))
-    out[1] = (y1[:, None] - t1) ** 2 + (y2[None, :] - t2) ** 2
+    W = np.empty((1, len(y1), len(y2)))
+    _terminal(spec, (y1, y2), W[0])
     rate = fmax[0] / dy + fmax[1] / dy
     sub = _cfl_substeps(grid, rate)
     dts = grid.dt / sub
@@ -474,7 +524,8 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
         planes = [np.empty((rows, cols)) for _ in range(3)]
         up_rows = np.empty((rows, cols), dtype=bool)
 
-        def step(W, nxt, t, r0, r1):
+        def step(W, t, r0, r1, above, below):
+            Wb = W[r0:r1]
             pb = pts_rows[:, :r1 - r0]
             pb[0] = y1[r0:r1, None]
             P = np.moveaxis(pb, 0, -1)
@@ -485,8 +536,8 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
             # W = max(W - dts * max_u [f0 * sel0 + f1 * sel1], 0), one buffer
             # per intermediate: the bits of max(W + dts * min_u [(-f0) * sel0
             # - f1 * sel1], 0), as negation is exact and W never holds -0
-            _padded_diff(W, r0, r1, dy, d0)
-            _col_diff(W[r0:r1], dy, d1)
+            _padded_diff(Wb, above, below, dy, d0)
+            _col_diff(Wb, dy, d1)
             for k, u in enumerate(spec.control_values):
                 fv = np.asarray(spec.f(t, P, u))
                 f0, f1 = fv[..., 0], fv[..., 1]
@@ -501,13 +552,13 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
                 # and is faulted back in on every substep
                 del fv, f0, f1
             np.multiply(best, dts, out=best)
-            np.subtract(W[r0:r1], best, out=best)
-            np.maximum(best, 0.0, out=nxt[r0:r1])
+            np.subtract(Wb, best, out=best)
+            np.maximum(best, 0.0, out=Wb)
         return step
 
-    _sweep(grid, out, sub, min_rows, make_step)
-    return DualGrid(kind="deterministic", times=grid.times(), axes=(y1, y2), W=out,
-                    substeps=sub)
+    _sweep(grid, W[0], sub, min_rows, make_step)
+    return DualGrid(kind="deterministic", spec=spec, times=grid.times(),
+                    axes=(y1, y2), W=W, substeps=sub)
 
 
 # ---------------------------------------------------------------------------
@@ -524,17 +575,27 @@ class NodalSet:
 def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
                       eps: float | None = None) -> NodalSet:
     """Grid points with W(level, ...) <= eps, eps defaulting to dual.default_eps();
-    an empty set (no points) is no error."""
+    an empty set (no points) is no error.
+
+    A Markovian grid takes the row x_index, an integer in 0..nx - 1; a
+    deterministic grid takes none. ValueError otherwise.
+    """
+    W = dual.at(level)
+    if dual.kind == "markovian":
+        nx = len(dual.axes[0])
+        if (isinstance(x_index, bool) or not isinstance(x_index, (int, np.integer))
+                or not 0 <= x_index < nx):
+            raise ValueError(f"markovian nodal sets need an integer x_index in "
+                             f"0..{nx - 1}, got {x_index!r}")
+    elif x_index is not None:
+        raise ValueError(f"deterministic nodal sets take no x_index, got {x_index!r}")
     if eps is None:
         eps = dual.default_eps()
     if dual.kind == "markovian":
-        if x_index is None:
-            raise ValueError("markovian nodal sets need an x_index")
-        row = dual.at(level)[x_index, :]
         ys = dual.axes[1]
-        pts = ys[row <= eps][:, None]
+        pts = ys[W[x_index] <= eps][:, None]
     else:
-        mask = dual.at(level) <= eps
+        mask = W <= eps
         ii, jj = np.nonzero(mask)
         pts = np.stack([dual.axes[0][ii], dual.axes[1][jj]], axis=-1)
         order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -366,9 +366,14 @@ class LinearUtility:
     events: SwitchEvents | None  # an ensemble's switch record; None on a tree
 
     def path(self, i: int) -> SwitchingPath:
-        """Path i of the ensemble, or the root-to-leaf-i path of the tree."""
+        """Path i of the ensemble, or the root-to-leaf-i path of the tree;
+        ValueError unless i is an integer in range."""
         n = len(self.times) - 1
         tree = self.mode == "tree"
+        count = len(self.ahat[-1]) if tree else self.n_paths
+        if _bad_indices([i], count):
+            raise ValueError(f"path i = {i!r} outside 0..{count - 1}: "
+                             f"i must be an integer, not a bool, in that range")
         levels = zip(self.ahat, self.parity, self.anchor, self.switch_flags)
         rows = [tuple(a[i >> (n - j) if tree else i] for a in level)
                 for j, level in enumerate(levels)]
@@ -783,14 +788,23 @@ def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
     return _switch_record(levels, n_paths, swapped)
 
 
+def _bad_indices(indices, count: int) -> list:
+    """The entries of indices that are not an integer in 0..count - 1; a bool
+    is no integer here, so True cannot stand for 1."""
+    return [i.item() if isinstance(i, np.generic) else i for i in indices
+            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
+            or not 0 <= i < count]
+
+
 def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, paths,
                  seed: int = 0) -> tuple:
     """Paths `paths` of the seeded ensemble, equal to build_linear_utility(grid=grid,
     n_paths=n_paths, seed=seed).path(i) for each i, without storing the others."""
+    outside = _bad_indices(paths, n_paths)
+    if outside:
+        raise ValueError(f"path indices {outside} outside 0..{n_paths - 1}: each "
+                         f"must be an integer, not a bool, in that range")
     sel = np.asarray(paths, dtype=np.int64)
-    outside = sel[(sel < 0) | (sel >= n_paths)]
-    if outside.size:
-        raise ValueError(f"path indices {outside.tolist()} outside 0..{n_paths - 1}")
     times, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
     cols = [(lv.ahat[sel], lv.parity[sel], lv.anchor[sel], lv.switched[sel])
             for lv in levels()]

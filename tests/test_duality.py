@@ -50,7 +50,7 @@ def test_terminal_slice_exact():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config())
     xs, ys = dual.axes
     expected = (ys[None, :] - xs[:, None]) ** 2
-    np.testing.assert_array_equal(dual.W[-1], expected)
+    np.testing.assert_array_equal(dual.at(grid.n), expected)
 
 
 def test_markovian_quadratic_preserved_every_level():
@@ -94,6 +94,29 @@ def test_default_eps_is_ten_times_interpolation_estimate():
     dual = solve_dual_hjb(quad_spec(), grid, quad_config(h=0.1))
     # second differences of a quadratic are 2 h^2 along each axis
     assert dual.default_eps() == pytest.approx(10 * (2 * 0.1 ** 2 / 8.0) * 2)
+
+
+@pytest.mark.parametrize("x_index", [-1, 9, 1.5, True, np.int64(9), None],
+                         ids=["negative", "past-the-end", "float", "bool", "np-int", "none"])
+def test_a_markovian_x_index_outside_the_rows_raises_naming_it(x_index):
+    # 9 x 9 points at dx = dy = 0.25 on [-1, 1]
+    dual = solve_dual_hjb(problems.quadratic_dual_spec(), TimeGrid(1.0, 2),
+                          HJBConfig(x_bounds=(-1.0, 1.0), dx=0.25, y_bounds=(-1.0, 1.0),
+                                    dy=0.25))
+    with pytest.raises(ValueError, match=r"x_index in 0\.\.8"):
+        extract_nodal_set(dual, 0, x_index=x_index, eps=0.1)
+    for ok in (0, 8, np.int64(4)):
+        row = dual.at(0)[int(ok)]
+        nodal = extract_nodal_set(dual, 0, x_index=ok, eps=np.inf)
+        assert nodal.points.shape == (len(row), 1)
+
+
+def test_a_deterministic_nodal_set_rejects_an_x_index():
+    dual = solve_dual_hjb(transport_dual_spec(), TimeGrid(T=2.0, n=8),
+                          HJBConfig(y_bounds=(-2.0, 2.0), dy=0.1))
+    with pytest.raises(ValueError, match="take no x_index"):
+        extract_nodal_set(dual, 0, x_index=0, eps=0.1)
+    assert len(extract_nodal_set(dual, 0, eps=0.1).points) > 0
 
 
 def test_nodal_set_sorted_and_monotone_in_eps():
@@ -212,6 +235,25 @@ def test_unkept_level_raises_naming_the_held_levels(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", sorted(SLICE_CASES))
+def test_the_terminal_slice_is_recomputed_in_the_bits_of_its_expression(kind):
+    make_spec, grid, config = SLICE_CASES[kind]
+    spec = make_spec()
+    dual = solve_dual_hjb(spec, grid, config)
+    a0, a1 = dual.axes
+    if kind == "markovian":
+        want = (a1 - np.asarray(spec.g(a0[:, None]))) ** 2
+    else:
+        t1, t2 = spec.target
+        want = (a0[:, None] - t1) ** 2 + (a1[None, :] - t2) ** 2
+    got = dual.at(grid.n)
+    assert dual.W.shape[0] == 1 and got.shape == dual.W.shape[1:]
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # a fresh copy each read: writing to one leaves level 0 and the next read alone
+    got[:] = -1.0
+    assert np.array_equal(dual.at(grid.n), want) and np.min(dual.at(0)) >= 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(SLICE_CASES))
 def test_levels_outside_the_tree_are_rejected(kind):
     make_spec, grid, config = SLICE_CASES[kind]
     dual = solve_dual_hjb(make_spec(), grid, config)
@@ -263,11 +305,11 @@ def test_transport_solve_peak_memory_stays_small():
 
 def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
     # 8 row blocks of at most 26 rows on 2 workers; in grid arrays G of
-    # 201 x 201 floats the solve holds 2 level slices (0 and n), 1 spare
-    # buffer, per worker one scratch set for 26 rows (2 point planes, 2
-    # padded differences, 3 planes and a mask: 0.93 G) and one f output of
-    # 2 planes (0.26 G), 5.4 G in all; before the sweep the slices and the
-    # terminal sum make 3 G. The bound leaves room for the rest.
+    # 201 x 201 floats the solve holds 1 slice, rolled in place from level n
+    # to level 0 with no spare buffer, per worker one scratch set for 26 rows
+    # (2 point planes, 2 padded differences, 3 planes and a mask: 0.93 G) and
+    # one f output of 2 planes (0.26 G), 3.4 G in all; before the sweep the
+    # slice and the terminal sum make 2 G. The bound leaves room for the rest.
     spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
     monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
     monkeypatch.setattr(duality, "_worker_count", lambda: 2)
@@ -281,9 +323,26 @@ def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dual.W.shape == (2, 201, 201) and sorted(set(seen)) == [25, 26]
+    assert dual.W.shape == (1, 201, 201) and sorted(set(seen)) == [25, 26]
     assert len(seen) == 8 * 2 * 4 * dual.substeps
     assert peak < 8 * dual.W[0].nbytes
+
+
+def test_transport_sweep_holds_one_grid_slice(monkeypatch):
+    # the configuration above: 1 slice and 2 workers' scratch and f outputs
+    # make 3.4 G, the slice and the terminal sum 2 G before the sweep; a
+    # stored terminal slice and a spare buffer would add 2 G more
+    spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
+    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
+    monkeypatch.setattr(duality, "_worker_count", lambda: 2)
+    solve_dual_hjb(spec, TimeGrid(0.02, 1), config)  # lazy imports, pool start
+    tracemalloc.start()
+    try:
+        dual = solve_dual_hjb(spec, TimeGrid(0.5, 4), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * dual.W[0].nbytes
 
 
 def _transport_exact_w0(y, T):

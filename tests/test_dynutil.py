@@ -829,6 +829,38 @@ def test_replay_paths_rejects_a_path_outside_the_ensemble(monkeypatch, paths, na
     assert starts == []
 
 
+@pytest.mark.parametrize("paths, named", [
+    ([1.5], "[1.5]"), ([True], "[True]"), ([2, np.float64(1.0), np.bool_(True)], "[1.0, True]")],
+    ids=["float", "bool", "numpy-scalars"])
+def test_replay_paths_rejects_a_non_integer_path_index(monkeypatch, paths, named):
+    # np.asarray(..., dtype=np.int64) would read each of these as path 1
+    starts = _count_replays(monkeypatch)
+    with pytest.raises(ValueError, match=f"path indices {re.escape(named)} outside 0..9: "
+                                         "each must be an integer"):
+        replay_paths(switch_coeffs(), TimeGrid(4.0, 4096), 10, paths)
+    assert starts == []
+
+
+@pytest.mark.parametrize("mode", ["tree", "ensemble"])
+def test_linear_utility_path_rejects_an_index_outside_its_paths(monkeypatch, mode):
+    if mode == "tree":
+        coeffs, _ = linear_setup()
+        lin = build_linear_utility(coeffs, build_tree(TimeGrid(0.5, 3), d=1, mode="path"),
+                                   overshoot_limit=1.0)
+        count = 8  # leaves of the n = 3 tree
+    else:
+        lin = build_linear_utility(switch_coeffs(), grid=TimeGrid(4.0, 4096), n_paths=10,
+                                   seed=0)
+        count = 10
+    starts = _count_replays(monkeypatch)
+    for i in (-1, count, 1.5, True, np.int64(count)):
+        with pytest.raises(ValueError, match=rf"path i = .* outside 0\.\.{count - 1}"):
+            lin.path(i)
+    assert starts == []
+    last = lin.path(np.int64(count - 1))
+    assert np.array_equal(last.ahat, lin.path(count - 1).ahat)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_dense_ensemble_peak_memory(seed):
     # every level's own parity, anchor and flags would take ~52 MB here
