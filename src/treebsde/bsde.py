@@ -87,6 +87,14 @@ def _check_cap(count: int, what: str) -> None:
         raise EnumerationCapError(f"{count} {what} exceed cap {ENUMERATION_CAP}")
 
 
+def _bad_indices(indices, count: int) -> list:
+    """The entries of indices that are not an integer in 0..count - 1; a bool
+    is no integer here, so True cannot stand for 1."""
+    return [i.item() if isinstance(i, np.generic) else i for i in indices
+            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
+            or not 0 <= i < count]
+
+
 class NoMaximumError(ValueError):
     """phi(Y_0) is NaN or -inf under every policy, so no policy attains a maximum."""
 

@@ -80,7 +80,8 @@ import numpy as np
 
 from treebsde.artifacts import write_csv
 from treebsde.lattice import ScenarioTree, TimeGrid
-from treebsde.bsde import _CHUNK_FLOATS, BSDEProblem, NodeContext, _check_cap
+from treebsde.bsde import (
+    _CHUNK_FLOATS, BSDEProblem, NodeContext, _bad_indices, _check_cap)
 
 
 class ConfigError(ValueError):
@@ -147,12 +148,16 @@ class DeterministicDualSpec:
 
 @dataclass(frozen=True)
 class DualGrid:
-    kind: str          # "markovian" | "deterministic"
     spec: object       # the solved spec, from which at(n) recomputes level n
     times: np.ndarray  # every tree-level time, increasing
     axes: tuple        # markovian: (xs, ys); deterministic: (y1s, y2s)
     W: np.ndarray      # (1, len(axes[0]), len(axes[1])): W at level 0 only
     substeps: int
+
+    @property
+    def kind(self) -> str:
+        """'markovian' or 'deterministic', read off the type of spec."""
+        return "markovian" if isinstance(self.spec, MarkovianDualSpec) else "deterministic"
 
     @property
     def levels(self) -> tuple:
@@ -442,22 +447,19 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
         planes[1][:] = ys
         d_rows, Dy_rows = np.empty((rows, cols + 1)), np.empty((rows + 2, cols))
         up_rows = np.empty((rows, cols), dtype=bool)
-        # a block shorter than the grid stacks its halo rows around its own
-        slab_rows = np.empty((rows + 2, cols)) if rows < len(xs) else None
+        # each block stacks its halo rows, if any, around its own
+        slab_rows = np.empty((rows + 2, cols))
 
         def step(W, t, r0, r1, above, below):
             Wb = W[r0:r1]
-            if slab_rows is None:
-                slab, own = Wb, (0, r1 - r0)
-            else:
-                top = int(above is not None)
-                own = (top, top + r1 - r0)
-                slab = slab_rows[:own[1] + (below is not None)]
-                if top:
-                    slab[0] = above
-                slab[own[0]:own[1]] = Wb
-                if below is not None:
-                    slab[-1] = below
+            top = int(above is not None)
+            own = (top, top + r1 - r0)
+            slab = slab_rows[:own[1] + (below is not None)]
+            if top:
+                slab[0] = above
+            slab[own[0]:own[1]] = Wb
+            if below is not None:
+                slab[-1] = below
             Xb, Yb, Dxx, Dyy, Dxy, zpart, sel, cand, best = (
                 a[:r1 - r0] for a in planes)
             Xb[:] = xs[r0:r1, None]
@@ -497,7 +499,7 @@ def _solve_markovian(spec: MarkovianDualSpec, grid: TimeGrid,
         return step
 
     _sweep(grid, W[0], sub, min_rows, make_step)
-    return DualGrid(kind="markovian", spec=spec, times=grid.times(), axes=(xs, ys),
+    return DualGrid(spec=spec, times=grid.times(), axes=(xs, ys),
                     W=W, substeps=sub)
 
 
@@ -557,7 +559,7 @@ def _solve_deterministic(spec: DeterministicDualSpec, grid: TimeGrid,
         return step
 
     _sweep(grid, W[0], sub, min_rows, make_step)
-    return DualGrid(kind="deterministic", spec=spec, times=grid.times(),
+    return DualGrid(spec=spec, times=grid.times(),
                     axes=(y1, y2), W=W, substeps=sub)
 
 
@@ -583,8 +585,7 @@ def extract_nodal_set(dual: DualGrid, level: int, x_index: int | None = None,
     W = dual.at(level)
     if dual.kind == "markovian":
         nx = len(dual.axes[0])
-        if (isinstance(x_index, bool) or not isinstance(x_index, (int, np.integer))
-                or not 0 <= x_index < nx):
+        if _bad_indices([x_index], nx):
             raise ValueError(f"markovian nodal sets need an integer x_index in "
                              f"0..{nx - 1}, got {x_index!r}")
     elif x_index is not None:

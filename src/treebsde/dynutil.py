@@ -53,6 +53,7 @@ from treebsde.bsde import (
     PolicySpace,
     ProblemValidationError,
     StructureError,
+    _bad_indices,
     _search,
     _solve_chunks,
 )
@@ -786,14 +787,6 @@ def switch_events(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int,
     seed=seed), in O(n_paths + switches) memory."""
     _, swapped, levels = _ensemble(coeffs, grid, n_paths, seed, OVERSHOOT_LIMIT)
     return _switch_record(levels, n_paths, swapped)
-
-
-def _bad_indices(indices, count: int) -> list:
-    """The entries of indices that are not an integer in 0..count - 1; a bool
-    is no integer here, so True cannot stand for 1."""
-    return [i.item() if isinstance(i, np.generic) else i for i in indices
-            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer))
-            or not 0 <= i < count]
 
 
 def replay_paths(coeffs: LinearUtilityCoeffs, grid: TimeGrid, n_paths: int, paths,

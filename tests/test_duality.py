@@ -309,7 +309,9 @@ def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
     # to level 0 with no spare buffer, per worker one scratch set for 26 rows
     # (2 point planes, 2 padded differences, 3 planes and a mask: 0.93 G) and
     # one f output of 2 planes (0.26 G), 3.4 G in all; before the sweep the
-    # slice and the terminal sum make 2 G. The bound leaves room for the rest.
+    # slice and the terminal sum make 2 G. The first bound leaves room for the
+    # rest; the second fails if a stored terminal slice and a spare buffer
+    # added their 2 G.
     spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
     monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
     monkeypatch.setattr(duality, "_worker_count", lambda: 2)
@@ -326,22 +328,6 @@ def test_transport_sweep_memory_grows_with_workers_not_blocks(monkeypatch):
     assert dual.W.shape == (1, 201, 201) and sorted(set(seen)) == [25, 26]
     assert len(seen) == 8 * 2 * 4 * dual.substeps
     assert peak < 8 * dual.W[0].nbytes
-
-
-def test_transport_sweep_holds_one_grid_slice(monkeypatch):
-    # the configuration above: 1 slice and 2 workers' scratch and f outputs
-    # make 3.4 G, the slice and the terminal sum 2 G before the sweep; a
-    # stored terminal slice and a spare buffer would add 2 G more
-    spec, config = transport_dual_spec(), HJBConfig(y_bounds=(-2.0, 2.0), dy=0.02)
-    monkeypatch.setattr(duality, "_BLOCK_FLOATS", 26 * 201)
-    monkeypatch.setattr(duality, "_worker_count", lambda: 2)
-    solve_dual_hjb(spec, TimeGrid(0.02, 1), config)  # lazy imports, pool start
-    tracemalloc.start()
-    try:
-        dual = solve_dual_hjb(spec, TimeGrid(0.5, 4), config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert peak < 4.5 * dual.W[0].nbytes
 
 
